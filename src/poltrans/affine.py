@@ -103,7 +103,3 @@ def fit_affine(kp: PairedKeypoints) -> AffineMap:
         source_centroid=src_centroid,
         target_centroid=tgt_centroid,
     )
-
-
-def apply_affine(mapping: AffineMap, x: np.ndarray) -> np.ndarray:
-    return mapping.apply(x)

@@ -1,11 +1,16 @@
 """Command-line front end: fit, transport, bench, metrics, rank, scenario-gen.
 
 Exit codes: 0 success, 1 runtime failure (missing/invalid files, numeric
-failure), 2 usage error (unknown subcommand, method, or suite). The bench
-subcommand fans scenario x method x seed work out to a thread pool capped
-by the POLTRANS_THREADS environment variable and writes deterministically
-ordered artifacts: metrics CSV (timing deliberately excluded so reruns are
-bitwise identical), ranking JSON, per-scenario reports, and SVG overlays.
+failure), 2 usage error (unknown subcommand, method, or suite).
+
+Both bench suites reduce to a list of cells, one per scene x method x
+repetition, which ``_run_bench`` runs on a thread pool capped by the
+POLTRANS_THREADS environment variable. It writes deterministically
+ordered artifacts: metrics.csv (timing deliberately excluded so reruns are
+bitwise identical across worker counts), ranking.json, one SVG overlay per
+scene, report.json with gpt's timings, keypoint error and det J > 0
+percentage per scene, and failures.json listing each failed cell with its
+exception type and message.
 """
 from __future__ import annotations
 
@@ -15,7 +20,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .metrics import (
 )
 from .scenarios import (
     SURFACE_PROFILES,
-    FrameScenario,
     frame_pairing,
     load_scenario,
     make_surface_scenario,
@@ -56,6 +63,14 @@ SUITES = ("surfaces", "frames")
 # Frame benchmarks give assignment-based reshapers fewer keypoints per frame
 # (pairing more is ambiguous for them); map-based methods use all five.
 FRAME_KPF = {"gpt": 5, "lwt": 5, "le": 2, "reshaped_kmp": 2}
+# Per-scene entries of report.json, taken from gpt's run bookkeeping.
+GPT_REPORT_FIELDS = (
+    "fit_seconds",
+    "transport_seconds",
+    "keypoint_error_max",
+    "keypoint_error_mean",
+    "det_positive_pct",
+)
 _METHOD_COLORS = {
     "gpt": "#1f77b4",
     "le": "#2ca02c",
@@ -114,11 +129,6 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _scenario_keypoints(path: str) -> PairedKeypoints:
-    scenario = load_scenario(path)
-    return scenario.keypoints
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -140,7 +150,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(_setting(args, cfg, "out_dir", "."))
     seed = int(_setting(args, cfg, "seed", 0))
 
-    kp = _scenario_keypoints(scenario_path)
+    kp = load_scenario(scenario_path).keypoints
     start = time.perf_counter()
     tmap = fit_transport(kp, TransportConfig(seed=seed))
     fit_seconds = time.perf_counter() - start
@@ -229,8 +239,9 @@ def _gamma_pretransform(kp: PairedKeypoints, demo: Trajectory):
 def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: str, seed: int):
     """Produce the transported demonstration plus bench bookkeeping.
 
-    Returns (trajectory, extras) where extras may carry timing, the
-    two-sigma band, keypoint accuracy, and det(J) statistics for gpt.
+    Returns (trajectory, extras); for gpt, extras carries the timings, the
+    posterior standard deviation along the path (``band_sigma``), keypoint
+    accuracy and det(J) statistics, and it is empty for the baselines.
     """
     extras: dict = {}
     if method == "gpt":
@@ -251,10 +262,7 @@ def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: st
 
     demo2, kp2 = _gamma_pretransform(kp, demo)
     if method == "lwt":
-        start = time.perf_counter()
-        lwt = fit_lwt(kp2)
-        extras["fit_seconds"] = time.perf_counter() - start
-        positions = apply_lwt(lwt, demo2.positions)
+        positions = apply_lwt(fit_lwt(kp2), demo2.positions)
         return Trajectory(positions=positions, times=demo2.times), extras
 
     assignment = assign_via_points(demo2, kp2)
@@ -280,70 +288,124 @@ def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: di
     scene.write(path)
 
 
-def _single_method_ranking(method: str) -> RankingResult:
-    points = {method: 0}
-    per_metric = {name: {method: 0} for name in METRIC_NAMES}
-    return RankingResult(points=points, per_metric_points=per_metric, ranking=((method, 1),))
+def _ranking(rows, alpha: float) -> RankingResult:
+    """Rank the methods present in the metric rows; a lone method ranks
+    first with zero points, since there is nothing to test it against."""
+    methods = sorted({row["method"] for row in rows})
+    if len(methods) == 1:
+        (method,) = methods
+        per_metric = {name: {method: 0} for name in METRIC_NAMES}
+        return RankingResult(points={method: 0}, per_metric_points=per_metric, ranking=((method, 1),))
+    samples = {
+        method: {
+            name: np.array([r[name] for r in rows if r["method"] == method])
+            for name in METRIC_NAMES
+        }
+        for method in methods
+    }
+    return rank_methods(samples, alpha=alpha)
 
 
-def _bench_surfaces(methods, seeds, n_keypoints, out_dir: Path, alpha: float) -> int:
-    tasks = [
-        (profile, seed, method)
+@dataclass(frozen=True)
+class BenchCell:
+    """One scene x method run. ``build`` returns the scene's scenario (its
+    reference scores the result and it is drawn in the SVG), the keypoint
+    pairs the method conditions on, and the demonstration it transports.
+    The repetition doubles as the GP optimizer seed."""
+
+    scene: str
+    repetition: int
+    method: str
+    topology: str
+    build: Callable[[], tuple]
+
+
+def _surface_inputs(profile: str, seed: int, n_keypoints: int):
+    scenario = make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
+    return scenario, scenario.keypoints, scenario.demonstration
+
+
+def _frame_inputs(train_seed: int, test_seed: int, kpf: int):
+    train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
+    test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
+    # The training demonstration, recorded at its own frames, moves to the test frames.
+    return test, frame_pairing(train, test), train.reference
+
+
+def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
+    return [
+        BenchCell(
+            f"surface-{profile}-{seed}", seed, method, "ring",
+            partial(_surface_inputs, profile, seed, n_keypoints),
+        )
         for profile in SURFACE_PROFILES
         for seed in range(seeds)
         for method in methods
     ]
 
-    def run(task):
-        profile, seed, method = task
-        scenario = make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
-        try:
-            produced, extras = _run_method(
-                method, scenario.keypoints, scenario.demonstration, "ring", seed
-            )
-            report = compute_metrics(produced, scenario.reference)
-        except Exception as exc:  # failure -> missing sample, bench continues
-            return task, None, None, None, str(exc)
-        return task, scenario, produced, (report, extras), None
 
+def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
+    train_ids = range(100, 100 + train_seeds)
+    cells = []
+    for test_seed in range(200, 200 + seeds):
+        rng = np.random.default_rng(test_seed)
+        train_seed = train_ids[int(rng.integers(len(train_ids)))]
+        cells += [
+            BenchCell(
+                f"frame-{test_seed}", test_seed, method, "chain",
+                partial(_frame_inputs, train_seed, test_seed, FRAME_KPF[method]),
+            )
+            for method in methods
+        ]
+    return cells
+
+
+def _run_cell(cell: BenchCell):
+    """(scenario, produced, metrics, extras, error) for one cell; a method
+    or metric failure becomes a missing sample and the bench continues."""
+    scenario, kp, demo = cell.build()
+    try:
+        produced, extras = _run_method(cell.method, kp, demo, cell.topology, cell.repetition)
+        report = compute_metrics(produced, scenario.reference)
+    except Exception as exc:
+        return scenario, None, None, None, exc
+    return scenario, produced, report, extras, None
+
+
+def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        outcomes = list(pool.map(run, tasks))
+        outcomes = list(pool.map(_run_cell, cells))
 
     rows = []
     failures = []
-    scenario_reports: dict = {}
-    scene_curves: dict = {}
-    for task, scenario, produced, result, error in outcomes:
-        profile, seed, method = task
-        name = f"surface-{profile}-{seed}"
+    gpt_reports: dict = {}
+    scenes: dict = {}
+    for cell, (scenario, produced, report, extras, error) in zip(cells, outcomes):
         if error is not None:
-            failures.append({"scenario": name, "method": method, "error": error})
+            failures.append(
+                {"scenario": cell.scene, "method": cell.method,
+                 "error": str(error), "type": type(error).__name__}
+            )
             continue
-        report, extras = result
-        row = {"scenario": name, "method": method, "repetition": seed}
+        row = {"scenario": cell.scene, "method": cell.method, "repetition": cell.repetition}
         row.update(report.to_dict())
         rows.append(row)
-        bundle = scene_curves.setdefault(name, {"scenario": scenario, "produced": {}, "bands": {}})
-        bundle["produced"][method] = produced
-        if "band_sigma" in extras:
-            bundle["bands"][method] = extras["band_sigma"]
-        if method == "gpt":
-            scenario_reports[name] = {
-                "fit_seconds": extras["fit_seconds"],
-                "transport_seconds": extras["transport_seconds"],
-                "keypoint_error_max": extras["keypoint_error_max"],
-                "keypoint_error_mean": extras["keypoint_error_mean"],
-                "det_positive_pct": extras["det_positive_pct"],
-            }
+        # The first successful cell of a scene in task order supplies its scenario.
+        bundle = scenes.setdefault(cell.scene, {"scenario": scenario, "produced": {}, "bands": {}})
+        bundle["produced"][cell.method] = produced
+        if cell.method == "gpt":
+            bundle["bands"]["gpt"] = extras["band_sigma"]
+            gpt_reports[cell.scene] = {key: extras[key] for key in GPT_REPORT_FIELDS}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out_dir / "metrics.csv")
-    _emit_ranking(rows, methods, alpha, out_dir)
-    if scenario_reports:
-        _write_json(scenario_reports, out_dir / "report.json")
+    if rows:
+        save_ranking(_ranking(rows, alpha), out_dir / "ranking.json")
+    if gpt_reports:
+        _write_json(gpt_reports, out_dir / "report.json")
     if failures:
         _write_json({"failures": failures}, out_dir / "failures.json")
-    for name, bundle in sorted(scene_curves.items()):
+    for name, bundle in sorted(scenes.items()):
         scenario = bundle["scenario"]
         _scene_svg(
             out_dir / "svg" / f"{name}.svg",
@@ -353,93 +415,8 @@ def _bench_surfaces(methods, seeds, n_keypoints, out_dir: Path, alpha: float) ->
             scenario.keypoints,
             bundle["bands"],
         )
-    print(
-        f"bench surfaces: {len(rows)} runs over {len(SURFACE_PROFILES)} profiles x "
-        f"{seeds} seeds x {len(methods)} methods -> {out_dir}"
-    )
+    print(f"bench {suite}: {len(rows)} runs over {len(scenes)} scenes, {len(failures)} failed -> {out_dir}")
     return 0
-
-
-def _bench_frames(methods, seeds, train_seeds, out_dir: Path, alpha: float) -> int:
-    train_ids = list(range(100, 100 + train_seeds))
-    test_ids = list(range(200, 200 + seeds))
-    tasks = [(test_seed, method) for test_seed in test_ids for method in methods]
-
-    def run(task):
-        test_seed, method = task
-        rng = np.random.default_rng(test_seed)
-        train_seed = train_ids[int(rng.integers(len(train_ids)))]
-        kpf = FRAME_KPF.get(method, 5)
-        train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
-        test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
-        kp = frame_pairing(train, test)
-        demo = train.reference  # the training demonstration at its own frames
-        try:
-            produced, extras = _run_method(method, kp, demo, "chain", test_seed)
-            report = compute_metrics(produced, test.reference)
-        except Exception as exc:
-            return task, None, None, None, str(exc)
-        return task, test, produced, (report, extras), None
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        outcomes = list(pool.map(run, tasks))
-
-    rows = []
-    failures = []
-    scene_curves: dict = {}
-    for task, test, produced, result, error in outcomes:
-        test_seed, method = task
-        name = f"frame-{test_seed}"
-        if error is not None:
-            failures.append({"scenario": name, "method": method, "error": error})
-            continue
-        report, extras = result
-        row = {"scenario": name, "method": method, "repetition": test_seed}
-        row.update(report.to_dict())
-        rows.append(row)
-        bundle = scene_curves.setdefault(name, {"scenario": test, "produced": {}, "bands": {}})
-        bundle["produced"][method] = produced
-        if "band_sigma" in extras:
-            bundle["bands"][method] = extras["band_sigma"]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(rows, out_dir / "metrics.csv")
-    _emit_ranking(rows, methods, alpha, out_dir)
-    if failures:
-        _write_json({"failures": failures}, out_dir / "failures.json")
-    for name, bundle in sorted(scene_curves.items()):
-        test = bundle["scenario"]
-        _scene_svg(
-            out_dir / "svg" / f"{name}.svg",
-            test.demonstration,
-            test.reference,
-            bundle["produced"],
-            test.keypoints,
-            bundle["bands"],
-        )
-    print(
-        f"bench frames: {len(rows)} runs over {len(test_ids)} test seeds x "
-        f"{len(methods)} methods ({len(train_ids)} training seeds) -> {out_dir}"
-    )
-    return 0
-
-
-def _emit_ranking(rows, methods, alpha: float, out_dir: Path) -> None:
-    present = sorted({row["method"] for row in rows})
-    if len(present) >= 2:
-        samples = {
-            method: {
-                name: np.array([r[name] for r in rows if r["method"] == method])
-                for name in METRIC_NAMES
-            }
-            for method in present
-        }
-        ranking = rank_methods(samples, alpha=alpha)
-    elif len(present) == 1:
-        ranking = _single_method_ranking(present[0])
-    else:
-        return
-    save_ranking(ranking, out_dir / "ranking.json")
 
 
 def cmd_bench(args) -> int:
@@ -460,10 +437,12 @@ def cmd_bench(args) -> int:
     if suite == "surfaces":
         seeds = int(_setting(args, cfg, "seeds", 3))
         n_keypoints = int(_setting(args, cfg, "n_keypoints", 12))
-        return _bench_surfaces(methods, seeds, n_keypoints, out_dir, alpha)
-    seeds = int(_setting(args, cfg, "seeds", 20))
-    train_seeds = int(_setting(args, cfg, "train_seeds", 9))
-    return _bench_frames(methods, seeds, train_seeds, out_dir, alpha)
+        cells = _surface_cells(methods, seeds, n_keypoints)
+    else:
+        seeds = int(_setting(args, cfg, "seeds", 20))
+        train_seeds = int(_setting(args, cfg, "train_seeds", 9))
+        cells = _frame_cells(methods, seeds, train_seeds)
+    return _run_bench(suite, cells, alpha, out_dir)
 
 
 def cmd_metrics(args) -> int:
@@ -482,18 +461,7 @@ def cmd_rank(args) -> int:
     rows = read_metrics_csv(args.metrics)
     if not rows:
         raise ValueError("metrics file holds no rows")
-    methods = sorted({row["method"] for row in rows})
-    if len(methods) == 1:
-        ranking = _single_method_ranking(methods[0])
-    else:
-        samples = {
-            method: {
-                name: np.array([r[name] for r in rows if r["method"] == method])
-                for name in METRIC_NAMES
-            }
-            for method in methods
-        }
-        ranking = rank_methods(samples, alpha=args.alpha)
+    ranking = _ranking(rows, args.alpha)
     out = Path(args.out) if args.out else Path(args.metrics).parent / "ranking.json"
     save_ranking(ranking, out)
     print(json.dumps(ranking.to_dict(), indent=2, sort_keys=True))

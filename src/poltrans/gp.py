@@ -22,8 +22,7 @@ inputs the posterior mean decays to 0 and the variance reverts to sp2.
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -137,6 +136,8 @@ def _as_2d(arr, name: str) -> np.ndarray:
         out = out[:, None]
     if out.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
     return out
 
 
@@ -316,9 +317,6 @@ def fit_gp(
         )
         if res.fun < best_val:
             best_val, best_u = float(res.fun), res.x
-    if not np.isfinite(best_val):
-        warnings.warn("hyperparameter optimization failed; using initial parameters")
-        return build_gp(x, y, init)
 
     sp2 = float(np.exp(best_u[0]))
     params = KernelParams(

@@ -71,7 +71,10 @@ METRIC_NAMES = (
 def _positions(traj) -> np.ndarray:
     if isinstance(traj, Trajectory):
         return traj.positions
-    return np.atleast_2d(np.asarray(traj, dtype=float))
+    pts = np.atleast_2d(np.asarray(traj, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("trajectory positions must be finite")
+    return pts
 
 
 def frechet_distance(a, b) -> float:

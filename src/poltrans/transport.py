@@ -44,11 +44,8 @@ RESIDUAL_NOISE_RATIO_CAP = 1e-6
 class TransportConfig:
     """Controls for the residual GP fit inside :func:`fit_transport`."""
 
-    optimize: bool = True
     restarts: int = 5
     seed: int = 0
-    noise_ratio_cap: float = RESIDUAL_NOISE_RATIO_CAP
-    match_tol_scale: float = TOL_MATCH_SCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +164,7 @@ def fit_transport(kp: PairedKeypoints, config: TransportConfig | None = None) ->
     The rigid part comes first; the GP residual is then fitted on inputs
     gamma(S) against targets T - gamma(S) with its noise ratio capped near
     zero so that every keypoint is matched within
-    ``match_tol_scale * target diameter``. If the optimized fit misses that
+    ``TOL_MATCH_SCALE * target diameter``. If the optimized fit misses that
     tolerance, the fit is retried with the noise pinned at the floor; a
     persistent miss attaches a warning rather than failing.
     """
@@ -178,25 +175,22 @@ def fit_transport(kp: PairedKeypoints, config: TransportConfig | None = None) ->
     aligned = affine.apply(kp.source.points)
     residual_targets = kp.target.points - aligned
 
-    cap = max(config.noise_ratio_cap, NOISE_FLOOR_RATIO)
     residual = fit_gp(
         aligned,
         residual_targets,
-        optimize=config.optimize,
         restarts=config.restarts,
-        noise_ratio_bounds=(NOISE_FLOOR_RATIO, cap),
+        noise_ratio_bounds=(NOISE_FLOOR_RATIO, RESIDUAL_NOISE_RATIO_CAP),
         seed=config.seed,
     )
 
     diam = kp.target.diameter()
-    tol = config.match_tol_scale * (diam if diam > 0 else 1.0)
+    tol = TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
     err = _keypoint_mismatch(affine, residual, kp)
     notes: tuple[str, ...] = ()
     if err > tol:
         pinned = fit_gp(
             aligned,
             residual_targets,
-            optimize=config.optimize,
             restarts=config.restarts,
             noise_ratio_bounds=(NOISE_FLOOR_RATIO, NOISE_FLOOR_RATIO),
             seed=config.seed,
@@ -223,7 +217,8 @@ def _as_points(tmap: TransportMap, x) -> tuple[np.ndarray, bool]:
 
 def transport_points(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndarray]:
     """phi at a batch of points plus the per-point GP posterior variance
-    (scalar per point, shared across coordinates)."""
+    (scalar per point, shared across coordinates). A single 1-d point
+    gives its image and a float variance."""
     pts, single = _as_points(tmap, points)
     aligned = tmap.affine.apply(pts)
     mean = aligned + predict_mean(tmap.residual, aligned)
@@ -233,19 +228,13 @@ def transport_points(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndarray
     return mean, var
 
 
-def transport_point(tmap: TransportMap, x) -> tuple[np.ndarray, float]:
-    """phi(x) = gamma(x) + psi(gamma(x)) and its epistemic variance."""
-    mean, var = transport_points(tmap, np.asarray(x, dtype=float))
-    return mean, var
-
-
 def transport_jacobians(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians J = A + Dpsi(gamma(x)) A and per-entry derivative variances.
 
     The second return value holds, for each point, the matrix
     A^T Sigma' A whose diagonal entry (b, b) is the variance of every
     Jacobian entry in column b (output rows share hyperparameters, hence
-    share the variance).
+    share the variance). A single 1-d point gives one matrix of each.
     """
     pts, single = _as_points(tmap, points)
     aligned = tmap.affine.apply(pts)
@@ -256,10 +245,6 @@ def transport_jacobians(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndar
     if single:
         return jac[0], jac_var[0]
     return jac, jac_var
-
-
-def transport_jacobian(tmap: TransportMap, x) -> tuple[np.ndarray, np.ndarray]:
-    return transport_jacobians(tmap, x)
 
 
 def polar_rotation(jacobian: np.ndarray) -> tuple[np.ndarray, str | None]:

@@ -30,9 +30,8 @@ from poltrans import (
     fit_affine,
     fit_transport,
     is_rotation,
-    transport_jacobian,
+    transport_jacobians,
     transport_labels,
-    transport_point,
     transport_points,
     transport_uncertainty,
 )
@@ -106,13 +105,13 @@ def test_criterion_03_jacobian_vs_finite_differences():
     for _ in range(50):
         tmap = fit_transport(random_smooth_pair(rng, n=int(rng.integers(4, 14))), FAST)
         for q in rng.uniform(-1.5, 1.5, (20, 2)):
-            jac, _ = transport_jacobian(tmap, q)
+            jac, _ = transport_jacobians(tmap, q)
             fd = np.empty((2, 2))
             for b in range(2):
                 e = np.zeros(2)
                 e[b] = h
-                hi, _ = transport_point(tmap, q + e)
-                lo, _ = transport_point(tmap, q - e)
+                hi, _ = transport_points(tmap, q + e)
+                lo, _ = transport_points(tmap, q - e)
                 fd[:, b] = (hi - lo) / (2 * h)
             tol = max(1e-6, 1e-4 * np.linalg.norm(jac))
             assert np.abs(jac - fd).max() <= tol
@@ -134,9 +133,9 @@ def test_criterion_04_out_of_distribution_affine_reversion():
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         query = center + (radius + 30.0 * ell) * direction
-        moved, _ = transport_point(tmap, query)
+        moved, _ = transport_points(tmap, query)
         assert np.linalg.norm(moved - tmap.affine.apply(query)) <= 1e-6 * sp
-        jac, _ = transport_jacobian(tmap, query)
+        jac, _ = transport_jacobians(tmap, query)
         assert np.linalg.norm(jac - tmap.affine.rotation) <= 1e-6 * sp / ell
     print("[criterion 04] PASS - 100 scenarios revert to the rigid part at 30 lengthscales")
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_rigid_pair, rotation_2d, so2_grid_rotation
 from poltrans import PairedKeypoints, PointSet, fit_affine, is_rotation
-from poltrans.affine import AffineMap, apply_affine
+from poltrans.affine import AffineMap
 
 
 def residual_norm(kp, mapping):
@@ -117,7 +117,7 @@ def test_apply_handles_single_and_batch_points():
     batch = mapping.apply(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert batch.shape == (2, 2)
     assert_allclose(batch[0], single, atol=0)
-    assert_allclose(apply_affine(mapping, np.array([[1.0, 0.0]]))[0], single, atol=0)
+    assert_allclose(mapping.apply(np.array([[1.0, 0.0]]))[0], single, atol=0)
 
 
 def test_identity_on_identical_sets():

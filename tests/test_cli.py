@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poltrans import PolicyLabels, Trajectory, save_json
+from poltrans import cli
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, read_metrics_csv
 from poltrans.scenarios import make_surface_scenario, save_scenario
@@ -192,19 +196,57 @@ class TestBench:
         assert len(svg) == 5 and svg[0].endswith(".svg")
 
     def test_rerun_is_bitwise_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        outputs = []
-        for threads, name in (("1", "a"), ("3", "b")):
-            monkeypatch.setenv("POLTRANS_THREADS", threads)
-            out = tmp_path / name
-            code = run(
-                "bench", "--suite", "surfaces", "--seeds", 1,
-                "--methods", "gpt,le,lwt", "--n-keypoints", 7, "--out-dir", out,
-            )
-            assert code == 0
-            outputs.append(out)
-        a, b = outputs
-        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
-        assert (a / "ranking.json").read_bytes() == (b / "ranking.json").read_bytes()
+        suites = {
+            "surfaces": ("--seeds", 1, "--methods", "gpt,le,lwt", "--n-keypoints", 7),
+            "frames": ("--seeds", 3, "--train-seeds", 2, "--methods", "gpt,le"),
+        }
+        for suite, flags in suites.items():
+            outputs = []
+            for threads in ("1", "3"):
+                monkeypatch.setenv("POLTRANS_THREADS", threads)
+                out = tmp_path / f"{suite}-{threads}"
+                assert run("bench", "--suite", suite, *flags, "--out-dir", out) == 0
+                outputs.append(out)
+            a, b = outputs
+            assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+            assert (a / "ranking.json").read_bytes() == (b / "ranking.json").read_bytes()
+            svgs = sorted(p.name for p in (a / "svg").iterdir())
+            assert svgs == sorted(p.name for p in (b / "svg").iterdir())
+            for name in svgs:
+                assert (a / "svg" / name).read_bytes() == (b / "svg" / name).read_bytes()
+            # every scene has a gpt cell, so each suite reports every scene
+            scenes = {row["scenario"] for row in read_metrics_csv(a / "metrics.csv")}
+            report = json.loads((a / "report.json").read_text())
+            assert set(report) == scenes
+            for entry in report.values():
+                assert entry["keypoint_error_max"] >= entry["keypoint_error_mean"] >= 0
+                assert 0.0 <= entry["det_positive_pct"] <= 100.0
+
+    def test_failed_cell_is_recorded_and_bench_continues(self, tmp_path, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        real = cli._run_method
+
+        def failing_le(method, *args):
+            if method == "le":
+                raise Boom("forced failure")
+            return real(method, *args)
+
+        monkeypatch.setattr(cli, "_run_method", failing_le)
+        out = tmp_path / "bench"
+        code = run(
+            "bench", "--suite", "frames", "--seeds", 1, "--train-seeds", 1,
+            "--methods", "gpt,le", "--out-dir", out,
+        )
+        assert code == 0
+        failures = json.loads((out / "failures.json").read_text())["failures"]
+        assert failures == [
+            {"scenario": "frame-200", "method": "le", "error": "forced failure", "type": "Boom"}
+        ]
+        assert [row["method"] for row in read_metrics_csv(out / "metrics.csv")] == ["gpt"]
+        assert json.loads((out / "ranking.json").read_text())["ranking"] == [["gpt", 1]]
+        assert (out / "svg" / "frame-200.svg").exists()
 
     def test_unknown_suite_and_method(self, tmp_path):
         assert run("bench", "--suite", "planets", "--out-dir", tmp_path) == 2
@@ -220,3 +262,18 @@ class TestParsing:
 
     def test_missing_required_flag(self):
         assert run("metrics", "--produced", "x.json") == 2
+
+
+def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
+    """The benchmark's tracer patches poltrans names (its LAYER_FUNCTIONS,
+    gp.minimize, cli.ThreadPoolExecutor); deleting or renaming one of them
+    must fail here rather than only in a traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    pool = cli.ThreadPoolExecutor
+    with tracing.installed(tracing.Tracer()):
+        assert cli.ThreadPoolExecutor is not pool
+    assert cli.ThreadPoolExecutor is pool

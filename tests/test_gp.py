@@ -230,6 +230,12 @@ class TestRobustness:
         with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
             build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
 
+    def test_non_finite_training_data_is_named(self):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            fit_gp([[0.0], [np.nan]], [[0.0], [1.0]])
+        with pytest.raises(ValueError, match="outputs must be finite"):
+            fit_gp([[0.0], [1.0]], [[0.0], [np.inf]])
+
     def test_input_output_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
             build_gp([[0.0], [1.0]], [[0.0]], KernelParams(1.0, 1.0))

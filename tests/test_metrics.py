@@ -67,6 +67,16 @@ class TestCurveDistances:
             PARALLEL_A, PARALLEL_B
         )
 
+    @pytest.mark.parametrize("distance", [frechet_distance, dtw_distance])
+    def test_non_finite_raw_arrays_are_rejected(self, distance):
+        # a NaN past the first row used to slip through the DP's min/max
+        holed = PARALLEL_B.copy()
+        holed[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            distance(PARALLEL_A, holed)
+        with pytest.raises(ValueError, match="finite"):
+            distance(holed, PARALLEL_A)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_symmetry_and_bounds(self, seed):

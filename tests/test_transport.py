@@ -14,10 +14,8 @@ from poltrans import (
     load_transport_map,
     polar_rotation,
     save_transport_map,
-    transport_jacobian,
     transport_jacobians,
     transport_labels,
-    transport_point,
     transport_points,
     transport_uncertainty,
 )
@@ -102,8 +100,8 @@ class TestJacobians:
                 for b in range(2):
                     e = np.zeros(2)
                     e[b] = h
-                    hi, _ = transport_point(tmap, q + e)
-                    lo, _ = transport_point(tmap, q - e)
+                    hi, _ = transport_points(tmap, q + e)
+                    lo, _ = transport_points(tmap, q - e)
                     fd[:, b] = (hi - lo) / (2 * h)
                 tol = max(1e-6, 1e-4 * np.linalg.norm(jac))
                 assert np.abs(jac - fd).max() < tol
@@ -119,7 +117,7 @@ class TestJacobians:
         moved, _ = transport_points(tmap, far[None])
         # the residual mean vanishes: only the rigid part remains
         assert np.linalg.norm(moved[0] - tmap.affine.apply(far)) <= 1e-6 * sp
-        jac, _ = transport_jacobian(tmap, far)
+        jac, _ = transport_jacobians(tmap, far)
         assert np.linalg.norm(jac - tmap.affine.rotation) <= (
             1e-6 * sp / params.lengthscale
         )
@@ -235,7 +233,7 @@ class TestLabelTransport:
         tmap = fit_transport(fold_pair(), FAST)
 
         def det_at(x):
-            jac, _ = transport_jacobian(tmap, np.array([x, 0.5]))
+            jac, _ = transport_jacobians(tmap, np.array([x, 0.5]))
             return float(np.linalg.det(jac))
 
         # bisect a det sign change down to a numerically singular point
