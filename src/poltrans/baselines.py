@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .gp import NOISE_FLOOR_RATIO, KernelParams, build_gp, fit_gp, predict_mean
+from .gp import KernelParams, build_gp, fit_gp, predict_mean
 from .types import PairedKeypoints, Trajectory, _freeze
 
 # Per-unit translation magnitude is capped at this fraction of the unit
@@ -179,11 +179,7 @@ def reshaped_kmp(
     if kernel_params is not None:
         gp = build_gp(t_in, displacement, kernel_params)
     else:
-        gp = fit_gp(
-            t_in,
-            displacement,
-            noise_ratio_bounds=(NOISE_FLOOR_RATIO, 1e-6),
-        )
+        gp = fit_gp(t_in, displacement, noise_ratio_cap=1e-6)
     shift = predict_mean(gp, traj.times[:, None])
     return Trajectory(positions=traj.positions + shift, times=traj.times)
 

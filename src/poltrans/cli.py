@@ -31,6 +31,7 @@ from .affine import fit_affine
 from .baselines import apply_lwt, assign_via_points, fit_lwt, laplacian_edit, reshaped_kmp
 from .metrics import (
     METRIC_NAMES,
+    U_TEST_MIN_SAMPLES,
     RankingResult,
     compute_metrics,
     rank_methods,
@@ -47,7 +48,6 @@ from .scenarios import (
     save_scenario,
 )
 from .transport import (
-    TransportConfig,
     check_local_diffeomorphism,
     fit_transport,
     load_transport_map,
@@ -123,6 +123,14 @@ def _setting(args, cfg: dict, name: str, default=None):
     return default
 
 
+def _at_least(args, cfg: dict, name: str, default: int, minimum: int) -> int:
+    value = int(_setting(args, cfg, name, default))
+    if value < minimum:
+        flag = "--" + name.replace("_", "-")
+        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
 def _check_method(method: str) -> str:
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; valid ids: {', '.join(METHODS)}")
@@ -148,11 +156,10 @@ def cmd_fit(args) -> int:
     if scenario_path is None:
         raise UsageError("a scenario file is required (--scenario or config)")
     out_dir = Path(_setting(args, cfg, "out_dir", "."))
-    seed = int(_setting(args, cfg, "seed", 0))
 
     kp = load_scenario(scenario_path).keypoints
     start = time.perf_counter()
-    tmap = fit_transport(kp, TransportConfig(seed=seed))
+    tmap = fit_transport(kp)
     fit_seconds = time.perf_counter() - start
 
     mapped, _ = transport_points(tmap, kp.source.points)
@@ -236,7 +243,7 @@ def _gamma_pretransform(kp: PairedKeypoints, demo: Trajectory):
     return demo2, kp2
 
 
-def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: str, seed: int):
+def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: str):
     """Produce the transported demonstration plus bench bookkeeping.
 
     Returns (trajectory, extras); for gpt, extras carries the timings, the
@@ -246,7 +253,7 @@ def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: st
     extras: dict = {}
     if method == "gpt":
         start = time.perf_counter()
-        tmap = fit_transport(kp, TransportConfig(seed=seed))
+        tmap = fit_transport(kp)
         extras["fit_seconds"] = time.perf_counter() - start
         start = time.perf_counter()
         positions, variance = transport_points(tmap, demo.positions)
@@ -290,12 +297,20 @@ def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: di
 
 def _ranking(rows, alpha: float) -> RankingResult:
     """Rank the methods present in the metric rows; a lone method ranks
-    first with zero points, since there is nothing to test it against."""
+    first with zero points, since there is nothing to test it against.
+    Several methods need ``U_TEST_MIN_SAMPLES`` rows each."""
     methods = sorted({row["method"] for row in rows})
     if len(methods) == 1:
         (method,) = methods
         per_metric = {name: {method: 0} for name in METRIC_NAMES}
         return RankingResult(points={method: 0}, per_metric_points=per_metric, ranking=((method, 1),))
+    for method in methods:
+        count = sum(1 for row in rows if row["method"] == method)
+        if count < U_TEST_MIN_SAMPLES:
+            raise ValueError(
+                f"cannot rank: method {method!r} has {count} rows, "
+                f"each U test needs at least {U_TEST_MIN_SAMPLES}"
+            )
     samples = {
         method: {
             name: np.array([r[name] for r in rows if r["method"] == method])
@@ -310,8 +325,7 @@ def _ranking(rows, alpha: float) -> RankingResult:
 class BenchCell:
     """One scene x method run. ``build`` returns the scene's scenario (its
     reference scores the result and it is drawn in the SVG), the keypoint
-    pairs the method conditions on, and the demonstration it transports.
-    The repetition doubles as the GP optimizer seed."""
+    pairs the method conditions on, and the demonstration it transports."""
 
     scene: str
     repetition: int
@@ -365,7 +379,7 @@ def _run_cell(cell: BenchCell):
     or metric failure becomes a missing sample and the bench continues."""
     scenario, kp, demo = cell.build()
     try:
-        produced, extras = _run_method(cell.method, kp, demo, cell.topology, cell.repetition)
+        produced, extras = _run_method(cell.method, kp, demo, cell.topology)
         report = compute_metrics(produced, scenario.reference)
     except Exception as exc:
         return scenario, None, None, None, exc
@@ -399,8 +413,6 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out_dir / "metrics.csv")
-    if rows:
-        save_ranking(_ranking(rows, alpha), out_dir / "ranking.json")
     if gpt_reports:
         _write_json(gpt_reports, out_dir / "report.json")
     if failures:
@@ -415,6 +427,9 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
             scenario.keypoints,
             bundle["bands"],
         )
+    # Ranking last: its error (too few rows for a U test) loses no other artifact.
+    if rows:
+        save_ranking(_ranking(rows, alpha), out_dir / "ranking.json")
     print(f"bench {suite}: {len(rows)} runs over {len(scenes)} scenes, {len(failures)} failed -> {out_dir}")
     return 0
 
@@ -435,12 +450,15 @@ def cmd_bench(args) -> int:
     alpha = float(_setting(args, cfg, "alpha", 0.05))
 
     if suite == "surfaces":
-        seeds = int(_setting(args, cfg, "seeds", 3))
-        n_keypoints = int(_setting(args, cfg, "n_keypoints", 12))
+        seeds = _at_least(args, cfg, "seeds", 3, 1)
+        n_keypoints = _at_least(args, cfg, "n_keypoints", 12, 2)
         cells = _surface_cells(methods, seeds, n_keypoints)
     else:
-        seeds = int(_setting(args, cfg, "seeds", 20))
-        train_seeds = int(_setting(args, cfg, "train_seeds", 9))
+        # Each frame scene gives one row per method, and ranking two or
+        # more methods needs U_TEST_MIN_SAMPLES rows each.
+        min_seeds = U_TEST_MIN_SAMPLES if len(set(methods)) > 1 else 1
+        seeds = _at_least(args, cfg, "seeds", 20, min_seeds)
+        train_seeds = _at_least(args, cfg, "train_seeds", 9, 1)
         cells = _frame_cells(methods, seeds, train_seeds)
     return _run_bench(suite, cells, alpha, out_dir)
 
@@ -517,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--method", help="method id (map fitting supports gpt)")
     fit.add_argument("--config", help="JSON config supplying defaults")
     fit.add_argument("--out-dir", dest="out_dir", help="output directory")
-    fit.add_argument("--seed", type=int, help="GP optimizer seed")
     fit.set_defaults(func=cmd_fit)
 
     transport = sub.add_parser("transport", help="transport labels through a fitted map")

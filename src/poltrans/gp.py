@@ -1,9 +1,9 @@
 """Exact Gaussian Process regression with a squared-exponential kernel.
 
 Supports multi-output models that share a single set of hyperparameters
-(one Gram factorization serves every output dimension), marginal-likelihood
-hyperparameter optimization in log-space, and the joint posterior over
-function values and first derivatives:
+(one Gram factorization serves every output dimension), a deterministic
+marginal-likelihood hyperparameter search in log-space, and the joint
+posterior over function values and first derivatives:
 
     mean      mu  = K(X*,X) (K(X,X) + sn2 I)^-1 y
     variance  Sig = K(X*,X*) - K(X*,X) (K(X,X) + sn2 I)^-1 K(X,X*)
@@ -33,6 +33,9 @@ from scipy.spatial.distance import cdist, pdist
 NOISE_FLOOR_RATIO = 1e-8
 # Jitter escalates by x10 from the floor up to this fraction on Cholesky failure.
 JITTER_MAX_RATIO = 1e-4
+# Lengthscales, as multiples of the data's ell_center, at which fit_gp scores
+# the profiled likelihood: 4 points per decade over its lengthscale bounds.
+LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
 
 
 @dataclass(frozen=True)
@@ -216,28 +219,31 @@ def _nlml_and_grad(u: np.ndarray, sq_dists: np.ndarray, y: np.ndarray) -> tuple[
     return nlml, grads
 
 
-def fit_gp(
-    inputs,
-    outputs,
-    init: KernelParams | None = None,
-    optimize: bool = True,
-    restarts: int = 5,
-    noise_ratio_bounds: tuple[float, float] = (NOISE_FLOOR_RATIO, 1e2),
-    seed: int = 0,
-) -> GPModel:
+def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     """Fit a (multi-output, shared-hyperparameter) GP to the data.
 
-    With ``optimize`` the hyperparameters maximize the log marginal
-    likelihood via L-BFGS-B in log-space, started from ``init`` plus
-    ``restarts - 1`` seeded random draws. Search bounds follow the data:
-    lengthscale in [1e-3, 1e3] x (input diameter / sqrt(d_in)), signal
-    variance in [1e-6, 1e6] x output variance, noise-to-signal ratio in
-    ``noise_ratio_bounds``. Without ``optimize`` the init is used as-is.
+    The hyperparameters maximize the log marginal likelihood in log-space
+    by one deterministic search. Its bounds follow the data: lengthscale
+    in [1e-3, 1e3] x ell_center with ell_center = input diameter /
+    sqrt(d_in), signal variance in [1e-6, 1e6] x output variance, and
+    noise-to-signal ratio in [NOISE_FLOOR_RATIO, ``noise_ratio_cap``].
+
+    With the noise ratio held at min(cap, 1e-6) and C = corr + ratio I,
+    the signal variance has the closed-form optimum
+    sp2 = sum(y * C^-1 y) / (n d_out) (Rasmussen & Williams 2006, 5.4),
+    which leaves the lengthscale as the only free coordinate. The profiled
+    negative LML is scored at ``LENGTHSCALE_GRID`` x ell_center (a grid
+    point whose Cholesky fails scores +inf), and one L-BFGS-B run over all
+    three coordinates polishes the best grid point; the grid point is kept
+    if the polish ends worse. Raises RuntimeError("non-PD Gram matrix")
+    when every grid point fails.
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and outputs must have the same length")
+    if not noise_ratio_cap >= NOISE_FLOOR_RATIO:
+        raise ValueError("noise ratio cap must be at least NOISE_FLOOR_RATIO")
 
     diam = float(pdist(x).max()) if x.shape[0] > 1 else 0.0
     if diam <= 0.0:
@@ -256,67 +262,42 @@ def fit_gp(
             lengthscale=ell_center,
             noise_variance=0.0,
         )
-        return build_gp(x, y, init if init is not None and not optimize else tiny)
+        return build_gp(x, y, tiny)
 
-    if init is None:
-        init = KernelParams(
-            signal_variance=base,
-            lengthscale=ell_center,
-            noise_variance=max(noise_ratio_bounds[0], min(noise_ratio_bounds[1], 1e-6))
-            * base,
-        )
-    if not optimize:
-        return build_gp(x, y, init)
-
-    lo_ratio, hi_ratio = noise_ratio_bounds
-    if hi_ratio < lo_ratio:
-        raise ValueError("invalid noise ratio bounds")
     bounds = [
         (np.log(1e-6 * base), np.log(1e6 * base)),
         (np.log(1e-3 * ell_center), np.log(1e3 * ell_center)),
-        (np.log(max(lo_ratio, NOISE_FLOOR_RATIO)), np.log(max(hi_ratio, NOISE_FLOOR_RATIO))),
+        (np.log(NOISE_FLOOR_RATIO), np.log(noise_ratio_cap)),
     ]
-
-    def clip_to(value, bound):
-        return float(np.clip(value, bound[0], bound[1]))
-
-    init_ratio = init.noise_variance / init.signal_variance
-    start = np.array(
-        [
-            clip_to(np.log(init.signal_variance), bounds[0]),
-            clip_to(np.log(init.lengthscale), bounds[1]),
-            clip_to(np.log(max(init_ratio, NOISE_FLOOR_RATIO)), bounds[2]),
-        ]
-    )
-
-    rng = np.random.default_rng(seed)
-    starts = [start]
-    for _ in range(max(0, restarts - 1)):
-        draw = np.array(
-            [
-                clip_to(np.log(base) + rng.uniform(-2.3, 2.3), bounds[0]),
-                clip_to(np.log(ell_center) + rng.uniform(-3.0, 3.0), bounds[1]),
-                clip_to(
-                    rng.uniform(np.log(max(lo_ratio, NOISE_FLOOR_RATIO)), bounds[2][1]),
-                    bounds[2],
-                ),
-            ]
-        )
-        starts.append(draw)
-
+    ratio = min(noise_ratio_cap, 1e-6)
+    n, d_out = y.shape
     sq = cdist(x, x, "sqeuclidean")
-    best_u, best_val = start, np.inf
-    for u0 in starts:
-        res = minimize(
-            _nlml_and_grad,
-            u0,
-            args=(sq, y),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
+
+    best_u, best_val = None, np.inf
+    for ell in LENGTHSCALE_GRID * ell_center:
+        corr = np.exp(-sq / (2.0 * ell**2)) + ratio * np.eye(n)
+        try:
+            chol = cholesky(corr, lower=True)
+        except np.linalg.LinAlgError:
+            continue
+        quad = float(np.sum(y * cho_solve((chol, True), y)))
+        log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *bounds[0]))
+        val = (
+            0.5 * quad / np.exp(log_sp2)
+            + 0.5 * n * d_out * log_sp2
+            + d_out * float(np.sum(np.log(np.diag(chol))))
+            + 0.5 * n * d_out * np.log(2.0 * np.pi)
         )
-        if res.fun < best_val:
-            best_val, best_u = float(res.fun), res.x
+        if val < best_val:
+            best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(ratio)])
+    if best_u is None:
+        raise RuntimeError("non-PD Gram matrix")
+
+    res = minimize(
+        _nlml_and_grad, best_u, args=(sq, y), jac=True, method="L-BFGS-B", bounds=bounds
+    )
+    if res.fun < best_val:
+        best_u = res.x
 
     sp2 = float(np.exp(best_u[0]))
     params = KernelParams(

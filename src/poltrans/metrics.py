@@ -24,6 +24,8 @@ from .types import Trajectory
 ANGLE_TAIL_SEGMENTS = 5
 # Largest pooled sample size for which the U distribution is enumerated.
 EXACT_U_LIMIT = 20
+# Smallest sample either side of a U test may hold.
+U_TEST_MIN_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,8 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     xs = np.asarray(x, dtype=float).ravel()
     ys = np.asarray(y, dtype=float).ravel()
     n1, n2 = xs.size, ys.size
-    if n1 < 3 or n2 < 3:
-        raise ValueError("each sample needs at least 3 values")
+    if n1 < U_TEST_MIN_SAMPLES or n2 < U_TEST_MIN_SAMPLES:
+        raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
     pooled = np.concatenate([xs, ys])
     if np.all(pooled == pooled[0]):
         return float(n1 * n2 / 2.0), 1.0, False

@@ -40,14 +40,6 @@ NEAR_SINGULAR_RATIO = 1e-9
 RESIDUAL_NOISE_RATIO_CAP = 1e-6
 
 
-@dataclass(frozen=True)
-class TransportConfig:
-    """Controls for the residual GP fit inside :func:`fit_transport`."""
-
-    restarts: int = 5
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class TransportMap:
     """Fitted transportation map: rigid part, residual GP, training pairs."""
@@ -158,7 +150,7 @@ def _keypoint_mismatch(affine: AffineMap, residual: GPModel, kp: PairedKeypoints
     return float(np.max(np.linalg.norm(mapped - kp.target.points, axis=1)))
 
 
-def fit_transport(kp: PairedKeypoints, config: TransportConfig | None = None) -> TransportMap:
+def fit_transport(kp: PairedKeypoints) -> TransportMap:
     """Fit phi = gamma + psi(gamma(.)) to the paired keypoints.
 
     The rigid part comes first; the GP residual is then fitted on inputs
@@ -168,33 +160,18 @@ def fit_transport(kp: PairedKeypoints, config: TransportConfig | None = None) ->
     tolerance, the fit is retried with the noise pinned at the floor; a
     persistent miss attaches a warning rather than failing.
     """
-    if config is None:
-        config = TransportConfig()
-
     affine = fit_affine(kp)
     aligned = affine.apply(kp.source.points)
     residual_targets = kp.target.points - aligned
 
-    residual = fit_gp(
-        aligned,
-        residual_targets,
-        restarts=config.restarts,
-        noise_ratio_bounds=(NOISE_FLOOR_RATIO, RESIDUAL_NOISE_RATIO_CAP),
-        seed=config.seed,
-    )
+    residual = fit_gp(aligned, residual_targets, noise_ratio_cap=RESIDUAL_NOISE_RATIO_CAP)
 
     diam = kp.target.diameter()
     tol = TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
     err = _keypoint_mismatch(affine, residual, kp)
     notes: tuple[str, ...] = ()
     if err > tol:
-        pinned = fit_gp(
-            aligned,
-            residual_targets,
-            restarts=config.restarts,
-            noise_ratio_bounds=(NOISE_FLOOR_RATIO, NOISE_FLOOR_RATIO),
-            seed=config.seed,
-        )
+        pinned = fit_gp(aligned, residual_targets, noise_ratio_cap=NOISE_FLOOR_RATIO)
         pinned_err = _keypoint_mismatch(affine, pinned, kp)
         if pinned_err < err:
             residual, err = pinned, pinned_err

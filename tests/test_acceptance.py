@@ -38,9 +38,6 @@ from poltrans import (
 from poltrans.baselines import ViaAssignment, apply_lwt, fit_lwt, laplacian_edit, lwt_jacobian, reshaped_kmp
 from poltrans.gp import KernelParams, build_gp, predict_derivative, predict_mean, predict_variance
 from poltrans.metrics import dtw_distance, frechet_distance, mann_whitney_u, read_metrics_csv
-from poltrans.transport import TransportConfig
-
-FAST = TransportConfig(restarts=2)
 
 
 def full_labels(rng, m=6):
@@ -103,7 +100,7 @@ def test_criterion_03_jacobian_vs_finite_differences():
     h = 1e-5
     pairs = 0
     for _ in range(50):
-        tmap = fit_transport(random_smooth_pair(rng, n=int(rng.integers(4, 14))), FAST)
+        tmap = fit_transport(random_smooth_pair(rng, n=int(rng.integers(4, 14))))
         for q in rng.uniform(-1.5, 1.5, (20, 2)):
             jac, _ = transport_jacobians(tmap, q)
             fd = np.empty((2, 2))
@@ -124,7 +121,7 @@ def test_criterion_04_out_of_distribution_affine_reversion():
     rng = np.random.default_rng(104)
     for _ in range(100):
         kp = random_smooth_pair(rng, n=int(rng.integers(4, 12)))
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         params = tmap.residual.params
         sp = float(np.sqrt(params.signal_variance))
         ell = params.lengthscale
@@ -143,7 +140,7 @@ def test_criterion_04_out_of_distribution_affine_reversion():
 def test_criterion_05_label_transport_closures():
     rng = np.random.default_rng(105)
     for _ in range(100):
-        tmap = fit_transport(random_smooth_pair(rng, n=8), FAST)
+        tmap = fit_transport(random_smooth_pair(rng, n=8))
         labels = full_labels(rng, m=5)
         moved = transport_labels(tmap, labels)
         for rot in moved.orientations:
@@ -165,7 +162,7 @@ def test_criterion_05_label_transport_closures():
 def test_criterion_06_uncertainty_additivity_bit_level():
     rng = np.random.default_rng(106)
     for _ in range(20):
-        tmap = fit_transport(random_smooth_pair(rng, n=7), FAST)
+        tmap = fit_transport(random_smooth_pair(rng, n=7))
         labels = full_labels(rng, m=6)
         policy = rng.uniform(0.0, 0.5, labels.m)
         moved = transport_labels(tmap, labels)
@@ -185,7 +182,7 @@ def test_criterion_07_rigid_scenario_exactness():
     rng = np.random.default_rng(107)
     for _ in range(100):
         kp, rot, _ = random_rigid_pair(rng, n=int(rng.integers(4, 12)))
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         labels = full_labels(rng, m=5)
         moved = transport_labels(tmap, labels)
         assert np.abs(moved.velocities - labels.velocities @ rot.T).max() <= 1e-6
@@ -195,7 +192,7 @@ def test_criterion_07_rigid_scenario_exactness():
 
 
 def test_criterion_08_fold_detection_at_keypoints():
-    fold_map = fit_transport(fold_pair(), FAST)
+    fold_map = fit_transport(fold_pair())
     grid = np.stack(
         np.meshgrid(np.linspace(-0.2, 2.2, 25), np.linspace(-0.2, 1.2, 15)), axis=-1
     ).reshape(-1, 2)
@@ -207,7 +204,7 @@ def test_criterion_08_fold_detection_at_keypoints():
     for _ in range(20):
         kp, _, _ = random_rigid_pair(rng, n=6)
         rigid_report = check_local_diffeomorphism(
-            fit_transport(kp, FAST), rng.uniform(-2, 2, (40, 2))
+            fit_transport(kp), rng.uniform(-2, 2, (40, 2))
         )
         assert rigid_report.keypoints_sign_uniform
         assert rigid_report.fraction_positive == 1.0
@@ -366,7 +363,6 @@ def test_criterion_13_surface_bench_report(tmp_path):
         ):
             assert field in entry, f"{name} missing {field}"
         assert entry["fit_seconds"] > 0 and entry["transport_seconds"] > 0
-    for profile in ("flat", "tilt", "sine"):
-        for seed in range(3):
-            assert report[f"surface-{profile}-{seed}"]["det_positive_pct"] == 100.0
-    print("[criterion 13] PASS - per-surface report complete; rigid and mild-sine at 100%")
+    for name, entry in report.items():
+        assert entry["det_positive_pct"] == 100.0, name
+    print("[criterion 13] PASS - per-surface report complete; det J > 0 at 100% on every scene")

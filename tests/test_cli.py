@@ -236,17 +236,67 @@ class TestBench:
         monkeypatch.setattr(cli, "_run_method", failing_le)
         out = tmp_path / "bench"
         code = run(
-            "bench", "--suite", "frames", "--seeds", 1, "--train-seeds", 1,
+            "bench", "--suite", "frames", "--seeds", 3, "--train-seeds", 1,
             "--methods", "gpt,le", "--out-dir", out,
         )
         assert code == 0
         failures = json.loads((out / "failures.json").read_text())["failures"]
         assert failures == [
-            {"scenario": "frame-200", "method": "le", "error": "forced failure", "type": "Boom"}
+            {"scenario": f"frame-{seed}", "method": "le", "error": "forced failure", "type": "Boom"}
+            for seed in (200, 201, 202)
         ]
-        assert [row["method"] for row in read_metrics_csv(out / "metrics.csv")] == ["gpt"]
+        assert [row["method"] for row in read_metrics_csv(out / "metrics.csv")] == ["gpt"] * 3
         assert json.loads((out / "ranking.json").read_text())["ranking"] == [["gpt", 1]]
         assert (out / "svg" / "frame-200.svg").exists()
+
+    def test_ranking_error_comes_last_and_names_the_method(self, tmp_path, monkeypatch, capsys):
+        real = cli._run_method
+        le_calls = []
+
+        def one_le_failure(method, *args):
+            if method == "le":
+                le_calls.append(1)
+                if len(le_calls) == 1:
+                    raise RuntimeError("forced failure")
+            return real(method, *args)
+
+        monkeypatch.setenv("POLTRANS_THREADS", "1")
+        monkeypatch.setattr(cli, "_run_method", one_le_failure)
+        out = tmp_path / "bench"
+        code = run(
+            "bench", "--suite", "frames", "--seeds", 3, "--train-seeds", 1,
+            "--methods", "gpt,le", "--out-dir", out,
+        )
+        assert code == 1
+        assert "method 'le' has 2 rows" in capsys.readouterr().err
+        assert not (out / "ranking.json").exists()
+        assert len(read_metrics_csv(out / "metrics.csv")) == 5
+        assert len(json.loads((out / "failures.json").read_text())["failures"]) == 1
+        assert set(json.loads((out / "report.json").read_text())) == {"frame-200", "frame-201", "frame-202"}
+        assert len(list((out / "svg").iterdir())) == 3
+
+    @pytest.mark.parametrize(
+        "suite, flags, flag",
+        [
+            ("surfaces", ("--seeds", 0), "--seeds"),
+            ("surfaces", ("--n-keypoints", 1), "--n-keypoints"),
+            ("frames", ("--train-seeds", 0), "--train-seeds"),
+            ("frames", ("--seeds", 2), "--seeds"),
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, suite, flags, flag):
+        assert run("bench", "--suite", suite, *flags, "--out-dir", tmp_path / "out") == 2
+        assert f"{flag} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_frame_method_runs_on_fewer_than_three_seeds(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run(
+            "bench", "--suite", "frames", "--seeds", 1, "--train-seeds", 1,
+            "--methods", "le", "--out-dir", out,
+        )
+        assert code == 0
+        assert json.loads((out / "ranking.json").read_text())["ranking"] == [["le", 1]]
 
     def test_unknown_suite_and_method(self, tmp_path):
         assert run("bench", "--suite", "planets", "--out-dir", tmp_path) == 2
@@ -264,16 +314,33 @@ class TestParsing:
         assert run("metrics", "--produced", "x.json") == 2
 
 
-def test_benchmark_tracer_binds_every_traced_name(monkeypatch):
+@pytest.fixture()
+def tracing(monkeypatch):
+    """The benchmark's tracer module, loaded from perfbench/tracing.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_binds_every_traced_name(tracing):
     """The benchmark's tracer patches poltrans names (its LAYER_FUNCTIONS,
     gp.minimize, cli.ThreadPoolExecutor); deleting or renaming one of them
     must fail here rather than only in a traced benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
     pool = cli.ThreadPoolExecutor
     with tracing.installed(tracing.Tracer()):
         assert cli.ThreadPoolExecutor is not pool
     assert cli.ThreadPoolExecutor is pool
+
+
+def test_benchmark_counts_gp_objective_evals(tracing):
+    """The tracer counts fit_gp's objective evaluations through the
+    module-level ``gp.minimize``; a fit that bypasses it would read 0."""
+    from poltrans import fit_transport
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        fit_transport(make_surface_scenario("sine", n_keypoints=6, seed=3).keypoints)
+    assert tracing.layer_metrics(tracer)["gp.fit_gp.objective_evals"] > 0

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist, pdist
 
+from poltrans import gp
 from poltrans.gp import (
     JITTER_MAX_RATIO,
+    LENGTHSCALE_GRID,
     NOISE_FLOOR_RATIO,
     GPModel,
     KernelParams,
+    _nlml_and_grad,
     build_gp,
     fit_gp,
     kernel_se,
@@ -144,27 +148,49 @@ class TestHyperparameterFit:
         x = rng.uniform(-2.0, 2.0, (25, 1))
         y = np.sin(3.0 * x) + 0.05 * rng.standard_normal((25, 1))
         init = KernelParams(1.0, 2.0, 1e-2)
-        fitted = fit_gp(x, y, init=init)
+        fitted = fit_gp(x, y)
         assert log_marginal_likelihood(fitted) >= log_marginal_likelihood(
             build_gp(x, y, init)
         ) - 1e-9
+
+    def test_fit_is_at_least_as_good_as_every_grid_point(self):
+        """The polish never ends worse than the best profiled grid point:
+        the fitted LML beats the LML at every grid lengthscale, with the
+        noise ratio at its start value and the signal variance profiled."""
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0.0, 1.0, (12, 2))
+        y = np.sin(4.0 * x) + 0.01 * rng.standard_normal((12, 2))
+        fitted = fit_gp(x, y, noise_ratio_cap=1e-6)
+        ell_center = pdist(x).max() / np.sqrt(2.0)
+        sq = cdist(x, x, "sqeuclidean")
+        best_grid = np.inf
+        for ell in LENGTHSCALE_GRID * ell_center:
+            corr = np.exp(-sq / (2.0 * ell**2)) + 1e-6 * np.eye(12)
+            sp2 = np.sum(y * np.linalg.solve(corr, y)) / y.size
+            nlml, _ = _nlml_and_grad(np.log([sp2, ell, 1e-6]), sq, y)
+            best_grid = min(best_grid, nlml)
+        p = fitted.params
+        u = np.log([p.signal_variance, p.lengthscale, p.noise_variance / p.signal_variance])
+        fitted_nlml, _ = _nlml_and_grad(u, sq, y)
+        assert fitted_nlml <= best_grid * (1 + 1e-9) + 1e-9
+
+    def test_every_grid_point_failing_is_a_runtime_error(self, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(gp, "cholesky", no_factor)
+        with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
+            fit_gp([[0.0], [1.0]], [[0.0], [1.0]])
 
     def test_fitted_parameters_respect_bounds(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(0.0, 1.0, (15, 2))
         y = rng.standard_normal((15, 2))
-        model = fit_gp(x, y, noise_ratio_bounds=(NOISE_FLOOR_RATIO, 1e-6))
-        from scipy.spatial.distance import pdist
-
+        model = fit_gp(x, y, noise_ratio_cap=1e-6)
         ell_center = pdist(x).max() / np.sqrt(2.0)
         p = model.params
         assert 1e-3 * ell_center * 0.999 <= p.lengthscale <= 1e3 * ell_center * 1.001
         assert p.noise_variance <= 1e-6 * p.signal_variance * 1.001
-
-    def test_fixed_parameters_used_when_not_optimizing(self):
-        init = KernelParams(2.0, 0.5, 1e-3)
-        model = fit_gp([[0.0], [1.0]], [[0.0], [1.0]], init=init, optimize=False)
-        assert model.params == init
 
     def test_all_zero_outputs_yield_certain_zero_posterior(self):
         x = np.random.default_rng(11).uniform(-1, 1, (8, 2))
@@ -173,12 +199,12 @@ class TestHyperparameterFit:
         assert np.all(np.abs(predict_mean(model, grid)) < 1e-9)
         assert np.all(predict_variance(model, grid) < 1e-9)
 
-    def test_deterministic_given_seed(self):
+    def test_repeated_fits_are_identical(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, (10, 1))
         y = np.sin(x)
-        a = fit_gp(x, y, seed=3)
-        b = fit_gp(x, y, seed=3)
+        a = fit_gp(x, y)
+        b = fit_gp(x, y)
         assert a.params == b.params
 
 

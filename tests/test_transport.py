@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from conftest import fold_pair, random_rigid_pair, random_smooth_pair
 from poltrans import (
@@ -21,9 +22,6 @@ from poltrans import (
 )
 from poltrans.gp import kernel_se
 from poltrans.scenarios import make_surface_scenario
-from poltrans.transport import TransportConfig
-
-FAST = TransportConfig(restarts=2)
 
 
 def rigid_labels(rng, m=6, dim=2):
@@ -56,7 +54,7 @@ class TestFit:
         a plain dense solve."""
         rng = np.random.default_rng(0)
         kp = random_smooth_pair(rng, n=9)
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         model = tmap.residual
         n = model.n
         gram = np.empty((n, n))
@@ -78,11 +76,23 @@ class TestFit:
             PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
             PointSet([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
         )
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         assert any("tolerance exceeded" in w for w in tmap.warnings)
 
+    def test_step_residual_leaves_the_lengthscale_floor(self):
+        """On the step profile the likelihood prefers a lengthscale near the
+        keypoint spacing to a spike at the lower bound, which reproduced
+        the rigid map and gave det J <= 0 on 1% of the demonstration."""
+        scenario = make_surface_scenario("step", n_keypoints=12, seed=0)
+        tmap = fit_transport(scenario.keypoints)
+        x = tmap.residual.inputs
+        ell_floor = 1e-3 * pdist(x).max() / np.sqrt(x.shape[1])
+        assert tmap.residual.params.lengthscale > 10.0 * ell_floor
+        report = check_local_diffeomorphism(tmap, scenario.demonstration.positions)
+        assert report.fraction_positive == 1.0
+
     def test_dimension_check_on_queries(self):
-        tmap = fit_transport(random_smooth_pair(np.random.default_rng(1)), FAST)
+        tmap = fit_transport(random_smooth_pair(np.random.default_rng(1)))
         with pytest.raises(ValueError):
             transport_points(tmap, np.zeros((3, 3)))
 
@@ -92,7 +102,7 @@ class TestJacobians:
         rng = np.random.default_rng(2)
         h = 1e-5
         for _ in range(8):
-            tmap = fit_transport(random_smooth_pair(rng), FAST)
+            tmap = fit_transport(random_smooth_pair(rng))
             queries = rng.uniform(-1.2, 1.2, (5, 2))
             jacs, _ = transport_jacobians(tmap, queries)
             for q, jac in zip(queries, jacs):
@@ -109,7 +119,7 @@ class TestJacobians:
     def test_far_from_data_reverts_to_rigid_part(self):
         rng = np.random.default_rng(3)
         kp = random_smooth_pair(rng)
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         params = tmap.residual.params
         sp = np.sqrt(params.signal_variance)
         span = tmap.residual.inputs.max(axis=0)
@@ -162,7 +172,7 @@ class TestLabelTransport:
     def test_rigid_map_transports_exactly(self):
         rng = np.random.default_rng(6)
         kp, rot, shift = random_rigid_pair(rng, n=10)
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         labels = rigid_labels(rng)
         moved = transport_labels(tmap, labels)
 
@@ -174,7 +184,7 @@ class TestLabelTransport:
 
     def test_rotation_labels_stay_rotations(self):
         rng = np.random.default_rng(7)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=12)
         moved = transport_labels(tmap, labels)
         from poltrans import is_rotation
@@ -186,7 +196,7 @@ class TestLabelTransport:
 
     def test_stiffness_stays_symmetric_psd_with_same_spectrum(self):
         rng = np.random.default_rng(8)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=10)
         moved = transport_labels(tmap, labels)
         for before, after in zip(labels.stiffness, moved.stiffness):
@@ -205,7 +215,7 @@ class TestLabelTransport:
 
         rng = np.random.default_rng(9)
         kp = random_smooth_pair(rng)
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         labels = rigid_labels(rng, m=5)
         moved = transport_labels(tmap, labels)
 
@@ -221,7 +231,7 @@ class TestLabelTransport:
 
     def test_far_field_unit_velocity_variance_is_prior_rate(self):
         rng = np.random.default_rng(10)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         params = tmap.residual.params
         far = np.array([[200.0, 200.0]])
         labels = PolicyLabels(positions=far, velocities=np.array([[1.0, 0.0]]))
@@ -230,7 +240,7 @@ class TestLabelTransport:
         assert moved.velocity_variance[0] == pytest.approx(prior_rate, rel=1e-9)
 
     def test_near_singular_jacobian_warns_per_label(self):
-        tmap = fit_transport(fold_pair(), FAST)
+        tmap = fit_transport(fold_pair())
 
         def det_at(x):
             jac, _ = transport_jacobians(tmap, np.array([x, 0.5]))
@@ -256,7 +266,7 @@ class TestLabelTransport:
 class TestUncertainty:
     def test_total_is_bitwise_sum_of_parts(self):
         rng = np.random.default_rng(11)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=7)
         policy = rng.uniform(0.0, 0.5, 7)
         moved = transport_labels(tmap, labels)
@@ -265,7 +275,7 @@ class TestUncertainty:
 
     def test_zero_policy_variance_passes_transport_part_through(self):
         rng = np.random.default_rng(12)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=4)
         moved = transport_labels(tmap, labels)
         total = transport_uncertainty(tmap, labels, np.zeros(4))
@@ -273,14 +283,14 @@ class TestUncertainty:
 
     def test_missing_velocities_add_nothing(self):
         rng = np.random.default_rng(13)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = PolicyLabels(positions=rng.uniform(-1, 1, (3, 2)))
         policy = np.array([0.1, 0.2, 0.3])
         assert np.array_equal(transport_uncertainty(tmap, labels, policy), policy)
 
     def test_rejects_invalid_policy_variance(self):
         rng = np.random.default_rng(14)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = PolicyLabels(positions=rng.uniform(-1, 1, (3, 2)))
         with pytest.raises(ValueError):
             transport_uncertainty(tmap, labels, np.array([0.1, -0.2, 0.3]))
@@ -294,7 +304,7 @@ class TestDiffeomorphismCheck:
     def test_rigid_map_is_globally_orientation_preserving(self):
         rng = np.random.default_rng(15)
         kp, _, _ = random_rigid_pair(rng, n=8)
-        tmap = fit_transport(kp, FAST)
+        tmap = fit_transport(kp)
         probes = rng.uniform(-2.0, 2.0, (50, 2))
         report = check_local_diffeomorphism(tmap, probes)
         assert report.fraction_positive == 1.0
@@ -302,7 +312,7 @@ class TestDiffeomorphismCheck:
         assert np.all(report.keypoint_determinants > 0)
 
     def test_fold_is_detected_at_keypoints_and_probes(self):
-        tmap = fit_transport(fold_pair(), FAST)
+        tmap = fit_transport(fold_pair())
         xs = np.linspace(-0.2, 2.2, 30)
         ys = np.linspace(-0.2, 1.2, 20)
         grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
@@ -315,7 +325,7 @@ class TestDiffeomorphismCheck:
 class TestSerialization:
     def test_map_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(16)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         path = tmp_path / "map.json"
         save_transport_map(tmap, path)
         back = load_transport_map(path)
@@ -327,7 +337,7 @@ class TestSerialization:
 
     def test_transported_labels_csv(self, tmp_path):
         rng = np.random.default_rng(17)
-        tmap = fit_transport(random_smooth_pair(rng), FAST)
+        tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=5)
         moved = transport_labels(tmap, labels)
         path = tmp_path / "out.csv"
