@@ -79,42 +79,52 @@ def _positions(traj) -> np.ndarray:
     return pts
 
 
+def _coupling_sweep(dist: np.ndarray, step) -> float:
+    """Last cell of the coupling-lattice DP
+    C[i, j] = step(d[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
+    with cells off the lattice at +inf and C[0, 0] = d[0, 0].
+
+    The cells of one anti-diagonal i + j = k depend only on diagonals k-1
+    and k-2, so the sweep runs one diagonal per NumPy call. ``dist`` is
+    skewed into an (m+n-1, m+1) array whose row k holds diagonal k at
+    column i + 1; column 0 and the cells past the lattice stay +inf, so
+    every diagonal reads the same shifted slices of its predecessors. Each
+    row is overwritten in place by its DP values. Every cell applies min
+    and ``step`` to the same operands as the cell-by-cell loop, so the
+    result is bit-identical to it.
+    """
+    m, n = dist.shape
+    rows = np.arange(m)[:, None]
+    skew = np.full((m + n - 1, m + 1), np.inf)
+    skew[rows + np.arange(n), rows + 1] = dist
+    before = np.full(m + 1, np.inf)  # diagonal k-2; none precedes diagonal 1
+    for k in range(1, m + n - 1):
+        last, cells = skew[k - 1], skew[k, 1:]
+        reach = np.minimum(last[:-1], last[1:])
+        np.minimum(reach, before[:-1], out=reach)
+        step(cells, reach, out=cells)
+        before = last
+    return float(skew[-1, m])
+
+
 def frechet_distance(a, b) -> float:
     """Discrete Frechet distance between two polylines.
 
     Dynamic program over the coupling lattice:
-    C[i, j] = max(d(a_i, b_j), min(C[i-1, j], C[i, j-1], C[i-1, j-1])).
+    C[i, j] = max(d(a_i, b_j), min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
+    computed exactly (no band) one anti-diagonal at a time.
     """
     pa, pb = _positions(a), _positions(b)
-    dist = cdist(pa, pb)
-    m, n = dist.shape
-    table = np.empty((m, n))
-    table[0, 0] = dist[0, 0]
-    for i in range(1, m):
-        table[i, 0] = max(table[i - 1, 0], dist[i, 0])
-    for j in range(1, n):
-        table[0, j] = max(table[0, j - 1], dist[0, j])
-    for i in range(1, m):
-        for j in range(1, n):
-            reach = min(table[i - 1, j], table[i, j - 1], table[i - 1, j - 1])
-            table[i, j] = max(reach, dist[i, j])
-    return float(table[-1, -1])
+    return _coupling_sweep(cdist(pa, pb), np.maximum)
 
 
 def dtw_distance(a, b) -> float:
     """Dynamic time warping cost with steps {(1,0), (0,1), (1,1)}:
-    the minimum cumulative Euclidean distance over monotone alignments."""
+    the minimum cumulative Euclidean distance over monotone alignments,
+    C[i, j] = d(a_i, b_j) + min(C[i-1, j], C[i, j-1], C[i-1, j-1]),
+    computed exactly (no band) one anti-diagonal at a time."""
     pa, pb = _positions(a), _positions(b)
-    dist = cdist(pa, pb)
-    m, n = dist.shape
-    acc = np.full((m + 1, n + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            acc[i, j] = dist[i - 1, j - 1] + min(
-                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
-            )
-    return float(acc[m, n])
+    return _coupling_sweep(cdist(pa, pb), np.add)
 
 
 def _arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
@@ -130,10 +140,10 @@ def _arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _signed_triangle_area(p0, p1, p2) -> float:
+def _signed_triangle_areas(p0, p1, p2) -> np.ndarray:
     d1 = p1 - p0
     d2 = p2 - p0
-    return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def area_between_curves(a, b) -> float:
@@ -153,13 +163,10 @@ def area_between_curves(a, b) -> float:
     count = max(pa.shape[0], pb.shape[0])
     ra = _arclength_resample(pa, count)
     rb = _arclength_resample(pb, count)
-    total = 0.0
-    for i in range(count - 1):
-        total += abs(
-            _signed_triangle_area(ra[i], ra[i + 1], rb[i + 1])
-            + _signed_triangle_area(ra[i], rb[i + 1], rb[i])
-        )
-    return total
+    a0, a1, b0, b1 = ra[:-1], ra[1:], rb[:-1], rb[1:]
+    terms = np.abs(_signed_triangle_areas(a0, a1, b1) + _signed_triangle_areas(a0, b1, b0))
+    # Accumulated left to right: np.sum adds pairwise and changes the last bits.
+    return float(np.cumsum(terms)[-1])
 
 
 def final_position_error(a, b) -> float:

@@ -1,18 +1,20 @@
 """Shared instance builders and independent reference implementations.
 
 The reference implementations here ("oracles") deliberately re-derive
-results by exhaustive enumeration, dense linear algebra, or grid search --
-different code paths than the package itself uses -- so the tests
-cross-check the implementation instead of restating it.
+results by exhaustive enumeration, dense linear algebra, grid search or
+plain cell-by-cell loops -- different code paths than the package itself
+uses -- so the tests cross-check the implementation instead of restating it.
 """
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet
+from poltrans.metrics import _arclength_resample
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,8 @@ def so2_grid_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     t = target - target.mean(axis=0)
 
     def grid_cost(angles):
-        rots = np.stack([rotation_2d(a) for a in angles])
+        cos, sin = np.cos(angles), np.sin(angles)
+        rots = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
         moved = np.einsum("kab,nb->kna", rots, s)
         return np.sum((moved - t[None]) ** 2, axis=(1, 2))
 
@@ -140,6 +143,58 @@ def brute_force_dtw(a: np.ndarray, b: np.ndarray) -> float:
         cost = sum(dist[i, j] for i, j in path)
         best = min(best, cost)
     return float(best)
+
+
+def loop_frechet(a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete Frechet distance by the cell-by-cell double-loop DP."""
+    dist = cdist(a, b)
+    m, n = dist.shape
+    table = np.empty((m, n))
+    table[0, 0] = dist[0, 0]
+    for i in range(1, m):
+        table[i, 0] = max(table[i - 1, 0], dist[i, 0])
+    for j in range(1, n):
+        table[0, j] = max(table[0, j - 1], dist[0, j])
+    for i in range(1, m):
+        for j in range(1, n):
+            reach = min(table[i - 1, j], table[i, j - 1], table[i - 1, j - 1])
+            table[i, j] = max(reach, dist[i, j])
+    return float(table[-1, -1])
+
+
+def loop_dtw(a: np.ndarray, b: np.ndarray) -> float:
+    """DTW cost by the cell-by-cell double-loop DP over a padded table."""
+    dist = cdist(a, b)
+    m, n = dist.shape
+    acc = np.full((m + 1, n + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            acc[i, j] = dist[i - 1, j - 1] + min(
+                acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1]
+            )
+    return float(acc[m, n])
+
+
+def loop_area_between(a: np.ndarray, b: np.ndarray) -> float:
+    """Strip area between two curves, one quadrilateral at a time, after
+    the package's own arc-length resampling to a common count."""
+    count = max(len(a), len(b))
+    ra = _arclength_resample(a, count)
+    rb = _arclength_resample(b, count)
+
+    def signed_triangle(p0, p1, p2):
+        d1 = p1 - p0
+        d2 = p2 - p0
+        return 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
+
+    total = 0.0
+    for i in range(len(ra) - 1):
+        total += abs(
+            signed_triangle(ra[i], ra[i + 1], rb[i + 1])
+            + signed_triangle(ra[i], rb[i + 1], rb[i])
+        )
+    return total
 
 
 def mw_exact_enumeration(x, y) -> tuple[float, float]:

@@ -302,6 +302,21 @@ class TestBench:
         assert run("bench", "--suite", "planets", "--out-dir", tmp_path) == 2
         assert run("bench", "--suite", "surfaces", "--methods", "gpt,nope", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (16, 4)])
+    def test_unset_worker_count_follows_the_cpu_count(self, monkeypatch, cpus, workers):
+        monkeypatch.delenv("POLTRANS_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._worker_count() == workers
+
+    def test_worker_count_env_overrides_and_is_validated(self, monkeypatch):
+        monkeypatch.setenv("POLTRANS_THREADS", "3")
+        assert cli._worker_count() == 3
+        monkeypatch.setenv("POLTRANS_THREADS", "0")
+        assert cli._worker_count() == 1
+        monkeypatch.setenv("POLTRANS_THREADS", "many")
+        with pytest.raises(cli.UsageError, match="POLTRANS_THREADS"):
+            cli._worker_count()
+
 
 class TestParsing:
     def test_unknown_command(self):

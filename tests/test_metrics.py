@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
-from conftest import brute_force_dtw, brute_force_frechet, mw_exact_enumeration
+from conftest import (
+    brute_force_dtw,
+    brute_force_frechet,
+    loop_area_between,
+    loop_dtw,
+    loop_frechet,
+    mw_exact_enumeration,
+)
 from poltrans import Trajectory
 from poltrans.metrics import (
     METRIC_NAMES,
@@ -48,6 +55,28 @@ class TestCurveDistances:
             assert dtw_distance(a, b) == pytest.approx(
                 brute_force_dtw(a, b), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 5), (5, 1), (2, 2), (37, 90), (90, 37), (200, 200)]
+    )
+    def test_bit_identical_to_the_cell_loops(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for _ in range(3):
+            a = rng.uniform(-1, 1, (shape[0], 2))
+            b = rng.uniform(-1, 1, (shape[1], 2))
+            assert frechet_distance(a, b) == loop_frechet(a, b)
+            assert dtw_distance(a, b) == loop_dtw(a, b)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 9), (9, 6), (40, 40)])
+    def test_bit_identical_to_the_cell_loops_under_ties(self, shape):
+        # points on a 3x3 integer grid: many couplings reach a cell with
+        # equal cost, so min picks between equal operands throughout
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(5):
+            a = rng.integers(0, 3, (shape[0], 2)).astype(float)
+            b = rng.integers(0, 3, (shape[1], 2)).astype(float)
+            assert frechet_distance(a, b) == loop_frechet(a, b)
+            assert dtw_distance(a, b) == loop_dtw(a, b)
 
     def test_parallel_segments_hand_values(self):
         assert frechet_distance(PARALLEL_A, PARALLEL_B) == pytest.approx(1.0)
@@ -118,6 +147,13 @@ class TestAreaBetweenCurves:
         a = np.array([[0.0, 0.0], [2.0, 0.0]])
         b = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
         assert area_between_curves(a, b) == pytest.approx(2.0)
+
+    def test_bit_identical_to_the_quadrilateral_loop(self):
+        rng = np.random.default_rng(9)
+        for m, n in [(2, 2), (2, 300), (300, 2), (37, 90), (200, 200)]:
+            a = rng.uniform(-1, 1, (m, 2))
+            b = rng.uniform(-1, 1, (n, 2))
+            assert area_between_curves(a, b) == loop_area_between(a, b)
 
     def test_needs_two_points_per_curve(self):
         with pytest.raises(ValueError):
