@@ -9,8 +9,11 @@ POLTRANS_THREADS environment variable. It writes deterministically
 ordered artifacts: metrics.csv (timing deliberately excluded so reruns are
 bitwise identical across worker counts), ranking.json, one SVG overlay per
 scene, report.json with gpt's timings, keypoint error and det J > 0
-percentage per scene, and failures.json listing each failed cell with its
-exception type and message.
+percentage per scene, and failures.json listing each failed cell with the
+stage that failed (method or metrics), its exception type and message. The
+methods run on the pool; the metrics of every cell are computed afterwards
+in one batch. A scene whose gpt map has a non-positive Jacobian determinant
+somewhere on the demonstration gets a warning on stderr.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .metrics import (
     U_TEST_MIN_SAMPLES,
     RankingResult,
     compute_metrics,
+    compute_metrics_batch,
     rank_methods,
     read_metrics_csv,
     save_ranking,
@@ -375,29 +379,38 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
 
 
 def _run_cell(cell: BenchCell):
-    """(scenario, produced, metrics, extras, error) for one cell; a method
-    or metric failure becomes a missing sample and the bench continues."""
+    """(scenario, produced, extras, error) for one cell; a method failure
+    becomes a missing sample and the bench continues."""
     scenario, kp, demo = cell.build()
     try:
         produced, extras = _run_method(cell.method, kp, demo, cell.topology)
-        report = compute_metrics(produced, scenario.reference)
     except Exception as exc:
-        return scenario, None, None, None, exc
-    return scenario, produced, report, extras, None
+        return scenario, None, None, exc
+    return scenario, produced, extras, None
 
 
 def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         outcomes = list(pool.map(_run_cell, cells))
+    # Scored after the pool in one batch, so Frechet and DTW run as one
+    # wavefront over every cell instead of one per cell.
+    scored = iter(compute_metrics_batch(
+        [(produced, scenario.reference) for scenario, produced, _, error in outcomes if error is None]
+    ))
 
     rows = []
     failures = []
     gpt_reports: dict = {}
     scenes: dict = {}
-    for cell, (scenario, produced, report, extras, error) in zip(cells, outcomes):
+    for cell, (scenario, produced, extras, error) in zip(cells, outcomes):
+        stage = "method"
+        if error is None:
+            report = next(scored)
+            if isinstance(report, Exception):
+                error, stage = report, "metrics"
         if error is not None:
             failures.append(
-                {"scenario": cell.scene, "method": cell.method,
+                {"scenario": cell.scene, "method": cell.method, "stage": stage,
                  "error": str(error), "type": type(error).__name__}
             )
             continue
@@ -410,6 +423,14 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
         if cell.method == "gpt":
             bundle["bands"]["gpt"] = extras["band_sigma"]
             gpt_reports[cell.scene] = {key: extras[key] for key in GPT_REPORT_FIELDS}
+
+    for name, entry in sorted(gpt_reports.items()):
+        if entry["det_positive_pct"] < 100.0:
+            print(
+                f"warning: {name}: gpt det(J) > 0 on only {entry['det_positive_pct']:.1f}% "
+                "of the demonstration",
+                file=sys.stderr,
+            )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out_dir / "metrics.csv")

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .types import Trajectory
 
@@ -74,37 +73,86 @@ def _positions(traj) -> np.ndarray:
     if isinstance(traj, Trajectory):
         return traj.positions
     pts = np.atleast_2d(np.asarray(traj, dtype=float))
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError("trajectory positions must form a nonempty (M, dim) array")
     if not np.all(np.isfinite(pts)):
         raise ValueError("trajectory positions must be finite")
     return pts
 
 
-def _coupling_sweep(dist: np.ndarray, step) -> float:
-    """Last cell of the coupling-lattice DP
-    C[i, j] = step(d[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
-    with cells off the lattice at +inf and C[0, 0] = d[0, 0].
+def _pair_positions(a, b) -> tuple[np.ndarray, np.ndarray]:
+    pa, pb = _positions(a), _positions(b)
+    if pa.shape[1] != pb.shape[1]:
+        raise ValueError(f"trajectories have dimensions {pa.shape[1]} and {pb.shape[1]}")
+    return pa, pb
 
-    The cells of one anti-diagonal i + j = k depend only on diagonals k-1
-    and k-2, so the sweep runs one diagonal per NumPy call. ``dist`` is
-    skewed into an (m+n-1, m+1) array whose row k holds diagonal k at
-    column i + 1; column 0 and the cells past the lattice stay +inf, so
-    every diagonal reads the same shifted slices of its predecessors. Each
-    row is overwritten in place by its DP values. Every cell applies min
-    and ``step`` to the same operands as the cell-by-cell loop, so the
-    result is bit-identical to it.
+
+def _wavefront(a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frechet and DTW costs of B same-shape pairs: a is (dim, B, m) and
+    rb is (dim, B, n), holding each b with its points reversed.
+
+    Both costs are the last cell of a coupling-lattice DP
+    C[i, j] = step(d[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
+    with C[0, 0] = d[0, 0] and cells off the lattice at +inf; step is max
+    for Frechet and + for DTW. The cells of one anti-diagonal i + j = k
+    depend only on diagonals k-1 and k-2, so the sweep runs one diagonal of
+    every lane per NumPy call. A diagonal is a (2B, m+1) row block: the B
+    Frechet lanes, then the B DTW lanes, cell (i, k-i) at column i + 1.
+    Column 0 and the columns a diagonal does not reach stay +inf, so each
+    diagonal reads the same shifted slices of its two predecessors; three
+    such blocks are reused in turn. Along a diagonal i runs over a
+    contiguous slice of a and k - i over a contiguous slice of rb, so its
+    distances come straight from the points, summed over the axes in order
+    like ``cdist``. Every cell applies min and step to the same operands as
+    the cell-by-cell loop, so each lane is bit-identical to it.
     """
-    m, n = dist.shape
-    rows = np.arange(m)[:, None]
-    skew = np.full((m + n - 1, m + 1), np.inf)
-    skew[rows + np.arange(n), rows + 1] = dist
-    before = np.full(m + 1, np.inf)  # diagonal k-2; none precedes diagonal 1
-    for k in range(1, m + n - 1):
-        last, cells = skew[k - 1], skew[k, 1:]
-        reach = np.minimum(last[:-1], last[1:])
-        np.minimum(reach, before[:-1], out=reach)
-        step(cells, reach, out=cells)
-        before = last
-    return float(skew[-1, m])
+    dim, lanes, m = a.shape
+    n = rb.shape[2]
+    diagonals = np.full((3, 2 * lanes, m + 1), np.inf)
+    dist = np.empty((lanes, m))
+    term = np.empty((lanes, m))
+    reach = np.empty((2 * lanes, m))
+    for k in range(m + n - 1):
+        lo, hi = max(0, k - n + 1), min(m, k + 1)  # i over [lo, hi)
+        width = hi - lo
+        cols = slice(lo, hi)
+        rows_b = slice(n - 1 - k + lo, n - 1 - k + hi)
+        d, t = dist[:, :width], term[:, :width]
+        np.subtract(a[0, :, cols], rb[0, :, rows_b], out=d)
+        np.multiply(d, d, out=d)
+        for axis in range(1, dim):
+            np.subtract(a[axis, :, cols], rb[axis, :, rows_b], out=t)
+            np.multiply(t, t, out=t)
+            np.add(d, t, out=d)
+        np.sqrt(d, out=d)
+        cells = diagonals[k % 3][:, lo + 1 : hi + 1]
+        if k == 0:
+            cells[:lanes] = d
+            cells[lanes:] = d
+            continue
+        last, before = diagonals[(k - 1) % 3], diagonals[(k - 2) % 3]
+        r = reach[:, :width]
+        np.minimum(last[:, lo:hi], last[:, lo + 1 : hi + 1], out=r)
+        np.minimum(r, before[:, lo:hi], out=r)
+        np.maximum(d, r[:lanes], out=cells[:lanes])
+        np.add(d, r[lanes:], out=cells[lanes:])
+    final = diagonals[(m + n - 2) % 3][:, m]
+    return final[:lanes], final[lanes:]
+
+
+def _coupling_costs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Frechet and DTW costs of every (a, b) position pair, one wavefront
+    per group of pairs sharing (len(a), len(b), dim)."""
+    groups: dict = {}
+    for index, (pa, pb) in enumerate(pairs):
+        groups.setdefault((pa.shape[0], pb.shape[0], pa.shape[1]), []).append(index)
+    frechet = np.empty(len(pairs))
+    dtw = np.empty(len(pairs))
+    for members in groups.values():
+        a = np.stack([pairs[i][0].T for i in members], axis=1)
+        rb = np.stack([pairs[i][1][::-1].T for i in members], axis=1)
+        frechet[members], dtw[members] = _wavefront(a, rb)
+    return frechet, dtw
 
 
 def frechet_distance(a, b) -> float:
@@ -114,8 +162,8 @@ def frechet_distance(a, b) -> float:
     C[i, j] = max(d(a_i, b_j), min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
     computed exactly (no band) one anti-diagonal at a time.
     """
-    pa, pb = _positions(a), _positions(b)
-    return _coupling_sweep(cdist(pa, pb), np.maximum)
+    frechet, _ = _coupling_costs([_pair_positions(a, b)])
+    return float(frechet[0])
 
 
 def dtw_distance(a, b) -> float:
@@ -123,8 +171,8 @@ def dtw_distance(a, b) -> float:
     the minimum cumulative Euclidean distance over monotone alignments,
     C[i, j] = d(a_i, b_j) + min(C[i-1, j], C[i, j-1], C[i-1, j-1]),
     computed exactly (no band) one anti-diagonal at a time."""
-    pa, pb = _positions(a), _positions(b)
-    return _coupling_sweep(cdist(pa, pb), np.add)
+    _, dtw = _coupling_costs([_pair_positions(a, b)])
+    return float(dtw[0])
 
 
 def _arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
@@ -202,15 +250,61 @@ def final_angle_error(a, b) -> float:
     return float(np.arccos(cos))
 
 
+def compute_metrics_batch(pairs) -> list:
+    """``compute_metrics`` of every (produced, reference) pair, in order.
+
+    Frechet and DTW of all pairs come from one batched wavefront, so a
+    batch of same-length pairs costs about as many NumPy calls as one pair.
+    A pair whose metrics fail yields its exception in place of a report;
+    the other pairs' reports are unaffected.
+    """
+    outcomes: list = []
+    swept = []
+    owners = []  # outcome index of each swept pair
+    for produced, reference in pairs:
+        try:
+            pa, pb = _pair_positions(produced, reference)
+            others = {
+                "area_between": area_between_curves(pa, pb),
+                "final_position_error": final_position_error(pa, pb),
+                "final_angle_error": final_angle_error(pa, pb),
+            }
+        except Exception as exc:
+            outcomes.append(exc)
+            continue
+        owners.append(len(outcomes))
+        outcomes.append(others)
+        swept.append((pa, pb))
+    frechet, dtw = _coupling_costs(swept)
+    for lane, index in enumerate(owners):
+        try:
+            outcomes[index] = MetricReport(
+                frechet=float(frechet[lane]), dtw=float(dtw[lane]), **outcomes[index]
+            )
+        except ValueError as exc:
+            outcomes[index] = exc
+    return outcomes
+
+
 def compute_metrics(produced, reference) -> MetricReport:
     """All five metrics of ``produced`` against ``reference``."""
-    return MetricReport(
-        frechet=frechet_distance(produced, reference),
-        area_between=area_between_curves(produced, reference),
-        dtw=dtw_distance(produced, reference),
-        final_position_error=final_position_error(produced, reference),
-        final_angle_error=final_angle_error(produced, reference),
-    )
+    (outcome,) = compute_metrics_batch([(produced, reference)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks in which tied values share the mean of the ranks
+    they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(first) - 1]
+    return ranks
 
 
 def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
@@ -232,7 +326,7 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     if np.all(pooled == pooled[0]):
         return float(n1 * n2 / 2.0), 1.0, False
 
-    ranks = rankdata(pooled)
+    ranks = _average_ranks(pooled)
     u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
 
     n = n1 + n2
@@ -257,7 +351,7 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         if var <= 0:
             return u_x, 1.0, False
         z = (u_x + 0.5 - mean) / np.sqrt(var)
-        p = float(norm.cdf(z))
+        p = float(ndtr(z))
     return u_x, float(p), bool(p < alpha)
 
 

@@ -88,7 +88,7 @@ class SvgScene:
             kind = element[0]
             if kind == "polyline":
                 _, pts, color, width, dash = element
-                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts.copy()))
+                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
                 dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -96,13 +96,13 @@ class SvgScene:
                 )
             elif kind == "polygon":
                 _, pts, fill, opacity = element
-                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts.copy()))
+                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
                 parts.append(
                     f'<polygon points="{coords}" fill="{fill}" opacity="{opacity}" stroke="none"/>'
                 )
             elif kind == "markers":
                 _, pts, color, radius = element
-                for x, y in to_px(pts.copy()):
+                for x, y in to_px(pts).tolist():
                     parts.append(
                         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}"/>'
                     )

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from poltrans import PolicyLabels, Trajectory, save_json
 from poltrans import cli
 from poltrans.cli import main
-from poltrans.metrics import METRIC_NAMES, read_metrics_csv
+from poltrans.metrics import METRIC_NAMES, compute_metrics, read_metrics_csv
 from poltrans.scenarios import make_surface_scenario, save_scenario
 
 
@@ -242,12 +244,76 @@ class TestBench:
         assert code == 0
         failures = json.loads((out / "failures.json").read_text())["failures"]
         assert failures == [
-            {"scenario": f"frame-{seed}", "method": "le", "error": "forced failure", "type": "Boom"}
+            {"scenario": f"frame-{seed}", "method": "le", "stage": "method",
+             "error": "forced failure", "type": "Boom"}
             for seed in (200, 201, 202)
         ]
         assert [row["method"] for row in read_metrics_csv(out / "metrics.csv")] == ["gpt"] * 3
         assert json.loads((out / "ranking.json").read_text())["ranking"] == [["gpt", 1]]
         assert (out / "svg" / "frame-200.svg").exists()
+
+    def test_metric_failure_is_recorded_with_its_stage(self, tmp_path, monkeypatch):
+        flags = ("--suite", "surfaces", "--seeds", 1, "--methods", "gpt,le", "--n-keypoints", 7)
+        monkeypatch.setenv("POLTRANS_THREADS", "1")
+        assert run("bench", *flags, "--out-dir", tmp_path / "clean") == 0
+
+        real = cli._run_method
+        le_calls = []
+
+        def stalled_first_le(method, *args):
+            produced, extras = real(method, *args)
+            if method == "le":
+                le_calls.append(1)
+                if len(le_calls) == 1:
+                    # zero-length final segments leave no docking angle to score
+                    positions = produced.positions.copy()
+                    positions[-6:] = positions[-6]
+                    produced = Trajectory(positions=positions, times=produced.times)
+            return produced, extras
+
+        monkeypatch.setattr(cli, "_run_method", stalled_first_le)
+        out = tmp_path / "stalled"
+        assert run("bench", *flags, "--out-dir", out) == 0
+        failures = json.loads((out / "failures.json").read_text())["failures"]
+        assert failures == [
+            {"scenario": "surface-flat-0", "method": "le", "stage": "metrics",
+             "error": "stationary tail: no direction defined", "type": "ValueError"}
+        ]
+        clean = (tmp_path / "clean" / "metrics.csv").read_text().splitlines()
+        stalled = (out / "metrics.csv").read_text().splitlines()
+        assert stalled == [line for line in clean if not line.startswith("surface-flat-0,le,")]
+
+    def test_rows_equal_per_cell_compute_metrics(self, tmp_path, monkeypatch):
+        pairs = {}
+        real = cli._run_cell
+
+        def recorded(cell):
+            scenario, produced, extras, error = real(cell)
+            pairs[cell.scene, cell.method] = (produced, scenario.reference)
+            return scenario, produced, extras, error
+
+        monkeypatch.setenv("POLTRANS_THREADS", "2")
+        monkeypatch.setattr(cli, "_run_cell", recorded)
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "surfaces", "--seeds", 1, "--n-keypoints", 7, "--out-dir", out) == 0
+        rows = read_metrics_csv(out / "metrics.csv")
+        assert len(rows) == len(pairs) == 20
+        for row in rows:
+            expected = compute_metrics(*pairs[row["scenario"], row["method"]]).to_dict()
+            assert {name: row[name] for name in METRIC_NAMES} == expected
+
+    def test_folding_gpt_maps_are_warned_per_scene(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "frames", "--seeds", 5, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        folded = sorted(name for name, entry in report.items() if entry["det_positive_pct"] < 100.0)
+        # frame-204's gpt map folds on about a third of its demonstration
+        assert "frame-204" in folded
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {name}: gpt det(J) > 0 on only {report[name]['det_positive_pct']:.1f}% "
+            "of the demonstration"
+            for name in folded
+        ]
 
     def test_ranking_error_comes_last_and_names_the_method(self, tmp_path, monkeypatch, capsys):
         real = cli._run_method
@@ -338,6 +404,18 @@ def tracing(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats adds about 0.6 s to every command's start-up and no
+    command needs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, poltrans.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_binds_every_traced_name(tracing):

@@ -21,7 +21,10 @@ from poltrans.metrics import (
     MetricReport,
     RankingResult,
     area_between_curves,
+    _average_ranks,
+    _coupling_costs,
     compute_metrics,
+    compute_metrics_batch,
     dtw_distance,
     final_angle_error,
     final_position_error,
@@ -77,6 +80,25 @@ class TestCurveDistances:
             b = rng.integers(0, 3, (shape[1], 2)).astype(float)
             assert frechet_distance(a, b) == loop_frechet(a, b)
             assert dtw_distance(a, b) == loop_dtw(a, b)
+
+    def test_one_batch_of_mixed_shapes_and_dims_matches_the_cell_loops(self):
+        # the batch groups its pairs by (m, n, dim) and sweeps each group's
+        # pairs as lanes of one wavefront; integer-grid pairs bring ties
+        rng = np.random.default_rng(11)
+        pairs = []
+        for m, n in [(1, 1), (1, 5), (5, 1), (2, 2), (37, 90), (90, 37), (200, 200)]:
+            for dim in (1, 2, 3):
+                pairs.append((rng.uniform(-1, 1, (m, dim)), rng.uniform(-1, 1, (n, dim))))
+                pairs.append(
+                    (rng.integers(0, 3, (m, dim)).astype(float), rng.integers(0, 3, (n, dim)).astype(float))
+                )
+        frechet, dtw = _coupling_costs(pairs)
+        assert frechet.tolist() == [loop_frechet(a, b) for a, b in pairs]
+        assert dtw.tolist() == [loop_dtw(a, b) for a, b in pairs]
+
+    def test_mismatched_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="dimensions 2 and 3"):
+            frechet_distance(PARALLEL_A, np.zeros((4, 3)))
 
     def test_parallel_segments_hand_values(self):
         assert frechet_distance(PARALLEL_A, PARALLEL_B) == pytest.approx(1.0)
@@ -200,6 +222,24 @@ class TestEndpointMetrics:
         assert report.final_position_error == 1.0
         assert set(report.to_dict()) == set(METRIC_NAMES)
 
+    def test_batch_reports_every_pair_and_isolates_failures(self):
+        frozen = np.vstack([tail_trajectory(0.0, n=3), np.tile([9.0, 9.0], (7, 1))])
+        holed = PARALLEL_B.copy()
+        holed[1, 0] = np.nan
+        pairs = [
+            (PARALLEL_A, PARALLEL_B),
+            (frozen, tail_trajectory(0.2, n=10)),
+            (holed, PARALLEL_A),
+            (tail_trajectory(0.3, n=10), tail_trajectory(0.5, n=10)),
+            (PARALLEL_B, PARALLEL_A),
+        ]
+        outcomes = compute_metrics_batch(pairs)
+        assert isinstance(outcomes[1], ValueError) and "stationary tail" in str(outcomes[1])
+        assert isinstance(outcomes[2], ValueError) and "finite" in str(outcomes[2])
+        for k in (0, 3, 4):
+            assert outcomes[k] == compute_metrics(*pairs[k])
+        assert compute_metrics_batch([]) == []
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             MetricReport(-1.0, 0.0, 0.0, 0.0, 0.0)
@@ -261,6 +301,12 @@ class TestMannWhitney:
                 x, y, alternative="less", method="asymptotic", use_continuity=True
             )
             assert p == pytest.approx(ref.pvalue, abs=1e-10)
+
+    def test_average_ranks_match_scipy_rankdata(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            values = rng.integers(0, int(rng.integers(1, 6)), int(rng.integers(1, 30))).astype(float)
+            assert _average_ranks(values).tolist() == scipy_stats.rankdata(values).tolist()
 
     def test_clearly_shifted_large_samples_are_significant(self):
         rng = np.random.default_rng(6)
