@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
-from scipy.spatial.distance import cdist, pdist
 
 # Likelihood noise is kept at or above this fraction of the signal variance.
 NOISE_FLOOR_RATIO = 1e-8
@@ -88,9 +87,57 @@ def kernel_se(xi, xj, params: KernelParams) -> float:
     return params.signal_variance * float(np.exp(-sq / (2.0 * params.lengthscale**2)))
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances, the squared differences summed axis by
+    axis in order, so every entry is bitwise equal to
+    ``cdist(a, b, "sqeuclidean")``."""
+    diff = a[:, None, 0] - b[None, :, 0]
+    sq = diff * diff
+    for ax in range(1, a.shape[1]):
+        diff = a[:, None, ax] - b[None, :, ax]
+        sq += diff * diff
+    return sq
+
+
 def _se_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    sq = cdist(a, b, "sqeuclidean")
+    sq = _sq_dists(a, b)
     return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix ``a``.
+
+    Calls LAPACK ``dpotrf``, the routine behind
+    ``scipy.linalg.cholesky(a, lower=True)``, so the factor is bitwise the
+    same without that wrapper's per-call batching and dispatch. Raises
+    ValueError on non-finite input and LinAlgError when ``a`` is not
+    positive definite.
+    """
+    _check_finite(a)
+    chol, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return chol
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(chol chol^T) x = b`` with LAPACK ``dpotrs``; bitwise equal to
+    ``scipy.linalg.cho_solve((chol, True), b)``."""
+    _check_finite(chol, b)
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +206,14 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
         raise ValueError("at least one training point required")
 
     gram = _se_matrix(x, x, params)
-    base = gram + params.noise_variance * np.eye(x.shape[0])
+    eye = np.eye(x.shape[0])
+    base = gram + params.noise_variance * eye
 
     jitter = 0.0
     next_jitter = NOISE_FLOOR_RATIO * params.signal_variance
     while True:
         try:
-            chol = cholesky(base + jitter * np.eye(x.shape[0]), lower=True)
+            chol = _cholesky(base + jitter * eye)
             break
         except np.linalg.LinAlgError:
             if jitter >= JITTER_MAX_RATIO * params.signal_variance:
@@ -173,7 +221,7 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
             jitter = next_jitter
             next_jitter *= 10.0
 
-    alpha = cho_solve((chol, True), y)
+    alpha = _cho_solve(chol, y)
     x = x.copy()
     y = y.copy()
     x.setflags(write=False)
@@ -194,27 +242,28 @@ def _nlml_and_grad(u: np.ndarray, sq_dists: np.ndarray, y: np.ndarray) -> tuple[
     u = (log sp2, log l, log(sn2 / sp2))."""
     n, d_out = y.shape
     sp2, ell, ratio = np.exp(u[0]), np.exp(u[1]), np.exp(u[2])
+    eye = np.eye(n)
     corr = np.exp(-sq_dists / (2.0 * ell**2))
-    gram = sp2 * (corr + ratio * np.eye(n))
+    gram = sp2 * (corr + ratio * eye)
     try:
-        chol = cholesky(gram, lower=True)
+        chol = _cholesky(gram)
     except np.linalg.LinAlgError:
         return 1e25, np.zeros(3)
-    alpha = cho_solve((chol, True), y)
+    alpha = _cho_solve(chol, y)
     nlml = (
-        0.5 * float(np.sum(y * alpha))
-        + d_out * float(np.sum(np.log(np.diag(chol))))
+        0.5 * float((y * alpha).sum())
+        + d_out * float(np.log(chol.diagonal()).sum())
         + 0.5 * n * d_out * np.log(2.0 * np.pi)
     )
 
-    w = cho_solve((chol, True), np.eye(n))
+    w = _cho_solve(chol, eye)
     # dK/d(log sp2) = K itself; dK/d(log l) = sp2 corr * sq/l^2;
     # dK/d(log ratio) = sp2 ratio I.
     grads = np.empty(3)
     d_ell = sp2 * corr * (sq_dists / ell**2)
-    for j, dk in enumerate((gram, d_ell, sp2 * ratio * np.eye(n))):
-        quad = float(np.sum((dk @ alpha) * alpha))
-        trace = float(np.sum(w * dk))
+    for j, dk in enumerate((gram, d_ell, sp2 * ratio * eye)):
+        quad = float(((dk @ alpha) * alpha).sum())
+        trace = float((w * dk).sum())
         grads[j] = -(0.5 * quad - 0.5 * d_out * trace)
     return nlml, grads
 
@@ -245,7 +294,9 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     if not noise_ratio_cap >= NOISE_FLOOR_RATIO:
         raise ValueError("noise ratio cap must be at least NOISE_FLOOR_RATIO")
 
-    diam = float(pdist(x).max()) if x.shape[0] > 1 else 0.0
+    sq = _sq_dists(x, x)
+    # sqrt is monotone and correctly rounded, so this is pdist(x).max().
+    diam = float(np.sqrt(sq.max())) if x.shape[0] > 1 else 0.0
     if diam <= 0.0:
         diam = 1.0
     ell_center = diam / np.sqrt(x.shape[1])
@@ -271,21 +322,21 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     ]
     ratio = min(noise_ratio_cap, 1e-6)
     n, d_out = y.shape
-    sq = cdist(x, x, "sqeuclidean")
+    ratio_eye = ratio * np.eye(n)
 
     best_u, best_val = None, np.inf
     for ell in LENGTHSCALE_GRID * ell_center:
-        corr = np.exp(-sq / (2.0 * ell**2)) + ratio * np.eye(n)
+        corr = np.exp(-sq / (2.0 * ell**2)) + ratio_eye
         try:
-            chol = cholesky(corr, lower=True)
+            chol = _cholesky(corr)
         except np.linalg.LinAlgError:
             continue
-        quad = float(np.sum(y * cho_solve((chol, True), y)))
+        quad = float((y * _cho_solve(chol, y)).sum())
         log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *bounds[0]))
         val = (
             0.5 * quad / np.exp(log_sp2)
             + 0.5 * n * d_out * log_sp2
-            + d_out * float(np.sum(np.log(np.diag(chol))))
+            + d_out * float(np.log(chol.diagonal()).sum())
             + 0.5 * n * d_out * np.log(2.0 * np.pi)
         )
         if val < best_val:
@@ -331,7 +382,7 @@ def predict_variance(model: GPModel, queries) -> np.ndarray:
     output dimensions; clamped at >= 0. Shape (n,) or scalar."""
     q, single = _as_queries(model, queries)
     k_star = _se_matrix(q, model.inputs, model.params)
-    v = cho_solve((model.chol, True), k_star.T)
+    v = _cho_solve(model.chol, k_star.T)
     var = model.params.signal_variance - np.einsum("nq,nq->q", k_star.T, v)
     var = np.maximum(var, 0.0)
     return float(var[0]) if single else var
@@ -356,7 +407,7 @@ def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]
 
     n_q, n_train, d_in = grad_k.shape
     flat = grad_k.transpose(1, 0, 2).reshape(n_train, n_q * d_in)
-    solved = cho_solve((model.chol, True), flat).reshape(n_train, n_q, d_in)
+    solved = _cho_solve(model.chol, flat).reshape(n_train, n_q, d_in)
     explained = np.einsum("qnb,nqc->qbc", grad_k, solved)
 
     prior = (model.params.signal_variance / ell2) * np.eye(d_in)

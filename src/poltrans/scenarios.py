@@ -14,18 +14,12 @@ Two families:
   generated for one fixed canonical frame pair; new scenarios perturb the
   frames, and the reference rollout regenerates the reaching curve at the
   perturbed frames.
-
-Also provides a grid-organizer for raw 3D point clouds (bilinear xy lattice
-from four corners, z aggregated from the cloud and smoothed), mirroring how
-scanned surfaces are turned into ordered keypoint grids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
-from scipy.spatial.distance import cdist
 
 from .types import PairedKeypoints, PointSet, Trajectory, _freeze, load_json, save_json
 
@@ -384,86 +378,3 @@ def load_scenario(path):
         return FrameScenario.from_dict(data)
     raise ValueError(f"unknown scenario kind {kind!r}")
 
-
-def gridify_pointcloud(
-    points: PointSet,
-    grid: tuple[int, int],
-    corners,
-    smoothing_window: int = 3,
-) -> PointSet:
-    """Organize a raw 3D cloud into an ordered nx-by-ny surface grid.
-
-    Node xy positions come from bilinear interpolation of the four corner
-    vectors (ordered u0v0, u1v0, u1v1, u0v1); node z aggregates the input
-    points assigned to their nearest node (points farther than one cell
-    span are ignored), with empty nodes filled from their neighbors and the
-    z field smoothed by a moving average. Output is row-major in v then u,
-    exactly nx*ny points.
-    """
-    nx, ny = int(grid[0]), int(grid[1])
-    if nx < 2 or ny < 2:
-        raise ValueError("grid must be at least 2x2")
-    if points.dim != 3:
-        raise ValueError("gridify expects a 3D point cloud")
-    if points.n < 4:
-        raise ValueError("need at least four input points")
-    if smoothing_window < 1:
-        raise ValueError("smoothing window must be >= 1")
-
-    quad = np.asarray(corners, dtype=float)
-    if quad.shape != (4, 2):
-        raise ValueError("corners must be four 2D vectors")
-    area = 0.0
-    for i in range(4):
-        a, b = quad[i], quad[(i + 1) % 4]
-        area += a[0] * b[1] - b[0] * a[1]
-    if abs(area) < 1e-12:
-        raise ValueError("degenerate corner quadrilateral")
-
-    uu, vv = np.meshgrid(np.linspace(0, 1, nx), np.linspace(0, 1, ny))
-    u, v = uu.ravel(), vv.ravel()
-    nodes = (
-        np.outer((1 - u) * (1 - v), quad[0])
-        + np.outer(u * (1 - v), quad[1])
-        + np.outer(u * v, quad[2])
-        + np.outer((1 - u) * v, quad[3])
-    )
-
-    node_grid = nodes.reshape(ny, nx, 2)
-    spans = []
-    if nx > 1:
-        spans.append(np.linalg.norm(np.diff(node_grid, axis=1), axis=2).max())
-    if ny > 1:
-        spans.append(np.linalg.norm(np.diff(node_grid, axis=0), axis=2).max())
-    cell_span = max(spans)
-
-    dist = cdist(points.points[:, :2], nodes)
-    nearest = np.argmin(dist, axis=1)
-    within = dist[np.arange(points.n), nearest] <= cell_span
-    z_sum = np.zeros(nx * ny)
-    z_cnt = np.zeros(nx * ny)
-    np.add.at(z_sum, nearest[within], points.points[within, 2])
-    np.add.at(z_cnt, nearest[within], 1.0)
-    if not np.any(z_cnt > 0):
-        raise ValueError("no input points near any grid cell")
-
-    z = np.full(nx * ny, np.nan)
-    filled = z_cnt > 0
-    z[filled] = z_sum[filled] / z_cnt[filled]
-
-    z = z.reshape(ny, nx)
-    while np.any(np.isnan(z)):
-        nan_mask = np.isnan(z)
-        padded = np.pad(z, 1, mode="edge")
-        neighbor_stack = np.stack(
-            [padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]]
-        )
-        counts = np.sum(~np.isnan(neighbor_stack), axis=0)
-        sums = np.nansum(neighbor_stack, axis=0)
-        fillable = nan_mask & (counts > 0)
-        z[fillable] = sums[fillable] / counts[fillable]
-
-    if smoothing_window > 1:
-        z = uniform_filter(z, size=smoothing_window, mode="nearest")
-
-    return PointSet(np.column_stack([nodes, z.ravel()]))

@@ -406,16 +406,26 @@ def tracing(monkeypatch):
     return module
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """scipy.stats adds about 0.6 s to every command's start-up and no
-    command needs it."""
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import poltrans.cli`` puts ``module`` in sys.modules."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, poltrans.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, poltrans.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats adds about 0.6 s to every command's start-up and no
+    command needs it."""
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    """scipy.ndimage costs ~0.4 s when imported fresh and no module uses it."""
+    assert not _loaded_by_cli_import("scipy.ndimage")
 
 
 def test_benchmark_tracer_binds_every_traced_name(tracing):

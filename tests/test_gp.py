@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import _decomp_cholesky
 from scipy.spatial.distance import cdist, pdist
 
 from poltrans import gp
@@ -178,7 +180,7 @@ class TestHyperparameterFit:
         def no_factor(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(gp, "cholesky", no_factor)
+        monkeypatch.setattr(gp, "_cholesky", no_factor)
         with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
             fit_gp([[0.0], [1.0]], [[0.0], [1.0]])
 
@@ -233,8 +235,7 @@ class TestRobustness:
         assert np.isfinite(predict_mean(model, [[0.5, 0.0]])).all()
 
     def test_jitter_escalates_until_factorization_succeeds(self, monkeypatch):
-        from scipy.linalg import cholesky as real_cholesky
-
+        real_cholesky = gp._cholesky
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -243,7 +244,7 @@ class TestRobustness:
                 raise np.linalg.LinAlgError("forced")
             return real_cholesky(*args, **kwargs)
 
-        monkeypatch.setattr("poltrans.gp.cholesky", flaky)
+        monkeypatch.setattr("poltrans.gp._cholesky", flaky)
         model = build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
         assert 0.0 < model.jitter <= JITTER_MAX_RATIO * 1.0
         assert np.isfinite(predict_mean(model, [[0.5]])).all()
@@ -252,7 +253,7 @@ class TestRobustness:
         def always_fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr("poltrans.gp.cholesky", always_fail)
+        monkeypatch.setattr("poltrans.gp._cholesky", always_fail)
         with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
             build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
 
@@ -265,6 +266,69 @@ class TestRobustness:
     def test_input_output_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
             build_gp([[0.0], [1.0]], [[0.0]], KernelParams(1.0, 1.0))
+
+
+class TestLapackSeam:
+    """gp factorizes and solves with LAPACK directly; every result must be
+    bitwise equal to the SciPy wrappers it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
+    def test_factor_and_solve_equal_scipy_wrappers(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        gram = np.exp(-cdist(x, x, "sqeuclidean") / 0.5) + 1e-6 * np.eye(n)
+        chol = gp._cholesky(gram)
+        ref = scipy.linalg.cholesky(gram, lower=True)
+        assert np.array_equal(chol, ref)
+        rhs = [rng.standard_normal((n, k)) for k in sorted({1, 2, n})] + [np.eye(n)]
+        for b in rhs:
+            assert np.array_equal(gp._cho_solve(chol, b), scipy.linalg.cho_solve((ref, True), b))
+
+    def test_non_positive_definite_matrix_is_a_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_value_error(self, bad):
+        a = np.array([[2.0, 0.5], [0.5, 2.0]])
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gp._cholesky(a)
+        chol = gp._cholesky(np.eye(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gp._cho_solve(chol, np.array([[1.0], [bad]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gp._cho_solve(a, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_squared_distances_equal_cdist(self, d):
+        rng = np.random.default_rng(20 + d)
+        for m, n in [(1, 1), (1, 9), (9, 1), (12, 12), (50, 200)]:
+            a = rng.uniform(-5.0, 5.0, (m, d)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.uniform(-5.0, 5.0, (n, d)) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(gp._sq_dists(a, b), cdist(a, b, "sqeuclidean"))
+            assert np.array_equal(gp._sq_dists(a, a), cdist(a, a, "sqeuclidean"))
+
+    def test_fit_and_predictions_bypass_the_scipy_wrappers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a SciPy Cholesky wrapper was called")
+
+        for name in ("cholesky", "cho_solve"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+        # the wrappers' bodies, however they were imported
+        for name in ("_cholesky", "_cho_solve"):
+            monkeypatch.setattr(_decomp_cholesky, name, forbidden)
+        for name in ("cholesky", "cho_solve", "cdist", "pdist"):
+            assert not hasattr(gp, name)
+
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-1.0, 1.0, (12, 2))
+        model = fit_gp(x, np.sin(3.0 * x))
+        q = rng.uniform(-1.0, 1.0, (5, 2))
+        assert np.isfinite(predict_mean(model, q)).all()
+        assert np.isfinite(predict_variance(model, q)).all()
+        jac, var = predict_derivative(model, q)
+        assert np.isfinite(jac).all() and np.isfinite(var).all()
 
 
 class TestSerialization:

@@ -1,11 +1,10 @@
-"""Scenario generators: analytic profiles, frame attachment, gridding."""
+"""Scenario generators: analytic profiles and frame attachment."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import rotation_2d
-from poltrans import PointSet
 from poltrans.scenarios import (
     CANONICAL_GOAL,
     CANONICAL_START,
@@ -14,7 +13,6 @@ from poltrans.scenarios import (
     Pose,
     SurfaceScenario,
     frame_pairing,
-    gridify_pointcloud,
     load_scenario,
     make_frame_scenario,
     make_surface_scenario,
@@ -235,93 +233,3 @@ class TestScenarioSerialization:
         with pytest.raises(ValueError, match="unknown scenario kind"):
             load_scenario(path)
 
-
-UNIT_CORNERS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-
-
-class TestGridify:
-    def test_planar_cloud_stays_planar(self):
-        rng = np.random.default_rng(0)
-        xy = rng.uniform(0.0, 1.0, (300, 2))
-        cloud = PointSet(np.column_stack([xy, np.full(300, 0.7)]))
-        grid = gridify_pointcloud(cloud, (6, 5), UNIT_CORNERS)
-        assert grid.n == 30
-        assert_allclose(grid.points[:, 2], 0.7, atol=1e-12)
-
-    def test_two_by_two_grid_equals_the_corners(self):
-        cloud = PointSet(
-            [
-                [0.0, 0.0, 0.1],
-                [1.0, 0.0, 0.2],
-                [1.0, 1.0, 0.3],
-                [0.0, 1.0, 0.4],
-            ]
-        )
-        grid = gridify_pointcloud(cloud, (2, 2), UNIT_CORNERS, smoothing_window=1)
-        # row-major in v then u: (u0,v0), (u1,v0), (u0,v1), (u1,v1)
-        assert_allclose(grid.points[0], [0.0, 0.0, 0.1], atol=1e-12)
-        assert_allclose(grid.points[1], [1.0, 0.0, 0.2], atol=1e-12)
-        assert_allclose(grid.points[2], [0.0, 1.0, 0.4], atol=1e-12)
-        assert_allclose(grid.points[3], [1.0, 1.0, 0.3], atol=1e-12)
-
-    def test_sloped_cloud_matches_plane_at_nodes(self):
-        rng = np.random.default_rng(1)
-        xy = rng.uniform(0.0, 1.0, (4000, 2))
-        cloud = PointSet(np.column_stack([xy, xy[:, 0]]))  # z = x
-        cell = 1.0 / 7.0
-        for window in (1, 3):
-            grid = gridify_pointcloud(cloud, (8, 8), UNIT_CORNERS, smoothing_window=window)
-            assert np.abs(grid.points[:, 2] - grid.points[:, 0]).max() < 0.6 * cell
-
-    def test_row_major_layout_and_bilinear_xy(self):
-        corners = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
-        cloud = PointSet(
-            np.column_stack([np.random.default_rng(2).uniform(0, 1, (50, 2)) * [2, 1], np.zeros(50)])
-        )
-        grid = gridify_pointcloud(cloud, (3, 2), corners)
-        assert grid.n == 6
-        xy = grid.points[:, :2]
-        assert_allclose(xy[0], [0.0, 0.0], atol=0)
-        assert_allclose(xy[1], [1.0, 0.0], atol=1e-15)
-        assert_allclose(xy[2], [2.0, 0.0], atol=0)
-        assert_allclose(xy[3], [0.0, 1.0], atol=0)
-        assert_allclose(xy[5], [2.0, 1.0], atol=0)
-
-    def test_empty_cells_filled_from_neighbors(self):
-        # all the data sits near the left edge; right-edge nodes inherit z
-        xy = np.column_stack(
-            [np.full(40, 0.05), np.linspace(0.0, 1.0, 40)]
-        )
-        cloud = PointSet(np.column_stack([xy, np.full(40, 2.5)]))
-        grid = gridify_pointcloud(cloud, (4, 4), UNIT_CORNERS)
-        assert np.isfinite(grid.points[:, 2]).all()
-        assert_allclose(grid.points[:, 2], 2.5, atol=1e-12)
-
-    def test_validation(self):
-        flat_cloud = PointSet([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="3D"):
-            gridify_pointcloud(flat_cloud, (3, 3), UNIT_CORNERS)
-        small = PointSet([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(ValueError, match="four input points"):
-            gridify_pointcloud(small, (3, 3), UNIT_CORNERS)
-        ok = PointSet(np.column_stack([np.random.default_rng(3).uniform(0, 1, (9, 2)), np.ones(9)]))
-        with pytest.raises(ValueError, match="at least 2x2"):
-            gridify_pointcloud(ok, (1, 3), UNIT_CORNERS)
-        with pytest.raises(ValueError, match="four 2D vectors"):
-            gridify_pointcloud(ok, (3, 3), [[0.0, 0.0], [1.0, 0.0]])
-        degenerate = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
-        with pytest.raises(ValueError, match="degenerate"):
-            gridify_pointcloud(ok, (3, 3), degenerate)
-        with pytest.raises(ValueError, match="smoothing window"):
-            gridify_pointcloud(ok, (3, 3), UNIT_CORNERS, smoothing_window=0)
-
-    def test_far_points_are_ignored_but_all_far_is_an_error(self):
-        near = np.column_stack(
-            [np.random.default_rng(4).uniform(0, 1, (30, 2)), np.zeros(30)]
-        )
-        outlier = np.array([[50.0, 50.0, 9.9]])
-        grid = gridify_pointcloud(PointSet(np.vstack([near, outlier])), (3, 3), UNIT_CORNERS)
-        assert np.abs(grid.points[:, 2]).max() < 1e-12  # outlier never aggregated
-        all_far = PointSet(np.column_stack([np.full((5, 2), 99.0), np.ones(5)]))
-        with pytest.raises(ValueError, match="no input points"):
-            gridify_pointcloud(all_far, (3, 3), UNIT_CORNERS)
