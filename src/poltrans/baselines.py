@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .gp import KernelParams, build_gp, fit_gp, predict_mean
-from .types import PairedKeypoints, Trajectory, _freeze
+from .types import PairedKeypoints, Trajectory, _freeze, _sq_dists
 
 # Per-unit translation magnitude is capped at this fraction of the unit
 # radius; det(I + v grad(w)^T) >= 1 - 0.5 max_t t e^(-t^2/2) ~= 0.70 > 0.
@@ -65,10 +64,6 @@ class ViaAssignment:
         object.__setattr__(self, "targets", _freeze(tgt))
 
     @property
-    def pairs(self) -> list[tuple[int, np.ndarray]]:
-        return [(int(i), t) for i, t in zip(self.indices, self.targets)]
-
-    @property
     def n(self) -> int:
         return self.indices.size
 
@@ -84,7 +79,7 @@ def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
         raise ValueError("more keypoints than trajectory points")
     if traj.dim != kp.dim:
         raise ValueError("trajectory and keypoints must share dimension")
-    cost = cdist(kp.source.points, traj.positions)
+    cost = np.sqrt(_sq_dists(kp.source.points, traj.positions))
     rows, cols = linear_sum_assignment(cost)
     order = np.argsort(rows)  # keypoint order
     cols = cols[order]
@@ -109,19 +104,9 @@ def _graph_laplacian(m: int, topology: str) -> np.ndarray:
     return lap
 
 
-def _resolve_targets(assignment: ViaAssignment, targets) -> np.ndarray:
-    if targets is None:
-        return np.asarray(assignment.targets, dtype=float)
-    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    if tgt.shape != assignment.targets.shape:
-        raise ValueError("targets must match the assignment shape")
-    return tgt
-
-
 def laplacian_edit(
     traj: Trajectory,
     assignment: ViaAssignment,
-    targets=None,
     topology: str = "chain",
 ) -> Trajectory:
     """Reshape the trajectory so assigned nodes sit exactly on their targets
@@ -129,19 +114,17 @@ def laplacian_edit(
 
     With L the uniform graph Laplacian of the chain (or ring, for periodic
     demonstrations), solves L xhat = L x with the rows of assigned nodes
-    replaced by hard unit constraints. ``targets`` overrides the target
-    points bound in the assignment (same order) when given.
+    replaced by hard unit constraints.
     """
     if np.any(assignment.indices >= traj.m):
         raise ValueError("assignment index out of range")
-    tgt = _resolve_targets(assignment, targets)
-    if tgt.shape[1] != traj.dim:
+    if assignment.targets.shape[1] != traj.dim:
         raise ValueError("target dimension mismatch")
 
     lap = _graph_laplacian(traj.m, topology)
     rhs = lap @ traj.positions
     system = lap.copy()
-    for row, point in zip(assignment.indices, tgt):
+    for row, point in zip(assignment.indices, assignment.targets):
         system[row, :] = 0.0
         system[row, row] = 1.0
         rhs[row] = point
@@ -155,7 +138,6 @@ def laplacian_edit(
 def reshaped_kmp(
     traj: Trajectory,
     assignment: ViaAssignment,
-    targets=None,
     kernel_params: KernelParams | None = None,
 ) -> Trajectory:
     """Add a time-indexed GP displacement field to the trajectory.
@@ -170,12 +152,11 @@ def reshaped_kmp(
         raise ValueError("timestamps required for time-indexed reshaping")
     if np.any(assignment.indices >= traj.m):
         raise ValueError("assignment index out of range")
-    tgt = _resolve_targets(assignment, targets)
-    if tgt.shape[1] != traj.dim:
+    if assignment.targets.shape[1] != traj.dim:
         raise ValueError("target dimension mismatch")
 
     t_in = traj.times[assignment.indices][:, None]
-    displacement = tgt - traj.positions[assignment.indices]
+    displacement = assignment.targets - traj.positions[assignment.indices]
     if kernel_params is not None:
         gp = build_gp(t_in, displacement, kernel_params)
     else:
@@ -245,26 +226,7 @@ def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
     return pts[0] if single else pts
 
 
-def lwt_jacobian(lwt: LWTMap, x, h: float = 1e-6) -> np.ndarray:
-    """Jacobian of the composed map by central finite differences."""
-    point = np.asarray(x, dtype=float).ravel()
-    dim = point.size
-    jac = np.empty((dim, dim))
-    for b in range(dim):
-        lo = point.copy()
-        hi = point.copy()
-        lo[b] -= h
-        hi[b] += h
-        jac[:, b] = (apply_lwt(lwt, hi) - apply_lwt(lwt, lo)) / (2.0 * h)
-    return jac
-
-
-def lwt_velocity(lwt: LWTMap, x, velocity, h: float = 1e-6) -> np.ndarray:
-    """Transport a velocity through the finite-difference Jacobian."""
-    return lwt_jacobian(lwt, x, h=h) @ np.asarray(velocity, dtype=float).ravel()
-
-
-def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000, tol: float | None = None) -> LWTMap:
+def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     """Greedily compose translation units until keypoints match.
 
     Each iteration picks the keypoint with the largest residual and adds a
@@ -272,12 +234,11 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000, tol: float | None = None
     near other keypoints (half the distance to the nearest one) to limit
     interference, and the step obeys the per-unit invertibility bound, so
     several units may be needed per keypoint. Stops when the largest
-    residual drops below ``tol`` (default 1e-3 x target diameter); hitting
-    ``max_iters`` first returns the best map found plus a warning.
+    residual drops below 1e-3 x target diameter; hitting ``max_iters``
+    first returns the best map found plus a warning.
     """
     diam = kp.target.diameter()
-    if tol is None:
-        tol = 1e-3 * (diam if diam > 0 else 1.0)
+    tol = 1e-3 * (diam if diam > 0 else 1.0)
 
     current = kp.source.points.copy()
     target = kp.target.points

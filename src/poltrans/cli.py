@@ -108,9 +108,6 @@ def _load_config(args) -> dict:
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    reps = cfg.get("repetitions")
-    if reps is not None and int(reps) < 1:
-        raise UsageError("repetitions must be >= 1")
     for key in ("scenario", "map", "labels"):
         ref = cfg.get(key)
         if ref is not None and not Path(ref).exists():
@@ -166,8 +163,7 @@ def cmd_fit(args) -> int:
     tmap = fit_transport(kp)
     fit_seconds = time.perf_counter() - start
 
-    mapped, _ = transport_points(tmap, kp.source.points)
-    errors = np.linalg.norm(mapped - kp.target.points, axis=1)
+    errors = tmap.keypoint_errors
     report = {
         "fit_seconds": fit_seconds,
         "keypoint_error_max": float(errors.max()),
@@ -212,12 +208,9 @@ def cmd_transport(args) -> int:
         "warnings": list(moved.warnings) + list(tmap.warnings),
     }
     if labels.stiffness is not None:
-        drift = 0.0
-        for before, after in zip(labels.stiffness, moved.stiffness):
-            spec_in = np.sort(np.linalg.eigvalsh(before))
-            spec_out = np.sort(np.linalg.eigvalsh(after))
-            drift = max(drift, float(np.abs(spec_in - spec_out).max()))
-        report["stiffness_spectrum_max_drift"] = drift
+        # eigvalsh returns each spectrum in ascending order
+        drift = np.abs(np.linalg.eigvalsh(labels.stiffness) - np.linalg.eigvalsh(moved.stiffness))
+        report["stiffness_spectrum_max_drift"] = float(drift.max())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     moved.to_csv(out_dir / "transported.csv")
@@ -263,10 +256,8 @@ def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: st
         positions, variance = transport_points(tmap, demo.positions)
         extras["transport_seconds"] = time.perf_counter() - start
         extras["band_sigma"] = np.sqrt(np.maximum(variance, 0.0))
-        mapped, _ = transport_points(tmap, kp.source.points)
-        errors = np.linalg.norm(mapped - kp.target.points, axis=1)
-        extras["keypoint_error_max"] = float(errors.max())
-        extras["keypoint_error_mean"] = float(errors.mean())
+        extras["keypoint_error_max"] = float(tmap.keypoint_errors.max())
+        extras["keypoint_error_mean"] = float(tmap.keypoint_errors.mean())
         diffeo = check_local_diffeomorphism(tmap, demo.positions)
         extras["det_positive_pct"] = 100.0 * diffeo.fraction_positive
         return Trajectory(positions=positions, times=demo.times), extras
@@ -515,8 +506,8 @@ def cmd_scenario_gen(args) -> int:
     out_dir = Path(_setting(args, cfg, "out_dir", "."))
 
     if suite == "surfaces":
-        seeds = int(_setting(args, cfg, "seeds", 3))
-        n_keypoints = int(_setting(args, cfg, "n_keypoints", 12))
+        seeds = _at_least(args, cfg, "seeds", 3, 1)
+        n_keypoints = _at_least(args, cfg, "n_keypoints", 12, 2)
         target = out_dir / "scenarios" / "surfaces"
         target.mkdir(parents=True, exist_ok=True)
         count = 0
@@ -528,9 +519,9 @@ def cmd_scenario_gen(args) -> int:
         print(f"wrote {count} surface scenarios under {target}")
         return 0
 
-    seeds = int(_setting(args, cfg, "seeds", 20))
-    train_seeds = int(_setting(args, cfg, "train_seeds", 9))
-    kpf = int(_setting(args, cfg, "kpf", 5))
+    seeds = _at_least(args, cfg, "seeds", 20, 1)
+    train_seeds = _at_least(args, cfg, "train_seeds", 9, 1)
+    kpf = _at_least(args, cfg, "kpf", 5, 1)
     target = out_dir / "scenarios" / "frames"
     target.mkdir(parents=True, exist_ok=True)
     count = 0

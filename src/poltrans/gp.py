@@ -28,6 +28,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
+from .types import _sq_dists
+
 # Likelihood noise is kept at or above this fraction of the signal variance.
 NOISE_FLOOR_RATIO = 1e-8
 # Jitter escalates by x10 from the floor up to this fraction on Cholesky failure.
@@ -75,28 +77,6 @@ class KernelParams:
             lengthscale=float(data["lengthscale"]),
             noise_variance=float(data["noise_variance"]),
         )
-
-
-def kernel_se(xi, xj, params: KernelParams) -> float:
-    """sp2 * exp(-|xi - xj|^2 / (2 l^2)) for a single pair of points."""
-    a = np.asarray(xi, dtype=float).ravel()
-    b = np.asarray(xj, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError("kernel inputs must have equal length")
-    sq = float(np.sum((a - b) ** 2))
-    return params.signal_variance * float(np.exp(-sq / (2.0 * params.lengthscale**2)))
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, the squared differences summed axis by
-    axis in order, so every entry is bitwise equal to
-    ``cdist(a, b, "sqeuclidean")``."""
-    diff = a[:, None, 0] - b[None, :, 0]
-    sq = diff * diff
-    for ax in range(1, a.shape[1]):
-        diff = a[:, None, ax] - b[None, :, ax]
-        sq += diff * diff
-    return sq
 
 
 def _se_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:

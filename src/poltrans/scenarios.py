@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, PointSet, Trajectory, _freeze, load_json, save_json
+from .types import PairedKeypoints, PointSet, Trajectory, load_json, save_json
 
 SURFACE_PROFILES = ("flat", "tilt", "sine", "step", "composite")
 

@@ -8,6 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# Canvas size in pixels, and the padding around the drawn content as a
+# fraction of its larger extent.
+WIDTH = 640
+HEIGHT = 480
+MARGIN = 0.06
+
 
 def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper/lower polylines offset from a curve along its local normals.
@@ -30,10 +36,7 @@ def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.n
 class SvgScene:
     """Collects world-space drawing primitives, then renders one SVG."""
 
-    def __init__(self, width: int = 640, height: int = 480, margin: float = 0.06):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    def __init__(self):
         self._elements: list[tuple] = []
         self._points: list[np.ndarray] = []
 
@@ -65,14 +68,14 @@ class SvgScene:
         lo = stacked.min(axis=0)
         hi = stacked.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
-        pad = self.margin * float(span.max())
+        pad = MARGIN * float(span.max())
         lo, hi = lo - pad, hi + pad
         span = hi - lo
-        scale = min(self.width / span[0], self.height / span[1])
+        scale = min(WIDTH / span[0], HEIGHT / span[1])
 
         def to_px(pts: np.ndarray) -> np.ndarray:
             out = (pts - lo) * scale
-            out[:, 1] = self.height - out[:, 1]  # y grows upward in world space
+            out[:, 1] = HEIGHT - out[:, 1]  # y grows upward in world space
             return out
 
         return to_px
@@ -80,9 +83,9 @@ class SvgScene:
     def render(self) -> str:
         to_px = self._transform()
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         ]
         for element in self._elements:
             kind = element[0]

@@ -23,7 +23,8 @@ velocity, to a velocity variance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class TransportMap:
     @property
     def dim(self) -> int:
         return self.affine.dim
+
+    @cached_property
+    def keypoint_errors(self) -> np.ndarray:
+        """Distance from each target keypoint to the image of its source
+        keypoint; the same values as ``transport_points`` gives."""
+        aligned = self.affine.apply(self.keypoints.source.points)
+        mapped = aligned + predict_mean(self.residual, aligned)
+        return _freeze(np.linalg.norm(mapped - self.keypoints.target.points, axis=1))
 
     def to_dict(self) -> dict:
         return {
@@ -144,12 +153,6 @@ class TransportedLabels:
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def _keypoint_mismatch(affine: AffineMap, residual: GPModel, kp: PairedKeypoints) -> float:
-    aligned = affine.apply(kp.source.points)
-    mapped = aligned + predict_mean(residual, aligned)
-    return float(np.max(np.linalg.norm(mapped - kp.target.points, axis=1)))
-
-
 def fit_transport(kp: PairedKeypoints) -> TransportMap:
     """Fit phi = gamma + psi(gamma(.)) to the paired keypoints.
 
@@ -165,22 +168,21 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     residual_targets = kp.target.points - aligned
 
     residual = fit_gp(aligned, residual_targets, noise_ratio_cap=RESIDUAL_NOISE_RATIO_CAP)
+    tmap = TransportMap(affine=affine, residual=residual, keypoints=kp)
 
     diam = kp.target.diameter()
     tol = TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
-    err = _keypoint_mismatch(affine, residual, kp)
-    notes: tuple[str, ...] = ()
+    err = float(tmap.keypoint_errors.max())
     if err > tol:
         pinned = fit_gp(aligned, residual_targets, noise_ratio_cap=NOISE_FLOOR_RATIO)
-        pinned_err = _keypoint_mismatch(affine, pinned, kp)
+        pinned_map = TransportMap(affine=affine, residual=pinned, keypoints=kp)
+        pinned_err = float(pinned_map.keypoint_errors.max())
         if pinned_err < err:
-            residual, err = pinned, pinned_err
+            tmap, err = pinned_map, pinned_err
         if err > tol:
-            notes = (
-                f"keypoint match tolerance exceeded: max error {err:.3e} > {tol:.3e}",
-            )
-
-    return TransportMap(affine=affine, residual=residual, keypoints=kp, warnings=notes)
+            note = f"keypoint match tolerance exceeded: max error {err:.3e} > {tol:.3e}"
+            tmap = replace(tmap, warnings=(note,))
+    return tmap
 
 
 def _as_points(tmap: TransportMap, x) -> tuple[np.ndarray, bool]:

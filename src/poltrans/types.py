@@ -9,13 +9,11 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 # Tolerance admitting double-precision polar-decomposition output.
 ORIENTATION_TOL = 1e-9
@@ -26,6 +24,19 @@ def _freeze(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances between the rows of ``a`` and ``b``, the
+    squared differences summed axis by axis in order, so every entry is
+    bitwise equal to ``cdist(a, b, "sqeuclidean")``. sqrt is correctly
+    rounded, so its square root is bitwise ``cdist(a, b)``."""
+    diff = a[:, None, 0] - b[None, :, 0]
+    sq = diff * diff
+    for ax in range(1, a.shape[1]):
+        diff = a[:, None, ax] - b[None, :, ax]
+        sq += diff * diff
+    return sq
 
 
 def rotation_residual(matrix) -> tuple[float, float]:
@@ -74,9 +85,7 @@ class PointSet:
 
     def diameter(self) -> float:
         """Largest pairwise distance; 0.0 for a single point."""
-        if self.n < 2:
-            return 0.0
-        return float(pdist(self.points).max())
+        return float(np.sqrt(_sq_dists(self.points, self.points).max()))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "points": self.points.tolist()}
@@ -310,26 +319,6 @@ def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[
     return report
 
 
-def finite_difference_velocities(traj: Trajectory) -> np.ndarray:
-    """Estimate velocities from positions: central differences at interior
-    samples, one-sided at the two endpoints.
-
-    Requires timestamps and at least two samples.
-    """
-    if traj.times is None:
-        raise ValueError("timestamps required for finite differences")
-    if traj.m < 2:
-        raise ValueError("insufficient samples")
-    t = traj.times
-    x = traj.positions
-    vel = np.empty_like(x)
-    vel[0] = (x[1] - x[0]) / (t[1] - t[0])
-    vel[-1] = (x[-1] - x[-2]) / (t[-1] - t[-2])
-    if traj.m > 2:
-        vel[1:-1] = (x[2:] - x[:-2]) / (t[2:] - t[:-2])[:, None]
-    return vel
-
-
 def save_json(obj, path) -> None:
     """Write any object exposing ``to_dict`` (or a plain dict) as JSON."""
     data = obj.to_dict() if hasattr(obj, "to_dict") else obj
@@ -339,15 +328,3 @@ def save_json(obj, path) -> None:
 def load_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
-
-def load_pointset_csv(path) -> PointSet:
-    """Read a point set from CSV, one point per row."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            rows.append([float(cell) for cell in row])
-    if not rows:
-        raise ValueError(f"no points in {path}")
-    return PointSet(points=np.asarray(rows))

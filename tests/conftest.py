@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet
+from poltrans.baselines import apply_lwt
 from poltrans.metrics import _arclength_resample
 
 
@@ -79,6 +80,30 @@ def fold_pair() -> PairedKeypoints:
 
 # ---------------------------------------------------------------------------
 # brute-force / grid-search oracles
+
+
+def kernel_se(xi, xj, params) -> float:
+    """sp2 * exp(-|xi - xj|^2 / (2 l^2)) for a single pair of points."""
+    a = np.asarray(xi, dtype=float).ravel()
+    b = np.asarray(xj, dtype=float).ravel()
+    if a.size != b.size:
+        raise ValueError("kernel inputs must have equal length")
+    sq = float(np.sum((a - b) ** 2))
+    return params.signal_variance * float(np.exp(-sq / (2.0 * params.lengthscale**2)))
+
+
+def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
+    """Jacobian of a composed LWT map by central finite differences."""
+    point = np.asarray(x, dtype=float).ravel()
+    dim = point.size
+    jac = np.empty((dim, dim))
+    for b in range(dim):
+        lo = point.copy()
+        hi = point.copy()
+        lo[b] -= h
+        hi[b] += h
+        jac[:, b] = (apply_lwt(lwt, hi) - apply_lwt(lwt, lo)) / (2.0 * h)
+    return jac
 
 
 def so2_grid_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from conftest import (
     brute_force_frechet,
     dense_laplacian_oracle,
     fold_pair,
+    lwt_jacobian,
     mw_exact_enumeration,
     random_rigid_pair,
     random_smooth_pair,
@@ -35,7 +36,7 @@ from poltrans import (
     transport_points,
     transport_uncertainty,
 )
-from poltrans.baselines import ViaAssignment, apply_lwt, fit_lwt, laplacian_edit, lwt_jacobian, reshaped_kmp
+from poltrans.baselines import ViaAssignment, apply_lwt, fit_lwt, laplacian_edit, reshaped_kmp
 from poltrans.gp import KernelParams, build_gp, predict_derivative, predict_mean, predict_variance
 from poltrans.metrics import dtw_distance, frechet_distance, mann_whitney_u, read_metrics_csv
 

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import dense_laplacian_oracle
+from conftest import dense_laplacian_oracle, lwt_jacobian
 from poltrans import PairedKeypoints, PointSet, Trajectory
 from poltrans.baselines import (
     LWT_STEP_RATIO,
-    LWTMap,
     LWTUnit,
     ViaAssignment,
     apply_lwt,
     assign_via_points,
     fit_lwt,
     laplacian_edit,
-    lwt_jacobian,
-    lwt_velocity,
     reshaped_kmp,
 )
 from poltrans.gp import KernelParams
@@ -128,12 +125,9 @@ class TestLaplacianEdit:
     def test_targets_override(self):
         rng = np.random.default_rng(5)
         traj = random_traj(rng, 12)
-        assignment = ViaAssignment(indices=[4], targets=[[0.0, 0.0]])
         override = np.array([[2.0, -1.0]])
-        edited = laplacian_edit(traj, assignment, targets=override)
+        edited = laplacian_edit(traj, ViaAssignment(indices=[4], targets=override))
         assert_allclose(edited.positions[4], override[0], atol=1e-9)
-        with pytest.raises(ValueError, match="shape"):
-            laplacian_edit(traj, assignment, targets=np.zeros((2, 2)))
 
     def test_out_of_range_index_rejected(self):
         traj = Trajectory(positions=np.zeros((3, 2)) + np.arange(3)[:, None])
@@ -282,13 +276,6 @@ class TestLWT:
             LWTUnit(center=[0.0, 0.0], translation=[0.0, 0.0], radius=0.0)
         # at the bound itself construction succeeds
         LWTUnit(center=[0.0, 0.0], translation=[LWT_STEP_RATIO, 0.0], radius=1.0)
-
-    def test_velocity_uses_local_jacobian(self):
-        unit = LWTUnit(center=[0.0, 0.0], translation=[0.2, 0.0], radius=1.0)
-        lwt = LWTMap(units=(unit,))
-        v = lwt_velocity(lwt, [0.3, -0.1], [1.0, 0.5])
-        expected = lwt_jacobian(lwt, [0.3, -0.1]) @ np.array([1.0, 0.5])
-        assert_allclose(v, expected, atol=0)
 
 
 @settings(max_examples=60, deadline=None)

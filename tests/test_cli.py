@@ -173,6 +173,22 @@ class TestScenarioGen:
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run("scenario-gen", "--suite", "boxes", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "suite, flags, flag",
+        [
+            ("surfaces", ("--seeds", 0), "--seeds"),
+            ("surfaces", ("--seeds", -2), "--seeds"),
+            ("surfaces", ("--n-keypoints", 1), "--n-keypoints"),
+            ("frames", ("--seeds", 0), "--seeds"),
+            ("frames", ("--train-seeds", 0), "--train-seeds"),
+            ("frames", ("--kpf", 0), "--kpf"),
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, suite, flags, flag):
+        assert run("scenario-gen", "--suite", suite, *flags, "--out-dir", tmp_path / "out") == 2
+        assert f"{flag} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBench:
     def test_surfaces_bench_artifacts(self, tmp_path):

@@ -1,5 +1,8 @@
 """GP regression against closed forms and finite-difference oracles."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +12,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import _decomp_cholesky
 from scipy.spatial.distance import cdist, pdist
 
+import poltrans
+from conftest import kernel_se
 from poltrans import gp
 from poltrans.gp import (
     JITTER_MAX_RATIO,
@@ -19,7 +24,6 @@ from poltrans.gp import (
     _nlml_and_grad,
     build_gp,
     fit_gp,
-    kernel_se,
     log_marginal_likelihood,
     predict_derivative,
     predict_mean,
@@ -318,8 +322,12 @@ class TestLapackSeam:
         # the wrappers' bodies, however they were imported
         for name in ("_cholesky", "_cho_solve"):
             monkeypatch.setattr(_decomp_cholesky, name, forbidden)
-        for name in ("cholesky", "cho_solve", "cdist", "pdist"):
+        for name in ("cholesky", "cho_solve"):
             assert not hasattr(gp, name)
+        # one pairwise-distance routine, types._sq_dists, serves every module
+        for info in pkgutil.iter_modules(poltrans.__path__):
+            module = importlib.import_module(f"poltrans.{info.name}")
+            assert not hasattr(module, "cdist") and not hasattr(module, "pdist"), info.name
 
         rng = np.random.default_rng(16)
         x = rng.uniform(-1.0, 1.0, (12, 2))

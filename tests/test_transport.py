@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
-from conftest import fold_pair, random_rigid_pair, random_smooth_pair
+from conftest import fold_pair, kernel_se, random_rigid_pair, random_smooth_pair
 from poltrans import (
     PairedKeypoints,
     PointSet,
@@ -20,7 +20,6 @@ from poltrans import (
     transport_points,
     transport_uncertainty,
 )
-from poltrans.gp import kernel_se
 from poltrans.scenarios import make_surface_scenario
 
 
@@ -78,6 +77,24 @@ class TestFit:
         )
         tmap = fit_transport(kp)
         assert any("tolerance exceeded" in w for w in tmap.warnings)
+
+    @pytest.mark.parametrize("case", ["surface", "contradictory"])
+    def test_keypoint_errors_equal_transported_keypoints(self, tmp_path, case):
+        if case == "surface":
+            kp = make_surface_scenario("composite", n_keypoints=50, seed=1).keypoints
+        else:  # the warned path, whose map is rebuilt with its note
+            kp = PairedKeypoints(
+                PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+                PointSet([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
+            )
+        fresh = fit_transport(kp)
+        save_transport_map(fresh, tmp_path / "map.json")
+        loaded = load_transport_map(tmp_path / "map.json")
+        for tmap in (fresh, loaded):
+            mapped, _ = transport_points(tmap, kp.source.points)
+            expected = np.linalg.norm(mapped - kp.target.points, axis=1)
+            assert np.array_equal(tmap.keypoint_errors, expected)
+        assert (case == "contradictory") == bool(fresh.warnings)
 
     def test_step_residual_leaves_the_lengthscale_floor(self):
         """On the step profile the likelihood prefers a lengthscale near the

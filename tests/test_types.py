@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
+from scipy.spatial.distance import cdist, pdist
 
+import poltrans
 from conftest import random_rotation, rotation_2d
 from poltrans import (
     PairedKeypoints,
     PointSet,
     PolicyLabels,
     Trajectory,
-    finite_difference_velocities,
     is_rotation,
     load_json,
-    load_pointset_csv,
     rotation_residual,
     save_json,
     validate_labels,
 )
+from poltrans.types import _sq_dists
 
 
 class TestPointSet:
@@ -31,6 +32,16 @@ class TestPointSet:
 
     def test_single_point_diameter_is_zero(self):
         assert PointSet([[3.0, 4.0]]).diameter() == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_distances_equal_scipy(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for n in (1, 2, 3, 17, 200):
+            a = rng.uniform(-5.0, 5.0, (n, dim)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.uniform(-5.0, 5.0, (n + 3, dim))
+            assert np.array_equal(np.sqrt(_sq_dists(a, b)), cdist(a, b))
+            expected = float(pdist(a).max()) if n > 1 else 0.0
+            assert PointSet(a).diameter() == expected
 
     def test_points_are_read_only(self):
         ps = PointSet([[0.0, 0.0], [1.0, 1.0]])
@@ -180,19 +191,6 @@ class TestValidateLabels:
         assert any(v.kind == "non-finite" for v in report)
 
 
-def test_finite_difference_velocities_exact_on_linear_motion():
-    t = np.linspace(0.0, 2.0, 9)
-    slope = np.array([0.75, -0.25])
-    traj = Trajectory(positions=np.outer(t, slope) + 1.0, times=t)
-    vel = finite_difference_velocities(traj)
-    assert_allclose(vel, np.tile(slope, (9, 1)), atol=1e-12)
-
-
-def test_finite_difference_velocities_requires_times():
-    with pytest.raises(ValueError, match="timestamps"):
-        finite_difference_velocities(Trajectory(positions=[[0.0, 0.0], [1.0, 0.0]]))
-
-
 def test_json_round_trip(tmp_path):
     ps = PointSet([[0.1, 0.2], [0.3, 0.4]])
     path = tmp_path / "points.json"
@@ -200,12 +198,9 @@ def test_json_round_trip(tmp_path):
     assert_array_equal(PointSet.from_dict(load_json(path)).points, ps.points)
 
 
-def test_load_pointset_csv(tmp_path):
-    path = tmp_path / "cloud.csv"
-    path.write_text("0.0,0.0\n\n1.0,2.0\n", encoding="utf-8")
-    ps = load_pointset_csv(path)
-    assert_array_equal(ps.points, [[0.0, 0.0], [1.0, 2.0]])
-    empty = tmp_path / "empty.csv"
-    empty.write_text("\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no points"):
-        load_pointset_csv(empty)
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = poltrans.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(poltrans, name), name
