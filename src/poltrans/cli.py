@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -341,16 +342,34 @@ def _frame_inputs(train_seed: int, test_seed: int, kpf: int):
     return test, frame_pairing(train, test), train.reference
 
 
+def _once(build: Callable[[], tuple]) -> Callable[[], tuple]:
+    """``build`` run on the first call only; every call returns that result.
+
+    Cells of one scene share their inputs this way. The methods may share
+    them because the arrays inside are frozen (``types._freeze``).
+    """
+    lock = threading.Lock()
+    built: list = []
+
+    def shared():
+        with lock:
+            if not built:
+                built.append(build())
+            return built[0]
+
+    return shared
+
+
 def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
-    return [
-        BenchCell(
-            f"surface-{profile}-{seed}", seed, method, "ring",
-            partial(_surface_inputs, profile, seed, n_keypoints),
-        )
-        for profile in SURFACE_PROFILES
-        for seed in range(seeds)
-        for method in methods
-    ]
+    cells = []
+    for profile in SURFACE_PROFILES:
+        for seed in range(seeds):
+            build = _once(partial(_surface_inputs, profile, seed, n_keypoints))
+            cells += [
+                BenchCell(f"surface-{profile}-{seed}", seed, method, "ring", build)
+                for method in methods
+            ]
+    return cells
 
 
 def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
@@ -359,11 +378,12 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
     for test_seed in range(200, 200 + seeds):
         rng = np.random.default_rng(test_seed)
         train_seed = train_ids[int(rng.integers(len(train_ids)))]
+        builds = {
+            kpf: _once(partial(_frame_inputs, train_seed, test_seed, kpf))
+            for kpf in {FRAME_KPF[method] for method in methods}
+        }
         cells += [
-            BenchCell(
-                f"frame-{test_seed}", test_seed, method, "chain",
-                partial(_frame_inputs, train_seed, test_seed, FRAME_KPF[method]),
-            )
+            BenchCell(f"frame-{test_seed}", test_seed, method, "chain", builds[FRAME_KPF[method]])
             for method in methods
         ]
     return cells

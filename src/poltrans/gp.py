@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .types import _sq_dists
@@ -118,6 +118,21 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
+
+
+def _cho_inverse(chol: np.ndarray) -> np.ndarray:
+    """Lower triangle of ``(chol chol^T)^-1`` from LAPACK ``dpotri``.
+
+    Only the lower triangle is written; the upper one is copied from
+    ``chol``, so for a factor from :func:`_cholesky` it is zero.
+    """
+    _check_finite(chol)
+    inv, info = dpotri(chol, lower=1)
+    if info > 0:
+        raise ValueError(f"{info}-th diagonal entry of the factor is zero")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotri")
+    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,30 +237,35 @@ def _nlml_and_grad(u: np.ndarray, sq_dists: np.ndarray, y: np.ndarray) -> tuple[
     u = (log sp2, log l, log(sn2 / sp2))."""
     n, d_out = y.shape
     sp2, ell, ratio = np.exp(u[0]), np.exp(u[1]), np.exp(u[2])
-    eye = np.eye(n)
-    corr = np.exp(-sq_dists / (2.0 * ell**2))
-    gram = sp2 * (corr + ratio * eye)
+    # sp2 * (corr + ratio I), built in place.
+    gram = np.exp(-sq_dists / (2.0 * ell**2))
+    gram.flat[:: n + 1] += ratio
+    gram *= sp2
     try:
         chol = _cholesky(gram)
     except np.linalg.LinAlgError:
         return 1e25, np.zeros(3)
     alpha = _cho_solve(chol, y)
+    y_alpha = float((y * alpha).sum())
     nlml = (
-        0.5 * float((y * alpha).sum())
+        0.5 * y_alpha
         + d_out * float(np.log(chol.diagonal()).sum())
         + 0.5 * n * d_out * np.log(2.0 * np.pi)
     )
 
-    w = _cho_solve(chol, eye)
-    # dK/d(log sp2) = K itself; dK/d(log l) = sp2 corr * sq/l^2;
-    # dK/d(log ratio) = sp2 ratio I.
-    grads = np.empty(3)
-    d_ell = sp2 * corr * (sq_dists / ell**2)
-    for j, dk in enumerate((gram, d_ell, sp2 * ratio * eye)):
-        quad = float(((dk @ alpha) * alpha).sum())
-        trace = float((w * dk).sum())
-        grads[j] = -(0.5 * quad - 0.5 * d_out * trace)
-    return nlml, grads
+    # dNLML/du_j = -0.5 sum(alpha^T dK_j alpha) + 0.5 d_out tr(K^-1 dK_j)
+    # (Rasmussen & Williams 2006, eq. 5.9), with dK/d(log sp2) = K,
+    # dK/d(log l) = sp2 corr * sq/l^2 and dK/d(log ratio) = sp2 ratio I.
+    w_low = _cho_inverse(chol)
+    # gram is sp2 corr off the diagonal and sq is 0 on it, so this is dK/d(log l).
+    d_ell = gram * (sq_dists / ell**2)
+    s = sp2 * ratio
+    quad = np.array([y_alpha, ((d_ell @ alpha) * alpha).sum(), s * (alpha * alpha).sum()])
+    # tr(K^-1 K) = n. d_ell is symmetric with a zero diagonal and w_low holds
+    # the lower triangle of the symmetric K^-1, so tr(K^-1 d_ell) is twice
+    # the sum over w_low * d_ell.
+    trace = np.array([n, 2.0 * (w_low * d_ell).sum(), s * np.trace(w_low)])
+    return nlml, 0.5 * (d_out * trace - quad)
 
 
 def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
@@ -302,11 +322,17 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     ]
     ratio = min(noise_ratio_cap, 1e-6)
     n, d_out = y.shape
-    ratio_eye = ratio * np.eye(n)
 
+    # corr + ratio I for each grid lengthscale, written into one buffer:
+    # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
+    neg_half_sq = -0.5 * sq
+    corr = np.empty((n, n))
+    corr_diag = corr.ravel()[:: n + 1]  # a view: corr is C-contiguous
     best_u, best_val = None, np.inf
     for ell in LENGTHSCALE_GRID * ell_center:
-        corr = np.exp(-sq / (2.0 * ell**2)) + ratio_eye
+        np.divide(neg_half_sq, ell**2, out=corr)
+        np.exp(corr, out=corr)
+        corr_diag += ratio
         try:
             chol = _cholesky(corr)
         except np.linalg.LinAlgError:

@@ -10,11 +10,13 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet
 from poltrans.baselines import apply_lwt
+from poltrans.gp import LENGTHSCALE_GRID
 from poltrans.metrics import _arclength_resample
 
 
@@ -90,6 +92,67 @@ def kernel_se(xi, xj, params) -> float:
         raise ValueError("kernel inputs must have equal length")
     sq = float(np.sum((a - b) ** 2))
     return params.signal_variance * float(np.exp(-sq / (2.0 * params.lengthscale**2)))
+
+
+def dense_nlml_and_grad(u, sq_dists, y):
+    """GP negative LML and its gradient in u = (log sp2, log l, log ratio)
+    by the dense formula: K^-1 from an n-column solve against the identity,
+    and each coordinate's quad and trace terms from its full dK matrix."""
+    n, d_out = y.shape
+    sp2, ell, ratio = np.exp(u[0]), np.exp(u[1]), np.exp(u[2])
+    eye = np.eye(n)
+    corr = np.exp(-sq_dists / (2.0 * ell**2))
+    gram = sp2 * (corr + ratio * eye)
+    try:
+        chol = scipy.linalg.cholesky(gram, lower=True)
+    except np.linalg.LinAlgError:
+        return 1e25, np.zeros(3)
+    alpha = scipy.linalg.cho_solve((chol, True), y)
+    nlml = (
+        0.5 * float((y * alpha).sum())
+        + d_out * float(np.log(chol.diagonal()).sum())
+        + 0.5 * n * d_out * np.log(2.0 * np.pi)
+    )
+    w = scipy.linalg.cho_solve((chol, True), eye)
+    grads = np.empty(3)
+    d_ell = sp2 * corr * (sq_dists / ell**2)
+    for j, dk in enumerate((gram, d_ell, sp2 * ratio * eye)):
+        quad = float(((dk @ alpha) * alpha).sum())
+        trace = float((w * dk).sum())
+        grads[j] = -(0.5 * quad - 0.5 * d_out * trace)
+    return nlml, grads
+
+
+def profiled_grid_start(x, y, noise_ratio_cap=1e2):
+    """The point ``gp.fit_gp`` starts its polish from: the best of its
+    profiled lengthscale grid, with each grid matrix built afresh as
+    exp(-sq / (2 l^2)) + ratio I."""
+    n, d_out = y.shape
+    sq = cdist(x, x, "sqeuclidean")
+    diam = float(np.sqrt(sq.max())) if n > 1 else 0.0
+    ell_center = (diam if diam > 0.0 else 1.0) / np.sqrt(x.shape[1])
+    out_var = float(np.mean(np.var(y, axis=0)))
+    base = out_var if out_var > 0 else float(np.mean(y**2))
+    log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
+    ratio = min(noise_ratio_cap, 1e-6)
+    best_u, best_val = None, np.inf
+    for ell in LENGTHSCALE_GRID * ell_center:
+        corr = np.exp(-sq / (2.0 * ell**2)) + ratio * np.eye(n)
+        try:
+            chol = scipy.linalg.cholesky(corr, lower=True)
+        except np.linalg.LinAlgError:
+            continue
+        quad = float((y * scipy.linalg.cho_solve((chol, True), y)).sum())
+        log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *log_sp2_bounds))
+        val = (
+            0.5 * quad / np.exp(log_sp2)
+            + 0.5 * n * d_out * log_sp2
+            + d_out * float(np.log(chol.diagonal()).sum())
+            + 0.5 * n * d_out * np.log(2.0 * np.pi)
+        )
+        if val < best_val:
+            best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(ratio)])
+    return best_u
 
 
 def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:

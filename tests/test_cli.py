@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +243,67 @@ class TestBench:
                 assert entry["keypoint_error_max"] >= entry["keypoint_error_mean"] >= 0
                 assert 0.0 <= entry["det_positive_pct"] <= 100.0
 
+    @pytest.mark.parametrize(
+        "suite, builder, methods, builds",
+        [
+            # 5 profiles x 3 seeds, one scenario per scene
+            ("surfaces", "make_surface_scenario", cli.METHODS, 15),
+            # 3 scenes x 2 keypoint counts x (train, test)
+            ("frames", "random_frame_scenario", cli.METHODS, 12),
+            ("frames", "random_frame_scenario", ("gpt", "lwt"), 6),
+        ],
+    )
+    def test_cells_of_a_scene_share_one_frozen_build(self, monkeypatch, suite, builder, methods, builds):
+        calls = []
+        real = getattr(cli, builder)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, builder, counted)
+        make_cells = {
+            "surfaces": lambda: cli._surface_cells(methods, 3, 12),
+            "frames": lambda: cli._frame_cells(methods, 3, 9),
+        }[suite]
+        cells = make_cells()
+        inputs = [cell.build() for cell in cells]
+        assert len(cells) == 3 * len(methods) * (5 if suite == "surfaces" else 1)
+        assert len(calls) == builds
+        # One build per scene, and per keypoint count on frames.
+        by_key = {}
+        for cell, built in zip(cells, inputs):
+            key = (cell.scene, cli.FRAME_KPF[cell.method] if suite == "frames" else None)
+            assert by_key.setdefault(key, built) is built
+        assert len({id(built) for built in inputs}) == len(by_key)
+        # The methods of a scene share these inputs, so none may write into them.
+        for built in inputs:
+            arrays = list(_arrays(built))
+            assert arrays and not any(arr.flags.writeable for arr in arrays)
+        # Nothing is cached across cell lists.
+        for cell in make_cells():
+            cell.build()
+        assert len(calls) == 2 * builds
+
+    def test_a_shared_build_runs_once_under_concurrent_calls(self):
+        calls = []
+
+        def slow_build():
+            calls.append(1)
+            time.sleep(0.01)
+            return object()
+
+        shared = cli._once(slow_build)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(shared) for _ in range(64)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert all(result is results[0] for result in results)
+
     def test_failed_cell_is_recorded_and_bench_continues(self, tmp_path, monkeypatch):
         class Boom(Exception):
             pass
@@ -398,6 +462,18 @@ class TestBench:
         monkeypatch.setenv("POLTRANS_THREADS", "many")
         with pytest.raises(cli.UsageError, match="POLTRANS_THREADS"):
             cli._worker_count()
+
+
+def _arrays(obj):
+    """Every ndarray reachable from ``obj`` through tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
 
 
 class TestParsing:

@@ -13,7 +13,7 @@ from scipy.linalg import _decomp_cholesky
 from scipy.spatial.distance import cdist, pdist
 
 import poltrans
-from conftest import kernel_se
+from conftest import dense_nlml_and_grad, kernel_se, profiled_grid_start
 from poltrans import gp
 from poltrans.gp import (
     JITTER_MAX_RATIO,
@@ -31,6 +31,16 @@ from poltrans.gp import (
 )
 
 finite_coords = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+def smooth_data(n, d_out, seed=0):
+    """n points in the unit square with up to 3 smooth, slightly noisy outputs."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    y = np.stack(
+        [np.sin(3.0 * x[:, 0]) + x[:, 1], np.cos(2.0 * x[:, 1]), x[:, 0] * x[:, 1]], axis=1
+    )[:, :d_out]
+    return x, y + 0.01 * rng.standard_normal((n, d_out))
 
 
 def make_random_model(seed, n=12, d_in=2, d_out=2, noise=1e-4):
@@ -213,6 +223,60 @@ class TestHyperparameterFit:
         b = fit_gp(x, y)
         assert a.params == b.params
 
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_polish_starts_from_the_reference_grid_optimum(self, n, monkeypatch):
+        x, y = smooth_data(n, 2)
+        starts = []
+        real_minimize = gp.minimize
+
+        def capture(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return real_minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", capture)
+        fit_gp(x, y)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], profiled_grid_start(x, y))
+
+
+class TestObjective:
+    """``_nlml_and_grad`` against the dense formula and central differences."""
+
+    # Lengthscales at which each size's Gram matrix is conditioned well
+    # enough for central differences.
+    ELL = {1: 0.3, 2: 0.3, 12: 0.2, 200: 0.05}
+
+    @pytest.mark.parametrize("ratio", [NOISE_FLOOR_RATIO, 1e-6])
+    @pytest.mark.parametrize("d_out", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 12, 200])
+    def test_matches_dense_oracle_and_finite_differences(self, n, d_out, ratio):
+        x, y = smooth_data(n, d_out)
+        sq = gp._sq_dists(x, x)
+        u = np.log([0.7, self.ELL[n], ratio])
+        nlml, grad = _nlml_and_grad(u, sq, y)
+        ref_nlml, ref_grad = dense_nlml_and_grad(u, sq, y)
+        assert nlml == ref_nlml
+        assert_allclose(grad, ref_grad, rtol=1e-8)
+
+        h = 1e-4
+        steps = h * np.eye(3)
+        fd = np.array(
+            [(_nlml_and_grad(u + e, sq, y)[0] - _nlml_and_grad(u - e, sq, y)[0]) / (2 * h) for e in steps]
+        )
+        # Central differences resolve no slope below the rounding of two
+        # evaluations over the step, which the floor ratio's slope can be.
+        assert_allclose(grad, fd, rtol=1e-5, atol=100 * np.finfo(float).eps * abs(nlml) / h)
+
+    def test_failed_factorization_scores_a_flat_wall(self):
+        x, y = smooth_data(12, 2)
+        sq = gp._sq_dists(x, x)
+        u = np.log([1.0, 100.0, 1e-16])
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._cholesky(np.exp(-sq / (2.0 * 100.0**2)) + 1e-16 * np.eye(12))
+        nlml, grad = _nlml_and_grad(u, sq, y)
+        assert nlml == 1e25 and np.array_equal(grad, np.zeros(3))
+        assert dense_nlml_and_grad(u, sq, y)[0] == 1e25
+
 
 class TestRobustness:
     def test_noise_clamped_to_structural_floor(self):
@@ -288,6 +352,17 @@ class TestLapackSeam:
         for b in rhs:
             assert np.array_equal(gp._cho_solve(chol, b), scipy.linalg.cho_solve((ref, True), b))
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
+    def test_inverse_lower_triangle_matches_numpy(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.standard_normal((n, n))
+        spd = a @ a.T + n * np.eye(n)
+        inv = gp._cho_inverse(gp._cholesky(spd))
+        ref = np.linalg.inv(spd)
+        low = np.tril_indices(n)
+        assert np.abs(inv[low] - ref[low]).max() <= 1e-10 * np.abs(ref).max()
+        assert not np.triu(inv, 1).any()
+
     def test_non_positive_definite_matrix_is_a_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
             gp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -303,6 +378,8 @@ class TestLapackSeam:
             gp._cho_solve(chol, np.array([[1.0], [bad]]))
         with pytest.raises(ValueError, match="infs or NaNs"):
             gp._cho_solve(a, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gp._cho_inverse(a)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_squared_distances_equal_cdist(self, d):
