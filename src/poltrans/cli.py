@@ -53,6 +53,7 @@ from .scenarios import (
     save_scenario,
 )
 from .transport import (
+    DiffeoReport,
     check_local_diffeomorphism,
     fit_transport,
     load_transport_map,
@@ -68,6 +69,11 @@ SUITES = ("surfaces", "frames")
 # Frame benchmarks give assignment-based reshapers fewer keypoints per frame
 # (pairing more is ambiguous for them); map-based methods use all five.
 FRAME_KPF = {"gpt": 5, "lwt": 5, "le": 2, "reshaped_kmp": 2}
+# Frame corpus seeds: training scenes count up from one base, test scenes
+# from the other, so the files scenario-gen writes are the frames bench's
+# own inputs.
+FRAME_TRAIN_SEED = 100
+FRAME_TEST_SEED = 200
 # Per-scene entries of report.json, taken from gpt's run bookkeeping.
 GPT_REPORT_FIELDS = (
     "fit_seconds",
@@ -193,13 +199,11 @@ def cmd_transport(args) -> int:
 
     tmap = load_transport_map(map_path)
     labels = PolicyLabels.from_dict(load_json(labels_path))
-    if labels.dim != tmap.dim:
-        raise ValueError(f"labels have dimension {labels.dim}, map expects {tmap.dim}")
 
     start = time.perf_counter()
     moved = transport_labels(tmap, labels)
     transport_seconds = time.perf_counter() - start
-    diffeo = check_local_diffeomorphism(tmap, labels.positions)
+    diffeo = DiffeoReport.from_jacobians(tmap, moved.jacobians)
 
     report = {
         "transport_seconds": transport_seconds,
@@ -372,10 +376,18 @@ def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
     return cells
 
 
+def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
+    """(train, test) seeds of a frames corpus."""
+    return (
+        range(FRAME_TRAIN_SEED, FRAME_TRAIN_SEED + train_seeds),
+        range(FRAME_TEST_SEED, FRAME_TEST_SEED + seeds),
+    )
+
+
 def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
-    train_ids = range(100, 100 + train_seeds)
+    train_ids, test_ids = _frame_seeds(seeds, train_seeds)
     cells = []
-    for test_seed in range(200, 200 + seeds):
+    for test_seed in test_ids:
         rng = np.random.default_rng(test_seed)
         train_seed = train_ids[int(rng.integers(len(train_ids)))]
         builds = {
@@ -545,12 +557,10 @@ def cmd_scenario_gen(args) -> int:
     target = out_dir / "scenarios" / "frames"
     target.mkdir(parents=True, exist_ok=True)
     count = 0
-    for seed in range(100, 100 + train_seeds):
-        save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"train-{seed}.json")
-        count += 1
-    for seed in range(200, 200 + seeds):
-        save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"test-{seed}.json")
-        count += 1
+    for role, ids in zip(("train", "test"), _frame_seeds(seeds, train_seeds)):
+        for seed in ids:
+            save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"{role}-{seed}.json")
+            count += 1
     print(f"wrote {count} frame scenarios under {target}")
     return 0
 

@@ -22,7 +22,6 @@ velocity, to a velocity variance.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -39,6 +38,14 @@ NEAR_SINGULAR_RATIO = 1e-9
 # Upper bound for the residual GP's optimized noise-to-signal ratio; keeping
 # it this small forces near-interpolation of the keypoint residuals.
 RESIDUAL_NOISE_RATIO_CAP = 1e-6
+# Matrix-valued label families carried by the polar rotation factor R of J,
+# each with its CSV column tag: orientations turn as R O, stiffness and
+# damping transform by congruence R K R^T.
+ROTATED_FAMILIES = (
+    ("orientations", "rot", lambda rot, x: np.einsum("mab,mbc->mac", rot, x)),
+    ("stiffness", "stiff", lambda rot, x: np.einsum("mab,mbc,mdc->mad", rot, x, rot)),
+    ("damping", "damp", lambda rot, x: np.einsum("mab,mbc,mdc->mad", rot, x, rot)),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +68,12 @@ class TransportMap:
         aligned = self.affine.apply(self.keypoints.source.points)
         mapped = aligned + predict_mean(self.residual, aligned)
         return _freeze(np.linalg.norm(mapped - self.keypoints.target.points, axis=1))
+
+    @cached_property
+    def keypoint_determinants(self) -> np.ndarray:
+        """det J at each source keypoint."""
+        jac, _ = transport_jacobians(self, self.keypoints.source.points)
+        return _freeze(np.linalg.det(jac))
 
     def to_dict(self) -> dict:
         return {
@@ -118,39 +131,29 @@ class TransportedLabels:
         return self.positions.shape[1]
 
     def to_csv(self, path) -> None:
-        """One row per label; matrix-valued fields are flattened row-major."""
-        dim = self.dim
-        axes = range(dim)
-
-        def mat_cols(tag):
-            return [f"{tag}_{a}{b}" for a in axes for b in axes]
-
-        header = ["index"]
-        header += [f"pos_{a}" for a in axes] + ["pos_var"]
+        """One row per label: index, position and its variance, velocity and
+        its variance, each matrix family, the Jacobian and its rotation
+        factor. Absent families have no columns; matrices are flattened
+        row-major."""
+        axes = range(self.dim)
+        header = ["index", *(f"pos_{a}" for a in axes), "pos_var"]
+        columns = [np.arange(self.m), self.positions, self.position_variance]
         if self.velocities is not None:
-            header += [f"vel_{a}" for a in axes] + ["vel_var"]
-        if self.orientations is not None:
-            header += mat_cols("rot")
-        if self.stiffness is not None:
-            header += mat_cols("stiff")
-        if self.damping is not None:
-            header += mat_cols("damp")
-        header += mat_cols("jac") + mat_cols("proj")
-
+            header += [*(f"vel_{a}" for a in axes), "vel_var"]
+            columns += [self.velocities, self.velocity_variance]
+        matrices = [(name, tag) for name, tag, _ in ROTATED_FAMILIES]
+        matrices += [("jacobians", "jac"), ("projected_rotations", "proj")]
+        for name, tag in matrices:
+            field = getattr(self, name)
+            if field is not None:
+                header += [f"{tag}_{a}{b}" for a in axes for b in axes]
+                columns.append(field.reshape(self.m, -1))
+        table = np.column_stack(columns)
+        fmt = ["%d"] + ["%.17g"] * (table.shape[1] - 1)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.m):
-                row = [i]
-                row += list(self.positions[i]) + [self.position_variance[i]]
-                if self.velocities is not None:
-                    row += list(self.velocities[i]) + [self.velocity_variance[i]]
-                for field in (self.orientations, self.stiffness, self.damping):
-                    if field is not None:
-                        row += list(field[i].ravel())
-                row += list(self.jacobians[i].ravel())
-                row += list(self.projected_rotations[i].ravel())
-                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+            np.savetxt(
+                fh, table, fmt=fmt, delimiter=",", newline="\r\n", header=",".join(header), comments=""
+            )
 
 
 def fit_transport(kp: PairedKeypoints) -> TransportMap:
@@ -226,25 +229,25 @@ def transport_jacobians(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndar
     return jac, jac_var
 
 
-def polar_rotation(jacobian: np.ndarray) -> tuple[np.ndarray, str | None]:
+def polar_rotation(jacobian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation factor of the polar decomposition, forced into SO(dim).
 
-    Uses the SVD J = U S V^T and returns U diag(1, ..., 1, det(UV^T)) V^T,
-    which equals the standard polar factor when det(J) > 0 and flips its
-    last principal direction otherwise so the determinant stays +1. Returns
-    a warning string when J is near singular (the factor is then chosen
-    deterministically but is not unique).
+    Takes one (d, d) matrix or a (..., d, d) stack. Uses the SVD
+    J = U S V^T and returns U diag(1, ..., 1, det(UV^T)) V^T, which equals
+    the standard polar factor when det(J) > 0 and flips its last principal
+    direction otherwise so the determinant stays +1. The second return
+    value, a bool array of the stack's leading shape, marks the near
+    singular J, whose factor is chosen deterministically but is not unique.
     """
-    jac = np.asarray(jacobian, dtype=float)
-    u, s, vt = np.linalg.svd(jac)
-    d = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
-    factors = np.ones(jac.shape[0])
-    factors[-1] = d
-    rot = (u * factors) @ vt
-    note = None
-    if s[-1] < NEAR_SINGULAR_RATIO * s[0]:
-        note = "near-singular jacobian: polar rotation factor not unique"
-    return rot, note
+    u, s, vt = np.linalg.svd(np.asarray(jacobian, dtype=float))
+    u[..., -1] *= np.where(np.linalg.det(u @ vt) >= 0, 1.0, -1.0)[..., None]
+    return u @ vt, s[..., -1] < NEAR_SINGULAR_RATIO * s[..., 0]
+
+
+def _velocity_variance(jac_var: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    """sum_b Var[dphi/dx_b] (xdot_b)^2 per label, from the per-entry
+    Jacobian variances that ``transport_jacobians`` returns."""
+    return np.einsum("mb,mb->m", np.einsum("mbb->mb", jac_var), velocities**2)
 
 
 def transport_labels(tmap: TransportMap, labels: PolicyLabels) -> TransportedLabels:
@@ -255,51 +258,31 @@ def transport_labels(tmap: TransportMap, labels: PolicyLabels) -> TransportedLab
     with that factor. Absent optional labels stay absent.
     """
     if labels.dim != tmap.dim:
-        raise ValueError(f"labels have dimension {labels.dim}, map {tmap.dim}")
+        raise ValueError(f"labels have dimension {labels.dim}, map expects {tmap.dim}")
 
     positions, pos_var = transport_points(tmap, labels.positions)
     jac, jac_var = transport_jacobians(tmap, labels.positions)
-
-    notes: list[str] = []
-    proj = np.empty_like(jac)
-    for i in range(jac.shape[0]):
-        proj[i], note = polar_rotation(jac[i])
-        if note is not None:
-            notes.append(f"label {i}: {note}")
-
-    velocities = None
-    vel_var = None
+    proj, near_singular = polar_rotation(jac)
+    notes = tuple(
+        f"label {i}: near-singular jacobian: polar rotation factor not unique"
+        for i in np.flatnonzero(near_singular)
+    )
+    optional = {
+        name: _freeze(transform(proj, getattr(labels, name)))
+        for name, _, transform in ROTATED_FAMILIES
+        if getattr(labels, name) is not None
+    }
     if labels.velocities is not None:
-        velocities = np.einsum("mab,mb->ma", jac, labels.velocities)
-        diag = np.einsum("mbb->mb", jac_var)
-        vel_var = np.einsum("mb,mb->m", diag, labels.velocities**2)
-
-    orientations = None
-    if labels.orientations is not None:
-        orientations = np.einsum("mab,mbc->mac", proj, labels.orientations)
-
-    stiffness = None
-    if labels.stiffness is not None:
-        stiffness = np.einsum("mab,mbc,mdc->mad", proj, labels.stiffness, proj)
-
-    damping = None
-    if labels.damping is not None:
-        damping = np.einsum("mab,mbc,mdc->mad", proj, labels.damping, proj)
-
-    def freeze_opt(arr):
-        return None if arr is None else _freeze(arr)
+        optional["velocities"] = _freeze(np.einsum("mab,mb->ma", jac, labels.velocities))
+        optional["velocity_variance"] = _freeze(_velocity_variance(jac_var, labels.velocities))
 
     return TransportedLabels(
         positions=_freeze(positions),
         position_variance=_freeze(np.atleast_1d(pos_var)),
         jacobians=_freeze(jac),
         projected_rotations=_freeze(proj),
-        velocities=freeze_opt(velocities),
-        velocity_variance=freeze_opt(vel_var),
-        orientations=freeze_opt(orientations),
-        stiffness=freeze_opt(stiffness),
-        damping=freeze_opt(damping),
-        warnings=tuple(notes),
+        warnings=notes,
+        **optional,
     )
 
 
@@ -318,12 +301,10 @@ def transport_uncertainty(tmap: TransportMap, labels: PolicyLabels, policy_varia
     if np.any(pol < 0) or not np.all(np.isfinite(pol)):
         raise ValueError("policy variance must be finite and nonnegative")
 
-    if labels.velocities is None:
-        transport_var = np.zeros(labels.m)
-    else:
+    transport_var = np.zeros(labels.m)
+    if labels.velocities is not None:
         _, jac_var = transport_jacobians(tmap, labels.positions)
-        diag = np.einsum("mbb->mb", jac_var)
-        transport_var = np.einsum("mb,mb->m", diag, labels.velocities**2)
+        transport_var = _velocity_variance(jac_var, labels.velocities)
     return pol + transport_var
 
 
@@ -337,6 +318,18 @@ class DiffeoReport:
     determinants: np.ndarray
     keypoint_determinants: np.ndarray
     keypoints_sign_uniform: bool
+
+    @classmethod
+    def from_jacobians(cls, tmap: TransportMap, jacobians: np.ndarray) -> "DiffeoReport":
+        """Report on the Jacobians of a map at its probe points."""
+        dets = np.linalg.det(jacobians)
+        kp_dets = tmap.keypoint_determinants
+        return cls(
+            fraction_positive=float(np.mean(dets > 0)),
+            determinants=_freeze(dets),
+            keypoint_determinants=kp_dets,
+            keypoints_sign_uniform=bool(np.all(kp_dets > 0) or np.all(kp_dets < 0)),
+        )
 
 
 def check_local_diffeomorphism(tmap: TransportMap, points) -> DiffeoReport:
@@ -352,15 +345,4 @@ def check_local_diffeomorphism(tmap: TransportMap, points) -> DiffeoReport:
     if pts.shape[0] < 1:
         raise ValueError("at least one probe point required")
     jac, _ = transport_jacobians(tmap, pts)
-    dets = np.linalg.det(jac)
-
-    kp_jac, _ = transport_jacobians(tmap, tmap.keypoints.source.points)
-    kp_dets = np.linalg.det(kp_jac)
-    uniform = bool(np.all(kp_dets > 0) or np.all(kp_dets < 0))
-
-    return DiffeoReport(
-        fraction_positive=float(np.mean(dets > 0)),
-        determinants=_freeze(dets),
-        keypoint_determinants=_freeze(kp_dets),
-        keypoints_sign_uniform=uniform,
-    )
+    return DiffeoReport.from_jacobians(tmap, jac)

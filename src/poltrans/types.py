@@ -159,14 +159,11 @@ class PolicyLabels:
         m, dim = pos.shape
         object.__setattr__(self, "positions", _freeze(pos))
 
-        for name in ("velocities",):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            arr = np.atleast_2d(np.asarray(val, dtype=float))
-            if arr.shape != (m, dim):
-                raise ValueError(f"{name} must have shape ({m}, {dim})")
-            object.__setattr__(self, name, _freeze(arr))
+        if self.velocities is not None:
+            vel = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+            if vel.shape != (m, dim):
+                raise ValueError(f"velocities must have shape ({m}, {dim})")
+            object.__setattr__(self, "velocities", _freeze(vel))
 
         for name in ("orientations", "stiffness", "damping"):
             val = getattr(self, name)

@@ -6,6 +6,7 @@ plain cell-by-cell loops -- different code paths than the package itself
 uses -- so the tests cross-check the implementation instead of restating it.
 """
 
+import csv
 import itertools
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from poltrans import PairedKeypoints, PointSet
 from poltrans.baselines import apply_lwt
 from poltrans.gp import LENGTHSCALE_GRID
 from poltrans.metrics import _arclength_resample
+from poltrans.transport import NEAR_SINGULAR_RATIO
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,60 @@ def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
         hi[b] += h
         jac[:, b] = (apply_lwt(lwt, hi) - apply_lwt(lwt, lo)) / (2.0 * h)
     return jac
+
+
+def loop_polar_rotation(jacobian) -> tuple[np.ndarray, str | None]:
+    """Polar rotation factor of one matrix, forced into SO(dim), with the
+    last principal direction flipped through an explicit factor vector;
+    a note marks a near-singular matrix."""
+    jac = np.asarray(jacobian, dtype=float)
+    u, s, vt = np.linalg.svd(jac)
+    d = 1.0 if np.linalg.det(u @ vt) >= 0 else -1.0
+    factors = np.ones(jac.shape[0])
+    factors[-1] = d
+    rot = (u * factors) @ vt
+    note = None
+    if s[-1] < NEAR_SINGULAR_RATIO * s[0]:
+        note = "near-singular jacobian: polar rotation factor not unique"
+    return rot, note
+
+
+def loop_labels_csv(moved, path) -> None:
+    """Transported labels as CSV, built and written one row at a time by
+    ``csv.writer``: index, position, position variance, then velocity and
+    its variance, orientations, stiffness and damping when present, then
+    the Jacobian and its rotation factor, matrices flattened row-major."""
+    axes = range(moved.dim)
+
+    def mat_cols(tag):
+        return [f"{tag}_{a}{b}" for a in axes for b in axes]
+
+    header = ["index"]
+    header += [f"pos_{a}" for a in axes] + ["pos_var"]
+    if moved.velocities is not None:
+        header += [f"vel_{a}" for a in axes] + ["vel_var"]
+    if moved.orientations is not None:
+        header += mat_cols("rot")
+    if moved.stiffness is not None:
+        header += mat_cols("stiff")
+    if moved.damping is not None:
+        header += mat_cols("damp")
+    header += mat_cols("jac") + mat_cols("proj")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(moved.m):
+            row = [i]
+            row += list(moved.positions[i]) + [moved.position_variance[i]]
+            if moved.velocities is not None:
+                row += list(moved.velocities[i]) + [moved.velocity_variance[i]]
+            for field in (moved.orientations, moved.stiffness, moved.damping):
+                if field is not None:
+                    row += list(field[i].ravel())
+            row += list(moved.jacobians[i].ravel())
+            row += list(moved.projected_rotations[i].ravel())
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def so2_grid_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:

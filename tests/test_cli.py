@@ -87,6 +87,33 @@ class TestTransport:
         assert isinstance(report["keypoints_sign_uniform"], bool)
         assert len(report["keypoint_determinants"]) == 10
 
+    def test_one_jacobian_pass_over_the_labels(self, tmp_path, fitted_map, monkeypatch):
+        """m labels and n keypoints cost m + n derivative-posterior rows, and
+        the report's det J fields are those of the diffeomorphism check."""
+        from poltrans import check_local_diffeomorphism, load_json, load_transport_map, transport
+
+        rows = []
+        predict = transport.predict_derivative
+
+        def counting(model, x, *args, **kwargs):
+            rows.append(len(x))
+            return predict(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "predict_derivative", counting)
+        rng = np.random.default_rng(3)
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=rng.uniform(0.0, 1.0, (25, 2))), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
+        assert sum(rows) == 25 + 10
+
+        labels = PolicyLabels.from_dict(load_json(labels_path))
+        diffeo = check_local_diffeomorphism(load_transport_map(fitted_map), labels.positions)
+        report = json.loads((out / "transport_report.json").read_text())
+        assert report["det_positive_fraction"] == diffeo.fraction_positive
+        assert report["keypoint_determinants"] == diffeo.keypoint_determinants.tolist()
+        assert report["keypoints_sign_uniform"] == diffeo.keypoints_sign_uniform
+
     def test_dimension_mismatch_fails_cleanly(self, tmp_path, fitted_map):
         labels_path = tmp_path / "labels3d.json"
         save_json(PolicyLabels(positions=np.zeros((2, 3))), labels_path)

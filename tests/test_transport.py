@@ -5,7 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
-from conftest import fold_pair, kernel_se, random_rigid_pair, random_smooth_pair
+from conftest import (
+    fold_pair,
+    kernel_se,
+    loop_labels_csv,
+    loop_polar_rotation,
+    random_rigid_pair,
+    random_rotation,
+    random_smooth_pair,
+)
 from poltrans import (
     PairedKeypoints,
     PointSet,
@@ -24,8 +32,6 @@ from poltrans.scenarios import make_surface_scenario
 
 
 def rigid_labels(rng, m=6, dim=2):
-    from conftest import random_rotation
-
     rots = np.stack([random_rotation(rng, dim) for _ in range(m)])
     eigs = rng.uniform(0.5, 3.0, (m, dim))
     spd = np.einsum("mab,mb,mcb->mac", rots, eigs, rots)
@@ -155,11 +161,11 @@ class TestPolarRotation:
         rng = np.random.default_rng(4)
         for _ in range(50):
             jac = rng.normal(size=(2, 2))
-            rot, note = polar_rotation(jac)
+            rot, near_singular = polar_rotation(jac)
             assert_allclose(rot.T @ rot, np.eye(2), atol=1e-12)
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
             if abs(np.linalg.det(jac)) > 1e-6:
-                assert note is None
+                assert not near_singular
 
     def test_is_nearest_rotation_in_frobenius_norm(self):
         from conftest import rotation_2d
@@ -176,13 +182,40 @@ class TestPolarRotation:
                 assert best <= np.linalg.norm(jac - rotation_2d(theta)) + 1e-9
 
     def test_near_singular_emits_note(self):
-        rot, note = polar_rotation(np.array([[1.0, 0.0], [0.0, 1e-14]]))
-        assert note is not None
+        rot, near_singular = polar_rotation(np.array([[1.0, 0.0], [0.0, 1e-14]]))
+        assert near_singular
         assert_allclose(rot.T @ rot, np.eye(2), atol=1e-12)
 
     def test_reflection_input_still_yields_proper_rotation(self):
         rot, _ = polar_rotation(np.diag([1.0, -1.0]))
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_equals_per_matrix_oracle(self, dim):
+        """One call on a stack gives, matrix by matrix, exactly the oracle's
+        rotation and note, on reflections, an exactly singular matrix and
+        1e-14-conditioned ones."""
+        rng = np.random.default_rng(30 + dim)
+        tiny = np.diag([1.0] * (dim - 1) + [1e-14])
+        stack = np.concatenate([
+            rng.normal(size=(40, dim, dim)),
+            [np.diag([1.0] * (dim - 1) + [-1.0])],
+            [np.outer(rng.normal(size=dim), rng.normal(size=dim))],
+            [tiny, random_rotation(rng, dim) @ tiny @ random_rotation(rng, dim)],
+        ])
+        assert np.sum(np.linalg.det(stack) < 0) > 10
+
+        rots, near_singular = polar_rotation(stack)
+        assert near_singular.shape == (len(stack),)
+        for jac, rot, flag in zip(stack, rots, near_singular):
+            expected, note = loop_polar_rotation(jac)
+            assert np.array_equal(rot, expected)
+            assert flag == (note is not None)
+        assert near_singular[-3:].all()
+
+        single, flag = polar_rotation(stack[0])
+        assert np.array_equal(single, rots[0])
+        assert np.shape(flag) == ()
 
 
 class TestLabelTransport:
@@ -275,9 +308,9 @@ class TestLabelTransport:
                 lo = mid
             else:
                 hi = mid
-        labels = PolicyLabels(positions=[[0.5 * (lo + hi), 0.5]])
+        labels = PolicyLabels(positions=[[0.0, 0.5], [0.5 * (lo + hi), 0.5]])
         moved = transport_labels(tmap, labels)
-        assert any("label 0" in w for w in moved.warnings)
+        assert moved.warnings == ("label 1: near-singular jacobian: polar rotation factor not unique",)
 
 
 class TestUncertainty:
@@ -367,3 +400,21 @@ class TestSerialization:
         assert len(lines) == 1 + labels.m
         first = dict(zip(header, lines[1].split(",")))
         assert float(first["pos_0"]) == moved.positions[0, 0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "families", [(), ("velocities",), ("velocities", "orientations", "stiffness", "damping")]
+    )
+    def test_csv_is_byte_identical_to_row_loop(self, tmp_path, dim, families):
+        rng = np.random.default_rng(40 + dim)
+        source = rng.uniform(-1.0, 1.0, (10, dim))
+        target = source @ random_rotation(rng, dim).T + 0.1 * np.sin(2.0 * source)
+        tmap = fit_transport(PairedKeypoints(PointSet(source), PointSet(target)))
+        full = rigid_labels(rng, m=9, dim=dim)
+        labels = PolicyLabels(positions=full.positions, **{f: getattr(full, f) for f in families})
+        moved = transport_labels(tmap, labels)
+        assert np.array_equal(moved.projected_rotations, [loop_polar_rotation(j)[0] for j in moved.jacobians])
+
+        moved.to_csv(tmp_path / "table.csv")
+        loop_labels_csv(moved, tmp_path / "rows.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
