@@ -5,8 +5,10 @@ failure), 2 usage error (unknown subcommand, method, or suite).
 
 Both bench suites reduce to a list of cells, one per scene x method x
 repetition, which ``_run_bench`` runs on a thread pool capped by the
-POLTRANS_THREADS environment variable. It writes deterministically
-ordered artifacts: metrics.csv (timing deliberately excluded so reruns are
+POLTRANS_THREADS environment variable. Each scene's inputs (scenario,
+keypoint pairs, demonstration) are built once, before the pool, and every
+cell of the scene carries them. It writes deterministically ordered
+artifacts: metrics.csv (timing deliberately excluded so reruns are
 bitwise identical across worker counts), ranking.json, one SVG overlay per
 scene, report.json with gpt's timings, keypoint error and det J > 0
 percentage per scene, and failures.json listing each failed cell with the
@@ -21,13 +23,10 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -41,11 +40,12 @@ from .metrics import (
     compute_metrics_batch,
     rank_methods,
     read_metrics_csv,
-    save_ranking,
     write_metrics_csv,
 )
 from .scenarios import (
     SURFACE_PROFILES,
+    FrameScenario,
+    SurfaceScenario,
     frame_pairing,
     load_scenario,
     make_surface_scenario,
@@ -61,7 +61,7 @@ from .transport import (
     transport_labels,
     transport_points,
 )
-from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json
+from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json, validate_labels
 from .svgplot import SvgScene
 
 METHODS = ("gpt", "le", "reshaped_kmp", "lwt")
@@ -145,6 +145,12 @@ def _check_method(method: str) -> str:
     return method
 
 
+def _check_suite(suite: str) -> str:
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    return suite
+
+
 def _write_json(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -199,6 +205,8 @@ def cmd_transport(args) -> int:
 
     tmap = load_transport_map(map_path)
     labels = PolicyLabels.from_dict(load_json(labels_path))
+    # Invalid labels are transported all the same; the report names them.
+    violations = [str(v) for v in validate_labels(labels)]
 
     start = time.perf_counter()
     moved = transport_labels(tmap, labels)
@@ -210,7 +218,7 @@ def cmd_transport(args) -> int:
         "det_positive_fraction": diffeo.fraction_positive,
         "keypoint_determinants": diffeo.keypoint_determinants.tolist(),
         "keypoints_sign_uniform": diffeo.keypoints_sign_uniform,
-        "warnings": list(moved.warnings) + list(tmap.warnings),
+        "warnings": violations + list(moved.warnings) + list(tmap.warnings),
     }
     if labels.stiffness is not None:
         # eigvalsh returns each spectrum in ascending order
@@ -275,9 +283,7 @@ def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: st
     assignment = assign_via_points(demo2, kp2)
     if method == "le":
         return laplacian_edit(demo2, assignment, topology=topology), extras
-    if method == "reshaped_kmp":
-        return reshaped_kmp(demo2, assignment), extras
-    raise UsageError(f"unknown method {method!r}; valid ids: {', '.join(METHODS)}")
+    return reshaped_kmp(demo2, assignment), extras
 
 
 def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: dict) -> None:
@@ -323,57 +329,34 @@ def _ranking(rows, alpha: float) -> RankingResult:
 
 @dataclass(frozen=True)
 class BenchCell:
-    """One scene x method run. ``build`` returns the scene's scenario (its
-    reference scores the result and it is drawn in the SVG), the keypoint
-    pairs the method conditions on, and the demonstration it transports."""
+    """One scene x method run: the scene's scenario (its reference scores
+    the result and it is drawn in the SVG), the keypoint pairs the method
+    conditions on, and the demonstration it transports. The cells of one
+    scene share these inputs; the methods may, because the arrays inside
+    are frozen (``types._freeze``)."""
 
-    scene: str
-    repetition: int
     method: str
     topology: str
-    build: Callable[[], tuple]
+    scenario: SurfaceScenario | FrameScenario
+    keypoints: PairedKeypoints
+    demonstration: Trajectory
 
 
-def _surface_inputs(profile: str, seed: int, n_keypoints: int):
-    scenario = make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
-    return scenario, scenario.keypoints, scenario.demonstration
-
-
-def _frame_inputs(train_seed: int, test_seed: int, kpf: int):
-    train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
-    test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
-    # The training demonstration, recorded at its own frames, moves to the test frames.
-    return test, frame_pairing(train, test), train.reference
-
-
-def _once(build: Callable[[], tuple]) -> Callable[[], tuple]:
-    """``build`` run on the first call only; every call returns that result.
-
-    Cells of one scene share their inputs this way. The methods may share
-    them because the arrays inside are frozen (``types._freeze``).
-    """
-    lock = threading.Lock()
-    built: list = []
-
-    def shared():
-        with lock:
-            if not built:
-                built.append(build())
-            return built[0]
-
-    return shared
+def _surface_scenarios(seeds: int, n_keypoints: int) -> list[SurfaceScenario]:
+    """The surfaces corpus: every profile at seeds 0 .. seeds - 1."""
+    return [
+        make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
+        for profile in SURFACE_PROFILES
+        for seed in range(seeds)
+    ]
 
 
 def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
-    cells = []
-    for profile in SURFACE_PROFILES:
-        for seed in range(seeds):
-            build = _once(partial(_surface_inputs, profile, seed, n_keypoints))
-            cells += [
-                BenchCell(f"surface-{profile}-{seed}", seed, method, "ring", build)
-                for method in methods
-            ]
-    return cells
+    return [
+        BenchCell(method, "ring", scenario, scenario.keypoints, scenario.demonstration)
+        for scenario in _surface_scenarios(seeds, n_keypoints)
+        for method in methods
+    ]
 
 
 def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
@@ -390,26 +373,24 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
     for test_seed in test_ids:
         rng = np.random.default_rng(test_seed)
         train_seed = train_ids[int(rng.integers(len(train_ids)))]
-        builds = {
-            kpf: _once(partial(_frame_inputs, train_seed, test_seed, kpf))
-            for kpf in {FRAME_KPF[method] for method in methods}
-        }
-        cells += [
-            BenchCell(f"frame-{test_seed}", test_seed, method, "chain", builds[FRAME_KPF[method]])
-            for method in methods
-        ]
+        inputs = {}
+        for kpf in {FRAME_KPF[method] for method in methods}:
+            train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
+            test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
+            # The training demonstration, recorded at its own frames, moves to the test frames.
+            inputs[kpf] = (test, frame_pairing(train, test), train.reference)
+        cells += [BenchCell(method, "chain", *inputs[FRAME_KPF[method]]) for method in methods]
     return cells
 
 
 def _run_cell(cell: BenchCell):
-    """(scenario, produced, extras, error) for one cell; a method failure
-    becomes a missing sample and the bench continues."""
-    scenario, kp, demo = cell.build()
+    """(produced, extras, error) for one cell; a method failure becomes a
+    missing sample and the bench continues."""
     try:
-        produced, extras = _run_method(cell.method, kp, demo, cell.topology)
+        produced, extras = _run_method(cell.method, cell.keypoints, cell.demonstration, cell.topology)
     except Exception as exc:
-        return scenario, None, None, exc
-    return scenario, produced, extras, None
+        return None, None, exc
+    return produced, extras, None
 
 
 def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
@@ -417,15 +398,18 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
         outcomes = list(pool.map(_run_cell, cells))
     # Scored after the pool in one batch, so Frechet and DTW run as one
     # wavefront over every cell instead of one per cell.
-    scored = iter(compute_metrics_batch(
-        [(produced, scenario.reference) for scenario, produced, _, error in outcomes if error is None]
-    ))
+    scored = iter(compute_metrics_batch([
+        (produced, cell.scenario.reference)
+        for cell, (produced, _, error) in zip(cells, outcomes)
+        if error is None
+    ]))
 
     rows = []
     failures = []
     gpt_reports: dict = {}
     scenes: dict = {}
-    for cell, (scenario, produced, extras, error) in zip(cells, outcomes):
+    for cell, (produced, extras, error) in zip(cells, outcomes):
+        scene = cell.scenario.name
         stage = "method"
         if error is None:
             report = next(scored)
@@ -433,19 +417,19 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
                 error, stage = report, "metrics"
         if error is not None:
             failures.append(
-                {"scenario": cell.scene, "method": cell.method, "stage": stage,
+                {"scenario": scene, "method": cell.method, "stage": stage,
                  "error": str(error), "type": type(error).__name__}
             )
             continue
-        row = {"scenario": cell.scene, "method": cell.method, "repetition": cell.repetition}
+        row = {"scenario": scene, "method": cell.method, "repetition": cell.scenario.seed}
         row.update(report.to_dict())
         rows.append(row)
         # The first successful cell of a scene in task order supplies its scenario.
-        bundle = scenes.setdefault(cell.scene, {"scenario": scenario, "produced": {}, "bands": {}})
+        bundle = scenes.setdefault(scene, {"scenario": cell.scenario, "produced": {}, "bands": {}})
         bundle["produced"][cell.method] = produced
         if cell.method == "gpt":
             bundle["bands"]["gpt"] = extras["band_sigma"]
-            gpt_reports[cell.scene] = {key: extras[key] for key in GPT_REPORT_FIELDS}
+            gpt_reports[scene] = {key: extras[key] for key in GPT_REPORT_FIELDS}
 
     for name, entry in sorted(gpt_reports.items()):
         if entry["det_positive_pct"] < 100.0:
@@ -473,16 +457,14 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
         )
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
     if rows:
-        save_ranking(_ranking(rows, alpha), out_dir / "ranking.json")
+        _write_json(_ranking(rows, alpha).to_dict(), out_dir / "ranking.json")
     print(f"bench {suite}: {len(rows)} runs over {len(scenes)} scenes, {len(failures)} failed -> {out_dir}")
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    suite = _setting(args, cfg, "suite")
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    suite = _check_suite(_setting(args, cfg, "suite"))
     raw_methods = _setting(args, cfg, "methods")
     if raw_methods is None:
         methods = list(METHODS) if suite == "surfaces" else ["gpt", "le"]
@@ -525,30 +507,25 @@ def cmd_rank(args) -> int:
         raise ValueError("metrics file holds no rows")
     ranking = _ranking(rows, args.alpha)
     out = Path(args.out) if args.out else Path(args.metrics).parent / "ranking.json"
-    save_ranking(ranking, out)
+    _write_json(ranking.to_dict(), out)
     print(json.dumps(ranking.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_scenario_gen(args) -> int:
     cfg = _load_config(args)
-    suite = _setting(args, cfg, "suite")
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    suite = _check_suite(_setting(args, cfg, "suite"))
     out_dir = Path(_setting(args, cfg, "out_dir", "."))
 
     if suite == "surfaces":
-        seeds = _at_least(args, cfg, "seeds", 3, 1)
-        n_keypoints = _at_least(args, cfg, "n_keypoints", 12, 2)
+        scenarios = _surface_scenarios(
+            _at_least(args, cfg, "seeds", 3, 1), _at_least(args, cfg, "n_keypoints", 12, 2)
+        )
         target = out_dir / "scenarios" / "surfaces"
         target.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for profile in SURFACE_PROFILES:
-            for seed in range(seeds):
-                scenario = make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
-                save_scenario(scenario, target / f"{profile}-{seed}.json")
-                count += 1
-        print(f"wrote {count} surface scenarios under {target}")
+        for scenario in scenarios:
+            save_scenario(scenario, target / f"{scenario.profile}-{scenario.seed}.json")
+        print(f"wrote {len(scenarios)} surface scenarios under {target}")
         return 0
 
     seeds = _at_least(args, cfg, "seeds", 20, 1)
@@ -556,12 +533,10 @@ def cmd_scenario_gen(args) -> int:
     kpf = _at_least(args, cfg, "kpf", 5, 1)
     target = out_dir / "scenarios" / "frames"
     target.mkdir(parents=True, exist_ok=True)
-    count = 0
     for role, ids in zip(("train", "test"), _frame_seeds(seeds, train_seeds)):
         for seed in ids:
             save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"{role}-{seed}.json")
-            count += 1
-    print(f"wrote {count} frame scenarios under {target}")
+    print(f"wrote {train_seeds + seeds} frame scenarios under {target}")
     return 0
 
 

@@ -10,8 +10,7 @@ statistically lower, and methods are ordered by total points.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
@@ -38,35 +37,17 @@ class MetricReport:
     final_angle_error: float
 
     def __post_init__(self):
-        values = (
-            self.frechet,
-            self.area_between,
-            self.dtw,
-            self.final_position_error,
-            self.final_angle_error,
-        )
-        if any(not np.isfinite(v) or v < 0 for v in values):
+        if any(not np.isfinite(v) or v < 0 for v in self.to_dict().values()):
             raise ValueError("metrics must be finite and nonnegative")
         if self.final_angle_error > np.pi + 1e-12:
             raise ValueError("angle error must lie in [0, pi]")
 
     def to_dict(self) -> dict:
-        return {
-            "frechet": self.frechet,
-            "area_between": self.area_between,
-            "dtw": self.dtw,
-            "final_position_error": self.final_position_error,
-            "final_angle_error": self.final_angle_error,
-        }
+        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-METRIC_NAMES = (
-    "frechet",
-    "area_between",
-    "dtw",
-    "final_position_error",
-    "final_angle_error",
-)
+# The five metric names, in MetricReport's field order.
+METRIC_NAMES = tuple(field.name for field in fields(MetricReport))
 
 
 def _positions(traj) -> np.ndarray:
@@ -442,9 +423,3 @@ def read_metrics_csv(path) -> list[dict]:
                 row[name] = float(raw[name])
             rows.append(row)
     return rows
-
-
-def save_ranking(result: RankingResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

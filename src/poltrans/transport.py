@@ -33,7 +33,8 @@ from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
 TOL_MATCH_SCALE = 1e-3
-# Smallest/largest singular value below this ratio marks J as near-singular.
+# Smallest/largest singular value at or below this ratio marks J as
+# near-singular; an all-zero J (0 <= 0) is flagged too.
 NEAR_SINGULAR_RATIO = 1e-9
 # Upper bound for the residual GP's optimized noise-to-signal ratio; keeping
 # it this small forces near-interpolation of the keypoint residuals.
@@ -241,7 +242,7 @@ def polar_rotation(jacobian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     u, s, vt = np.linalg.svd(np.asarray(jacobian, dtype=float))
     u[..., -1] *= np.where(np.linalg.det(u @ vt) >= 0, 1.0, -1.0)[..., None]
-    return u @ vt, s[..., -1] < NEAR_SINGULAR_RATIO * s[..., 0]
+    return u @ vt, s[..., -1] <= NEAR_SINGULAR_RATIO * s[..., 0]
 
 
 def _velocity_variance(jac_var: np.ndarray, velocities: np.ndarray) -> np.ndarray:

@@ -273,7 +273,10 @@ def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[
 
     Reported violations: non-finite entries anywhere, orientations failing
     R^T R = I or det R = +1 within ``tol``, stiffness/damping failing
-    symmetry within ``tol`` or having eigenvalues below ``-tol``.
+    symmetry within ``tol`` or having eigenvalues below ``-tol``. Each
+    family is checked in one pass over its whole stack; the report lists
+    the families in field order, then labels by index, then each label's
+    failed checks in the order above.
 
     Pure reporting: never raises, never mutates, idempotent.
     """
@@ -281,38 +284,52 @@ def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[
 
     for name in ("positions", "velocities"):
         arr = getattr(labels, name)
-        if arr is None:
-            continue
-        for i, row in enumerate(arr):
-            if not np.all(np.isfinite(row)):
-                report.append(Violation(name, i, "non-finite", float("nan")))
+        if arr is not None:
+            report += _family_violations(name, np.isfinite(arr).all(axis=1), [])
 
+    # Non-finite matrices are reported as such and swapped for a stand-in,
+    # so the stacked linear algebra below never sees NaN or Inf.
+    eye = np.eye(labels.dim)
     if labels.orientations is not None:
-        for i, rot in enumerate(labels.orientations):
-            if not np.all(np.isfinite(rot)):
-                report.append(Violation("orientations", i, "non-finite", float("nan")))
-                continue
-            ortho, det = rotation_residual(rot)
-            if ortho > tol:
-                report.append(Violation("orientations", i, "orthogonality", ortho))
-            if det > tol:
-                report.append(Violation("orientations", i, "determinant", det))
+        finite = np.isfinite(labels.orientations).all(axis=(1, 2))
+        rot = np.where(finite[:, None, None], labels.orientations, eye)
+        ortho = np.abs(np.swapaxes(rot, 1, 2) @ rot - eye).max(axis=(1, 2))
+        det = np.abs(np.linalg.det(rot) - 1.0)
+        report += _family_violations("orientations", finite, [
+            ("orthogonality", ortho > tol, ortho),
+            ("determinant", det > tol, det),
+        ])
 
     for name in ("stiffness", "damping"):
         arr = getattr(labels, name)
         if arr is None:
             continue
-        for i, mat in enumerate(arr):
-            if not np.all(np.isfinite(mat)):
-                report.append(Violation(name, i, "non-finite", float("nan")))
-                continue
-            asym = float(np.max(np.abs(mat - mat.T)))
-            if asym > tol:
-                report.append(Violation(name, i, "symmetry", asym))
-            min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-            if min_eig < -SPD_TOL:
-                report.append(Violation(name, i, "negative eigenvalue", -min_eig))
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        mat = np.where(finite[:, None, None], arr, eye)
+        asym = np.abs(mat - np.swapaxes(mat, 1, 2)).max(axis=(1, 2))
+        min_eig = np.linalg.eigvalsh(0.5 * (mat + np.swapaxes(mat, 1, 2))).min(axis=1)
+        report += _family_violations(name, finite, [
+            ("symmetry", asym > tol, asym),
+            ("negative eigenvalue", min_eig < -SPD_TOL, -min_eig),
+        ])
 
+    return report
+
+
+def _family_violations(field: str, finite: np.ndarray, checks) -> list[Violation]:
+    """Violations of one label family, label by label: ``non-finite``, or
+    else each (kind, failed mask, residuals) check that the label fails."""
+    failed = ~finite
+    for _, mask, _ in checks:
+        failed = failed | mask
+    report = []
+    for i in np.flatnonzero(failed):
+        if not finite[i]:
+            report.append(Violation(field, int(i), "non-finite", float("nan")))
+            continue
+        report += [
+            Violation(field, int(i), kind, float(res[i])) for kind, mask, res in checks if mask[i]
+        ]
     return report
 
 

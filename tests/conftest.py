@@ -20,6 +20,7 @@ from poltrans.baselines import apply_lwt
 from poltrans.gp import LENGTHSCALE_GRID
 from poltrans.metrics import _arclength_resample
 from poltrans.transport import NEAR_SINGULAR_RATIO
+from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +183,51 @@ def loop_polar_rotation(jacobian) -> tuple[np.ndarray, str | None]:
     factors[-1] = d
     rot = (u * factors) @ vt
     note = None
-    if s[-1] < NEAR_SINGULAR_RATIO * s[0]:
+    if s[-1] <= NEAR_SINGULAR_RATIO * s[0]:
         note = "near-singular jacobian: polar rotation factor not unique"
     return rot, note
+
+
+def loop_validate_labels(labels, tol: float = ORIENTATION_TOL) -> list[Violation]:
+    """Label invariant violations found one label at a time, family by
+    family: non-finite entries, then orthogonality and determinant of each
+    orientation, then symmetry and smallest eigenvalue of each stiffness
+    and damping matrix."""
+    report = []
+    for name in ("positions", "velocities"):
+        arr = getattr(labels, name)
+        if arr is None:
+            continue
+        for i, row in enumerate(arr):
+            if not np.all(np.isfinite(row)):
+                report.append(Violation(name, i, "non-finite", float("nan")))
+
+    if labels.orientations is not None:
+        for i, rot in enumerate(labels.orientations):
+            if not np.all(np.isfinite(rot)):
+                report.append(Violation("orientations", i, "non-finite", float("nan")))
+                continue
+            ortho, det = rotation_residual(rot)
+            if ortho > tol:
+                report.append(Violation("orientations", i, "orthogonality", ortho))
+            if det > tol:
+                report.append(Violation("orientations", i, "determinant", det))
+
+    for name in ("stiffness", "damping"):
+        arr = getattr(labels, name)
+        if arr is None:
+            continue
+        for i, mat in enumerate(arr):
+            if not np.all(np.isfinite(mat)):
+                report.append(Violation(name, i, "non-finite", float("nan")))
+                continue
+            asym = float(np.max(np.abs(mat - mat.T)))
+            if asym > tol:
+                report.append(Violation(name, i, "symmetry", asym))
+            min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+            if min_eig < -SPD_TOL:
+                report.append(Violation(name, i, "negative eigenvalue", -min_eig))
+    return report
 
 
 def loop_labels_csv(moved, path) -> None:

@@ -6,8 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,7 @@ from poltrans import PolicyLabels, Trajectory, save_json
 from poltrans import cli
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, compute_metrics, read_metrics_csv
-from poltrans.scenarios import make_surface_scenario, save_scenario
+from poltrans.scenarios import frame_pairing, load_scenario, make_surface_scenario, save_scenario
 
 
 @pytest.fixture()
@@ -114,6 +112,24 @@ class TestTransport:
         assert report["keypoint_determinants"] == diffeo.keypoint_determinants.tolist()
         assert report["keypoints_sign_uniform"] == diffeo.keypoints_sign_uniform
 
+    def test_label_violations_are_reported_as_warnings(self, tmp_path, fitted_map):
+        labels = PolicyLabels(
+            positions=[[0.2, 0.0], [0.6, 0.1]],
+            orientations=np.stack([2.0 * np.eye(2), np.eye(2)]),
+            stiffness=np.stack([np.eye(2), -np.eye(2)]),
+        )
+        labels_path = tmp_path / "labels.json"
+        save_json(labels, labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
+        warnings = json.loads((out / "transport_report.json").read_text())["warnings"]
+        assert warnings[:3] == [
+            "orientations[0]: orthogonality residual 3.000e+00",
+            "orientations[0]: determinant residual 3.000e+00",
+            "stiffness[1]: negative eigenvalue residual 1.000e+00",
+        ]
+        assert len((out / "transported.csv").read_text().splitlines()) == 3
+
     def test_dimension_mismatch_fails_cleanly(self, tmp_path, fitted_map):
         labels_path = tmp_path / "labels3d.json"
         save_json(PolicyLabels(positions=np.zeros((2, 3))), labels_path)
@@ -199,6 +215,46 @@ class TestScenarioGen:
             "test-200.json", "test-201.json", "test-202.json",
             "train-100.json", "train-101.json",
         ]
+
+    def test_surface_files_are_the_bench_inputs(self, tmp_path):
+        code = run(
+            "scenario-gen", "--suite", "surfaces", "--seeds", 2, "--n-keypoints", 7, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        target = tmp_path / "scenarios" / "surfaces"
+        expected = {
+            f"{cell.scenario.profile}-{cell.scenario.seed}.json": cell.scenario.to_dict()
+            for cell in cli._surface_cells(cli.METHODS, 2, 7)
+        }
+        assert sorted(p.name for p in target.iterdir()) == sorted(expected)
+        for name, scenario in expected.items():
+            assert load_scenario(target / name).to_dict() == scenario
+
+    def test_frame_files_are_the_bench_inputs(self, tmp_path, monkeypatch):
+        """At the default five keypoints per frame, the train and test files
+        are the scenarios whose pairing the gpt cells transport through."""
+        code = run(
+            "scenario-gen", "--suite", "frames", "--seeds", 3, "--train-seeds", 2, "--out-dir", tmp_path,
+        )
+        assert code == 0
+        target = tmp_path / "scenarios" / "frames"
+        files = {path.name: load_scenario(path).to_dict() for path in target.iterdir()}
+        built = []
+        real = cli.random_frame_scenario
+
+        def recorded(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "random_frame_scenario", recorded)
+        cells = cli._frame_cells(("gpt",), 3, 2)
+        assert len(cells) == 3
+        for cell in cells:
+            test = cell.scenario
+            (train,) = [s for s in built if s.reference is cell.demonstration]
+            assert cell.keypoints.to_dict() == frame_pairing(train, test).to_dict()
+            assert files[f"test-{test.seed}.json"] == test.to_dict()
+            assert files[f"train-{train.seed}.json"] == train.to_dict()
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run("scenario-gen", "--suite", "boxes", "--out-dir", tmp_path) == 2
@@ -294,42 +350,23 @@ class TestBench:
             "frames": lambda: cli._frame_cells(methods, 3, 9),
         }[suite]
         cells = make_cells()
-        inputs = [cell.build() for cell in cells]
         assert len(cells) == 3 * len(methods) * (5 if suite == "surfaces" else 1)
         assert len(calls) == builds
         # One build per scene, and per keypoint count on frames.
         by_key = {}
-        for cell, built in zip(cells, inputs):
-            key = (cell.scene, cli.FRAME_KPF[cell.method] if suite == "frames" else None)
-            assert by_key.setdefault(key, built) is built
-        assert len({id(built) for built in inputs}) == len(by_key)
+        for cell in cells:
+            key = (cell.scenario.name, cli.FRAME_KPF[cell.method] if suite == "frames" else None)
+            built = (cell.scenario, cell.keypoints, cell.demonstration)
+            shared = by_key.setdefault(key, built)
+            assert all(a is b for a, b in zip(shared, built))
+        assert len({id(cell.scenario) for cell in cells}) == len(by_key)
         # The methods of a scene share these inputs, so none may write into them.
-        for built in inputs:
-            arrays = list(_arrays(built))
+        for cell in cells:
+            arrays = list(_arrays(cell))
             assert arrays and not any(arr.flags.writeable for arr in arrays)
         # Nothing is cached across cell lists.
-        for cell in make_cells():
-            cell.build()
+        make_cells()
         assert len(calls) == 2 * builds
-
-    def test_a_shared_build_runs_once_under_concurrent_calls(self):
-        calls = []
-
-        def slow_build():
-            calls.append(1)
-            time.sleep(0.01)
-            return object()
-
-        shared = cli._once(slow_build)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = [f.result(timeout=60) for f in [pool.submit(shared) for _ in range(64)]]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 1
-        assert all(result is results[0] for result in results)
 
     def test_failed_cell_is_recorded_and_bench_continues(self, tmp_path, monkeypatch):
         class Boom(Exception):
@@ -395,9 +432,9 @@ class TestBench:
         real = cli._run_cell
 
         def recorded(cell):
-            scenario, produced, extras, error = real(cell)
-            pairs[cell.scene, cell.method] = (produced, scenario.reference)
-            return scenario, produced, extras, error
+            produced, extras, error = real(cell)
+            pairs[cell.scenario.name, cell.method] = (produced, cell.scenario.reference)
+            return produced, extras, error
 
         monkeypatch.setenv("POLTRANS_THREADS", "2")
         monkeypatch.setattr(cli, "_run_cell", recorded)

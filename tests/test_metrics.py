@@ -1,5 +1,7 @@
 """Trajectory metrics and rank statistics against enumeration oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from conftest import (
     mw_exact_enumeration,
 )
 from poltrans import Trajectory
+from poltrans.cli import _write_json
 from poltrans.metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -32,7 +35,6 @@ from poltrans.metrics import (
     mann_whitney_u,
     rank_methods,
     read_metrics_csv,
-    save_ranking,
     write_metrics_csv,
 )
 
@@ -221,6 +223,16 @@ class TestEndpointMetrics:
         assert report.area_between == area_between_curves(PARALLEL_A, PARALLEL_B)
         assert report.final_position_error == 1.0
         assert set(report.to_dict()) == set(METRIC_NAMES)
+
+    def test_metric_names_are_the_report_fields_in_column_order(self):
+        """metrics.csv writes its columns in METRIC_NAMES order."""
+        assert METRIC_NAMES == (
+            "frechet", "area_between", "dtw", "final_position_error", "final_angle_error"
+        )
+        report = MetricReport(*(0.5 * i for i in range(5)))
+        assert report.to_dict() == {name: 0.5 * i for i, name in enumerate(METRIC_NAMES)}
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MetricReport(0.0, 0.0, 0.0, 0.0, -1.0)
 
     def test_batch_reports_every_pair_and_isolates_failures(self):
         frozen = np.vstack([tail_trajectory(0.0, n=3), np.tile([9.0, 9.0], (7, 1))])
@@ -429,8 +441,7 @@ class TestCsvAndJson:
             ranking=(("a", 1), ("b", 2)),
         )
         path = tmp_path / "ranking.json"
-        save_ranking(result, path)
-        import json
+        _write_json(result.to_dict(), path)
 
         data = json.loads(path.read_text())
         assert data["ranking"] == [["a", 1], ["b", 2]]

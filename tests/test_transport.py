@@ -193,14 +193,15 @@ class TestPolarRotation:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stack_equals_per_matrix_oracle(self, dim):
         """One call on a stack gives, matrix by matrix, exactly the oracle's
-        rotation and note, on reflections, an exactly singular matrix and
-        1e-14-conditioned ones."""
+        rotation and note, on reflections, an exactly singular matrix, the
+        zero matrix and 1e-14-conditioned ones."""
         rng = np.random.default_rng(30 + dim)
         tiny = np.diag([1.0] * (dim - 1) + [1e-14])
         stack = np.concatenate([
             rng.normal(size=(40, dim, dim)),
             [np.diag([1.0] * (dim - 1) + [-1.0])],
             [np.outer(rng.normal(size=dim), rng.normal(size=dim))],
+            [np.zeros((dim, dim))],
             [tiny, random_rotation(rng, dim) @ tiny @ random_rotation(rng, dim)],
         ])
         assert np.sum(np.linalg.det(stack) < 0) > 10
@@ -211,7 +212,7 @@ class TestPolarRotation:
             expected, note = loop_polar_rotation(jac)
             assert np.array_equal(rot, expected)
             assert flag == (note is not None)
-        assert near_singular[-3:].all()
+        assert near_singular[-4:].all()
 
         single, flag = polar_rotation(stack[0])
         assert np.array_equal(single, rots[0])
@@ -310,6 +311,24 @@ class TestLabelTransport:
                 hi = mid
         labels = PolicyLabels(positions=[[0.0, 0.5], [0.5 * (lo + hi), 0.5]])
         moved = transport_labels(tmap, labels)
+        assert moved.warnings == ("label 1: near-singular jacobian: polar rotation factor not unique",)
+
+
+    def test_collapsed_jacobian_warns(self, monkeypatch):
+        """A label where J is all zeros has no unique rotation factor."""
+        from poltrans import transport
+
+        real = transport.transport_jacobians
+
+        def collapsed_at_label_1(tmap, x):
+            jac, jac_var = real(tmap, x)
+            jac = jac.copy()
+            jac[1] = 0.0
+            return jac, jac_var
+
+        tmap = fit_transport(random_rigid_pair(np.random.default_rng(6), n=10)[0])
+        monkeypatch.setattr(transport, "transport_jacobians", collapsed_at_label_1)
+        moved = transport_labels(tmap, PolicyLabels(positions=[[0.0, 0.5], [0.3, 0.5], [0.6, 0.5]]))
         assert moved.warnings == ("label 1: near-singular jacobian: polar rotation factor not unique",)
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 from scipy.spatial.distance import cdist, pdist
 
 import poltrans
-from conftest import random_rotation, rotation_2d
+from conftest import loop_validate_labels, random_rotation, rotation_2d
 from poltrans import (
     PairedKeypoints,
     PointSet,
@@ -184,6 +184,43 @@ class TestValidateLabels:
         assert ("orientations", 1, "orthogonality") in kinds
         assert ("stiffness", 0, "symmetry") in kinds
         assert ("stiffness", 1, "negative eigenvalue") in kinds
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_checks_equal_the_per_label_loop(self, dim):
+        """Same violations, in the same order and with bitwise equal
+        residuals, as one label at a time, on every family at once."""
+        rng = np.random.default_rng(40 + dim)
+        m = 300
+        q, _ = np.linalg.qr(rng.normal(size=(m, dim, dim)))
+        q[np.linalg.det(q) < 0, :, 0] *= -1.0
+        spd = np.einsum("mab,mb,mcb->mac", q, rng.uniform(0.5, 3.0, (m, dim)), q)
+
+        def perturbed(stack):
+            out = stack + rng.normal(size=stack.shape) * 10.0 ** rng.uniform(-12, -7, (m, 1, 1))
+            out[rng.integers(m, size=20)] *= -1.0
+            out[rng.integers(m, size=10), dim - 1, 0] = np.nan
+            return out
+
+        positions = rng.normal(size=(m, dim))
+        positions[rng.integers(m, size=10), 0] = np.inf
+        velocities = rng.normal(size=(m, dim))
+        velocities[rng.integers(m, size=10), 1] = np.nan
+        labels = PolicyLabels(
+            positions=positions,
+            velocities=velocities,
+            orientations=perturbed(q),
+            stiffness=perturbed(spd),
+            damping=perturbed(spd),
+        )
+
+        def keys(report):
+            return [(v.field, v.index, v.kind, repr(v.residual)) for v in report]
+
+        expected = keys(loop_validate_labels(labels))
+        assert {kind for _, _, kind, _ in expected} == {
+            "non-finite", "orthogonality", "determinant", "symmetry", "negative eigenvalue"
+        }
+        assert keys(validate_labels(labels)) == expected
 
     def test_validation_never_raises_on_weird_numbers(self):
         labels = PolicyLabels(positions=[[0.0, 0.0]], velocities=[[np.nan, 0.0]])
