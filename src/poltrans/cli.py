@@ -205,8 +205,12 @@ def cmd_transport(args) -> int:
 
     tmap = load_transport_map(map_path)
     labels = PolicyLabels.from_dict(load_json(labels_path))
-    # Invalid labels are transported all the same; the report names them.
-    violations = [str(v) for v in validate_labels(labels)]
+    # Invalid labels are transported all the same and the report names
+    # them, except non-finite positions, which no map can move.
+    violations = validate_labels(labels)
+    unplaced = [f"{v.field}[{v.index}]: {v.kind}" for v in violations if v.field == "positions"]
+    if unplaced:
+        raise ValueError("cannot transport labels: " + "; ".join(unplaced))
 
     start = time.perf_counter()
     moved = transport_labels(tmap, labels)
@@ -218,7 +222,7 @@ def cmd_transport(args) -> int:
         "det_positive_fraction": diffeo.fraction_positive,
         "keypoint_determinants": diffeo.keypoint_determinants.tolist(),
         "keypoints_sign_uniform": diffeo.keypoints_sign_uniform,
-        "warnings": violations + list(moved.warnings) + list(tmap.warnings),
+        "warnings": [str(v) for v in violations] + list(moved.warnings) + list(tmap.warnings),
     }
     if labels.stiffness is not None:
         # eigvalsh returns each spectrum in ascending order

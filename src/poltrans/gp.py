@@ -22,11 +22,12 @@ inputs the posterior mean decays to 0 and the variance reverts to sp2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .types import _sq_dists
 
@@ -37,6 +38,9 @@ JITTER_MAX_RATIO = 1e-4
 # Lengthscales, as multiples of the data's ell_center, at which fit_gp scores
 # the profiled likelihood: 4 points per decade over its lengthscale bounds.
 LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
+# Brent's step tolerance on log l, relative to |log l| + 1. On the bench fits
+# a finer step moves the LML by less than its round-off at the floor ratio.
+_BRENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,21 +122,6 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
-
-
-def _cho_inverse(chol: np.ndarray) -> np.ndarray:
-    """Lower triangle of ``(chol chol^T)^-1`` from LAPACK ``dpotri``.
-
-    Only the lower triangle is written; the upper one is copied from
-    ``chol``, so for a factor from :func:`_cholesky` it is zero.
-    """
-    _check_finite(chol)
-    inv, info = dpotri(chol, lower=1)
-    if info > 0:
-        raise ValueError(f"{info}-th diagonal entry of the factor is zero")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotri")
-    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,40 +221,135 @@ def log_marginal_likelihood(model: GPModel) -> float:
     return data_fit - d_out * log_det - 0.5 * n * d_out * np.log(2.0 * np.pi)
 
 
-def _nlml_and_grad(u: np.ndarray, sq_dists: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative LML and gradient in coordinates
-    u = (log sp2, log l, log(sn2 / sp2))."""
+def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[float, float]:
+    """Negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with the
+    signal variance profiled out, and that variance's log.
+
+    C = corr + ratio I is written into the buffer ``corr``; sp2 =
+    sum(y * C^-1 y) / (n d_out), clipped to ``log_sp2_bounds``, is its
+    closed-form optimum (Rasmussen & Williams 2006, 5.4). One ``dpotrf`` and
+    one ``dpotrs``; a C that fails to factor scores (inf, nan).
+    """
     n, d_out = y.shape
-    sp2, ell, ratio = np.exp(u[0]), np.exp(u[1]), np.exp(u[2])
-    # sp2 * (corr + ratio I), built in place.
-    gram = np.exp(-sq_dists / (2.0 * ell**2))
-    gram.flat[:: n + 1] += ratio
-    gram *= sp2
+    # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
+    np.divide(neg_half_sq, ell**2, out=corr)
+    np.exp(corr, out=corr)
+    corr.ravel()[:: n + 1] += ratio  # a view: corr is C-contiguous
     try:
-        chol = _cholesky(gram)
+        chol = _cholesky(corr)
     except np.linalg.LinAlgError:
-        return 1e25, np.zeros(3)
-    alpha = _cho_solve(chol, y)
-    y_alpha = float((y * alpha).sum())
+        return np.inf, np.nan
+    quad = float((y * _cho_solve(chol, y)).sum())
+    log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *log_sp2_bounds))
     nlml = (
-        0.5 * y_alpha
+        0.5 * quad / np.exp(log_sp2)
+        + 0.5 * n * d_out * log_sp2
         + d_out * float(np.log(chol.diagonal()).sum())
         + 0.5 * n * d_out * np.log(2.0 * np.pi)
     )
+    return float(nlml), log_sp2
 
-    # dNLML/du_j = -0.5 sum(alpha^T dK_j alpha) + 0.5 d_out tr(K^-1 dK_j)
-    # (Rasmussen & Williams 2006, eq. 5.9), with dK/d(log sp2) = K,
-    # dK/d(log l) = sp2 corr * sq/l^2 and dK/d(log ratio) = sp2 ratio I.
-    w_low = _cho_inverse(chol)
-    # gram is sp2 corr off the diagonal and sq is 0 on it, so this is dK/d(log l).
-    d_ell = gram * (sq_dists / ell**2)
-    s = sp2 * ratio
-    quad = np.array([y_alpha, ((d_ell @ alpha) * alpha).sum(), s * (alpha * alpha).sum()])
-    # tr(K^-1 K) = n. d_ell is symmetric with a zero diagonal and w_low holds
-    # the lower triangle of the symmetric K^-1, so tr(K^-1 d_ell) is twice
-    # the sum over w_low * d_ell.
-    trace = np.array([n, 2.0 * (w_low * d_ell).sum(), s * np.trace(w_low)])
-    return nlml, 0.5 * (d_out * trace - quad)
+
+def _brent(f, a: float, b: float, x: float, fx: float) -> None:
+    """Brent's local minimization of ``f`` on [a, b] from the point ``x``
+    with f(x) = ``fx``: parabolic steps where they fit, golden-section steps
+    where they do not, down to a step of ``_BRENT_TOL`` (|x| + 1) (Brent 1973,
+    *Algorithms for Minimization without Derivatives*, ch. 5, ``localmin``).
+    The caller reads the result off its own ``f``.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = _BRENT_TOL * (abs(x) + 1.0)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+class PolishResult(NamedTuple):
+    """Where :func:`minimize` ended: ``x`` = (log sp2, log l, log ratio), its
+    profiled negative LML ``fun``, and the objective calls ``nfev`` it made."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0, fun0: float, bounds: tuple[float, float]) -> PolishResult:
+    """Polish the grid optimum ``x0`` = (log sp2, log l, log ratio), whose
+    profiled negative LML is ``fun0``, along log l within ``bounds``.
+
+    ``fun(log_l, log_ratio)`` returns the profiled negative LML and its
+    log sp2. :func:`_brent` runs at x0's ratio; if NOISE_FLOOR_RATIO scores
+    better at the lengthscale it found, it runs again at the floor from
+    there. The result is the best point evaluated, or ``x0`` when none beats
+    ``fun0``.
+
+    The benchmark tracer (``perfbench/tracing.py``) patches this module-level
+    name and sums the ``nfev`` of its results as the fit's objective
+    evaluations, so the name and the call shape stay until the tracer binds
+    layers by role (ROADMAP item 0).
+    """
+    x_best, f_best, nfev = np.asarray(x0, dtype=float), fun0, 0
+
+    def along(log_ratio):
+        def f(log_ell):
+            nonlocal x_best, f_best, nfev
+            nfev += 1
+            val, log_sp2 = fun(log_ell, log_ratio)
+            if val < f_best:
+                x_best, f_best = np.array([log_sp2, log_ell, log_ratio]), val
+            return val
+
+        return f
+
+    lo, hi = map(float, bounds)
+    _brent(along(x0[2]), lo, hi, float(x0[1]), fun0)
+    floor = np.log(NOISE_FLOOR_RATIO)
+    if x0[2] > floor:
+        log_ell = float(x_best[1])
+        at_floor = along(floor)
+        f_floor = at_floor(log_ell)
+        if x_best[2] == floor:  # the floor beat every point so far
+            _brent(at_floor, lo, hi, log_ell, f_floor)
+    return PolishResult(x_best, f_best, nfev)
 
 
 def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
@@ -282,10 +366,13 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     sp2 = sum(y * C^-1 y) / (n d_out) (Rasmussen & Williams 2006, 5.4),
     which leaves the lengthscale as the only free coordinate. The profiled
     negative LML is scored at ``LENGTHSCALE_GRID`` x ell_center (a grid
-    point whose Cholesky fails scores +inf), and one L-BFGS-B run over all
-    three coordinates polishes the best grid point; the grid point is kept
-    if the polish ends worse. Raises RuntimeError("non-PD Gram matrix")
-    when every grid point fails.
+    point whose Cholesky fails scores +inf), and :func:`minimize` polishes
+    the best grid point by a Brent line search over log l between its two
+    grid neighbours, at that ratio and, where it scores better, at
+    NOISE_FLOOR_RATIO; the grid point is kept if the polish ends worse.
+    No ratio above 1e-6 is searched: only a cap above 1e-6, such as the
+    default 1e2 that no caller in the package passes, would allow one.
+    Raises RuntimeError("non-PD Gram matrix") when every grid point fails.
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
@@ -315,46 +402,26 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
         )
         return build_gp(x, y, tiny)
 
-    bounds = [
-        (np.log(1e-6 * base), np.log(1e6 * base)),
-        (np.log(1e-3 * ell_center), np.log(1e3 * ell_center)),
-        (np.log(NOISE_FLOOR_RATIO), np.log(noise_ratio_cap)),
-    ]
+    log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
     ratio = min(noise_ratio_cap, 1e-6)
-    n, d_out = y.shape
-
-    # corr + ratio I for each grid lengthscale, written into one buffer:
-    # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
+    n = x.shape[0]
     neg_half_sq = -0.5 * sq
-    corr = np.empty((n, n))
-    corr_diag = corr.ravel()[:: n + 1]  # a view: corr is C-contiguous
-    best_u, best_val = None, np.inf
-    for ell in LENGTHSCALE_GRID * ell_center:
-        np.divide(neg_half_sq, ell**2, out=corr)
-        np.exp(corr, out=corr)
-        corr_diag += ratio
-        try:
-            chol = _cholesky(corr)
-        except np.linalg.LinAlgError:
-            continue
-        quad = float((y * _cho_solve(chol, y)).sum())
-        log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *bounds[0]))
-        val = (
-            0.5 * quad / np.exp(log_sp2)
-            + 0.5 * n * d_out * log_sp2
-            + d_out * float(np.log(chol.diagonal()).sum())
-            + 0.5 * n * d_out * np.log(2.0 * np.pi)
-        )
+    corr = np.empty((n, n))  # every evaluation's C, written in place
+
+    grid = LENGTHSCALE_GRID * ell_center
+    best, best_val, best_u = -1, np.inf, None
+    for i, ell in enumerate(grid):
+        val, log_sp2 = _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds)
         if val < best_val:
-            best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(ratio)])
+            best, best_val, best_u = i, val, np.array([log_sp2, np.log(ell), np.log(ratio)])
     if best_u is None:
         raise RuntimeError("non-PD Gram matrix")
 
-    res = minimize(
-        _nlml_and_grad, best_u, args=(sq, y), jac=True, method="L-BFGS-B", bounds=bounds
-    )
-    if res.fun < best_val:
-        best_u = res.x
+    def profiled(log_ell, log_ratio):
+        return _profiled_nlml(corr, neg_half_sq, y, np.exp(log_ell), np.exp(log_ratio), log_sp2_bounds)
+
+    bracket = (np.log(grid[max(best - 1, 0)]), np.log(grid[min(best + 1, len(grid) - 1)]))
+    best_u = minimize(profiled, best_u, best_val, bracket).x
 
     sp2 = float(np.exp(best_u[0]))
     params = KernelParams(

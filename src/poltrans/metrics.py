@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
-from scipy.special import ndtr
 
 from .types import Trajectory
 
@@ -325,6 +324,10 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         threshold = int(np.rint(2.0 * (u_x + base)))
         p = float(table[n1, : threshold + 1].sum()) / comb(n, n1)
     else:
+        # Imported here, off every command's start-up; math.erfc is no
+        # substitute, as it differs from ndtr in the last bits.
+        from scipy.special import ndtr
+
         mean = n1 * n2 / 2.0
         _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))

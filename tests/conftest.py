@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet
 from poltrans.baselines import apply_lwt
-from poltrans.gp import LENGTHSCALE_GRID
+from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
 from poltrans.metrics import _arclength_resample
 from poltrans.transport import NEAR_SINGULAR_RATIO
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
@@ -126,33 +126,53 @@ def dense_nlml_and_grad(u, sq_dists, y):
     return nlml, grads
 
 
-def profiled_grid_start(x, y, noise_ratio_cap=1e2):
-    """The point ``gp.fit_gp`` starts its polish from: the best of its
-    profiled lengthscale grid, with each grid matrix built afresh as
-    exp(-sq / (2 l^2)) + ratio I."""
+def dense_profiled_nlml(sq_dists, y, ell, ratio, log_sp2_bounds):
+    """GP negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with
+    the signal variance profiled out, and that variance's log: C built
+    afresh as exp(-sq / (2 l^2)) + ratio I, sp2 = sum(y * C^-1 y) / (n d_out)
+    clipped to ``log_sp2_bounds``; (inf, nan) when C fails to factor."""
     n, d_out = y.shape
+    corr = np.exp(-sq_dists / (2.0 * ell**2)) + ratio * np.eye(n)
+    try:
+        chol = scipy.linalg.cholesky(corr, lower=True)
+    except np.linalg.LinAlgError:
+        return np.inf, np.nan
+    quad = float((y * scipy.linalg.cho_solve((chol, True), y)).sum())
+    log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *log_sp2_bounds))
+    nlml = (
+        0.5 * quad / np.exp(log_sp2)
+        + 0.5 * n * d_out * log_sp2
+        + d_out * float(np.log(chol.diagonal()).sum())
+        + 0.5 * n * d_out * np.log(2.0 * np.pi)
+    )
+    return nlml, log_sp2
+
+
+def fit_gp_bounds(x, y, noise_ratio_cap=1e2):
+    """``gp.fit_gp``'s box over u = (log sp2, log l, log ratio), built from
+    cdist, and the data's ell_center."""
     sq = cdist(x, x, "sqeuclidean")
-    diam = float(np.sqrt(sq.max())) if n > 1 else 0.0
+    diam = float(np.sqrt(sq.max())) if x.shape[0] > 1 else 0.0
     ell_center = (diam if diam > 0.0 else 1.0) / np.sqrt(x.shape[1])
     out_var = float(np.mean(np.var(y, axis=0)))
     base = out_var if out_var > 0 else float(np.mean(y**2))
-    log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
+    bounds = [
+        (np.log(1e-6 * base), np.log(1e6 * base)),
+        (np.log(1e-3 * ell_center), np.log(1e3 * ell_center)),
+        (np.log(NOISE_FLOOR_RATIO), np.log(noise_ratio_cap)),
+    ]
+    return bounds, ell_center
+
+
+def profiled_grid_start(x, y, noise_ratio_cap=1e2):
+    """The point ``gp.fit_gp`` starts its polish from: the best of its
+    profiled lengthscale grid, with each grid matrix built afresh."""
+    sq = cdist(x, x, "sqeuclidean")
+    bounds, ell_center = fit_gp_bounds(x, y, noise_ratio_cap)
     ratio = min(noise_ratio_cap, 1e-6)
     best_u, best_val = None, np.inf
     for ell in LENGTHSCALE_GRID * ell_center:
-        corr = np.exp(-sq / (2.0 * ell**2)) + ratio * np.eye(n)
-        try:
-            chol = scipy.linalg.cholesky(corr, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        quad = float((y * scipy.linalg.cho_solve((chol, True), y)).sum())
-        log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *log_sp2_bounds))
-        val = (
-            0.5 * quad / np.exp(log_sp2)
-            + 0.5 * n * d_out * log_sp2
-            + d_out * float(np.log(chol.diagonal()).sum())
-            + 0.5 * n * d_out * np.log(2.0 * np.pi)
-        )
+        val, log_sp2 = dense_profiled_nlml(sq, y, ell, ratio, bounds[0])
         if val < best_val:
             best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(ratio)])
     return best_u

@@ -130,6 +130,24 @@ class TestTransport:
         ]
         assert len((out / "transported.csv").read_text().splitlines()) == 3
 
+    def test_non_finite_positions_are_named_and_fail(self, tmp_path, fitted_map, capsys):
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, np.nan], [0.5, 0.1], [np.inf, 0.0]]), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "positions[0]: non-finite; positions[2]: non-finite" in err
+        assert not (out / "transport_report.json").exists()
+
+    def test_non_finite_velocities_are_warnings(self, tmp_path, fitted_map):
+        labels = PolicyLabels(positions=[[0.2, 0.0], [0.5, 0.1]], velocities=[[0.0, 1.0], [np.nan, 0.0]])
+        labels_path = tmp_path / "labels.json"
+        save_json(labels, labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
+        warnings = json.loads((out / "transport_report.json").read_text())["warnings"]
+        assert warnings[0] == "velocities[1]: non-finite residual nan"
+
     def test_dimension_mismatch_fails_cleanly(self, tmp_path, fitted_map):
         labels_path = tmp_path / "labels3d.json"
         save_json(PolicyLabels(positions=np.zeros((2, 3))), labels_path)
@@ -562,15 +580,17 @@ def tracing(monkeypatch):
     return module
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import poltrans.cli`` puts ``module`` in sys.modules."""
+def _loaded_by_cli_import(module: str, argv: tuple = ()) -> bool:
+    """Whether a fresh ``import poltrans.cli`` puts ``module`` in sys.modules;
+    with ``argv``, after ``cli.main(argv)`` has also run and returned 0."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = f"import sys, poltrans.cli; print({module!r} in sys.modules)"
+    run_main = f"assert poltrans.cli.main({[str(a) for a in argv]!r}) == 0; " if argv else ""
+    code = f"import sys, poltrans.cli; {run_main}print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    return result.stdout.strip() == "True"
+    return result.stdout.splitlines()[-1] == "True"  # after main's own output
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -582,6 +602,24 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_cli_import_leaves_out_scipy_ndimage():
     """scipy.ndimage costs ~0.4 s when imported fresh and no module uses it."""
     assert not _loaded_by_cli_import("scipy.ndimage")
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.spatial", "scipy.special"])
+def test_cli_import_and_fit_leave_out_lazily_imported_scipy(module, tmp_path, scenario_file):
+    """scipy.optimize alone adds ~0.2 s to every command's start-up; only
+    the bench baselines (linear_sum_assignment) and the large-sample U test
+    (ndtr) need these modules, and they import them where they use them."""
+    assert not _loaded_by_cli_import(module)
+    out = tmp_path / "fit"
+    assert not _loaded_by_cli_import(module, ("fit", "--scenario", scenario_file, "--out-dir", out))
+    assert (out / "map.json").is_file()
+
+
+def test_bench_resolves_the_lazy_imports(tmp_path):
+    out = tmp_path / "bench"
+    argv = ("bench", "--suite", "surfaces", "--seeds", 3, "--out-dir", out)
+    assert _loaded_by_cli_import("scipy.optimize", argv)
+    assert (out / "ranking.json").is_file()
 
 
 def test_benchmark_tracer_binds_every_traced_name(tracing):

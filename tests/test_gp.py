@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import _decomp_cholesky
+from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import cdist, pdist
 
 import poltrans
-from conftest import dense_nlml_and_grad, kernel_se, profiled_grid_start
+from conftest import (
+    dense_nlml_and_grad,
+    dense_profiled_nlml,
+    fit_gp_bounds,
+    kernel_se,
+    profiled_grid_start,
+)
 from poltrans import gp
 from poltrans.gp import (
     JITTER_MAX_RATIO,
@@ -21,7 +29,6 @@ from poltrans.gp import (
     NOISE_FLOOR_RATIO,
     GPModel,
     KernelParams,
-    _nlml_and_grad,
     build_gp,
     fit_gp,
     log_marginal_likelihood,
@@ -33,14 +40,15 @@ from poltrans.gp import (
 finite_coords = st.floats(-50.0, 50.0, allow_nan=False)
 
 
-def smooth_data(n, d_out, seed=0):
-    """n points in the unit square with up to 3 smooth, slightly noisy outputs."""
+def smooth_data(n, d_out, seed=0, noise=0.01):
+    """n points in the unit square with up to 3 smooth outputs, plus Gaussian
+    noise of standard deviation ``noise``."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, (n, 2))
     y = np.stack(
         [np.sin(3.0 * x[:, 0]) + x[:, 1], np.cos(2.0 * x[:, 1]), x[:, 0] * x[:, 1]], axis=1
     )[:, :d_out]
-    return x, y + 0.01 * rng.standard_normal((n, d_out))
+    return x, y + noise * rng.standard_normal((n, d_out))
 
 
 def make_random_model(seed, n=12, d_in=2, d_out=2, noise=1e-4):
@@ -183,11 +191,11 @@ class TestHyperparameterFit:
         for ell in LENGTHSCALE_GRID * ell_center:
             corr = np.exp(-sq / (2.0 * ell**2)) + 1e-6 * np.eye(12)
             sp2 = np.sum(y * np.linalg.solve(corr, y)) / y.size
-            nlml, _ = _nlml_and_grad(np.log([sp2, ell, 1e-6]), sq, y)
+            nlml, _ = dense_nlml_and_grad(np.log([sp2, ell, 1e-6]), sq, y)
             best_grid = min(best_grid, nlml)
         p = fitted.params
         u = np.log([p.signal_variance, p.lengthscale, p.noise_variance / p.signal_variance])
-        fitted_nlml, _ = _nlml_and_grad(u, sq, y)
+        fitted_nlml, _ = dense_nlml_and_grad(u, sq, y)
         assert fitted_nlml <= best_grid * (1 + 1e-9) + 1e-9
 
     def test_every_grid_point_failing_is_a_runtime_error(self, monkeypatch):
@@ -240,7 +248,8 @@ class TestHyperparameterFit:
 
 
 class TestObjective:
-    """``_nlml_and_grad`` against the dense formula and central differences."""
+    """``gp._profiled_nlml``, the objective of the grid and the polish,
+    against the dense formula and central differences."""
 
     # Lengthscales at which each size's Gram matrix is conditioned well
     # enough for central differences.
@@ -252,30 +261,136 @@ class TestObjective:
     def test_matches_dense_oracle_and_finite_differences(self, n, d_out, ratio):
         x, y = smooth_data(n, d_out)
         sq = gp._sq_dists(x, x)
-        u = np.log([0.7, self.ELL[n], ratio])
-        nlml, grad = _nlml_and_grad(u, sq, y)
-        ref_nlml, ref_grad = dense_nlml_and_grad(u, sq, y)
-        assert nlml == ref_nlml
-        assert_allclose(grad, ref_grad, rtol=1e-8)
+        log_sp2_bounds = fit_gp_bounds(x, y)[0][0]
+        corr = np.empty((n, n))
 
+        def profiled(ell, ratio):
+            return gp._profiled_nlml(corr, -0.5 * sq, y, ell, ratio, log_sp2_bounds)
+
+        for ell in (0.05, 0.3, self.ELL[n]):
+            nlml, log_sp2 = profiled(ell, ratio)
+            assert (nlml, log_sp2) == dense_profiled_nlml(sq, y, ell, ratio, log_sp2_bounds)
+            # ... which is the full NLML at the profiled signal variance, up to
+            # round-off that grows with cond(C), at most about 1 / ratio
+            dense, _ = dense_nlml_and_grad(np.array([log_sp2, np.log(ell), np.log(ratio)]), sq, y)
+            assert nlml == pytest.approx(dense, rel=100 * np.finfo(float).eps / ratio, abs=1e-12)
+
+        # At the profiled sp2 the full NLML is flat in log sp2, so the profiled
+        # objective's slope in (log l, log ratio) is the full gradient's there.
+        ell = self.ELL[n]
+        nlml, log_sp2 = profiled(ell, ratio)
+        assert log_sp2_bounds[0] < log_sp2 < log_sp2_bounds[1]
+        _, grad = dense_nlml_and_grad(np.array([log_sp2, np.log(ell), np.log(ratio)]), sq, y)
         h = 1e-4
-        steps = h * np.eye(3)
         fd = np.array(
-            [(_nlml_and_grad(u + e, sq, y)[0] - _nlml_and_grad(u - e, sq, y)[0]) / (2 * h) for e in steps]
+            [
+                0.0,
+                (profiled(ell * np.exp(h), ratio)[0] - profiled(ell * np.exp(-h), ratio)[0]) / (2 * h),
+                (profiled(ell, ratio * np.exp(h))[0] - profiled(ell, ratio * np.exp(-h))[0]) / (2 * h),
+            ]
         )
         # Central differences resolve no slope below the rounding of two
         # evaluations over the step, which the floor ratio's slope can be.
         assert_allclose(grad, fd, rtol=1e-5, atol=100 * np.finfo(float).eps * abs(nlml) / h)
 
     def test_failed_factorization_scores_a_flat_wall(self):
+        """A C that fails to factor scores inf, so neither the grid nor the
+        polish can pick it; the dense oracles agree."""
         x, y = smooth_data(12, 2)
         sq = gp._sq_dists(x, x)
-        u = np.log([1.0, 100.0, 1e-16])
         with pytest.raises(np.linalg.LinAlgError):
             gp._cholesky(np.exp(-sq / (2.0 * 100.0**2)) + 1e-16 * np.eye(12))
-        nlml, grad = _nlml_and_grad(u, sq, y)
-        assert nlml == 1e25 and np.array_equal(grad, np.zeros(3))
-        assert dense_nlml_and_grad(u, sq, y)[0] == 1e25
+        nlml, log_sp2 = gp._profiled_nlml(np.empty((12, 12)), -0.5 * sq, y, 100.0, 1e-16, (-50.0, 50.0))
+        assert nlml == np.inf and np.isnan(log_sp2)
+        ref_nlml, ref_log_sp2 = dense_profiled_nlml(sq, y, 100.0, 1e-16, (-50.0, 50.0))
+        assert ref_nlml == np.inf and np.isnan(ref_log_sp2)
+        assert dense_nlml_and_grad(np.log([1.0, 100.0, 1e-16]), sq, y)[0] == 1e25
+
+
+class TestPolish:
+    """``gp.minimize``, the Brent line search over the profiled likelihood."""
+
+    @pytest.mark.parametrize(("cap", "noise"), [(1e-6, 0.01), (NOISE_FLOOR_RATIO, 0.0)])
+    @pytest.mark.parametrize("d_out", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
+    def test_reaches_the_lbfgsb_optimum(self, n, d_out, cap, noise):
+        """SciPy's L-BFGS-B over all three coordinates, from the same grid
+        start, is the oracle; the polish must do at least as well.
+
+        The floor ratio is the interpolation regime, so it gets noise-free
+        data. Noisy data pinned there push l to several times the data's
+        diameter; there the two ends' LMLs differ by round-off of up to 3e-8
+        relative, though the polish's profiled objective is the lower one."""
+        x, y = smooth_data(n, d_out, seed=n + d_out, noise=noise)
+        bounds, _ = fit_gp_bounds(x, y, cap)
+        oracle = scipy_minimize(
+            dense_nlml_and_grad,
+            profiled_grid_start(x, y, cap),
+            args=(gp._sq_dists(x, x), y),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+        )
+        sp2 = np.exp(oracle.x[0])
+        oracle_params = KernelParams(sp2, np.exp(oracle.x[1]), np.exp(oracle.x[2]) * sp2)
+        oracle_lml = log_marginal_likelihood(build_gp(x, y, oracle_params))
+        lml = log_marginal_likelihood(fit_gp(x, y, noise_ratio_cap=cap))
+        assert lml >= oracle_lml - 1e-9 * abs(oracle_lml)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("n", [12, 50])
+    def test_nfev_counts_objective_calls(self, n, noise, monkeypatch):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, (n, 2))
+        y = np.sin(3.0 * x) + noise * rng.standard_normal((n, 2))
+        results, calls = [], []
+        real_minimize = gp.minimize
+
+        def counted(fun, *args, **kwargs):
+            def fun_counted(*a):
+                calls.append(a)
+                return fun(*a)
+
+            results.append(real_minimize(fun_counted, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gp, "minimize", counted)
+        fit_gp(x, y, noise_ratio_cap=1e-6)
+        assert len(results) == 1
+        assert results[0].nfev == len(calls) > 0
+
+    def test_finds_a_parabola_minimum_and_falls_to_the_floor_ratio(self):
+        floor = np.log(NOISE_FLOOR_RATIO)
+        calls = []
+
+        def fun(log_ell, log_ratio):
+            calls.append((log_ell, log_ratio))
+            return (log_ell - 0.3) ** 2 + (0.0 if log_ratio == floor else 1.0), -1.0
+
+        x0 = np.array([0.0, 0.0, np.log(1e-6)])
+        res = gp.minimize(fun, x0, 1.09, (-1.0, 1.0))
+        assert res.x[1] == pytest.approx(0.3, abs=1e-5)
+        assert res.x[0] == -1.0 and res.x[2] == floor
+        assert res.fun == pytest.approx(0.0, abs=1e-10)
+        assert res.nfev == len(calls)
+        assert {r for _, r in calls} == {x0[2], floor}
+
+    def test_steps_back_from_failed_factorizations(self):
+        """A lengthscale whose Gram matrix fails to factor scores inf; the
+        search treats it as a wall and still finds the minimum beside it."""
+
+        def fun(log_ell, log_ratio):
+            return (np.inf, np.nan) if log_ell > 0.5 else ((log_ell - 0.45) ** 2, 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gp.minimize(fun, np.array([0.0, 0.0, np.log(NOISE_FLOOR_RATIO)]), 0.45**2, (-1.0, 1.0))
+        assert res.x[1] == pytest.approx(0.45, abs=1e-5)
+
+    def test_keeps_the_start_when_nothing_beats_it(self):
+        x0 = np.array([1.0, 0.0, np.log(NOISE_FLOOR_RATIO)])
+        res = gp.minimize(lambda log_ell, log_ratio: (1.0, 5.0), x0, 1.0, (-1.0, 1.0))
+        assert np.array_equal(res.x, x0) and res.fun == 1.0 and res.nfev > 0
 
 
 class TestRobustness:
@@ -352,17 +467,6 @@ class TestLapackSeam:
         for b in rhs:
             assert np.array_equal(gp._cho_solve(chol, b), scipy.linalg.cho_solve((ref, True), b))
 
-    @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
-    def test_inverse_lower_triangle_matches_numpy(self, n):
-        rng = np.random.default_rng(100 + n)
-        a = rng.standard_normal((n, n))
-        spd = a @ a.T + n * np.eye(n)
-        inv = gp._cho_inverse(gp._cholesky(spd))
-        ref = np.linalg.inv(spd)
-        low = np.tril_indices(n)
-        assert np.abs(inv[low] - ref[low]).max() <= 1e-10 * np.abs(ref).max()
-        assert not np.triu(inv, 1).any()
-
     def test_non_positive_definite_matrix_is_a_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
             gp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -378,8 +482,6 @@ class TestLapackSeam:
             gp._cho_solve(chol, np.array([[1.0], [bad]]))
         with pytest.raises(ValueError, match="infs or NaNs"):
             gp._cho_solve(a, np.ones((2, 1)))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            gp._cho_inverse(a)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_squared_distances_equal_cdist(self, d):
