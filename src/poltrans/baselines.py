@@ -147,8 +147,8 @@ def reshaped_kmp(
     Displacement labels are (t_j, target_j - x_j) at the assigned nodes'
     timestamps; the fitted GP's mean displacement is added at every
     timestamp. With ``kernel_params`` given the GP uses them as-is,
-    otherwise hyperparameters are optimized with the noise ratio capped
-    near zero so assigned nodes land on their targets.
+    otherwise hyperparameters are optimized at ``fit_gp``'s default noise
+    ratio, 1e-6, so assigned nodes land on their targets.
     """
     if traj.times is None:
         raise ValueError("timestamps required for time-indexed reshaping")
@@ -162,7 +162,7 @@ def reshaped_kmp(
     if kernel_params is not None:
         gp = build_gp(t_in, displacement, kernel_params)
     else:
-        gp = fit_gp(t_in, displacement, noise_ratio_cap=1e-6)
+        gp = fit_gp(t_in, displacement)
     shift = predict_mean(gp, traj.times[:, None])
     return Trajectory(positions=traj.positions + shift, times=traj.times)
 

@@ -61,7 +61,7 @@ from .transport import (
     transport_labels,
     transport_points,
 )
-from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json, validate_labels
+from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json, save_json, validate_labels
 from .svgplot import SvgScene
 
 METHODS = ("gpt", "le", "reshaped_kmp", "lwt")
@@ -145,17 +145,16 @@ def _check_method(method: str) -> str:
     return method
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"--alpha must lie strictly between 0 and 1, got {alpha:g}")
+    return alpha
+
+
 def _check_suite(suite: str) -> str:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     return suite
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_fit(args) -> int:
@@ -185,9 +184,8 @@ def cmd_fit(args) -> int:
         "warnings": list(tmap.warnings),
     }
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_transport_map(tmap, out_dir / "map.json")
-    _write_json(report, out_dir / "fit_report.json")
+    save_json(report, out_dir / "fit_report.json")
     print(
         f"fit: {kp.n} keypoints in {fit_seconds:.3f}s, "
         f"max mismatch {report['keypoint_error_max']:.3e} -> {out_dir / 'map.json'}"
@@ -231,7 +229,7 @@ def cmd_transport(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     moved.to_csv(out_dir / "transported.csv")
-    _write_json(report, out_dir / "transport_report.json")
+    save_json(report, out_dir / "transport_report.json")
     if diffeo.fraction_positive < 1.0:
         print(
             f"warning: det(J) > 0 on only {100 * diffeo.fraction_positive:.1f}% "
@@ -428,8 +426,9 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
         row = {"scenario": scene, "method": cell.method, "repetition": cell.scenario.seed}
         row.update(report.to_dict())
         rows.append(row)
-        # The first successful cell of a scene in task order supplies its scenario.
-        bundle = scenes.setdefault(scene, {"scenario": cell.scenario, "produced": {}, "bands": {}})
+        # The first successful cell of a scene in task order supplies the
+        # demonstration, keypoints and reference that its SVG draws.
+        bundle = scenes.setdefault(scene, {"cell": cell, "produced": {}, "bands": {}})
         bundle["produced"][cell.method] = produced
         if cell.method == "gpt":
             bundle["bands"]["gpt"] = extras["band_sigma"]
@@ -446,22 +445,22 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out_dir / "metrics.csv")
     if gpt_reports:
-        _write_json(gpt_reports, out_dir / "report.json")
+        save_json(gpt_reports, out_dir / "report.json")
     if failures:
-        _write_json({"failures": failures}, out_dir / "failures.json")
+        save_json({"failures": failures}, out_dir / "failures.json")
     for name, bundle in sorted(scenes.items()):
-        scenario = bundle["scenario"]
+        first = bundle["cell"]
         _scene_svg(
             out_dir / "svg" / f"{name}.svg",
-            scenario.demonstration,
-            scenario.reference,
+            first.demonstration,
+            first.scenario.reference,
             bundle["produced"],
-            scenario.keypoints,
+            first.keypoints,
             bundle["bands"],
         )
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
     if rows:
-        _write_json(_ranking(rows, alpha).to_dict(), out_dir / "ranking.json")
+        save_json(_ranking(rows, alpha), out_dir / "ranking.json")
     print(f"bench {suite}: {len(rows)} runs over {len(scenes)} scenes, {len(failures)} failed -> {out_dir}")
     return 0
 
@@ -477,7 +476,7 @@ def cmd_bench(args) -> int:
             raw_methods = [m.strip() for m in raw_methods.split(",") if m.strip()]
         methods = [_check_method(m) for m in raw_methods]
     out_dir = Path(_setting(args, cfg, "out_dir", "bench-out"))
-    alpha = float(_setting(args, cfg, "alpha", 0.05))
+    alpha = _check_alpha(float(_setting(args, cfg, "alpha", 0.05)))
 
     if suite == "surfaces":
         seeds = _at_least(args, cfg, "seeds", 3, 1)
@@ -497,21 +496,20 @@ def cmd_metrics(args) -> int:
     produced = Trajectory.from_dict(load_json(args.produced))
     reference = Trajectory.from_dict(load_json(args.reference))
     report = compute_metrics(produced, reference)
-    payload = report.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _write_json(payload, Path(args.out))
-    print(text)
+        save_json(report, args.out)
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_rank(args) -> int:
+    alpha = _check_alpha(args.alpha)
     rows = read_metrics_csv(args.metrics)
     if not rows:
         raise ValueError("metrics file holds no rows")
-    ranking = _ranking(rows, args.alpha)
+    ranking = _ranking(rows, alpha)
     out = Path(args.out) if args.out else Path(args.metrics).parent / "ranking.json"
-    _write_json(ranking.to_dict(), out)
+    save_json(ranking, out)
     print(json.dumps(ranking.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -526,7 +524,6 @@ def cmd_scenario_gen(args) -> int:
             _at_least(args, cfg, "seeds", 3, 1), _at_least(args, cfg, "n_keypoints", 12, 2)
         )
         target = out_dir / "scenarios" / "surfaces"
-        target.mkdir(parents=True, exist_ok=True)
         for scenario in scenarios:
             save_scenario(scenario, target / f"{scenario.profile}-{scenario.seed}.json")
         print(f"wrote {len(scenarios)} surface scenarios under {target}")
@@ -536,7 +533,6 @@ def cmd_scenario_gen(args) -> int:
     train_seeds = _at_least(args, cfg, "train_seeds", 9, 1)
     kpf = _at_least(args, cfg, "kpf", 5, 1)
     target = out_dir / "scenarios" / "frames"
-    target.mkdir(parents=True, exist_ok=True)
     for role, ids in zip(("train", "test"), _frame_seeds(seeds, train_seeds)):
         for seed in ids:
             save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"{role}-{seed}.json")

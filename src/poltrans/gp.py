@@ -33,6 +33,8 @@ from .types import _sq_dists
 
 # Likelihood noise is kept at or above this fraction of the signal variance.
 NOISE_FLOOR_RATIO = 1e-8
+# fit_gp's default and largest noise-to-signal ratio: near-interpolation.
+NOISE_RATIO_MAX = 1e-6
 # Jitter escalates by x10 from the floor up to this fraction on Cholesky failure.
 JITTER_MAX_RATIO = 1e-4
 # Lengthscales, as multiples of the data's ell_center, at which fit_gp scores
@@ -127,7 +129,8 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GPModel:
     """Fitted GP: training data, shared hyperparameters, and the cached
-    Cholesky factorization products that make prediction O(N) per query."""
+    Cholesky factorization products that make prediction O(N) per query.
+    :func:`build_gp` on the training data and ``params`` rebuilds it bitwise."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -147,21 +150,6 @@ class GPModel:
     @property
     def d_out(self) -> int:
         return self.outputs.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs.tolist(),
-            "outputs": self.outputs.tolist(),
-            "params": self.params.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GPModel":
-        return build_gp(
-            np.asarray(data["inputs"], dtype=float),
-            np.asarray(data["outputs"], dtype=float),
-            KernelParams.from_dict(data["params"]),
-        )
 
 
 def _as_2d(arr, name: str) -> np.ndarray:
@@ -352,16 +340,18 @@ def minimize(fun, x0, fun0: float, bounds: tuple[float, float]) -> PolishResult:
     return PolishResult(x_best, f_best, nfev)
 
 
-def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
+def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     """Fit a (multi-output, shared-hyperparameter) GP to the data.
 
     The hyperparameters maximize the log marginal likelihood in log-space
     by one deterministic search. Its bounds follow the data: lengthscale
     in [1e-3, 1e3] x ell_center with ell_center = input diameter /
-    sqrt(d_in), signal variance in [1e-6, 1e6] x output variance, and
-    noise-to-signal ratio in [NOISE_FLOOR_RATIO, ``noise_ratio_cap``].
+    sqrt(d_in), and signal variance in [1e-6, 1e6] x output variance.
+    ``noise_ratio``, the noise-to-signal ratio the search runs at, must lie
+    in [NOISE_FLOOR_RATIO, NOISE_RATIO_MAX]; the polish may lower it to
+    the floor, never raise it.
 
-    With the noise ratio held at min(cap, 1e-6) and C = corr + ratio I,
+    With the noise ratio held at ``noise_ratio`` and C = corr + ratio I,
     the signal variance has the closed-form optimum
     sp2 = sum(y * C^-1 y) / (n d_out) (Rasmussen & Williams 2006, 5.4),
     which leaves the lengthscale as the only free coordinate. The profiled
@@ -370,16 +360,15 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     the best grid point by a Brent line search over log l between its two
     grid neighbours, at that ratio and, where it scores better, at
     NOISE_FLOOR_RATIO; the grid point is kept if the polish ends worse.
-    No ratio above 1e-6 is searched: only a cap above 1e-6, such as the
-    default 1e2 that no caller in the package passes, would allow one.
-    Raises RuntimeError("non-PD Gram matrix") when every grid point fails.
+    Raises ValueError for a ``noise_ratio`` outside its range and
+    RuntimeError("non-PD Gram matrix") when every grid point fails.
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and outputs must have the same length")
-    if not noise_ratio_cap >= NOISE_FLOOR_RATIO:
-        raise ValueError("noise ratio cap must be at least NOISE_FLOOR_RATIO")
+    if not NOISE_FLOOR_RATIO <= noise_ratio <= NOISE_RATIO_MAX:
+        raise ValueError(f"noise ratio must lie in [{NOISE_FLOOR_RATIO:g}, {NOISE_RATIO_MAX:g}]")
 
     sq = _sq_dists(x, x)
     # sqrt is monotone and correctly rounded, so this is pdist(x).max().
@@ -403,7 +392,6 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
         return build_gp(x, y, tiny)
 
     log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
-    ratio = min(noise_ratio_cap, 1e-6)
     n = x.shape[0]
     neg_half_sq = -0.5 * sq
     corr = np.empty((n, n))  # every evaluation's C, written in place
@@ -411,9 +399,9 @@ def fit_gp(inputs, outputs, noise_ratio_cap: float = 1e2) -> GPModel:
     grid = LENGTHSCALE_GRID * ell_center
     best, best_val, best_u = -1, np.inf, None
     for i, ell in enumerate(grid):
-        val, log_sp2 = _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds)
+        val, log_sp2 = _profiled_nlml(corr, neg_half_sq, y, ell, noise_ratio, log_sp2_bounds)
         if val < best_val:
-            best, best_val, best_u = i, val, np.array([log_sp2, np.log(ell), np.log(ratio)])
+            best, best_val, best_u = i, val, np.array([log_sp2, np.log(ell), np.log(noise_ratio)])
     if best_u is None:
         raise RuntimeError("non-PD Gram matrix")
 

@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .affine import AffineMap, fit_affine
-from .gp import NOISE_FLOOR_RATIO, GPModel, fit_gp, predict_derivative, predict_mean, predict_variance
+from .gp import NOISE_FLOOR_RATIO, GPModel, KernelParams, build_gp, fit_gp
+from .gp import predict_derivative, predict_mean, predict_variance
 from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
@@ -36,9 +37,6 @@ TOL_MATCH_SCALE = 1e-3
 # Smallest/largest singular value at or below this ratio marks J as
 # near-singular; an all-zero J (0 <= 0) is flagged too.
 NEAR_SINGULAR_RATIO = 1e-9
-# Upper bound for the residual GP's optimized noise-to-signal ratio; keeping
-# it this small forces near-interpolation of the keypoint residuals.
-RESIDUAL_NOISE_RATIO_CAP = 1e-6
 # Matrix-valued label families carried by the polar rotation factor R of J,
 # each with its CSV column tag: orientations turn as R O, stiffness and
 # damping transform by congruence R K R^T.
@@ -49,9 +47,17 @@ ROTATED_FAMILIES = (
 )
 
 
+def _residual_data(affine: AffineMap, kp: PairedKeypoints) -> tuple[np.ndarray, np.ndarray]:
+    """The residual GP's training set: inputs gamma(S), targets T - gamma(S)."""
+    aligned = affine.apply(kp.source.points)
+    return aligned, kp.target.points - aligned
+
+
 @dataclass(frozen=True, eq=False)
 class TransportMap:
-    """Fitted transportation map: rigid part, residual GP, training pairs."""
+    """Fitted transportation map: rigid part, residual GP, training pairs.
+    Its file stores the residual's hyperparameters, not its training set,
+    which follows from the rigid part and the keypoints (``_residual_data``)."""
 
     affine: AffineMap
     residual: GPModel
@@ -66,7 +72,7 @@ class TransportMap:
     def keypoint_errors(self) -> np.ndarray:
         """Distance from each target keypoint to the image of its source
         keypoint; the same values as ``transport_points`` gives."""
-        aligned = self.affine.apply(self.keypoints.source.points)
+        aligned = self.residual.inputs  # gamma(S), bitwise
         mapped = aligned + predict_mean(self.residual, aligned)
         return _freeze(np.linalg.norm(mapped - self.keypoints.target.points, axis=1))
 
@@ -79,19 +85,20 @@ class TransportMap:
     def to_dict(self) -> dict:
         return {
             "affine": self.affine.to_dict(),
-            "residual": self.residual.to_dict(),
             "keypoints": self.keypoints.to_dict(),
+            "params": self.residual.params.to_dict(),
             "warnings": list(self.warnings),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransportMap":
-        return cls(
-            affine=AffineMap.from_dict(data["affine"]),
-            residual=GPModel.from_dict(data["residual"]),
-            keypoints=PairedKeypoints.from_dict(data["keypoints"]),
-            warnings=tuple(data.get("warnings", ())),
-        )
+        for key in ("affine", "keypoints", "params"):
+            if key not in data:
+                raise ValueError(f"map file has no {key!r} key; refit the map with 'poltrans fit'")
+        affine = AffineMap.from_dict(data["affine"])
+        kp = PairedKeypoints.from_dict(data["keypoints"])
+        residual = build_gp(*_residual_data(affine, kp), KernelParams.from_dict(data["params"]))
+        return cls(affine=affine, residual=residual, keypoints=kp, warnings=tuple(data.get("warnings", ())))
 
 
 def save_transport_map(tmap: TransportMap, path) -> None:
@@ -161,24 +168,23 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     """Fit phi = gamma + psi(gamma(.)) to the paired keypoints.
 
     The rigid part comes first; the GP residual is then fitted on inputs
-    gamma(S) against targets T - gamma(S) with its noise ratio capped near
-    zero so that every keypoint is matched within
-    ``TOL_MATCH_SCALE * target diameter``. If the optimized fit misses that
-    tolerance, the fit is retried with the noise pinned at the floor; a
-    persistent miss attaches a warning rather than failing.
+    gamma(S) against targets T - gamma(S) at ``fit_gp``'s default noise
+    ratio, 1e-6 of the signal variance, so that every keypoint is matched
+    within ``TOL_MATCH_SCALE * target diameter``. If the optimized fit
+    misses that tolerance, the fit is retried with the noise pinned at the
+    floor; a persistent miss attaches a warning rather than failing.
     """
     affine = fit_affine(kp)
-    aligned = affine.apply(kp.source.points)
-    residual_targets = kp.target.points - aligned
+    aligned, residual_targets = _residual_data(affine, kp)
 
-    residual = fit_gp(aligned, residual_targets, noise_ratio_cap=RESIDUAL_NOISE_RATIO_CAP)
+    residual = fit_gp(aligned, residual_targets)
     tmap = TransportMap(affine=affine, residual=residual, keypoints=kp)
 
     diam = kp.target.diameter()
     tol = TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
     err = float(tmap.keypoint_errors.max())
     if err > tol:
-        pinned = fit_gp(aligned, residual_targets, noise_ratio_cap=NOISE_FLOOR_RATIO)
+        pinned = fit_gp(aligned, residual_targets, noise_ratio=NOISE_FLOOR_RATIO)
         pinned_map = TransportMap(affine=affine, residual=pinned, keypoints=kp)
         pinned_err = float(pinned_map.keypoint_errors.max())
         if pinned_err < err:

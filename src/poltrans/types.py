@@ -334,9 +334,12 @@ def _family_violations(field: str, finite: np.ndarray, checks) -> list[Violation
 
 
 def save_json(obj, path) -> None:
-    """Write any object exposing ``to_dict`` (or a plain dict) as JSON."""
+    """Write any object exposing ``to_dict`` (or a plain dict) as JSON with
+    sorted keys, creating the parent directory if needed."""
     data = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_json(path) -> dict:

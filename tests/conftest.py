@@ -148,7 +148,7 @@ def dense_profiled_nlml(sq_dists, y, ell, ratio, log_sp2_bounds):
     return nlml, log_sp2
 
 
-def fit_gp_bounds(x, y, noise_ratio_cap=1e2):
+def fit_gp_bounds(x, y, noise_ratio=1e-6):
     """``gp.fit_gp``'s box over u = (log sp2, log l, log ratio), built from
     cdist, and the data's ell_center."""
     sq = cdist(x, x, "sqeuclidean")
@@ -159,22 +159,21 @@ def fit_gp_bounds(x, y, noise_ratio_cap=1e2):
     bounds = [
         (np.log(1e-6 * base), np.log(1e6 * base)),
         (np.log(1e-3 * ell_center), np.log(1e3 * ell_center)),
-        (np.log(NOISE_FLOOR_RATIO), np.log(noise_ratio_cap)),
+        (np.log(NOISE_FLOOR_RATIO), np.log(noise_ratio)),
     ]
     return bounds, ell_center
 
 
-def profiled_grid_start(x, y, noise_ratio_cap=1e2):
+def profiled_grid_start(x, y, noise_ratio=1e-6):
     """The point ``gp.fit_gp`` starts its polish from: the best of its
     profiled lengthscale grid, with each grid matrix built afresh."""
     sq = cdist(x, x, "sqeuclidean")
-    bounds, ell_center = fit_gp_bounds(x, y, noise_ratio_cap)
-    ratio = min(noise_ratio_cap, 1e-6)
+    bounds, ell_center = fit_gp_bounds(x, y, noise_ratio)
     best_u, best_val = None, np.inf
     for ell in LENGTHSCALE_GRID * ell_center:
-        val, log_sp2 = dense_profiled_nlml(sq, y, ell, ratio, bounds[0])
+        val, log_sp2 = dense_profiled_nlml(sq, y, ell, noise_ratio, bounds[0])
         if val < best_val:
-            best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(ratio)])
+            best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(noise_ratio)])
     return best_u
 
 

@@ -157,6 +157,19 @@ class TestTransport:
     def test_missing_arguments_are_usage_errors(self, tmp_path, fitted_map):
         assert run("transport", "--map", fitted_map) == 2
 
+    def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):
+        """A map file that carries the residual's training set in place of
+        its hyperparameters predates the current format."""
+        data = json.loads(fitted_map.read_text())
+        data["residual"] = {"inputs": [], "outputs": [], "params": data.pop("params")}
+        fitted_map.write_text(json.dumps(data))
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        assert "map file has no 'params' key; refit the map" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsAndRank:
     def test_metrics_command(self, tmp_path):
@@ -208,6 +221,21 @@ class TestMetricsAndRank:
         assert run("rank", "--metrics", csv_path) == 0
         ranking = json.loads((tmp_path / "ranking.json").read_text())
         assert ranking["ranking"] == [["gpt", 1]]
+
+    @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1", "nan"])
+    def test_rank_alpha_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, alpha):
+        rows = [
+            {"scenario": f"s-{rep}", "method": method, "repetition": rep, **{name: 0.1 for name in METRIC_NAMES}}
+            for method in ("gpt", "le")
+            for rep in range(3)
+        ]
+        from poltrans.metrics import write_metrics_csv
+
+        csv_path = tmp_path / "metrics.csv"
+        write_metrics_csv(rows, csv_path)
+        assert run("rank", "--metrics", csv_path, "--alpha", alpha) == 2
+        assert "--alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "ranking.json").exists()
 
     def test_rank_rejects_empty_csv(self, tmp_path):
         csv_path = tmp_path / "metrics.csv"
@@ -516,6 +544,34 @@ class TestBench:
         assert run("bench", "--suite", suite, *flags, "--out-dir", tmp_path / "out") == 2
         assert f"{flag} must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1", "nan"])
+    def test_alpha_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, alpha):
+        flags = ("--suite", "surfaces", "--seeds", 1, "--methods", "gpt,le", "--alpha", alpha)
+        assert run("bench", *flags, "--out-dir", tmp_path / "out") == 2
+        assert "--alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_frame_svg_draws_the_transported_demonstration(self, tmp_path, monkeypatch):
+        """A frame scene's SVG draws the training demonstration and the
+        keypoint pairing that gpt transported, not the test scene's own
+        canonical curve and keypoints."""
+        drawn = {}
+
+        def record(path, demo, reference, produced, keypoints, bands):
+            drawn[path.stem] = (demo, reference, keypoints)
+
+        monkeypatch.setattr(cli, "_scene_svg", record)
+        flags = ("--suite", "frames", "--seeds", 3, "--train-seeds", 2, "--methods", "gpt,le")
+        assert run("bench", *flags, "--out-dir", tmp_path / "out") == 0
+        cells = cli._frame_cells(("gpt",), 3, 2)
+        assert sorted(drawn) == sorted(cell.scenario.name for cell in cells)
+        for cell in cells:
+            demo, reference, keypoints = drawn[cell.scenario.name]
+            assert np.array_equal(demo.positions, cell.demonstration.positions)
+            assert not np.array_equal(demo.positions, cell.scenario.demonstration.positions)
+            assert np.array_equal(reference.positions, cell.scenario.reference.positions)
+            assert keypoints.to_dict() == cell.keypoints.to_dict()
 
     def test_one_frame_method_runs_on_fewer_than_three_seeds(self, tmp_path):
         out = tmp_path / "bench"

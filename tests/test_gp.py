@@ -27,7 +27,7 @@ from poltrans.gp import (
     JITTER_MAX_RATIO,
     LENGTHSCALE_GRID,
     NOISE_FLOOR_RATIO,
-    GPModel,
+    NOISE_RATIO_MAX,
     KernelParams,
     build_gp,
     fit_gp,
@@ -184,7 +184,7 @@ class TestHyperparameterFit:
         rng = np.random.default_rng(14)
         x = rng.uniform(0.0, 1.0, (12, 2))
         y = np.sin(4.0 * x) + 0.01 * rng.standard_normal((12, 2))
-        fitted = fit_gp(x, y, noise_ratio_cap=1e-6)
+        fitted = fit_gp(x, y)
         ell_center = pdist(x).max() / np.sqrt(2.0)
         sq = cdist(x, x, "sqeuclidean")
         best_grid = np.inf
@@ -210,11 +210,16 @@ class TestHyperparameterFit:
         rng = np.random.default_rng(10)
         x = rng.uniform(0.0, 1.0, (15, 2))
         y = rng.standard_normal((15, 2))
-        model = fit_gp(x, y, noise_ratio_cap=1e-6)
+        model = fit_gp(x, y)
         ell_center = pdist(x).max() / np.sqrt(2.0)
         p = model.params
         assert 1e-3 * ell_center * 0.999 <= p.lengthscale <= 1e3 * ell_center * 1.001
         assert p.noise_variance <= 1e-6 * p.signal_variance * 1.001
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5 * NOISE_FLOOR_RATIO, 2.0 * NOISE_RATIO_MAX, 1e2, np.nan])
+    def test_noise_ratio_outside_its_range_is_rejected(self, ratio):
+        with pytest.raises(ValueError, match="noise ratio must lie in"):
+            fit_gp([[0.0], [1.0]], [[0.0], [1.0]], noise_ratio=ratio)
 
     def test_all_zero_outputs_yield_certain_zero_posterior(self):
         x = np.random.default_rng(11).uniform(-1, 1, (8, 2))
@@ -310,10 +315,10 @@ class TestObjective:
 class TestPolish:
     """``gp.minimize``, the Brent line search over the profiled likelihood."""
 
-    @pytest.mark.parametrize(("cap", "noise"), [(1e-6, 0.01), (NOISE_FLOOR_RATIO, 0.0)])
+    @pytest.mark.parametrize(("ratio", "noise"), [(1e-6, 0.01), (NOISE_FLOOR_RATIO, 0.0)])
     @pytest.mark.parametrize("d_out", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
-    def test_reaches_the_lbfgsb_optimum(self, n, d_out, cap, noise):
+    def test_reaches_the_lbfgsb_optimum(self, n, d_out, ratio, noise):
         """SciPy's L-BFGS-B over all three coordinates, from the same grid
         start, is the oracle; the polish must do at least as well.
 
@@ -322,10 +327,10 @@ class TestPolish:
         diameter; there the two ends' LMLs differ by round-off of up to 3e-8
         relative, though the polish's profiled objective is the lower one."""
         x, y = smooth_data(n, d_out, seed=n + d_out, noise=noise)
-        bounds, _ = fit_gp_bounds(x, y, cap)
+        bounds, _ = fit_gp_bounds(x, y, ratio)
         oracle = scipy_minimize(
             dense_nlml_and_grad,
-            profiled_grid_start(x, y, cap),
+            profiled_grid_start(x, y, ratio),
             args=(gp._sq_dists(x, x), y),
             jac=True,
             method="L-BFGS-B",
@@ -334,7 +339,7 @@ class TestPolish:
         sp2 = np.exp(oracle.x[0])
         oracle_params = KernelParams(sp2, np.exp(oracle.x[1]), np.exp(oracle.x[2]) * sp2)
         oracle_lml = log_marginal_likelihood(build_gp(x, y, oracle_params))
-        lml = log_marginal_likelihood(fit_gp(x, y, noise_ratio_cap=cap))
+        lml = log_marginal_likelihood(fit_gp(x, y, noise_ratio=ratio))
         assert lml >= oracle_lml - 1e-9 * abs(oracle_lml)
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
@@ -355,7 +360,7 @@ class TestPolish:
             return results[-1]
 
         monkeypatch.setattr(gp, "minimize", counted)
-        fit_gp(x, y, noise_ratio_cap=1e-6)
+        fit_gp(x, y)
         assert len(results) == 1
         assert results[0].nfev == len(calls) > 0
 
@@ -516,17 +521,6 @@ class TestLapackSeam:
         assert np.isfinite(predict_variance(model, q)).all()
         jac, var = predict_derivative(model, q)
         assert np.isfinite(jac).all() and np.isfinite(var).all()
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        model = make_random_model(14)
-        back = GPModel.from_dict(model.to_dict())
-        grid = np.random.default_rng(15).uniform(-1.5, 1.5, (9, 2))
-        assert np.array_equal(predict_mean(back, grid), predict_mean(model, grid))
-        assert np.array_equal(
-            predict_variance(back, grid), predict_variance(model, grid)
-        )
 
 
 @given(

@@ -17,8 +17,7 @@ from conftest import (
     loop_frechet,
     mw_exact_enumeration,
 )
-from poltrans import Trajectory
-from poltrans.cli import _write_json
+from poltrans import Trajectory, save_json
 from poltrans.metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -441,7 +440,7 @@ class TestCsvAndJson:
             ranking=(("a", 1), ("b", 2)),
         )
         path = tmp_path / "ranking.json"
-        _write_json(result.to_dict(), path)
+        save_json(result, path)
 
         data = json.loads(path.read_text())
         assert data["ranking"] == [["a", 1], ["b", 2]]

@@ -1,5 +1,7 @@
 """Transportation maps: keypoint matching, Jacobians, label closures."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -393,16 +395,46 @@ class TestDiffeomorphismCheck:
 
 class TestSerialization:
     def test_map_round_trip_preserves_predictions(self, tmp_path):
+        """Loading rebuilds the residual GP bit for bit from the rigid part,
+        the keypoints and the hyperparameters: on small and 200-keypoint
+        fits and on the pinned-noise retry of contradictory keypoints."""
         rng = np.random.default_rng(16)
-        tmap = fit_transport(random_smooth_pair(rng))
-        path = tmp_path / "map.json"
-        save_transport_map(tmap, path)
-        back = load_transport_map(path)
         queries = rng.uniform(-1.5, 1.5, (10, 2))
-        a, va = transport_points(tmap, queries)
-        b, vb = transport_points(back, queries)
-        assert np.array_equal(a, b)
-        assert np.array_equal(va, vb)
+        contradictory = PairedKeypoints(
+            PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+            PointSet([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
+        )
+        surface = make_surface_scenario("sine", n_keypoints=200, seed=0).keypoints
+        for kp in (random_smooth_pair(rng), surface, contradictory):
+            tmap = fit_transport(kp)
+            path = tmp_path / "map.json"
+            save_transport_map(tmap, path)
+            back = load_transport_map(path)
+            for name in ("inputs", "outputs", "chol", "alpha"):
+                assert np.array_equal(getattr(back.residual, name), getattr(tmap.residual, name))
+            assert back.residual.params == tmap.residual.params
+            assert back.residual.jitter == tmap.residual.jitter
+            assert back.warnings == tmap.warnings
+            for evaluate in (transport_points, transport_jacobians):
+                for fresh, loaded in zip(evaluate(tmap, queries), evaluate(back, queries)):
+                    assert np.array_equal(fresh, loaded)
+
+    def test_map_file_holds_each_fact_once(self, tmp_path):
+        """No copy of the residual's training set: it follows from the
+        rigid part and the keypoints."""
+        tmap = fit_transport(random_smooth_pair(np.random.default_rng(18)))
+        save_transport_map(tmap, tmp_path / "map.json")
+        data = json.loads((tmp_path / "map.json").read_text())
+        assert set(data) == {"affine", "keypoints", "params", "warnings"}
+        assert data["params"] == tmap.residual.params.to_dict()
+
+    def test_map_without_params_asks_for_a_refit(self, tmp_path):
+        data = fit_transport(random_smooth_pair(np.random.default_rng(19))).to_dict()
+        del data["params"]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="no 'params' key; refit the map"):
+            load_transport_map(path)
 
     def test_transported_labels_csv(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -235,6 +235,12 @@ def test_json_round_trip(tmp_path):
     assert_array_equal(PointSet.from_dict(load_json(path)).points, ps.points)
 
 
+def test_save_json_sorts_keys_and_creates_the_parent_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "out.json"
+    save_json({"b": 1, "a": {"d": 2, "c": 3}}, path)
+    assert path.read_text() == '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n'
+
+
 def test_package_exports_are_sorted_unique_and_resolve():
     names = poltrans.__all__
     assert names == sorted(names)
