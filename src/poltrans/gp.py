@@ -215,20 +215,33 @@ def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[fl
 
     C = corr + ratio I is written into the buffer ``corr``; sp2 =
     sum(y * C^-1 y) / (n d_out), clipped to ``log_sp2_bounds``, is its
-    closed-form optimum (Rasmussen & Williams 2006, 5.4). One ``dpotrf`` and
-    one ``dpotrs``; a C that fails to factor scores (inf, nan).
+    closed-form optimum (Rasmussen & Williams 2006, 5.4). One finiteness
+    scan, one ``dpotrf`` in place and one ``dpotrs``; a C that fails to
+    factor scores (inf, nan). Bitwise what ``_cholesky`` and ``_cho_solve``
+    on a copy of C give.
     """
     n, d_out = y.shape
     # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
     np.divide(neg_half_sq, ell**2, out=corr)
     np.exp(corr, out=corr)
     corr.ravel()[:: n + 1] += ratio  # a view: corr is C-contiguous
-    try:
-        chol = _cholesky(corr)
-    except np.linalg.LinAlgError:
+    _check_finite(corr)
+    # C is exactly symmetric, so its F-order view holds the bytes that
+    # dpotrf's own F-order copy would; the factor overwrites it in place.
+    # Only the lower triangle is L, which is all that dpotrs reads, and L is
+    # finite when C is, so the solve needs no scan of its own (y is checked
+    # by the caller).
+    chol, info = dpotrf(corr.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         return np.inf, np.nan
-    quad = float((y * _cho_solve(chol, y)).sum())
-    log_sp2 = float(np.clip(np.log(quad / (n * d_out)), *log_sp2_bounds))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    solved, info = dpotrs(chol, y, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    quad = float((y * solved).sum())
+    lo, hi = log_sp2_bounds
+    log_sp2 = float(min(max(np.log(quad / (n * d_out)), lo), hi))
     nlml = (
         0.5 * quad / np.exp(log_sp2)
         + 0.5 * n * d_out * log_sp2
@@ -360,8 +373,12 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     the best grid point by a Brent line search over log l between its two
     grid neighbours, at that ratio and, where it scores better, at
     NOISE_FLOOR_RATIO; the grid point is kept if the polish ends worse.
-    Raises ValueError for a ``noise_ratio`` outside its range and
-    RuntimeError("non-PD Gram matrix") when every grid point fails.
+    All-zero outputs skip the search and get lengthscale ell_center with a
+    negligible signal variance, so the posterior is the certain zero.
+    Raises ValueError for a ``noise_ratio`` outside its range and for
+    distinct inputs too close for their squared distances to be normal
+    floats, and RuntimeError("non-PD Gram matrix") when every grid point
+    fails.
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
@@ -371,10 +388,16 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
         raise ValueError(f"noise ratio must lie in [{NOISE_FLOOR_RATIO:g}, {NOISE_RATIO_MAX:g}]")
 
     sq = _sq_dists(x, x)
+    sq_max = float(sq.max())
+    if sq_max < np.finfo(float).tiny and np.any(x != x[0]):
+        scale = float(np.ptp(x, axis=0).max())
+        raise ValueError(
+            f"input scale {scale:.3g} is too small: the squared distances "
+            "between distinct inputs underflow"
+        )
     # sqrt is monotone and correctly rounded, so this is pdist(x).max().
-    diam = float(np.sqrt(sq.max())) if x.shape[0] > 1 else 0.0
-    if diam <= 0.0:
-        diam = 1.0
+    # Identical inputs (or a single one) have no scale; 1 stands in.
+    diam = float(np.sqrt(sq_max)) if sq_max > 0.0 else 1.0
     ell_center = diam / np.sqrt(x.shape[1])
 
     out_var = float(np.mean(np.var(y, axis=0)))

@@ -34,6 +34,11 @@ from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
 TOL_MATCH_SCALE = 1e-3
+# A residual of at most this many ulps of the keypoints' largest coordinate
+# is round-off of gamma(S), whose error grows with |S| and |T|, not with the
+# diameter. Flat and tilt surface scenes measured at most 3.2 such ulps,
+# bent surface scenes and the frames pairings at least 7e13.
+ROUNDOFF_ULPS = 64
 # Smallest/largest singular value at or below this ratio marks J as
 # near-singular; an all-zero J (0 <= 0) is flagged too.
 NEAR_SINGULAR_RATIO = 1e-9
@@ -48,9 +53,19 @@ ROTATED_FAMILIES = (
 
 
 def _residual_data(affine: AffineMap, kp: PairedKeypoints) -> tuple[np.ndarray, np.ndarray]:
-    """The residual GP's training set: inputs gamma(S), targets T - gamma(S)."""
+    """The residual GP's training set: inputs gamma(S), targets T - gamma(S).
+
+    Targets no larger than ``ROUNDOFF_ULPS`` ulps of the keypoints'
+    coordinate scale are the rounding of gamma(S), not a residual, and are
+    returned as exact zeros: the rigid part then explains the keypoints and
+    the map is exactly rigid.
+    """
     aligned = affine.apply(kp.source.points)
-    return aligned, kp.target.points - aligned
+    targets = kp.target.points - aligned
+    scale = max(np.abs(kp.source.points).max(), np.abs(kp.target.points).max())
+    if np.abs(targets).max() <= ROUNDOFF_ULPS * np.finfo(float).eps * scale:
+        targets = np.zeros_like(targets)
+    return aligned, targets
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +183,8 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     """Fit phi = gamma + psi(gamma(.)) to the paired keypoints.
 
     The rigid part comes first; the GP residual is then fitted on inputs
-    gamma(S) against targets T - gamma(S) at ``fit_gp``'s default noise
+    gamma(S) against targets T - gamma(S) (exact zeros when they are
+    round-off, which fit no hyperparameters) at ``fit_gp``'s default noise
     ratio, 1e-6 of the signal variance, so that every keypoint is matched
     within ``TOL_MATCH_SCALE * target diameter``. If the optimized fit
     misses that tolerance, the fit is retried with the noise pinned at the

@@ -60,6 +60,24 @@ class TestFit:
         assert run("fit", "--config", cfg, "--out-dir", tmp_path / "b") == 0
         assert (tmp_path / "b" / "map.json").exists()
 
+    def test_rigid_map_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        """A tilt scene moves rigidly, so its residual is fitted as zero
+        without a search whose end BLAS rounding could steer: map.json does
+        not depend on OpenBLAS's thread count. (Maps of scenes that bend do.)"""
+        scenario = tmp_path / "tilt.json"
+        save_scenario(make_surface_scenario("tilt", n_keypoints=200, seed=0), scenario)
+        src = Path(__file__).resolve().parents[1] / "src"
+        maps = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            argv = ["fit", "--scenario", str(scenario), "--out-dir", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "poltrans.cli", *argv], env=env, capture_output=True, check=True, timeout=120
+            )
+            maps.append((out / "map.json").read_bytes())
+        assert maps[0] == maps[1]
+
 
 class TestTransport:
     @pytest.fixture()

@@ -199,10 +199,10 @@ class TestHyperparameterFit:
         assert fitted_nlml <= best_grid * (1 + 1e-9) + 1e-9
 
     def test_every_grid_point_failing_is_a_runtime_error(self, monkeypatch):
-        def no_factor(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        def no_factor(a, **kwargs):
+            return a, 1  # LAPACK's "leading minor 1 is not positive definite"
 
-        monkeypatch.setattr(gp, "_cholesky", no_factor)
+        monkeypatch.setattr(gp, "dpotrf", no_factor)
         with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
             fit_gp([[0.0], [1.0]], [[0.0], [1.0]])
 
@@ -227,6 +227,22 @@ class TestHyperparameterFit:
         grid = np.random.default_rng(12).uniform(-2, 2, (20, 2))
         assert np.all(np.abs(predict_mean(model, grid)) < 1e-9)
         assert np.all(predict_variance(model, grid) < 1e-9)
+
+    @pytest.mark.parametrize("spacing", [1e-160, 1e-170])
+    def test_distinct_inputs_whose_squared_distances_underflow_are_rejected(self, spacing):
+        """At 1e-160 the squared distances are subnormal and the grid would
+        divide by an underflowed l^2; at 1e-170 they are 0 and the inputs
+        would pass for coincident."""
+        x = spacing * np.arange(3.0)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="input scale .* is too small"):
+                fit_gp(x, [[0.0], [1.0], [2.0]])
+
+    def test_identical_inputs_take_the_unit_scale(self):
+        for x in ([[0.25]], [[0.25], [0.25]]):
+            model = fit_gp(x, np.arange(len(x), dtype=float)[:, None] + 1.0)
+            assert 1e-3 <= model.params.lengthscale <= 1e3
 
     def test_repeated_fits_are_identical(self):
         rng = np.random.default_rng(13)
@@ -266,13 +282,15 @@ class TestObjective:
     def test_matches_dense_oracle_and_finite_differences(self, n, d_out, ratio):
         x, y = smooth_data(n, d_out)
         sq = gp._sq_dists(x, x)
-        log_sp2_bounds = fit_gp_bounds(x, y)[0][0]
+        (log_sp2_bounds, log_ell_bounds, _), _ = fit_gp_bounds(x, y)
         corr = np.empty((n, n))
 
         def profiled(ell, ratio):
             return gp._profiled_nlml(corr, -0.5 * sq, y, ell, ratio, log_sp2_bounds)
 
-        for ell in (0.05, 0.3, self.ELL[n]):
+        # The grid's floor lengthscale puts subnormal entries into C, where
+        # factoring C in place differs most from factoring a copy.
+        for ell in (0.05, 0.3, self.ELL[n], np.exp(log_ell_bounds[0])):
             nlml, log_sp2 = profiled(ell, ratio)
             assert (nlml, log_sp2) == dense_profiled_nlml(sq, y, ell, ratio, log_sp2_bounds)
             # ... which is the full NLML at the profiled signal variance, up to

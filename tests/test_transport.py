@@ -30,7 +30,11 @@ from poltrans import (
     transport_points,
     transport_uncertainty,
 )
-from poltrans.scenarios import make_surface_scenario
+from poltrans import gp
+from poltrans.affine import fit_affine
+from poltrans.gp import predict_mean
+from poltrans.scenarios import frame_pairing, make_surface_scenario, random_frame_scenario
+from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE
 
 
 def rigid_labels(rng, m=6, dim=2):
@@ -120,6 +124,73 @@ class TestFit:
         tmap = fit_transport(random_smooth_pair(np.random.default_rng(1)))
         with pytest.raises(ValueError):
             transport_points(tmap, np.zeros((3, 3)))
+
+
+def roundoff_ratio(kp: PairedKeypoints) -> float:
+    """max |T - gamma(S)| in ulps of the keypoints' largest coordinate."""
+    gamma_s = fit_affine(kp).apply(kp.source.points)
+    scale = max(np.abs(kp.source.points).max(), np.abs(kp.target.points).max())
+    return float(np.abs(kp.target.points - gamma_s).max() / (np.finfo(float).eps * scale))
+
+
+class TestRoundOffResidual:
+    """Flat and tilt scenes move rigidly, so T - gamma(S) is only the
+    rounding of gamma(S). It is fitted as zero: no hyperparameter search,
+    and the map is exactly the rigid part."""
+
+    @pytest.mark.parametrize("n", [12, 50, 200])
+    @pytest.mark.parametrize("profile", ["flat", "tilt"])
+    def test_rigid_scene_fits_an_exactly_zero_residual(self, profile, n, tmp_path, monkeypatch):
+        searches = []
+        real_minimize = gp.minimize
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", counted)
+        scenario = make_surface_scenario(profile, n_keypoints=n, seed=1)
+        kp = scenario.keypoints
+        tmap = fit_transport(kp)
+        assert searches == []
+        assert not np.any(tmap.residual.outputs)
+        x = scenario.demonstration.positions
+        assert not np.any(predict_mean(tmap.residual, tmap.affine.apply(x)))
+        assert np.array_equal(transport_points(tmap, x)[0], tmap.affine.apply(x))
+        assert tmap.keypoint_errors.max() <= TOL_MATCH_SCALE * kp.target.diameter()
+        assert tmap.warnings == ()
+
+        save_transport_map(tmap, tmp_path / "map.json")
+        back = load_transport_map(tmp_path / "map.json")
+        for name in ("inputs", "outputs", "chol", "alpha"):
+            assert np.array_equal(getattr(back.residual, name), getattr(tmap.residual, name))
+        assert back.residual.params == tmap.residual.params
+        for fresh, loaded in zip(transport_points(tmap, x), transport_points(back, x)):
+            assert np.array_equal(fresh, loaded)
+
+    def test_threshold_has_headroom_on_both_sides(self):
+        """Rigid scenes stay far below ROUNDOFF_ULPS and scenes that bend
+        (surfaces and the frames pairings) far above it, over a seed sweep."""
+        rigid = [
+            roundoff_ratio(make_surface_scenario(profile, n_keypoints=n, seed=seed).keypoints)
+            for profile in ("flat", "tilt")
+            for n in (12, 50, 200)
+            for seed in range(10)
+        ]
+        bent = [
+            roundoff_ratio(make_surface_scenario(profile, n_keypoints=n, seed=seed).keypoints)
+            for profile in ("sine", "step", "composite")
+            for n in (12, 50, 200)
+            for seed in range(10)
+        ]
+        bent += [
+            roundoff_ratio(frame_pairing(random_frame_scenario(train, kpf), random_frame_scenario(test, kpf)))
+            for kpf in (2, 5)
+            for train in range(100, 103)
+            for test in range(200, 220)
+        ]
+        assert max(rigid) <= 8 < ROUNDOFF_ULPS
+        assert min(bent) >= 1e12 > ROUNDOFF_ULPS
 
 
 class TestJacobians:
