@@ -91,18 +91,21 @@ def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
 
 
 def _graph_laplacian(m: int, topology: str) -> np.ndarray:
+    """Uniform graph Laplacian of a chain or ring of m nodes: each node's
+    degree on the diagonal and -1 per edge to a neighbour. On a ring of
+    one or two nodes both neighbours coincide and their entries add up."""
     if topology not in ("chain", "ring"):
         raise ValueError(f"unknown topology {topology!r}; use 'chain' or 'ring'")
+    nodes = np.arange(m)
+    ring = topology == "ring"
     lap = np.zeros((m, m))
-    for i in range(m):
-        neighbors = []
-        if i > 0 or topology == "ring":
-            neighbors.append((i - 1) % m)
-        if i < m - 1 or topology == "ring":
-            neighbors.append((i + 1) % m)
-        lap[i, i] = len(neighbors)
-        for j in neighbors:
-            lap[i, j] -= 1.0
+    # One pass per neighbour side, over the nodes that have that neighbour.
+    # A pass touches each entry at most once; a ring's coinciding
+    # neighbours are hit once per pass.
+    for step in (-1, 1):
+        has = nodes if ring else nodes[(nodes + step >= 0) & (nodes + step < m)]
+        lap[has, has] += 1.0
+        lap[has, (has + step) % m] -= 1.0
     return lap
 
 

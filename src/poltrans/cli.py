@@ -11,11 +11,13 @@ cell of the scene carries them. It writes deterministically ordered
 artifacts: metrics.csv (timing deliberately excluded so reruns are
 bitwise identical across worker counts), ranking.json, one SVG overlay per
 scene, report.json with gpt's timings, keypoint error and det J > 0
-percentage per scene, and failures.json listing each failed cell with the
-stage that failed (method or metrics), its exception type and message. The
-methods run on the pool; the metrics of every cell are computed afterwards
-in one batch. A scene whose gpt map has a non-positive Jacobian determinant
-somewhere on the demonstration gets a warning on stderr.
+percentage per scene, failures.json listing each failed cell with the
+stage that failed (method or metrics), its exception type and message, and
+timings.json with the wall and process-CPU seconds of each stage of the
+run (``BENCH_STAGES``). The methods run on the pool; the metrics of every
+cell are computed afterwards in one batch. A scene whose gpt map has a
+non-positive Jacobian determinant somewhere on the demonstration gets a
+warning on stderr.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,6 +85,9 @@ GPT_REPORT_FIELDS = (
     "keypoint_error_mean",
     "det_positive_pct",
 )
+# Stages of a bench run timed in timings.json: the method pool, the metric
+# batch, the SVG overlays, the ranking, and the table and JSON writes.
+BENCH_STAGES = ("cells", "metrics", "svgs", "ranking", "writes")
 _METHOD_COLORS = {
     "gpt": "#1f77b4",
     "le": "#2ca02c",
@@ -395,16 +401,30 @@ def _run_cell(cell: BenchCell):
     return produced, extras, None
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the wall and process-CPU seconds of the block to ``timings[name]``."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    try:
+        yield
+    finally:
+        entry = timings[name]
+        entry["wall_s"] += time.perf_counter() - wall
+        entry["cpu_s"] += time.process_time() - cpu
+
+
 def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES}
+    with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         outcomes = list(pool.map(_run_cell, cells))
     # Scored after the pool in one batch, so Frechet and DTW run as one
     # wavefront over every cell instead of one per cell.
-    scored = iter(compute_metrics_batch([
-        (produced, cell.scenario.reference)
-        for cell, (produced, _, error) in zip(cells, outcomes)
-        if error is None
-    ]))
+    with _stage(timings, "metrics"):
+        scored = iter(compute_metrics_batch([
+            (produced, cell.scenario.reference)
+            for cell, (produced, _, error) in zip(cells, outcomes)
+            if error is None
+        ]))
 
     rows = []
     failures = []
@@ -443,24 +463,32 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
             )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(rows, out_dir / "metrics.csv")
-    if gpt_reports:
-        save_json(gpt_reports, out_dir / "report.json")
-    if failures:
-        save_json({"failures": failures}, out_dir / "failures.json")
-    for name, bundle in sorted(scenes.items()):
-        first = bundle["cell"]
-        _scene_svg(
-            out_dir / "svg" / f"{name}.svg",
-            first.demonstration,
-            first.scenario.reference,
-            bundle["produced"],
-            first.keypoints,
-            bundle["bands"],
-        )
+    with _stage(timings, "writes"):
+        write_metrics_csv(rows, out_dir / "metrics.csv")
+        if gpt_reports:
+            save_json(gpt_reports, out_dir / "report.json")
+        if failures:
+            save_json({"failures": failures}, out_dir / "failures.json")
+    with _stage(timings, "svgs"):
+        for name, bundle in sorted(scenes.items()):
+            first = bundle["cell"]
+            _scene_svg(
+                out_dir / "svg" / f"{name}.svg",
+                first.demonstration,
+                first.scenario.reference,
+                bundle["produced"],
+                first.keypoints,
+                bundle["bands"],
+            )
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
-    if rows:
-        save_json(_ranking(rows, alpha), out_dir / "ranking.json")
+    try:
+        if rows:
+            with _stage(timings, "ranking"):
+                ranking = _ranking(rows, alpha)
+            with _stage(timings, "writes"):
+                save_json(ranking, out_dir / "ranking.json")
+    finally:
+        save_json(timings, out_dir / "timings.json")
     print(f"bench {suite}: {len(rows)} runs over {len(scenes)} scenes, {len(failures)} failed -> {out_dir}")
     return 0
 

@@ -68,55 +68,56 @@ def _pair_positions(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wavefront(a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet and DTW costs of B same-shape pairs: a is (dim, B, m) and
-    rb is (dim, B, n), holding each b with its points reversed.
+    """Frechet and DTW costs of B same-shape pairs: a is (dim, m, B) and
+    rb is (dim, n, B), holding each b with its points reversed.
 
     Both costs are the last cell of a coupling-lattice DP
     C[i, j] = step(d[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
     with C[0, 0] = d[0, 0] and cells off the lattice at +inf; step is max
     for Frechet and + for DTW. The cells of one anti-diagonal i + j = k
     depend only on diagonals k-1 and k-2, so the sweep runs one diagonal of
-    every lane per NumPy call. A diagonal is a (2B, m+1) row block: the B
-    Frechet lanes, then the B DTW lanes, cell (i, k-i) at column i + 1.
-    Column 0 and the columns a diagonal does not reach stay +inf, so each
-    diagonal reads the same shifted slices of its two predecessors; three
-    such blocks are reused in turn. Along a diagonal i runs over a
-    contiguous slice of a and k - i over a contiguous slice of rb, so its
-    distances come straight from the points, summed over the axes in order
-    like ``cdist``. Every cell applies min and step to the same operands as
-    the cell-by-cell loop, so each lane is bit-identical to it.
+    every lane per NumPy call. Lanes are the minor axis throughout: a
+    diagonal is an (m+1, 2B) block whose row i + 1 holds cell (i, k-i) of
+    the B Frechet lanes, then of the B DTW lanes. Row 0 and the rows a
+    diagonal does not reach stay +inf, so each diagonal reads the same
+    shifted row ranges of its two predecessors; three such blocks are
+    reused in turn. Along a diagonal i runs over a contiguous row range of
+    a and k - i over one of rb, so every operand of a diagonal is one
+    contiguous (width, B) or (width, 2B) block, and its distances come
+    straight from the points, summed over the axes in order like
+    ``cdist``. Every cell applies min and step to the same operands as the
+    cell-by-cell loop, so each lane is bit-identical to it.
     """
-    dim, lanes, m = a.shape
-    n = rb.shape[2]
-    diagonals = np.full((3, 2 * lanes, m + 1), np.inf)
-    dist = np.empty((lanes, m))
-    term = np.empty((lanes, m))
-    reach = np.empty((2 * lanes, m))
+    dim, m, lanes = a.shape
+    n = rb.shape[1]
+    diagonals = np.full((3, m + 1, 2 * lanes), np.inf)
+    dist = np.empty((m, lanes))
+    term = np.empty((m, lanes))
+    reach = np.empty((m, 2 * lanes))
     for k in range(m + n - 1):
         lo, hi = max(0, k - n + 1), min(m, k + 1)  # i over [lo, hi)
         width = hi - lo
-        cols = slice(lo, hi)
         rows_b = slice(n - 1 - k + lo, n - 1 - k + hi)
-        d, t = dist[:, :width], term[:, :width]
-        np.subtract(a[0, :, cols], rb[0, :, rows_b], out=d)
+        d, t = dist[:width], term[:width]
+        np.subtract(a[0, lo:hi], rb[0, rows_b], out=d)
         np.multiply(d, d, out=d)
         for axis in range(1, dim):
-            np.subtract(a[axis, :, cols], rb[axis, :, rows_b], out=t)
+            np.subtract(a[axis, lo:hi], rb[axis, rows_b], out=t)
             np.multiply(t, t, out=t)
             np.add(d, t, out=d)
         np.sqrt(d, out=d)
-        cells = diagonals[k % 3][:, lo + 1 : hi + 1]
+        cells = diagonals[k % 3, lo + 1 : hi + 1]
         if k == 0:
-            cells[:lanes] = d
-            cells[lanes:] = d
+            cells[:, :lanes] = d
+            cells[:, lanes:] = d
             continue
         last, before = diagonals[(k - 1) % 3], diagonals[(k - 2) % 3]
-        r = reach[:, :width]
-        np.minimum(last[:, lo:hi], last[:, lo + 1 : hi + 1], out=r)
-        np.minimum(r, before[:, lo:hi], out=r)
-        np.maximum(d, r[:lanes], out=cells[:lanes])
-        np.add(d, r[lanes:], out=cells[lanes:])
-    final = diagonals[(m + n - 2) % 3][:, m]
+        r = reach[:width]
+        np.minimum(last[lo:hi], last[lo + 1 : hi + 1], out=r)
+        np.minimum(r, before[lo:hi], out=r)
+        np.maximum(d, r[:, :lanes], out=cells[:, :lanes])
+        np.add(d, r[:, lanes:], out=cells[:, lanes:])
+    final = diagonals[(m + n - 2) % 3, m]
     return final[:lanes], final[lanes:]
 
 
@@ -129,8 +130,8 @@ def _coupling_costs(pairs) -> tuple[np.ndarray, np.ndarray]:
     frechet = np.empty(len(pairs))
     dtw = np.empty(len(pairs))
     for members in groups.values():
-        a = np.stack([pairs[i][0].T for i in members], axis=1)
-        rb = np.stack([pairs[i][1][::-1].T for i in members], axis=1)
+        a = np.stack([pairs[i][0].T for i in members], axis=2)
+        rb = np.stack([pairs[i][1][::-1].T for i in members], axis=2)
         frechet[members], dtw[members] = _wavefront(a, rb)
     return frechet, dtw
 

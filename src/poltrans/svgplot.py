@@ -33,6 +33,11 @@ def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.n
     return pts + rad[:, None] * normal, pts - rad[:, None] * normal
 
 
+def _coords(px: np.ndarray) -> str:
+    """Pixel points as "x,y x,y ..." at two decimals, in one format call."""
+    return " ".join(["{:.2f},{:.2f}"] * len(px)).format(*px.ravel().tolist())
+
+
 class SvgScene:
     """Collects world-space drawing primitives, then renders one SVG."""
 
@@ -40,24 +45,24 @@ class SvgScene:
         self._elements: list[tuple] = []
         self._points: list[np.ndarray] = []
 
-    def _track(self, pts: np.ndarray) -> None:
+    def _track(self, points) -> np.ndarray:
+        """Planar points as an (N, 2) float array, counted in the extent."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            # the renderer formats a flat run of coordinates as x,y pairs
+            raise ValueError(f"SVG points must form an (N, 2) array, got shape {pts.shape}")
         if pts.size:
             self._points.append(pts)
+        return pts
 
     def polyline(self, points, color: str = "#000000", width: float = 1.5, dash: str | None = None) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._track(pts)
-        self._elements.append(("polyline", pts, color, width, dash))
+        self._elements.append(("polyline", self._track(points), color, width, dash))
 
     def polygon(self, points, fill: str = "#ffa500", opacity: float = 0.3) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._track(pts)
-        self._elements.append(("polygon", pts, fill, opacity))
+        self._elements.append(("polygon", self._track(points), fill, opacity))
 
     def markers(self, points, color: str = "#d62728", radius: float = 3.0) -> None:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._track(pts)
-        self._elements.append(("markers", pts, color, radius))
+        self._elements.append(("markers", self._track(points), color, radius))
 
     def band(self, points, radii, fill: str = "#ffa500", opacity: float = 0.35) -> None:
         upper, lower = offset_band(points, radii)
@@ -91,7 +96,7 @@ class SvgScene:
             kind = element[0]
             if kind == "polyline":
                 _, pts, color, width, dash = element
-                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
+                coords = _coords(to_px(pts))
                 dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -99,7 +104,7 @@ class SvgScene:
                 )
             elif kind == "polygon":
                 _, pts, fill, opacity = element
-                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
+                coords = _coords(to_px(pts))
                 parts.append(
                     f'<polygon points="{coords}" fill="{fill}" opacity="{opacity}" stroke="none"/>'
                 )

@@ -14,6 +14,7 @@ from poltrans.baselines import (
     LWT_STEP_RATIO,
     LWTUnit,
     ViaAssignment,
+    _graph_laplacian,
     apply_lwt,
     assign_via_points,
     fit_lwt,
@@ -26,6 +27,22 @@ from poltrans.gp import KernelParams
 def random_traj(rng, m, dim=2, with_times=True):
     times = np.linspace(0.0, 1.0, m) if with_times else None
     return Trajectory(positions=rng.uniform(-1.0, 1.0, (m, dim)), times=times)
+
+
+def loop_graph_laplacian(m, topology):
+    """The Laplacian built node by node: the degree on the diagonal, then
+    -1 per neighbour, where a ring's wrapped neighbours may coincide."""
+    lap = np.zeros((m, m))
+    for i in range(m):
+        neighbors = []
+        if i > 0 or topology == "ring":
+            neighbors.append((i - 1) % m)
+        if i < m - 1 or topology == "ring":
+            neighbors.append((i + 1) % m)
+        lap[i, i] = len(neighbors)
+        for j in neighbors:
+            lap[i, j] -= 1.0
+    return lap
 
 
 def brute_force_assignment_cost(traj, kp):
@@ -92,6 +109,14 @@ class TestAssignment:
 
 
 class TestLaplacianEdit:
+    @pytest.mark.parametrize("topology", ["chain", "ring"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 200])
+    def test_graph_laplacian_is_bit_identical_to_the_node_loop(self, topology, m):
+        # m = 1 and 2 on a ring: both neighbours of a node are one node
+        lap = _graph_laplacian(m, topology)
+        assert lap.dtype == np.float64 and lap.shape == (m, m)
+        assert lap.tobytes() == loop_graph_laplacian(m, topology).tobytes()
+
     @pytest.mark.parametrize("topology", ["chain", "ring"])
     def test_matches_dense_block_elimination(self, topology):
         rng = np.random.default_rng(2)

@@ -376,6 +376,8 @@ class TestBench:
                 assert run("bench", "--suite", suite, *flags, "--out-dir", out) == 0
                 outputs.append(out)
             a, b = outputs
+            # timings.json sits beside the artifacts it must not touch
+            assert (a / "timings.json").exists() and (b / "timings.json").exists()
             assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
             assert (a / "ranking.json").read_bytes() == (b / "ranking.json").read_bytes()
             svgs = sorted(p.name for p in (a / "svg").iterdir())
@@ -389,6 +391,23 @@ class TestBench:
             for entry in report.values():
                 assert entry["keypoint_error_max"] >= entry["keypoint_error_mean"] >= 0
                 assert 0.0 <= entry["det_positive_pct"] <= 100.0
+
+    def test_timings_json_holds_the_seconds_of_every_stage(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run(
+            "bench", "--suite", "surfaces", "--seeds", 1,
+            "--methods", "gpt,le", "--n-keypoints", 6, "--out-dir", out,
+        )
+        assert code == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == set(cli.BENCH_STAGES)
+        for entry in timings.values():
+            assert set(entry) == {"wall_s", "cpu_s"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in entry.values())
+        assert timings["cells"]["wall_s"] > 0.0
+        # no stage timing in the other JSON artifacts
+        for name in ("report.json", "ranking.json"):
+            assert "wall_s" not in (out / name).read_text()
 
     @pytest.mark.parametrize(
         "suite, builder, methods, builds",
@@ -544,6 +563,7 @@ class TestBench:
         assert code == 1
         assert "method 'le' has 2 rows" in capsys.readouterr().err
         assert not (out / "ranking.json").exists()
+        assert (out / "timings.json").exists()
         assert len(read_metrics_csv(out / "metrics.csv")) == 5
         assert len(json.loads((out / "failures.json").read_text())["failures"]) == 1
         assert set(json.loads((out / "report.json").read_text())) == {"frame-200", "frame-201", "frame-202"}

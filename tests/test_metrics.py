@@ -97,6 +97,26 @@ class TestCurveDistances:
         assert frechet.tolist() == [loop_frechet(a, b) for a, b in pairs]
         assert dtw.tolist() == [loop_dtw(a, b) for a, b in pairs]
 
+    def test_many_lanes_per_group_match_the_cell_loops_lane_by_lane(self):
+        # 19 lanes (odd, more than 16) in each (m, n, dim) group with m != n,
+        # every third lane on an integer grid for ties; the groups' pairs
+        # are interleaved, so each lane's cost must land at its own index
+        rng = np.random.default_rng(19)
+        pairs = []
+        for lane in range(19):
+            for m, n in [(23, 41), (41, 23)]:
+                for dim in (1, 2, 3):
+                    if lane % 3 == 0:
+                        a = rng.integers(0, 3, (m, dim)).astype(float)
+                        b = rng.integers(0, 3, (n, dim)).astype(float)
+                    else:
+                        a, b = rng.uniform(-1, 1, (m, dim)), rng.uniform(-1, 1, (n, dim))
+                    pairs.append((a, b))
+        frechet, dtw = _coupling_costs(pairs)
+        for lane, (a, b) in enumerate(pairs):
+            assert frechet[lane] == loop_frechet(a, b)
+            assert dtw[lane] == loop_dtw(a, b)
+
     def test_mismatched_dimensions_are_rejected(self):
         with pytest.raises(ValueError, match="dimensions 2 and 3"):
             frechet_distance(PARALLEL_A, np.zeros((4, 3)))

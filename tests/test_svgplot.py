@@ -1,0 +1,148 @@
+"""SVG overlays: rendering against a per-point formatting oracle, band
+offsets, and the world-to-pixel transform."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from poltrans.svgplot import HEIGHT, WIDTH, SvgScene, offset_band
+
+HEADER = [
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+    f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+    f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+]
+
+
+def oracle_render(scene: SvgScene) -> str:
+    """The document drawn one point at a time, each coordinate pair by its
+    own f-string."""
+    to_px = scene._transform()
+    parts = list(HEADER)
+    for element in scene._elements:
+        kind = element[0]
+        if kind == "polyline":
+            _, pts, color, width, dash = element
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
+            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+            parts.append(
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'stroke-width="{width}"{dash_attr}/>'
+            )
+        elif kind == "polygon":
+            _, pts, fill, opacity = element
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
+            parts.append(f'<polygon points="{coords}" fill="{fill}" opacity="{opacity}" stroke="none"/>')
+        else:
+            _, pts, color, radius = element
+            for x, y in to_px(pts).tolist():
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def every_element(scene: SvgScene, pts: np.ndarray) -> SvgScene:
+    scene.polyline(pts, color="#999999", width=1.2, dash="6,4")
+    scene.polyline(pts[::-1], color="#000000", width=1.8)
+    scene.polygon(pts, fill="#ffa500", opacity=0.3)
+    scene.band(pts, 0.1 * np.arange(len(pts)))
+    scene.markers(pts[:3], color="#bbbbbb", radius=3.0)
+    scene.markers(pts[-1], color="#d62728", radius=2)
+    scene.markers(np.zeros((0, 2)))
+    return scene
+
+
+class TestRender:
+    def test_matches_the_per_point_oracle_through_the_fitted_transform(self):
+        rng = np.random.default_rng(0)
+        scene = every_element(SvgScene(), rng.uniform(-3.0, 5.0, (40, 2)))
+        assert scene.render() == oracle_render(scene)
+
+    def test_matches_the_per_point_oracle_on_awkward_pixel_values(self, monkeypatch):
+        # Pixel values straight from the test: ones that round to -0.00,
+        # halves whose binary value rounds either way, and values >= 1000.
+        pts = np.array([
+            [-0.004, -0.0],
+            [-0.0049999, 0.004],
+            [0.005, 0.015],
+            [2.675, 1.005],
+            [999.995, 1000.0],
+            [1234.5678, -98765.4321],
+            [1e6 + 0.125, -1e-9],
+        ])
+        scene = every_element(SvgScene(), pts)
+        monkeypatch.setattr(scene, "_transform", lambda: np.array)
+        rendered = scene.render()
+        assert rendered == oracle_render(scene)
+        assert '"-0.00,-0.00 -0.00,0.00 ' in rendered
+        assert "1234.57,-98765.43" in rendered and "1000000.12,-0.00" in rendered
+
+    def test_dash_is_drawn_only_when_given(self):
+        scene = SvgScene()
+        scene.polyline([[0.0, 0.0], [1.0, 1.0]], dash="6,4")
+        scene.polyline([[0.0, 0.0], [1.0, 1.0]])
+        dashed, solid = scene.render().splitlines()[2:4]
+        assert dashed.endswith(' stroke-width="1.5" stroke-dasharray="6,4"/>')
+        assert solid.endswith(' stroke-width="1.5"/>')
+
+    def test_one_circle_line_per_marker(self):
+        scene = SvgScene()
+        scene.markers([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], color="#d62728", radius=3.0)
+        scene.markers(np.zeros((0, 2)))
+        lines = scene.render().splitlines()
+        assert lines[:2] == HEADER and lines[-1] == "</svg>"
+        circles = lines[2:-1]
+        assert len(circles) == 3
+        assert all(c.startswith("<circle cx=") and c.endswith(' r="3.0" fill="#d62728"/>') for c in circles)
+
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2)), []])
+    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers"])
+    def test_points_that_are_not_planar_are_rejected(self, add, points):
+        # flattened for formatting, (N, 3) points would pass as x,y pairs
+        with pytest.raises(ValueError, match=r"\(N, 2\) array"):
+            getattr(SvgScene(), add)(points)
+
+    def test_scene_with_no_elements(self, tmp_path):
+        scene = SvgScene()
+        assert scene.render() == "\n".join([*HEADER, "</svg>"]) == oracle_render(scene)
+        scene.write(tmp_path / "empty.svg")
+        assert (tmp_path / "empty.svg").read_text(encoding="utf-8") == scene.render() + "\n"
+
+
+class TestOffsetBand:
+    def test_normals_of_a_straight_line(self):
+        line = np.outer(np.arange(5.0), [3.0, 4.0]) + [1.0, -2.0]
+        upper, lower = offset_band(line, 0.5)
+        normal = np.array([-4.0, 3.0]) / 5.0
+        assert_allclose(upper, line + 0.5 * normal, atol=1e-15)
+        assert_allclose(lower, line - 0.5 * normal, atol=1e-15)
+
+    def test_per_point_radii(self):
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        upper, lower = offset_band(line, [0.0, 1.0, 2.0])
+        assert_allclose(upper, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        assert_allclose(lower, [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]])
+
+    @pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]])
+    def test_zero_length_tangent_falls_back_to_the_x_axis(self, points):
+        # tangent (1, 0) gives the normal (0, 1)
+        upper, lower = offset_band(points, 0.25)
+        assert_allclose(upper, np.asarray(points) + [0.0, 0.25])
+        assert_allclose(lower, np.asarray(points) - [0.0, 0.25])
+
+
+class TestTransform:
+    def test_y_points_up_and_x_right(self):
+        scene = SvgScene()
+        scene.polyline([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        origin, right, up = scene._transform()(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert right[0] > origin[0] and right[1] == origin[1]
+        assert up[1] < origin[1] and up[0] == origin[0]
+
+    def test_drawn_content_fits_the_canvas(self):
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-50.0, 20.0, (30, 2)) * [1.0, 3.0]
+        scene = SvgScene()
+        scene.polyline(pts)
+        px = scene._transform()(pts)
+        assert np.all(px >= 0.0) and np.all(px[:, 0] <= WIDTH) and np.all(px[:, 1] <= HEIGHT)
