@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, _freeze, is_rotation
+from .types import PairedKeypoints, _freeze, from_dict, is_rotation, to_dict
 
 # A singular value counts as zero below this fraction of the largest one.
 DEGENERATE_REL_TOL = 1e-10
@@ -51,20 +51,8 @@ class AffineMap:
         out = (pts - self.source_centroid) @ self.rotation.T + self.target_centroid
         return out[0] if single else out
 
-    def to_dict(self) -> dict:
-        return {
-            "rotation": self.rotation.tolist(),
-            "source_centroid": self.source_centroid.tolist(),
-            "target_centroid": self.target_centroid.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AffineMap":
-        return cls(
-            rotation=np.asarray(data["rotation"], dtype=float),
-            source_centroid=np.asarray(data["source_centroid"], dtype=float),
-            target_centroid=np.asarray(data["target_centroid"], dtype=float),
-        )
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 def fit_affine(kp: PairedKeypoints) -> AffineMap:

@@ -165,12 +165,6 @@ def _check_suite(suite: str) -> str:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    method = _check_method(_setting(args, cfg, "method", "gpt"))
-    if method != "gpt":
-        raise UsageError(
-            f"method {method!r} does not produce a transport map; "
-            "use 'gpt' here (baselines run under 'bench')"
-        )
     scenario_path = _setting(args, cfg, "scenario")
     if scenario_path is None:
         raise UsageError("a scenario file is required (--scenario or config)")
@@ -577,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a transport map to a scenario's keypoints")
     fit.add_argument("--scenario", help="scenario JSON file")
-    fit.add_argument("--method", help="method id (map fitting supports gpt)")
     fit.add_argument("--config", help="JSON config supplying defaults")
     fit.add_argument("--out-dir", dest="out_dir", help="output directory")
     fit.set_defaults(func=cmd_fit)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .types import _sq_dists
+from .types import _sq_dists, from_dict, to_dict
 
 # Likelihood noise is kept at or above this fraction of the signal variance.
 NOISE_FLOOR_RATIO = 1e-8
@@ -69,20 +69,8 @@ class KernelParams:
         if self.noise_variance < floor:
             object.__setattr__(self, "noise_variance", floor)
 
-    def to_dict(self) -> dict:
-        return {
-            "signal_variance": self.signal_variance,
-            "lengthscale": self.lengthscale,
-            "noise_variance": self.noise_variance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelParams":
-        return cls(
-            signal_variance=float(data["signal_variance"]),
-            lengthscale=float(data["lengthscale"]),
-            noise_variance=float(data["noise_variance"]),
-        )
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 def _se_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:

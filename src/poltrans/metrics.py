@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .types import Trajectory
+from .types import Trajectory, from_dict, to_dict
 
 # Docking angle averages the directions of this many final segments.
 ANGLE_TAIL_SEGMENTS = 5
@@ -41,8 +41,8 @@ class MetricReport:
         if self.final_angle_error > np.pi + 1e-12:
             raise ValueError("angle error must lie in [0, pi]")
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 # The five metric names, in MetricReport's field order.
@@ -352,14 +352,8 @@ class RankingResult:
     per_metric_points: dict
     ranking: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "points": dict(self.points),
-            "per_metric_points": {
-                metric: dict(scores) for metric, scores in self.per_metric_points.items()
-            },
-            "ranking": [[method, rank] for method, rank in self.ranking],
-        }
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, PointSet, Trajectory, load_json, save_json
+from .types import PairedKeypoints, PointSet, Trajectory, from_dict, load_json, save_json, to_dict
 
 SURFACE_PROFILES = ("flat", "tilt", "sine", "step", "composite")
 
@@ -87,7 +87,7 @@ class SurfaceScenario:
     """A surface-deformation transport instance with analytic ground truth."""
 
     profile: str
-    params: dict
+    params: dict[str, float]
     keypoints: PairedKeypoints
     demonstration: Trajectory
     reference: Trajectory
@@ -98,26 +98,9 @@ class SurfaceScenario:
         return f"surface-{self.profile}-{self.seed}"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "surface",
-            "profile": self.profile,
-            "params": dict(self.params),
-            "keypoints": self.keypoints.to_dict(),
-            "demonstration": self.demonstration.to_dict(),
-            "reference": self.reference.to_dict(),
-            "seed": self.seed,
-        }
+        return {"kind": "surface", **to_dict(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceScenario":
-        return cls(
-            profile=data["profile"],
-            params={k: float(v) for k, v in data["params"].items()},
-            keypoints=PairedKeypoints.from_dict(data["keypoints"]),
-            demonstration=Trajectory.from_dict(data["demonstration"]),
-            reference=Trajectory.from_dict(data["reference"]),
-            seed=int(data["seed"]),
-        )
+    from_dict = classmethod(from_dict)
 
 
 def _loop_demonstration() -> Trajectory:
@@ -142,9 +125,9 @@ def make_surface_scenario(
     """
     if n_keypoints < 2:
         raise ValueError("need at least two keypoints")
-    merged = dict(_PROFILE_DEFAULTS.get(profile, {}))
     if profile not in SURFACE_PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {SURFACE_PROFILES}")
+    merged = dict(_PROFILE_DEFAULTS[profile])
     if params:
         merged.update({k: float(v) for k, v in params.items()})
 
@@ -198,12 +181,8 @@ class Pose:
     def to_world(self, local: np.ndarray) -> np.ndarray:
         return np.atleast_2d(local) @ self.rotation().T + self.position
 
-    def to_dict(self) -> dict:
-        return {"xy": list(self.xy), "heading": self.heading}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Pose":
-        return cls(xy=tuple(data["xy"]), heading=float(data["heading"]))
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 CANONICAL_START = Pose(xy=(0.0, 0.0), heading=0.0)
@@ -224,7 +203,7 @@ def _frame_offsets(count: int) -> np.ndarray:
         raise ValueError("need at least one keypoint per frame")
     offsets = [np.zeros(2)]
     for j in range(count - 1):
-        angle = 2.0 * np.pi * j / max(count - 1, 1)
+        angle = 2.0 * np.pi * j / (count - 1)
         offsets.append(_FRAME_KP_RADIUS * np.array([np.cos(angle), np.sin(angle)]))
     return np.stack(offsets)
 
@@ -283,28 +262,9 @@ class FrameScenario:
         return f"frame-{self.seed}"
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "frame",
-            "start_pose": self.start_pose.to_dict(),
-            "goal_pose": self.goal_pose.to_dict(),
-            "keypoints_per_frame": self.keypoints_per_frame,
-            "keypoints": self.keypoints.to_dict(),
-            "demonstration": self.demonstration.to_dict(),
-            "reference": self.reference.to_dict(),
-            "seed": self.seed,
-        }
+        return {"kind": "frame", **to_dict(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrameScenario":
-        return cls(
-            start_pose=Pose.from_dict(data["start_pose"]),
-            goal_pose=Pose.from_dict(data["goal_pose"]),
-            keypoints_per_frame=int(data["keypoints_per_frame"]),
-            keypoints=PairedKeypoints.from_dict(data["keypoints"]),
-            demonstration=Trajectory.from_dict(data["demonstration"]),
-            reference=Trajectory.from_dict(data["reference"]),
-            seed=int(data["seed"]),
-        )
+    from_dict = classmethod(from_dict)
 
 
 def make_frame_scenario(

@@ -309,26 +309,23 @@ def transport_labels(tmap: TransportMap, labels: PolicyLabels) -> TransportedLab
     )
 
 
-def transport_uncertainty(tmap: TransportMap, labels: PolicyLabels, policy_variance) -> np.ndarray:
+def transport_uncertainty(moved: TransportedLabels, policy_variance) -> np.ndarray:
     """Total per-label variance: supplied policy variance plus the
-    transportation (velocity) variance.
+    transportation (velocity) variance that ``transport_labels`` computed.
 
     The transportation term contracts the per-entry Jacobian variance
     against the squared velocity, var_i = sum_b Var[dphi/dx_b](xdot_b)^2,
     and vanishes when velocities are absent or zero, so with zero policy
     variance the output equals the transportation variance exactly.
     """
-    pol = np.asarray(policy_variance, dtype=float).ravel()
-    if pol.size != labels.m:
-        raise ValueError(f"expected {labels.m} variances, got {pol.size}")
+    pol = np.array(policy_variance, dtype=float).ravel()
+    if pol.size != moved.m:
+        raise ValueError(f"expected {moved.m} variances, got {pol.size}")
     if np.any(pol < 0) or not np.all(np.isfinite(pol)):
         raise ValueError("policy variance must be finite and nonnegative")
-
-    transport_var = np.zeros(labels.m)
-    if labels.velocities is not None:
-        _, jac_var = transport_jacobians(tmap, labels.positions)
-        transport_var = _velocity_variance(jac_var, labels.velocities)
-    return pol + transport_var
+    if moved.velocity_variance is None:
+        return pol
+    return pol + moved.velocity_variance
 
 
 @dataclass(frozen=True, eq=False)

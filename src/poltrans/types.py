@@ -5,13 +5,18 @@ Conventions used across the package:
 * points are float64 row vectors, point sets are (N, dim) arrays,
 * matrices are row-major when serialized,
 * every container is immutable after construction (its arrays are marked
-  read-only), so instances are safe to share across threads.
+  read-only), so instances are safe to share across threads,
+* a record's JSON form is its fields, written by :func:`to_dict` and read
+  by :func:`from_dict`: arrays as nested lists, nested records as their
+  own JSON form.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +42,60 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = a[:, None, ax] - b[None, :, ax]
         sq += diff * diff
     return sq
+
+
+@cache
+def _schema(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type, required) of each field of a record class. ``X | None``
+    is taken as ``X``; a field with a default is not required. Resolved
+    once per class."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        tp = hints[f.name]
+        if type(None) in get_args(tp):
+            (tp,) = set(get_args(tp)) - {type(None)}
+        schema.append((f.name, tp, f.default is MISSING and f.default_factory is MISSING))
+    return tuple(schema)
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+def _decode(tp, value):
+    if tp in (int, float):
+        return tp(value)
+    if is_dataclass(tp):
+        return tp.from_dict(value)
+    if get_origin(tp) is dict:
+        return {k: _decode(get_args(tp)[1], v) for k, v in value.items()}
+    return value
+
+
+def to_dict(record) -> dict:
+    """A record's JSON form: one key per field. Arrays become nested lists,
+    tuples lists, and nested records their own ``to_dict``."""
+    return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
+
+
+def from_dict(cls, data: dict):
+    """Rebuild a record from its JSON form. Nested records go through their
+    own ``from_dict``; ``int``/``float`` fields and ``dict[str, float]``
+    values are cast. Everything else is passed as read, for the class's
+    ``__post_init__`` to coerce and check. A missing required key raises
+    ``KeyError``; a field with a default may be absent."""
+    return cls(**{
+        name: _decode(tp, data[name]) for name, tp, required in _schema(cls) if required or name in data
+    })
 
 
 def rotation_residual(matrix) -> tuple[float, float]:
@@ -88,11 +147,11 @@ class PointSet:
         return float(np.sqrt(_sq_dists(self.points, self.points).max()))
 
     def to_dict(self) -> dict:
-        return {"dim": self.dim, "points": self.points.tolist()}
+        return {"dim": self.dim, **to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointSet":
-        ps = cls(points=np.asarray(data["points"], dtype=float))
+        ps = from_dict(cls, data)
         if "dim" in data and int(data["dim"]) != ps.dim:
             raise ValueError("declared dim does not match point width")
         return ps
@@ -124,15 +183,8 @@ class PairedKeypoints:
     def n(self) -> int:
         return self.source.n
 
-    def to_dict(self) -> dict:
-        return {"source": self.source.to_dict(), "target": self.target.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PairedKeypoints":
-        return cls(
-            source=PointSet.from_dict(data["source"]),
-            target=PointSet.from_dict(data["target"]),
-        )
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,31 +234,8 @@ class PolicyLabels:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    def to_dict(self) -> dict:
-        def opt(arr):
-            return None if arr is None else arr.tolist()
-
-        return {
-            "positions": self.positions.tolist(),
-            "velocities": opt(self.velocities),
-            "orientations": opt(self.orientations),
-            "stiffness": opt(self.stiffness),
-            "damping": opt(self.damping),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolicyLabels":
-        def opt(key):
-            val = data.get(key)
-            return None if val is None else np.asarray(val, dtype=float)
-
-        return cls(
-            positions=np.asarray(data["positions"], dtype=float),
-            velocities=opt("velocities"),
-            orientations=opt("orientations"),
-            stiffness=opt("stiffness"),
-            damping=opt("damping"),
-        )
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,19 +269,8 @@ class Trajectory:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "times": None if self.times is None else self.times.tolist(),
-            "positions": self.positions.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trajectory":
-        times = data.get("times")
-        return cls(
-            positions=np.asarray(data["positions"], dtype=float),
-            times=None if times is None else np.asarray(times, dtype=float),
-        )
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 @dataclass(frozen=True)

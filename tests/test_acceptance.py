@@ -167,7 +167,7 @@ def test_criterion_06_uncertainty_additivity_bit_level():
         labels = full_labels(rng, m=6)
         policy = rng.uniform(0.0, 0.5, labels.m)
         moved = transport_labels(tmap, labels)
-        total = transport_uncertainty(tmap, labels, policy)
+        total = transport_uncertainty(moved, policy)
         assert np.array_equal(total, policy + moved.velocity_variance)
 
         still = PolicyLabels(
@@ -175,7 +175,7 @@ def test_criterion_06_uncertainty_additivity_bit_level():
         )
         frozen = transport_labels(tmap, still)
         assert np.all(frozen.velocity_variance == 0.0)
-        assert np.array_equal(transport_uncertainty(tmap, still, policy), policy)
+        assert np.array_equal(transport_uncertainty(frozen, policy), policy)
     print("[criterion 06] PASS - total = policy + transport variance, bitwise")
 
 

@@ -175,6 +175,14 @@ class TestTransport:
     def test_missing_arguments_are_usage_errors(self, tmp_path, fitted_map):
         assert run("transport", "--map", fitted_map) == 2
 
+    def test_labels_without_positions_fail_naming_the_key(self, tmp_path, fitted_map, capsys):
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps({"velocities": [[0.0, 1.0]]}))
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        assert "positions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):
         """A map file that carries the residual's training set in place of
         its hyperparameters predates the current format."""
@@ -724,6 +732,18 @@ def test_benchmark_tracer_binds_every_traced_name(tracing):
     with tracing.installed(tracing.Tracer()):
         assert cli.ThreadPoolExecutor is not pool
     assert cli.ThreadPoolExecutor is pool
+
+
+def test_benchmark_own_tests_pass():
+    """The benchmark's tests pin what its tracer assumes of poltrans, such
+    as the query counts of ``gp.predict_variance``. They run as their own
+    session because both test trees have a ``conftest.py``."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
 
 
 def test_benchmark_counts_gp_objective_evals(tracing):

@@ -412,7 +412,7 @@ class TestUncertainty:
         labels = rigid_labels(rng, m=7)
         policy = rng.uniform(0.0, 0.5, 7)
         moved = transport_labels(tmap, labels)
-        total = transport_uncertainty(tmap, labels, policy)
+        total = transport_uncertainty(moved, policy)
         assert np.array_equal(total, policy + moved.velocity_variance)
 
     def test_zero_policy_variance_passes_transport_part_through(self):
@@ -420,26 +420,26 @@ class TestUncertainty:
         tmap = fit_transport(random_smooth_pair(rng))
         labels = rigid_labels(rng, m=4)
         moved = transport_labels(tmap, labels)
-        total = transport_uncertainty(tmap, labels, np.zeros(4))
+        total = transport_uncertainty(moved, np.zeros(4))
         assert np.array_equal(total, moved.velocity_variance)
 
     def test_missing_velocities_add_nothing(self):
         rng = np.random.default_rng(13)
         tmap = fit_transport(random_smooth_pair(rng))
-        labels = PolicyLabels(positions=rng.uniform(-1, 1, (3, 2)))
+        moved = transport_labels(tmap, PolicyLabels(positions=rng.uniform(-1, 1, (3, 2))))
         policy = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(transport_uncertainty(tmap, labels, policy), policy)
+        assert np.array_equal(transport_uncertainty(moved, policy), policy)
 
     def test_rejects_invalid_policy_variance(self):
         rng = np.random.default_rng(14)
         tmap = fit_transport(random_smooth_pair(rng))
-        labels = PolicyLabels(positions=rng.uniform(-1, 1, (3, 2)))
+        moved = transport_labels(tmap, PolicyLabels(positions=rng.uniform(-1, 1, (3, 2))))
         with pytest.raises(ValueError):
-            transport_uncertainty(tmap, labels, np.array([0.1, -0.2, 0.3]))
+            transport_uncertainty(moved, np.array([0.1, -0.2, 0.3]))
         with pytest.raises(ValueError):
-            transport_uncertainty(tmap, labels, np.array([0.1, np.nan, 0.3]))
+            transport_uncertainty(moved, np.array([0.1, np.nan, 0.3]))
         with pytest.raises(ValueError):
-            transport_uncertainty(tmap, labels, np.array([0.1, 0.2]))
+            transport_uncertainty(moved, np.array([0.1, 0.2]))
 
 
 class TestDiffeomorphismCheck:

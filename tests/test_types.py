@@ -1,5 +1,7 @@
 """Container invariants, validation reports, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,20 @@ from scipy.spatial.distance import cdist, pdist
 import poltrans
 from conftest import loop_validate_labels, random_rotation, rotation_2d
 from poltrans import (
+    AffineMap,
+    KernelParams,
+    MetricReport,
     PairedKeypoints,
     PointSet,
     PolicyLabels,
+    Pose,
+    RankingResult,
+    SurfaceScenario,
     Trajectory,
+    fit_transport,
     is_rotation,
+    make_surface_scenario,
+    random_frame_scenario,
     load_json,
     rotation_residual,
     save_json,
@@ -247,3 +258,67 @@ def test_package_exports_are_sorted_unique_and_resolve():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(poltrans, name), name
+
+
+def _full_labels():
+    rng = np.random.default_rng(7)
+    spd = np.stack([np.diag(d) for d in rng.uniform(0.5, 2.0, (3, 2))])
+    return PolicyLabels(
+        positions=rng.normal(size=(3, 2)),
+        velocities=rng.normal(size=(3, 2)),
+        orientations=np.stack([rotation_2d(a) for a in rng.uniform(-3, 3, 3)]),
+        stiffness=spd,
+        damping=0.1 * spd,
+    )
+
+
+# One builder per record class, with each optional family present and absent.
+RECORDS = {
+    "point_set": lambda: PointSet([[0.1, 0.2, 0.3], [-1.5, 2.0, 1e-17]]),
+    "paired_keypoints": lambda: make_surface_scenario("sine", n_keypoints=5).keypoints,
+    "policy_labels_full": _full_labels,
+    "policy_labels_positions_only": lambda: PolicyLabels(positions=[[0.1, 0.7], [0.3, 0.2]]),
+    "trajectory_with_times": lambda: Trajectory(positions=[[0.0, 0.5], [1.0, 0.25]], times=[0.0, 0.1]),
+    "trajectory_without_times": lambda: Trajectory(positions=[[0.0, 0.5], [1.0, 0.25]]),
+    "kernel_params": lambda: KernelParams(signal_variance=0.3, lengthscale=0.7, noise_variance=1e-7),
+    "affine_map": lambda: AffineMap(rotation_2d(0.4), [0.1, 0.2], [-0.3, 0.5]),
+    "pose": lambda: Pose(xy=(0.1, -0.2), heading=1.1),
+    "surface_scenario": lambda: make_surface_scenario("composite", n_keypoints=6, seed=2),
+    "frame_scenario": lambda: random_frame_scenario(204, keypoints_per_frame=3),
+    "metric_report": lambda: MetricReport(0.1, 0.2, 0.3, 0.4, 0.5),
+    "ranking_result": lambda: RankingResult(
+        points={"gpt": 3, "le": 0}, per_metric_points={"dtw": {"gpt": 1, "le": 0}}, ranking=(("gpt", 1), ("le", 2))
+    ),
+    "transport_map": lambda: fit_transport(make_surface_scenario("step", n_keypoints=6).keypoints),
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
+def test_json_form_round_trips_byte_for_byte(build):
+    record = build()
+    first = json.dumps(record.to_dict(), sort_keys=True)
+    again = type(record).from_dict(json.loads(first))
+    assert json.dumps(again.to_dict(), sort_keys=True) == first
+
+
+@pytest.mark.parametrize("cls, data, key", [
+    (PolicyLabels, {"velocities": [[0.0, 1.0]]}, "positions"),
+    (Trajectory, {"times": [0.0]}, "positions"),
+    (KernelParams, {"signal_variance": 1.0, "noise_variance": 0.0}, "lengthscale"),
+    (PairedKeypoints, {"source": {"points": [[0.0, 0.0]]}}, "target"),
+])
+def test_missing_required_key_is_a_key_error_naming_it(cls, data, key):
+    with pytest.raises(KeyError, match=key):
+        cls.from_dict(data)
+
+
+def test_integer_json_reads_back_with_the_field_types():
+    params = KernelParams.from_dict({"signal_variance": 2, "lengthscale": 1, "noise_variance": 0})
+    assert all(type(v) is float for v in params.to_dict().values())
+    assert type(Pose.from_dict({"xy": [1, 2], "heading": 1}).heading) is float
+
+    data = make_surface_scenario("tilt", n_keypoints=4, seed=3).to_dict()
+    data.update(params={"angle": 1}, seed=3.0)
+    scenario = SurfaceScenario.from_dict(data)
+    assert type(scenario.params["angle"]) is float
+    assert type(scenario.seed) is int and scenario.seed == 3
