@@ -75,8 +75,9 @@ def fit_affine(kp: PairedKeypoints) -> AffineMap:
     cross = (src - src_centroid).T @ (tgt - tgt_centroid)
     u, sigma, vt = np.linalg.svd(cross)
 
-    n_zero = int(np.sum(sigma <= DEGENERATE_REL_TOL * (sigma[0] if sigma[0] > 0 else 1.0)))
-    if sigma[0] == 0.0 or n_zero >= 2:
+    # All-zero sigma (coincident points) counts dim >= 2 zeros.
+    n_zero = int(np.sum(sigma <= DEGENERATE_REL_TOL * sigma[0]))
+    if n_zero >= 2:
         rotation = np.eye(kp.dim)
     else:
         v = vt.T

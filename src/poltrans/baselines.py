@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gp import KernelParams, build_gp, fit_gp, predict_mean
+from .transport import match_tolerance
 from .types import PairedKeypoints, Trajectory, _freeze, _sq_dists
 
 # Per-unit translation magnitude is capped at this fraction of the unit
@@ -239,11 +240,11 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     near other keypoints (half the distance to the nearest one) to limit
     interference, and the step obeys the per-unit invertibility bound, so
     several units may be needed per keypoint. Stops when the largest
-    residual drops below 1e-3 x target diameter; hitting ``max_iters``
-    first returns the best map found plus a warning.
+    residual drops to ``match_tolerance(kp)``, the transportation map's
+    own tolerance; hitting ``max_iters`` first returns the best map found
+    plus a warning.
     """
-    diam = kp.target.diameter()
-    tol = 1e-3 * (diam if diam > 0 else 1.0)
+    tol = match_tolerance(kp)
 
     current = kp.source.points.copy()
     target = kp.target.points

@@ -630,7 +630,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -19,6 +19,11 @@ covariances are analytic:
 so K11 at u = v is (sp2 / l^2) I, which is the prior derivative variance
 far from all data. The prior mean is fixed at zero: far from the training
 inputs the posterior mean decays to 0 and the variance reverts to sp2.
+
+Every factorization goes through :func:`_factor_in_place` and every solve
+through :func:`_solve`, LAPACK's ``dpotrf`` and ``dpotrs`` called directly.
+Non-finite values are stopped where data enter: training data in
+:func:`build_gp` and :func:`fit_gp`, queries in the predictions.
 """
 from __future__ import annotations
 
@@ -35,8 +40,6 @@ from .types import _sq_dists, from_dict, to_dict
 NOISE_FLOOR_RATIO = 1e-8
 # fit_gp's default and largest noise-to-signal ratio: near-interpolation.
 NOISE_RATIO_MAX = 1e-6
-# Jitter escalates by x10 from the floor up to this fraction on Cholesky failure.
-JITTER_MAX_RATIO = 1e-4
 # Lengthscales, as multiples of the data's ell_center, at which fit_gp scores
 # the profiled likelihood: 4 points per decade over its lengthscale bounds.
 LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
@@ -78,40 +81,27 @@ def _se_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray
     return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise ValueError("array must not contain infs or NaNs")
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the SPD matrix ``a``.
-
-    Calls LAPACK ``dpotrf``, the routine behind
-    ``scipy.linalg.cholesky(a, lower=True)``, so the factor is bitwise the
-    same without that wrapper's per-call batching and dispatch. Raises
-    ValueError on non-finite input and LinAlgError when ``a`` is not
+def _factor_in_place(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the exactly symmetric, C-contiguous matrix
+    ``a``, written over ``a``'s own buffer, or None when ``a`` is not
     positive definite.
+
+    ``a``'s transpose is an F-order array with the same entries, which
+    LAPACK ``dpotrf`` factors without a copy. The strict upper triangle is
+    zeroed, so the factor is bitwise ``scipy.linalg.cholesky(a, lower=True)``.
+    A factor whose diagonal is not finite (``a`` held a NaN or an inf) counts
+    as a failure too, since OpenBLAS's ``dpotrf`` reports success on it.
     """
-    _check_finite(a)
-    chol, info = dpotrf(a, lower=1, clean=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    chol, info = dpotrf(a.T, lower=1, overwrite_a=1)
+    if info or not np.isfinite(chol.diagonal()).all():
+        return None
     return chol
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(chol chol^T) x = b`` with LAPACK ``dpotrs``; bitwise equal to
     ``scipy.linalg.cho_solve((chol, True), b)``."""
-    _check_finite(chol, b)
-    x, info = dpotrs(chol, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+    return dpotrs(chol, b, lower=1)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +115,6 @@ class GPModel:
     params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
-    jitter: float = 0.0
 
     @property
     def n(self) -> int:
@@ -152,11 +141,15 @@ def _as_2d(arr, name: str) -> np.ndarray:
 
 
 def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
-    """Factorize the Gram matrix and cache the solve against the outputs.
+    """Factorize the Gram matrix K + sn2 I and cache the solve against the
+    outputs.
 
-    On Cholesky failure the diagonal jitter escalates by factors of 10 from
-    the noise floor up to ``JITTER_MAX_RATIO * signal_variance``; if every
-    attempt fails a RuntimeError("non-PD Gram matrix") is raised.
+    K + sn2 I is built in one buffer and factored there once. In exact
+    arithmetic its smallest eigenvalue is at least sn2, which
+    ``KernelParams`` holds at or above ``NOISE_FLOOR_RATIO *
+    signal_variance``, so it factors without added jitter, exact duplicate
+    inputs included. A factorization that fails all the same raises
+    RuntimeError("non-PD Gram matrix").
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
@@ -166,27 +159,16 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
         raise ValueError("at least one training point required")
 
     gram = _se_matrix(x, x, params)
-    eye = np.eye(x.shape[0])
-    base = gram + params.noise_variance * eye
-
-    jitter = 0.0
-    next_jitter = NOISE_FLOOR_RATIO * params.signal_variance
-    while True:
-        try:
-            chol = _cholesky(base + jitter * eye)
-            break
-        except np.linalg.LinAlgError:
-            if jitter >= JITTER_MAX_RATIO * params.signal_variance:
-                raise RuntimeError("non-PD Gram matrix") from None
-            jitter = next_jitter
-            next_jitter *= 10.0
-
-    alpha = _cho_solve(chol, y)
+    gram.ravel()[:: x.shape[0] + 1] += params.noise_variance  # a view: gram is C-contiguous
+    chol = _factor_in_place(gram)
+    if chol is None:
+        raise RuntimeError("non-PD Gram matrix")
+    alpha = _solve(chol, y)
     x = x.copy()
     y = y.copy()
     x.setflags(write=False)
     y.setflags(write=False)
-    return GPModel(inputs=x, outputs=y, params=params, chol=chol, alpha=alpha, jitter=jitter)
+    return GPModel(inputs=x, outputs=y, params=params, chol=chol, alpha=alpha)
 
 
 def log_marginal_likelihood(model: GPModel) -> float:
@@ -201,33 +183,20 @@ def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[fl
     """Negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with the
     signal variance profiled out, and that variance's log.
 
-    C = corr + ratio I is written into the buffer ``corr``; sp2 =
-    sum(y * C^-1 y) / (n d_out), clipped to ``log_sp2_bounds``, is its
-    closed-form optimum (Rasmussen & Williams 2006, 5.4). One finiteness
-    scan, one ``dpotrf`` in place and one ``dpotrs``; a C that fails to
-    factor scores (inf, nan). Bitwise what ``_cholesky`` and ``_cho_solve``
-    on a copy of C give.
+    C = corr + ratio I is written into the buffer ``corr`` and factored
+    there; sp2 = sum(y * C^-1 y) / (n d_out), clipped to ``log_sp2_bounds``,
+    is its closed-form optimum (Rasmussen & Williams 2006, 5.4). A C that
+    fails to factor scores (inf, nan).
     """
     n, d_out = y.shape
     # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
     np.divide(neg_half_sq, ell**2, out=corr)
     np.exp(corr, out=corr)
     corr.ravel()[:: n + 1] += ratio  # a view: corr is C-contiguous
-    _check_finite(corr)
-    # C is exactly symmetric, so its F-order view holds the bytes that
-    # dpotrf's own F-order copy would; the factor overwrites it in place.
-    # Only the lower triangle is L, which is all that dpotrs reads, and L is
-    # finite when C is, so the solve needs no scan of its own (y is checked
-    # by the caller).
-    chol, info = dpotrf(corr.T, lower=1, clean=0, overwrite_a=1)
-    if info > 0:
+    chol = _factor_in_place(corr)
+    if chol is None:
         return np.inf, np.nan
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    solved, info = dpotrs(chol, y, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    quad = float((y * solved).sum())
+    quad = float((y * _solve(chol, y)).sum())
     lo, hi = log_sp2_bounds
     log_sp2 = float(min(max(np.log(quad / (n * d_out)), lo), hi))
     nlml = (
@@ -364,9 +333,9 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     All-zero outputs skip the search and get lengthscale ell_center with a
     negligible signal variance, so the posterior is the certain zero.
     Raises ValueError for a ``noise_ratio`` outside its range and for
-    distinct inputs too close for their squared distances to be normal
-    floats, and RuntimeError("non-PD Gram matrix") when every grid point
-    fails.
+    distinct inputs too close or too far apart for their squared distances
+    to be normal floats, and RuntimeError("non-PD Gram matrix") when every
+    grid point fails.
     """
     x = _as_2d(inputs, "inputs")
     y = _as_2d(outputs, "outputs")
@@ -377,11 +346,12 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
 
     sq = _sq_dists(x, x)
     sq_max = float(sq.max())
-    if sq_max < np.finfo(float).tiny and np.any(x != x[0]):
+    if not np.finfo(float).tiny <= sq_max < np.inf and np.any(x != x[0]):
         scale = float(np.ptp(x, axis=0).max())
+        size, flow = ("large", "overflow") if sq_max == np.inf else ("small", "underflow")
         raise ValueError(
-            f"input scale {scale:.3g} is too small: the squared distances "
-            "between distinct inputs underflow"
+            f"input scale {scale:.3g} is too {size}: the squared distances "
+            f"between distinct inputs {flow}"
         )
     # sqrt is monotone and correctly rounded, so this is pdist(x).max().
     # Identical inputs (or a single one) have no scale; 1 stands in.
@@ -437,6 +407,8 @@ def _as_queries(model: GPModel, queries) -> tuple[np.ndarray, bool]:
     q = np.atleast_2d(q)
     if q.shape[1] != model.d_in:
         raise ValueError(f"queries must have dimension {model.d_in}")
+    if not np.isfinite(q).all():
+        raise ValueError("queries must be finite")
     return q, single
 
 
@@ -454,7 +426,7 @@ def predict_variance(model: GPModel, queries) -> np.ndarray:
     output dimensions; clamped at >= 0. Shape (n,) or scalar."""
     q, single = _as_queries(model, queries)
     k_star = _se_matrix(q, model.inputs, model.params)
-    v = _cho_solve(model.chol, k_star.T)
+    v = _solve(model.chol, k_star.T)
     var = model.params.signal_variance - np.einsum("nq,nq->q", k_star.T, v)
     var = np.maximum(var, 0.0)
     return float(var[0]) if single else var
@@ -479,7 +451,7 @@ def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]
 
     n_q, n_train, d_in = grad_k.shape
     flat = grad_k.transpose(1, 0, 2).reshape(n_train, n_q * d_in)
-    solved = _cho_solve(model.chol, flat).reshape(n_train, n_q, d_in)
+    solved = _solve(model.chol, flat).reshape(n_train, n_q, d_in)
     explained = np.einsum("qnb,nqc->qbc", grad_k, solved)
 
     prior = (model.params.signal_variance / ell2) * np.eye(d_in)

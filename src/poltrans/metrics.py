@@ -332,9 +332,9 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         mean = n1 * n2 / 2.0
         _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
+        # Not all pooled values are equal, so tie_term <= n - 2 (one tie of
+        # n - 1 values at most) and var >= n1 n2 / 4 > 0.
         var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-        if var <= 0:
-            return u_x, 1.0, False
         z = (u_x + 0.5 - mean) / np.sqrt(var)
         p = float(ndtr(z))
     return u_x, float(p), bool(p < alpha)

@@ -52,6 +52,13 @@ ROTATED_FAMILIES = (
 )
 
 
+def match_tolerance(kp: PairedKeypoints) -> float:
+    """How far a fitted map may leave a source keypoint from its target:
+    ``TOL_MATCH_SCALE`` times the target diameter, or times 1 when that is 0."""
+    diam = kp.target.diameter()
+    return TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
+
+
 def _residual_data(affine: AffineMap, kp: PairedKeypoints) -> tuple[np.ndarray, np.ndarray]:
     """The residual GP's training set: inputs gamma(S), targets T - gamma(S).
 
@@ -186,9 +193,9 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     gamma(S) against targets T - gamma(S) (exact zeros when they are
     round-off, which fit no hyperparameters) at ``fit_gp``'s default noise
     ratio, 1e-6 of the signal variance, so that every keypoint is matched
-    within ``TOL_MATCH_SCALE * target diameter``. If the optimized fit
-    misses that tolerance, the fit is retried with the noise pinned at the
-    floor; a persistent miss attaches a warning rather than failing.
+    within :func:`match_tolerance`. If the optimized fit misses that
+    tolerance, the fit is retried with the noise pinned at the floor; a
+    persistent miss attaches a warning rather than failing.
     """
     affine = fit_affine(kp)
     aligned, residual_targets = _residual_data(affine, kp)
@@ -196,8 +203,7 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     residual = fit_gp(aligned, residual_targets)
     tmap = TransportMap(affine=affine, residual=residual, keypoints=kp)
 
-    diam = kp.target.diameter()
-    tol = TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
+    tol = match_tolerance(kp)
     err = float(tmap.keypoint_errors.max())
     if err > tol:
         pinned = fit_gp(aligned, residual_targets, noise_ratio=NOISE_FLOOR_RATIO)

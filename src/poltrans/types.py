@@ -91,11 +91,16 @@ def from_dict(cls, data: dict):
     """Rebuild a record from its JSON form. Nested records go through their
     own ``from_dict``; ``int``/``float`` fields and ``dict[str, float]``
     values are cast. Everything else is passed as read, for the class's
-    ``__post_init__`` to coerce and check. A missing required key raises
-    ``KeyError``; a field with a default may be absent."""
-    return cls(**{
-        name: _decode(tp, data[name]) for name, tp, required in _schema(cls) if required or name in data
-    })
+    ``__post_init__`` to coerce and check. A missing required key raises a
+    ``KeyError`` naming the class and the key; a field with a default may
+    be absent."""
+    kwargs = {}
+    for name, tp, required in _schema(cls):
+        if name in data:
+            kwargs[name] = _decode(tp, data[name])
+        elif required:
+            raise KeyError(f"{cls.__name__} has no {name!r} key")
+    return cls(**kwargs)
 
 
 def rotation_residual(matrix) -> tuple[float, float]:

@@ -52,6 +52,14 @@ class TestFit:
         code = run("fit", "--scenario", tmp_path / "nope.json", "--out-dir", tmp_path)
         assert code == 1
 
+    def test_scenario_missing_a_key_names_the_record_and_the_key(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"kind": "surface"}))
+        out = tmp_path / "fit"
+        assert run("fit", "--scenario", scenario, "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: SurfaceScenario has no 'profile' key\n"
+        assert not out.exists()
+
     def test_config_file_supplies_defaults_and_flags_win(self, tmp_path, scenario_file):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenario": str(scenario_file), "out_dir": str(tmp_path / "a")}))
@@ -180,7 +188,7 @@ class TestTransport:
         labels_path.write_text(json.dumps({"velocities": [[0.0, 1.0]]}))
         out = tmp_path / "transport"
         assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
-        assert "positions" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: PolicyLabels has no 'positions' key\n"
         assert not out.exists()
 
     def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):

@@ -24,7 +24,6 @@ from conftest import (
 )
 from poltrans import gp
 from poltrans.gp import (
-    JITTER_MAX_RATIO,
     LENGTHSCALE_GRID,
     NOISE_FLOOR_RATIO,
     NOISE_RATIO_MAX,
@@ -66,7 +65,6 @@ class TestClosedForms:
         """One observation y=1 at x=0 with unit signal and noise 0.1 has
         posterior mean 1/1.1 and latent variance 1 - 1/1.1 at the datum."""
         model = build_gp([[0.0]], [[1.0]], KernelParams(1.0, 1.0, 0.1))
-        assert model.jitter == 0.0
         assert predict_mean(model, [0.0])[0] == pytest.approx(1.0 / 1.1, abs=1e-12)
         assert predict_variance(model, [0.0]) == pytest.approx(1.0 - 1.0 / 1.1, abs=1e-12)
 
@@ -125,7 +123,7 @@ class TestDerivatives:
         params = model.params
         x = model.inputs
         gram = np.array([[kernel_se(a, b, params) for b in x] for a in x])
-        gram += (params.noise_variance + model.jitter) * np.eye(len(x))
+        gram += params.noise_variance * np.eye(len(x))
 
         rng = np.random.default_rng(5)
         h = 1e-5
@@ -228,6 +226,10 @@ class TestHyperparameterFit:
         assert np.all(np.abs(predict_mean(model, grid)) < 1e-9)
         assert np.all(predict_variance(model, grid) < 1e-9)
 
+    def test_inputs_whose_squared_distances_overflow_are_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="input scale 1e\\+200 is too large"):
+            fit_gp([[0.0], [1e200]], [[0.0], [1.0]])
+
     @pytest.mark.parametrize("spacing", [1e-160, 1e-170])
     def test_distinct_inputs_whose_squared_distances_underflow_are_rejected(self, spacing):
         """At 1e-160 the squared distances are subnormal and the grid would
@@ -321,8 +323,7 @@ class TestObjective:
         polish can pick it; the dense oracles agree."""
         x, y = smooth_data(12, 2)
         sq = gp._sq_dists(x, x)
-        with pytest.raises(np.linalg.LinAlgError):
-            gp._cholesky(np.exp(-sq / (2.0 * 100.0**2)) + 1e-16 * np.eye(12))
+        assert gp._factor_in_place(np.exp(-sq / (2.0 * 100.0**2)) + 1e-16 * np.eye(12)) is None
         nlml, log_sp2 = gp._profiled_nlml(np.empty((12, 12)), -0.5 * sq, y, 100.0, 1e-16, (-50.0, 50.0))
         assert nlml == np.inf and np.isnan(log_sp2)
         ref_nlml, ref_log_sp2 = dense_profiled_nlml(sq, y, 100.0, 1e-16, (-50.0, 50.0))
@@ -432,36 +433,50 @@ class TestRobustness:
             KernelParams(np.nan, 1.0)
 
     def test_duplicate_inputs_survive_on_the_noise_floor(self):
-        # exact duplicates are already regularized by the structural noise
-        # floor, so no extra jitter is spent on them
+        # exact duplicates are regularized by the structural noise floor
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         y = np.array([[1.0], [1.0], [0.0]])
         model = build_gp(x, y, KernelParams(1.0, 1.0, 0.0))
-        assert model.jitter == 0.0
         assert np.isfinite(predict_mean(model, [[0.5, 0.0]])).all()
 
-    def test_jitter_escalates_until_factorization_succeeds(self, monkeypatch):
-        real_cholesky = gp._cholesky
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise np.linalg.LinAlgError("forced")
-            return real_cholesky(*args, **kwargs)
-
-        monkeypatch.setattr("poltrans.gp._cholesky", flaky)
-        model = build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
-        assert 0.0 < model.jitter <= JITTER_MAX_RATIO * 1.0
-        assert np.isfinite(predict_mean(model, [[0.5]])).all()
+    @pytest.mark.parametrize("ell_scale", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("layout", ["uniform", "duplicated", "collinear"])
+    def test_gram_matrix_factors_at_the_noise_floor(self, layout, ell_scale):
+        """The floor sn2 >= NOISE_FLOOR_RATIO sp2 bounds K + sn2 I's smallest
+        eigenvalue away from 0, so it factors as built, even where K itself
+        is singular: tenfold duplicates, collinear points, and a lengthscale
+        that makes K all but a matrix of ones. The factor is SciPy's, bit
+        for bit, upper triangle included."""
+        rng = np.random.default_rng(30)
+        if layout == "uniform":
+            x = rng.uniform(-1.0, 1.0, (500, 2))
+        elif layout == "duplicated":
+            x = np.repeat(rng.uniform(-1.0, 1.0, (50, 2)), 10, axis=0)
+        else:
+            x = np.linspace(0.0, 1.0, 500)[:, None] * np.array([[3.0, -2.0]])
+        y = np.sin(3.0 * x)
+        ell_center = pdist(x).max() / np.sqrt(2.0)
+        params = KernelParams(1.0, ell_scale * ell_center, 0.0)
+        assert params.noise_variance == NOISE_FLOOR_RATIO
+        model = build_gp(x, y, params)
+        gram = np.exp(-cdist(x, x, "sqeuclidean") / (2.0 * params.lengthscale**2))
+        ref = scipy.linalg.cholesky(gram + params.noise_variance * np.eye(len(x)), lower=True)
+        assert np.array_equal(model.chol, ref)
 
     def test_unrepairable_gram_matrix_raises(self, monkeypatch):
-        def always_fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        def no_factor(a, **kwargs):
+            return a, 1  # LAPACK's "leading minor 1 is not positive definite"
 
-        monkeypatch.setattr("poltrans.gp._cholesky", always_fail)
+        monkeypatch.setattr(gp, "dpotrf", no_factor)
         with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
             build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
+
+    def test_gram_matrix_that_is_not_finite_raises(self):
+        """A lengthscale whose square underflows puts 0/0 on K's diagonal."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
+                build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1e-170, 0.0))
 
     def test_non_finite_training_data_is_named(self):
         with pytest.raises(ValueError, match="inputs must be finite"):
@@ -475,36 +490,42 @@ class TestRobustness:
 
 
 class TestLapackSeam:
-    """gp factorizes and solves with LAPACK directly; every result must be
-    bitwise equal to the SciPy wrappers it replaced."""
+    """gp factorizes with ``_factor_in_place`` and solves with ``_solve``,
+    LAPACK called directly; every result must be bitwise equal to the SciPy
+    wrappers they replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 12, 50, 200])
     def test_factor_and_solve_equal_scipy_wrappers(self, n):
         rng = np.random.default_rng(n)
         x = rng.uniform(-1.0, 1.0, (n, 2))
         gram = np.exp(-cdist(x, x, "sqeuclidean") / 0.5) + 1e-6 * np.eye(n)
-        chol = gp._cholesky(gram)
         ref = scipy.linalg.cholesky(gram, lower=True)
+        chol = gp._factor_in_place(gram)
         assert np.array_equal(chol, ref)
+        assert np.shares_memory(chol, gram)  # factored in the matrix's own buffer
         rhs = [rng.standard_normal((n, k)) for k in sorted({1, 2, n})] + [np.eye(n)]
         for b in rhs:
-            assert np.array_equal(gp._cho_solve(chol, b), scipy.linalg.cho_solve((ref, True), b))
+            assert np.array_equal(gp._solve(chol, b), scipy.linalg.cho_solve((ref, True), b))
 
-    def test_non_positive_definite_matrix_is_a_linalg_error(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            gp._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    def test_non_positive_definite_matrix_factors_to_none(self):
+        """An indefinite matrix gives None, and so does one holding a NaN or
+        an inf, on which OpenBLAS's dpotrf reports success."""
+        for a in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            assert gp._factor_in_place(np.array(a)) is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_a_value_error(self, bad):
-        a = np.array([[2.0, 0.5], [0.5, 2.0]])
-        a[1, 0] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            gp._cholesky(a)
-        chol = gp._cholesky(np.eye(2))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            gp._cho_solve(chol, np.array([[1.0], [bad]]))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            gp._cho_solve(a, np.ones((2, 1)))
+        """Non-finite values stop where data enter the GP: the training set
+        and the queries. What reaches the factor and the solves is finite."""
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            build_gp([[0.0], [bad]], [[0.0], [1.0]], KernelParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="outputs must be finite"):
+            build_gp([[0.0], [1.0]], [[bad], [1.0]], KernelParams(1.0, 1.0))
+        model = make_random_model(17)
+        for query in ([0.0, bad], [[0.5, 0.5], [bad, 0.0]]):
+            for predict in (predict_mean, predict_variance, predict_derivative):
+                with pytest.raises(ValueError, match="queries must be finite"):
+                    predict(model, query)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_squared_distances_equal_cdist(self, d):

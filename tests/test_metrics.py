@@ -333,6 +333,16 @@ class TestMannWhitney:
             )
             assert p == pytest.approx(ref.pvalue, abs=1e-10)
 
+    @pytest.mark.parametrize("n1, n2", [(11, 11), (3, 30), (30, 3)])
+    def test_approximate_branch_variance_is_positive_under_the_largest_tie(self, n1, n2):
+        """All but one pooled value tied is the largest tie short of all
+        equal: the tie term is n - 2 and the variance n1 n2 / 4."""
+        for x, y in ((np.zeros(n1), np.r_[np.zeros(n2 - 1), 1.0]), (np.r_[1.0, np.zeros(n1 - 1)], np.zeros(n2))):
+            _, p, _ = mann_whitney_u(x, y)
+            ref = scipy_stats.mannwhitneyu(x, y, alternative="less", method="asymptotic", use_continuity=True)
+            assert 0.0 < p <= 1.0
+            assert p == pytest.approx(ref.pvalue, abs=1e-10)
+
     def test_average_ranks_match_scipy_rankdata(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
