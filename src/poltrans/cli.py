@@ -1,7 +1,10 @@
 """Command-line front end: fit, transport, bench, metrics, rank, scenario-gen.
 
 Exit codes: 0 success, 1 runtime failure (missing/invalid files, numeric
-failure), 2 usage error (unknown subcommand, method, or suite).
+failure), 2 usage error (an unknown subcommand, suite or method, a missing
+required flag, a value out of range), raised before any file is written.
+``build_parser`` decides every setting: its flags' types check their
+values, and ``SUITE_DEFAULTS`` holds the defaults that depend on --suite.
 
 Both bench suites reduce to a list of cells, one per scene x method x
 repetition, which ``_run_bench`` runs on a thread pool capped by the
@@ -68,7 +71,13 @@ from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_jso
 from .svgplot import SvgScene
 
 METHODS = ("gpt", "le", "reshaped_kmp", "lwt")
-SUITES = ("surfaces", "frames")
+# The defaults that depend on --suite: the number of (test) seeds of the
+# corpus, and the methods bench runs.
+SUITE_DEFAULTS = {
+    "surfaces": {"seeds": 3, "methods": METHODS},
+    "frames": {"seeds": 20, "methods": ("gpt", "le")},
+}
+SUITES = tuple(SUITE_DEFAULTS)
 # Frame benchmarks give assignment-based reshapers fewer keypoints per frame
 # (pairing more is ambiguous for them); map-based methods use all five.
 FRAME_KPF = {"gpt": 5, "lwt": 5, "le": 2, "reshaped_kmp": 2}
@@ -110,67 +119,45 @@ def _worker_count() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def _load_config(args) -> dict:
-    """Merge an optional --config JSON file under the CLI flags: a flag set
-    on the command line wins; config supplies defaults otherwise."""
-    if not getattr(args, "config", None):
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    cfg = load_json(path)
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    for key in ("scenario", "map", "labels"):
-        ref = cfg.get(key)
-        if ref is not None and not Path(ref).exists():
-            raise UsageError(f"config references missing file: {ref}")
-    return cfg
+def _at_least(minimum: int):
+    """argparse type of a count flag: an integer no smaller than ``minimum``."""
 
-
-def _setting(args, cfg: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
-    if cfg.get(name) is not None:
-        return cfg[name]
-    return default
+
+    return count
 
 
-def _at_least(args, cfg: dict, name: str, default: int, minimum: int) -> int:
-    value = int(_setting(args, cfg, name, default))
-    if value < minimum:
-        flag = "--" + name.replace("_", "-")
-        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
+def _alpha(text: str) -> float:
+    """argparse type of --alpha, the significance level."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value:g}")
     return value
 
 
-def _check_method(method: str) -> str:
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}; valid ids: {', '.join(METHODS)}")
-    return method
+def _method_list(text: str) -> list[str]:
+    """argparse type of --methods: comma-separated ids from METHODS."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise argparse.ArgumentTypeError("needs at least one method id")
+    for method in methods:
+        if method not in METHODS:
+            raise argparse.ArgumentTypeError(f"unknown method {method!r}; valid ids: {', '.join(METHODS)}")
+    return methods
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"--alpha must lie strictly between 0 and 1, got {alpha:g}")
-    return alpha
-
-
-def _check_suite(suite: str) -> str:
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
-    return suite
+def _seed_count(args) -> int:
+    """--seeds, or the suite's default number of (test) seeds."""
+    return SUITE_DEFAULTS[args.suite]["seeds"] if args.seeds is None else args.seeds
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    scenario_path = _setting(args, cfg, "scenario")
-    if scenario_path is None:
-        raise UsageError("a scenario file is required (--scenario or config)")
-    out_dir = Path(_setting(args, cfg, "out_dir", "."))
-
-    kp = load_scenario(scenario_path).keypoints
+    out_dir = args.out_dir
+    kp = load_scenario(args.scenario).keypoints
     start = time.perf_counter()
     tmap = fit_transport(kp)
     fit_seconds = time.perf_counter() - start
@@ -194,15 +181,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    cfg = _load_config(args)
-    map_path = _setting(args, cfg, "map")
-    labels_path = _setting(args, cfg, "labels")
-    if map_path is None or labels_path is None:
-        raise UsageError("both a map file and a labels file are required")
-    out_dir = Path(_setting(args, cfg, "out_dir", "."))
-
-    tmap = load_transport_map(map_path)
-    labels = PolicyLabels.from_dict(load_json(labels_path))
+    out_dir = args.out_dir
+    tmap = load_transport_map(args.map)
+    labels = PolicyLabels.from_dict(load_json(args.labels))
     # Invalid labels are transported all the same and the report names
     # them, except non-finite positions, which no map can move.
     violations = validate_labels(labels)
@@ -488,30 +469,20 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    suite = _check_suite(_setting(args, cfg, "suite"))
-    raw_methods = _setting(args, cfg, "methods")
-    if raw_methods is None:
-        methods = list(METHODS) if suite == "surfaces" else ["gpt", "le"]
-    else:
-        if isinstance(raw_methods, str):
-            raw_methods = [m.strip() for m in raw_methods.split(",") if m.strip()]
-        methods = [_check_method(m) for m in raw_methods]
-    out_dir = Path(_setting(args, cfg, "out_dir", "bench-out"))
-    alpha = _check_alpha(float(_setting(args, cfg, "alpha", 0.05)))
-
-    if suite == "surfaces":
-        seeds = _at_least(args, cfg, "seeds", 3, 1)
-        n_keypoints = _at_least(args, cfg, "n_keypoints", 12, 2)
-        cells = _surface_cells(methods, seeds, n_keypoints)
+    methods = SUITE_DEFAULTS[args.suite]["methods"] if args.methods is None else args.methods
+    seeds = _seed_count(args)
+    if args.suite == "surfaces":
+        cells = _surface_cells(methods, seeds, args.n_keypoints)
     else:
         # Each frame scene gives one row per method, and ranking two or
         # more methods needs U_TEST_MIN_SAMPLES rows each.
-        min_seeds = U_TEST_MIN_SAMPLES if len(set(methods)) > 1 else 1
-        seeds = _at_least(args, cfg, "seeds", 20, min_seeds)
-        train_seeds = _at_least(args, cfg, "train_seeds", 9, 1)
-        cells = _frame_cells(methods, seeds, train_seeds)
-    return _run_bench(suite, cells, alpha, out_dir)
+        if len(set(methods)) > 1 and seeds < U_TEST_MIN_SAMPLES:
+            raise UsageError(
+                f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} "
+                f"to rank two or more frame methods, got {seeds}"
+            )
+        cells = _frame_cells(methods, seeds, args.train_seeds)
+    return _run_bench(args.suite, cells, args.alpha, args.out_dir)
 
 
 def cmd_metrics(args) -> int:
@@ -525,11 +496,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    alpha = _check_alpha(args.alpha)
     rows = read_metrics_csv(args.metrics)
     if not rows:
         raise ValueError("metrics file holds no rows")
-    ranking = _ranking(rows, alpha)
+    ranking = _ranking(rows, args.alpha)
     out = Path(args.out) if args.out else Path(args.metrics).parent / "ranking.json"
     save_json(ranking, out)
     print(json.dumps(ranking.to_dict(), indent=2, sort_keys=True))
@@ -537,29 +507,29 @@ def cmd_rank(args) -> int:
 
 
 def cmd_scenario_gen(args) -> int:
-    cfg = _load_config(args)
-    suite = _check_suite(_setting(args, cfg, "suite"))
-    out_dir = Path(_setting(args, cfg, "out_dir", "."))
-
-    if suite == "surfaces":
-        scenarios = _surface_scenarios(
-            _at_least(args, cfg, "seeds", 3, 1), _at_least(args, cfg, "n_keypoints", 12, 2)
-        )
-        target = out_dir / "scenarios" / "surfaces"
+    seeds = _seed_count(args)
+    if args.suite == "surfaces":
+        scenarios = _surface_scenarios(seeds, args.n_keypoints)
+        target = args.out_dir / "scenarios" / "surfaces"
         for scenario in scenarios:
             save_scenario(scenario, target / f"{scenario.profile}-{scenario.seed}.json")
         print(f"wrote {len(scenarios)} surface scenarios under {target}")
         return 0
 
-    seeds = _at_least(args, cfg, "seeds", 20, 1)
-    train_seeds = _at_least(args, cfg, "train_seeds", 9, 1)
-    kpf = _at_least(args, cfg, "kpf", 5, 1)
-    target = out_dir / "scenarios" / "frames"
-    for role, ids in zip(("train", "test"), _frame_seeds(seeds, train_seeds)):
+    target = args.out_dir / "scenarios" / "frames"
+    for role, ids in zip(("train", "test"), _frame_seeds(seeds, args.train_seeds)):
         for seed in ids:
-            save_scenario(random_frame_scenario(seed, keypoints_per_frame=kpf), target / f"{role}-{seed}.json")
-    print(f"wrote {train_seeds + seeds} frame scenarios under {target}")
+            save_scenario(random_frame_scenario(seed, keypoints_per_frame=args.kpf), target / f"{role}-{seed}.json")
+    print(f"wrote {args.train_seeds + seeds} frame scenarios under {target}")
     return 0
+
+
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that choose a suite's corpus, shared by bench and scenario-gen."""
+    parser.add_argument("--suite", required=True, choices=SUITES)
+    parser.add_argument("--seeds", type=_at_least(1), help="number of (test) seeds; default by suite")
+    parser.add_argument("--train-seeds", type=_at_least(1), default=9, help="training seeds (frames)")
+    parser.add_argument("--n-keypoints", type=_at_least(2), default=12, help="keypoints per surface")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,27 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a transport map to a scenario's keypoints")
-    fit.add_argument("--scenario", help="scenario JSON file")
-    fit.add_argument("--config", help="JSON config supplying defaults")
-    fit.add_argument("--out-dir", dest="out_dir", help="output directory")
+    fit.add_argument("--scenario", required=True, help="scenario JSON file")
+    fit.add_argument("--out-dir", type=Path, default=".", help="output directory")
     fit.set_defaults(func=cmd_fit)
 
     transport = sub.add_parser("transport", help="transport labels through a fitted map")
-    transport.add_argument("--map", help="transport map JSON")
-    transport.add_argument("--labels", help="policy labels JSON")
-    transport.add_argument("--config", help="JSON config supplying defaults")
-    transport.add_argument("--out-dir", dest="out_dir", help="output directory")
+    transport.add_argument("--map", required=True, help="transport map JSON")
+    transport.add_argument("--labels", required=True, help="policy labels JSON")
+    transport.add_argument("--out-dir", type=Path, default=".", help="output directory")
     transport.set_defaults(func=cmd_transport)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
-    bench.add_argument("--suite", help="surfaces or frames")
-    bench.add_argument("--methods", help="comma-separated method ids")
-    bench.add_argument("--seeds", type=int, help="number of (test) seeds")
-    bench.add_argument("--train-seeds", dest="train_seeds", type=int, help="training seeds (frames)")
-    bench.add_argument("--n-keypoints", dest="n_keypoints", type=int, help="keypoints per surface")
-    bench.add_argument("--alpha", type=float, help="significance level")
-    bench.add_argument("--config", help="JSON config supplying defaults")
-    bench.add_argument("--out-dir", dest="out_dir", help="output directory")
+    _add_corpus_flags(bench)
+    bench.add_argument("--methods", type=_method_list, help="comma-separated method ids; default by suite")
+    bench.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
+    bench.add_argument("--out-dir", type=Path, default="bench-out", help="output directory")
     bench.set_defaults(func=cmd_bench)
 
     metrics = sub.add_parser("metrics", help="compare two trajectory files")
@@ -601,18 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = sub.add_parser("rank", help="rank methods from a metrics CSV")
     rank.add_argument("--metrics", required=True, help="metrics CSV from bench")
-    rank.add_argument("--alpha", type=float, default=0.05)
+    rank.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     rank.add_argument("--out", help="ranking JSON path")
     rank.set_defaults(func=cmd_rank)
 
     gen = sub.add_parser("scenario-gen", help="write scenario JSON corpora")
-    gen.add_argument("--suite", help="surfaces or frames")
-    gen.add_argument("--seeds", type=int, help="seeds per profile / test seeds")
-    gen.add_argument("--train-seeds", dest="train_seeds", type=int)
-    gen.add_argument("--n-keypoints", dest="n_keypoints", type=int)
-    gen.add_argument("--kpf", type=int, help="keypoints per frame")
-    gen.add_argument("--config", help="JSON config supplying defaults")
-    gen.add_argument("--out-dir", dest="out_dir", help="output directory")
+    _add_corpus_flags(gen)
+    gen.add_argument("--kpf", type=_at_least(1), default=5, help="keypoints per frame")
+    gen.add_argument("--out-dir", type=Path, default=".", help="output directory")
     gen.set_defaults(func=cmd_scenario_gen)
 
     return parser

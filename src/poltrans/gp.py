@@ -66,6 +66,13 @@ class KernelParams:
             raise ValueError("kernel parameters must be finite")
         if self.signal_variance <= 0 or self.lengthscale <= 0:
             raise ValueError("signal variance and lengthscale must be positive")
+        # The kernel divides by l^2. A product, not **, so that an overflow
+        # gives inf rather than raising OverflowError.
+        ell_sq = float(self.lengthscale) * float(self.lengthscale)
+        if not np.finfo(float).tiny <= ell_sq <= np.finfo(float).max:
+            raise ValueError(
+                f"lengthscale {self.lengthscale:g} is out of range: its square is not a positive normal float"
+            )
         if self.noise_variance < 0:
             raise ValueError("noise variance must be nonnegative")
         floor = NOISE_FLOOR_RATIO * self.signal_variance

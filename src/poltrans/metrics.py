@@ -392,14 +392,16 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
     return RankingResult(points=points, per_metric_points=per_metric, ranking=tuple(ordered))
 
 
+_CSV_COLUMNS = ("scenario", "method", "repetition", *METRIC_NAMES)
+
+
 def write_metrics_csv(rows: list[dict], path) -> None:
     """Rows keyed by (method, scenario, repetition) with one column per
     metric, sorted for reproducible output."""
-    header = ["scenario", "method", "repetition", *METRIC_NAMES]
     ordered = sorted(rows, key=lambda r: (r["scenario"], r["method"], r["repetition"]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_CSV_COLUMNS)
         for row in ordered:
             writer.writerow(
                 [row["scenario"], row["method"], row["repetition"]]
@@ -410,6 +412,9 @@ def write_metrics_csv(rows: list[dict], path) -> None:
 def read_metrics_csv(path) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
         rows = []
         for raw in reader:
             row = {

@@ -366,5 +366,10 @@ def save_json(obj, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object held by ``path``; ValueError naming the path when the
+    file holds another JSON value."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
 

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -60,13 +61,14 @@ class TestFit:
         assert capsys.readouterr().err == "error: SurfaceScenario has no 'profile' key\n"
         assert not out.exists()
 
-    def test_config_file_supplies_defaults_and_flags_win(self, tmp_path, scenario_file):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"scenario": str(scenario_file), "out_dir": str(tmp_path / "a")}))
-        assert run("fit", "--config", cfg) == 0
-        assert (tmp_path / "a" / "map.json").exists()
-        assert run("fit", "--config", cfg, "--out-dir", tmp_path / "b") == 0
-        assert (tmp_path / "b" / "map.json").exists()
+    @pytest.mark.parametrize("payload", ["[1, 2]", '"scenario"', "null"])
+    def test_scenario_that_is_not_a_json_object_fails_naming_the_file(self, tmp_path, capsys, payload):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(payload)
+        out = tmp_path / "fit"
+        assert run("fit", "--scenario", scenario, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {scenario} does not hold a JSON object\n"
+        assert not out.exists()
 
     def test_rigid_map_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
         """A tilt scene moves rigidly, so its residual is fitted as zero
@@ -191,6 +193,32 @@ class TestTransport:
         assert capsys.readouterr().err == "error: PolicyLabels has no 'positions' key\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["map", "labels"])
+    def test_file_that_is_not_a_json_object_fails_naming_it(self, tmp_path, fitted_map, capsys, which):
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        bad = {"map": fitted_map, "labels": labels_path}[which]
+        bad.write_text("[[0.2, 0.0]]")
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {bad} does not hold a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lengthscale", [1e160, 1e-170])
+    def test_map_with_a_lengthscale_out_of_range_fails_cleanly(self, tmp_path, fitted_map, capsys, lengthscale):
+        """A lengthscale whose square overflows (or underflows) cannot be
+        loaded into a kernel; the map file is rejected with a message."""
+        data = json.loads(fitted_map.read_text())
+        data["params"]["lengthscale"] = lengthscale
+        fitted_map.write_text(json.dumps(data))
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: lengthscale {lengthscale:g} is out of range: its square is not a positive normal float"]
+        assert not out.exists()
+
     def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):
         """A map file that carries the residual's training set in place of
         its hyperparameters predates the current format."""
@@ -268,7 +296,15 @@ class TestMetricsAndRank:
         csv_path = tmp_path / "metrics.csv"
         write_metrics_csv(rows, csv_path)
         assert run("rank", "--metrics", csv_path, "--alpha", alpha) == 2
-        assert "--alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert "argument --alpha: must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "ranking.json").exists()
+
+    def test_rank_names_the_missing_metric_columns(self, tmp_path, capsys):
+        csv_path = tmp_path / "metrics.csv"
+        kept = [name for name in METRIC_NAMES if name not in ("frechet", "dtw")]
+        csv_path.write_text(",".join(["scenario", "method", "repetition", *kept]) + "\n")
+        assert run("rank", "--metrics", csv_path) == 1
+        assert capsys.readouterr().err == f"error: {csv_path} is missing column(s): frechet, dtw\n"
         assert not (tmp_path / "ranking.json").exists()
 
     def test_rank_rejects_empty_csv(self, tmp_path):
@@ -336,6 +372,21 @@ class TestScenarioGen:
             assert files[f"test-{test.seed}.json"] == test.to_dict()
             assert files[f"train-{train.seed}.json"] == train.to_dict()
 
+    def test_default_corpus_is_the_bench_default(self, tmp_path):
+        """Without --seeds, scenario-gen writes the corpus that bench runs
+        on by default: 5 profiles x 3 seeds, and 20 test plus 9 train frames."""
+        for suite in ("surfaces", "frames"):
+            assert run("scenario-gen", "--suite", suite, "--out-dir", tmp_path) == 0
+        surfaces = sorted(p.name for p in (tmp_path / "scenarios" / "surfaces").iterdir())
+        assert surfaces == sorted(
+            f"{cell.scenario.profile}-{cell.scenario.seed}.json" for cell in cli._surface_cells(("gpt",), 3, 12)
+        )
+        assert len(surfaces) == 15
+        frames = sorted(p.name for p in (tmp_path / "scenarios" / "frames").iterdir())
+        assert frames == sorted(
+            [f"test-{seed}.json" for seed in range(200, 220)] + [f"train-{seed}.json" for seed in range(100, 109)]
+        )
+
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run("scenario-gen", "--suite", "boxes", "--out-dir", tmp_path) == 2
 
@@ -352,7 +403,7 @@ class TestScenarioGen:
     )
     def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, suite, flags, flag):
         assert run("scenario-gen", "--suite", suite, *flags, "--out-dir", tmp_path / "out") == 2
-        assert f"{flag} must be at least" in capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -596,14 +647,14 @@ class TestBench:
     )
     def test_out_of_range_counts_are_usage_errors(self, tmp_path, capsys, suite, flags, flag):
         assert run("bench", "--suite", suite, *flags, "--out-dir", tmp_path / "out") == 2
-        assert f"{flag} must be at least" in capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha", ["5", "1", "0", "-1", "nan"])
     def test_alpha_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, alpha):
         flags = ("--suite", "surfaces", "--seeds", 1, "--methods", "gpt,le", "--alpha", alpha)
         assert run("bench", *flags, "--out-dir", tmp_path / "out") == 2
-        assert "--alpha must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert "argument --alpha: must lie strictly between 0 and 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_frame_svg_draws_the_transported_demonstration(self, tmp_path, monkeypatch):
@@ -668,7 +719,37 @@ def _arrays(obj):
             yield from _arrays(getattr(obj, field.name))
 
 
+REQUIRED = "required"
+# Each subcommand's flags and their defaults: the flags the parser has had
+# since --config (on fit, transport, bench and scenario-gen) was removed.
+CLI_SURFACE = {
+    "fit": {"--scenario": REQUIRED, "--out-dir": "."},
+    "transport": {"--map": REQUIRED, "--labels": REQUIRED, "--out-dir": "."},
+    "bench": {
+        "--suite": REQUIRED, "--seeds": None, "--train-seeds": 9, "--n-keypoints": 12,
+        "--methods": None, "--alpha": 0.05, "--out-dir": "bench-out",
+    },
+    "metrics": {"--produced": REQUIRED, "--reference": REQUIRED, "--out": None},
+    "rank": {"--metrics": REQUIRED, "--alpha": 0.05, "--out": None},
+    "scenario-gen": {
+        "--suite": REQUIRED, "--seeds": None, "--train-seeds": 9, "--n-keypoints": 12,
+        "--kpf": 5, "--out-dir": ".",
+    },
+}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_subcommand_flags_and_defaults(self, command):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(CLI_SURFACE)
+        flags = {
+            "/".join(action.option_strings): REQUIRED if action.required else action.default
+            for action in sub.choices[command]._actions
+            if action.dest != "help"
+        }
+        assert flags == CLI_SURFACE[command]
+
     def test_unknown_command(self):
         assert run("explode") == 2
 

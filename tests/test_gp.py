@@ -472,11 +472,22 @@ class TestRobustness:
             build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
 
     def test_gram_matrix_that_is_not_finite_raises(self):
-        """A lengthscale whose square underflows puts 0/0 on K's diagonal."""
+        """Signal and noise variances whose sum overflows put inf on the
+        diagonal of K + sn2 I."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
-                build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1e-170, 0.0))
+                build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1e308, 1.0, 1e308))
+
+    @pytest.mark.parametrize("lengthscale", [1e160, 1.4e154, 1e-170, 1e-160])
+    def test_lengthscale_whose_square_is_not_normal_is_rejected(self, lengthscale):
+        """The kernel divides by l^2. A square that overflows raised
+        OverflowError in the Gram matrix, one that underflows to 0 put 0/0 on
+        its diagonal; a subnormal square (1e-160) is rejected with them."""
+        with pytest.raises(ValueError, match="lengthscale .* is out of range"):
+            KernelParams(1.0, lengthscale)
+        for edge in (np.sqrt(np.finfo(float).tiny) * 1.0000001, np.sqrt(np.finfo(float).max) * 0.9999999):
+            assert KernelParams(1.0, edge).lengthscale == edge
 
     def test_non_finite_training_data_is_named(self):
         with pytest.raises(ValueError, match="inputs must be finite"):
