@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import linear_sum_assignment
 from .gp import KernelParams, build_gp, fit_gp, predict_mean
 from .transport import match_tolerance
 from .types import PairedKeypoints, Trajectory, _freeze, _sq_dists
@@ -79,9 +80,6 @@ def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
         raise ValueError("more keypoints than trajectory points")
     if traj.dim != kp.dim:
         raise ValueError("trajectory and keypoints must share dimension")
-    # Imported here: scipy.optimize would add ~0.2 s to every command's start-up.
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.sqrt(_sq_dists(kp.source.points, traj.positions))
     rows, cols = linear_sum_assignment(cost)
     order = np.argsort(rows)  # keypoint order

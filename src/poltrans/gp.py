@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._scipy import dpotrf, dpotrs
 from .types import _sq_dists, from_dict, to_dict
 
 # Likelihood noise is kept at or above this fraction of the signal variance.
@@ -78,6 +78,12 @@ class KernelParams:
         floor = NOISE_FLOOR_RATIO * self.signal_variance
         if self.noise_variance < floor:
             object.__setattr__(self, "noise_variance", floor)
+        # The diagonal of K + sn2 I; Python floats overflow to inf here.
+        if not math.isfinite(float(self.signal_variance) + float(self.noise_variance)):
+            raise ValueError(
+                f"signal variance {self.signal_variance:g} and noise variance {self.noise_variance:g}"
+                " sum past the largest float"
+            )
 
     to_dict = to_dict
     from_dict = classmethod(from_dict)

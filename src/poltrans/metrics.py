@@ -15,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+from ._scipy import ndtr
 from .types import Trajectory, from_dict, to_dict
 
 # Docking angle averages the directions of this many final segments.
@@ -325,10 +326,6 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         threshold = int(np.rint(2.0 * (u_x + base)))
         p = float(table[n1, : threshold + 1].sum()) / comb(n, n1)
     else:
-        # Imported here, off every command's start-up; math.erfc is no
-        # substitute, as it differs from ndtr in the last bits.
-        from scipy.special import ndtr
-
         mean = n1 * n2 / 2.0
         _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
@@ -336,6 +333,7 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         # n - 1 values at most) and var >= n1 n2 / 4 > 0.
         var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
         z = (u_x + 0.5 - mean) / np.sqrt(var)
+        # Not 0.5 * math.erfc(-z / sqrt(2)): it differs from ndtr in the last bits.
         p = float(ndtr(z))
     return u_x, float(p), bool(p < alpha)
 

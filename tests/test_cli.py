@@ -219,6 +219,20 @@ class TestTransport:
         assert err == [f"error: lengthscale {lengthscale:g} is out of range: its square is not a positive normal float"]
         assert not out.exists()
 
+    def test_map_whose_variances_overflow_fails_naming_them(self, tmp_path, fitted_map, capsys):
+        """Variances whose sum overflows used to reach the Gram diagonal as
+        inf and fail as 'non-PD Gram matrix', naming neither."""
+        data = json.loads(fitted_map.read_text())
+        data["params"].update(signal_variance=1e308, noise_variance=1e308)
+        fitted_map.write_text(json.dumps(data))
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: signal variance 1e+308 and noise variance 1e+308 sum past the largest float"]
+        assert not out.exists()
+
     def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):
         """A map file that carries the residual's training set in place of
         its hyperparameters predates the current format."""
@@ -771,45 +785,73 @@ def tracing(monkeypatch):
     return module
 
 
-def _loaded_by_cli_import(module: str, argv: tuple = ()) -> bool:
-    """Whether a fresh ``import poltrans.cli`` puts ``module`` in sys.modules;
-    with ``argv``, after ``cli.main(argv)`` has also run and returned 0."""
+def _scipy_loaded_by(*argv) -> set:
+    """The ``scipy`` modules in sys.modules after a fresh ``import
+    poltrans.cli`` and, with ``argv``, after ``cli.main(argv)`` has also run
+    and returned 0; one process per call."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run_main = f"assert poltrans.cli.main({[str(a) for a in argv]!r}) == 0; " if argv else ""
-    code = f"import sys, poltrans.cli; {run_main}print({module!r} in sys.modules)"
+    code = (
+        f"import json, sys, poltrans.cli; {run_main}"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    return result.stdout.splitlines()[-1] == "True"  # after main's own output
+    return set(json.loads(result.stdout.splitlines()[-1]))  # after main's own output
 
 
-def test_cli_import_leaves_out_scipy_stats():
+# The extension modules poltrans._scipy loads its four routines from.
+ROUTINE_MODULES = {"scipy.linalg._flapack", "scipy.optimize._lsap", "scipy.special._special_ufuncs"}
+
+
+@pytest.fixture(scope="module")
+def start_up(tmp_path_factory):
+    """The scipy modules a fresh process holds after importing the CLI, and
+    after a ``fit`` and a ``transport`` through the fitted map."""
+    tmp = tmp_path_factory.mktemp("start_up")
+    scenario, labels = tmp / "scenario.json", tmp / "labels.json"
+    save_scenario(make_surface_scenario("sine", n_keypoints=10, seed=0), scenario)
+    save_json(PolicyLabels(positions=[[0.2, 0.0], [0.5, 0.1]], velocities=[[0.0, 1.0], [1.0, 0.0]]), labels)
+    loaded = {
+        "import": _scipy_loaded_by(),
+        "fit": _scipy_loaded_by("fit", "--scenario", scenario, "--out-dir", tmp / "fit"),
+        "transport": _scipy_loaded_by(
+            "transport", "--map", tmp / "fit" / "map.json", "--labels", labels, "--out-dir", tmp / "transport"
+        ),
+    }
+    assert (tmp / "transport" / "transported.csv").is_file()
+    return loaded
+
+
+def test_cli_import_leaves_out_scipy_stats(start_up):
     """scipy.stats adds about 0.6 s to every command's start-up and no
     command needs it."""
-    assert not _loaded_by_cli_import("scipy.stats")
+    assert "scipy.stats" not in start_up["import"]
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
+def test_cli_import_leaves_out_scipy_ndimage(start_up):
     """scipy.ndimage costs ~0.4 s when imported fresh and no module uses it."""
-    assert not _loaded_by_cli_import("scipy.ndimage")
+    assert "scipy.ndimage" not in start_up["import"]
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.spatial", "scipy.special"])
-def test_cli_import_and_fit_leave_out_lazily_imported_scipy(module, tmp_path, scenario_file):
-    """scipy.optimize alone adds ~0.2 s to every command's start-up; only
-    the bench baselines (linear_sum_assignment) and the large-sample U test
-    (ndtr) need these modules, and they import them where they use them."""
-    assert not _loaded_by_cli_import(module)
-    out = tmp_path / "fit"
-    assert not _loaded_by_cli_import(module, ("fit", "--scenario", scenario_file, "--out-dir", out))
-    assert (out / "map.json").is_file()
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.special"])
+def test_cli_import_and_fit_leave_out_lazily_imported_scipy(module, start_up):
+    """Each of these packages' initializers costs 0.3 s of CPU or more on a
+    fresh start. poltrans loads its four SciPy routines from their compiled
+    modules instead, so no command runs one."""
+    for command, loaded in start_up.items():
+        assert module not in loaded, command
 
 
-def test_bench_resolves_the_lazy_imports(tmp_path):
+@pytest.mark.parametrize("suite", ["surfaces", "frames"])
+def test_bench_loads_only_the_compiled_scipy_routines(tmp_path, suite):
+    """The baselines' linear_sum_assignment and the U tests' ndtr come from
+    their extension modules, not from scipy.optimize and scipy.special."""
     out = tmp_path / "bench"
-    argv = ("bench", "--suite", "surfaces", "--seeds", 3, "--out-dir", out)
-    assert _loaded_by_cli_import("scipy.optimize", argv)
+    argv = ("bench", "--suite", suite, "--seeds", 3, "--train-seeds", 2, "--out-dir", out)
+    assert _scipy_loaded_by(*argv) == ROUTINE_MODULES
     assert (out / "ranking.json").is_file()
 
 

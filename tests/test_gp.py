@@ -472,12 +472,19 @@ class TestRobustness:
             build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1.0, 1.0, 0.0))
 
     def test_gram_matrix_that_is_not_finite_raises(self):
-        """Signal and noise variances whose sum overflows put inf on the
-        diagonal of K + sn2 I."""
+        """Signal and noise variances whose sum overflows would put inf on
+        the diagonal of K + sn2 I; the parameters are rejected, naming both,
+        before any Gram matrix is built. The noise floor counts in the sum."""
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="non-PD Gram matrix"):
-                build_gp([[0.0], [1.0]], [[0.0], [1.0]], KernelParams(1e308, 1.0, 1e308))
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(ValueError, match=r"signal variance 1e\+308 and noise variance 1e\+308 sum"):
+                KernelParams(1e308, 1.0, 1e308)
+            with pytest.raises(ValueError, match="sum past the largest float"):
+                KernelParams(np.float64(1e308), 1.0, np.float64(1e308))
+            with pytest.raises(ValueError, match="sum past the largest float"):
+                KernelParams(np.finfo(float).max, 1.0)
+            params = KernelParams(1e308, 1.0, 7e307)
+        assert np.isfinite(build_gp([[0.0], [1.0]], [[0.0], [1.0]], params).chol).all()
 
     @pytest.mark.parametrize("lengthscale", [1e160, 1.4e154, 1e-170, 1e-160])
     def test_lengthscale_whose_square_is_not_normal_is_rejected(self, lengthscale):
