@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, _freeze, from_dict, is_rotation, to_dict
+from .types import PairedKeypoints, _as_batch, _freeze, from_dict, is_rotation, to_dict
 
 # A singular value counts as zero below this fraction of the largest one.
 DEGENERATE_REL_TOL = 1e-10
@@ -42,14 +42,9 @@ class AffineMap:
         return self.source_centroid.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Map a point (dim,) or a batch (N, dim) through the transform."""
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}")
-        out = (pts - self.source_centroid) @ self.rotation.T + self.target_centroid
-        return out[0] if single else out
+        """Map an (N, dim) batch of points through the transform."""
+        pts = _as_batch(x, "points", self.dim)
+        return (pts - self.source_centroid) @ self.rotation.T + self.target_centroid
 
     to_dict = to_dict
     from_dict = classmethod(from_dict)

@@ -30,7 +30,7 @@ import numpy as np
 from ._scipy import linear_sum_assignment
 from .gp import KernelParams, build_gp, fit_gp, predict_mean
 from .transport import match_tolerance
-from .types import PairedKeypoints, Trajectory, _freeze, _sq_dists
+from .types import PairedKeypoints, Trajectory, _as_batch, _freeze, _sq_dists
 
 # Per-unit translation magnitude is capped at this fraction of the unit
 # radius; det(I + v grad(w)^T) >= 1 - 0.5 max_t t e^(-t^2/2) ~= 0.70 > 0.
@@ -196,13 +196,15 @@ class LWTUnit:
         object.__setattr__(self, "translation", _freeze(v))
 
     def weight(self, x: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        """The bump's weight at each point of an (N, dim) batch, shape (N,)."""
+        pts = _as_batch(x, "points", self.center.size)
         sq = np.sum((pts - self.center) ** 2, axis=1)
         return np.exp(-sq / (2.0 * self.radius**2))
 
     def jacobian_det(self, x: np.ndarray) -> np.ndarray:
-        """Analytic det of the unit's Jacobian at x (rank-one update)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        """Analytic det of the unit's Jacobian at each point of an (N, dim)
+        batch (rank-one update), shape (N,)."""
+        pts = _as_batch(x, "points", self.center.size)
         w = self.weight(pts)
         inner = (pts - self.center) @ self.translation
         return 1.0 - w * inner / self.radius**2
@@ -221,13 +223,11 @@ class LWTMap:
 
 
 def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
-    """Push points through every unit in order."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts).copy()
+    """Push an (N, dim) batch of points through every unit in order."""
+    pts = _as_batch(x, "points").copy()
     for unit in lwt.units:
         pts += unit.weight(pts)[:, None] * unit.translation
-    return pts[0] if single else pts
+    return pts
 
 
 def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:

@@ -22,8 +22,11 @@ inputs the posterior mean decays to 0 and the variance reverts to sp2.
 
 Every factorization goes through :func:`_factor_in_place` and every solve
 through :func:`_solve`, LAPACK's ``dpotrf`` and ``dpotrs`` called directly.
-Non-finite values are stopped where data enter: training data in
-:func:`build_gp` and :func:`fit_gp`, queries in the predictions.
+Training inputs, outputs and queries are (N, d) batches, and every
+prediction keeps the queries' leading axis; a 1-d array is a column of N
+scalars, so a 1-input model takes ``t`` and ``t[:, None]`` alike. Non-finite
+values are stopped where data enter: training data in :func:`build_gp` and
+:func:`fit_gp`, queries in the predictions.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._scipy import dpotrf, dpotrs
-from .types import _sq_dists, from_dict, to_dict
+from .types import _as_batch, _sq_dists, from_dict, to_dict
 
 # Likelihood noise is kept at or above this fraction of the signal variance.
 NOISE_FLOOR_RATIO = 1e-8
@@ -142,17 +145,6 @@ class GPModel:
         return self.outputs.shape[1]
 
 
-def _as_2d(arr, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    return out
-
-
 def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
     """Factorize the Gram matrix K + sn2 I and cache the solve against the
     outputs.
@@ -164,8 +156,8 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
     inputs included. A factorization that fails all the same raises
     RuntimeError("non-PD Gram matrix").
     """
-    x = _as_2d(inputs, "inputs")
-    y = _as_2d(outputs, "outputs")
+    x = _as_batch(inputs, "inputs")
+    y = _as_batch(outputs, "outputs")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and outputs must have the same length")
     if x.shape[0] < 1:
@@ -350,8 +342,8 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     to be normal floats, and RuntimeError("non-PD Gram matrix") when every
     grid point fails.
     """
-    x = _as_2d(inputs, "inputs")
-    y = _as_2d(outputs, "outputs")
+    x = _as_batch(inputs, "inputs")
+    y = _as_batch(outputs, "outputs")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and outputs must have the same length")
     if not NOISE_FLOOR_RATIO <= noise_ratio <= NOISE_RATIO_MAX:
@@ -414,47 +406,31 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     return build_gp(x, y, params)
 
 
-def _as_queries(model: GPModel, queries) -> tuple[np.ndarray, bool]:
-    q = np.asarray(queries, dtype=float)
-    single = q.ndim == 1
-    q = np.atleast_2d(q)
-    if q.shape[1] != model.d_in:
-        raise ValueError(f"queries must have dimension {model.d_in}")
-    if not np.isfinite(q).all():
-        raise ValueError("queries must be finite")
-    return q, single
-
-
 def predict_mean(model: GPModel, queries) -> np.ndarray:
-    """Posterior mean at the queries, shape (n, d_out) (or (d_out,) for a
-    single query)."""
-    q, single = _as_queries(model, queries)
-    k_star = _se_matrix(q, model.inputs, model.params)
-    mean = k_star @ model.alpha
-    return mean[0] if single else mean
+    """Posterior mean at the (n, d_in) queries, shape (n, d_out)."""
+    q = _as_batch(queries, "queries", model.d_in)
+    return _se_matrix(q, model.inputs, model.params) @ model.alpha
 
 
 def predict_variance(model: GPModel, queries) -> np.ndarray:
-    """Posterior (latent-function) variance at the queries, shared across
-    output dimensions; clamped at >= 0. Shape (n,) or scalar."""
-    q, single = _as_queries(model, queries)
+    """Posterior (latent-function) variance at the (n, d_in) queries, shared
+    across output dimensions; clamped at >= 0. Shape (n,)."""
+    q = _as_batch(queries, "queries", model.d_in)
     k_star = _se_matrix(q, model.inputs, model.params)
     v = _solve(model.chol, k_star.T)
     var = model.params.signal_variance - np.einsum("nq,nq->q", k_star.T, v)
-    var = np.maximum(var, 0.0)
-    return float(var[0]) if single else var
+    return np.maximum(var, 0.0)
 
 
 def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior over the GP derivative at the queries.
+    """Posterior over the GP derivative at the (n, d_in) queries.
 
     Returns ``(jacobians, variances)`` where ``jacobians[q]`` is the
     (d_out, d_in) mean derivative and ``variances[q]`` the (d_in, d_in)
     covariance of the derivative (shared across output dimensions), with
-    its diagonal clamped at >= 0. For a single query the leading axis is
-    dropped.
+    its diagonal clamped at >= 0.
     """
-    q, single = _as_queries(model, queries)
+    q = _as_batch(queries, "queries", model.d_in)
     ell2 = model.params.lengthscale**2
     k_star = _se_matrix(q, model.inputs, model.params)
     diff = q[:, None, :] - model.inputs[None, :, :]
@@ -471,7 +447,4 @@ def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]
     var = prior[None, :, :] - explained
     idx = np.arange(d_in)
     var[:, idx, idx] = np.maximum(var[:, idx, idx], 0.0)
-
-    if single:
-        return jac[0], var[0]
     return jac, var

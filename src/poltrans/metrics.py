@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from ._scipy import ndtr
-from .types import Trajectory, from_dict, to_dict
+from .types import Trajectory, _as_batch, from_dict, to_dict
 
 # Docking angle averages the directions of this many final segments.
 ANGLE_TAIL_SEGMENTS = 5
@@ -24,6 +24,11 @@ ANGLE_TAIL_SEGMENTS = 5
 EXACT_U_LIMIT = 20
 # Smallest sample either side of a U test may hold.
 U_TEST_MIN_SAMPLES = 3
+
+
+def _check_metric(name: str, value: float) -> None:
+    if not np.isfinite(value) or value < 0:
+        raise ValueError(f"{name} is {value}: metrics must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class MetricReport:
     final_angle_error: float
 
     def __post_init__(self):
-        if any(not np.isfinite(v) or v < 0 for v in self.to_dict().values()):
-            raise ValueError("metrics must be finite and nonnegative")
+        for name, value in self.to_dict().items():
+            _check_metric(name, value)
         if self.final_angle_error > np.pi + 1e-12:
             raise ValueError("angle error must lie in [0, pi]")
 
@@ -53,11 +58,9 @@ METRIC_NAMES = tuple(field.name for field in fields(MetricReport))
 def _positions(traj) -> np.ndarray:
     if isinstance(traj, Trajectory):
         return traj.positions
-    pts = np.atleast_2d(np.asarray(traj, dtype=float))
-    if pts.ndim != 2 or 0 in pts.shape:
+    pts = _as_batch(traj, "trajectory positions")
+    if 0 in pts.shape:
         raise ValueError("trajectory positions must form a nonempty (M, dim) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("trajectory positions must be finite")
     return pts
 
 
@@ -183,7 +186,8 @@ def area_between_curves(a, b) -> float:
     consecutive pair of matched points forms a quadrilateral
     (a_i, a_{i+1}, b_{i+1}, b_i) whose shoelace area is accumulated as the
     absolute sum of its two signed triangles (so the result is invariant
-    to swapping the curves). Degenerate (single-point) curves give 0.
+    to swapping the curves). Each curve needs at least two points; a
+    zero-length curve is resampled to copies of its first point.
     """
     pa, pb = _positions(a), _positions(b)
     if pa.shape[0] < 2 or pb.shape[0] < 2:
@@ -301,6 +305,8 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     """
     xs = np.asarray(x, dtype=float).ravel()
     ys = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("U test samples must be finite")
     n1, n2 = xs.size, ys.size
     if n1 < U_TEST_MIN_SAMPLES or n2 < U_TEST_MIN_SAMPLES:
         raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
@@ -408,6 +414,10 @@ def write_metrics_csv(rows: list[dict], path) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
+    """The rows of a ``write_metrics_csv`` file. A metric that is not
+    finite and nonnegative, the check ``MetricReport`` makes, raises
+    ValueError naming the path, the line and the column; a value that does
+    not parse raises one naming the path and the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
@@ -415,12 +425,16 @@ def read_metrics_csv(path) -> list[dict]:
             raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
         rows = []
         for raw in reader:
-            row = {
-                "scenario": raw["scenario"],
-                "method": raw["method"],
-                "repetition": int(raw["repetition"]),
-            }
-            for name in METRIC_NAMES:
-                row[name] = float(raw[name])
+            try:
+                row = {
+                    "scenario": raw["scenario"],
+                    "method": raw["method"],
+                    "repetition": int(raw["repetition"]),
+                }
+                for name in METRIC_NAMES:
+                    row[name] = float(raw[name])
+                    _check_metric(name, row[name])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             rows.append(row)
     return rows

@@ -19,6 +19,9 @@ factor of J's polar decomposition, and stiffness/damping by congruence with
 that rotation factor. Derivative uncertainty of the GP propagates to a
 variance for each Jacobian entry and, contracted against the squared
 velocity, to a velocity variance.
+
+Points go in and come out as (N, dim) batches, one row per point; a lone
+point is the one-row batch ``x[None]``.
 """
 from __future__ import annotations
 
@@ -217,44 +220,28 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     return tmap
 
 
-def _as_points(tmap: TransportMap, x) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != tmap.dim:
-        raise ValueError(f"expected points of dimension {tmap.dim}")
-    return pts, single
-
-
 def transport_points(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndarray]:
-    """phi at a batch of points plus the per-point GP posterior variance
-    (scalar per point, shared across coordinates). A single 1-d point
-    gives its image and a float variance."""
-    pts, single = _as_points(tmap, points)
-    aligned = tmap.affine.apply(pts)
+    """phi at an (N, dim) batch of points plus the per-point GP posterior
+    variance (scalar per point, shared across coordinates), shape (N,)."""
+    aligned = tmap.affine.apply(points)
     mean = aligned + predict_mean(tmap.residual, aligned)
-    var = np.atleast_1d(predict_variance(tmap.residual, aligned))
-    if single:
-        return mean[0], float(var[0])
-    return mean, var
+    return mean, predict_variance(tmap.residual, aligned)
 
 
 def transport_jacobians(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians J = A + Dpsi(gamma(x)) A and per-entry derivative variances.
+    """Jacobians J = A + Dpsi(gamma(x)) A and per-entry derivative variances
+    at an (N, dim) batch of points, each of shape (N, dim, dim).
 
     The second return value holds, for each point, the matrix
     A^T Sigma' A whose diagonal entry (b, b) is the variance of every
     Jacobian entry in column b (output rows share hyperparameters, hence
-    share the variance). A single 1-d point gives one matrix of each.
+    share the variance).
     """
-    pts, single = _as_points(tmap, points)
-    aligned = tmap.affine.apply(pts)
+    aligned = tmap.affine.apply(points)
     dpsi, dvar = predict_derivative(tmap.residual, aligned)
     rot = tmap.affine.rotation
     jac = rot[None, :, :] + np.einsum("qac,cb->qab", dpsi, rot)
     jac_var = np.einsum("ca,qcd,db->qab", rot, dvar, rot)
-    if single:
-        return jac[0], jac_var[0]
     return jac, jac_var
 
 
@@ -307,7 +294,7 @@ def transport_labels(tmap: TransportMap, labels: PolicyLabels) -> TransportedLab
 
     return TransportedLabels(
         positions=_freeze(positions),
-        position_variance=_freeze(np.atleast_1d(pos_var)),
+        position_variance=_freeze(pos_var),
         jacobians=_freeze(jac),
         projected_rotations=_freeze(proj),
         warnings=notes,
@@ -367,8 +354,7 @@ def check_local_diffeomorphism(tmap: TransportMap, points) -> DiffeoReport:
     region spanned by the keypoints. The check samples; it never certifies
     global invertibility.
     """
-    pts, _ = _as_points(tmap, points)
-    if pts.shape[0] < 1:
+    jac, _ = transport_jacobians(tmap, points)
+    if jac.shape[0] < 1:
         raise ValueError("at least one probe point required")
-    jac, _ = transport_jacobians(tmap, pts)
     return DiffeoReport.from_jacobians(tmap, jac)

@@ -2,7 +2,8 @@
 
 Conventions used across the package:
 
-* points are float64 row vectors, point sets are (N, dim) arrays,
+* points are float64 row vectors, point sets are (N, dim) arrays, and
+  every spatial function takes and returns such batches (:func:`_as_batch`),
 * matrices are row-major when serialized,
 * every container is immutable after construction (its arrays are marked
   read-only), so instances are safe to share across threads,
@@ -29,6 +30,24 @@ def _freeze(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _as_batch(values, name: str, dim: int | None = None) -> np.ndarray:
+    """``values`` as a finite float (N, d) batch, the one form every spatial
+    function takes and returns. A 1-d array is one column of N scalar
+    inputs, never a single point: a lone point is the one-row batch
+    ``x[None]``. Raises ValueError naming ``name`` for an array that is not
+    2-d, a width other than ``dim`` (when given), or a non-finite entry."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim == 1:
+        out = out[:, None]
+    if out.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array")
+    if dim is not None and out.shape[1] != dim:
+        raise ValueError(f"{name} must have dimension {dim}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
         hi = point.copy()
         lo[b] -= h
         hi[b] += h
-        jac[:, b] = (apply_lwt(lwt, hi) - apply_lwt(lwt, lo)) / (2.0 * h)
+        jac[:, b] = (apply_lwt(lwt, hi[None]) - apply_lwt(lwt, lo[None]))[0] / (2.0 * h)
     return jac
 
 

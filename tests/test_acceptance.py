@@ -102,14 +102,14 @@ def test_criterion_03_jacobian_vs_finite_differences():
     pairs = 0
     for _ in range(50):
         tmap = fit_transport(random_smooth_pair(rng, n=int(rng.integers(4, 14))))
-        for q in rng.uniform(-1.5, 1.5, (20, 2)):
-            jac, _ = transport_jacobians(tmap, q)
+        for q in rng.uniform(-1.5, 1.5, (20, 1, 2)):  # one-row batches
+            (jac,), _ = transport_jacobians(tmap, q)
             fd = np.empty((2, 2))
             for b in range(2):
                 e = np.zeros(2)
                 e[b] = h
-                hi, _ = transport_points(tmap, q + e)
-                lo, _ = transport_points(tmap, q - e)
+                (hi,), _ = transport_points(tmap, q + e)
+                (lo,), _ = transport_points(tmap, q - e)
                 fd[:, b] = (hi - lo) / (2 * h)
             tol = max(1e-6, 1e-4 * np.linalg.norm(jac))
             assert np.abs(jac - fd).max() <= tol
@@ -130,10 +130,10 @@ def test_criterion_04_out_of_distribution_affine_reversion():
         radius = np.linalg.norm(kp.source.points - center, axis=1).max()
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
-        query = center + (radius + 30.0 * ell) * direction
+        query = (center + (radius + 30.0 * ell) * direction)[None]
         moved, _ = transport_points(tmap, query)
         assert np.linalg.norm(moved - tmap.affine.apply(query)) <= 1e-6 * sp
-        jac, _ = transport_jacobians(tmap, query)
+        (jac,), _ = transport_jacobians(tmap, query)
         assert np.linalg.norm(jac - tmap.affine.rotation) <= 1e-6 * sp / ell
     print("[criterion 04] PASS - 100 scenarios revert to the rigid part at 30 lengthscales")
 
@@ -225,13 +225,13 @@ def test_criterion_09_gp_closed_forms_and_derivative():
     y = np.stack([np.sin(2 * x[:, 0]), np.cos(x[:, 1])], axis=1)
     dmodel = build_gp(x, y, KernelParams(1.0, 0.7, 1e-4))
     h = 1e-5
-    for q in rng.uniform(-1, 1, (10, 2)):
-        jac, _ = predict_derivative(dmodel, q)
+    for q in rng.uniform(-1, 1, (10, 1, 2)):  # one-row batches
+        (jac,), _ = predict_derivative(dmodel, q)
         fd = np.empty((2, 2))
         for b in range(2):
             e = np.zeros(2)
             e[b] = h
-            fd[:, b] = (predict_mean(dmodel, q + e) - predict_mean(dmodel, q - e)) / (2 * h)
+            fd[:, b] = (predict_mean(dmodel, q + e) - predict_mean(dmodel, q - e))[0] / (2 * h)
         tol = max(1e-6, 1e-4 * np.linalg.norm(jac))
         assert np.abs(jac - fd).max() <= tol
     print("[criterion 09] PASS - hand-computed posterior to 1e-12; derivative matches FD")

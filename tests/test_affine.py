@@ -73,7 +73,7 @@ def test_single_pair_gives_pure_translation():
     kp = PairedKeypoints(PointSet([[1.0, 2.0]]), PointSet([[3.0, 5.0]]))
     mapping = fit_affine(kp)
     assert_allclose(mapping.rotation, np.eye(2), atol=0)
-    assert_allclose(mapping.apply(np.array([1.0, 2.0])), [3.0, 5.0], atol=1e-12)
+    assert_allclose(mapping.apply(np.array([[1.0, 2.0]])), [[3.0, 5.0]], atol=1e-12)
 
 
 def test_coincident_points_give_identity_rotation():
@@ -105,19 +105,20 @@ def test_mirror_data_yields_rotation_not_reflection():
     ) + 1e-12
 
 
-def test_apply_handles_single_and_batch_points():
+def test_apply_maps_batches_and_rejects_a_1d_point():
     mapping = AffineMap(
         rotation=rotation_2d(0.5),
         source_centroid=np.array([1.0, 0.0]),
         target_centroid=np.array([0.0, 2.0]),
     )
-    single = mapping.apply(np.array([1.0, 0.0]))
-    assert single.shape == (2,)
-    assert_allclose(single, [0.0, 2.0], atol=1e-15)
+    one = mapping.apply(np.array([[1.0, 0.0]]))
+    assert one.shape == (1, 2)
+    assert_allclose(one[0], [0.0, 2.0], atol=1e-15)
     batch = mapping.apply(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert batch.shape == (2, 2)
-    assert_allclose(batch[0], single, atol=0)
-    assert_allclose(mapping.apply(np.array([[1.0, 0.0]]))[0], single, atol=0)
+    assert_allclose(batch[:1], one, atol=0)
+    with pytest.raises(ValueError, match="points must have dimension 2"):
+        mapping.apply(np.array([1.0, 0.0]))
 
 
 def test_identity_on_identical_sets():

@@ -278,7 +278,7 @@ class TestLWT:
         src = rng.uniform(-1, 1, (4, 2))
         tgt = src + rng.uniform(-0.2, 0.2, (4, 2))
         lwt = fit_lwt(PairedKeypoints(PointSet(src), PointSet(tgt)))
-        far = np.array([1e3, -1e3])
+        far = np.array([[1e3, -1e3]])
         assert np.linalg.norm(apply_lwt(lwt, far) - far) < 1e-9
 
     def test_identical_sets_need_no_units(self):

@@ -321,6 +321,22 @@ class TestMetricsAndRank:
         assert capsys.readouterr().err == f"error: {csv_path} is missing column(s): frechet, dtw\n"
         assert not (tmp_path / "ranking.json").exists()
 
+    def test_rank_fails_on_a_nan_metric(self, tmp_path, capsys):
+        rows = [
+            {"scenario": f"s-{rep}", "method": method, "repetition": rep, **{name: 0.1 for name in METRIC_NAMES}}
+            for method in ("gpt", "le")
+            for rep in range(3)
+        ]
+        rows[4]["frechet"] = float("nan")
+        from poltrans.metrics import write_metrics_csv
+
+        csv_path = tmp_path / "metrics.csv"
+        write_metrics_csv(rows, csv_path)
+        assert run("rank", "--metrics", csv_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path} line ") and "frechet is nan" in err
+        assert not (tmp_path / "ranking.json").exists()
+
     def test_rank_rejects_empty_csv(self, tmp_path):
         csv_path = tmp_path / "metrics.csv"
         csv_path.write_text("scenario,method,repetition," + ",".join(METRIC_NAMES) + "\n")

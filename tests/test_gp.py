@@ -109,11 +109,11 @@ class TestDerivatives:
         queries = rng.uniform(-1.2, 1.2, (6, 2))
         jac, _ = predict_derivative(model, queries)
         h = 1e-6
-        for q, j in zip(queries, jac):
+        for q, j in zip(queries[:, None], jac):  # one-row batches
             for b in range(2):
                 e = np.zeros(2)
                 e[b] = h
-                fd = (predict_mean(model, q + e) - predict_mean(model, q - e)) / (2 * h)
+                fd = (predict_mean(model, q + e) - predict_mean(model, q - e))[0] / (2 * h)
                 assert_allclose(j[:, b], fd, atol=1e-5)
 
     def test_derivative_variance_matches_kernel_differencing(self):
@@ -148,13 +148,13 @@ class TestDerivatives:
                         + kernel_se(q - eb, q - ec, params)
                     ) / (4 * h * h)
             oracle = prior - cross @ np.linalg.solve(gram, cross.T)
-            _, var = predict_derivative(model, q)
+            _, (var,) = predict_derivative(model, q[None])
             assert_allclose(var, oracle, atol=1e-5)
 
     def test_far_field_derivative_variance_is_prior(self):
         model = make_random_model(6)
         sp2, ell = model.params.signal_variance, model.params.lengthscale
-        _, var = predict_derivative(model, np.array([50.0, 50.0]))
+        _, (var,) = predict_derivative(model, np.array([[50.0, 50.0]]))
         assert_allclose(var, (sp2 / ell**2) * np.eye(2), atol=1e-9)
 
     def test_variance_diagonal_never_negative(self):
@@ -540,7 +540,7 @@ class TestLapackSeam:
         with pytest.raises(ValueError, match="outputs must be finite"):
             build_gp([[0.0], [1.0]], [[bad], [1.0]], KernelParams(1.0, 1.0))
         model = make_random_model(17)
-        for query in ([0.0, bad], [[0.5, 0.5], [bad, 0.0]]):
+        for query in ([[0.0, bad]], [[0.5, 0.5], [bad, 0.0]]):
             for predict in (predict_mean, predict_variance, predict_derivative):
                 with pytest.raises(ValueError, match="queries must be finite"):
                     predict(model, query)

@@ -181,6 +181,13 @@ class TestAreaBetweenCurves:
         b = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert area_between_curves(a, b) == pytest.approx(0.5)
 
+    def test_zero_length_curve_is_its_first_point(self):
+        assert area_between_curves([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]) == 0.5
+
+    def test_single_point_curve_is_rejected(self):
+        with pytest.raises(ValueError, match="at least two points per curve"):
+            area_between_curves([[0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]])
+
     def test_resampling_makes_equivalent_polylines_coincide(self):
         a = np.array([[0.0, 0.0], [2.0, 0.0]])
         dense = np.stack([np.linspace(0, 2, 17), np.zeros(17)], axis=1)
@@ -365,6 +372,14 @@ class TestMannWhitney:
         with pytest.raises(ValueError, match="at least 3"):
             mann_whitney_u([1.0, 2.0], [3.0, 4.0, 5.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_are_rejected(self, bad):
+        """A NaN has no rank: it used to give (3.0, 0.35, False) here."""
+        with pytest.raises(ValueError, match="U test samples must be finite"):
+            mann_whitney_u([1.0, 2.0, bad], [3.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="U test samples must be finite"):
+            mann_whitney_u([3.0, 4.0, 5.0], [1.0, 2.0, bad])
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.integers(3, 9))
     def test_u_statistics_of_both_sides_partition_the_pairs(self, seed, n1, n2):
@@ -448,6 +463,18 @@ class TestCsvAndJson:
             src = original[(r["scenario"], r["method"], r["repetition"])]
             for name in METRIC_NAMES:
                 assert r[name] == src[name]  # %.17g survives the round trip
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
+    def test_read_rejects_a_non_finite_or_negative_metric(self, tmp_path, bad):
+        rows = [
+            {"scenario": "s", "method": "m", "repetition": i, **{name: 0.1 for name in METRIC_NAMES}}
+            for i in range(3)
+        ]
+        rows[1]["dtw"] = float(bad)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(rows, path)
+        with pytest.raises(ValueError, match=rf"{path} line 3: dtw is {bad}: metrics must be finite"):
+            read_metrics_csv(path)
 
     def test_write_is_deterministic(self, tmp_path):
         rows = [

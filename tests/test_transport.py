@@ -78,7 +78,7 @@ class TestFit:
         queries = rng.uniform(-1.5, 1.5, (7, 2))
         moved, _ = transport_points(tmap, queries)
         for q, got in zip(queries, moved):
-            base = tmap.affine.apply(q)
+            (base,) = tmap.affine.apply(q[None])
             k_star = np.array([kernel_se(base, xn, model.params) for xn in model.inputs])
             assert_allclose(got, base + k_star @ alpha, atol=1e-9)
 
@@ -128,9 +128,9 @@ class TestFit:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_queries_are_value_errors(self, bad):
         tmap = fit_transport(random_smooth_pair(np.random.default_rng(1)))
-        for points in ([0.2, bad], [[0.2, 0.1], [bad, 0.0]]):
+        for points in ([[0.2, bad]], [[0.2, 0.1], [bad, 0.0]]):
             for evaluate in (transport_points, transport_jacobians):
-                with pytest.raises(ValueError, match="queries must be finite"):
+                with pytest.raises(ValueError, match="points must be finite"):
                     evaluate(tmap, points)
 
 
@@ -209,13 +209,13 @@ class TestJacobians:
             tmap = fit_transport(random_smooth_pair(rng))
             queries = rng.uniform(-1.2, 1.2, (5, 2))
             jacs, _ = transport_jacobians(tmap, queries)
-            for q, jac in zip(queries, jacs):
+            for q, jac in zip(queries[:, None], jacs):  # one-row batches
                 fd = np.empty((2, 2))
                 for b in range(2):
                     e = np.zeros(2)
                     e[b] = h
-                    hi, _ = transport_points(tmap, q + e)
-                    lo, _ = transport_points(tmap, q - e)
+                    (hi,), _ = transport_points(tmap, q + e)
+                    (lo,), _ = transport_points(tmap, q - e)
                     fd[:, b] = (hi - lo) / (2 * h)
                 tol = max(1e-6, 1e-4 * np.linalg.norm(jac))
                 assert np.abs(jac - fd).max() < tol
@@ -227,11 +227,11 @@ class TestJacobians:
         params = tmap.residual.params
         sp = np.sqrt(params.signal_variance)
         span = tmap.residual.inputs.max(axis=0)
-        far = span + 30.0 * params.lengthscale
-        moved, _ = transport_points(tmap, far[None])
+        far = (span + 30.0 * params.lengthscale)[None]
+        moved, _ = transport_points(tmap, far)
         # the residual mean vanishes: only the rigid part remains
-        assert np.linalg.norm(moved[0] - tmap.affine.apply(far)) <= 1e-6 * sp
-        jac, _ = transport_jacobians(tmap, far)
+        assert np.linalg.norm(moved - tmap.affine.apply(far)) <= 1e-6 * sp
+        (jac,), _ = transport_jacobians(tmap, far)
         assert np.linalg.norm(jac - tmap.affine.rotation) <= (
             1e-6 * sp / params.lengthscale
         )
@@ -375,7 +375,7 @@ class TestLabelTransport:
         tmap = fit_transport(fold_pair())
 
         def det_at(x):
-            jac, _ = transport_jacobians(tmap, np.array([x, 0.5]))
+            (jac,), _ = transport_jacobians(tmap, np.array([[x, 0.5]]))
             return float(np.linalg.det(jac))
 
         # bisect a det sign change down to a numerically singular point
