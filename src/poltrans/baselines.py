@@ -4,9 +4,11 @@ Three reshaping baselines, each consuming the same paired-keypoint task
 description as the transportation map but acting on a single demonstrated
 trajectory:
 
-* Laplacian editing — solves for the trajectory whose graph-Laplacian
-  (differential) coordinates match the demonstration's while assigned nodes
-  are pinned to their targets.
+* Laplacian editing — keeps the demonstration's graph-Laplacian
+  (differential) coordinates at free nodes while assigned nodes are pinned
+  to their targets. That leaves the displacement a zero second difference
+  at free nodes, so it interpolates the pinned ones linearly in the node
+  index: a closed form, no solve.
 * Reshaped KMP — fits a GP from time to displacement through the assigned
   via-displacements and adds the predicted displacement everywhere.
 * Locally weighted translation (LWT) — greedily composes Gaussian-bump
@@ -50,7 +52,7 @@ class ViaAssignment:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).ravel()
-        tgt = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        tgt = _as_batch(self.targets, "targets")
         if idx.size != tgt.shape[0]:
             raise ValueError("indices and targets must have equal length")
         if idx.size == 0:
@@ -89,54 +91,36 @@ def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
     return ViaAssignment(indices=cols, targets=targets)
 
 
-def _graph_laplacian(m: int, topology: str) -> np.ndarray:
-    """Uniform graph Laplacian of a chain or ring of m nodes: each node's
-    degree on the diagonal and -1 per edge to a neighbour. On a ring of
-    one or two nodes both neighbours coincide and their entries add up."""
-    if topology not in ("chain", "ring"):
-        raise ValueError(f"unknown topology {topology!r}; use 'chain' or 'ring'")
-    nodes = np.arange(m)
-    ring = topology == "ring"
-    lap = np.zeros((m, m))
-    # One pass per neighbour side, over the nodes that have that neighbour.
-    # A pass touches each entry at most once; a ring's coinciding
-    # neighbours are hit once per pass.
-    for step in (-1, 1):
-        has = nodes if ring else nodes[(nodes + step >= 0) & (nodes + step < m)]
-        lap[has, has] += 1.0
-        lap[has, (has + step) % m] -= 1.0
-    return lap
-
-
 def laplacian_edit(
     traj: Trajectory,
     assignment: ViaAssignment,
     topology: str = "chain",
 ) -> Trajectory:
-    """Reshape the trajectory so assigned nodes sit exactly on their targets
-    while free nodes keep the demonstration's differential coordinates.
+    """Reshape the trajectory so assigned nodes land on their targets while
+    free nodes keep the demonstration's differential coordinates.
 
-    With L the uniform graph Laplacian of the chain (or ring, for periodic
-    demonstrations), solves L xhat = L x with the rows of assigned nodes
-    replaced by hard unit constraints.
+    Solves L xhat = L x, L the uniform graph Laplacian of the chain (or
+    ring, for periodic demonstrations), with the assigned nodes' rows
+    replaced by hard unit constraints, in closed form: the displacement
+    d = xhat - x has L d = 0, a zero second difference, at each free node,
+    so it is linear in the node index between consecutive assigned nodes
+    (wrapping around on a ring) and constant beyond a chain's outermost ones.
     """
+    if topology not in ("chain", "ring"):
+        raise ValueError(f"unknown topology {topology!r}; use 'chain' or 'ring'")
     if np.any(assignment.indices >= traj.m):
         raise ValueError("assignment index out of range")
     if assignment.targets.shape[1] != traj.dim:
         raise ValueError("target dimension mismatch")
 
-    lap = _graph_laplacian(traj.m, topology)
-    rhs = lap @ traj.positions
-    system = lap.copy()
-    for row, point in zip(assignment.indices, assignment.targets):
-        system[row, :] = 0.0
-        system[row, row] = 1.0
-        rhs[row] = point
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular constrained Laplacian system") from exc
-    return Trajectory(positions=solution, times=traj.times)
+    order = np.argsort(assignment.indices)
+    nodes = assignment.indices[order]
+    displacement = assignment.targets[order] - traj.positions[nodes]
+    period = traj.m if topology == "ring" else None
+    shift = np.column_stack(
+        [np.interp(np.arange(traj.m), nodes, d, period=period) for d in displacement.T]
+    )
+    return Trajectory(positions=traj.positions + shift, times=traj.times)
 
 
 def reshaped_kmp(
@@ -262,11 +246,11 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
             return LWTMap(units=tuple(units))
 
         center = current[worst]
-        if kp.n > 1:
-            others = np.delete(current, worst, axis=0)
-            nearest = float(np.min(np.linalg.norm(others - center, axis=1)))
-        else:
-            nearest = np.inf
+        # sqrt is monotone and correctly rounded: sqrt of the least squared
+        # distance is the least distance, bit for bit.
+        sq = np.sum((current - center) ** 2, axis=1)
+        sq[worst] = np.inf
+        nearest = float(np.sqrt(sq.min()))
         radius = min(2.0 * err, 0.5 * nearest)
         radius = max(radius, 1e-12)
 

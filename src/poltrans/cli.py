@@ -17,10 +17,11 @@ scene, report.json with gpt's timings, keypoint error and det J > 0
 percentage per scene, failures.json listing each failed cell with the
 stage that failed (method or metrics), its exception type and message, and
 timings.json with the wall and process-CPU seconds of each stage of the
-run (``BENCH_STAGES``). The methods run on the pool; the metrics of every
-cell are computed afterwards in one batch. A scene whose gpt map has a
-non-positive Jacobian determinant somewhere on the demonstration gets a
-warning on stderr.
+run (``BENCH_STAGES``) and, under ``methods``, each method's CPU seconds:
+the thread-CPU time of its cells, summed. The methods run on the pool; the
+metrics of every cell are computed afterwards in one batch. A scene whose
+gpt map has a non-positive Jacobian determinant somewhere on the
+demonstration gets a warning on stderr.
 """
 from __future__ import annotations
 
@@ -367,13 +368,15 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
 
 
 def _run_cell(cell: BenchCell):
-    """(produced, extras, error) for one cell; a method failure becomes a
-    missing sample and the bench continues."""
+    """(produced, extras, error, cpu_s) for one cell, cpu_s being the CPU
+    seconds of its own thread; a method failure becomes a missing sample
+    and the bench continues."""
+    cpu = time.thread_time()
     try:
         produced, extras = _run_method(cell.method, cell.keypoints, cell.demonstration, cell.topology)
     except Exception as exc:
-        return None, None, exc
-    return produced, extras, None
+        return None, None, exc, time.thread_time() - cpu
+    return produced, extras, None, time.thread_time() - cpu
 
 
 @contextmanager
@@ -392,12 +395,15 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES}
     with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         outcomes = list(pool.map(_run_cell, cells))
+    methods = timings["methods"] = {}
+    for cell, (*_, cpu_s) in zip(cells, outcomes):
+        methods.setdefault(cell.method, {"cpu_s": 0.0})["cpu_s"] += cpu_s
     # Scored after the pool in one batch, so Frechet and DTW run as one
     # wavefront over every cell instead of one per cell.
     with _stage(timings, "metrics"):
         scored = iter(compute_metrics_batch([
             (produced, cell.scenario.reference)
-            for cell, (produced, _, error) in zip(cells, outcomes)
+            for cell, (produced, _, error, _) in zip(cells, outcomes)
             if error is None
         ]))
 
@@ -405,7 +411,7 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     failures = []
     gpt_reports: dict = {}
     scenes: dict = {}
-    for cell, (produced, extras, error) in zip(cells, outcomes):
+    for cell, (produced, extras, error, _) in zip(cells, outcomes):
         scene = cell.scenario.name
         stage = "method"
         if error is None:

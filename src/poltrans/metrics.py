@@ -414,18 +414,22 @@ def write_metrics_csv(rows: list[dict], path) -> None:
 
 
 def read_metrics_csv(path) -> list[dict]:
-    """The rows of a ``write_metrics_csv`` file. A metric that is not
-    finite and nonnegative, the check ``MetricReport`` makes, raises
-    ValueError naming the path, the line and the column; a value that does
-    not parse raises one naming the path and the line."""
+    """The rows of a ``write_metrics_csv`` file. A row of another length
+    than the header, a value that does not parse, or a metric that is not
+    finite and nonnegative (the check ``MetricReport`` makes) raises
+    ValueError naming the path, the line and the cause."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in _CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in _CSV_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path} is missing column(s): {', '.join(missing)}")
         rows = []
-        for raw in reader:
+        for cells in filter(None, reader):  # skip blank lines
             try:
+                if len(cells) != len(header):
+                    raise ValueError(f"row has {len(cells)} cells, the header has {len(header)}")
+                raw = dict(zip(header, cells))
                 row = {
                     "scenario": raw["scenario"],
                     "method": raw["method"],

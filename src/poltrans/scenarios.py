@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, PointSet, Trajectory, from_dict, load_json, save_json, to_dict
+from .types import PairedKeypoints, PointSet, Trajectory, _as_batch, from_dict, load_json, save_json, to_dict
 
 SURFACE_PROFILES = ("flat", "tilt", "sine", "step", "composite")
 
@@ -179,7 +179,8 @@ class Pose:
         return _rotation(self.heading)
 
     def to_world(self, local: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(local) @ self.rotation().T + self.position
+        """An (N, 2) batch of points in this frame, in world coordinates."""
+        return _as_batch(local, "local points", 2) @ self.rotation().T + self.position
 
     to_dict = to_dict
     from_dict = classmethod(from_dict)

@@ -34,8 +34,8 @@ def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _coords(px: np.ndarray) -> str:
-    """Pixel points as "x,y x,y ..." at two decimals, in one format call."""
-    return " ".join(["{:.2f},{:.2f}"] * len(px)).format(*px.ravel().tolist())
+    """Pixel points as "x,y x,y ..." at two decimals, in one % format."""
+    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(px.ravel().tolist())
 
 
 class SvgScene:

@@ -16,10 +16,10 @@ from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet
-from poltrans.baselines import apply_lwt
+from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
 from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
 from poltrans.metrics import _arclength_resample
-from poltrans.transport import NEAR_SINGULAR_RATIO
+from poltrans.transport import NEAR_SINGULAR_RATIO, match_tolerance
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
 
 
@@ -189,6 +189,39 @@ def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
         hi[b] += h
         jac[:, b] = (apply_lwt(lwt, hi[None]) - apply_lwt(lwt, lo[None]))[0] / (2.0 * h)
     return jac
+
+
+def loop_fit_lwt(kp, max_iters: int = 1000) -> list[tuple]:
+    """The greedy LWT fit as (center, translation, radius) per unit, with
+    each unit's radius bounded by the nearest other keypoint found by
+    deleting the chosen one and taking the norms of the rest."""
+    tol = match_tolerance(kp)
+    current = kp.source.points.copy()
+    target = kp.target.points
+    units, best_units = [], []
+    best_err = float(np.max(np.linalg.norm(target - current, axis=1)))
+    for _ in range(max_iters):
+        residuals = target - current
+        norms = np.linalg.norm(residuals, axis=1)
+        worst = int(np.argmax(norms))
+        err = float(norms[worst])
+        if err < best_err:
+            best_err, best_units = err, list(units)
+        if err <= tol:
+            return units
+        center = current[worst].copy()
+        if kp.n > 1:
+            others = np.delete(current, worst, axis=0)
+            nearest = float(np.min(np.linalg.norm(others - center, axis=1)))
+        else:
+            nearest = np.inf
+        radius = max(min(2.0 * err, 0.5 * nearest), 1e-12)
+        translation = residuals[worst] * min(1.0, LWT_STEP_RATIO * radius / err)
+        units.append((center, translation, radius))
+        weight = np.exp(-np.sum((current - center) ** 2, axis=1) / (2.0 * radius**2))
+        current = current + weight[:, None] * translation
+    err = float(np.max(np.linalg.norm(target - current, axis=1)))
+    return list(units) if err < best_err else best_units
 
 
 def loop_polar_rotation(jacobian) -> tuple[np.ndarray, str | None]:

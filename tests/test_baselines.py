@@ -8,20 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import dense_laplacian_oracle, lwt_jacobian
+from conftest import dense_laplacian_oracle, loop_fit_lwt, lwt_jacobian
 from poltrans import PairedKeypoints, PointSet, Trajectory
 from poltrans.baselines import (
     LWT_STEP_RATIO,
     LWTUnit,
     ViaAssignment,
-    _graph_laplacian,
     apply_lwt,
     assign_via_points,
     fit_lwt,
     laplacian_edit,
     reshaped_kmp,
 )
+from poltrans.cli import _gamma_pretransform
 from poltrans.gp import KernelParams
+from poltrans.scenarios import SURFACE_PROFILES, make_surface_scenario
 
 
 def random_traj(rng, m, dim=2, with_times=True):
@@ -43,6 +44,18 @@ def loop_graph_laplacian(m, topology):
         for j in neighbors:
             lap[i, j] -= 1.0
     return lap
+
+
+def row_substituted_solve(positions, topology, indices, targets):
+    """The edit as a dense solve: L xhat = L x with each assigned node's row
+    replaced by a unit row whose right-hand side is the node's target."""
+    lap = loop_graph_laplacian(len(positions), topology)
+    system, rhs = lap.copy(), lap @ positions
+    for row, point in zip(indices, targets):
+        system[row, :] = 0.0
+        system[row, row] = 1.0
+        rhs[row] = point
+    return np.linalg.solve(system, rhs)
 
 
 def brute_force_assignment_cost(traj, kp):
@@ -111,11 +124,36 @@ class TestAssignment:
 class TestLaplacianEdit:
     @pytest.mark.parametrize("topology", ["chain", "ring"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 200])
-    def test_graph_laplacian_is_bit_identical_to_the_node_loop(self, topology, m):
+    def test_matches_the_row_substituted_dense_solve(self, topology, m):
         # m = 1 and 2 on a ring: both neighbours of a node are one node
-        lap = _graph_laplacian(m, topology)
-        assert lap.dtype == np.float64 and lap.shape == (m, m)
-        assert lap.tobytes() == loop_graph_laplacian(m, topology).tobytes()
+        rng = np.random.default_rng(m)
+        for k in sorted({1, min(2, m), min(5, m)}):
+            traj = random_traj(rng, m)
+            idx = rng.choice(m, size=k, replace=False)
+            tgt = traj.positions[idx] + rng.uniform(-0.4, 0.4, (k, 2))
+            edited = laplacian_edit(traj, ViaAssignment(indices=idx, targets=tgt), topology=topology)
+            dense = row_substituted_solve(traj.positions, topology, idx, tgt)
+            assert np.abs(edited.positions - dense).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "topology, idx",
+        [
+            # pins adjacent across the ring's wrap: the one free run is 1 .. m-2
+            pytest.param("ring", [0, 29], id="ring-pinned-at-both-ends"),
+            # free runs at both ends of a chain keep the outer pins' displacement
+            pytest.param("chain", [6, 13, 21], id="chain-pinned-inside"),
+            pytest.param("chain", [17, 3, 25, 9], id="chain-unsorted"),
+            pytest.param("ring", [17, 3, 25, 9], id="ring-unsorted"),
+        ],
+    )
+    def test_closed_form_edge_cases_match_block_elimination(self, topology, idx):
+        rng = np.random.default_rng(12)
+        traj = random_traj(rng, 30)
+        idx = np.array(idx)
+        tgt = traj.positions[idx] + rng.uniform(-0.4, 0.4, (idx.size, 2))
+        edited = laplacian_edit(traj, ViaAssignment(indices=idx, targets=tgt), topology=topology)
+        oracle = dense_laplacian_oracle(traj.positions, topology, idx, tgt)
+        assert np.abs(edited.positions - oracle).max() < 1e-12
 
     @pytest.mark.parametrize("topology", ["chain", "ring"])
     def test_matches_dense_block_elimination(self, topology):
@@ -142,10 +180,11 @@ class TestLaplacianEdit:
     def test_identity_when_targets_equal_current_positions(self):
         rng = np.random.default_rng(4)
         traj = random_traj(rng, 15)
-        idx = np.array([2, 9])
+        idx = np.array([9, 2])
         assignment = ViaAssignment(indices=idx, targets=traj.positions[idx])
-        edited = laplacian_edit(traj, assignment, topology="ring")
-        assert np.abs(edited.positions - traj.positions).max() < 1e-9
+        for topology in ("chain", "ring"):
+            edited = laplacian_edit(traj, assignment, topology=topology)
+            assert edited.positions.tobytes() == traj.positions.tobytes()
 
     def test_targets_override(self):
         rng = np.random.default_rng(5)
@@ -244,6 +283,32 @@ class TestLWT:
             moved = apply_lwt(lwt, src)
             tol = 1e-3 * max(kp.target.diameter(), 1e-12)
             assert np.linalg.norm(moved - tgt, axis=1).max() <= tol
+
+    @staticmethod
+    def assert_units_match_the_loop(kp):
+        units = fit_lwt(kp).units
+        expected = loop_fit_lwt(kp)
+        assert len(units) == len(expected)
+        for unit, (center, translation, radius) in zip(units, expected):
+            assert unit.center.tobytes() == center.tobytes()
+            assert unit.translation.tobytes() == translation.tobytes()
+            assert unit.radius == radius
+
+    def test_units_are_bitwise_the_delete_and_norm_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            dim = int(rng.choice([2, 3]))
+            src = rng.uniform(-1, 1, (n, dim))
+            tgt = src + rng.uniform(-0.3, 0.3, (n, dim))
+            self.assert_units_match_the_loop(PairedKeypoints(PointSet(src), PointSet(tgt)))
+
+    @pytest.mark.parametrize("profile", SURFACE_PROFILES)
+    def test_surface_scene_units_are_bitwise_the_delete_and_norm_loop(self, profile):
+        for seed in range(3):
+            scenario = make_surface_scenario(profile, n_keypoints=12, seed=seed)
+            _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
+            self.assert_units_match_the_loop(kp)
 
     def test_every_unit_keeps_positive_determinant(self):
         rng = np.random.default_rng(9)

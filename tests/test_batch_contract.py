@@ -11,9 +11,10 @@ from numpy.testing import assert_allclose
 
 from conftest import random_smooth_pair
 from poltrans import check_local_diffeomorphism, fit_transport, transport_jacobians, transport_points
-from poltrans.baselines import apply_lwt, fit_lwt
+from poltrans.baselines import ViaAssignment, apply_lwt, fit_lwt
 from poltrans.gp import fit_gp, predict_derivative, predict_mean, predict_variance
 from poltrans.metrics import frechet_distance
+from poltrans.scenarios import CANONICAL_GOAL
 from poltrans.types import _as_batch
 
 
@@ -40,6 +41,7 @@ CASES = {
     "apply_lwt": (lambda w, x: (apply_lwt(w.lwt, x),), "points must have dimension 2"),
     "LWTUnit.weight": (lambda w, x: (w.lwt.units[0].weight(x),), "points must have dimension 2"),
     "LWTUnit.jacobian_det": (lambda w, x: (w.lwt.units[0].jacobian_det(x),), "points must have dimension 2"),
+    "Pose.to_world": (lambda w, x: (CANONICAL_GOAL.to_world(x),), "local points must have dimension 2"),
     # A trajectory: its one result is a float, not a batch.
     "frechet_distance": (lambda w, x: (frechet_distance(x, w.reference),), "dimensions 1 and 2"),
 }
@@ -88,6 +90,11 @@ def test_a_1_input_gp_reads_a_1d_array_as_n_queries():
     assert predict_variance(model, queries).shape == (3,)
     jac, var = predict_derivative(model, queries)
     assert jac.shape == (3, 1, 1) and var.shape == (3, 1, 1)
+
+
+def test_via_assignment_targets_must_be_finite():
+    with pytest.raises(ValueError, match="targets must be finite"):
+        ViaAssignment(indices=[0, 3], targets=[[0.1, 0.2], [np.nan, 0.0]])
 
 
 def test_an_empty_probe_set_raises(world):

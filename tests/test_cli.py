@@ -337,6 +337,14 @@ class TestMetricsAndRank:
         assert err.startswith(f"error: {csv_path} line ") and "frechet is nan" in err
         assert not (tmp_path / "ranking.json").exists()
 
+    def test_rank_fails_on_a_short_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "metrics.csv"
+        csv_path.write_text("scenario,method,repetition," + ",".join(METRIC_NAMES) + "\ns,m,0,0.1,0.1\n")
+        assert run("rank", "--metrics", csv_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path} line 2: row has 5 cells, the header has 8\n"
+        assert not (tmp_path / "ranking.json").exists()
+
     def test_rank_rejects_empty_csv(self, tmp_path):
         csv_path = tmp_path / "metrics.csv"
         csv_path.write_text("scenario,method,repetition," + ",".join(METRIC_NAMES) + "\n")
@@ -497,11 +505,18 @@ class TestBench:
         )
         assert code == 0
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == set(cli.BENCH_STAGES)
-        for entry in timings.values():
-            assert set(entry) == {"wall_s", "cpu_s"}
-            assert all(isinstance(v, float) and v >= 0.0 for v in entry.values())
+        assert set(timings) == {*cli.BENCH_STAGES, "methods"}
+        for name in cli.BENCH_STAGES:
+            assert set(timings[name]) == {"wall_s", "cpu_s"}
+            assert all(isinstance(v, float) and v >= 0.0 for v in timings[name].values())
         assert timings["cells"]["wall_s"] > 0.0
+        # each method's thread CPU, summed over its cells, within the pool stage's
+        methods = timings["methods"]
+        assert set(methods) == {"gpt", "le"}
+        for entry in methods.values():
+            assert set(entry) == {"cpu_s"}
+            assert isinstance(entry["cpu_s"], float) and entry["cpu_s"] >= 0.0
+        assert sum(entry["cpu_s"] for entry in methods.values()) <= timings["cells"]["cpu_s"] + 1e-3
         # no stage timing in the other JSON artifacts
         for name in ("report.json", "ranking.json"):
             assert "wall_s" not in (out / name).read_text()
@@ -612,9 +627,9 @@ class TestBench:
         real = cli._run_cell
 
         def recorded(cell):
-            produced, extras, error = real(cell)
-            pairs[cell.scenario.name, cell.method] = (produced, cell.scenario.reference)
-            return produced, extras, error
+            outcome = real(cell)
+            pairs[cell.scenario.name, cell.method] = (outcome[0], cell.scenario.reference)
+            return outcome
 
         monkeypatch.setenv("POLTRANS_THREADS", "2")
         monkeypatch.setattr(cli, "_run_cell", recorded)

@@ -476,6 +476,17 @@ class TestCsvAndJson:
         with pytest.raises(ValueError, match=rf"{path} line 3: dtw is {bad}: metrics must be finite"):
             read_metrics_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, cells",
+        [("s,m,0,0.1,0.1", 5), ("s,m,0,0.1,0.1,0.1,0.1,0.1,9", 9)],
+    )
+    def test_read_rejects_a_row_whose_cell_count_is_not_the_headers(self, tmp_path, row, cells):
+        path = tmp_path / "metrics.csv"
+        path.write_text("scenario,method,repetition," + ",".join(METRIC_NAMES) + "\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_metrics_csv(path)
+        assert str(info.value) == f"{path} line 2: row has {cells} cells, the header has 8"
+
     def test_write_is_deterministic(self, tmp_path):
         rows = [
             {
