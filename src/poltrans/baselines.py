@@ -59,7 +59,7 @@ class ViaAssignment:
             raise ValueError("assignment must bind at least one node")
         if np.any(idx < 0):
             raise ValueError("trajectory indices must be nonnegative")
-        if np.unique(idx).size != idx.size:
+        if np.any(np.diff(np.sort(idx)) == 0):
             raise ValueError("trajectory indices must be unique")
         idx = idx.copy()
         idx.setflags(write=False)
@@ -200,10 +200,6 @@ class LWTMap:
 
     units: tuple[LWTUnit, ...]
     warnings: tuple[str, ...] = ()
-
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
 
 
 def apply_lwt(lwt: LWTMap, x) -> np.ndarray:

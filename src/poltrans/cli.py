@@ -8,20 +8,20 @@ values, and ``SUITE_DEFAULTS`` holds the defaults that depend on --suite.
 
 Both bench suites reduce to a list of cells, one per scene x method x
 repetition, which ``_run_bench`` runs on a thread pool capped by the
-POLTRANS_THREADS environment variable. Each scene's inputs (scenario,
-keypoint pairs, demonstration) are built once, before the pool, and every
-cell of the scene carries them. It writes deterministically ordered
-artifacts: metrics.csv (timing deliberately excluded so reruns are
-bitwise identical across worker counts), ranking.json, one SVG overlay per
-scene, report.json with gpt's timings, keypoint error and det J > 0
-percentage per scene, failures.json listing each failed cell with the
-stage that failed (method or metrics), its exception type and message, and
-timings.json with the wall and process-CPU seconds of each stage of the
-run (``BENCH_STAGES``) and, under ``methods``, each method's CPU seconds:
-the thread-CPU time of its cells, summed. The methods run on the pool; the
-metrics of every cell are computed afterwards in one batch. A scene whose
-gpt map has a non-positive Jacobian determinant somewhere on the
-demonstration gets a warning on stderr.
+POLTRANS_THREADS environment variable. A method is one ``METHOD_TABLE``
+entry; the SVG's sigma band and report.json come from its run. Each scene's
+inputs (scenario, keypoint pairs, demonstration) are built once, before the
+pool, and every cell of the scene carries them. The methods run on the pool;
+the metrics of every cell are computed afterwards in one batch. The bench
+writes deterministically ordered artifacts: metrics.csv (no timings, so
+reruns are bitwise identical across worker counts), ranking.json, one SVG
+overlay per scene, report.json (gpt's timings, keypoint error and det J > 0
+percentage per scene), failures.json (each failed cell's stage, method or
+metrics, its exception type and message) and timings.json (the wall and
+process-CPU seconds of each of the ``BENCH_STAGES`` and, under ``methods``,
+the thread-CPU seconds of each method's cells, summed). A scene whose gpt
+map has a non-positive Jacobian determinant somewhere on the demonstration
+gets a warning on stderr.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,39 +72,14 @@ from .transport import (
 from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json, save_json, validate_labels
 from .svgplot import SvgScene
 
-METHODS = ("gpt", "le", "reshaped_kmp", "lwt")
-# The defaults that depend on --suite: the number of (test) seeds of the
-# corpus, and the methods bench runs.
-SUITE_DEFAULTS = {
-    "surfaces": {"seeds": 3, "methods": METHODS},
-    "frames": {"seeds": 20, "methods": ("gpt", "le")},
-}
-SUITES = tuple(SUITE_DEFAULTS)
-# Frame benchmarks give assignment-based reshapers fewer keypoints per frame
-# (pairing more is ambiguous for them); map-based methods use all five.
-FRAME_KPF = {"gpt": 5, "lwt": 5, "le": 2, "reshaped_kmp": 2}
 # Frame corpus seeds: training scenes count up from one base, test scenes
 # from the other, so the files scenario-gen writes are the frames bench's
 # own inputs.
 FRAME_TRAIN_SEED = 100
 FRAME_TEST_SEED = 200
-# Per-scene entries of report.json, taken from gpt's run bookkeeping.
-GPT_REPORT_FIELDS = (
-    "fit_seconds",
-    "transport_seconds",
-    "keypoint_error_max",
-    "keypoint_error_mean",
-    "det_positive_pct",
-)
 # Stages of a bench run timed in timings.json: the method pool, the metric
 # batch, the SVG overlays, the ranking, and the table and JSON writes.
 BENCH_STAGES = ("cells", "metrics", "svgs", "ranking", "writes")
-_METHOD_COLORS = {
-    "gpt": "#1f77b4",
-    "le": "#2ca02c",
-    "reshaped_kmp": "#9467bd",
-    "lwt": "#8c564b",
-}
 
 
 class UsageError(Exception):
@@ -230,44 +206,69 @@ def _gamma_pretransform(kp: PairedKeypoints, demo: Trajectory):
     demonstration and the source keypoints into the target's pose."""
     affine = fit_affine(kp)
     demo2 = Trajectory(positions=affine.apply(demo.positions), times=demo.times)
-    kp2 = PairedKeypoints(
-        source=PointSet(affine.apply(kp.source.points)),
-        target=kp.target,
-    )
+    kp2 = PairedKeypoints(source=PointSet(affine.apply(kp.source.points)), target=kp.target)
     return demo2, kp2
 
 
-def _run_method(method: str, kp: PairedKeypoints, demo: Trajectory, topology: str):
-    """Produce the transported demonstration plus bench bookkeeping.
+@dataclass(frozen=True)
+class Method:
+    """A bench method: its SVG stroke colour, the keypoints per frame it
+    pairs on the frames suite, and ``run(keypoints, demonstration,
+    topology)``, which returns the transported demonstration, the posterior
+    standard deviation along it or None, and its scene's report.json entry
+    or None. Runs call the package through this module's globals."""
 
-    Returns (trajectory, extras); for gpt, extras carries the timings, the
-    posterior standard deviation along the path (``band_sigma``), keypoint
-    accuracy and det(J) statistics, and it is empty for the baselines.
-    """
-    extras: dict = {}
-    if method == "gpt":
-        start = time.perf_counter()
-        tmap = fit_transport(kp)
-        extras["fit_seconds"] = time.perf_counter() - start
-        start = time.perf_counter()
-        positions, variance = transport_points(tmap, demo.positions)
-        extras["transport_seconds"] = time.perf_counter() - start
-        extras["band_sigma"] = np.sqrt(np.maximum(variance, 0.0))
-        extras["keypoint_error_max"] = float(tmap.keypoint_errors.max())
-        extras["keypoint_error_mean"] = float(tmap.keypoint_errors.mean())
-        diffeo = check_local_diffeomorphism(tmap, demo.positions)
-        extras["det_positive_pct"] = 100.0 * diffeo.fraction_positive
-        return Trajectory(positions=positions, times=demo.times), extras
+    color: str
+    frame_kpf: int
+    run: Callable
 
-    demo2, kp2 = _gamma_pretransform(kp, demo)
-    if method == "lwt":
-        positions = apply_lwt(fit_lwt(kp2), demo2.positions)
-        return Trajectory(positions=positions, times=demo2.times), extras
 
-    assignment = assign_via_points(demo2, kp2)
-    if method == "le":
-        return laplacian_edit(demo2, assignment, topology=topology), extras
-    return reshaped_kmp(demo2, assignment), extras
+def _run_gpt(kp: PairedKeypoints, demo: Trajectory, topology: str):
+    start = time.perf_counter()
+    tmap = fit_transport(kp)
+    fitted = time.perf_counter()
+    positions, variance = transport_points(tmap, demo.positions)
+    transported = time.perf_counter()
+    report = {
+        "fit_seconds": fitted - start,
+        "transport_seconds": transported - fitted,
+        "keypoint_error_max": float(tmap.keypoint_errors.max()),
+        "keypoint_error_mean": float(tmap.keypoint_errors.mean()),
+        "det_positive_pct": 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive,
+    }
+    return Trajectory(positions=positions, times=demo.times), np.sqrt(np.maximum(variance, 0.0)), report
+
+
+def _run_le(kp: PairedKeypoints, demo: Trajectory, topology: str):
+    demo, kp = _gamma_pretransform(kp, demo)
+    return laplacian_edit(demo, assign_via_points(demo, kp), topology=topology), None, None
+
+
+def _run_reshaped_kmp(kp: PairedKeypoints, demo: Trajectory, topology: str):
+    demo, kp = _gamma_pretransform(kp, demo)
+    return reshaped_kmp(demo, assign_via_points(demo, kp)), None, None
+
+
+def _run_lwt(kp: PairedKeypoints, demo: Trajectory, topology: str):
+    demo, kp = _gamma_pretransform(kp, demo)
+    return Trajectory(positions=apply_lwt(fit_lwt(kp), demo.positions), times=demo.times), None, None
+
+
+# Frame benchmarks give assignment-based reshapers fewer keypoints per frame
+# (pairing more is ambiguous for them); map-based methods use all five.
+METHOD_TABLE = {
+    "gpt": Method("#1f77b4", 5, _run_gpt),
+    "le": Method("#2ca02c", 2, _run_le),
+    "reshaped_kmp": Method("#9467bd", 2, _run_reshaped_kmp),
+    "lwt": Method("#8c564b", 5, _run_lwt),
+}
+METHODS = tuple(METHOD_TABLE)
+# The defaults that depend on --suite: the number of (test) seeds of the
+# corpus, and the methods bench runs.
+SUITE_DEFAULTS = {
+    "surfaces": {"seeds": 3, "methods": METHODS},
+    "frames": {"seeds": 20, "methods": ("gpt", "le")},
+}
 
 
 def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: dict) -> None:
@@ -278,7 +279,7 @@ def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: di
     scene.polyline(demo.positions, color="#999999", width=1.2, dash="6,4")
     scene.polyline(reference.positions, color="#000000", width=1.8)
     for method, traj in sorted(produced.items()):
-        scene.polyline(traj.positions, color=_METHOD_COLORS.get(method, "#e377c2"), width=1.6)
+        scene.polyline(traj.positions, color=METHOD_TABLE[method].color, width=1.6)
     scene.markers(keypoints.source.points, color="#bbbbbb", radius=3.0)
     scene.markers(keypoints.target.points, color="#d62728", radius=3.0)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -345,10 +346,7 @@ def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
 
 def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
     """(train, test) seeds of a frames corpus."""
-    return (
-        range(FRAME_TRAIN_SEED, FRAME_TRAIN_SEED + train_seeds),
-        range(FRAME_TEST_SEED, FRAME_TEST_SEED + seeds),
-    )
+    return range(FRAME_TRAIN_SEED, FRAME_TRAIN_SEED + train_seeds), range(FRAME_TEST_SEED, FRAME_TEST_SEED + seeds)
 
 
 def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
@@ -358,25 +356,25 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
         rng = np.random.default_rng(test_seed)
         train_seed = train_ids[int(rng.integers(len(train_ids)))]
         inputs = {}
-        for kpf in {FRAME_KPF[method] for method in methods}:
+        for kpf in {METHOD_TABLE[method].frame_kpf for method in methods}:
             train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
             test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
             # The training demonstration, recorded at its own frames, moves to the test frames.
             inputs[kpf] = (test, frame_pairing(train, test), train.reference)
-        cells += [BenchCell(method, "chain", *inputs[FRAME_KPF[method]]) for method in methods]
+        cells += [BenchCell(method, "chain", *inputs[METHOD_TABLE[method].frame_kpf]) for method in methods]
     return cells
 
 
 def _run_cell(cell: BenchCell):
-    """(produced, extras, error, cpu_s) for one cell, cpu_s being the CPU
-    seconds of its own thread; a method failure becomes a missing sample
-    and the bench continues."""
+    """(produced, band, report, error, cpu_s) for one cell: what its method's
+    run returned or the error it raised, and the CPU seconds of its thread;
+    a method failure becomes a missing sample and the bench continues."""
     cpu = time.thread_time()
     try:
-        produced, extras = _run_method(cell.method, cell.keypoints, cell.demonstration, cell.topology)
+        produced, band, report = METHOD_TABLE[cell.method].run(cell.keypoints, cell.demonstration, cell.topology)
     except Exception as exc:
-        return None, None, exc, time.thread_time() - cpu
-    return produced, extras, None, time.thread_time() - cpu
+        return None, None, None, exc, time.thread_time() - cpu
+    return produced, band, report, None, time.thread_time() - cpu
 
 
 @contextmanager
@@ -403,21 +401,21 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     with _stage(timings, "metrics"):
         scored = iter(compute_metrics_batch([
             (produced, cell.scenario.reference)
-            for cell, (produced, _, error, _) in zip(cells, outcomes)
+            for cell, (produced, _, _, error, _) in zip(cells, outcomes)
             if error is None
         ]))
 
     rows = []
     failures = []
-    gpt_reports: dict = {}
+    reports: dict = {}
     scenes: dict = {}
-    for cell, (produced, extras, error, _) in zip(cells, outcomes):
+    for cell, (produced, band, report, error, _) in zip(cells, outcomes):
         scene = cell.scenario.name
         stage = "method"
         if error is None:
-            report = next(scored)
-            if isinstance(report, Exception):
-                error, stage = report, "metrics"
+            scores = next(scored)
+            if isinstance(scores, Exception):
+                error, stage = scores, "metrics"
         if error is not None:
             failures.append(
                 {"scenario": scene, "method": cell.method, "stage": stage,
@@ -425,17 +423,18 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
             )
             continue
         row = {"scenario": scene, "method": cell.method, "repetition": cell.scenario.seed}
-        row.update(report.to_dict())
+        row.update(scores.to_dict())
         rows.append(row)
         # The first successful cell of a scene in task order supplies the
         # demonstration, keypoints and reference that its SVG draws.
         bundle = scenes.setdefault(scene, {"cell": cell, "produced": {}, "bands": {}})
         bundle["produced"][cell.method] = produced
-        if cell.method == "gpt":
-            bundle["bands"]["gpt"] = extras["band_sigma"]
-            gpt_reports[scene] = {key: extras[key] for key in GPT_REPORT_FIELDS}
+        if band is not None:
+            bundle["bands"][cell.method] = band
+        if report is not None:
+            reports[scene] = report
 
-    for name, entry in sorted(gpt_reports.items()):
+    for name, entry in sorted(reports.items()):
         if entry["det_positive_pct"] < 100.0:
             print(
                 f"warning: {name}: gpt det(J) > 0 on only {entry['det_positive_pct']:.1f}% "
@@ -446,8 +445,8 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(timings, "writes"):
         write_metrics_csv(rows, out_dir / "metrics.csv")
-        if gpt_reports:
-            save_json(gpt_reports, out_dir / "report.json")
+        if reports:
+            save_json(reports, out_dir / "report.json")
         if failures:
             save_json({"failures": failures}, out_dir / "failures.json")
     with _stage(timings, "svgs"):
@@ -532,7 +531,7 @@ def cmd_scenario_gen(args) -> int:
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     """The flags that choose a suite's corpus, shared by bench and scenario-gen."""
-    parser.add_argument("--suite", required=True, choices=SUITES)
+    parser.add_argument("--suite", required=True, choices=tuple(SUITE_DEFAULTS))
     parser.add_argument("--seeds", type=_at_least(1), help="number of (test) seeds; default by suite")
     parser.add_argument("--train-seeds", type=_at_least(1), default=9, help="training seeds (frames)")
     parser.add_argument("--n-keypoints", type=_at_least(2), default=12, help="keypoints per surface")
@@ -558,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     _add_corpus_flags(bench)
-    bench.add_argument("--methods", type=_method_list, help="comma-separated method ids; default by suite")
+    ids = ", ".join(METHODS)
+    bench.add_argument("--methods", type=_method_list, help=f"comma-separated method ids ({ids}); default by suite")
     bench.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     bench.add_argument("--out-dir", type=Path, default="bench-out", help="output directory")
     bench.set_defaults(func=cmd_bench)

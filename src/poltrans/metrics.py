@@ -333,7 +333,8 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
         p = float(table[n1, : threshold + 1].sum()) / comb(n, n1)
     else:
         mean = n1 * n2 / 2.0
-        _, tie_counts = np.unique(pooled, return_counts=True)
+        ordered = np.sort(pooled)  # run lengths, not np.unique, which imports numpy.ma
+        tie_counts = np.diff(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True]))
         tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
         # Not all pooled values are equal, so tie_term <= n - 2 (one tie of
         # n - 1 values at most) and var >= n1 n2 / 4 > 0.

@@ -146,7 +146,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must form an (N, dim) array")
         n, dim = pts.shape
@@ -229,14 +229,14 @@ class PolicyLabels:
     damping: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise ValueError("positions must form a nonempty (M, dim) array")
         m, dim = pos.shape
         object.__setattr__(self, "positions", _freeze(pos))
 
         if self.velocities is not None:
-            vel = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+            vel = np.asarray(self.velocities, dtype=float)
             if vel.shape != (m, dim):
                 raise ValueError(f"velocities must have shape ({m}, {dim})")
             object.__setattr__(self, "velocities", _freeze(vel))
@@ -271,7 +271,7 @@ class Trajectory:
     times: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise ValueError("positions must form a nonempty (M, dim) array")
         if not np.all(np.isfinite(pos)):

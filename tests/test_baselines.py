@@ -315,7 +315,7 @@ class TestLWT:
         src = rng.uniform(-1, 1, (5, 2))
         tgt = src + rng.uniform(-0.25, 0.25, (5, 2))
         lwt = fit_lwt(PairedKeypoints(PointSet(src), PointSet(tgt)))
-        assert lwt.n_units > 0
+        assert len(lwt.units) > 0
         for unit in lwt.units:
             direction = unit.translation
             norm = np.linalg.norm(direction)
@@ -349,7 +349,7 @@ class TestLWT:
     def test_identical_sets_need_no_units(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         lwt = fit_lwt(PairedKeypoints(PointSet(pts), PointSet(pts)))
-        assert lwt.n_units == 0
+        assert len(lwt.units) == 0
 
     def test_contradictory_keypoints_warn_after_budget(self):
         src = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])

@@ -15,7 +15,7 @@ from poltrans.baselines import ViaAssignment, apply_lwt, fit_lwt
 from poltrans.gp import fit_gp, predict_derivative, predict_mean, predict_variance
 from poltrans.metrics import frechet_distance
 from poltrans.scenarios import CANONICAL_GOAL
-from poltrans.types import _as_batch
+from poltrans.types import PointSet, PolicyLabels, Trajectory, _as_batch
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +114,21 @@ def test_an_empty_probe_set_raises(world):
 def test_as_batch_names_what_is_wrong(values, message):
     with pytest.raises(ValueError, match=message):
         _as_batch(values, "x", dim=2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p: PointSet(p), r"points must form an \(N, dim\) array"),
+        (lambda p: PolicyLabels(positions=p), r"positions must form a nonempty \(M, dim\) array"),
+        (lambda p: PolicyLabels(positions=p[None], velocities=p), r"velocities must have shape \(1, 2\)"),
+        (lambda p: Trajectory(positions=p), r"positions must form a nonempty \(M, dim\) array"),
+    ],
+    ids=["PointSet", "PolicyLabels.positions", "PolicyLabels.velocities", "Trajectory"],
+)
+def test_a_record_takes_no_1d_array_as_one_point(build, message):
+    """The records read batches as the functions do: a lone point is the
+    one-row batch ``x[None]``, and a 1-d array is refused."""
+    point = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match=message):
+        build(point)

@@ -30,6 +30,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def _replace_run(monkeypatch, method, run):
+    """Give ``method``'s entry of the bench's method table another run."""
+    monkeypatch.setitem(cli.METHOD_TABLE, method, dataclasses.replace(cli.METHOD_TABLE[method], run=run))
+
+
 class TestFit:
     def test_writes_map_and_report(self, tmp_path, scenario_file):
         out = tmp_path / "fit"
@@ -550,7 +555,7 @@ class TestBench:
         # One build per scene, and per keypoint count on frames.
         by_key = {}
         for cell in cells:
-            key = (cell.scenario.name, cli.FRAME_KPF[cell.method] if suite == "frames" else None)
+            key = (cell.scenario.name, cli.METHOD_TABLE[cell.method].frame_kpf if suite == "frames" else None)
             built = (cell.scenario, cell.keypoints, cell.demonstration)
             shared = by_key.setdefault(key, built)
             assert all(a is b for a, b in zip(shared, built))
@@ -567,14 +572,10 @@ class TestBench:
         class Boom(Exception):
             pass
 
-        real = cli._run_method
+        def failing_le(*args):
+            raise Boom("forced failure")
 
-        def failing_le(method, *args):
-            if method == "le":
-                raise Boom("forced failure")
-            return real(method, *args)
-
-        monkeypatch.setattr(cli, "_run_method", failing_le)
+        _replace_run(monkeypatch, "le", failing_le)
         out = tmp_path / "bench"
         code = run(
             "bench", "--suite", "frames", "--seeds", 3, "--train-seeds", 1,
@@ -596,21 +597,20 @@ class TestBench:
         monkeypatch.setenv("POLTRANS_THREADS", "1")
         assert run("bench", *flags, "--out-dir", tmp_path / "clean") == 0
 
-        real = cli._run_method
+        real = cli.METHOD_TABLE["le"].run
         le_calls = []
 
-        def stalled_first_le(method, *args):
-            produced, extras = real(method, *args)
-            if method == "le":
-                le_calls.append(1)
-                if len(le_calls) == 1:
-                    # zero-length final segments leave no docking angle to score
-                    positions = produced.positions.copy()
-                    positions[-6:] = positions[-6]
-                    produced = Trajectory(positions=positions, times=produced.times)
-            return produced, extras
+        def stalled_first_le(*args):
+            produced, band, report = real(*args)
+            le_calls.append(1)
+            if len(le_calls) == 1:
+                # zero-length final segments leave no docking angle to score
+                positions = produced.positions.copy()
+                positions[-6:] = positions[-6]
+                produced = Trajectory(positions=positions, times=produced.times)
+            return produced, band, report
 
-        monkeypatch.setattr(cli, "_run_method", stalled_first_le)
+        _replace_run(monkeypatch, "le", stalled_first_le)
         out = tmp_path / "stalled"
         assert run("bench", *flags, "--out-dir", out) == 0
         failures = json.loads((out / "failures.json").read_text())["failures"]
@@ -641,6 +641,32 @@ class TestBench:
             expected = compute_metrics(*pairs[row["scenario"], row["method"]]).to_dict()
             assert {name: row[name] for name in METRIC_NAMES} == expected
 
+    def test_a_method_in_the_table_alone_runs_through_the_bench(self, tmp_path, monkeypatch):
+        """_run_bench names no method: one table entry gives a method its
+        rows, its stroke in every SVG, and leaves gpt's report alone."""
+
+        def untransported(kp, demo, topology):
+            return demo, None, None
+
+        monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 5, untransported))
+        alone, both = tmp_path / "gpt", tmp_path / "gpt-dummy"
+        assert cli._run_bench("surfaces", cli._surface_cells(("gpt",), 1, 7), 0.05, alone) == 0
+        assert cli._run_bench("surfaces", cli._surface_cells(("gpt", "dummy"), 1, 7), 0.05, both) == 0
+        rows = read_metrics_csv(both / "metrics.csv")
+        assert [row for row in rows if row["method"] == "gpt"] == read_metrics_csv(alone / "metrics.csv")
+        assert [row["scenario"] for row in rows if row["method"] == "dummy"] == [
+            row["scenario"] for row in rows if row["method"] == "gpt"
+        ]
+        svgs = sorted((both / "svg").iterdir())
+        assert len(svgs) == 5 and all("#123456" in svg.read_text() for svg in svgs)
+
+        def untimed(out):
+            report = json.loads((out / "report.json").read_text())
+            timed = ("fit_seconds", "transport_seconds")
+            return {scene: {k: v for k, v in entry.items() if k not in timed} for scene, entry in report.items()}
+
+        assert untimed(both) == untimed(alone)
+
     def test_folding_gpt_maps_are_warned_per_scene(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert run("bench", "--suite", "frames", "--seeds", 5, "--out-dir", out) == 0
@@ -655,18 +681,17 @@ class TestBench:
         ]
 
     def test_ranking_error_comes_last_and_names_the_method(self, tmp_path, monkeypatch, capsys):
-        real = cli._run_method
+        real = cli.METHOD_TABLE["le"].run
         le_calls = []
 
-        def one_le_failure(method, *args):
-            if method == "le":
-                le_calls.append(1)
-                if len(le_calls) == 1:
-                    raise RuntimeError("forced failure")
-            return real(method, *args)
+        def one_le_failure(*args):
+            le_calls.append(1)
+            if len(le_calls) == 1:
+                raise RuntimeError("forced failure")
+            return real(*args)
 
         monkeypatch.setenv("POLTRANS_THREADS", "1")
-        monkeypatch.setattr(cli, "_run_method", one_le_failure)
+        _replace_run(monkeypatch, "le", one_le_failure)
         out = tmp_path / "bench"
         code = run(
             "bench", "--suite", "frames", "--seeds", 3, "--train-seeds", 1,
@@ -794,6 +819,9 @@ class TestParsing:
             if action.dest != "help"
         }
         assert flags == CLI_SURFACE[command]
+        if command == "bench":
+            (methods,) = [a for a in sub.choices[command]._actions if a.dest == "methods"]
+            assert f"({', '.join(cli.METHODS)})" in methods.help
 
     def test_unknown_command(self):
         assert run("explode") == 2
@@ -817,15 +845,15 @@ def tracing(monkeypatch):
 
 
 def _scipy_loaded_by(*argv) -> set:
-    """The ``scipy`` modules in sys.modules after a fresh ``import
-    poltrans.cli`` and, with ``argv``, after ``cli.main(argv)`` has also run
-    and returned 0; one process per call."""
+    """The ``scipy`` modules, and ``numpy.ma`` if loaded, in sys.modules
+    after a fresh ``import poltrans.cli`` and, with ``argv``, after
+    ``cli.main(argv)`` has also run and returned 0; one process per call."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     run_main = f"assert poltrans.cli.main({[str(a) for a in argv]!r}) == 0; " if argv else ""
     code = (
         f"import json, sys, poltrans.cli; {run_main}"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma']))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
@@ -879,7 +907,8 @@ def test_cli_import_and_fit_leave_out_lazily_imported_scipy(module, start_up):
 @pytest.mark.parametrize("suite", ["surfaces", "frames"])
 def test_bench_loads_only_the_compiled_scipy_routines(tmp_path, suite):
     """The baselines' linear_sum_assignment and the U tests' ndtr come from
-    their extension modules, not from scipy.optimize and scipy.special."""
+    their extension modules, not from scipy.optimize and scipy.special, and
+    no np.unique call loads numpy.ma (16-34 ms of CPU on a fresh start)."""
     out = tmp_path / "bench"
     argv = ("bench", "--suite", suite, "--seeds", 3, "--train-seeds", 2, "--out-dir", out)
     assert _scipy_loaded_by(*argv) == ROUTINE_MODULES
