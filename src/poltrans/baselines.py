@@ -227,19 +227,20 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     current = kp.source.points.copy()
     target = kp.target.points
     units: list[LWTUnit] = []
-    best_units: list[LWTUnit] = []
-    best_err = float(np.max(np.linalg.norm(target - current, axis=1)))
+    best, best_err = 0, np.inf
 
-    for _ in range(max_iters):
+    # One residual check per unit count 0..max_iters; the last adds no unit.
+    for n_units in range(max_iters + 1):
         residuals = target - current
         norms = np.linalg.norm(residuals, axis=1)
         worst = int(np.argmax(norms))
         err = float(norms[worst])
         if err < best_err:
-            best_err = err
-            best_units = list(units)
+            best, best_err = n_units, err
         if err <= tol:
             return LWTMap(units=tuple(units))
+        if n_units == max_iters:
+            break
 
         center = current[worst]
         # sqrt is monotone and correctly rounded: sqrt of the least squared
@@ -256,10 +257,6 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
         units.append(unit)
         current = current + unit.weight(current)[:, None] * unit.translation
 
-    residuals = np.linalg.norm(target - current, axis=1)
-    err = float(np.max(residuals))
-    if err < best_err:
-        best_err, best_units = err, list(units)
     note = f"did not converge in {max_iters} iterations; best residual {best_err:.3e}"
     _warnings.warn(note)
-    return LWTMap(units=tuple(best_units), warnings=(note,))
+    return LWTMap(units=tuple(units[:best]), warnings=(note,))

@@ -124,6 +124,8 @@ def _method_list(text: str) -> list[str]:
     for method in methods:
         if method not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {method!r}; valid ids: {', '.join(METHODS)}")
+        if methods.count(method) > 1:
+            raise argparse.ArgumentTypeError(f"method {method!r} is listed twice")
     return methods
 
 
@@ -481,7 +483,7 @@ def cmd_bench(args) -> int:
     else:
         # Each frame scene gives one row per method, and ranking two or
         # more methods needs U_TEST_MIN_SAMPLES rows each.
-        if len(set(methods)) > 1 and seeds < U_TEST_MIN_SAMPLES:
+        if len(methods) > 1 and seeds < U_TEST_MIN_SAMPLES:
             raise UsageError(
                 f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} "
                 f"to rank two or more frame methods, got {seeds}"

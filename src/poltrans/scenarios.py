@@ -3,7 +3,8 @@
 Two families:
 
 * Surface scenarios — a flat baseline segment deforms into a target profile
-  (tilted, sinusoidal, stepped, or a rotated sinusoid). Keypoints sample the
+  (tilted, sinusoidal, stepped, or a sinusoid then tilted), each one record
+  of ``_PROFILES``: its default parameters and its map. Keypoints sample the
   baseline and its image; the demonstration is a periodic
   approach-traverse-retreat loop over the baseline. Every scenario carries
   an analytic reference rollout (the demonstration pushed through the exact
@@ -18,20 +19,11 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .types import PairedKeypoints, PointSet, Trajectory, _as_batch, from_dict, load_json, save_json, to_dict
-
-SURFACE_PROFILES = ("flat", "tilt", "sine", "step", "composite")
-
-_PROFILE_DEFAULTS = {
-    "flat": {},
-    "tilt": {"angle": 0.35},
-    "sine": {"amplitude": 0.08, "frequency": 1.0},
-    "step": {"height": 0.12, "position": 0.55, "width": 0.04},
-    "composite": {"angle": 0.25, "amplitude": 0.1, "frequency": 1.5},
-}
 
 # Demonstration loop over the unit baseline: hover in, traverse, retreat,
 # return. Piecewise-linear waypoints with phase breakpoints.
@@ -45,41 +37,48 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _sine(pts: np.ndarray, params: dict) -> np.ndarray:
+    pts[:, 1] += params["amplitude"] * np.sin(2.0 * np.pi * params["frequency"] * pts[:, 0])
+    return pts
+
+
+def _step(pts: np.ndarray, params: dict) -> np.ndarray:
+    pts[:, 1] += 0.5 * params["height"] * (1.0 + np.tanh((pts[:, 0] - params["position"]) / params["width"]))
+    return pts
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """A surface profile: its default parameters, and ``apply(points,
+    params)``, which maps a float (N, 2) batch in place where it can."""
+
+    defaults: dict[str, float]
+    apply: Callable[[np.ndarray, dict], np.ndarray]
+
+
+_PROFILES = {
+    "flat": _Profile({}, lambda pts, params: pts),
+    "tilt": _Profile({"angle": 0.35}, lambda pts, params: pts @ _rotation(params["angle"]).T),
+    "sine": _Profile({"amplitude": 0.08, "frequency": 1.0}, _sine),
+    "step": _Profile({"height": 0.12, "position": 0.55, "width": 0.04}, _step),
+    "composite": _Profile(
+        {"angle": 0.25, "amplitude": 0.1, "frequency": 1.5},
+        lambda pts, params: _sine(pts, params) @ _rotation(params["angle"]).T,
+    ),
+}
+SURFACE_PROFILES = tuple(_PROFILES)
+
+
+def _profile(name: str) -> _Profile:
+    if name not in _PROFILES:
+        raise ValueError(f"unknown profile {name!r}; choose from {SURFACE_PROFILES}")
+    return _PROFILES[name]
+
+
 def surface_map(profile: str, params: dict):
-    """The analytic ambient map sending the flat baseline onto the profile.
-
-    Graph profiles shift points vertically by the profile height at their
-    abscissa; tilt rotates about the baseline start; composite applies the
-    sinusoid then rotates.
-    """
-    if profile == "flat":
-        return lambda pts: np.array(pts, dtype=float)
-    if profile == "tilt":
-        rot = _rotation(params["angle"])
-        return lambda pts: np.asarray(pts, dtype=float) @ rot.T
-    if profile == "sine":
-        a, f = params["amplitude"], params["frequency"]
-
-        def bump(pts):
-            pts = np.array(pts, dtype=float)
-            pts[:, 1] += a * np.sin(2.0 * np.pi * f * pts[:, 0])
-            return pts
-
-        return bump
-    if profile == "step":
-        h, pos, w = params["height"], params["position"], params["width"]
-
-        def step(pts):
-            pts = np.array(pts, dtype=float)
-            pts[:, 1] += 0.5 * h * (1.0 + np.tanh((pts[:, 0] - pos) / w))
-            return pts
-
-        return step
-    if profile == "composite":
-        inner = surface_map("sine", params)
-        rot = _rotation(params["angle"])
-        return lambda pts: inner(pts) @ rot.T
-    raise ValueError(f"unknown profile {profile!r}; choose from {SURFACE_PROFILES}")
+    """The analytic ambient map sending the flat baseline onto the profile; it maps a copy."""
+    apply = _profile(profile).apply
+    return lambda pts: apply(np.array(pts, dtype=float), params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +110,7 @@ def _loop_demonstration() -> Trajectory:
     return Trajectory(positions=positions, times=t)
 
 
-def make_surface_scenario(
-    profile: str,
-    n_keypoints: int = 12,
-    seed: int = 0,
-    params: dict | None = None,
-) -> SurfaceScenario:
+def make_surface_scenario(profile: str, n_keypoints: int = 12, seed: int = 0) -> SurfaceScenario:
     """Build one surface instance, deterministic given the seed.
 
     Source keypoints sit on the flat baseline y = 0, x in [0, 1], evenly
@@ -125,11 +119,7 @@ def make_surface_scenario(
     """
     if n_keypoints < 2:
         raise ValueError("need at least two keypoints")
-    if profile not in SURFACE_PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {SURFACE_PROFILES}")
-    merged = dict(_PROFILE_DEFAULTS[profile])
-    if params:
-        merged.update({k: float(v) for k, v in params.items()})
+    params = dict(_profile(profile).defaults)
 
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n_keypoints)
@@ -138,17 +128,14 @@ def make_surface_scenario(
     xs.sort()
     source = np.stack([xs, np.zeros_like(xs)], axis=1)
 
-    mapping = surface_map(profile, merged)
-    target = mapping(source)
+    mapping = surface_map(profile, params)
     demo = _loop_demonstration()
-    reference = Trajectory(positions=mapping(demo.positions), times=demo.times)
-
     return SurfaceScenario(
         profile=profile,
-        params=merged,
-        keypoints=PairedKeypoints(source=PointSet(source), target=PointSet(target)),
+        params=params,
+        keypoints=PairedKeypoints(source=PointSet(source), target=PointSet(mapping(source))),
         demonstration=demo,
-        reference=reference,
+        reference=Trajectory(positions=mapping(demo.positions), times=demo.times),
         seed=seed,
     )
 
@@ -175,12 +162,9 @@ class Pose:
     def direction(self) -> np.ndarray:
         return np.array([np.cos(self.heading), np.sin(self.heading)])
 
-    def rotation(self) -> np.ndarray:
-        return _rotation(self.heading)
-
     def to_world(self, local: np.ndarray) -> np.ndarray:
         """An (N, 2) batch of points in this frame, in world coordinates."""
-        return _as_batch(local, "local points", 2) @ self.rotation().T + self.position
+        return _as_batch(local, "local points", 2) @ _rotation(self.heading).T + self.position
 
     to_dict = to_dict
     from_dict = classmethod(from_dict)

@@ -310,6 +310,14 @@ class TestLWT:
             _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
             self.assert_units_match_the_loop(kp)
 
+    def test_a_fit_converging_on_its_last_allowed_unit_does_not_warn(self):
+        scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)
+        _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
+        assert len(fit_lwt(kp).units) == 25
+        lwt = fit_lwt(kp, max_iters=25)
+        assert len(lwt.units) == 25
+        assert lwt.warnings == ()
+
     def test_every_unit_keeps_positive_determinant(self):
         rng = np.random.default_rng(9)
         src = rng.uniform(-1, 1, (5, 2))

@@ -761,6 +761,12 @@ class TestBench:
         assert run("bench", "--suite", "planets", "--out-dir", tmp_path) == 2
         assert run("bench", "--suite", "surfaces", "--methods", "gpt,nope", "--out-dir", tmp_path) == 2
 
+    def test_a_repeated_method_is_refused_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "surfaces", "--methods", "gpt,le,le", "--out-dir", out) == 2
+        assert "method 'le' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (16, 4)])
     def test_unset_worker_count_follows_the_cpu_count(self, monkeypatch, cpus, workers):
         monkeypatch.delenv("POLTRANS_THREADS", raising=False)

@@ -90,19 +90,15 @@ class TestSurfaceScenarios:
             atol=0,
         )
 
-    def test_param_overrides(self):
-        scenario = make_surface_scenario("sine", seed=8, params={"amplitude": 0.2})
-        assert scenario.params["amplitude"] == 0.2
-        xs = scenario.keypoints.source.points[:, 0]
-        assert_allclose(
-            scenario.keypoints.target.points[:, 1],
-            0.2 * np.sin(2 * np.pi * scenario.params["frequency"] * xs),
-            atol=1e-15,
-        )
+    def test_editing_a_scenario_leaves_the_profile_defaults_alone(self):
+        make_surface_scenario("sine", seed=8).params["amplitude"] = 0.2
+        assert make_surface_scenario("sine", seed=8).params == {"amplitude": 0.08, "frequency": 1.0}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown profile"):
             make_surface_scenario("bumpy")
+        with pytest.raises(ValueError, match="unknown profile"):
+            surface_map("bumpy", {})
         with pytest.raises(ValueError, match="two keypoints"):
             make_surface_scenario("flat", n_keypoints=1)
 
