@@ -11,8 +11,11 @@ repetition, which ``_run_bench`` runs on a thread pool capped by the
 POLTRANS_THREADS environment variable. A method is one ``METHOD_TABLE``
 entry; the SVG's sigma band and report.json come from its run. Each scene's
 inputs (scenario, keypoint pairs, demonstration) are built once, before the
-pool, and every cell of the scene carries them. The methods run on the pool;
-the metrics of every cell are computed afterwards in one batch. The bench
+pool, and every cell of the scene carries them. Every cell is submitted to
+the pool, the bench waits once for all of them and reads their results in
+cell order, so artifacts do not depend on which cell finished first. The
+metrics of every cell are computed afterwards in one batch, each metric
+once per group of same-shape cells, with the cells as lanes. The bench
 writes deterministically ordered artifacts: metrics.csv (no timings, so
 reruns are bitwise identical across worker counts), ranking.json, one SVG
 overlay per scene, report.json (gpt's timings, keypoint error and det J > 0
@@ -30,7 +33,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,7 +241,7 @@ def _run_gpt(kp: PairedKeypoints, demo: Trajectory, topology: str):
         "keypoint_error_mean": float(tmap.keypoint_errors.mean()),
         "det_positive_pct": 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive,
     }
-    return Trajectory(positions=positions, times=demo.times), np.sqrt(np.maximum(variance, 0.0)), report
+    return Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report
 
 
 def _run_le(kp: PairedKeypoints, demo: Trajectory, topology: str):
@@ -394,12 +397,16 @@ def _stage(timings: dict, name: str):
 def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
     timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES}
     with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        outcomes = list(pool.map(_run_cell, cells))
+        # One wait on all the cells: reading each result as it finishes
+        # would wake this thread once per cell.
+        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        wait(futures)
+    outcomes = [future.result() for future in futures]
     methods = timings["methods"] = {}
     for cell, (*_, cpu_s) in zip(cells, outcomes):
         methods.setdefault(cell.method, {"cpu_s": 0.0})["cpu_s"] += cpu_s
-    # Scored after the pool in one batch, so Frechet and DTW run as one
-    # wavefront over every cell instead of one per cell.
+    # Scored after the pool in one batch, so each metric runs once over
+    # every cell of a shape, as lanes, instead of once per cell.
     with _stage(timings, "metrics"):
         scored = iter(compute_metrics_batch([
             (produced, cell.scenario.reference)

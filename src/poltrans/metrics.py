@@ -24,6 +24,8 @@ ANGLE_TAIL_SEGMENTS = 5
 EXACT_U_LIMIT = 20
 # Smallest sample either side of a U test may hold.
 U_TEST_MIN_SAMPLES = 3
+# The error of a final angle whose tail segments give no direction.
+_STATIONARY_TAIL = "stationary tail: no direction defined"
 
 
 def _check_metric(name: str, value: float) -> None:
@@ -71,9 +73,41 @@ def _pair_positions(a, b) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
-def _wavefront(a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet and DTW costs of B same-shape pairs: a is (dim, m, B) and
-    rb is (dim, n, B), holding each b with its points reversed.
+def _lane(points: np.ndarray) -> np.ndarray:
+    """One (M, dim) curve as the single lane of a (dim, M, 1) stack."""
+    return points.T[:, :, None]
+
+
+def _lane_groups(pairs):
+    """Each group of (a, b) position pairs that share (len(a), len(b), dim),
+    as (indices of its pairs, a, b), with the group's curves stacked as the
+    lanes of a (dim, m, L) and b (dim, n, L)."""
+    groups: dict = {}
+    for index, (pa, pb) in enumerate(pairs):
+        groups.setdefault((pa.shape[0], pb.shape[0], pa.shape[1]), []).append(index)
+    # Stacked into C-order arrays: np.stack alone would keep the points'
+    # (point, axis) order in memory, and the wavefront reads a run of
+    # points of one axis at a time.
+    for (m, n, dim), members in groups.items():
+        a = np.stack([pairs[i][0].T for i in members], axis=2, out=np.empty((dim, m, len(members))))
+        b = np.stack([pairs[i][1].T for i in members], axis=2, out=np.empty((dim, n, len(members))))
+        yield members, a, b
+
+
+def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each lane's vectors, for u and v of shape (L, dim).
+
+    The stacked (1, dim) @ (dim, 1) products run the BLAS dot of a 1-d
+    ``np.dot`` or ``np.linalg.norm`` once per lane, on unit-stride rows as
+    those calls see them, so each lane is bit-identical to them; a sum over
+    an axis of the elementwise products rounds differently.
+    """
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _wavefront(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frechet and DTW costs of each lane of a (dim, m, B) and b (dim, n, B).
 
     Both costs are the last cell of a coupling-lattice DP
     C[i, j] = step(d[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
@@ -86,14 +120,15 @@ def _wavefront(a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal does not reach stay +inf, so each diagonal reads the same
     shifted row ranges of its two predecessors; three such blocks are
     reused in turn. Along a diagonal i runs over a contiguous row range of
-    a and k - i over one of rb, so every operand of a diagonal is one
-    contiguous (width, B) or (width, 2B) block, and its distances come
-    straight from the points, summed over the axes in order like
-    ``cdist``. Every cell applies min and step to the same operands as the
-    cell-by-cell loop, so each lane is bit-identical to it.
+    a and k - i over one of b with its points reversed, so every operand
+    of a diagonal is a (width, B) or (width, 2B) block of contiguous rows,
+    and its distances come straight from the points, summed over the axes
+    in order like ``cdist``. Every cell applies min and step to the same
+    operands as the cell-by-cell loop, so each lane is bit-identical to it.
     """
     dim, m, lanes = a.shape
-    n = rb.shape[1]
+    n = b.shape[1]
+    rb = b[:, ::-1]
     diagonals = np.full((3, m + 1, 2 * lanes), np.inf)
     dist = np.empty((m, lanes))
     term = np.empty((m, lanes))
@@ -128,15 +163,10 @@ def _wavefront(a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _coupling_costs(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Frechet and DTW costs of every (a, b) position pair, one wavefront
     per group of pairs sharing (len(a), len(b), dim)."""
-    groups: dict = {}
-    for index, (pa, pb) in enumerate(pairs):
-        groups.setdefault((pa.shape[0], pb.shape[0], pa.shape[1]), []).append(index)
     frechet = np.empty(len(pairs))
     dtw = np.empty(len(pairs))
-    for members in groups.values():
-        a = np.stack([pairs[i][0].T for i in members], axis=2)
-        rb = np.stack([pairs[i][1][::-1].T for i in members], axis=2)
-        frechet[members], dtw[members] = _wavefront(a, rb)
+    for members, a, b in _lane_groups(pairs):
+        frechet[members], dtw[members] = _wavefront(a, b)
     return frechet, dtw
 
 
@@ -161,22 +191,79 @@ def dtw_distance(a, b) -> float:
 
 
 def _arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = cum[-1]
-    if total <= 0:
-        return np.repeat(points[:1], count, axis=0)
-    stations = np.linspace(0.0, total, count)
-    out = np.empty((count, points.shape[1]))
-    for axis in range(points.shape[1]):
-        out[:, axis] = np.interp(stations, cum, points[:, axis])
+    """Each lane of a (2, m, L) stack resampled to ``count`` points equally
+    spaced by arc length, at the values ``np.interp`` gives each coordinate
+    over the cumulative arc length; a zero-length lane becomes copies of its
+    first point. Temporaries are dropped as soon as they are used, so the
+    peak memory stays below that of the wavefront."""
+    _, m, lanes = points.shape
+    seg = np.diff(points, axis=1)
+    np.multiply(seg, seg, out=seg)
+    cum = np.zeros((m, lanes))
+    # Segment lengths summed as np.linalg.norm(axis=1) sums two squares.
+    np.cumsum(np.sqrt(seg[0] + seg[1]), axis=0, out=cum[1:])
+    del seg
+    moving = cum[-1] > 0
+    # A zero stop would send every lane down linspace's other rounding path.
+    stations = np.linspace(0.0, np.where(moving, cum[-1], 1.0), count)
+    stations[:, ~moving] = 0.0
+    # knot: the last cumulative length at or below each station, as
+    # np.interp's search finds it. A stable sort of each lane's lengths
+    # followed by its stations puts every length before the stations it
+    # does not exceed, so station k sorts to place knot + 1 + k.
+    order = np.argsort(np.concatenate((cum, stations)).T, axis=1, kind="stable")
+    place = np.empty_like(order)
+    np.put_along_axis(place, order, np.arange(m + count), axis=1)
+    del order
+    knot = place[:, m:].T - np.arange(1, count + 1)[:, None]
+    del place
+    # Flat (point, lane) indices of each station's knot and of the next
+    # knot, which stops at the lane's last point.
+    lane = np.arange(lanes)
+    after = np.minimum(knot + 1, m - 1) * lanes + lane
+    knot = knot * lanes + lane
+    at = np.take(cum, knot)
+    run = np.take(cum, after) - at
+    del cum
+    # A station on a knot takes the knot's point, as in np.interp.
+    on_knot = stations == at
+    run[on_knot] = 1.0
+    flat = points.reshape(2, -1)
+    start = np.take(flat, knot, axis=1)
+    del knot
+    out = np.take(flat, after, axis=1)
+    del after
+    # np.interp's arithmetic: the slope first, then slope * offset + start.
+    out -= start
+    out /= run
+    stations -= at
+    out *= stations
+    out += start
+    np.copyto(out, start, where=on_knot)
+    out[:, :, ~moving] = points[:, :1, ~moving]
     return out
 
 
 def _signed_triangle_areas(p0, p1, p2) -> np.ndarray:
     d1 = p1 - p0
     d2 = p2 - p0
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+
+
+def _area_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``area_between_curves`` of each lane of a (dim, m, L) and b (dim, n, L)."""
+    if a.shape[1] < 2 or b.shape[1] < 2:
+        raise ValueError("area metric needs at least two points per curve")
+    if a.shape[0] != 2 or b.shape[0] != 2:
+        raise ValueError("area metric requires planar curves")
+    count = max(a.shape[1], b.shape[1])
+    ra = _arclength_resample(a, count)
+    rb = _arclength_resample(b, count)
+    a0, a1, b0, b1 = ra[:, :-1], ra[:, 1:], rb[:, :-1], rb[:, 1:]
+    terms = np.abs(_signed_triangle_areas(a0, a1, b1) + _signed_triangle_areas(a0, b1, b0))
+    # Accumulated in order: np.sum adds pairwise and changes the last bits.
+    np.cumsum(terms, axis=0, out=terms)
+    return terms[-1].copy()
 
 
 def area_between_curves(a, b) -> float:
@@ -189,37 +276,44 @@ def area_between_curves(a, b) -> float:
     to swapping the curves). Each curve needs at least two points; a
     zero-length curve is resampled to copies of its first point.
     """
-    pa, pb = _positions(a), _positions(b)
-    if pa.shape[0] < 2 or pb.shape[0] < 2:
-        raise ValueError("area metric needs at least two points per curve")
-    if pa.shape[1] != 2 or pb.shape[1] != 2:
-        raise ValueError("area metric requires planar curves")
-    count = max(pa.shape[0], pb.shape[0])
-    ra = _arclength_resample(pa, count)
-    rb = _arclength_resample(pb, count)
-    a0, a1, b0, b1 = ra[:-1], ra[1:], rb[:-1], rb[1:]
-    terms = np.abs(_signed_triangle_areas(a0, a1, b1) + _signed_triangle_areas(a0, b1, b0))
-    # Accumulated left to right: np.sum adds pairwise and changes the last bits.
-    return float(np.cumsum(terms)[-1])
+    return float(_area_lanes(_lane(_positions(a)), _lane(_positions(b)))[0])
+
+
+def _final_position_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    gap = (a[:, -1] - b[:, -1]).T
+    return np.sqrt(_lane_dot(gap, gap))
 
 
 def final_position_error(a, b) -> float:
     """Euclidean distance between the trajectories' final points."""
-    pa, pb = _positions(a), _positions(b)
-    return float(np.linalg.norm(pa[-1] - pb[-1]))
+    return float(_final_position_lanes(_lane(_positions(a)), _lane(_positions(b)))[0])
 
 
-def _tail_direction(points: np.ndarray) -> np.ndarray:
-    segs = np.diff(points, axis=0)[-ANGLE_TAIL_SEGMENTS:]
-    norms = np.linalg.norm(segs, axis=1)
+def _tail_directions(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit mean direction, as an (L, dim) stack, of the last
+    ``ANGLE_TAIL_SEGMENTS`` segments of each lane of a (dim, m, L) stack,
+    and the mask of the lanes whose tail has no direction (every segment
+    zero, or unit directions that cancel)."""
+    # Each lane's tail points as the (points, dim) rows a lone curve has.
+    segs = np.diff(points[:, -ANGLE_TAIL_SEGMENTS - 1 :].transpose(2, 1, 0), axis=1)
+    norms = np.linalg.norm(segs, axis=2)
     keep = norms > 0
-    if not np.any(keep):
-        raise ValueError("stationary tail: no direction defined")
-    mean_dir = np.mean(segs[keep] / norms[keep, None], axis=0)
-    length = np.linalg.norm(mean_dir)
-    if length == 0:
-        raise ValueError("stationary tail: no direction defined")
-    return mean_dir / length
+    # A zero segment adds 0 to the sum of the others' unit directions.
+    units = np.divide(segs, norms[..., None], out=np.zeros_like(segs), where=keep[..., None])
+    mean_dir = units.sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
+    length = np.sqrt(_lane_dot(mean_dir, mean_dir))
+    stationary = length == 0
+    return mean_dir / np.where(stationary, 1.0, length)[:, None], stationary
+
+
+def _angle_lanes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``final_angle_error`` of each lane of a (dim, m, L) and b (dim, n, L),
+    and the mask of the lanes where either tail is stationary."""
+    if a.shape[1] < 2 or b.shape[1] < 2:
+        raise ValueError("angle metric needs at least two points per curve")
+    da, stationary_a = _tail_directions(a)
+    db, stationary_b = _tail_directions(b)
+    return np.arccos(np.clip(_lane_dot(da, db), -1.0, 1.0)), stationary_a | stationary_b
 
 
 def final_angle_error(a, b) -> float:
@@ -228,47 +322,65 @@ def final_angle_error(a, b) -> float:
     The approach direction averages the unit directions of the last
     ``ANGLE_TAIL_SEGMENTS`` segments (or all segments when fewer).
     """
-    pa, pb = _positions(a), _positions(b)
-    if pa.shape[0] < 2 or pb.shape[0] < 2:
-        raise ValueError("angle metric needs at least two points per curve")
-    da, db = _tail_direction(pa), _tail_direction(pb)
-    cos = float(np.clip(np.dot(da, db), -1.0, 1.0))
-    return float(np.arccos(cos))
+    angle, stationary = _angle_lanes(_lane(_positions(a)), _lane(_positions(b)))
+    if stationary[0]:
+        raise ValueError(_STATIONARY_TAIL)
+    return float(angle[0])
+
+
+def _score_lanes(a: np.ndarray, b: np.ndarray) -> list:
+    """The MetricReport of each lane of a (dim, m, L) and b (dim, n, L), or
+    the exception that fails the lane."""
+    lanes = a.shape[2]
+    try:
+        area = _area_lanes(a, b)
+    except ValueError as exc:  # a shape that every lane of the group shares
+        return [ValueError(*exc.args) for _ in range(lanes)]
+    position = _final_position_lanes(a, b)
+    angle, stationary = _angle_lanes(a, b)
+    frechet, dtw = _wavefront(a, b)
+    outcomes: list = []
+    for lane in range(lanes):
+        try:
+            if stationary[lane]:
+                raise ValueError(_STATIONARY_TAIL)
+            outcomes.append(
+                MetricReport(
+                    frechet=float(frechet[lane]),
+                    area_between=float(area[lane]),
+                    dtw=float(dtw[lane]),
+                    final_position_error=float(position[lane]),
+                    final_angle_error=float(angle[lane]),
+                )
+            )
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def compute_metrics_batch(pairs) -> list:
     """``compute_metrics`` of every (produced, reference) pair, in order.
 
-    Frechet and DTW of all pairs come from one batched wavefront, so a
-    batch of same-length pairs costs about as many NumPy calls as one pair.
-    A pair whose metrics fail yields its exception in place of a report;
-    the other pairs' reports are unaffected.
+    Pairs that share (len(produced), len(reference), dim) are scored as
+    the lanes of one group: each metric runs once per group, so a batch of
+    same-length pairs costs about as many NumPy calls as one pair. A pair
+    whose metrics fail yields its own exception in place of a report; the
+    other pairs' reports are unaffected.
     """
     outcomes: list = []
-    swept = []
-    owners = []  # outcome index of each swept pair
+    positions = []
+    owners = []  # outcome index of each entry of positions
     for produced, reference in pairs:
         try:
-            pa, pb = _pair_positions(produced, reference)
-            others = {
-                "area_between": area_between_curves(pa, pb),
-                "final_position_error": final_position_error(pa, pb),
-                "final_angle_error": final_angle_error(pa, pb),
-            }
+            positions.append(_pair_positions(produced, reference))
         except Exception as exc:
             outcomes.append(exc)
             continue
         owners.append(len(outcomes))
-        outcomes.append(others)
-        swept.append((pa, pb))
-    frechet, dtw = _coupling_costs(swept)
-    for lane, index in enumerate(owners):
-        try:
-            outcomes[index] = MetricReport(
-                frechet=float(frechet[lane]), dtw=float(dtw[lane]), **outcomes[index]
-            )
-        except ValueError as exc:
-            outcomes[index] = exc
+        outcomes.append(None)
+    for members, a, b in _lane_groups(positions):
+        for lane, outcome in zip(members, _score_lanes(a, b)):
+            outcomes[owners[lane]] = outcome
     return outcomes
 
 

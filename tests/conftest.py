@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 from poltrans import PairedKeypoints, PointSet
 from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
 from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
-from poltrans.metrics import _arclength_resample
+from poltrans.metrics import ANGLE_TAIL_SEGMENTS, MetricReport, _pair_positions, dtw_distance, frechet_distance
 from poltrans.transport import NEAR_SINGULAR_RATIO, match_tolerance
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
 
@@ -415,12 +415,28 @@ def loop_dtw(a: np.ndarray, b: np.ndarray) -> float:
     return float(acc[m, n])
 
 
+def pair_arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
+    """One curve resampled to ``count`` points equally spaced by arc
+    length, one ``np.interp`` per coordinate; a zero-length curve becomes
+    copies of its first point."""
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    total = cum[-1]
+    if total <= 0:
+        return np.repeat(points[:1], count, axis=0)
+    stations = np.linspace(0.0, total, count)
+    out = np.empty((count, points.shape[1]))
+    for axis in range(points.shape[1]):
+        out[:, axis] = np.interp(stations, cum, points[:, axis])
+    return out
+
+
 def loop_area_between(a: np.ndarray, b: np.ndarray) -> float:
     """Strip area between two curves, one quadrilateral at a time, after
-    the package's own arc-length resampling to a common count."""
+    the per-curve arc-length resampling to a common count."""
     count = max(len(a), len(b))
-    ra = _arclength_resample(a, count)
-    rb = _arclength_resample(b, count)
+    ra = pair_arclength_resample(a, count)
+    rb = pair_arclength_resample(b, count)
 
     def signed_triangle(p0, p1, p2):
         d1 = p1 - p0
@@ -434,6 +450,61 @@ def loop_area_between(a: np.ndarray, b: np.ndarray) -> float:
             + signed_triangle(ra[i], rb[i + 1], rb[i])
         )
     return total
+
+
+def pair_area_between_curves(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Strip area of one pair of curves with the checks the package made
+    pair by pair: two points per curve, then planar curves."""
+    if pa.shape[0] < 2 or pb.shape[0] < 2:
+        raise ValueError("area metric needs at least two points per curve")
+    if pa.shape[1] != 2 or pb.shape[1] != 2:
+        raise ValueError("area metric requires planar curves")
+    return loop_area_between(pa, pb)
+
+
+def pair_final_position_error(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Distance between the final points of one pair, by a 1-d norm."""
+    return float(np.linalg.norm(pa[-1] - pb[-1]))
+
+
+def pair_tail_direction(points: np.ndarray) -> np.ndarray:
+    """Unit mean direction of one curve's nonzero final segments."""
+    segs = np.diff(points, axis=0)[-ANGLE_TAIL_SEGMENTS:]
+    norms = np.linalg.norm(segs, axis=1)
+    keep = norms > 0
+    if not np.any(keep):
+        raise ValueError("stationary tail: no direction defined")
+    mean_dir = np.mean(segs[keep] / norms[keep, None], axis=0)
+    length = np.linalg.norm(mean_dir)
+    if length == 0:
+        raise ValueError("stationary tail: no direction defined")
+    return mean_dir / length
+
+
+def pair_final_angle_error(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Angle between the tail directions of one pair, by a 1-d dot."""
+    if pa.shape[0] < 2 or pb.shape[0] < 2:
+        raise ValueError("angle metric needs at least two points per curve")
+    da, db = pair_tail_direction(pa), pair_tail_direction(pb)
+    return float(np.arccos(float(np.clip(np.dot(da, db), -1.0, 1.0))))
+
+
+def pair_compute_metrics(produced, reference) -> MetricReport:
+    """All five metrics of one pair, each computed on its own: area, final
+    position and final angle by the per-pair oracles above, in that order,
+    then Frechet and DTW by one-pair calls (whose wavefront the cell loops
+    ``loop_frechet`` and ``loop_dtw`` check)."""
+    pa, pb = _pair_positions(produced, reference)
+    area = pair_area_between_curves(pa, pb)
+    position = pair_final_position_error(pa, pb)
+    angle = pair_final_angle_error(pa, pb)
+    return MetricReport(
+        frechet=frechet_distance(pa, pb),
+        area_between=area,
+        dtw=dtw_distance(pa, pb),
+        final_position_error=position,
+        final_angle_error=angle,
+    )
 
 
 def mw_exact_enumeration(x, y) -> tuple[float, float]:

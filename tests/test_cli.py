@@ -1,12 +1,14 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +668,85 @@ class TestBench:
             return {scene: {k: v for k, v in entry.items() if k not in timed} for scene, entry in report.items()}
 
         assert untimed(both) == untimed(alone)
+
+    def test_cells_finishing_out_of_order_keep_cell_order(self, tmp_path, monkeypatch):
+        """At 3 workers the first scenes' dummy cells wait until the last
+        scenes' have returned, so cells finish out of order; the artifacts
+        still follow the cells' order and equal the 1-worker run's."""
+        early, late = ("frame-200", "frame-201"), ("frame-203", "frame-204")
+        failing = ("frame-200", "frame-202")
+        outputs = []
+        for threads in ("1", "3"):
+            lock = threading.Lock()
+            pending = [len(late)]
+            late_done = threading.Event()
+            finished = []
+
+            def dummy(kp, demo, topology):
+                scene = scene_of[id(demo)]
+                try:
+                    if threads != "1" and scene in early and not late_done.wait(timeout=60):
+                        raise TimeoutError("the late cells never finished")
+                    if scene in failing:
+                        raise RuntimeError(f"forced failure in {scene}")
+                    return Trajectory(positions=demo.positions + 0.01, times=demo.times), None, None
+                finally:
+                    with lock:
+                        finished.append(scene)
+                        if scene in late:
+                            pending[0] -= 1
+                            if pending[0] == 0:
+                                late_done.set()
+
+            # two keypoints per frame: a scene's SVG shows whether its dummy
+            # cell (first in cell order) or its gpt cell supplied the bundle
+            monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 2, dummy))
+            monkeypatch.setenv("POLTRANS_THREADS", threads)
+            cells = cli._frame_cells(("dummy", "gpt"), 5, 1)
+            scene_of = {id(c.demonstration): c.scenario.name for c in cells if c.method == "dummy"}
+            out = tmp_path / threads
+            assert cli._run_bench("frames", cells, 0.05, out) == 0
+            outputs.append(out)
+            if threads != "1":
+                assert finished.index("frame-200") > finished.index("frame-204")
+        one, three = outputs
+        failures = json.loads((three / "failures.json").read_text())["failures"]
+        assert [(f["scenario"], f["method"], f["error"]) for f in failures] == [
+            (scene, "dummy", f"forced failure in {scene}") for scene in failing
+        ]
+        for name in ("metrics.csv", "failures.json", "ranking.json"):
+            assert (one / name).read_bytes() == (three / name).read_bytes()
+        svgs = sorted(p.name for p in (one / "svg").iterdir())
+        assert svgs == sorted(p.name for p in (three / "svg").iterdir()) and len(svgs) == 5
+        for name in svgs:
+            assert (one / "svg" / name).read_bytes() == (three / "svg" / name).read_bytes()
+        # frame-201's dummy cell finished after its gpt cell, and still supplied its bundle
+        marker_count = (three / "svg" / "frame-201.svg").read_text().count("<circle")
+        assert marker_count < (three / "svg" / "frame-200.svg").read_text().count("<circle")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
+    def test_the_cells_stage_wakes_the_calling_thread_a_few_times(self, tmp_path, monkeypatch):
+        """One wait on all 60 cells of the default surfaces suite: reading
+        each result as it finished woke the calling thread once per cell."""
+        import resource
+
+        switches = []
+        stage = cli._stage
+
+        @contextlib.contextmanager
+        def counted(timings, name):
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
+            with stage(timings, name):
+                yield
+            if name == "cells":
+                switches.append(resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw - before)
+
+        monkeypatch.setattr(cli, "_stage", counted)
+        monkeypatch.setenv("POLTRANS_THREADS", "1")
+        cells = cli._surface_cells(cli.METHODS, 3, 12)
+        assert len(cells) == 60
+        assert cli._run_bench("surfaces", cells, 0.05, tmp_path / "bench") == 0
+        assert len(switches) == 1 and switches[0] < len(cells) // 4
 
     def test_folding_gpt_maps_are_warned_per_scene(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -16,8 +16,12 @@ from conftest import (
     loop_dtw,
     loop_frechet,
     mw_exact_enumeration,
+    pair_area_between_curves,
+    pair_compute_metrics,
+    pair_final_angle_error,
+    pair_final_position_error,
 )
-from poltrans import Trajectory, save_json
+from poltrans import Trajectory, cli, save_json
 from poltrans.metrics import (
     METRIC_NAMES,
     MetricReport,
@@ -277,6 +281,101 @@ class TestEndpointMetrics:
         for k in (0, 3, 4):
             assert outcomes[k] == compute_metrics(*pairs[k])
         assert compute_metrics_batch([]) == []
+
+    @pytest.mark.parametrize(
+        "suite, make_cells",
+        [
+            ("surfaces", lambda: cli._surface_cells(cli.METHODS, 3, 12)),
+            ("frames", lambda: cli._frame_cells(cli.SUITE_DEFAULTS["frames"]["methods"], 20, 9)),
+        ],
+    )
+    def test_batch_equals_the_per_pair_oracles_on_every_suite_cell(self, suite, make_cells):
+        """The default bench suites' cells, scored as lanes, equal their
+        pairs scored one at a time: the lanes' axis reductions and BLAS
+        dots round like the per-pair code's."""
+        cells = make_cells()
+        pairs = [(cli._run_cell(cell)[0], cell.scenario.reference) for cell in cells]
+        assert len(pairs) == {"surfaces": 60, "frames": 40}[suite]
+        assert compute_metrics_batch(pairs) == [pair_compute_metrics(*pair) for pair in pairs]
+
+    def test_one_batch_of_mixed_lengths_and_dims_matches_the_oracles(self):
+        # planar and 3-D pairs of several lengths, with integer-grid points
+        # (repeated points, zero-length segments, ties in the arc length),
+        # widely scaled curves and short curves whose tail is the whole curve
+        rng = np.random.default_rng(23)
+        pairs = []
+        for lane in range(300):
+            m, n = (int(k) for k in rng.choice([2, 3, 6, 40], size=2))
+            dim = 3 if lane % 5 == 0 else 2
+            if lane % 4 == 0:
+                a = rng.integers(0, 3, (m, dim)).astype(float)
+            else:
+                a = np.cumsum(rng.uniform(-1, 1, (m, dim)), axis=0) * 10.0 ** rng.integers(-3, 4)
+            pairs.append((a, rng.uniform(-1, 1, (n, dim))))
+        expected = []
+        for pair in pairs:
+            try:
+                expected.append(pair_compute_metrics(*pair))
+            except ValueError as exc:
+                expected.append(str(exc))
+        outcomes = compute_metrics_batch(pairs)
+        assert [str(o) if isinstance(o, ValueError) else o for o in outcomes] == expected
+        assert {e for e in expected if isinstance(e, str)} == {
+            "area metric requires planar curves",
+            "stationary tail: no direction defined",
+        }
+
+    def test_each_failing_lane_fails_alone_with_its_own_message(self):
+        rng = np.random.default_rng(4)
+
+        def curve(m=8, dim=2):
+            return np.cumsum(rng.uniform(0.1, 1.0, (m, dim)), axis=0)
+
+        zero_length = np.tile([0.5, 0.5], (8, 1))
+        stationary = curve()
+        stationary[-6:] = stationary[-6]
+        pairs = [
+            (curve(), curve()),
+            (zero_length, curve()),
+            (curve(), curve()),
+            (stationary, curve()),
+            (curve(dim=3), curve(dim=3)),
+            (curve(m=1), curve()),
+            (np.empty((0, 2)), curve()),
+            (curve(), curve()),
+        ]
+        failing = {
+            1: "stationary tail: no direction defined",
+            3: "stationary tail: no direction defined",
+            4: "area metric requires planar curves",
+            5: "area metric needs at least two points per curve",
+            6: "trajectory positions must form a nonempty (M, dim) array",
+        }
+        outcomes = compute_metrics_batch(pairs)
+        for k, pair in enumerate(pairs):
+            if k in failing:
+                assert type(outcomes[k]) is ValueError and str(outcomes[k]) == failing[k]
+                with pytest.raises(ValueError) as raised:
+                    pair_compute_metrics(*pair)
+                assert str(raised.value) == failing[k]
+            else:
+                assert outcomes[k] == pair_compute_metrics(*pair) == compute_metrics(*pair)
+        # each failing lane holds its own exception object
+        assert len({id(outcomes[k]) for k in failing}) == len(failing)
+        # the zero-length curve fails on its angle only: its area is its first point's
+        assert area_between_curves(*pairs[1]) == pair_area_between_curves(*pairs[1])
+
+    def test_one_pair_calls_equal_the_per_pair_oracles(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m, n = (int(k) for k in rng.integers(2, 30, size=2))
+            dim = int(rng.choice([2, 3]))
+            a = np.cumsum(rng.uniform(-1, 1, (m, dim)), axis=0)
+            b = np.cumsum(rng.uniform(-1, 1, (n, dim)), axis=0)
+            assert final_position_error(a, b) == pair_final_position_error(a, b)
+            assert final_angle_error(a, b) == pair_final_angle_error(a, b)
+            if dim == 2:
+                assert area_between_curves(a, b) == pair_area_between_curves(a, b)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
