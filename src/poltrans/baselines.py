@@ -153,6 +153,12 @@ def reshaped_kmp(
     return Trajectory(positions=traj.positions + shift, times=traj.times)
 
 
+def _bump(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """exp(-|x - c|^2 / (2 r^2)) at each row of an (N, dim) batch that the
+    caller has checked, shape (N,)."""
+    return np.exp(-np.sum((points - center) ** 2, axis=1) / (2.0 * radius**2))
+
+
 @dataclass(frozen=True, eq=False)
 class LWTUnit:
     """One local deformation: x -> x + translation * exp(-|x-c|^2/(2 r^2)).
@@ -181,9 +187,7 @@ class LWTUnit:
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """The bump's weight at each point of an (N, dim) batch, shape (N,)."""
-        pts = _as_batch(x, "points", self.center.size)
-        sq = np.sum((pts - self.center) ** 2, axis=1)
-        return np.exp(-sq / (2.0 * self.radius**2))
+        return _bump(_as_batch(x, "points", self.center.size), self.center, self.radius)
 
     def jacobian_det(self, x: np.ndarray) -> np.ndarray:
         """Analytic det of the unit's Jacobian at each point of an (N, dim)
@@ -196,17 +200,22 @@ class LWTUnit:
 
 @dataclass(frozen=True, eq=False)
 class LWTMap:
-    """Ordered composition of local translation units."""
+    """Ordered composition of local translation units, all of one dimension."""
 
     units: tuple[LWTUnit, ...]
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if len({unit.center.size for unit in self.units}) > 1:
+            raise ValueError("LWT units must share one dimension")
+
 
 def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
     """Push an (N, dim) batch of points through every unit in order."""
-    pts = _as_batch(x, "points").copy()
+    dim = lwt.units[0].center.size if lwt.units else None
+    pts = _as_batch(x, "points", dim).copy()
     for unit in lwt.units:
-        pts += unit.weight(pts)[:, None] * unit.translation
+        pts += _bump(pts, unit.center, unit.radius)[:, None] * unit.translation
     return pts
 
 
@@ -255,7 +264,7 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
         scale = min(1.0, LWT_STEP_RATIO * radius / err)
         unit = LWTUnit(center=center, translation=step * scale, radius=radius)
         units.append(unit)
-        current = current + unit.weight(current)[:, None] * unit.translation
+        current = current + _bump(current, center, radius)[:, None] * unit.translation
 
     note = f"did not converge in {max_iters} iterations; best residual {best_err:.3e}"
     _warnings.warn(note)

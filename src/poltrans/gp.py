@@ -20,8 +20,13 @@ so K11 at u = v is (sp2 / l^2) I, which is the prior derivative variance
 far from all data. The prior mean is fixed at zero: far from the training
 inputs the posterior mean decays to 0 and the variance reverts to sp2.
 
-Every factorization goes through :func:`_factor_in_place` and every solve
-through :func:`_solve`, LAPACK's ``dpotrf`` and ``dpotrs`` called directly.
+Every factorization is LAPACK's ``dpotrf`` called directly, in place, and
+every solve goes through :func:`_solve`, LAPACK's ``dpotrs``. One matrix is
+factored by :func:`_factor_in_place`. :func:`fit_gp` scores its lengthscale
+grid in one stacked pass (:func:`_grid_nlml`): the C matrices of up to
+``_GRID_BUFFER_FLOATS`` floats of lanes are built by one ufunc call each,
+factored and solved lane by lane, and profiled together; each step of the
+polish that follows builds, factors and solves one matrix.
 Training inputs, outputs and queries are (N, d) batches, and every
 prediction keeps the queries' leading axis; a 1-d array is a column of N
 scalars, so a 1-input model takes ``t`` and ``t[:, None]`` alike. Non-finite
@@ -49,6 +54,11 @@ LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
 # Brent's step tolerance on log l, relative to |log l| + 1. On the bench fits
 # a finer step moves the LML by less than its round-off at the floor ratio.
 _BRENT_TOL = 1e-6
+# fit_gp scores its lengthscale grid in a stack of at most this many floats
+# of C matrices, 2^16 // n^2 lanes at a time: all 25 up to 51 points, one at
+# a time from 182 points on, so a large fit holds one n x n C, as the polish
+# does.
+_GRID_BUFFER_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -184,14 +194,29 @@ def log_marginal_likelihood(model: GPModel) -> float:
     return data_fit - d_out * log_det - 0.5 * n * d_out * np.log(2.0 * np.pi)
 
 
+def _profile(quad, log_det, n: int, d_out: int, log_sp2_bounds):
+    """The profiled negative LML and its log sp2, from the quadratic form
+    quad = sum(y * C^-1 y) and log_det = sum(log diag chol(C)); floats or
+    arrays of lanes alike. sp2 = quad / (n d_out), clipped to
+    ``log_sp2_bounds``, is the closed-form optimum (Rasmussen & Williams
+    2006, 5.4)."""
+    lo, hi = log_sp2_bounds
+    log_sp2 = np.minimum(np.maximum(np.log(quad / (n * d_out)), lo), hi)
+    nlml = (
+        0.5 * quad / np.exp(log_sp2)
+        + 0.5 * n * d_out * log_sp2
+        + d_out * log_det
+        + 0.5 * n * d_out * np.log(2.0 * np.pi)
+    )
+    return nlml, log_sp2
+
+
 def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[float, float]:
     """Negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with the
-    signal variance profiled out, and that variance's log.
+    signal variance profiled out (:func:`_profile`), and that variance's log.
 
     C = corr + ratio I is written into the buffer ``corr`` and factored
-    there; sp2 = sum(y * C^-1 y) / (n d_out), clipped to ``log_sp2_bounds``,
-    is its closed-form optimum (Rasmussen & Williams 2006, 5.4). A C that
-    fails to factor scores (inf, nan).
+    there. A C that fails to factor scores (inf, nan).
     """
     n, d_out = y.shape
     # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
@@ -202,15 +227,50 @@ def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[fl
     if chol is None:
         return np.inf, np.nan
     quad = float((y * _solve(chol, y)).sum())
-    lo, hi = log_sp2_bounds
-    log_sp2 = float(min(max(np.log(quad / (n * d_out)), lo), hi))
-    nlml = (
-        0.5 * quad / np.exp(log_sp2)
-        + 0.5 * n * d_out * log_sp2
-        + d_out * float(np.log(chol.diagonal()).sum())
-        + 0.5 * n * d_out * np.log(2.0 * np.pi)
-    )
-    return float(nlml), log_sp2
+    nlml, log_sp2 = _profile(quad, float(np.log(chol.diagonal()).sum()), n, d_out, log_sp2_bounds)
+    return float(nlml), float(log_sp2)
+
+
+def _grid_nlml(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_profiled_nlml` at every lengthscale of ``grid``, bit for bit,
+    scored ``len(buf)`` lanes at a time in the (k, n, n) buffer ``buf``.
+
+    Each chunk's C matrices are built by one divide, one exp and one diagonal
+    add over the whole stack, then factored in place and solved lane by lane,
+    and profiled by one :func:`_profile` call. A lane fails as
+    :func:`_factor_in_place` would, on LAPACK's report or a diagonal that is
+    not finite, both read for the whole chunk at once; it scores (inf, nan)
+    and enters no formula.
+    """
+    n, d_out = y.shape
+    # A NumPy scalar's ** calls libm pow, which for some l differs in the
+    # last bit from the array's square; each lane takes its l**2 as
+    # _profiled_nlml does.
+    ell_sq = np.array([ell**2 for ell in grid])
+    nlml = np.full(len(grid), np.inf)
+    log_sp2 = np.full(len(grid), np.nan)
+    solved = np.empty((len(buf), n, d_out))
+    for start in range(0, len(grid), len(buf)):
+        lanes = buf[: len(grid) - start]
+        k = len(lanes)
+        flat = lanes.reshape(k, n * n)  # views: buf is C-contiguous
+        np.divide(neg_half_sq, ell_sq[start : start + k, None, None], out=lanes)
+        np.exp(lanes, out=lanes)
+        flat[:, :: n + 1] += ratio
+        ok = np.zeros(k, dtype=bool)
+        for i, corr in enumerate(lanes):
+            chol, info = dpotrf(corr.T, lower=1, overwrite_a=1)
+            if not info:
+                solved[i] = _solve(chol, y)
+                ok[i] = True
+        diag = flat[:, :: n + 1]
+        ok &= np.isfinite(diag).all(axis=1)
+        # The product is C-ordered, as each lane's y * C^-1 y is, so each
+        # row sums in the order of that lane's own sum.
+        quad = (y * solved[:k][ok]).reshape(-1, n * d_out).sum(axis=1)
+        lane = np.flatnonzero(ok) + start
+        nlml[lane], log_sp2[lane] = _profile(quad, np.log(diag[ok]).sum(axis=1), n, d_out, log_sp2_bounds)
+    return nlml, log_sp2
 
 
 def _brent(f, a: float, b: float, x: float, fx: float) -> None:
@@ -380,16 +440,18 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
     n = x.shape[0]
     neg_half_sq = -0.5 * sq
-    corr = np.empty((n, n))  # every evaluation's C, written in place
+    # The grid's C stack, at most _GRID_BUFFER_FLOATS floats (one matrix at
+    # the least); each polish step writes its one C into the first lane.
+    buf = np.empty((max(1, min(len(LENGTHSCALE_GRID), _GRID_BUFFER_FLOATS // (n * n))), n, n))
+    corr = buf[0]
 
     grid = LENGTHSCALE_GRID * ell_center
-    best, best_val, best_u = -1, np.inf, None
-    for i, ell in enumerate(grid):
-        val, log_sp2 = _profiled_nlml(corr, neg_half_sq, y, ell, noise_ratio, log_sp2_bounds)
-        if val < best_val:
-            best, best_val, best_u = i, val, np.array([log_sp2, np.log(ell), np.log(noise_ratio)])
-    if best_u is None:
+    vals, log_sp2s = _grid_nlml(buf, neg_half_sq, y, grid, noise_ratio, log_sp2_bounds)
+    best = int(np.argmin(vals))  # a tie goes to the shorter lengthscale
+    best_val = float(vals[best])
+    if best_val == np.inf:
         raise RuntimeError("non-PD Gram matrix")
+    best_u = np.array([log_sp2s[best], np.log(grid[best]), np.log(noise_ratio)])
 
     def profiled(log_ell, log_ratio):
         return _profiled_nlml(corr, neg_half_sq, y, np.exp(log_ell), np.exp(log_ratio), log_sp2_bounds)
@@ -422,6 +484,18 @@ def predict_variance(model: GPModel, queries) -> np.ndarray:
     return np.maximum(var, 0.0)
 
 
+def _mean_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Mean Jacobians of the GP at the (n, d_in) queries, shape
+    (n, d_out, d_in), and the kernel gradient dk(q, x_i)/dq_b they contract
+    against alpha, shape (n, N, d_in). No solve: the mean needs none."""
+    q = _as_batch(queries, "queries", model.d_in)
+    ell2 = model.params.lengthscale**2
+    k_star = _se_matrix(q, model.inputs, model.params)
+    diff = q[:, None, :] - model.inputs[None, :, :]
+    grad_k = -(diff / ell2) * k_star[:, :, None]  # (n, N, d_in)
+    return np.einsum("qnb,na->qab", grad_k, model.alpha), grad_k
+
+
 def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]:
     """Posterior over the GP derivative at the (n, d_in) queries.
 
@@ -430,13 +504,8 @@ def predict_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]
     covariance of the derivative (shared across output dimensions), with
     its diagonal clamped at >= 0.
     """
-    q = _as_batch(queries, "queries", model.d_in)
+    jac, grad_k = _mean_derivative(model, queries)
     ell2 = model.params.lengthscale**2
-    k_star = _se_matrix(q, model.inputs, model.params)
-    diff = q[:, None, :] - model.inputs[None, :, :]
-    grad_k = -(diff / ell2) * k_star[:, :, None]  # (n, N, d_in)
-
-    jac = np.einsum("qnb,na->qab", grad_k, model.alpha)
 
     n_q, n_train, d_in = grad_k.shape
     flat = grad_k.transpose(1, 0, 2).reshape(n_train, n_q * d_in)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .affine import AffineMap, fit_affine
 from .gp import NOISE_FLOOR_RATIO, GPModel, KernelParams, build_gp, fit_gp
-from .gp import predict_derivative, predict_mean, predict_variance
+from .gp import _mean_derivative, predict_derivative, predict_mean, predict_variance
 from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
@@ -104,8 +104,7 @@ class TransportMap:
     @cached_property
     def keypoint_determinants(self) -> np.ndarray:
         """det J at each source keypoint."""
-        jac, _ = transport_jacobians(self, self.keypoints.source.points)
-        return _freeze(np.linalg.det(jac))
+        return _freeze(np.linalg.det(_mean_jacobians(self, self.keypoints.source.points)))
 
     def to_dict(self) -> dict:
         return {
@@ -240,9 +239,20 @@ def transport_jacobians(tmap: TransportMap, points) -> tuple[np.ndarray, np.ndar
     aligned = tmap.affine.apply(points)
     dpsi, dvar = predict_derivative(tmap.residual, aligned)
     rot = tmap.affine.rotation
-    jac = rot[None, :, :] + np.einsum("qac,cb->qab", dpsi, rot)
     jac_var = np.einsum("ca,qcd,db->qab", rot, dvar, rot)
-    return jac, jac_var
+    return _chain(rot, dpsi), jac_var
+
+
+def _mean_jacobians(tmap: TransportMap, points) -> np.ndarray:
+    """The Jacobians of :func:`transport_jacobians`, bit for bit, without
+    their variances, whose covariance solve dominates that call."""
+    dpsi, _ = _mean_derivative(tmap.residual, tmap.affine.apply(points))
+    return _chain(tmap.affine.rotation, dpsi)
+
+
+def _chain(rot: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """J = A + Dpsi A, the chain rule through the rigid part."""
+    return rot[None, :, :] + np.einsum("qac,cb->qab", dpsi, rot)
 
 
 def polar_rotation(jacobian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +364,7 @@ def check_local_diffeomorphism(tmap: TransportMap, points) -> DiffeoReport:
     region spanned by the keypoints. The check samples; it never certifies
     global invertibility.
     """
-    jac, _ = transport_jacobians(tmap, points)
+    jac = _mean_jacobians(tmap, points)
     if jac.shape[0] < 1:
         raise ValueError("at least one probe point required")
     return DiffeoReport.from_jacobians(tmap, jac)

@@ -15,9 +15,9 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from poltrans import PairedKeypoints, PointSet
+from poltrans import PairedKeypoints, PointSet, cli
 from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
-from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
+from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO, _profiled_nlml
 from poltrans.metrics import ANGLE_TAIL_SEGMENTS, MetricReport, _pair_positions, dtw_distance, frechet_distance
 from poltrans.transport import NEAR_SINGULAR_RATIO, match_tolerance
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
@@ -83,6 +83,18 @@ def fold_pair() -> PairedKeypoints:
     return PairedKeypoints(PointSet(source), PointSet(target))
 
 
+@lru_cache(maxsize=None)
+def default_bench_cells(suite: str) -> tuple:
+    """The cells ``poltrans bench --suite <suite>`` runs with every flag at
+    its default."""
+    args = cli.build_parser().parse_args(["bench", "--suite", suite])
+    methods = cli.SUITE_DEFAULTS[suite]["methods"]
+    seeds = cli._seed_count(args)
+    if suite == "surfaces":
+        return tuple(cli._surface_cells(methods, seeds, args.n_keypoints))
+    return tuple(cli._frame_cells(methods, seeds, args.train_seeds))
+
+
 # ---------------------------------------------------------------------------
 # brute-force / grid-search oracles
 
@@ -145,6 +157,16 @@ def dense_profiled_nlml(sq_dists, y, ell, ratio, log_sp2_bounds):
         + d_out * float(np.log(chol.diagonal()).sum())
         + 0.5 * n * d_out * np.log(2.0 * np.pi)
     )
+    return nlml, log_sp2
+
+
+def loop_grid_nlml(neg_half_sq, y, grid, ratio, log_sp2_bounds):
+    """``gp.fit_gp``'s profiled grid scored point by point: one C matrix
+    per lengthscale, built, factored and profiled by ``gp._profiled_nlml``
+    in a single n x n buffer. Returns the (nlml, log sp2) arrays."""
+    corr = np.empty(neg_half_sq.shape)
+    scores = [_profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) for ell in grid]
+    nlml, log_sp2 = (np.array(column) for column in zip(*scores))
     return nlml, log_sp2
 
 

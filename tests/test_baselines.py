@@ -12,6 +12,7 @@ from conftest import dense_laplacian_oracle, loop_fit_lwt, lwt_jacobian
 from poltrans import PairedKeypoints, PointSet, Trajectory
 from poltrans.baselines import (
     LWT_STEP_RATIO,
+    LWTMap,
     LWTUnit,
     ViaAssignment,
     apply_lwt,
@@ -374,6 +375,12 @@ class TestLWT:
             LWTUnit(center=[0.0, 0.0], translation=[0.0, 0.0], radius=0.0)
         # at the bound itself construction succeeds
         LWTUnit(center=[0.0, 0.0], translation=[LWT_STEP_RATIO, 0.0], radius=1.0)
+
+    def test_units_of_two_dimensions_do_not_compose(self):
+        planar = LWTUnit(center=[0.0, 0.0], translation=[0.1, 0.0], radius=1.0)
+        spatial = LWTUnit(center=[0.0, 0.0, 0.0], translation=[0.1, 0.0, 0.0], radius=1.0)
+        with pytest.raises(ValueError, match="share one dimension"):
+            LWTMap(units=(planar, spatial))
 
 
 @settings(max_examples=60, deadline=None)

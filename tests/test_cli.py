@@ -121,7 +121,7 @@ class TestTransport:
         assert len(report["keypoint_determinants"]) == 10
 
     def test_one_jacobian_pass_over_the_labels(self, tmp_path, fitted_map, monkeypatch):
-        """m labels and n keypoints cost m + n derivative-posterior rows, and
+        """m labels cost m derivative-posterior rows, the keypoints none, and
         the report's det J fields are those of the diffeomorphism check."""
         from poltrans import check_local_diffeomorphism, load_json, load_transport_map, transport
 
@@ -138,7 +138,7 @@ class TestTransport:
         save_json(PolicyLabels(positions=rng.uniform(0.0, 1.0, (25, 2))), labels_path)
         out = tmp_path / "transport"
         assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
-        assert sum(rows) == 25 + 10
+        assert sum(rows) == 25
 
         labels = PolicyLabels.from_dict(load_json(labels_path))
         diffeo = check_local_diffeomorphism(load_transport_map(fitted_map), labels.positions)

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,13 +17,15 @@ from scipy.spatial.distance import cdist, pdist
 
 import poltrans
 from conftest import (
+    default_bench_cells,
     dense_nlml_and_grad,
     dense_profiled_nlml,
     fit_gp_bounds,
     kernel_se,
+    loop_grid_nlml,
     profiled_grid_start,
 )
-from poltrans import gp
+from poltrans import cli, gp
 from poltrans.gp import (
     LENGTHSCALE_GRID,
     NOISE_FLOOR_RATIO,
@@ -35,6 +38,8 @@ from poltrans.gp import (
     predict_mean,
     predict_variance,
 )
+from poltrans.scenarios import SURFACE_PROFILES, make_surface_scenario
+from poltrans.transport import fit_transport
 
 finite_coords = st.floats(-50.0, 50.0, allow_nan=False)
 
@@ -329,6 +334,103 @@ class TestObjective:
         ref_nlml, ref_log_sp2 = dense_profiled_nlml(sq, y, 100.0, 1e-16, (-50.0, 50.0))
         assert ref_nlml == np.inf and np.isnan(ref_log_sp2)
         assert dense_nlml_and_grad(np.log([1.0, 100.0, 1e-16]), sq, y)[0] == 1e25
+
+
+class TestStackedGrid:
+    """``gp._grid_nlml``, the profiled grid scored in one stacked pass, is
+    the point-by-point loop ``loop_grid_nlml`` bit for bit."""
+
+    @staticmethod
+    def check_every_grid(monkeypatch) -> list:
+        """Make every grid that fit_gp scores from now on also run through
+        the loop and compare; returns the (lanes, n) of each checked grid."""
+        stacked = gp._grid_nlml
+        checked = []
+
+        def compared(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds):
+            nlml, log_sp2 = stacked(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds)
+            ref_nlml, ref_log_sp2 = loop_grid_nlml(neg_half_sq, y, grid, ratio, log_sp2_bounds)
+            assert nlml.tobytes() == ref_nlml.tobytes()
+            assert log_sp2.tobytes() == ref_log_sp2.tobytes()
+            checked.append((len(buf), y.shape[0]))
+            return nlml, log_sp2
+
+        monkeypatch.setattr(gp, "_grid_nlml", compared)
+        return checked
+
+    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
+    def test_the_default_suites_fits(self, suite, monkeypatch):
+        checked = self.check_every_grid(monkeypatch)
+        for cell in default_bench_cells(suite):
+            if cell.method in ("gpt", "reshaped_kmp"):
+                cli.METHOD_TABLE[cell.method].run(cell.keypoints, cell.demonstration, cell.topology)
+        # The flat and tilt scenes' 6 gpt residuals are exact zeros, which
+        # score no grid; every other fit of the suites scores one.
+        assert len(checked) == {"surfaces": 30 - 6, "frames": 20}[suite]
+
+    @pytest.mark.parametrize("n, lanes", [(12, 25), (50, 25), (200, 1)])
+    def test_the_cli_fit_size_classes(self, n, lanes, monkeypatch):
+        checked = self.check_every_grid(monkeypatch)
+        for profile in SURFACE_PROFILES:
+            fit_transport(make_surface_scenario(profile, n_keypoints=n, seed=7).keypoints)
+        assert checked and set(checked) == {(lanes, n)}
+
+    @pytest.mark.parametrize("ratio", [NOISE_RATIO_MAX, NOISE_FLOOR_RATIO])
+    def test_noisy_duplicate_and_tiny_sets(self, ratio, monkeypatch):
+        checked = self.check_every_grid(monkeypatch)
+        rng = np.random.default_rng(21)
+        for n, d_out in ((12, 2), (60, 3), (2, 1), (1, 2)):  # 60 points: chunks of 18 and 7 lanes
+            fit_gp(*smooth_data(n, d_out, seed=n, noise=0.1), noise_ratio=ratio)
+        x = rng.uniform(0.0, 1.0, (6, 2))
+        fit_gp(np.vstack([x, x]), rng.standard_normal((12, 2)), noise_ratio=ratio)
+        assert [n for _, n in checked] == [12, 60, 2, 1, 12]
+        assert checked[1] == (18, 60)
+
+    def test_each_lane_squares_its_lengthscale_as_the_loop_does(self, monkeypatch):
+        """A NumPy scalar's ** 2 is libm pow, which is not always the
+        correctly rounded square. These inputs span exactly 1.0869140625,
+        the fit's ell_center, and at the 12th grid lengthscale pow and the
+        square differ in the last bit and so do the scores."""
+        span = 1.0869140625
+        grid = LENGTHSCALE_GRID * span
+        assert grid[11] ** 2 != grid[11] * grid[11]
+        checked = self.check_every_grid(monkeypatch)
+        x = span * np.array([[0.0], [0.3], [0.55], [1.0]])
+        fit_gp(x, np.sin(3.0 * x / span) + np.array([[0.1], [0.0], [-0.2], [0.05]]))
+        assert checked == [(25, 4)]
+
+    @pytest.mark.parametrize("lanes", [25, 4])
+    def test_a_lane_that_fails_to_factor_scores_inf_among_lanes_that_do_not(self, lanes):
+        """At a noise ratio of 1e-16, C fails to factor at the long
+        lengthscales and factors at the short ones."""
+        x, y = smooth_data(12, 2)
+        sq = gp._sq_dists(x, x)
+        (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
+        grid = LENGTHSCALE_GRID * ell_center
+        buf = np.empty((lanes, 12, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nlml, log_sp2 = gp._grid_nlml(buf, -0.5 * sq, y, grid, 1e-16, log_sp2_bounds)
+        assert np.isinf(nlml).any() and np.isfinite(nlml).any()
+        assert np.array_equal(np.isnan(log_sp2), np.isinf(nlml))
+        ref_nlml, ref_log_sp2 = loop_grid_nlml(-0.5 * sq, y, grid, 1e-16, log_sp2_bounds)
+        assert nlml.tobytes() == ref_nlml.tobytes()
+        assert log_sp2.tobytes() == ref_log_sp2.tobytes()
+
+    def test_a_200_point_fit_holds_one_grid_matrix(self):
+        """Up to 51 points the grid stacks all 25 C matrices; at 200 it
+        holds one, as the polish does, and the fit's traced peak stays
+        below 7 n x n matrices (6.4 measured: the distances, their
+        halves, one C, build_gp's Gram matrix and temporaries)."""
+        x, y = smooth_data(200, 2)
+        fit_gp(x, y)
+        tracemalloc.start()
+        try:
+            fit_gp(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 200 * 200 * 8
 
 
 class TestPolish:

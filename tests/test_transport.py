@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
 from conftest import (
+    default_bench_cells,
     fold_pair,
     kernel_se,
     loop_labels_csv,
@@ -30,7 +31,7 @@ from poltrans import (
     transport_points,
     transport_uncertainty,
 )
-from poltrans import gp
+from poltrans import gp, transport
 from poltrans.affine import fit_affine
 from poltrans.gp import predict_mean
 from poltrans.scenarios import frame_pairing, make_surface_scenario, random_frame_scenario
@@ -470,6 +471,28 @@ class TestDiffeomorphismCheck:
         assert report.fraction_positive < 1.0
         assert not report.keypoints_sign_uniform
         assert report.determinants.shape == (grid.shape[0],)
+
+    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
+    def test_mean_jacobians_and_reports_on_the_default_scenes(self, suite):
+        """The check reads Jacobians without their variances; on the gpt
+        map of every default scene they are transport_jacobians' own, at
+        the demonstration's nodes and at the keypoints, and so is every
+        field of the report."""
+        for cell in default_bench_cells(suite):
+            if cell.method != "gpt":
+                continue
+            tmap = fit_transport(cell.keypoints)
+            nodes, keypoints = cell.demonstration.positions, cell.keypoints.source.points
+            jac, kp_jac = (transport_jacobians(tmap, x)[0] for x in (nodes, keypoints))
+            assert transport._mean_jacobians(tmap, nodes).tobytes() == jac.tobytes()
+            assert transport._mean_jacobians(tmap, keypoints).tobytes() == kp_jac.tobytes()
+
+            report = check_local_diffeomorphism(tmap, nodes)
+            dets, kp_dets = np.linalg.det(jac), np.linalg.det(kp_jac)
+            assert report.fraction_positive == float(np.mean(dets > 0))
+            assert report.determinants.tobytes() == dets.tobytes()
+            assert report.keypoint_determinants.tobytes() == kp_dets.tobytes()
+            assert report.keypoints_sign_uniform == bool(np.all(kp_dets > 0) or np.all(kp_dets < 0))
 
 
 class TestSerialization:
