@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 runtime failure (missing/invalid files, numeric
 failure), 2 usage error (an unknown subcommand, suite or method, a missing
 required flag, a value out of range), raised before any file is written.
 ``build_parser`` decides every setting: its flags' types check their
-values, and ``SUITE_DEFAULTS`` holds the defaults that depend on --suite.
+values, and ``SUITE_TABLE`` holds the defaults that depend on --suite.
 
-Both bench suites reduce to a list of cells, one per scene x method x
-repetition, which ``_run_bench`` runs on a thread pool capped by the
+A suite is one ``SUITE_TABLE`` entry. Its cells, one per scene x method x
+repetition, are what ``_run_bench`` runs on a thread pool capped by the
 POLTRANS_THREADS environment variable. A method is one ``METHOD_TABLE``
 entry; the SVG's sigma band and report.json come from its run. Each scene's
 inputs (scenario, keypoint pairs, demonstration) are built once, before the
@@ -134,7 +134,7 @@ def _method_list(text: str) -> list[str]:
 
 def _seed_count(args) -> int:
     """--seeds, or the suite's default number of (test) seeds."""
-    return SUITE_DEFAULTS[args.suite]["seeds"] if args.seeds is None else args.seeds
+    return SUITE_TABLE[args.suite].seeds if args.seeds is None else args.seeds
 
 
 def cmd_fit(args) -> int:
@@ -268,12 +268,6 @@ METHOD_TABLE = {
     "lwt": Method("#8c564b", 5, _run_lwt),
 }
 METHODS = tuple(METHOD_TABLE)
-# The defaults that depend on --suite: the number of (test) seeds of the
-# corpus, and the methods bench runs.
-SUITE_DEFAULTS = {
-    "surfaces": {"seeds": 3, "methods": METHODS},
-    "frames": {"seeds": 20, "methods": ("gpt", "le")},
-}
 
 
 def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: dict) -> None:
@@ -332,19 +326,19 @@ class BenchCell:
     demonstration: Trajectory
 
 
-def _surface_scenarios(seeds: int, n_keypoints: int) -> list[SurfaceScenario]:
+def _surface_files(seeds: int, args) -> list[tuple[str, SurfaceScenario]]:
     """The surfaces corpus: every profile at seeds 0 .. seeds - 1."""
     return [
-        make_surface_scenario(profile, n_keypoints=n_keypoints, seed=seed)
+        (f"{profile}-{seed}.json", make_surface_scenario(profile, n_keypoints=args.n_keypoints, seed=seed))
         for profile in SURFACE_PROFILES
         for seed in range(seeds)
     ]
 
 
-def _surface_cells(methods, seeds: int, n_keypoints: int) -> list[BenchCell]:
+def _surface_cells(methods, seeds: int, args) -> list[BenchCell]:
     return [
         BenchCell(method, "ring", scenario, scenario.keypoints, scenario.demonstration)
-        for scenario in _surface_scenarios(seeds, n_keypoints)
+        for _, scenario in _surface_files(seeds, args)
         for method in methods
     ]
 
@@ -354,8 +348,8 @@ def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
     return range(FRAME_TRAIN_SEED, FRAME_TRAIN_SEED + train_seeds), range(FRAME_TEST_SEED, FRAME_TEST_SEED + seeds)
 
 
-def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
-    train_ids, test_ids = _frame_seeds(seeds, train_seeds)
+def _frame_cells(methods, seeds: int, args) -> list[BenchCell]:
+    train_ids, test_ids = _frame_seeds(seeds, args.train_seeds)
     cells = []
     for test_seed in test_ids:
         rng = np.random.default_rng(test_seed)
@@ -368,6 +362,33 @@ def _frame_cells(methods, seeds: int, train_seeds: int) -> list[BenchCell]:
             inputs[kpf] = (test, frame_pairing(train, test), train.reference)
         cells += [BenchCell(method, "chain", *inputs[METHOD_TABLE[method].frame_kpf]) for method in methods]
     return cells
+
+
+def _frame_files(seeds: int, args) -> list[tuple[str, FrameScenario]]:
+    return [
+        (f"{role}-{seed}.json", random_frame_scenario(seed, keypoints_per_frame=args.kpf))
+        for role, ids in zip(("train", "test"), _frame_seeds(seeds, args.train_seeds))
+        for seed in ids
+    ]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A bench suite: its default (test) seeds and methods, ``cells(methods,
+    seeds, args)``, the cells bench runs, and ``scenarios(seeds, args)``, the
+    (file name, scenario) pairs scenario-gen writes. Both read only the suite's
+    own flags from ``args`` and call the package through this module's globals."""
+
+    seeds: int
+    methods: tuple[str, ...]
+    cells: Callable
+    scenarios: Callable
+
+
+SUITE_TABLE = {
+    "surfaces": Suite(3, METHODS, _surface_cells, _surface_files),
+    "frames": Suite(20, ("gpt", "le"), _frame_cells, _frame_files),
+}
 
 
 def _run_cell(cell: BenchCell):
@@ -483,19 +504,17 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
 
 
 def cmd_bench(args) -> int:
-    methods = SUITE_DEFAULTS[args.suite]["methods"] if args.methods is None else args.methods
-    seeds = _seed_count(args)
-    if args.suite == "surfaces":
-        cells = _surface_cells(methods, seeds, args.n_keypoints)
-    else:
-        # Each frame scene gives one row per method, and ranking two or
-        # more methods needs U_TEST_MIN_SAMPLES rows each.
-        if len(methods) > 1 and seeds < U_TEST_MIN_SAMPLES:
-            raise UsageError(
-                f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} "
-                f"to rank two or more frame methods, got {seeds}"
-            )
-        cells = _frame_cells(methods, seeds, args.train_seeds)
+    suite = SUITE_TABLE[args.suite]
+    methods = suite.methods if args.methods is None else args.methods
+    cells = suite.cells(methods, _seed_count(args), args)
+    # Each scene gives one row per method, and ranking two or more methods
+    # needs U_TEST_MIN_SAMPLES rows each.
+    scenes = len({cell.scenario.name for cell in cells})
+    if len(methods) > 1 and scenes < U_TEST_MIN_SAMPLES:
+        raise UsageError(
+            f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} scenes "
+            f"to rank two or more methods, got {scenes}"
+        )
     return _run_bench(args.suite, cells, args.alpha, args.out_dir)
 
 
@@ -521,26 +540,17 @@ def cmd_rank(args) -> int:
 
 
 def cmd_scenario_gen(args) -> int:
-    seeds = _seed_count(args)
-    if args.suite == "surfaces":
-        scenarios = _surface_scenarios(seeds, args.n_keypoints)
-        target = args.out_dir / "scenarios" / "surfaces"
-        for scenario in scenarios:
-            save_scenario(scenario, target / f"{scenario.profile}-{scenario.seed}.json")
-        print(f"wrote {len(scenarios)} surface scenarios under {target}")
-        return 0
-
-    target = args.out_dir / "scenarios" / "frames"
-    for role, ids in zip(("train", "test"), _frame_seeds(seeds, args.train_seeds)):
-        for seed in ids:
-            save_scenario(random_frame_scenario(seed, keypoints_per_frame=args.kpf), target / f"{role}-{seed}.json")
-    print(f"wrote {args.train_seeds + seeds} frame scenarios under {target}")
+    files = SUITE_TABLE[args.suite].scenarios(_seed_count(args), args)
+    target = args.out_dir / "scenarios" / args.suite
+    for name, scenario in files:
+        save_scenario(scenario, target / name)
+    print(f"wrote {len(files)} scenarios under {target}")
     return 0
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     """The flags that choose a suite's corpus, shared by bench and scenario-gen."""
-    parser.add_argument("--suite", required=True, choices=tuple(SUITE_DEFAULTS))
+    parser.add_argument("--suite", required=True, choices=tuple(SUITE_TABLE))
     parser.add_argument("--seeds", type=_at_least(1), help="number of (test) seeds; default by suite")
     parser.add_argument("--train-seeds", type=_at_least(1), default=9, help="training seeds (frames)")
     parser.add_argument("--n-keypoints", type=_at_least(2), default=12, help="keypoints per surface")

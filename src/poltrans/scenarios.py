@@ -19,7 +19,7 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -85,6 +85,7 @@ def surface_map(profile: str, params: dict):
 class SurfaceScenario:
     """A surface-deformation transport instance with analytic ground truth."""
 
+    kind: ClassVar[str] = "surface"
     profile: str
     params: dict[str, float]
     keypoints: PairedKeypoints
@@ -97,7 +98,7 @@ class SurfaceScenario:
         return f"surface-{self.profile}-{self.seed}"
 
     def to_dict(self) -> dict:
-        return {"kind": "surface", **to_dict(self)}
+        return {"kind": self.kind, **to_dict(self)}
 
     from_dict = classmethod(from_dict)
 
@@ -234,6 +235,7 @@ class FrameScenario:
     """A two-frame reaching instance: canonical demonstration, perturbed
     frames, and the regenerated reference curve at those frames."""
 
+    kind: ClassVar[str] = "frame"
     start_pose: Pose
     goal_pose: Pose
     keypoints_per_frame: int
@@ -247,7 +249,7 @@ class FrameScenario:
         return f"frame-{self.seed}"
 
     def to_dict(self) -> dict:
-        return {"kind": "frame", **to_dict(self)}
+        return {"kind": self.kind, **to_dict(self)}
 
     from_dict = classmethod(from_dict)
 
@@ -317,9 +319,9 @@ def save_scenario(scenario, path) -> None:
 def load_scenario(path):
     data = load_json(path)
     kind = data.get("kind")
-    if kind == "surface":
-        return SurfaceScenario.from_dict(data)
-    if kind == "frame":
-        return FrameScenario.from_dict(data)
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    # Compared, not hashed, so a list or dict kind is refused like any other.
+    cls = next((cls for cls in (SurfaceScenario, FrameScenario) if cls.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    return cls.from_dict(data)
 

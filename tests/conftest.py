@@ -83,16 +83,19 @@ def fold_pair() -> PairedKeypoints:
     return PairedKeypoints(PointSet(source), PointSet(target))
 
 
+def suite_cells(suite: str, methods, seeds: int, *flags) -> list:
+    """The cells ``poltrans bench --suite <suite> <flags>`` runs for
+    ``methods`` at ``seeds`` seeds, built by the suite's table entry."""
+    args = cli.build_parser().parse_args(["bench", "--suite", suite, *map(str, flags)])
+    return cli.SUITE_TABLE[suite].cells(methods, seeds, args)
+
+
 @lru_cache(maxsize=None)
 def default_bench_cells(suite: str) -> tuple:
     """The cells ``poltrans bench --suite <suite>`` runs with every flag at
     its default."""
-    args = cli.build_parser().parse_args(["bench", "--suite", suite])
-    methods = cli.SUITE_DEFAULTS[suite]["methods"]
-    seeds = cli._seed_count(args)
-    if suite == "surfaces":
-        return tuple(cli._surface_cells(methods, seeds, args.n_keypoints))
-    return tuple(cli._frame_cells(methods, seeds, args.train_seeds))
+    entry = cli.SUITE_TABLE[suite]
+    return tuple(suite_cells(suite, entry.methods, entry.seeds))
 
 
 # ---------------------------------------------------------------------------

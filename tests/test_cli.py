@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import suite_cells
 from poltrans import PolicyLabels, Trajectory, save_json
 from poltrans import cli
 from poltrans.cli import main
@@ -385,7 +386,7 @@ class TestScenarioGen:
         target = tmp_path / "scenarios" / "surfaces"
         expected = {
             f"{cell.scenario.profile}-{cell.scenario.seed}.json": cell.scenario.to_dict()
-            for cell in cli._surface_cells(cli.METHODS, 2, 7)
+            for cell in suite_cells("surfaces", cli.METHODS, 2, "--n-keypoints", 7)
         }
         assert sorted(p.name for p in target.iterdir()) == sorted(expected)
         for name, scenario in expected.items():
@@ -408,7 +409,7 @@ class TestScenarioGen:
             return built[-1]
 
         monkeypatch.setattr(cli, "random_frame_scenario", recorded)
-        cells = cli._frame_cells(("gpt",), 3, 2)
+        cells = suite_cells("frames", ("gpt",), 3, "--train-seeds", 2)
         assert len(cells) == 3
         for cell in cells:
             test = cell.scenario
@@ -424,7 +425,8 @@ class TestScenarioGen:
             assert run("scenario-gen", "--suite", suite, "--out-dir", tmp_path) == 0
         surfaces = sorted(p.name for p in (tmp_path / "scenarios" / "surfaces").iterdir())
         assert surfaces == sorted(
-            f"{cell.scenario.profile}-{cell.scenario.seed}.json" for cell in cli._surface_cells(("gpt",), 3, 12)
+            f"{cell.scenario.profile}-{cell.scenario.seed}.json"
+            for cell in suite_cells("surfaces", ("gpt",), 3)
         )
         assert len(surfaces) == 15
         frames = sorted(p.name for p in (tmp_path / "scenarios" / "frames").iterdir())
@@ -529,16 +531,18 @@ class TestBench:
             assert "wall_s" not in (out / name).read_text()
 
     @pytest.mark.parametrize(
-        "suite, builder, methods, builds",
+        "suite, builder, methods, builds, scenes, per_kpf",
         [
             # 5 profiles x 3 seeds, one scenario per scene
-            ("surfaces", "make_surface_scenario", cli.METHODS, 15),
+            ("surfaces", "make_surface_scenario", cli.METHODS, 15, 15, False),
             # 3 scenes x 2 keypoint counts x (train, test)
-            ("frames", "random_frame_scenario", cli.METHODS, 12),
-            ("frames", "random_frame_scenario", ("gpt", "lwt"), 6),
+            ("frames", "random_frame_scenario", cli.METHODS, 12, 3, True),
+            ("frames", "random_frame_scenario", ("gpt", "lwt"), 6, 3, True),
         ],
     )
-    def test_cells_of_a_scene_share_one_frozen_build(self, monkeypatch, suite, builder, methods, builds):
+    def test_cells_of_a_scene_share_one_frozen_build(
+        self, monkeypatch, suite, builder, methods, builds, scenes, per_kpf
+    ):
         calls = []
         real = getattr(cli, builder)
 
@@ -547,17 +551,13 @@ class TestBench:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, builder, counted)
-        make_cells = {
-            "surfaces": lambda: cli._surface_cells(methods, 3, 12),
-            "frames": lambda: cli._frame_cells(methods, 3, 9),
-        }[suite]
-        cells = make_cells()
-        assert len(cells) == 3 * len(methods) * (5 if suite == "surfaces" else 1)
+        cells = suite_cells(suite, methods, 3)
+        assert len(cells) == scenes * len(methods)
         assert len(calls) == builds
         # One build per scene, and per keypoint count on frames.
         by_key = {}
         for cell in cells:
-            key = (cell.scenario.name, cli.METHOD_TABLE[cell.method].frame_kpf if suite == "frames" else None)
+            key = (cell.scenario.name, cli.METHOD_TABLE[cell.method].frame_kpf if per_kpf else None)
             built = (cell.scenario, cell.keypoints, cell.demonstration)
             shared = by_key.setdefault(key, built)
             assert all(a is b for a, b in zip(shared, built))
@@ -567,7 +567,7 @@ class TestBench:
             arrays = list(_arrays(cell))
             assert arrays and not any(arr.flags.writeable for arr in arrays)
         # Nothing is cached across cell lists.
-        make_cells()
+        suite_cells(suite, methods, 3)
         assert len(calls) == 2 * builds
 
     def test_failed_cell_is_recorded_and_bench_continues(self, tmp_path, monkeypatch):
@@ -652,8 +652,8 @@ class TestBench:
 
         monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 5, untransported))
         alone, both = tmp_path / "gpt", tmp_path / "gpt-dummy"
-        assert cli._run_bench("surfaces", cli._surface_cells(("gpt",), 1, 7), 0.05, alone) == 0
-        assert cli._run_bench("surfaces", cli._surface_cells(("gpt", "dummy"), 1, 7), 0.05, both) == 0
+        for methods, out in ((("gpt",), alone), (("gpt", "dummy"), both)):
+            assert cli._run_bench("surfaces", suite_cells("surfaces", methods, 1, "--n-keypoints", 7), 0.05, out) == 0
         rows = read_metrics_csv(both / "metrics.csv")
         assert [row for row in rows if row["method"] == "gpt"] == read_metrics_csv(alone / "metrics.csv")
         assert [row["scenario"] for row in rows if row["method"] == "dummy"] == [
@@ -668,6 +668,46 @@ class TestBench:
             return {scene: {k: v for k, v in entry.items() if k not in timed} for scene, entry in report.items()}
 
         assert untimed(both) == untimed(alone)
+
+    def test_a_suite_in_the_table_alone_runs_through_bench_and_scenario_gen(self, tmp_path, monkeypatch, capsys):
+        """bench and scenario-gen name no suite: one table entry gives --suite
+        its id, bench its cells and scenario-gen its files, and the seeds rule
+        reads the entry's cells."""
+
+        def scenarios(seeds, args):
+            return [
+                (f"sine-{seed}.json", make_surface_scenario("sine", n_keypoints=args.n_keypoints, seed=seed))
+                for seed in range(seeds)
+            ]
+
+        def cells(methods, seeds, args):
+            return [
+                cli.BenchCell(method, "ring", scenario, scenario.keypoints, scenario.demonstration)
+                for _, scenario in scenarios(seeds, args)
+                for method in methods
+            ]
+
+        monkeypatch.setitem(cli.SUITE_TABLE, "dummy", cli.Suite(3, ("gpt", "le"), cells, scenarios))
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "dummy", "--n-keypoints", 7, "--out-dir", out) == 0
+        rows = read_metrics_csv(out / "metrics.csv")
+        assert [(row["scenario"], row["method"]) for row in rows] == [
+            (f"surface-sine-{seed}", method) for seed in range(3) for method in ("gpt", "le")
+        ]
+        assert {method for method, _ in json.loads((out / "ranking.json").read_text())["ranking"]} == {"gpt", "le"}
+
+        assert run("scenario-gen", "--suite", "dummy", "--seeds", 2, "--out-dir", tmp_path) == 0
+        target = tmp_path / "scenarios" / "dummy"
+        assert sorted(p.name for p in target.iterdir()) == ["sine-0.json", "sine-1.json"]
+        assert load_scenario(target / "sine-1.json").to_dict() == make_surface_scenario("sine", seed=1).to_dict()
+
+        # one scene cannot rank two methods; one method on it still runs
+        one = tmp_path / "one-scene"
+        assert run("bench", "--suite", "dummy", "--seeds", 1, "--out-dir", one) == 2
+        assert "argument --seeds: must be at least 3 scenes" in capsys.readouterr().err
+        assert not one.exists()
+        assert run("bench", "--suite", "dummy", "--seeds", 1, "--methods", "le", "--out-dir", one) == 0
+        assert (one / "metrics.csv").is_file()
 
     def test_cells_finishing_out_of_order_keep_cell_order(self, tmp_path, monkeypatch):
         """At 3 workers the first scenes' dummy cells wait until the last
@@ -702,7 +742,7 @@ class TestBench:
             # cell (first in cell order) or its gpt cell supplied the bundle
             monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 2, dummy))
             monkeypatch.setenv("POLTRANS_THREADS", threads)
-            cells = cli._frame_cells(("dummy", "gpt"), 5, 1)
+            cells = suite_cells("frames", ("dummy", "gpt"), 5, "--train-seeds", 1)
             scene_of = {id(c.demonstration): c.scenario.name for c in cells if c.method == "dummy"}
             out = tmp_path / threads
             assert cli._run_bench("frames", cells, 0.05, out) == 0
@@ -743,7 +783,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_stage", counted)
         monkeypatch.setenv("POLTRANS_THREADS", "1")
-        cells = cli._surface_cells(cli.METHODS, 3, 12)
+        cells = suite_cells("surfaces", cli.METHODS, 3)
         assert len(cells) == 60
         assert cli._run_bench("surfaces", cells, 0.05, tmp_path / "bench") == 0
         assert len(switches) == 1 and switches[0] < len(cells) // 4
@@ -820,7 +860,7 @@ class TestBench:
         monkeypatch.setattr(cli, "_scene_svg", record)
         flags = ("--suite", "frames", "--seeds", 3, "--train-seeds", 2, "--methods", "gpt,le")
         assert run("bench", *flags, "--out-dir", tmp_path / "out") == 0
-        cells = cli._frame_cells(("gpt",), 3, 2)
+        cells = suite_cells("frames", ("gpt",), 3, "--train-seeds", 2)
         assert sorted(drawn) == sorted(cell.scenario.name for cell in cells)
         for cell in cells:
             demo, reference, keypoints = drawn[cell.scenario.name]
@@ -1010,6 +1050,25 @@ def test_benchmark_tracer_binds_every_traced_name(tracing):
     with tracing.installed(tracing.Tracer()):
         assert cli.ThreadPoolExecutor is not pool
     assert cli.ThreadPoolExecutor is pool
+
+
+def test_benchmark_tracer_sees_every_call_of_the_suite_table(tracing, tmp_path):
+    """The suite table's entries call the package through cli's module
+    globals, which the tracer patches; a record holding a package function
+    itself would read 0 calls."""
+    counted = []
+    for argv in (
+        ("bench", "--suite", "surfaces", "--seeds", 1, "--methods", "gpt", "--out-dir", tmp_path / "bench"),
+        ("scenario-gen", "--suite", "surfaces", "--seeds", 1, "--out-dir", tmp_path / "gen"),
+    ):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert run(*argv) == 0
+        counted.append(tracing.layer_metrics(tracer))
+    bench, gen = counted
+    assert bench["scenarios.make_surface_scenario.calls"] == 5
+    assert bench["transport.fit_transport.calls"] == 5
+    assert gen["scenarios.make_surface_scenario.calls"] == 5
 
 
 def test_benchmark_own_tests_pass():

@@ -12,6 +12,7 @@ from scipy import stats as scipy_stats
 from conftest import (
     brute_force_dtw,
     brute_force_frechet,
+    default_bench_cells,
     loop_area_between,
     loop_dtw,
     loop_frechet,
@@ -282,18 +283,12 @@ class TestEndpointMetrics:
             assert outcomes[k] == compute_metrics(*pairs[k])
         assert compute_metrics_batch([]) == []
 
-    @pytest.mark.parametrize(
-        "suite, make_cells",
-        [
-            ("surfaces", lambda: cli._surface_cells(cli.METHODS, 3, 12)),
-            ("frames", lambda: cli._frame_cells(cli.SUITE_DEFAULTS["frames"]["methods"], 20, 9)),
-        ],
-    )
-    def test_batch_equals_the_per_pair_oracles_on_every_suite_cell(self, suite, make_cells):
+    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
+    def test_batch_equals_the_per_pair_oracles_on_every_suite_cell(self, suite):
         """The default bench suites' cells, scored as lanes, equal their
         pairs scored one at a time: the lanes' axis reductions and BLAS
         dots round like the per-pair code's."""
-        cells = make_cells()
+        cells = default_bench_cells(suite)
         pairs = [(cli._run_cell(cell)[0], cell.scenario.reference) for cell in cells]
         assert len(pairs) == {"surfaces": 60, "frames": 40}[suite]
         assert compute_metrics_batch(pairs) == [pair_compute_metrics(*pair) for pair in pairs]

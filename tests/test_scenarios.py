@@ -224,8 +224,11 @@ class TestScenarioSerialization:
         assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
 
     def test_unknown_kind_rejected(self, tmp_path):
+        # a missing kind, and unhashable ones, which a bare table lookup
+        # would turn into a TypeError
         path = tmp_path / "bad.json"
-        path.write_text('{"kind": "volume"}')
-        with pytest.raises(ValueError, match="unknown scenario kind"):
-            load_scenario(path)
+        for text in ('{"kind": "volume"}', "{}", '{"kind": ["x"]}', '{"kind": {"x": 1}}'):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unknown scenario kind"):
+                load_scenario(path)
 
