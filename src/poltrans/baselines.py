@@ -20,10 +20,13 @@ assignment (Hungarian). Each bound node's target is its own position plus
 the keypoint displacement (target keypoint minus source keypoint), so the
 baselines reshape the demonstration rather than teleport it onto the
 keypoints. Callers are expected to pre-apply the rigid alignment before
-invoking LWT (and typically before the other baselines as well).
+invoking LWT (and typically before the other baselines as well); the bench
+aligns each scene once and hands Laplacian editing and reshaped KMP one
+shared assignment.
 """
 from __future__ import annotations
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -153,10 +156,19 @@ def reshaped_kmp(
     return Trajectory(positions=traj.positions + shift, times=traj.times)
 
 
-def _bump(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """exp(-|x - c|^2 / (2 r^2)) at each row of an (N, dim) batch that the
-    caller has checked, shape (N,)."""
-    return np.exp(-np.sum((points - center) ** 2, axis=1) / (2.0 * radius**2))
+def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of an (N, dim) batch to ``center``, the
+    squared differences summed over the axes, shape (N,)."""
+    diff = points - center
+    diff *= diff
+    return diff.sum(axis=1)
+
+
+def _bump(sq: np.ndarray, radius: float) -> np.ndarray:
+    """exp(-sq / (2 r^2)) of squared distances ``sq``, computed in place:
+    -sq / b and sq / -b round alike."""
+    sq /= -2.0 * radius**2
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +185,22 @@ class LWTUnit:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).ravel()
-        v = np.asarray(self.translation, dtype=float).ravel()
+        # Read-only copies, raveled as views that stay read-only.
+        c = _freeze(self.center).ravel()
+        v = _freeze(self.translation).ravel()
         if c.size != v.size:
             raise ValueError("center and translation dimensions differ")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive")
-        step = float(np.linalg.norm(v))
-        if step > LWT_STEP_RATIO * self.radius * (1 + 1e-12):
+        # np.linalg.norm's own arithmetic for a 1-d vector: sqrt of its dot.
+        if math.sqrt(v.dot(v)) > LWT_STEP_RATIO * self.radius * (1 + 1e-12):
             raise ValueError("translation exceeds the invertibility step bound")
-        object.__setattr__(self, "center", _freeze(c))
-        object.__setattr__(self, "translation", _freeze(v))
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "translation", v)
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """The bump's weight at each point of an (N, dim) batch, shape (N,)."""
-        return _bump(_as_batch(x, "points", self.center.size), self.center, self.radius)
+        return _bump(_sq_dists_to(_as_batch(x, "points", self.center.size), self.center), self.radius)
 
     def jacobian_det(self, x: np.ndarray) -> np.ndarray:
         """Analytic det of the unit's Jacobian at each point of an (N, dim)
@@ -215,7 +228,8 @@ def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
     dim = lwt.units[0].center.size if lwt.units else None
     pts = _as_batch(x, "points", dim).copy()
     for unit in lwt.units:
-        pts += _bump(pts, unit.center, unit.radius)[:, None] * unit.translation
+        weight = _bump(_sq_dists_to(pts, unit.center), unit.radius)
+        pts += weight[:, None] * unit.translation
     return pts
 
 
@@ -228,9 +242,12 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     interference, and the step obeys the per-unit invertibility bound, so
     several units may be needed per keypoint. Stops when the largest
     residual drops to ``match_tolerance(kp)``, the transportation map's
-    own tolerance; hitting ``max_iters`` first returns the best map found
-    plus a warning.
+    own tolerance; hitting ``max_iters`` (at least 0) first returns the best
+    map found plus a warning. Each unit's squared distances to the keypoints
+    give both its radius and its bump.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     tol = match_tolerance(kp)
 
     current = kp.source.points.copy()
@@ -241,7 +258,8 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     # One residual check per unit count 0..max_iters; the last adds no unit.
     for n_units in range(max_iters + 1):
         residuals = target - current
-        norms = np.linalg.norm(residuals, axis=1)
+        # np.linalg.norm(residuals, axis=1)'s arithmetic: sqrt of row sums.
+        norms = np.sqrt((residuals * residuals).sum(axis=1))
         worst = int(np.argmax(norms))
         err = float(norms[worst])
         if err < best_err:
@@ -252,11 +270,13 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
             break
 
         center = current[worst]
-        # sqrt is monotone and correctly rounded: sqrt of the least squared
-        # distance is the least distance, bit for bit.
-        sq = np.sum((current - center) ** 2, axis=1)
+        # One set of squared distances gives the radius and the bump. sqrt
+        # is monotone and correctly rounded: sqrt of the least squared
+        # distance to another keypoint is the least distance, bit for bit.
+        sq = _sq_dists_to(current, center)
         sq[worst] = np.inf
-        nearest = float(np.sqrt(sq.min()))
+        nearest = math.sqrt(sq.min())
+        sq[worst] = 0.0  # the center's own distance
         radius = min(2.0 * err, 0.5 * nearest)
         radius = max(radius, 1e-12)
 
@@ -264,7 +284,8 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
         scale = min(1.0, LWT_STEP_RATIO * radius / err)
         unit = LWTUnit(center=center, translation=step * scale, radius=radius)
         units.append(unit)
-        current = current + _bump(current, center, radius)[:, None] * unit.translation
+        # In place: the unit holds its own copy of the center row.
+        current += _bump(sq, radius)[:, None] * unit.translation
 
     note = f"did not converge in {max_iters} iterations; best residual {best_err:.3e}"
     _warnings.warn(note)

@@ -11,20 +11,24 @@ repetition, are what ``_run_bench`` runs on a thread pool capped by the
 POLTRANS_THREADS environment variable. A method is one ``METHOD_TABLE``
 entry; the SVG's sigma band and report.json come from its run. Each scene's
 inputs (scenario, keypoint pairs, demonstration) are built once, before the
-pool, and every cell of the scene carries them. Every cell is submitted to
-the pool, the bench waits once for all of them and reads their results in
-cell order, so artifacts do not depend on which cell finished first. The
-metrics of every cell are computed afterwards in one batch, each metric
-once per group of same-shape cells, with the cells as lanes. The bench
-writes deterministically ordered artifacts: metrics.csv (no timings, so
-reruns are bitwise identical across worker counts), ranking.json, one SVG
-overlay per scene, report.json (gpt's timings, keypoint error and det J > 0
-percentage per scene), failures.json (each failed cell's stage, method or
-metrics, its exception type and message) and timings.json (the wall and
-process-CPU seconds of each of the ``BENCH_STAGES`` and, under ``methods``,
-the thread-CPU seconds of each method's cells, summed). A scene whose gpt
-map has a non-positive Jacobian determinant somewhere on the demonstration
-gets a warning on stderr.
+pool, and every cell of the scene carries them. The pool runs one task per
+scene input set (a surface scene, or one keypoints-per-frame set of a frame
+scene): its cells, in cell order, on one ``SceneTask``, which pre-aligns the
+demonstration and keypoints and assigns the via-points once, when a run
+first needs them. The bench waits once for all the tasks and reads their
+results in cell order, so artifacts do not depend on which task finished
+first. The metrics of every cell are computed afterwards in one batch, each
+metric once per group of same-shape cells, with the cells as lanes. The
+bench writes deterministically ordered artifacts: metrics.csv (no timings,
+so reruns are bitwise identical across worker counts), ranking.json, one
+SVG overlay per scene, report.json (gpt's timings, keypoint error and det
+J > 0 percentage per scene), failures.json (each failed cell's stage,
+method or metrics, its exception type and message) and timings.json (the
+wall and process-CPU seconds of each of the ``BENCH_STAGES`` and, under
+``methods``, the thread-CPU seconds of each method's cells, summed; a
+task's shared preparation counts to the first cell that reads it). A scene
+whose gpt map has a non-positive Jacobian determinant somewhere on the
+demonstration gets a warning on stderr.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -215,20 +220,45 @@ def _gamma_pretransform(kp: PairedKeypoints, demo: Trajectory):
     return demo2, kp2
 
 
+@dataclass(frozen=True, eq=False)
+class SceneTask:
+    """The inputs that the cells of one scene task share, and the work on
+    them that more than one method needs: ``aligned``, the demonstration and
+    keypoints moved by the rigid pre-alignment, and ``assignment``, the
+    via-point assignment on them. Each is computed when a run first reads
+    it, through this module's globals, so it costs the first cell that reads
+    it, and a task whose methods read neither computes neither. A failure is
+    not kept: each reader raises it again, as it did before the sharing."""
+
+    keypoints: PairedKeypoints
+    demonstration: Trajectory
+    topology: str
+
+    @cached_property
+    def aligned(self) -> tuple[Trajectory, PairedKeypoints]:
+        return _gamma_pretransform(self.keypoints, self.demonstration)
+
+    @cached_property
+    def assignment(self):
+        demo, kp = self.aligned
+        return assign_via_points(demo, kp)
+
+
 @dataclass(frozen=True)
 class Method:
     """A bench method: its SVG stroke colour, the keypoints per frame it
-    pairs on the frames suite, and ``run(keypoints, demonstration,
-    topology)``, which returns the transported demonstration, the posterior
-    standard deviation along it or None, and its scene's report.json entry
-    or None. Runs call the package through this module's globals."""
+    pairs on the frames suite, and ``run(scene)`` of a ``SceneTask``, which
+    returns the transported demonstration, the posterior standard deviation
+    along it or None, and its scene's report.json entry or None. Runs call
+    the package through this module's globals."""
 
     color: str
     frame_kpf: int
     run: Callable
 
 
-def _run_gpt(kp: PairedKeypoints, demo: Trajectory, topology: str):
+def _run_gpt(scene: SceneTask):
+    kp, demo = scene.keypoints, scene.demonstration
     start = time.perf_counter()
     tmap = fit_transport(kp)
     fitted = time.perf_counter()
@@ -244,18 +274,18 @@ def _run_gpt(kp: PairedKeypoints, demo: Trajectory, topology: str):
     return Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report
 
 
-def _run_le(kp: PairedKeypoints, demo: Trajectory, topology: str):
-    demo, kp = _gamma_pretransform(kp, demo)
-    return laplacian_edit(demo, assign_via_points(demo, kp), topology=topology), None, None
+def _run_le(scene: SceneTask):
+    demo, _ = scene.aligned
+    return laplacian_edit(demo, scene.assignment, topology=scene.topology), None, None
 
 
-def _run_reshaped_kmp(kp: PairedKeypoints, demo: Trajectory, topology: str):
-    demo, kp = _gamma_pretransform(kp, demo)
-    return reshaped_kmp(demo, assign_via_points(demo, kp)), None, None
+def _run_reshaped_kmp(scene: SceneTask):
+    demo, _ = scene.aligned
+    return reshaped_kmp(demo, scene.assignment), None, None
 
 
-def _run_lwt(kp: PairedKeypoints, demo: Trajectory, topology: str):
-    demo, kp = _gamma_pretransform(kp, demo)
+def _run_lwt(scene: SceneTask):
+    demo, kp = scene.aligned
     return Trajectory(positions=apply_lwt(fit_lwt(kp), demo.positions), times=demo.times), None, None
 
 
@@ -317,7 +347,8 @@ class BenchCell:
     the result and it is drawn in the SVG), the keypoint pairs the method
     conditions on, and the demonstration it transports. The cells of one
     scene share these inputs; the methods may, because the arrays inside
-    are frozen (``types._freeze``)."""
+    are frozen (``types._freeze``). Cells that share their keypoints and
+    demonstration objects run as one scene task."""
 
     method: str
     topology: str
@@ -391,16 +422,24 @@ SUITE_TABLE = {
 }
 
 
-def _run_cell(cell: BenchCell):
+def _run_cell(cell: BenchCell, scene: SceneTask):
     """(produced, band, report, error, cpu_s) for one cell: what its method's
     run returned or the error it raised, and the CPU seconds of its thread;
     a method failure becomes a missing sample and the bench continues."""
     cpu = time.thread_time()
     try:
-        produced, band, report = METHOD_TABLE[cell.method].run(cell.keypoints, cell.demonstration, cell.topology)
+        produced, band, report = METHOD_TABLE[cell.method].run(scene)
     except Exception as exc:
         return None, None, None, exc, time.thread_time() - cpu
     return produced, band, report, None, time.thread_time() - cpu
+
+
+def _run_scene(cells: list[BenchCell]) -> list:
+    """The outcomes of the cells of one scene task, run in order on one
+    ``SceneTask`` of their shared inputs."""
+    first = cells[0]
+    scene = SceneTask(first.keypoints, first.demonstration, first.topology)
+    return [_run_cell(cell, scene) for cell in cells]
 
 
 @contextmanager
@@ -417,12 +456,20 @@ def _stage(timings: dict, name: str):
 
 def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
     timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES}
+    # One task per scene input set: the cells that share their keypoints and
+    # demonstration, in cell order.
+    tasks: dict = {}
+    for index, cell in enumerate(cells):
+        tasks.setdefault((cell.keypoints, cell.demonstration, cell.topology), []).append(index)
     with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        # One wait on all the cells: reading each result as it finishes
-        # would wake this thread once per cell.
-        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        # One wait on all the tasks: reading each result as it finishes
+        # would wake this thread once per task.
+        futures = [pool.submit(_run_scene, [cells[i] for i in members]) for members in tasks.values()]
         wait(futures)
-    outcomes = [future.result() for future in futures]
+    outcomes = [None] * len(cells)
+    for members, future in zip(tasks.values(), futures):
+        for index, outcome in zip(members, future.result()):
+            outcomes[index] = outcome
     methods = timings["methods"] = {}
     for cell, (*_, cpu_s) in zip(cells, outcomes):
         methods.setdefault(cell.method, {"cpu_s": 0.0})["cpu_s"] += cpu_s

@@ -5,7 +5,10 @@ discrete Frechet distance, area between the curves, dynamic time warping
 cost, final position error, and final docking-angle error. Methods are
 ranked by pairwise one-sided Mann-Whitney U tests: on each metric, a method
 earns one point for every competitor over which its samples are
-statistically lower, and methods are ordered by total points.
+statistically lower, and methods are ordered by total points. Like the
+metrics, the tests are scored lane-wise: every metric's ordered method
+pairs that share sample sizes are the lanes of one stacked pass, and
+``mann_whitney_u`` is a one-lane call of the same kernel.
 """
 from __future__ import annotations
 
@@ -392,69 +395,116 @@ def compute_metrics(produced, reference) -> MetricReport:
     return outcome
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks in which tied values share the mean of the ranks
-    they span."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], values.size)
-    ranks = np.empty(values.size)
-    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(first) - 1]
-    return ranks
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks along the last axis of ``values``, in which tied values
+    share the mean of the ranks they span, and each lane's tie sum
+    sum(t**3 - t) over its runs of t tied values, an exact integer."""
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    # A run of ties covers the sorted places [start, end): start is the last
+    # place at or before each place that opens a run, end the first place
+    # after it that opens one, or n.
+    opens = np.ones(values.shape, dtype=bool)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=opens[..., 1:])
+    place = np.arange(n)
+    start = np.maximum.accumulate(np.where(opens, place, 0), axis=-1)
+    next_open = np.full(values.shape, n)
+    next_open[..., :-1] = np.where(opens[..., 1:], place[1:], n)
+    end = np.flip(np.minimum.accumulate(np.flip(next_open, axis=-1), axis=-1), axis=-1)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, 0.5 * (start + end + 1), axis=-1)
+    runs = end - start
+    return ranks, np.where(opens, runs**3 - runs, 0).sum(axis=-1)
+
+
+def _exact_p(ranks: np.ndarray, n1: int, u_x: float) -> float:
+    """Exact permutation p-value of one lane's pooled ranks. Fractional
+    ranks are half-integers, so doubled ranks are integers and the subset
+    rank-sum distribution follows from a counting DP instead of explicit
+    enumeration."""
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    max_sum = int(np.sort(doubled)[-n1:].sum())
+    table = np.zeros((n1 + 1, max_sum + 1), dtype=np.float64)
+    table[0, 0] = 1.0
+    for r2 in doubled:
+        table[1:, r2:] += table[:-1, : max_sum + 1 - r2]
+    base = n1 * (n1 + 1) / 2.0
+    threshold = int(np.rint(2.0 * (u_x + base)))
+    return float(table[n1, : threshold + 1].sum()) / comb(ranks.size, n1)
+
+
+def _u_lanes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U statistic of x and one-sided p-value of each lane of finite samples
+    x (L, n1) and y (L, n2), each of at least ``U_TEST_MIN_SAMPLES`` values."""
+    n1, n2 = x.shape[1], y.shape[1]
+    n = n1 + n2
+    ranks, ties = _average_ranks(np.concatenate((x, y), axis=1))
+    # Sums of half-integers, exact in any order.
+    u = ranks[:, :n1].sum(axis=1) - n1 * (n1 + 1) / 2.0
+    # One run of all n values has the largest tie sum, n**3 - n.
+    constant = ties == n**3 - n
+    if n <= EXACT_U_LIMIT:
+        p = np.array([
+            1.0 if flat else _exact_p(lane, n1, lane_u)
+            for lane, lane_u, flat in zip(ranks, u, constant.tolist())
+        ])
+    else:
+        mean = n1 * n2 / 2.0
+        tie_term = ties / (n * (n - 1))
+        # Where not all pooled values are equal, tie_term <= n - 2 (one tie
+        # of n - 1 values at most) and var >= n1 n2 / 4 > 0.
+        var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
+        z = (u + 0.5 - mean) / np.sqrt(np.where(constant, 1.0, var))
+        # Not 0.5 * math.erfc(-z / sqrt(2)): it differs from ndtr in the last bits.
+        p = np.where(constant, 1.0, ndtr(z))
+    return u, p
+
+
+def _u_tests(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """U statistic of x and one-sided p-value of every (x, y) sample pair,
+    in order. Pairs that share (len(x), len(y)) are scored as the lanes of
+    one ``_u_lanes`` pass. The first pair, in order, with a non-finite value
+    or a sample of fewer than ``U_TEST_MIN_SAMPLES`` values raises
+    ValueError, checked in that order."""
+    groups: dict = {}
+    for index, (x, y) in enumerate(pairs):
+        xs = np.asarray(x, dtype=float).ravel()
+        ys = np.asarray(y, dtype=float).ravel()
+        members, xl, yl = groups.setdefault((xs.size, ys.size), ([], [], []))
+        members.append(index)
+        xl.append(xs)
+        yl.append(ys)
+    stacks, errors = [], []
+    for (n1, n2), (members, xl, yl) in groups.items():
+        x, y = np.stack(xl), np.stack(yl)
+        finite = (np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)).tolist()
+        if not all(finite):
+            errors.append((members[finite.index(False)], "U test samples must be finite"))
+        if min(n1, n2) < U_TEST_MIN_SAMPLES and any(finite):
+            errors.append((members[finite.index(True)], f"each sample needs at least {U_TEST_MIN_SAMPLES} values"))
+        stacks.append((members, x, y))
+    if errors:
+        raise ValueError(min(errors)[1])
+    u, p = np.empty(len(pairs)), np.empty(len(pairs))
+    for members, x, y in stacks:
+        u[members], p[members] = _u_lanes(x, y)
+    return u, p
 
 
 def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     """One-sided Mann-Whitney U test for "x stochastically lower than y".
 
     Returns (U statistic of x, one-sided p-value, significance flag at
-    ``alpha``). Ranks are fractional under ties. For pooled sizes up to
-    ``EXACT_U_LIMIT`` the null distribution is enumerated exactly
-    (permutation over which pooled values belong to x); larger samples use
-    the normal approximation with tie-corrected variance and continuity
-    correction.
+    ``alpha``). Ranks are fractional under ties; if all pooled values are
+    equal, p is 1. For pooled sizes up to ``EXACT_U_LIMIT`` the null
+    distribution is enumerated exactly (permutation over which pooled
+    values belong to x); larger samples use the normal approximation with
+    tie-corrected variance and continuity correction. It is a one-lane
+    call of ``_u_tests``, which ``rank_methods`` scores all its pairs with.
     """
-    xs = np.asarray(x, dtype=float).ravel()
-    ys = np.asarray(y, dtype=float).ravel()
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("U test samples must be finite")
-    n1, n2 = xs.size, ys.size
-    if n1 < U_TEST_MIN_SAMPLES or n2 < U_TEST_MIN_SAMPLES:
-        raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
-    pooled = np.concatenate([xs, ys])
-    if np.all(pooled == pooled[0]):
-        return float(n1 * n2 / 2.0), 1.0, False
-
-    ranks = _average_ranks(pooled)
-    u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
-
-    n = n1 + n2
-    if n <= EXACT_U_LIMIT:
-        # Exact permutation p-value. Fractional ranks are half-integers, so
-        # doubled ranks are integers and the subset rank-sum distribution
-        # follows from a counting DP instead of explicit enumeration.
-        doubled = np.rint(2.0 * ranks).astype(np.int64)
-        max_sum = int(np.sort(doubled)[-n1:].sum())
-        table = np.zeros((n1 + 1, max_sum + 1), dtype=np.float64)
-        table[0, 0] = 1.0
-        for r2 in doubled:
-            table[1:, r2:] += table[:-1, : max_sum + 1 - r2]
-        base = n1 * (n1 + 1) / 2.0
-        threshold = int(np.rint(2.0 * (u_x + base)))
-        p = float(table[n1, : threshold + 1].sum()) / comb(n, n1)
-    else:
-        mean = n1 * n2 / 2.0
-        ordered = np.sort(pooled)  # run lengths, not np.unique, which imports numpy.ma
-        tie_counts = np.diff(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True]))
-        tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
-        # Not all pooled values are equal, so tie_term <= n - 2 (one tie of
-        # n - 1 values at most) and var >= n1 n2 / 4 > 0.
-        var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-        z = (u_x + 0.5 - mean) / np.sqrt(var)
-        # Not 0.5 * math.erfc(-z / sqrt(2)): it differs from ndtr in the last bits.
-        p = float(ndtr(z))
-    return u_x, float(p), bool(p < alpha)
+    u, p = _u_tests([(x, y)])
+    return float(u[0]), float(p[0]), bool(p[0] < alpha)
 
 
 @dataclass(frozen=True)
@@ -479,7 +529,9 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
     ``results`` maps method id -> metric name -> sample array. All methods
     must cover the same metrics. For each metric and each ordered pair
     (a, b), method a earns one point when its samples are statistically
-    lower than b's. The outcome is independent of the supplied ordering.
+    lower than b's; all the pairs' tests run as the lanes of one
+    ``_u_tests`` call, and the first pair whose samples cannot be tested
+    raises. The outcome is independent of the supplied ordering.
     """
     methods = sorted(results)
     if len(methods) < 2:
@@ -489,17 +541,15 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
         raise ValueError("methods must cover identical metrics")
     metrics = metric_sets[0]
 
+    # Every metric's ordered method pairs (a, b), scored as lanes of one pass.
+    lanes = [(metric, a, b) for metric in metrics for a in methods for b in methods if a != b]
+    _, p = _u_tests([(results[a][metric], results[b][metric]) for metric, a, b in lanes])
     points = {m: 0 for m in methods}
-    per_metric = {}
-    for metric in metrics:
-        scores = {m: 0 for m in methods}
-        for a, b in ((a, b) for a in methods for b in methods if a != b):
-            _, _, lower = mann_whitney_u(results[a][metric], results[b][metric], alpha)
-            if lower:
-                scores[a] += 1
-        per_metric[metric] = scores
-        for m in methods:
-            points[m] += scores[m]
+    per_metric = {metric: {m: 0 for m in methods} for metric in metrics}
+    for (metric, a, _), lower in zip(lanes, (p < alpha).tolist()):
+        if lower:
+            per_metric[metric][a] += 1
+            points[a] += 1
 
     ordered = []
     for m in methods:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .types import _as_batch
+
 # Canvas size in pixels, and the padding around the drawn content as a
 # fraction of its larger extent.
 WIDTH = 640
@@ -18,12 +20,17 @@ MARGIN = 0.06
 def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper/lower polylines offset from a curve along its local normals.
 
-    ``radii`` gives the per-point half-width (e.g. two standard
-    deviations). Normals come from the averaged neighboring segment
+    ``points`` is an (N, 2) batch (``types._as_batch``) and ``radii`` the
+    per-point half-width (e.g. two standard deviations), finite and
+    nonnegative. Normals come from the averaged neighboring segment
     directions; zero-length tangents fall back to the x axis.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rad = np.broadcast_to(np.asarray(radii, dtype=float).ravel(), (pts.shape[0],))
+    pts = _as_batch(points, "band points", 2)
+    rad = np.asarray(radii, dtype=float).ravel()
+    # A NaN radius would turn every coordinate of the document into nan.
+    if not (np.isfinite(rad).all() and (rad >= 0).all()):
+        raise ValueError("band radii must be finite and nonnegative")
+    rad = np.broadcast_to(rad, (pts.shape[0],))
     ahead = np.diff(pts, axis=0, append=pts[-1:])
     behind = np.diff(pts, axis=0, prepend=pts[:1])
     tangent = ahead + behind
@@ -46,11 +53,11 @@ class SvgScene:
         self._points: list[np.ndarray] = []
 
     def _track(self, points) -> np.ndarray:
-        """Planar points as an (N, 2) float array, counted in the extent."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            # the renderer formats a flat run of coordinates as x,y pairs
-            raise ValueError(f"SVG points must form an (N, 2) array, got shape {pts.shape}")
+        """Planar points as a finite (N, 2) batch (``types._as_batch``: a 1-d
+        array is a column, not a point), counted in the extent. One
+        non-finite point would turn every coordinate of the document into
+        nan, and the renderer formats a flat run of coordinates as x,y pairs."""
+        pts = _as_batch(points, "SVG points (an (N, 2) array)", 2)
         if pts.size:
             self._points.append(pts)
         return pts

@@ -9,6 +9,7 @@ uses -- so the tests cross-check the implementation instead of restating it.
 import csv
 import itertools
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +19,16 @@ from scipy.stats import rankdata
 from poltrans import PairedKeypoints, PointSet, cli
 from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
 from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO, _profiled_nlml
-from poltrans.metrics import ANGLE_TAIL_SEGMENTS, MetricReport, _pair_positions, dtw_distance, frechet_distance
+from poltrans._scipy import ndtr
+from poltrans.metrics import (
+    ANGLE_TAIL_SEGMENTS,
+    EXACT_U_LIMIT,
+    U_TEST_MIN_SAMPLES,
+    MetricReport,
+    _pair_positions,
+    dtw_distance,
+    frechet_distance,
+)
 from poltrans.transport import NEAR_SINGULAR_RATIO, match_tolerance
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
 
@@ -247,6 +257,17 @@ def loop_fit_lwt(kp, max_iters: int = 1000) -> list[tuple]:
         current = current + weight[:, None] * translation
     err = float(np.max(np.linalg.norm(target - current, axis=1)))
     return list(units) if err < best_err else best_units
+
+
+def loop_apply_lwt(units, x) -> np.ndarray:
+    """An (N, dim) batch pushed through (center, translation, radius) units
+    one unit at a time, each bump computed afresh by the textbook formula
+    exp(-|x - c|^2 / (2 r^2)) into a new array."""
+    pts = np.array(x, dtype=float)
+    for center, translation, radius in units:
+        weight = np.exp(-np.sum((pts - center) ** 2, axis=1) / (2.0 * radius**2))
+        pts = pts + weight[:, None] * translation
+    return pts
 
 
 def loop_polar_rotation(jacobian) -> tuple[np.ndarray, str | None]:
@@ -530,6 +551,73 @@ def pair_compute_metrics(produced, reference) -> MetricReport:
         final_position_error=position,
         final_angle_error=angle,
     )
+
+
+def pair_average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing the mean of the
+    ranks they span, from the run starts of its stable sort."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(first) - 1]
+    return ranks
+
+
+def pair_mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
+    """The one-sided U test of one sample pair on its own: ranks by
+    ``pair_average_ranks``, the exact counting DP up to ``EXACT_U_LIMIT``
+    pooled values, else the tie-corrected normal approximation with the tie
+    term summed from the sorted run lengths."""
+    xs = np.asarray(x, dtype=float).ravel()
+    ys = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("U test samples must be finite")
+    n1, n2 = xs.size, ys.size
+    if n1 < U_TEST_MIN_SAMPLES or n2 < U_TEST_MIN_SAMPLES:
+        raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
+    pooled = np.concatenate([xs, ys])
+    if np.all(pooled == pooled[0]):
+        return float(n1 * n2 / 2.0), 1.0, False
+    ranks = pair_average_ranks(pooled)
+    u_x = float(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0)
+    n = n1 + n2
+    if n <= EXACT_U_LIMIT:
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        max_sum = int(np.sort(doubled)[-n1:].sum())
+        table = np.zeros((n1 + 1, max_sum + 1), dtype=np.float64)
+        table[0, 0] = 1.0
+        for r2 in doubled:
+            table[1:, r2:] += table[:-1, : max_sum + 1 - r2]
+        threshold = int(np.rint(2.0 * (u_x + n1 * (n1 + 1) / 2.0)))
+        p = float(table[n1, : threshold + 1].sum()) / comb(n, n1)
+    else:
+        ordered = np.sort(pooled)
+        tie_counts = np.diff(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True]))
+        tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
+        var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
+        p = float(ndtr((u_x + 0.5 - n1 * n2 / 2.0) / np.sqrt(var)))
+    return u_x, p, bool(p < alpha)
+
+
+def pair_rank_methods(results: dict, alpha: float = 0.05) -> tuple[dict, dict]:
+    """(points, per-metric points) of ``rank_methods``, one
+    ``pair_mann_whitney_u`` call per metric and ordered method pair."""
+    methods = sorted(results)
+    metrics = sorted(results[methods[0]])
+    points = {m: 0 for m in methods}
+    per_metric = {}
+    for metric in metrics:
+        scores = {m: 0 for m in methods}
+        for a in methods:
+            for b in methods:
+                if a != b and pair_mann_whitney_u(results[a][metric], results[b][metric], alpha)[2]:
+                    scores[a] += 1
+                    points[a] += 1
+        per_metric[metric] = scores
+    return points, per_metric
 
 
 def mw_exact_enumeration(x, y) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import dense_laplacian_oracle, loop_fit_lwt, lwt_jacobian
+from conftest import dense_laplacian_oracle, loop_apply_lwt, loop_fit_lwt, lwt_jacobian
 from poltrans import PairedKeypoints, PointSet, Trajectory
 from poltrans.baselines import (
     LWT_STEP_RATIO,
@@ -310,6 +310,38 @@ class TestLWT:
             scenario = make_surface_scenario(profile, n_keypoints=12, seed=seed)
             _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
             self.assert_units_match_the_loop(kp)
+
+    def test_apply_is_bitwise_the_unit_by_unit_loop(self):
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            dim = int(rng.choice([2, 3]))
+            src = rng.uniform(-1, 1, (n, dim))
+            kp = PairedKeypoints(PointSet(src), PointSet(src + rng.uniform(-0.3, 0.3, (n, dim))))
+            lwt = fit_lwt(kp)
+            units = [(u.center, u.translation, u.radius) for u in lwt.units]
+            probes = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 50)), dim))
+            for x in (probes, src):
+                assert apply_lwt(lwt, x).tobytes() == loop_apply_lwt(units, x).tobytes()
+
+    @pytest.mark.parametrize("profile", SURFACE_PROFILES)
+    def test_surface_scene_transport_is_bitwise_the_loops(self, profile):
+        """The bench's lwt run, fit and apply, against the two loops."""
+        for seed in range(3):
+            scenario = make_surface_scenario(profile, n_keypoints=12, seed=seed)
+            demo, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
+            moved = apply_lwt(fit_lwt(kp), demo.positions)
+            assert moved.tobytes() == loop_apply_lwt(loop_fit_lwt(kp), demo.positions).tobytes()
+
+    def test_a_negative_iteration_budget_is_rejected(self):
+        """It used to return an empty map that warned "did not converge in
+        -1 iterations; best residual inf"."""
+        scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
+            fit_lwt(scenario.keypoints, max_iters=-1)
+        # a zero budget still checks the residual once and adds no unit
+        with pytest.warns(UserWarning, match="did not converge in 0 iterations"):
+            assert fit_lwt(scenario.keypoints, max_iters=0).units == ()
 
     def test_a_fit_converging_on_its_last_allowed_unit_does_not_warn(self):
         scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)

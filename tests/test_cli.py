@@ -570,6 +570,49 @@ class TestBench:
         suite_cells(suite, methods, 3)
         assert len(calls) == 2 * builds
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flags, alignments, assignments",
+        [
+            # le, reshaped_kmp and lwt share one scene task per surface scene
+            (("--suite", "surfaces"), 15, 15),
+            # per frame scene: le and reshaped_kmp share the 2-keypoint task,
+            # lwt aligns on gpt's 5-keypoint task, which gpt leaves alone
+            (("--suite", "frames", "--seeds", 3, "--methods", ",".join(cli.METHODS)), 6, 3),
+        ],
+    )
+    def test_a_scene_task_aligns_and_assigns_once(self, tmp_path, monkeypatch, threads, flags, alignments, assignments):
+        def counted(name):
+            real, seen = getattr(cli, name), []
+
+            def wrapper(*args):
+                seen.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+            return seen
+
+        aligned, assigned = counted("_gamma_pretransform"), counted("assign_via_points")
+        monkeypatch.setenv("POLTRANS_THREADS", threads)
+        assert run("bench", *flags, "--out-dir", tmp_path / "bench") == 0
+        assert not (tmp_path / "bench" / "failures.json").exists()
+        assert (len(aligned), len(assigned)) == (alignments, assignments)
+
+    def test_a_shared_preparation_that_fails_fails_each_reader(self, tmp_path, monkeypatch):
+        """A failed alignment is not kept: each method that reads it raises
+        it again and records its own failure."""
+
+        def failing(*args):
+            raise RuntimeError("no alignment")
+
+        monkeypatch.setattr(cli, "_gamma_pretransform", failing)
+        out = tmp_path / "bench"
+        flags = ("--suite", "surfaces", "--seeds", 1, "--n-keypoints", 7)
+        assert run("bench", *flags, "--methods", "gpt,le,lwt", "--out-dir", out) == 0
+        failures = json.loads((out / "failures.json").read_text())["failures"]
+        assert [(f["method"], f["error"]) for f in failures] == [("le", "no alignment"), ("lwt", "no alignment")] * 5
+        assert [row["method"] for row in read_metrics_csv(out / "metrics.csv")] == ["gpt"] * 5
+
     def test_failed_cell_is_recorded_and_bench_continues(self, tmp_path, monkeypatch):
         class Boom(Exception):
             pass
@@ -628,8 +671,8 @@ class TestBench:
         pairs = {}
         real = cli._run_cell
 
-        def recorded(cell):
-            outcome = real(cell)
+        def recorded(cell, scene):
+            outcome = real(cell, scene)
             pairs[cell.scenario.name, cell.method] = (outcome[0], cell.scenario.reference)
             return outcome
 
@@ -647,8 +690,8 @@ class TestBench:
         """_run_bench names no method: one table entry gives a method its
         rows, its stroke in every SVG, and leaves gpt's report alone."""
 
-        def untransported(kp, demo, topology):
-            return demo, None, None
+        def untransported(scene):
+            return scene.demonstration, None, None
 
         monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 5, untransported))
         alone, both = tmp_path / "gpt", tmp_path / "gpt-dummy"
@@ -722,7 +765,8 @@ class TestBench:
             late_done = threading.Event()
             finished = []
 
-            def dummy(kp, demo, topology):
+            def dummy(task):
+                demo = task.demonstration
                 scene = scene_of[id(demo)]
                 try:
                     if threads != "1" and scene in early and not late_done.wait(timeout=60):

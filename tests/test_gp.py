@@ -363,7 +363,7 @@ class TestStackedGrid:
         checked = self.check_every_grid(monkeypatch)
         for cell in default_bench_cells(suite):
             if cell.method in ("gpt", "reshaped_kmp"):
-                cli.METHOD_TABLE[cell.method].run(cell.keypoints, cell.demonstration, cell.topology)
+                cli.METHOD_TABLE[cell.method].run(cli.SceneTask(cell.keypoints, cell.demonstration, cell.topology))
         # The flat and tilt scenes' 6 gpt residuals are exact zeros, which
         # score no grid; every other fit of the suites scores one.
         assert len(checked) == {"surfaces": 30 - 6, "frames": 20}[suite]

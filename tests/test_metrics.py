@@ -21,15 +21,19 @@ from conftest import (
     pair_compute_metrics,
     pair_final_angle_error,
     pair_final_position_error,
+    pair_mann_whitney_u,
+    pair_rank_methods,
 )
 from poltrans import Trajectory, cli, save_json
 from poltrans.metrics import (
+    EXACT_U_LIMIT,
     METRIC_NAMES,
     MetricReport,
     RankingResult,
     area_between_curves,
     _average_ranks,
     _coupling_costs,
+    _u_tests,
     compute_metrics,
     compute_metrics_batch,
     dtw_distance,
@@ -289,7 +293,7 @@ class TestEndpointMetrics:
         pairs scored one at a time: the lanes' axis reductions and BLAS
         dots round like the per-pair code's."""
         cells = default_bench_cells(suite)
-        pairs = [(cli._run_cell(cell)[0], cell.scenario.reference) for cell in cells]
+        pairs = [(cli._run_scene([cell])[0][0], cell.scenario.reference) for cell in cells]
         assert len(pairs) == {"surfaces": 60, "frames": 40}[suite]
         assert compute_metrics_batch(pairs) == [pair_compute_metrics(*pair) for pair in pairs]
 
@@ -448,7 +452,10 @@ class TestMannWhitney:
         rng = np.random.default_rng(8)
         for _ in range(300):
             values = rng.integers(0, int(rng.integers(1, 6)), int(rng.integers(1, 30))).astype(float)
-            assert _average_ranks(values).tolist() == scipy_stats.rankdata(values).tolist()
+            ranks, ties = _average_ranks(values)
+            assert ranks.tolist() == scipy_stats.rankdata(values).tolist()
+            runs = np.unique(values, return_counts=True)[1]
+            assert int(ties) == int(np.sum(runs**3 - runs))
 
     def test_clearly_shifted_large_samples_are_significant(self):
         rng = np.random.default_rng(6)
@@ -535,6 +542,104 @@ class TestRanking:
                     "b": {"dtw": np.ones(5)},
                 }
             )
+
+
+def bits(outcome) -> tuple:
+    """A (U, p, flag) triple with its floats as their exact bit patterns."""
+    u, p, flag = outcome
+    return float(u).hex(), float(p).hex(), flag
+
+
+class TestLaneUTests:
+    """``rank_methods`` scores every metric's ordered method pairs as the
+    lanes of one stacked pass; each lane is the per-pair test
+    ``pair_mann_whitney_u`` bit for bit."""
+
+    @staticmethod
+    def assert_lanes_match_the_oracle(results: dict, alpha: float = 0.05) -> int:
+        methods = sorted(results)
+        pairs = [
+            (results[a][metric], results[b][metric])
+            for metric in sorted(results[methods[0]])
+            for a in methods
+            for b in methods
+            if a != b
+        ]
+        u, p = _u_tests(pairs)
+        for pair, lane in zip(pairs, zip(u.tolist(), p.tolist(), (p < alpha).tolist())):
+            expected = bits(pair_mann_whitney_u(*pair, alpha))
+            assert bits(lane) == expected
+            assert bits(mann_whitney_u(*pair, alpha)) == expected
+        result = rank_methods(results, alpha)
+        assert (result.points, result.per_metric_points) == pair_rank_methods(results, alpha)
+        return len(pairs)
+
+    @staticmethod
+    def bench_samples(tmp_path, *flags) -> dict:
+        out = tmp_path / "bench"
+        assert cli.main(["bench", *map(str, flags), "--out-dir", str(out)]) == 0
+        rows = read_metrics_csv(out / "metrics.csv")
+        return {
+            method: {name: np.array([r[name] for r in rows if r["method"] == method]) for name in METRIC_NAMES}
+            for method in sorted({r["method"] for r in rows})
+        }
+
+    @pytest.mark.parametrize(
+        "flags, lanes, exact",
+        [
+            (("--suite", "surfaces"), 60, False),
+            (("--suite", "frames"), 10, False),
+            # 5 scenes per method: the exact path
+            (("--suite", "surfaces", "--seeds", 1, "--n-keypoints", 7), 60, True),
+        ],
+    )
+    def test_the_default_suites_samples(self, tmp_path, flags, lanes, exact):
+        samples = self.bench_samples(tmp_path, *flags)
+        n = 2 * len(next(iter(samples.values()))["frechet"])
+        assert (n <= EXACT_U_LIMIT) == exact
+        assert self.assert_lanes_match_the_oracle(samples) == lanes
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 5, 9), (11, 12, 20, 25), (3, 8, 15, 30)])
+    def test_random_samples_with_ties_on_both_paths(self, sizes):
+        """Integer-valued samples of mixed sizes, so the lanes fall into
+        several (n1, n2) groups on the exact and the normal path."""
+        rng = np.random.default_rng(sum(sizes))
+        for trial in range(8):
+            results = {
+                f"m{k}": {
+                    metric: rng.integers(0, int(rng.integers(1, 7)), size).astype(float) * 10.0 ** (trial - 4)
+                    for metric in ("frechet", "dtw", "area_between")
+                }
+                for k, size in enumerate(sizes)
+            }
+            for alpha in (0.05, 0.5):
+                self.assert_lanes_match_the_oracle(results, alpha)
+
+    def test_an_all_equal_pooled_lane_among_others(self):
+        results = {
+            "a": {"frechet": np.full(12, 0.25), "dtw": np.full(4, 2.0)},
+            "b": {"frechet": np.full(12, 0.25), "dtw": np.array([2.0, 3.0, 1.0])},
+            "c": {"frechet": np.arange(12.0), "dtw": np.full(4, 2.0)},
+        }
+        assert self.assert_lanes_match_the_oracle(results) == 12
+        u, p = _u_tests([(results["a"]["frechet"], results["b"]["frechet"])])
+        assert (u.tolist(), p.tolist()) == ([72.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_and_short_samples_raise_the_first_lanes_error(self, bad):
+        """The error is the one the per-pair loop raises first: lanes in
+        order, the finite check before the size check."""
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            results = {m: {k: rng.uniform(size=int(rng.integers(2, 6))) for k in ("dtw", "frechet")} for m in "abc"}
+            method, metric = "abc"[int(rng.integers(3))], ("dtw", "frechet")[int(rng.integers(2))]
+            results[method][metric][int(rng.integers(2))] = bad
+            with pytest.raises(ValueError) as expected:
+                pair_rank_methods(results)
+            with pytest.raises(ValueError, match=str(expected.value)):
+                rank_methods(results)
+        with pytest.raises(ValueError, match="U test samples must be finite"):
+            rank_methods({"a": {"dtw": np.ones(5)}, "b": {"dtw": np.r_[np.ones(4), bad]}})
 
 
 class TestCsvAndJson:

@@ -47,7 +47,7 @@ def every_element(scene: SvgScene, pts: np.ndarray) -> SvgScene:
     scene.polygon(pts, fill="#ffa500", opacity=0.3)
     scene.band(pts, 0.1 * np.arange(len(pts)))
     scene.markers(pts[:3], color="#bbbbbb", radius=3.0)
-    scene.markers(pts[-1], color="#d62728", radius=2)
+    scene.markers(pts[-1:], color="#d62728", radius=2)
     scene.markers(np.zeros((0, 2)))
     return scene
 
@@ -101,6 +101,38 @@ class TestRender:
         # flattened for formatting, (N, 3) points would pass as x,y pairs
         with pytest.raises(ValueError, match=r"\(N, 2\) array"):
             getattr(SvgScene(), add)(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers", "band"])
+    def test_a_non_finite_point_is_rejected_and_draws_nothing(self, add, bad):
+        """One NaN point used to turn every coordinate of the document,
+        other elements' included, into nan."""
+        pts = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
+        pts[1, 1] = bad
+        scene = SvgScene()
+        scene.polyline([[0.0, 0.0], [1.0, 1.0]])
+        before = scene.render()
+        args = (pts, 0.1) if add == "band" else (pts,)
+        name = "band points" if add == "band" else "SVG points"
+        with pytest.raises(ValueError, match=f"{name}.* must be finite"):
+            getattr(scene, add)(*args)
+        assert scene.render() == before and "nan" not in before
+
+    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers"])
+    def test_a_1d_array_is_a_column_not_a_point(self, add):
+        """types._as_batch's rule: a lone point is the one-row batch x[None]."""
+        with pytest.raises(ValueError, match="must have dimension 2"):
+            getattr(SvgScene(), add)(np.array([1.0, 2.0]))
+        scene = SvgScene()
+        getattr(scene, add)(np.array([1.0, 2.0])[None])
+        assert len(scene._elements) == 1 and scene._elements[0][1].shape == (1, 2)
+
+    @pytest.mark.parametrize("radii", [np.nan, np.inf, -0.1, [0.1, np.nan, 0.1], [0.1, -1e-300, 0.1]])
+    def test_non_finite_or_negative_band_radii_are_rejected(self, radii):
+        scene = SvgScene()
+        with pytest.raises(ValueError, match="band radii must be finite and nonnegative"):
+            scene.band([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], radii)
+        assert scene._elements == []
 
     def test_scene_with_no_elements(self, tmp_path):
         scene = SvgScene()
