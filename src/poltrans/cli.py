@@ -33,7 +33,6 @@ demonstration gets a warning on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -77,7 +76,16 @@ from .transport import (
     transport_labels,
     transport_points,
 )
-from .types import PairedKeypoints, PointSet, PolicyLabels, Trajectory, load_json, save_json, validate_labels
+from .types import (
+    PairedKeypoints,
+    PointSet,
+    PolicyLabels,
+    Trajectory,
+    json_text,
+    load_json,
+    save_json,
+    validate_labels,
+)
 from .svgplot import SvgScene
 
 # Frame corpus seeds: training scenes count up from one base, test scenes
@@ -571,7 +579,7 @@ def cmd_metrics(args) -> int:
     report = compute_metrics(produced, reference)
     if args.out:
         save_json(report, args.out)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json_text(report.to_dict()))
     return 0
 
 
@@ -582,7 +590,7 @@ def cmd_rank(args) -> int:
     ranking = _ranking(rows, args.alpha)
     out = Path(args.out) if args.out else Path(args.metrics).parent / "ranking.json"
     save_json(ranking, out)
-    print(json.dumps(ranking.to_dict(), indent=2, sort_keys=True))
+    print(json_text(ranking.to_dict()))
     return 0
 
 

@@ -22,14 +22,17 @@ def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.n
 
     ``points`` is an (N, 2) batch (``types._as_batch``) and ``radii`` the
     per-point half-width (e.g. two standard deviations), finite and
-    nonnegative. Normals come from the averaged neighboring segment
-    directions; zero-length tangents fall back to the x axis.
+    nonnegative: N of them, or one for every point. Normals come from the
+    averaged neighboring segment directions; zero-length tangents fall back
+    to the x axis.
     """
     pts = _as_batch(points, "band points", 2)
     rad = np.asarray(radii, dtype=float).ravel()
     # A NaN radius would turn every coordinate of the document into nan.
     if not (np.isfinite(rad).all() and (rad >= 0).all()):
         raise ValueError("band radii must be finite and nonnegative")
+    if rad.size not in (1, pts.shape[0]):
+        raise ValueError(f"band radii must be one per band point: got {rad.size} radii for {pts.shape[0]} points")
     rad = np.broadcast_to(rad, (pts.shape[0],))
     ahead = np.diff(pts, axis=0, append=pts[-1:])
     behind = np.diff(pts, axis=0, prepend=pts[:1])

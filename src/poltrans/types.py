@@ -9,11 +9,14 @@ Conventions used across the package:
   read-only), so instances are safe to share across threads,
 * a record's JSON form is its fields, written by :func:`to_dict` and read
   by :func:`from_dict`: arrays as nested lists, nested records as their
-  own JSON form.
+  own JSON form,
+* every JSON text the package writes or prints is laid out by
+  :func:`json_text`.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -375,19 +378,123 @@ def _family_violations(field: str, finite: np.ndarray, checks) -> list[Violation
     return report
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: ``float.__repr__``, NaN and the
+    infinities spelled ``NaN``, ``Infinity`` and ``-Infinity``."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or a scalar's JSON text as a
+    string."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(_json(key, 0))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_block(value):
+    """(shape, leaves) of a nonempty list or tuple nesting exact finite
+    floats in lists of a uniform shape, such as an (N, d) or (N, d, d)
+    array's ``tolist()``; else None."""
+    shape = (len(value),)
+    leaves = value
+    while type(leaves[0]) is list:
+        width = len(leaves[0])
+        if not width or set(map(type, leaves)) != {list} or set(map(len, leaves)) != {width}:
+            return None
+        shape += (width,)
+        leaves = [x for row in leaves for x in row]
+    # A NaN or an infinity makes the sum non-finite; so can an overflow,
+    # which only sends a finite block down the general path.
+    if set(map(type, leaves)) != {float} or not math.isfinite(sum(leaves)):
+        return None
+    return shape, leaves
+
+
+def _layout(items: list[str], level: int, brackets: str = "[]") -> str:
+    """JSON texts one per line, indented one level deeper than the
+    ``brackets`` around them at nesting ``level``."""
+    indent = "\n" + "  " * (level + 1)
+    return brackets[0] + indent + ("," + indent).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _block_template(shape: tuple, level: int) -> str:
+    """The layout of a float block at nesting ``level``, with one ``%r``
+    per float."""
+    if not shape:
+        return "%r"
+    return _layout([_block_template(shape[1:], level + 1)] * shape[0], level)
+
+
+def _json(value, level: int) -> str:
+    """``value``'s JSON text at nesting ``level``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        block = _float_block(value)
+        if block is not None:
+            return _block_template(block[0], level) % tuple(block[1])
+        return _layout([_json(v, level + 1) for v in value], level)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_key_text(k) + ": " + _json(v, level + 1) for k, v in sorted(value.items())]
+        return _layout(items, level, "{}")
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(data) -> str:
+    """``data`` as the package writes JSON: exactly the text of
+    ``json.dumps(data, indent=2, sort_keys=True)``, built without json's
+    pure-Python indenting encoder. A list nesting finite exact floats in a
+    uniform shape (an array's ``tolist()``) is written in one ``%`` format;
+    everything else goes value by value. A value json cannot write raises
+    json's TypeError."""
+    return _json(data, 0)
+
+
 def save_json(obj, path) -> None:
-    """Write any object exposing ``to_dict`` (or a plain dict) as JSON with
-    sorted keys, creating the parent directory if needed."""
+    """Write any object exposing ``to_dict`` (or a plain dict) as
+    :func:`json_text` plus a newline, creating the parent directory if
+    needed. The document is built before the file is opened, so a value
+    json cannot write raises TypeError and leaves no file."""
     data = obj.to_dict() if hasattr(obj, "to_dict") else obj
+    text = json_text(data) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
 
 
 def load_json(path) -> dict:
     """The JSON object held by ``path``; ValueError naming the path when the
-    file holds another JSON value."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    file is not valid UTF-8 JSON or holds another JSON value."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return data

@@ -78,6 +78,18 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {scenario} does not hold a JSON object\n"
         assert not out.exists()
 
+    def test_malformed_scenario_fails_naming_the_file(self, tmp_path, capsys):
+        scenario = tmp_path / "broken.json"
+        scenario.write_text('{"kind": "surface", }')
+        out = tmp_path / "fit"
+        assert run("fit", "--scenario", scenario, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {scenario} is not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 21 (char 20)\n"
+        )
+        assert not out.exists()
+
     def test_rigid_map_is_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
         """A tilt scene moves rigidly, so its residual is fitted as zero
         without a search whose end BLAS rounding could steer: map.json does
@@ -267,6 +279,46 @@ class TestMetricsAndRank:
         payload = json.loads(out.read_text())
         assert set(payload) == set(METRIC_NAMES)
         assert payload["frechet"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_stdout_is_the_written_json_file(self, tmp_path, capsys, command):
+        a = Trajectory(positions=[[0.0, 0.0], [1.0, 0.3], [2.0, 0.1]])
+        b = Trajectory(positions=[[0.0, 1.0], [1.0, 1.7], [2.0, 1.0]])
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        save_json(a, pa)
+        save_json(b, pb)
+        out = tmp_path / "out.json"
+        if command == "metrics":
+            assert run("metrics", "--produced", pa, "--reference", pb, "--out", out) == 0
+        else:
+            from poltrans.metrics import write_metrics_csv
+
+            rng = np.random.default_rng(3)
+            rows = []
+            for method in ("gpt", "le"):
+                for rep in range(6):
+                    row = {"scenario": f"s-{rep}", "method": method, "repetition": 0}
+                    row.update({name: float(rng.uniform(0, 1)) for name in METRIC_NAMES})
+                    rows.append(row)
+            write_metrics_csv(rows, tmp_path / "metrics.csv")
+            assert run("rank", "--metrics", tmp_path / "metrics.csv", "--out", out) == 0
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("which", ["produced", "reference"])
+    def test_malformed_trajectory_fails_naming_the_file(self, tmp_path, capsys, which):
+        paths = {name: tmp_path / f"{name}.json" for name in ("produced", "reference")}
+        for path in paths.values():
+            save_json(Trajectory(positions=[[0.0, 0.0], [1.0, 0.0]]), path)
+        paths[which].write_text('{"positions": [[0.0, 0.0]')
+        out = tmp_path / "metrics.json"
+        argv = ("metrics", "--produced", paths["produced"], "--reference", paths["reference"], "--out", out)
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[which]} is not valid JSON: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
 
     def test_rank_command(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -134,6 +134,14 @@ class TestRender:
             scene.band([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], radii)
         assert scene._elements == []
 
+    @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []])
+    def test_band_radii_of_the_wrong_length_are_rejected(self, radii):
+        scene = SvgScene()
+        message = rf"band radii must be one per band point: got {len(radii)} radii for 3 points"
+        with pytest.raises(ValueError, match=message):
+            scene.band([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], radii)
+        assert scene._elements == []
+
     def test_scene_with_no_elements(self, tmp_path):
         scene = SvgScene()
         assert scene.render() == "\n".join([*HEADER, "</svg>"]) == oracle_render(scene)

@@ -1,6 +1,7 @@
 """Container invariants, validation reports, and serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from poltrans import (
     save_json,
     validate_labels,
 )
-from poltrans.types import _sq_dists
+from poltrans.types import _sq_dists, json_text
 
 
 class TestPointSet:
@@ -322,3 +323,115 @@ def test_integer_json_reads_back_with_the_field_types():
     scenario = SurfaceScenario.from_dict(data)
     assert type(scenario.params["angle"]) is float
     assert type(scenario.seed) is int and scenario.seed == 3
+
+
+def dumps_oracle(value) -> str:
+    """The package's JSON layout as json itself writes it."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7,
+               0.1, math.nan, math.inf, -math.inf]
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+# Non-ASCII, control and lone surrogate characters all go through json's
+# ASCII escaping.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), JSON_FLOATS, JSON_TEXT
+)
+
+
+def float_blocks(leaves):
+    """Uniform nested lists of floats, as an array's ``tolist()``."""
+    shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    return shapes.flatmap(
+        lambda shape: st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+            lambda flat: np.reshape(flat, shape).tolist()
+        )
+    )
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | float_blocks(st.floats(allow_nan=False, allow_infinity=False)) | float_blocks(JSON_FLOATS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+# Named values for the writer: each layout path and its edges.
+WRITER_CASES = {
+    "block_n_2": np.random.default_rng(1).normal(size=(9, 2)).tolist(),
+    "block_n_2_2": (
+        np.random.default_rng(2).normal(size=(5, 2, 2)) * 10.0 ** np.arange(-200, 200, 80)[:, None, None]
+    ).tolist(),
+    "ragged_rows": [[1.0, 2.0], [3.0]],
+    "ragged_depth": [[[1.0]], [[2.0, 3.0]]],
+    "tuple_row": [[1.0, 2.0], (3.0, 4.0)],
+    "tuple_of_floats": (1.0, 2.5),
+    "tuple_of_rows": ([1.0, 2.0], [3.0, 4.0]),
+    "int_in_a_block": [[1.0, 2], [3.0, 4.0]],
+    "ints_bools_and_floats": [1, 2.0, True, 3.5],
+    "nan_in_a_block": [[0.5, math.nan], [1.5, 2.5]],
+    "infinity_in_a_block": [[[0.5, 0.25], [1.0, -math.inf]], [[0.0, 1.0], [2.0, 3.0]]],
+    "block_whose_sum_overflows": [1e308, 1e308, -1e308],
+    "float64_in_a_list": [np.float64(0.1), 0.2],
+    "empty_list": [],
+    "empty_dict": {},
+    "list_of_an_empty_list": [[]],
+    "list_of_empty_lists": [[], []],
+    "list_of_an_empty_dict": [{}],
+    "empties_in_a_dict": {"a": [], "b": {}, "c": [[]]},
+    "nested_dicts": {"b": [0.5, 1.5], "a": {"d": 2, "c": [[-0.0, 5e-324]]}},
+    "number_keys": {1: 1.5, 2.5: "x", -3: None},
+    "bool_key": {True: 1.0},
+    "none_key": {None: [1.0]},
+    "non_finite_keys": {math.nan: 1.0, math.inf: 2.0},
+    "escaped_string": "caf\u00e9 \x00\x1f \ud83d\ude00 \ud800",
+    "big_int": 10**100,
+}
+UNWRITABLE = {
+    "int64": np.int64(3),
+    "int64_value": {"n": np.int64(3)},
+    "float32_in_a_block": [[1.0, 2.0], [3.0, np.float32(4.0)]],
+    "numpy_bool": [np.bool_(True)],
+    "set": {"s": {1, 2}},
+    "tuple_key": {(1, 2): 1.0},
+    "object": object(),
+}
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_is_json_dumps_byte_for_byte(self, value):
+        assert json_text(value) == dumps_oracle(value)
+
+    @pytest.mark.parametrize("value", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+    def test_edge_cases_are_json_dumps_byte_for_byte(self, tmp_path, value):
+        assert json_text(value) == dumps_oracle(value)
+        path = tmp_path / "out.json"
+        save_json(value, path)
+        assert path.read_bytes() == (dumps_oracle(value) + "\n").encode()
+
+    @pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
+    def test_every_record_is_json_dumps_byte_for_byte(self, build):
+        data = build().to_dict()
+        assert json_text(data) == dumps_oracle(data)
+
+    @pytest.mark.parametrize("value", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+    def test_an_unwritable_value_raises_jsons_type_error_and_writes_no_file(self, tmp_path, value):
+        with pytest.raises(TypeError) as expected:
+            dumps_oracle(value)
+        path = tmp_path / "sub" / "out.json"
+        with pytest.raises(TypeError) as raised:
+            save_json(value, path)
+        assert str(raised.value) == str(expected.value)
+        assert not path.exists()
