@@ -94,6 +94,15 @@ def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
     return ViaAssignment(indices=cols, targets=targets)
 
 
+def _check_assignment(traj: Trajectory, assignment: ViaAssignment) -> None:
+    """Raise ValueError unless ``assignment`` binds nodes of ``traj`` to
+    targets of its dimension."""
+    if np.any(assignment.indices >= traj.m):
+        raise ValueError("assignment index out of range")
+    if assignment.targets.shape[1] != traj.dim:
+        raise ValueError("target dimension mismatch")
+
+
 def laplacian_edit(
     traj: Trajectory,
     assignment: ViaAssignment,
@@ -111,10 +120,7 @@ def laplacian_edit(
     """
     if topology not in ("chain", "ring"):
         raise ValueError(f"unknown topology {topology!r}; use 'chain' or 'ring'")
-    if np.any(assignment.indices >= traj.m):
-        raise ValueError("assignment index out of range")
-    if assignment.targets.shape[1] != traj.dim:
-        raise ValueError("target dimension mismatch")
+    _check_assignment(traj, assignment)
 
     order = np.argsort(assignment.indices)
     nodes = assignment.indices[order]
@@ -141,10 +147,7 @@ def reshaped_kmp(
     """
     if traj.times is None:
         raise ValueError("timestamps required for time-indexed reshaping")
-    if np.any(assignment.indices >= traj.m):
-        raise ValueError("assignment index out of range")
-    if assignment.targets.shape[1] != traj.dim:
-        raise ValueError("target dimension mismatch")
+    _check_assignment(traj, assignment)
 
     t_in = traj.times[assignment.indices][:, None]
     displacement = assignment.targets - traj.positions[assignment.indices]
@@ -154,14 +157,6 @@ def reshaped_kmp(
         gp = fit_gp(t_in, displacement)
     shift = predict_mean(gp, traj.times[:, None])
     return Trajectory(positions=traj.positions + shift, times=traj.times)
-
-
-def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distance of each row of an (N, dim) batch to ``center``, the
-    squared differences summed over the axes, shape (N,)."""
-    diff = points - center
-    diff *= diff
-    return diff.sum(axis=1)
 
 
 def _bump(sq: np.ndarray, radius: float) -> np.ndarray:
@@ -200,7 +195,8 @@ class LWTUnit:
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """The bump's weight at each point of an (N, dim) batch, shape (N,)."""
-        return _bump(_sq_dists_to(_as_batch(x, "points", self.center.size), self.center), self.radius)
+        pts = _as_batch(x, "points", self.center.size)
+        return _bump(_sq_dists(pts, self.center[None])[:, 0], self.radius)
 
     def jacobian_det(self, x: np.ndarray) -> np.ndarray:
         """Analytic det of the unit's Jacobian at each point of an (N, dim)
@@ -228,7 +224,7 @@ def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
     dim = lwt.units[0].center.size if lwt.units else None
     pts = _as_batch(x, "points", dim).copy()
     for unit in lwt.units:
-        weight = _bump(_sq_dists_to(pts, unit.center), unit.radius)
+        weight = _bump(_sq_dists(pts, unit.center[None])[:, 0], unit.radius)
         pts += weight[:, None] * unit.translation
     return pts
 
@@ -273,7 +269,7 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
         # One set of squared distances gives the radius and the bump. sqrt
         # is monotone and correctly rounded: sqrt of the least squared
         # distance to another keypoint is the least distance, bit for bit.
-        sq = _sq_dists_to(current, center)
+        sq = _sq_dists(current, center[None])[:, 0]
         sq[worst] = np.inf
         nearest = math.sqrt(sq.min())
         sq[worst] = 0.0  # the center's own distance

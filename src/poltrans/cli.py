@@ -199,9 +199,13 @@ def cmd_transport(args) -> int:
         "warnings": [str(v) for v in violations] + list(moved.warnings) + list(tmap.warnings),
     }
     if labels.stiffness is not None:
-        # eigvalsh returns each spectrum in ascending order
-        drift = np.abs(np.linalg.eigvalsh(labels.stiffness) - np.linalg.eigvalsh(moved.stiffness))
-        report["stiffness_spectrum_max_drift"] = float(drift.max())
+        # Over the labels of finite stiffness: warnings names the others.
+        finite = np.isfinite(labels.stiffness).all(axis=(1, 2))
+        if finite.any():
+            # eigvalsh returns each spectrum in ascending order
+            before = np.linalg.eigvalsh(labels.stiffness[finite])
+            drift = np.abs(before - np.linalg.eigvalsh(moved.stiffness[finite]))
+            report["stiffness_spectrum_max_drift"] = float(drift.max())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     moved.to_csv(out_dir / "transported.csv")

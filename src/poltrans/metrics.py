@@ -76,11 +76,6 @@ def _pair_positions(a, b) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
-def _lane(points: np.ndarray) -> np.ndarray:
-    """One (M, dim) curve as the single lane of a (dim, M, 1) stack."""
-    return points.T[:, :, None]
-
-
 def _lane_groups(pairs):
     """Each group of (a, b) position pairs that share (len(a), len(b), dim),
     as (indices of its pairs, a, b), with the group's curves stacked as the
@@ -95,6 +90,13 @@ def _lane_groups(pairs):
         a = np.stack([pairs[i][0].T for i in members], axis=2, out=np.empty((dim, m, len(members))))
         b = np.stack([pairs[i][1].T for i in members], axis=2, out=np.empty((dim, n, len(members))))
         yield members, a, b
+
+
+def _one_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """One (a, b) pair, checked as a batch's pairs are, as the single lane
+    of a (dim, m, 1) and b (dim, n, 1) stack."""
+    ((_, la, lb),) = _lane_groups([_pair_positions(a, b)])
+    return la, lb
 
 
 def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,16 +165,6 @@ def _wavefront(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return final[:lanes], final[lanes:]
 
 
-def _coupling_costs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Frechet and DTW costs of every (a, b) position pair, one wavefront
-    per group of pairs sharing (len(a), len(b), dim)."""
-    frechet = np.empty(len(pairs))
-    dtw = np.empty(len(pairs))
-    for members, a, b in _lane_groups(pairs):
-        frechet[members], dtw[members] = _wavefront(a, b)
-    return frechet, dtw
-
-
 def frechet_distance(a, b) -> float:
     """Discrete Frechet distance between two polylines.
 
@@ -180,7 +172,7 @@ def frechet_distance(a, b) -> float:
     C[i, j] = max(d(a_i, b_j), min(C[i-1, j], C[i, j-1], C[i-1, j-1])),
     computed exactly (no band) one anti-diagonal at a time.
     """
-    frechet, _ = _coupling_costs([_pair_positions(a, b)])
+    frechet, _ = _wavefront(*_one_pair(a, b))
     return float(frechet[0])
 
 
@@ -189,60 +181,28 @@ def dtw_distance(a, b) -> float:
     the minimum cumulative Euclidean distance over monotone alignments,
     C[i, j] = d(a_i, b_j) + min(C[i-1, j], C[i, j-1], C[i-1, j-1]),
     computed exactly (no band) one anti-diagonal at a time."""
-    _, dtw = _coupling_costs([_pair_positions(a, b)])
+    _, dtw = _wavefront(*_one_pair(a, b))
     return float(dtw[0])
 
 
 def _arclength_resample(points: np.ndarray, count: int) -> np.ndarray:
     """Each lane of a (2, m, L) stack resampled to ``count`` points equally
-    spaced by arc length, at the values ``np.interp`` gives each coordinate
-    over the cumulative arc length; a zero-length lane becomes copies of its
-    first point. Temporaries are dropped as soon as they are used, so the
-    peak memory stays below that of the wavefront."""
+    spaced by arc length, one ``np.interp`` per lane and coordinate over the
+    lane's cumulative arc length; a zero-length lane becomes copies of its
+    first point."""
     _, m, lanes = points.shape
     seg = np.diff(points, axis=1)
     np.multiply(seg, seg, out=seg)
     cum = np.zeros((m, lanes))
     # Segment lengths summed as np.linalg.norm(axis=1) sums two squares.
     np.cumsum(np.sqrt(seg[0] + seg[1]), axis=0, out=cum[1:])
-    del seg
     moving = cum[-1] > 0
     # A zero stop would send every lane down linspace's other rounding path.
     stations = np.linspace(0.0, np.where(moving, cum[-1], 1.0), count)
-    stations[:, ~moving] = 0.0
-    # knot: the last cumulative length at or below each station, as
-    # np.interp's search finds it. A stable sort of each lane's lengths
-    # followed by its stations puts every length before the stations it
-    # does not exceed, so station k sorts to place knot + 1 + k.
-    order = np.argsort(np.concatenate((cum, stations)).T, axis=1, kind="stable")
-    place = np.empty_like(order)
-    np.put_along_axis(place, order, np.arange(m + count), axis=1)
-    del order
-    knot = place[:, m:].T - np.arange(1, count + 1)[:, None]
-    del place
-    # Flat (point, lane) indices of each station's knot and of the next
-    # knot, which stops at the lane's last point.
-    lane = np.arange(lanes)
-    after = np.minimum(knot + 1, m - 1) * lanes + lane
-    knot = knot * lanes + lane
-    at = np.take(cum, knot)
-    run = np.take(cum, after) - at
-    del cum
-    # A station on a knot takes the knot's point, as in np.interp.
-    on_knot = stations == at
-    run[on_knot] = 1.0
-    flat = points.reshape(2, -1)
-    start = np.take(flat, knot, axis=1)
-    del knot
-    out = np.take(flat, after, axis=1)
-    del after
-    # np.interp's arithmetic: the slope first, then slope * offset + start.
-    out -= start
-    out /= run
-    stations -= at
-    out *= stations
-    out += start
-    np.copyto(out, start, where=on_knot)
+    out = np.empty((2, count, lanes))
+    for lane in range(lanes):
+        for axis in range(2):
+            out[axis, :, lane] = np.interp(stations[:, lane], cum[:, lane], points[axis, :, lane])
     out[:, :, ~moving] = points[:, :1, ~moving]
     return out
 
@@ -279,7 +239,7 @@ def area_between_curves(a, b) -> float:
     to swapping the curves). Each curve needs at least two points; a
     zero-length curve is resampled to copies of its first point.
     """
-    return float(_area_lanes(_lane(_positions(a)), _lane(_positions(b)))[0])
+    return float(_area_lanes(*_one_pair(a, b))[0])
 
 
 def _final_position_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,7 +249,7 @@ def _final_position_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def final_position_error(a, b) -> float:
     """Euclidean distance between the trajectories' final points."""
-    return float(_final_position_lanes(_lane(_positions(a)), _lane(_positions(b)))[0])
+    return float(_final_position_lanes(*_one_pair(a, b))[0])
 
 
 def _tail_directions(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +285,7 @@ def final_angle_error(a, b) -> float:
     The approach direction averages the unit directions of the last
     ``ANGLE_TAIL_SEGMENTS`` segments (or all segments when fewer).
     """
-    angle, stationary = _angle_lanes(_lane(_positions(a)), _lane(_positions(b)))
+    angle, stationary = _angle_lanes(*_one_pair(a, b))
     if stationary[0]:
         raise ValueError(_STATIONARY_TAIL)
     return float(angle[0])

@@ -121,6 +121,15 @@ def test_apply_maps_batches_and_rejects_a_1d_point():
         mapping.apply(np.array([1.0, 0.0]))
 
 
+def test_inconsistent_or_improper_rotation_is_rejected():
+    with pytest.raises(ValueError, match="inconsistent rotation/centroid dimensions"):
+        AffineMap(rotation=np.eye(2), source_centroid=np.zeros(3), target_centroid=np.zeros(3))
+    with pytest.raises(ValueError, match="inconsistent rotation/centroid dimensions"):
+        AffineMap(rotation=np.eye(2), source_centroid=np.zeros(2), target_centroid=np.zeros(3))
+    with pytest.raises(ValueError, match="rotation must be proper"):
+        AffineMap(rotation=np.diag([1.0, -1.0]), source_centroid=np.zeros(2), target_centroid=np.zeros(2))
+
+
 def test_identity_on_identical_sets():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, (6, 2))

@@ -200,6 +200,12 @@ class TestLaplacianEdit:
         with pytest.raises(ValueError, match="out of range"):
             laplacian_edit(traj, assignment)
 
+    def test_target_dimension_mismatch_rejected(self):
+        traj = Trajectory(positions=np.zeros((3, 2)) + np.arange(3)[:, None])
+        assignment = ViaAssignment(indices=[1], targets=[[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="target dimension mismatch"):
+            laplacian_edit(traj, assignment)
+
     def test_unknown_topology_rejected(self):
         traj = Trajectory(positions=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assignment = ViaAssignment(indices=[0], targets=[[0.0, 0.0]])
@@ -268,6 +274,12 @@ class TestReshapedKMP:
         traj = Trajectory(positions=np.zeros((3, 2)), times=[0.0, 1.0, 2.0])
         assignment = ViaAssignment(indices=[7], targets=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="out of range"):
+            reshaped_kmp(traj, assignment)
+
+    def test_target_dimension_mismatch_rejected(self):
+        traj = Trajectory(positions=np.zeros((3, 2)), times=[0.0, 1.0, 2.0])
+        assignment = ViaAssignment(indices=[1], targets=[[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="target dimension mismatch"):
             reshaped_kmp(traj, assignment)
 
 
@@ -407,6 +419,10 @@ class TestLWT:
             LWTUnit(center=[0.0, 0.0], translation=[0.0, 0.0], radius=0.0)
         # at the bound itself construction succeeds
         LWTUnit(center=[0.0, 0.0], translation=[LWT_STEP_RATIO, 0.0], radius=1.0)
+
+    def test_unit_center_and_translation_must_share_dimension(self):
+        with pytest.raises(ValueError, match="center and translation dimensions differ"):
+            LWTUnit(center=[0.0, 0.0], translation=[0.1, 0.0, 0.0], radius=1.0)
 
     def test_units_of_two_dimensions_do_not_compose(self):
         planar = LWTUnit(center=[0.0, 0.0], translation=[0.1, 0.0], radius=1.0)

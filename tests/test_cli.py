@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import suite_cells
-from poltrans import PolicyLabels, Trajectory, save_json
+from conftest import fold_pair, suite_cells
+from poltrans import PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
 from poltrans import cli
 from poltrans.cli import main
-from poltrans.metrics import METRIC_NAMES, compute_metrics, read_metrics_csv
+from poltrans.metrics import METRIC_NAMES, compute_metrics, mann_whitney_u, read_metrics_csv, write_metrics_csv
 from poltrans.scenarios import frame_pairing, load_scenario, make_surface_scenario, save_scenario
 
 
@@ -202,6 +202,51 @@ class TestTransport:
         code = run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", tmp_path)
         assert code == 1
 
+    def test_stiffness_drift_is_taken_over_the_finite_labels(self, tmp_path, fitted_map):
+        stiffness = np.stack([3.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.diag([1.0, 5.0])])
+        positions = [[0.2, 0.0], [0.5, 0.1], [0.7, 0.05]]
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=positions, stiffness=stiffness), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
+        text = (out / "transport_report.json").read_text()
+        assert "NaN" not in text
+        report = json.loads(text)
+        assert report["warnings"][0] == "stiffness[1]: non-finite residual nan"
+        # the drift equals that of the finite labels transported alone
+        finite_path = tmp_path / "finite.json"
+        save_json(PolicyLabels(positions=positions[::2], stiffness=stiffness[::2]), finite_path)
+        alone = tmp_path / "alone"
+        assert run("transport", "--map", fitted_map, "--labels", finite_path, "--out-dir", alone) == 0
+        expected = json.loads((alone / "transport_report.json").read_text())["stiffness_spectrum_max_drift"]
+        assert 0.0 <= report["stiffness_spectrum_max_drift"] == expected < 1e-9
+
+    def test_stiffness_drift_is_left_out_when_no_label_is_finite(self, tmp_path, fitted_map):
+        stiffness = np.stack([[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]])
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0], [0.5, 0.1]], stiffness=stiffness), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 0
+        report = json.loads((out / "transport_report.json").read_text())
+        assert "stiffness_spectrum_max_drift" not in report
+        assert [w.split(" residual")[0] for w in report["warnings"][:2]] == [
+            "stiffness[0]: non-finite",
+            "stiffness[1]: non-finite",
+        ]
+
+    def test_labels_across_a_fold_are_warned(self, tmp_path, capsys):
+        map_path = tmp_path / "fold.json"
+        save_transport_map(fit_transport(fold_pair()), map_path)
+        xs = np.linspace(0.0, 3.0, 31)
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=np.stack([xs, np.full(31, 0.3)], axis=1)), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", map_path, "--labels", labels_path, "--out-dir", out) == 0
+        fraction = json.loads((out / "transport_report.json").read_text())["det_positive_fraction"]
+        assert 0.0 < fraction < 1.0
+        warning = f"warning: det(J) > 0 on only {100 * fraction:.1f}% of label positions\n"
+        assert capsys.readouterr().err == warning
+
     def test_missing_arguments_are_usage_errors(self, tmp_path, fitted_map):
         assert run("transport", "--map", fitted_map) == 2
 
@@ -372,6 +417,28 @@ class TestMetricsAndRank:
         assert run("rank", "--metrics", csv_path, "--alpha", alpha) == 2
         assert "argument --alpha: must lie strictly between 0 and 1" in capsys.readouterr().err
         assert not (tmp_path / "ranking.json").exists()
+
+    def test_rank_alpha_sets_the_significance_level(self, tmp_path):
+        # "low" lies a little below "high" on every metric: a one-sided p
+        # between 0.05 and 0.5, significant at --alpha 0.5 only
+        low = np.arange(10.0)
+        high = low + 1.5
+        _, p, _ = mann_whitney_u(low, high)
+        assert 0.05 < p < 0.5
+        rows = [
+            {"scenario": "s-0", "method": method, "repetition": rep, **{name: values[rep] for name in METRIC_NAMES}}
+            for method, values in (("low", low), ("high", high))
+            for rep in range(10)
+        ]
+        csv_path = tmp_path / "metrics.csv"
+        write_metrics_csv(rows, csv_path)
+        assert run("rank", "--metrics", csv_path, "--out", tmp_path / "default.json") == 0
+        assert run("rank", "--metrics", csv_path, "--alpha", "0.5", "--out", tmp_path / "half.json") == 0
+        default = json.loads((tmp_path / "default.json").read_text())
+        half = json.loads((tmp_path / "half.json").read_text())
+        assert default["points"] == {"high": 0, "low": 0}
+        assert half["points"] == {"high": 0, "low": len(METRIC_NAMES)}
+        assert half["ranking"] == [["low", 1], ["high", 2]]
 
     def test_rank_names_the_missing_metric_columns(self, tmp_path, capsys):
         csv_path = tmp_path / "metrics.csv"
@@ -982,6 +1049,12 @@ class TestBench:
         out = tmp_path / "bench"
         assert run("bench", "--suite", "surfaces", "--methods", "gpt,le,le", "--out-dir", out) == 2
         assert "method 'le' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_empty_method_list_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "surfaces", "--methods", ",", "--out-dir", out) == 2
+        assert "argument --methods: needs at least one method id" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (16, 4)])

@@ -607,6 +607,12 @@ class TestRobustness:
     def test_input_output_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
             build_gp([[0.0], [1.0]], [[0.0]], KernelParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="same length"):
+            fit_gp([[0.0], [1.0]], [[0.0]])
+
+    def test_a_model_needs_a_training_point(self):
+        with pytest.raises(ValueError, match="at least one training point required"):
+            build_gp(np.empty((0, 1)), np.empty((0, 2)), KernelParams(1.0, 1.0))
 
 
 class TestLapackSeam:

@@ -17,6 +17,7 @@ from conftest import (
     loop_dtw,
     loop_frechet,
     mw_exact_enumeration,
+    pair_arclength_resample,
     pair_area_between_curves,
     pair_compute_metrics,
     pair_final_angle_error,
@@ -31,9 +32,11 @@ from poltrans.metrics import (
     MetricReport,
     RankingResult,
     area_between_curves,
+    _arclength_resample,
     _average_ranks,
-    _coupling_costs,
+    _lane_groups,
     _u_tests,
+    _wavefront,
     compute_metrics,
     compute_metrics_batch,
     dtw_distance,
@@ -48,6 +51,15 @@ from poltrans.metrics import (
 
 PARALLEL_A = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
 PARALLEL_B = PARALLEL_A + np.array([0.0, 1.0])
+
+
+def wavefront_costs(pairs):
+    """Frechet and DTW costs of every (a, b) pair, in order, one wavefront
+    per group of pairs that share (len(a), len(b), dim)."""
+    frechet, dtw = np.empty(len(pairs)), np.empty(len(pairs))
+    for members, a, b in _lane_groups(pairs):
+        frechet[members], dtw[members] = _wavefront(a, b)
+    return frechet, dtw
 
 
 def tail_trajectory(angle, n=8, origin=(0.0, 0.0)):
@@ -102,7 +114,7 @@ class TestCurveDistances:
                 pairs.append(
                     (rng.integers(0, 3, (m, dim)).astype(float), rng.integers(0, 3, (n, dim)).astype(float))
                 )
-        frechet, dtw = _coupling_costs(pairs)
+        frechet, dtw = wavefront_costs(pairs)
         assert frechet.tolist() == [loop_frechet(a, b) for a, b in pairs]
         assert dtw.tolist() == [loop_dtw(a, b) for a, b in pairs]
 
@@ -121,14 +133,30 @@ class TestCurveDistances:
                     else:
                         a, b = rng.uniform(-1, 1, (m, dim)), rng.uniform(-1, 1, (n, dim))
                     pairs.append((a, b))
-        frechet, dtw = _coupling_costs(pairs)
+        frechet, dtw = wavefront_costs(pairs)
         for lane, (a, b) in enumerate(pairs):
             assert frechet[lane] == loop_frechet(a, b)
             assert dtw[lane] == loop_dtw(a, b)
 
-    def test_mismatched_dimensions_are_rejected(self):
-        with pytest.raises(ValueError, match="dimensions 2 and 3"):
-            frechet_distance(PARALLEL_A, np.zeros((4, 3)))
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            frechet_distance,
+            dtw_distance,
+            area_between_curves,
+            final_position_error,
+            final_angle_error,
+            compute_metrics,
+        ],
+        ids=lambda metric: metric.__name__,
+    )
+    def test_mismatched_dimensions_are_rejected(self, metric):
+        # every one-pair metric checks dimensions first, as the batch does
+        rng = np.random.default_rng(5)
+        planar = np.cumsum(rng.uniform(0.1, 1.0, (10, 2)), axis=0)
+        spatial = np.cumsum(rng.uniform(0.1, 1.0, (10, 3)), axis=0)
+        with pytest.raises(ValueError, match="trajectories have dimensions 2 and 3"):
+            metric(planar, spatial)
 
     def test_parallel_segments_hand_values(self):
         assert frechet_distance(PARALLEL_A, PARALLEL_B) == pytest.approx(1.0)
@@ -213,6 +241,36 @@ class TestAreaBetweenCurves:
             a = rng.uniform(-1, 1, (m, 2))
             b = rng.uniform(-1, 1, (n, 2))
             assert area_between_curves(a, b) == loop_area_between(a, b)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 20])
+    def test_resampler_is_bitwise_np_interp_lane_by_lane(self, m):
+        # 24 lanes: random walks, walks with repeated points, walks on a
+        # half-unit grid (stations land on knots) and zero-length lanes,
+        # half of them of distinct points whose squared steps underflow,
+        # resampled to every count from m to 2m + 2
+        rng = np.random.default_rng(m)
+        grid_steps = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5], [0.0, 0.0]])
+        lanes = []
+        for lane in range(24):
+            kind = lane % 4
+            if kind == 2:
+                steps = grid_steps[rng.integers(0, 5, m)]
+            else:
+                steps = rng.uniform(-1, 1, (m, 2))
+            if kind == 1:
+                steps[rng.random(m) < 0.4] = 0.0
+            if kind == 3 and lane % 8 == 7:
+                steps *= 1e-170
+            elif kind == 3:
+                steps[1:] = 0.0
+            lanes.append(np.cumsum(steps, axis=0))
+        stack = np.stack([pts.T for pts in lanes], axis=2)
+        for count in range(m, 2 * m + 3):
+            out = _arclength_resample(stack, count)
+            assert out.shape == (2, count, len(lanes))
+            for lane, pts in enumerate(lanes):
+                expected = pair_arclength_resample(pts, count).T
+                assert out[:, :, lane].tobytes() == expected.tobytes()
 
     def test_needs_two_points_per_curve(self):
         with pytest.raises(ValueError):
@@ -375,6 +433,15 @@ class TestEndpointMetrics:
             assert final_angle_error(a, b) == pair_final_angle_error(a, b)
             if dim == 2:
                 assert area_between_curves(a, b) == pair_area_between_curves(a, b)
+
+    def test_compute_metrics_raises_the_error_of_a_failing_pair(self):
+        frozen = np.vstack([tail_trajectory(0.0, n=3), np.tile([9.0, 9.0], (7, 1))])
+        with pytest.raises(ValueError, match="stationary tail"):
+            compute_metrics(frozen, tail_trajectory(0.2, n=10))
+
+    def test_final_angle_needs_two_points_per_curve(self):
+        with pytest.raises(ValueError, match="angle metric needs at least two points per curve"):
+            final_angle_error([[0.0, 0.0]], PARALLEL_A)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,15 @@ class TestFrameScenarios:
         with pytest.raises(ValueError, match="coincide"):
             make_frame_scenario(pose, pose)
 
+    @pytest.mark.parametrize("xy, heading", [((np.nan, 0.0), 0.0), ((0.0, np.inf), 0.0), ((0.0, 0.0), np.nan)])
+    def test_non_finite_pose_rejected(self, xy, heading):
+        with pytest.raises(ValueError, match="pose entries must be finite"):
+            Pose(xy=xy, heading=heading)
+
+    def test_frames_need_a_keypoint_each(self):
+        with pytest.raises(ValueError, match="need at least one keypoint per frame"):
+            random_frame_scenario(3, keypoints_per_frame=0)
+
     def test_frame_pairing_semantics(self):
         train = random_frame_scenario(seed=1)
         test = random_frame_scenario(seed=2)

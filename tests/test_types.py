@@ -71,6 +71,10 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet([[np.inf, 0.0]])
 
+    def test_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="point set needs at least one point"):
+            PointSet(np.empty((0, 2)))
+
     def test_dict_round_trip(self):
         ps = PointSet([[0.25, -1.5, 3.0], [2.0, 0.125, -0.75]])
         back = PointSet.from_dict(ps.to_dict())
@@ -141,6 +145,10 @@ class TestTrajectory:
     def test_times_length_must_match(self):
         with pytest.raises(ValueError, match="length"):
             Trajectory(positions=[[0.0, 0.0], [1.0, 0.0]], times=[0.0, 1.0, 2.0])
+
+    def test_rejects_non_finite_positions(self):
+        with pytest.raises(ValueError, match="positions contain NaN or Inf"):
+            Trajectory(positions=[[0.0, 0.0], [np.nan, 0.0]])
 
     def test_times_are_optional(self):
         traj = Trajectory(positions=[[0.0, 0.0], [1.0, 0.0]])
