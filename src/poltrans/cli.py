@@ -3,8 +3,12 @@
 Exit codes: 0 success, 1 runtime failure (missing/invalid files, numeric
 failure), 2 usage error (an unknown subcommand, suite or method, a missing
 required flag, a value out of range), raised before any file is written.
-``build_parser`` decides every setting: its flags' types check their
-values, and ``SUITE_TABLE`` holds the defaults that depend on --suite.
+A subcommand is one ``COMMAND_TABLE`` entry: its help line, the flags it
+adds to its parser, and the function it runs. A call builds only its own
+command's parser (``build_parser(command)``), with the same usage line and
+messages as the full one. The flags decide every setting: their types
+check their values, and ``SUITE_TABLE`` holds the defaults that depend on
+--suite.
 
 A suite is one ``SUITE_TABLE`` entry. Its cells, one per scene x method x
 repetition, are what ``_run_bench`` runs on a thread pool capped by the
@@ -607,7 +611,18 @@ def cmd_scenario_gen(args) -> int:
     return 0
 
 
-def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+def _fit_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True, help="scenario JSON file")
+    parser.add_argument("--out-dir", type=Path, default=".", help="output directory")
+
+
+def _transport_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--map", required=True, help="transport map JSON")
+    parser.add_argument("--labels", required=True, help="policy labels JSON")
+    parser.add_argument("--out-dir", type=Path, default=".", help="output directory")
+
+
+def _corpus_flags(parser: argparse.ArgumentParser) -> None:
     """The flags that choose a suite's corpus, shared by bench and scenario-gen."""
     parser.add_argument("--suite", required=True, choices=tuple(SUITE_TABLE))
     parser.add_argument("--seeds", type=_at_least(1), help="number of (test) seeds; default by suite")
@@ -615,61 +630,83 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-keypoints", type=_at_least(2), default=12, help="keypoints per surface")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _bench_flags(parser: argparse.ArgumentParser) -> None:
+    _corpus_flags(parser)
+    ids = ", ".join(METHODS)
+    parser.add_argument("--methods", type=_method_list, help=f"comma-separated method ids ({ids}); default by suite")
+    parser.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
+    parser.add_argument("--out-dir", type=Path, default="bench-out", help="output directory")
+
+
+def _metrics_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--produced", required=True, help="trajectory JSON")
+    parser.add_argument("--reference", required=True, help="trajectory JSON")
+    parser.add_argument("--out", help="optional output JSON path")
+
+
+def _rank_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metrics", required=True, help="metrics CSV from bench")
+    parser.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
+    parser.add_argument("--out", help="ranking JSON path")
+
+
+def _scenario_gen_flags(parser: argparse.ArgumentParser) -> None:
+    _corpus_flags(parser)
+    parser.add_argument("--kpf", type=_at_least(1), default=5, help="keypoints per frame")
+    parser.add_argument("--out-dir", type=Path, default=".", help="output directory")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help line, ``flags(parser)``, which adds its
+    arguments to its subparser, and ``run(args)``, which carries it out and
+    returns the exit code."""
+
+    help: str
+    flags: Callable
+    run: Callable
+
+
+COMMAND_TABLE = {
+    "fit": Command("fit a transport map to a scenario's keypoints", _fit_flags, cmd_fit),
+    "transport": Command("transport labels through a fitted map", _transport_flags, cmd_transport),
+    "bench": Command("run a benchmark suite", _bench_flags, cmd_bench),
+    "metrics": Command("compare two trajectory files", _metrics_flags, cmd_metrics),
+    "rank": Command("rank methods from a metrics CSV", _rank_flags, cmd_rank),
+    "scenario-gen": Command("write scenario JSON corpora", _scenario_gen_flags, cmd_scenario_gen),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one
+    alone. Both print the same usage line: the one-command parser names
+    every command in it, as the full parser does from its choices."""
     parser = argparse.ArgumentParser(
         prog="poltrans",
         description="Keypoint-conditioned policy transportation toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="fit a transport map to a scenario's keypoints")
-    fit.add_argument("--scenario", required=True, help="scenario JSON file")
-    fit.add_argument("--out-dir", type=Path, default=".", help="output directory")
-    fit.set_defaults(func=cmd_fit)
-
-    transport = sub.add_parser("transport", help="transport labels through a fitted map")
-    transport.add_argument("--map", required=True, help="transport map JSON")
-    transport.add_argument("--labels", required=True, help="policy labels JSON")
-    transport.add_argument("--out-dir", type=Path, default=".", help="output directory")
-    transport.set_defaults(func=cmd_transport)
-
-    bench = sub.add_parser("bench", help="run a benchmark suite")
-    _add_corpus_flags(bench)
-    ids = ", ".join(METHODS)
-    bench.add_argument("--methods", type=_method_list, help=f"comma-separated method ids ({ids}); default by suite")
-    bench.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
-    bench.add_argument("--out-dir", type=Path, default="bench-out", help="output directory")
-    bench.set_defaults(func=cmd_bench)
-
-    metrics = sub.add_parser("metrics", help="compare two trajectory files")
-    metrics.add_argument("--produced", required=True, help="trajectory JSON")
-    metrics.add_argument("--reference", required=True, help="trajectory JSON")
-    metrics.add_argument("--out", help="optional output JSON path")
-    metrics.set_defaults(func=cmd_metrics)
-
-    rank = sub.add_parser("rank", help="rank methods from a metrics CSV")
-    rank.add_argument("--metrics", required=True, help="metrics CSV from bench")
-    rank.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
-    rank.add_argument("--out", help="ranking JSON path")
-    rank.set_defaults(func=cmd_rank)
-
-    gen = sub.add_parser("scenario-gen", help="write scenario JSON corpora")
-    _add_corpus_flags(gen)
-    gen.add_argument("--kpf", type=_at_least(1), default=5, help="keypoints per frame")
-    gen.add_argument("--out-dir", type=Path, default=".", help="output directory")
-    gen.set_defaults(func=cmd_scenario_gen)
-
+    # The one-command parser lists every command in its usage line through
+    # a metavar. The full parser takes none: a metavar would also replace
+    # "argument command" in its errors.
+    metavar = None if command is None else "{" + ",".join(COMMAND_TABLE) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMAND_TABLE if command is None else (command,):
+        entry = COMMAND_TABLE[name]
+        entry.flags(sub.add_parser(name, help=entry.help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A call builds only its own command's parser; any other first word (no
+    # command, -h, an unknown one) gets the full parser and its messages.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMAND_TABLE else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return COMMAND_TABLE[args.command].run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,24 +120,25 @@ def _wavefront(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for Frechet and + for DTW. The cells of one anti-diagonal i + j = k
     depend only on diagonals k-1 and k-2, so the sweep runs one diagonal of
     every lane per NumPy call. Lanes are the minor axis throughout: a
-    diagonal is an (m+1, 2B) block whose row i + 1 holds cell (i, k-i) of
-    the B Frechet lanes, then of the B DTW lanes. Row 0 and the rows a
-    diagonal does not reach stay +inf, so each diagonal reads the same
-    shifted row ranges of its two predecessors; three such blocks are
-    reused in turn. Along a diagonal i runs over a contiguous row range of
-    a and k - i over one of b with its points reversed, so every operand
-    of a diagonal is a (width, B) or (width, 2B) block of contiguous rows,
-    and its distances come straight from the points, summed over the axes
-    in order like ``cdist``. Every cell applies min and step to the same
+    diagonal is a (2, m+1, B) array whose row i + 1 of half 0 holds cell
+    (i, k-i) of the B Frechet lanes and of half 1 that of the B DTW lanes.
+    Row 0 and the rows a diagonal does not reach stay +inf, so each
+    diagonal reads the same shifted row ranges of its two predecessors;
+    three such arrays are reused in turn. Along a diagonal i runs over a
+    contiguous row range of a and k - i over one of b with its points
+    reversed (copied once, so its rows run forward too), so every operand
+    of a diagonal is one (width, B) block of contiguous rows per half, and
+    its distances come straight from the points, summed over the axes in
+    order like ``cdist``. Every cell applies min and step to the same
     operands as the cell-by-cell loop, so each lane is bit-identical to it.
     """
     dim, m, lanes = a.shape
     n = b.shape[1]
-    rb = b[:, ::-1]
-    diagonals = np.full((3, m + 1, 2 * lanes), np.inf)
+    rb = np.ascontiguousarray(b[:, ::-1])
+    diagonals = np.full((3, 2, m + 1, lanes), np.inf)
     dist = np.empty((m, lanes))
     term = np.empty((m, lanes))
-    reach = np.empty((m, 2 * lanes))
+    reach = np.empty((2, m, lanes))
     for k in range(m + n - 1):
         lo, hi = max(0, k - n + 1), min(m, k + 1)  # i over [lo, hi)
         width = hi - lo
@@ -150,19 +151,19 @@ def _wavefront(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.multiply(t, t, out=t)
             np.add(d, t, out=d)
         np.sqrt(d, out=d)
-        cells = diagonals[k % 3, lo + 1 : hi + 1]
+        cells = diagonals[k % 3, :, lo + 1 : hi + 1]
         if k == 0:
-            cells[:, :lanes] = d
-            cells[:, lanes:] = d
+            cells[0] = d
+            cells[1] = d
             continue
         last, before = diagonals[(k - 1) % 3], diagonals[(k - 2) % 3]
-        r = reach[:width]
-        np.minimum(last[lo:hi], last[lo + 1 : hi + 1], out=r)
-        np.minimum(r, before[lo:hi], out=r)
-        np.maximum(d, r[:, :lanes], out=cells[:, :lanes])
-        np.add(d, r[:, lanes:], out=cells[:, lanes:])
-    final = diagonals[(m + n - 2) % 3, m]
-    return final[:lanes], final[lanes:]
+        r = reach[:, :width]
+        np.minimum(last[:, lo:hi], last[:, lo + 1 : hi + 1], out=r)
+        np.minimum(r, before[:, lo:hi], out=r)
+        np.maximum(d, r[0], out=cells[0])
+        np.add(d, r[1], out=cells[1])
+    final = diagonals[(m + n - 2) % 3, :, m]
+    return final[0], final[1]
 
 
 def frechet_distance(a, b) -> float:

@@ -203,19 +203,19 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     aligned, residual_targets = _residual_data(affine, kp)
 
     residual = fit_gp(aligned, residual_targets)
-    tmap = TransportMap(affine=affine, residual=residual, keypoints=kp)
+    tmap = TransportMap(affine=affine, residual=residual, keypoints=kp, warnings=affine.warnings)
 
     tol = match_tolerance(kp)
     err = float(tmap.keypoint_errors.max())
     if err > tol:
         pinned = fit_gp(aligned, residual_targets, noise_ratio=NOISE_FLOOR_RATIO)
-        pinned_map = TransportMap(affine=affine, residual=pinned, keypoints=kp)
+        pinned_map = replace(tmap, residual=pinned)
         pinned_err = float(pinned_map.keypoint_errors.max())
         if pinned_err < err:
             tmap, err = pinned_map, pinned_err
         if err > tol:
             note = f"keypoint match tolerance exceeded: max error {err:.3e} > {tol:.3e}"
-            tmap = replace(tmap, warnings=(note,))
+            tmap = replace(tmap, warnings=tmap.warnings + (note,))
     return tmap
 
 

@@ -19,7 +19,8 @@ def residual_norm(kp, mapping):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([2, 3]))
 def test_recovers_exact_rigid_motion(seed, n, dim):
     # exact recovery needs the centered points to span at least dim-1
-    # directions (rank-deficient cases fall back to a pure translation)
+    # directions (collinear 3-D points get the smallest rotation onto the
+    # target line, coincident ones a pure translation)
     rng = np.random.default_rng(seed)
     kp, rot, shift = random_rigid_pair(rng, n=max(n, dim), dim=dim)
     mapping = fit_affine(kp)
@@ -89,6 +90,69 @@ def test_collinear_lines_still_align():
     mapping = fit_affine(PairedKeypoints(PointSet(src), PointSet(tgt)))
     assert is_rotation(mapping.rotation)
     assert_allclose(mapping.apply(src), tgt, atol=1e-9)
+
+
+RZ_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def x_axis_points(n=8):
+    return np.stack([np.linspace(-1.0, 2.0, n), np.zeros(n), np.zeros(n)], axis=1)
+
+
+def test_collinear_3d_points_take_the_smallest_rotation_onto_the_target_line():
+    """Only the spin about the line is free: the fit turns the x-axis onto
+    the y-axis about z, not the identity, and says the spin was chosen."""
+    src = x_axis_points()
+    mapping = fit_affine(PairedKeypoints(PointSet(src), PointSet(src @ RZ_90.T + [0.3, 0.1, 0.0])))
+    assert is_rotation(mapping.rotation)
+    assert_allclose(mapping.rotation, RZ_90, atol=1e-15)
+    assert_allclose(mapping.apply([[0.5, 2.0, 0.0]]), [[-1.7, 0.6, 0.0]], atol=1e-12)
+    (warning,) = mapping.warnings
+    assert "collinear keypoints" in warning and "free" in warning
+    assert "warnings" not in mapping.to_dict()
+
+
+def test_opposite_3d_lines_turn_half_way_round_the_stated_axis():
+    """x -> -x: a half turn about x cross e_y, the axis of x's first
+    smallest component, so about z."""
+    src = x_axis_points()
+    mapping = fit_affine(PairedKeypoints(PointSet(src), PointSet(0.5 - src)))
+    assert_allclose(mapping.rotation, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
+    assert_allclose(mapping.apply(src), 0.5 - src, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_collinear_3d_rotation_carries_the_line_the_short_way(seed):
+    """Any directions, nearly opposite ones included: the rotation is
+    proper, maps the source line onto the target line and fixes the normal
+    of the plane of the two lines, so it turns by no more than their angle.
+    That normal carries ~eps / |d x e| of round-off."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    e = -d + 10.0 ** -rng.uniform(2, 9) * rng.normal(size=3) if seed % 2 else rng.normal(size=3)
+    e /= np.linalg.norm(e)
+    t = rng.uniform(-1.0, 1.0, 9)
+    mapping = fit_affine(PairedKeypoints(PointSet(np.outer(t, d)), PointSet(np.outer(t, e) + 1.0)))
+    assert is_rotation(mapping.rotation)
+    assert_allclose(mapping.rotation @ d, e, atol=1e-13)
+    normal = np.cross(d, e)
+    size = np.linalg.norm(normal)
+    assert_allclose(mapping.rotation @ normal / size, normal / size, atol=1e-14 / size)
+    assert mapping.warnings
+
+
+def test_coincident_3d_points_give_identity_rotation_without_warning():
+    mapping = fit_affine(PairedKeypoints(PointSet(np.zeros((4, 3))), PointSet(np.ones((4, 3)))))
+    assert_allclose(mapping.rotation, np.eye(3), atol=0)
+    assert mapping.warnings == ()
+
+
+def test_planar_fits_warn_of_nothing():
+    """The 2-D rules are unchanged: collinear points keep the flip rule."""
+    src = np.stack([np.linspace(0, 1, 5), np.zeros(5)], axis=1)
+    for tgt in (src[:, ::-1], np.ones((5, 2)), -src):
+        assert fit_affine(PairedKeypoints(PointSet(src), PointSet(tgt))).warnings == ()
 
 
 def test_mirror_data_yields_rotation_not_reflection():

@@ -1104,20 +1104,86 @@ CLI_SURFACE = {
 }
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def _helps(sub: argparse._SubParsersAction, command: str) -> dict:
+    """The command's help line and each of its flags' help strings."""
+    (line,) = [a.help for a in sub._choices_actions if a.dest == command]
+    flags = {"/".join(a.option_strings): a.help for a in sub.choices[command]._actions}
+    return {"": line, **flags}
+
+
+# Argument lists whose exit code, stdout and stderr must not depend on
+# whether main builds the full parser or only the named command's: every
+# command's help, no command, an unknown or misplaced one, and errors in
+# each kind of flag. A usage line listing only the parsed command would
+# show in the trailing --bogus case, which argparse reports at the top level.
+MESSAGE_ARGVS = [
+    *([command, "-h"] for command in CLI_SURFACE),
+    [], ["-h"], ["fitt"], ["-h", "fit"], ["--version"],
+    ["fit"], ["fit", "--scenario"], ["transport", "--map", "m.json"], ["metrics", "--produced", "x.json"],
+    ["bench", "--suite", "surfaces", "--alpha", "2"], ["rank", "--metrics", "m.csv", "--alpha", "nan"],
+    ["bench", "--suite", "surfaces", "--seeds", "0"], ["scenario-gen", "--suite", "frames", "--seeds", "0"],
+    ["bench", "--suite", "nope"], ["bench", "--suite", "surfaces", "--methods", ","],
+    ["fit", "fit"], ["fit", "--scenario", "x", "--bogus"],
+]
+
+
 class TestParsing:
     @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
     def test_subcommand_flags_and_defaults(self, command):
-        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert sorted(sub.choices) == sorted(CLI_SURFACE)
-        flags = {
-            "/".join(action.option_strings): REQUIRED if action.required else action.default
-            for action in sub.choices[command]._actions
-            if action.dest != "help"
-        }
-        assert flags == CLI_SURFACE[command]
-        if command == "bench":
-            (methods,) = [a for a in sub.choices[command]._actions if a.dest == "methods"]
-            assert f"({', '.join(cli.METHODS)})" in methods.help
+        full = _subparsers(cli.build_parser())
+        assert sorted(full.choices) == sorted(CLI_SURFACE)
+        own = _subparsers(cli.build_parser(command))
+        assert list(own.choices) == [command]
+        for sub in (full, own):
+            flags = {
+                "/".join(action.option_strings): REQUIRED if action.required else action.default
+                for action in sub.choices[command]._actions
+                if action.dest != "help"
+            }
+            assert flags == CLI_SURFACE[command]
+            assert _helps(sub, command) == _helps(full, command)
+            assert _helps(sub, command)[""] == cli.COMMAND_TABLE[command].help
+            if command == "bench":
+                (methods,) = [a for a in sub.choices[command]._actions if a.dest == "methods"]
+                assert f"({', '.join(cli.METHODS)})" in methods.help
+
+    @pytest.mark.parametrize("argv", MESSAGE_ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_messages_match_the_full_parser(self, argv, monkeypatch, capsys):
+        code = main(list(argv))
+        produced = capsys.readouterr()
+        full_parser = cli.build_parser
+        # The oracle: main with the full parser, whatever the command.
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert (code, *produced) == (main(list(argv)), *capsys.readouterr())
+        if argv[-1:] == ["--bogus"]:
+            assert produced.err.startswith("usage: poltrans [-h] {fit,transport,bench,metrics,rank,scenario-gen} ...\n")
+
+    def test_main_reads_sys_argv_when_argv_is_none(self, monkeypatch, scenario_file, tmp_path, capsys):
+        monkeypatch.setattr(sys, "argv", ["poltrans", "fit", "--scenario", str(scenario_file), "--out-dir", str(tmp_path)])
+        assert main() == 0
+        assert (tmp_path / "map.json").is_file()
+        monkeypatch.setattr(sys, "argv", ["poltrans"])
+        assert main() == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_a_fit_call_adds_only_fits_own_flags(self, monkeypatch, scenario_file, tmp_path):
+        """main builds only the parser of the command it runs: the top
+        level's and fit's -h, then fit's two flags, and no other command's."""
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *names, **kwargs):
+            added.append(names)
+            return add_argument(self, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert run("fit", "--scenario", scenario_file, "--out-dir", tmp_path) == 0
+        assert sorted(added) == sorted([("-h", "--help"), ("-h", "--help"), ("--scenario",), ("--out-dir",)])
 
     def test_unknown_command(self):
         assert run("explode") == 2

@@ -91,6 +91,22 @@ class TestFit:
         tmap = fit_transport(kp)
         assert any("tolerance exceeded" in w for w in tmap.warnings)
 
+    def test_collinear_3d_keypoints_map_the_plane_of_the_turn(self, tmp_path):
+        """8 keypoints on the x-axis, targets Rz(90 deg) of them plus
+        (0.3, 0.1, 0): (0.5, 2, 0) maps onto the image of its rotation, not
+        of the identity, and the map and its file name the free spin."""
+        x = np.linspace(-1.0, 2.0, 8)
+        src = np.stack([x, np.zeros(8), np.zeros(8)], axis=1)
+        tgt = np.stack([np.full(8, 0.3), x + 0.1, np.zeros(8)], axis=1)
+        tmap = fit_transport(PairedKeypoints(PointSet(src), PointSet(tgt)))
+        mapped, _ = transport_points(tmap, [[0.5, 2.0, 0.0]])
+        assert_allclose(mapped, [[-1.7, 0.6, 0.0]], atol=1e-12)
+        assert np.linalg.det(tmap.affine.rotation) == pytest.approx(1.0)
+        (warning,) = tmap.warnings
+        assert "collinear keypoints" in warning
+        save_transport_map(tmap, tmp_path / "map.json")
+        assert load_transport_map(tmp_path / "map.json").warnings == (warning,)
+
     @pytest.mark.parametrize("case", ["surface", "contradictory"])
     def test_keypoint_errors_equal_transported_keypoints(self, tmp_path, case):
         if case == "surface":
