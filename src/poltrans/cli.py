@@ -31,8 +31,8 @@ method or metrics, its exception type and message) and timings.json (the
 wall and process-CPU seconds of each of the ``BENCH_STAGES`` and, under
 ``methods``, the thread-CPU seconds of each method's cells, summed; a
 task's shared preparation counts to the first cell that reads it). A scene
-whose gpt map has a non-positive Jacobian determinant somewhere on the
-demonstration gets a warning on stderr.
+whose reported map (gpt's) has a non-positive Jacobian determinant
+somewhere on the demonstration gets a warning on stderr naming the method.
 """
 from __future__ import annotations
 
@@ -397,14 +397,16 @@ def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
 
 def _frame_cells(methods, seeds: int, args) -> list[BenchCell]:
     train_ids, test_ids = _frame_seeds(seeds, args.train_seeds)
+    # Each test seed draws its training seed; drawn seeds repeat, so each scenario is built once.
+    drawn = {seed: train_ids[int(np.random.default_rng(seed).integers(len(train_ids)))] for seed in test_ids}
+    kpfs = {METHOD_TABLE[method].frame_kpf for method in methods}
+    seeds_used = {*test_ids, *drawn.values()}
+    built = {(s, k): random_frame_scenario(s, keypoints_per_frame=k) for s in seeds_used for k in kpfs}
     cells = []
-    for test_seed in test_ids:
-        rng = np.random.default_rng(test_seed)
-        train_seed = train_ids[int(rng.integers(len(train_ids)))]
+    for test_seed, train_seed in drawn.items():
         inputs = {}
-        for kpf in {METHOD_TABLE[method].frame_kpf for method in methods}:
-            train = random_frame_scenario(train_seed, keypoints_per_frame=kpf)
-            test = random_frame_scenario(test_seed, keypoints_per_frame=kpf)
+        for kpf in kpfs:
+            train, test = built[train_seed, kpf], built[test_seed, kpf]
             # The training demonstration, recorded at its own frames, moves to the test frames.
             inputs[kpf] = (test, frame_pairing(train, test), train.reference)
         cells += [BenchCell(method, "chain", *inputs[METHOD_TABLE[method].frame_kpf]) for method in methods]
@@ -501,6 +503,7 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
     rows = []
     failures = []
     reports: dict = {}
+    reporters: dict = {}  # scene -> the method whose run returned its report
     scenes: dict = {}
     for cell, (produced, band, report, error, _) in zip(cells, outcomes):
         scene = cell.scenario.name
@@ -526,11 +529,12 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
             bundle["bands"][cell.method] = band
         if report is not None:
             reports[scene] = report
+            reporters[scene] = cell.method
 
     for name, entry in sorted(reports.items()):
         if entry["det_positive_pct"] < 100.0:
             print(
-                f"warning: {name}: gpt det(J) > 0 on only {entry['det_positive_pct']:.1f}% "
+                f"warning: {name}: {reporters[name]} det(J) > 0 on only {entry['det_positive_pct']:.1f}% "
                 "of the demonstration",
                 file=sys.stderr,
             )

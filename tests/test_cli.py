@@ -689,6 +689,22 @@ class TestBench:
         suite_cells(suite, methods, 3)
         assert len(calls) == 2 * builds
 
+    def test_default_frames_cells_build_each_scenario_once(self, monkeypatch):
+        """20 test seeds draw from 9 training seeds, so training seeds repeat:
+        one build per (seed, keypoints per frame), 56 rather than 80."""
+        calls = []
+        real = cli.random_frame_scenario
+
+        def counted(seed, keypoints_per_frame):
+            calls.append((seed, keypoints_per_frame))
+            return real(seed, keypoints_per_frame=keypoints_per_frame)
+
+        monkeypatch.setattr(cli, "random_frame_scenario", counted)
+        cells = suite_cells("frames", ("gpt", "le"), 20)
+        used = {(cell.scenario.seed, kpf) for cell in cells for kpf in (2, 5)}
+        assert len(calls) == len(set(calls)) == 56
+        assert used < set(calls) and len(cells) == 40
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
         "flags, alignments, assignments",
@@ -886,7 +902,7 @@ class TestBench:
 
             def dummy(task):
                 demo = task.demonstration
-                scene = scene_of[id(demo)]
+                scene = scene_of[id(task.keypoints)]
                 try:
                     if threads != "1" and scene in early and not late_done.wait(timeout=60):
                         raise TimeoutError("the late cells never finished")
@@ -906,7 +922,9 @@ class TestBench:
             monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 2, dummy))
             monkeypatch.setenv("POLTRANS_THREADS", threads)
             cells = suite_cells("frames", ("dummy", "gpt"), 5, "--train-seeds", 1)
-            scene_of = {id(c.demonstration): c.scenario.name for c in cells if c.method == "dummy"}
+            # one training demonstration serves every scene that drew its seed;
+            # the keypoint pairing is the scene's own
+            scene_of = {id(c.keypoints): c.scenario.name for c in cells if c.method == "dummy"}
             out = tmp_path / threads
             assert cli._run_bench("frames", cells, 0.05, out) == 0
             outputs.append(out)
@@ -962,6 +980,23 @@ class TestBench:
             f"warning: {name}: gpt det(J) > 0 on only {report[name]['det_positive_pct']:.1f}% "
             "of the demonstration"
             for name in folded
+        ]
+
+    def test_the_fold_warning_names_the_method_that_reported(self, tmp_path, monkeypatch, capsys):
+        """The warning used to say "gpt" whatever method returned the report entry."""
+
+        def folding(scene):
+            return scene.demonstration, None, {"det_positive_pct": 50.0}
+
+        monkeypatch.setitem(cli.METHOD_TABLE, "folding", cli.Method("#123456", 5, folding))
+        cells = suite_cells("surfaces", ("folding",), 1, "--n-keypoints", 7)
+        assert cli._run_bench("surfaces", cells, 0.05, tmp_path / "bench") == 0
+        scenes = sorted({cell.scenario.name for cell in cells})
+        assert json.loads((tmp_path / "bench" / "report.json").read_text()) == {
+            scene: {"det_positive_pct": 50.0} for scene in scenes
+        }
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {scene}: folding det(J) > 0 on only 50.0% of the demonstration" for scene in scenes
         ]
 
     def test_ranking_error_comes_last_and_names_the_method(self, tmp_path, monkeypatch, capsys):
@@ -1207,7 +1242,7 @@ def tracing(monkeypatch):
 
 
 def _scipy_loaded_by(*argv) -> set:
-    """The ``scipy`` modules, and ``numpy.ma`` if loaded, in sys.modules
+    """The ``scipy`` modules, and ``numpy.ma`` and ``fractions`` if loaded, in sys.modules
     after a fresh ``import poltrans.cli`` and, with ``argv``, after
     ``cli.main(argv)`` has also run and returned 0; one process per call."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1215,7 +1250,7 @@ def _scipy_loaded_by(*argv) -> set:
     run_main = f"assert poltrans.cli.main({[str(a) for a in argv]!r}) == 0; " if argv else ""
     code = (
         f"import json, sys, poltrans.cli; {run_main}"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma']))"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'fractions')]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
@@ -1266,11 +1301,19 @@ def test_cli_import_and_fit_leave_out_lazily_imported_scipy(module, start_up):
         assert module not in loaded, command
 
 
+def test_cli_import_and_fit_leave_out_fractions(start_up):
+    """fractions imports decimal (~2.7 ms on a fresh start); the SVG printer
+    settles its half-cent ties in plain integers instead."""
+    for command, loaded in start_up.items():
+        assert "fractions" not in loaded, command
+
+
 @pytest.mark.parametrize("suite", ["surfaces", "frames"])
 def test_bench_loads_only_the_compiled_scipy_routines(tmp_path, suite):
     """The baselines' linear_sum_assignment and the U tests' ndtr come from
-    their extension modules, not from scipy.optimize and scipy.special, and
-    no np.unique call loads numpy.ma (16-34 ms of CPU on a fresh start)."""
+    their extension modules, not from scipy.optimize and scipy.special, no
+    np.unique call loads numpy.ma (16-34 ms of CPU on a fresh start), and
+    printing the SVGs loads no fractions."""
     out = tmp_path / "bench"
     argv = ("bench", "--suite", suite, "--seeds", 3, "--train-seeds", 2, "--out-dir", out)
     assert _scipy_loaded_by(*argv) == ROUTINE_MODULES

@@ -1,11 +1,14 @@
-"""SVG overlays: rendering against a per-point formatting oracle, band
-offsets, and the world-to-pixel transform."""
+"""SVG overlays: rendering against a per-point formatting oracle, the
+vectorized '%.2f' printer against printf, band offsets, and the
+world-to-pixel transform."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from poltrans.svgplot import HEIGHT, WIDTH, SvgScene, offset_band
+from poltrans.svgplot import HEIGHT, WIDTH, SvgScene, _fixed2, offset_band
 
 HEADER = [
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -149,6 +152,52 @@ class TestRender:
         assert (tmp_path / "empty.svg").read_text(encoding="utf-8") == scene.render() + "\n"
 
 
+# The printer's exact domain: |v * 100| < 2**52.
+DOMAIN = 2.0**52 / 100
+
+
+def assert_prints_like_printf(values):
+    values = np.asarray(values, dtype=float)
+    text, starts = _fixed2(values)
+    printed = [text[starts[i] + 1:starts[i + 1]] for i in range(values.size)]
+    assert printed == ["%.2f" % v for v in values.tolist()]
+    assert text == "".join(" ,"[i % 2] + p for i, p in enumerate(printed))
+
+
+class TestFixed2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-DOMAIN, DOMAIN, exclude_min=True, exclude_max=True), min_size=1, max_size=20))
+    def test_prints_floats_in_its_domain_like_printf(self, values):
+        assert_prints_like_printf(values)
+
+    def test_exact_ties_round_to_even_like_printf(self):
+        # odd multiples of 1/8 are exact binary halves of a cent (0.125 -> 0.12,
+        # 0.375 -> 0.38), also far from zero where v * 100 has few spare bits
+        eighths = np.arange(-8001, 8002, 2) / 8.0
+        assert_prints_like_printf(np.concatenate([eighths, eighths + 1e6, eighths - 1e11]))
+
+    def test_neighbours_of_every_half_cent_like_printf(self):
+        # products that round onto a half: the binary 2.675 is below it, 1.005 above
+        halves = (np.arange(-100_000, 100_000) + 0.5) / 100
+        assert_prints_like_printf(
+            np.concatenate([halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)])
+        )
+
+    def test_signs_carries_and_widths_like_printf(self):
+        values = [0.0, -0.0, -0.004, -0.0049999, -1e-300, 0.005, 999.995, -999.995, 9.999, 99.995]
+        values += [sign * (10.0**digits - 0.001) for digits in range(1, 14) for sign in (1, -1)]
+        values += [sign * 1.5 * 10.0**digits for digits in range(13) for sign in (1, -1)]
+        assert_prints_like_printf(values)
+        assert _fixed2(np.array([-0.0, 0.004]))[0] == " -0.00,0.00"
+        text, starts = _fixed2(np.zeros(0))
+        assert text == "" and starts.tolist() == [0]
+
+    @pytest.mark.parametrize("value", [DOMAIN, -DOMAIN, 1e300, np.inf, -np.inf, np.nan])
+    def test_values_outside_its_domain_are_rejected(self, value):
+        with pytest.raises(ValueError, match=r"finite and below 2\*\*52 / 100"):
+            _fixed2(np.array([1.0, value]))
+
+
 class TestOffsetBand:
     def test_normals_of_a_straight_line(self):
         line = np.outer(np.arange(5.0), [3.0, 4.0]) + [1.0, -2.0]
@@ -178,6 +227,15 @@ class TestTransform:
         origin, right, up = scene._transform()(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         assert right[0] > origin[0] and right[1] == origin[1]
         assert up[1] < origin[1] and up[0] == origin[0]
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, 1.7e308)])
+    def test_an_extent_that_overflows_is_rejected(self, lo, hi):
+        """The extent overflows (or its padding does): the document used to
+        be drawn with nan coordinates after two RuntimeWarnings."""
+        scene = SvgScene()
+        scene.polyline([[lo, 0.0], [hi, 1.0]])
+        with pytest.raises(ValueError, match=r"padded SVG extent \[inf, .*\] is not finite"):
+            scene.render()
 
     def test_drawn_content_fits_the_canvas(self):
         rng = np.random.default_rng(1)
