@@ -34,7 +34,7 @@ import numpy as np
 
 from ._scipy import linear_sum_assignment
 from .gp import KernelParams, build_gp, fit_gp, predict_mean
-from .transport import match_tolerance
+from .transport import match_tolerance, zero_roundoff
 from .types import PairedKeypoints, Trajectory, _as_batch, _freeze, _sq_dists
 
 # Per-unit translation magnitude is capped at this fraction of the unit
@@ -143,14 +143,18 @@ def reshaped_kmp(
     timestamps; the fitted GP's mean displacement is added at every
     timestamp. With ``kernel_params`` given the GP uses them as-is,
     otherwise hyperparameters are optimized at ``fit_gp``'s default noise
-    ratio, 1e-6, so assigned nodes land on their targets.
+    ratio, 1e-6, so assigned nodes land on their targets. Labels that are
+    round-off of the targets and nodes (``transport.zero_roundoff``) are
+    exact zeros: the GP then adds an exact zero, and ``fit_gp`` searches no
+    hyperparameters for the rounding.
     """
     if traj.times is None:
         raise ValueError("timestamps required for time-indexed reshaping")
     _check_assignment(traj, assignment)
 
     t_in = traj.times[assignment.indices][:, None]
-    displacement = assignment.targets - traj.positions[assignment.indices]
+    nodes = traj.positions[assignment.indices]
+    displacement = zero_roundoff(assignment.targets - nodes, assignment.targets, nodes)
     if kernel_params is not None:
         gp = build_gp(t_in, displacement, kernel_params)
     else:

@@ -11,11 +11,12 @@ check their values, and ``SUITE_TABLE`` holds the defaults that depend on
 --suite.
 
 A suite is one ``SUITE_TABLE`` entry. Its cells, one per scene x method x
-repetition, are what ``_run_bench`` runs on a thread pool capped by the
-POLTRANS_THREADS environment variable. A method is one ``METHOD_TABLE``
-entry; the SVG's sigma band and report.json come from its run. Each scene's
-inputs (scenario, keypoint pairs, demonstration) are built once, before the
-pool, and every cell of the scene carries them. The pool runs one task per
+repetition, are what ``_run_bench`` runs on a thread pool of one worker, or
+of as many as the POLTRANS_THREADS environment variable sets. A method is
+one ``METHOD_TABLE`` entry; the SVG's sigma band and report.json come from
+its run. Each scene's inputs (scenario, keypoint pairs, demonstration) are
+built once, before the pool (the ``scenes`` stage), and every cell of the
+scene carries them. The pool runs one task per
 scene input set (a surface scene, or one keypoints-per-frame set of a frame
 scene): its cells, in cell order, on one ``SceneTask``, which pre-aligns the
 demonstration and keypoints and assigns the via-points once, when a run
@@ -97,9 +98,10 @@ from .svgplot import SvgScene
 # own inputs.
 FRAME_TRAIN_SEED = 100
 FRAME_TEST_SEED = 200
-# Stages of a bench run timed in timings.json: the method pool, the metric
-# batch, the SVG overlays, the ranking, and the table and JSON writes.
-BENCH_STAGES = ("cells", "metrics", "svgs", "ranking", "writes")
+# Stages of a bench run timed in timings.json: building the suite's scenes
+# and cells, the method pool, the metric batch, the SVG overlays, the
+# ranking, and the table and JSON writes.
+BENCH_STAGES = ("scenes", "cells", "metrics", "svgs", "ranking", "writes")
 
 
 class UsageError(Exception):
@@ -107,13 +109,16 @@ class UsageError(Exception):
 
 
 def _worker_count() -> int:
+    """The bench pool's worker count: POLTRANS_THREADS, at least 1, or 1
+    when it is unset. The methods hold the GIL for most of their time, so a
+    second worker only adds switching."""
     env = os.environ.get("POLTRANS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"POLTRANS_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(4, os.cpu_count() or 1))
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise UsageError(f"POLTRANS_THREADS must be an integer, got {env!r}") from exc
 
 
 def _at_least(minimum: int):
@@ -462,18 +467,22 @@ def _run_scene(cells: list[BenchCell]) -> list:
 
 @contextmanager
 def _stage(timings: dict, name: str):
-    """Add the wall and process-CPU seconds of the block to ``timings[name]``."""
+    """Add the wall and process-CPU seconds of the block to ``timings[name]``,
+    which starts at zero."""
     wall, cpu = time.perf_counter(), time.process_time()
     try:
         yield
     finally:
-        entry = timings[name]
+        entry = timings.setdefault(name, {"wall_s": 0.0, "cpu_s": 0.0})
         entry["wall_s"] += time.perf_counter() - wall
         entry["cpu_s"] += time.process_time() - cpu
 
 
-def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) -> int:
-    timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES}
+def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path, timings: dict | None = None) -> int:
+    """Run ``cells`` and write the bench artifacts to ``out_dir``. ``timings``
+    holds the stages timed before the call (``scenes``, when ``cmd_bench``
+    built the cells); every stage not timed reads zero."""
+    timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES} | (timings or {})
     # One task per scene input set: the cells that share their keypoints and
     # demonstration, in cell order.
     tasks: dict = {}
@@ -573,7 +582,9 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path) 
 def cmd_bench(args) -> int:
     suite = SUITE_TABLE[args.suite]
     methods = suite.methods if args.methods is None else args.methods
-    cells = suite.cells(methods, _seed_count(args), args)
+    timings: dict = {}
+    with _stage(timings, "scenes"):
+        cells = suite.cells(methods, _seed_count(args), args)
     # Each scene gives one row per method, and ranking two or more methods
     # needs U_TEST_MIN_SAMPLES rows each.
     scenes = len({cell.scenario.name for cell in cells})
@@ -582,7 +593,7 @@ def cmd_bench(args) -> int:
             f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} scenes "
             f"to rank two or more methods, got {scenes}"
         )
-    return _run_bench(args.suite, cells, args.alpha, args.out_dir)
+    return _run_bench(args.suite, cells, args.alpha, args.out_dir, timings)
 
 
 def cmd_metrics(args) -> int:

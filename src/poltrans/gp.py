@@ -21,12 +21,13 @@ far from all data. The prior mean is fixed at zero: far from the training
 inputs the posterior mean decays to 0 and the variance reverts to sp2.
 
 Every factorization is LAPACK's ``dpotrf`` called directly, in place, and
-every solve goes through :func:`_solve`, LAPACK's ``dpotrs``. One matrix is
-factored by :func:`_factor_in_place`. :func:`fit_gp` scores its lengthscale
-grid in one stacked pass (:func:`_grid_nlml`): the C matrices of up to
-``_GRID_BUFFER_FLOATS`` floats of lanes are built by one ufunc call each,
-factored and solved lane by lane, and profiled together; each step of the
-polish that follows builds, factors and solves one matrix.
+every solve is LAPACK's ``dpotrs`` (:func:`_solve`). A model's Gram matrix
+is factored by :func:`_factor_in_place`. :func:`fit_gp` scores its
+lengthscale grid in one stacked pass (:func:`_grid_nlml`): the C matrices
+of up to ``_GRID_BUFFER_FLOATS`` floats of lanes are built by one ufunc
+call each, factored and solved lane by lane, and profiled together; each
+step of the polish that follows builds, factors and solves one matrix in
+one buffer (:func:`_profiled_nlml`).
 Training inputs, outputs and queries are (N, d) batches, and every
 prediction keeps the queries' leading axis; a 1-d array is a column of N
 scalars, so a 1-input model takes ``t`` and ``t[:, None]`` alike. Non-finite
@@ -211,24 +212,44 @@ def _profile(quad, log_det, n: int, d_out: int, log_sp2_bounds):
     return nlml, log_sp2
 
 
-def _profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) -> tuple[float, float]:
-    """Negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with the
-    signal variance profiled out (:func:`_profile`), and that variance's log.
+def _profiled_nlml(corr, neg_half_sq, y, log_sp2_bounds):
+    """The objective ``nlml(ell, ratio)`` of one fit's polish: the negative
+    LML at lengthscale ``ell`` and noise ratio ``ratio`` with the signal
+    variance profiled out (:func:`_profile`, bit for bit), and that
+    variance's log.
 
-    C = corr + ratio I is written into the buffer ``corr`` and factored
-    there. A C that fails to factor scores (inf, nan).
+    Each call writes C = corr + ratio I into the buffer ``corr`` and factors
+    it there with ``dpotrf``; what does not vary between calls (C's diagonal
+    view, n d_out and the constant term) is computed once, here. A C that
+    fails to factor scores (inf, nan). OpenBLAS's ``dpotrf`` reports success
+    on a C that holds a NaN or an inf, but then each diagonal entry of the
+    factor is positive, +inf or NaN, so a log determinant that is not finite
+    is read as the failure.
     """
     n, d_out = y.shape
-    # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
-    np.divide(neg_half_sq, ell**2, out=corr)
-    np.exp(corr, out=corr)
-    corr.ravel()[:: n + 1] += ratio  # a view: corr is C-contiguous
-    chol = _factor_in_place(corr)
-    if chol is None:
-        return np.inf, np.nan
-    quad = float((y * _solve(chol, y)).sum())
-    nlml, log_sp2 = _profile(quad, float(np.log(chol.diagonal()).sum()), n, d_out, log_sp2_bounds)
-    return float(nlml), float(log_sp2)
+    nd = n * d_out
+    half_nd = 0.5 * n * d_out
+    const = half_nd * np.log(2.0 * np.pi)
+    lo, hi = log_sp2_bounds
+    diag = corr.ravel()[:: n + 1]  # a view: corr is C-contiguous
+    transposed = corr.T  # the F-order view that dpotrf factors in place
+
+    def nlml(ell, ratio) -> tuple[float, float]:
+        # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
+        np.divide(neg_half_sq, ell**2, out=corr)
+        np.exp(corr, out=corr)
+        np.add(diag, ratio, out=diag)
+        chol, info = dpotrf(transposed, lower=1, overwrite_a=1)
+        if info:
+            return np.inf, np.nan
+        log_det = float(np.log(chol.diagonal()).sum())
+        if not math.isfinite(log_det):
+            return np.inf, np.nan
+        quad = float((y * dpotrs(chol, y, lower=1)[0]).sum())
+        log_sp2 = min(max(np.log(quad / nd), lo), hi)
+        return float(0.5 * quad / np.exp(log_sp2) + half_nd * log_sp2 + d_out * log_det + const), float(log_sp2)
+
+    return nlml
 
 
 def _grid_nlml(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -453,8 +474,10 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
         raise RuntimeError("non-PD Gram matrix")
     best_u = np.array([log_sp2s[best], np.log(grid[best]), np.log(noise_ratio)])
 
+    nlml = _profiled_nlml(corr, neg_half_sq, y, log_sp2_bounds)
+
     def profiled(log_ell, log_ratio):
-        return _profiled_nlml(corr, neg_half_sq, y, np.exp(log_ell), np.exp(log_ratio), log_sp2_bounds)
+        return nlml(np.exp(log_ell), np.exp(log_ratio))
 
     bracket = (np.log(grid[max(best - 1, 0)]), np.log(grid[min(best + 1, len(grid) - 1)]))
     best_u = minimize(profiled, best_u, best_val, bracket).x

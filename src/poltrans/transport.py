@@ -37,10 +37,11 @@ from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
 TOL_MATCH_SCALE = 1e-3
-# A residual of at most this many ulps of the keypoints' largest coordinate
-# is round-off of gamma(S), whose error grows with |S| and |T|, not with the
-# diameter. Flat and tilt surface scenes measured at most 3.2 such ulps,
-# bent surface scenes and the frames pairings at least 7e13.
+# A difference of at most this many ulps of its operands' largest coordinate
+# is round-off, whose error grows with the coordinates, not with the
+# diameter (``zero_roundoff``). On flat and tilt surface scenes the map's
+# residuals measured at most 3.2 such ulps and reshaped_kmp's labels 2.7; on
+# bent surface scenes and the frames pairings, at least 7e13 and 1.3e14.
 ROUNDOFF_ULPS = 64
 # Smallest/largest singular value at or below this ratio marks J as
 # near-singular; an all-zero J (0 <= 0) is flagged too.
@@ -62,19 +63,26 @@ def match_tolerance(kp: PairedKeypoints) -> float:
     return TOL_MATCH_SCALE * (diam if diam > 0 else 1.0)
 
 
+def zero_roundoff(difference: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    """``difference``, or exact zeros of its shape when none of its entries
+    exceeds ``ROUNDOFF_ULPS`` ulps of the largest coordinate of
+    ``operands``: such a difference is the rounding of the operands, not a
+    displacement."""
+    scale = max(np.abs(operand).max() for operand in operands)
+    if np.abs(difference).max() <= ROUNDOFF_ULPS * np.finfo(float).eps * scale:
+        return np.zeros_like(difference)
+    return difference
+
+
 def _residual_data(affine: AffineMap, kp: PairedKeypoints) -> tuple[np.ndarray, np.ndarray]:
     """The residual GP's training set: inputs gamma(S), targets T - gamma(S).
 
-    Targets no larger than ``ROUNDOFF_ULPS`` ulps of the keypoints'
-    coordinate scale are the rounding of gamma(S), not a residual, and are
-    returned as exact zeros: the rigid part then explains the keypoints and
-    the map is exactly rigid.
+    Targets that are round-off of S and T (:func:`zero_roundoff`) are the
+    rounding of gamma(S), not a residual, and are returned as exact zeros:
+    the rigid part then explains the keypoints and the map is exactly rigid.
     """
     aligned = affine.apply(kp.source.points)
-    targets = kp.target.points - aligned
-    scale = max(np.abs(kp.source.points).max(), np.abs(kp.target.points).max())
-    if np.abs(targets).max() <= ROUNDOFF_ULPS * np.finfo(float).eps * scale:
-        targets = np.zeros_like(targets)
+    targets = zero_roundoff(kp.target.points - aligned, kp.source.points, kp.target.points)
     return aligned, targets
 
 

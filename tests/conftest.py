@@ -177,8 +177,8 @@ def loop_grid_nlml(neg_half_sq, y, grid, ratio, log_sp2_bounds):
     """``gp.fit_gp``'s profiled grid scored point by point: one C matrix
     per lengthscale, built, factored and profiled by ``gp._profiled_nlml``
     in a single n x n buffer. Returns the (nlml, log sp2) arrays."""
-    corr = np.empty(neg_half_sq.shape)
-    scores = [_profiled_nlml(corr, neg_half_sq, y, ell, ratio, log_sp2_bounds) for ell in grid]
+    objective = _profiled_nlml(np.empty(neg_half_sq.shape), neg_half_sq, y, log_sp2_bounds)
+    scores = [objective(ell, ratio) for ell in grid]
     nlml, log_sp2 = (np.array(column) for column in zip(*scores))
     return nlml, log_sp2
 

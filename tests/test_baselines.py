@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import dense_laplacian_oracle, loop_apply_lwt, loop_fit_lwt, lwt_jacobian
-from poltrans import PairedKeypoints, PointSet, Trajectory
+from conftest import (
+    default_bench_cells,
+    dense_laplacian_oracle,
+    loop_apply_lwt,
+    loop_fit_lwt,
+    lwt_jacobian,
+    suite_cells,
+)
+from poltrans import PairedKeypoints, PointSet, Trajectory, cli, gp
 from poltrans.baselines import (
     LWT_STEP_RATIO,
     LWTMap,
@@ -24,6 +31,7 @@ from poltrans.baselines import (
 from poltrans.cli import _gamma_pretransform
 from poltrans.gp import KernelParams
 from poltrans.scenarios import SURFACE_PROFILES, make_surface_scenario
+from poltrans.transport import ROUNDOFF_ULPS
 
 
 def random_traj(rng, m, dim=2, with_times=True):
@@ -281,6 +289,88 @@ class TestReshapedKMP:
         assignment = ViaAssignment(indices=[1], targets=[[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="target dimension mismatch"):
             reshaped_kmp(traj, assignment)
+
+
+def kmp_roundoff_ratio(kp: PairedKeypoints, demo: Trajectory) -> float:
+    """max |target - node| of reshaped_kmp's displacement labels on the
+    bench's pre-aligned inputs, in ulps of the labels' operands' largest
+    coordinate."""
+    aligned, aligned_kp = _gamma_pretransform(kp, demo)
+    assignment = assign_via_points(aligned, aligned_kp)
+    nodes = aligned.positions[assignment.indices]
+    scale = max(np.abs(assignment.targets).max(), np.abs(nodes).max())
+    return float(np.abs(assignment.targets - nodes).max() / (np.finfo(float).eps * scale))
+
+
+class TestReshapedKMPRoundOff:
+    """On flat and tilt scenes the pre-alignment explains the keypoints, so
+    reshaped_kmp's displacement labels are only rounding. They are exact
+    zeros, as the transport map's residuals are: no hyperparameter search,
+    and the demonstration comes back as aligned."""
+
+    def test_flat_and_tilt_bench_scenes_search_nothing(self, monkeypatch):
+        def no_polish(*args):
+            raise AssertionError("gp.minimize ran on round-off labels")
+
+        monkeypatch.setattr(gp, "minimize", no_polish)
+        cells = [
+            cell
+            for cell in default_bench_cells("surfaces")
+            if cell.method == "reshaped_kmp" and cell.scenario.profile in ("flat", "tilt")
+        ]
+        assert len(cells) == 6
+        for cell in cells:
+            scene = cli.SceneTask(cell.keypoints, cell.demonstration, cell.topology)
+            produced, band, report = cli.METHOD_TABLE["reshaped_kmp"].run(scene)
+            aligned, _ = scene.aligned
+            assert np.array_equal(produced.positions, aligned.positions)
+            assert np.array_equal(produced.times, aligned.times)
+            assert band is None and report is None
+
+    def test_threshold_has_headroom_on_both_sides(self):
+        """Over a seed sweep, flat and tilt labels stay far below
+        ROUNDOFF_ULPS, and the labels of scenes that bend (surfaces and the
+        frames pairings) far above it."""
+        rigid = [
+            kmp_roundoff_ratio(scenario.keypoints, scenario.demonstration)
+            for profile in ("flat", "tilt")
+            for n in (12, 50, 200)
+            for seed in range(10)
+            for scenario in [make_surface_scenario(profile, n_keypoints=n, seed=seed)]
+        ]
+        bent = [
+            kmp_roundoff_ratio(scenario.keypoints, scenario.demonstration)
+            for profile in ("sine", "step", "composite")
+            for n in (12, 50, 200)
+            for seed in range(10)
+            for scenario in [make_surface_scenario(profile, n_keypoints=n, seed=seed)]
+        ]
+        bent += [
+            kmp_roundoff_ratio(cell.keypoints, cell.demonstration)
+            for cell in suite_cells("frames", ("reshaped_kmp",), 20)
+        ]
+        # measured: at most 2.7 ulps rigid, at least 1.3e14 bent
+        assert max(rigid) <= 4 < ROUNDOFF_ULPS
+        assert min(bent) >= 1e13 > ROUNDOFF_ULPS
+
+    def test_given_kernel_shifts_round_off_labels_by_zero(self):
+        scenario = make_surface_scenario("tilt", seed=0)
+        aligned, aligned_kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
+        assignment = assign_via_points(aligned, aligned_kp)
+        assert 0.0 < kmp_roundoff_ratio(scenario.keypoints, scenario.demonstration) <= ROUNDOFF_ULPS
+        reshaped = reshaped_kmp(aligned, assignment, kernel_params=KernelParams(1.0, 0.1, 0.0))
+        assert np.array_equal(reshaped.positions, aligned.positions)
+
+    def test_labels_above_the_threshold_are_fitted(self):
+        """A displacement just above ROUNDOFF_ULPS ulps is a displacement:
+        the GP fits it and the assigned node moves by it."""
+        times = np.linspace(0.0, 1.0, 11)
+        traj = Trajectory(positions=np.column_stack([times, np.ones(11)]), times=times)
+        step = 2 * ROUNDOFF_ULPS * np.finfo(float).eps
+        targets = traj.positions[[2, 5, 8]] + [[0.0, step], [0.0, 0.0], [0.0, 0.0]]
+        assignment = ViaAssignment(indices=[2, 5, 8], targets=targets)
+        reshaped = reshaped_kmp(traj, assignment, kernel_params=KernelParams(1.0, 0.1, 0.0))
+        assert reshaped.positions[2, 1] > traj.positions[2, 1]
 
 
 class TestLWT:

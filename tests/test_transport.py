@@ -35,7 +35,7 @@ from poltrans import gp, transport
 from poltrans.affine import fit_affine
 from poltrans.gp import predict_mean
 from poltrans.scenarios import frame_pairing, make_surface_scenario, random_frame_scenario
-from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE
+from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE, zero_roundoff
 
 
 def rigid_labels(rng, m=6, dim=2):
@@ -192,6 +192,17 @@ class TestRoundOffResidual:
         assert back.residual.params == tmap.residual.params
         for fresh, loaded in zip(transport_points(tmap, x), transport_points(back, x)):
             assert np.array_equal(fresh, loaded)
+
+    def test_zero_roundoff_cuts_at_roundoff_ulps_of_the_largest_operand(self):
+        a = np.array([[4.0, -1.0], [0.0, 0.5]])
+        b = np.array([[-0.5, 2.0], [1.0, -3.0]])
+        limit = ROUNDOFF_ULPS * np.finfo(float).eps * 4.0
+        at = np.array([[limit, -limit], [0.0, 1e-300]])
+        zeroed = zero_roundoff(at, a, b)
+        assert np.array_equal(zeroed, np.zeros((2, 2))) and not np.shares_memory(zeroed, at)
+        above = np.array([[0.0, 0.0], [-np.nextafter(limit, 1.0), 0.0]])
+        assert zero_roundoff(above, a, b) is above
+        assert zero_roundoff(above, a, 2.0 * b) is not above  # the largest coordinate is now 6
 
     def test_threshold_has_headroom_on_both_sides(self):
         """Rigid scenes stay far below ROUNDOFF_ULPS and scenes that bend
