@@ -10,30 +10,30 @@ messages as the full one. The flags decide every setting: their types
 check their values, and ``SUITE_TABLE`` holds the defaults that depend on
 --suite.
 
-A suite is one ``SUITE_TABLE`` entry. Its cells, one per scene x method x
-repetition, are what ``_run_bench`` runs on a thread pool of one worker, or
-of as many as the POLTRANS_THREADS environment variable sets. A method is
-one ``METHOD_TABLE`` entry; the SVG's sigma band and report.json come from
-its run. Each scene's inputs (scenario, keypoint pairs, demonstration) are
-built once, before the pool (the ``scenes`` stage), and every cell of the
-scene carries them. The pool runs one task per
-scene input set (a surface scene, or one keypoints-per-frame set of a frame
-scene): its cells, in cell order, on one ``SceneTask``, which pre-aligns the
+A suite is one ``SUITE_TABLE`` entry. It builds the bench's scene tasks,
+one ``SceneTask`` per scene input set (a surface scene, or one
+keypoints-per-frame set of a frame scene): the scenario, keypoint pairs and
+demonstration, built once before the pool (the ``scenes`` stage), and the
+methods to run on them, in order. A method is one ``METHOD_TABLE`` entry;
+the SVG's sigma band and report.json come from its run. ``_run_bench`` runs
+one task per pool job, on a thread pool of one worker, or of as many as the
+POLTRANS_THREADS environment variable sets. A task pre-aligns the
 demonstration and keypoints and assigns the via-points once, when a run
 first needs them. The bench waits once for all the tasks and reads their
-results in cell order, so artifacts do not depend on which task finished
-first. The metrics of every cell are computed afterwards in one batch, each
-metric once per group of same-shape cells, with the cells as lanes. The
-bench writes deterministically ordered artifacts: metrics.csv (no timings,
-so reruns are bitwise identical across worker counts), ranking.json, one
-SVG overlay per scene, report.json (gpt's timings, keypoint error and det
-J > 0 percentage per scene), failures.json (each failed cell's stage,
-method or metrics, its exception type and message) and timings.json (the
-wall and process-CPU seconds of each of the ``BENCH_STAGES`` and, under
-``methods``, the thread-CPU seconds of each method's cells, summed; a
-task's shared preparation counts to the first cell that reads it). A scene
-whose reported map (gpt's) has a non-positive Jacobian determinant
-somewhere on the demonstration gets a warning on stderr naming the method.
+results in task order, so artifacts do not depend on which task finished
+first. The metrics of every cell (one scene x method run) are computed
+afterwards in one batch, each metric once per group of same-shape cells,
+with the cells as lanes. The bench writes deterministically ordered
+artifacts: metrics.csv (no timings, so reruns are bitwise identical across
+worker counts), ranking.json, one SVG overlay per scene, report.json (gpt's
+timings, keypoint error and det J > 0 percentage per scene), failures.json
+(each failed cell's stage, method or metrics, its exception type and
+message, in task order) and timings.json (the wall and process-CPU seconds
+of each of the ``BENCH_STAGES`` and, under ``methods``, the thread-CPU
+seconds of each method's cells, summed; a task's shared preparation counts
+to the first method that reads it). A scene whose reported map (gpt's) has
+a non-positive Jacobian determinant somewhere on the demonstration gets a
+warning on stderr naming the method.
 """
 from __future__ import annotations
 
@@ -243,17 +243,24 @@ def _gamma_pretransform(kp: PairedKeypoints, demo: Trajectory):
 
 @dataclass(frozen=True, eq=False)
 class SceneTask:
-    """The inputs that the cells of one scene task share, and the work on
-    them that more than one method needs: ``aligned``, the demonstration and
-    keypoints moved by the rigid pre-alignment, and ``assignment``, the
-    via-point assignment on them. Each is computed when a run first reads
-    it, through this module's globals, so it costs the first cell that reads
-    it, and a task whose methods read neither computes neither. A failure is
-    not kept: each reader raises it again, as it did before the sharing."""
+    """One scene input set and the methods the bench runs on it, in order:
+    the scene's scenario (its reference scores each result and it is drawn
+    in the SVG), the keypoint pairs the methods condition on, the
+    demonstration they transport and its topology. The methods share these
+    inputs, which they may because the arrays inside are frozen
+    (``types._freeze``), and the work on them that more than one method
+    needs: ``aligned``, the demonstration and keypoints moved by the rigid
+    pre-alignment, and ``assignment``, the via-point assignment on them.
+    Each is computed when a run first reads it, through this module's
+    globals, so it costs the first method that reads it, and a task whose
+    methods read neither computes neither. A failure is not kept: each
+    reader raises it again, as it did before the sharing."""
 
+    scenario: SurfaceScenario | FrameScenario
     keypoints: PairedKeypoints
     demonstration: Trajectory
     topology: str
+    methods: tuple[str, ...]
 
     @cached_property
     def aligned(self) -> tuple[Trajectory, PairedKeypoints]:
@@ -362,22 +369,6 @@ def _ranking(rows, alpha: float) -> RankingResult:
     return rank_methods(samples, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    """One scene x method run: the scene's scenario (its reference scores
-    the result and it is drawn in the SVG), the keypoint pairs the method
-    conditions on, and the demonstration it transports. The cells of one
-    scene share these inputs; the methods may, because the arrays inside
-    are frozen (``types._freeze``). Cells that share their keypoints and
-    demonstration objects run as one scene task."""
-
-    method: str
-    topology: str
-    scenario: SurfaceScenario | FrameScenario
-    keypoints: PairedKeypoints
-    demonstration: Trajectory
-
-
 def _surface_files(seeds: int, args) -> list[tuple[str, SurfaceScenario]]:
     """The surfaces corpus: every profile at seeds 0 .. seeds - 1."""
     return [
@@ -387,11 +378,10 @@ def _surface_files(seeds: int, args) -> list[tuple[str, SurfaceScenario]]:
     ]
 
 
-def _surface_cells(methods, seeds: int, args) -> list[BenchCell]:
+def _surface_tasks(methods, seeds: int, args) -> list[SceneTask]:
     return [
-        BenchCell(method, "ring", scenario, scenario.keypoints, scenario.demonstration)
+        SceneTask(scenario, scenario.keypoints, scenario.demonstration, "ring", tuple(methods))
         for _, scenario in _surface_files(seeds, args)
-        for method in methods
     ]
 
 
@@ -400,22 +390,24 @@ def _frame_seeds(seeds: int, train_seeds: int) -> tuple[range, range]:
     return range(FRAME_TRAIN_SEED, FRAME_TRAIN_SEED + train_seeds), range(FRAME_TEST_SEED, FRAME_TEST_SEED + seeds)
 
 
-def _frame_cells(methods, seeds: int, args) -> list[BenchCell]:
+def _frame_tasks(methods, seeds: int, args) -> list[SceneTask]:
+    """One task per test seed and keypoints-per-frame count, ordered by the
+    first method that pairs on each count."""
     train_ids, test_ids = _frame_seeds(seeds, args.train_seeds)
     # Each test seed draws its training seed; drawn seeds repeat, so each scenario is built once.
     drawn = {seed: train_ids[int(np.random.default_rng(seed).integers(len(train_ids)))] for seed in test_ids}
-    kpfs = {METHOD_TABLE[method].frame_kpf for method in methods}
+    by_kpf: dict = {}
+    for method in methods:
+        by_kpf.setdefault(METHOD_TABLE[method].frame_kpf, []).append(method)
     seeds_used = {*test_ids, *drawn.values()}
-    built = {(s, k): random_frame_scenario(s, keypoints_per_frame=k) for s in seeds_used for k in kpfs}
-    cells = []
+    built = {(s, k): random_frame_scenario(s, keypoints_per_frame=k) for s in seeds_used for k in by_kpf}
+    tasks = []
     for test_seed, train_seed in drawn.items():
-        inputs = {}
-        for kpf in kpfs:
+        for kpf, kpf_methods in by_kpf.items():
             train, test = built[train_seed, kpf], built[test_seed, kpf]
             # The training demonstration, recorded at its own frames, moves to the test frames.
-            inputs[kpf] = (test, frame_pairing(train, test), train.reference)
-        cells += [BenchCell(method, "chain", *inputs[METHOD_TABLE[method].frame_kpf]) for method in methods]
-    return cells
+            tasks.append(SceneTask(test, frame_pairing(train, test), train.reference, "chain", tuple(kpf_methods)))
+    return tasks
 
 
 def _frame_files(seeds: int, args) -> list[tuple[str, FrameScenario]]:
@@ -429,9 +421,10 @@ def _frame_files(seeds: int, args) -> list[tuple[str, FrameScenario]]:
 @dataclass(frozen=True)
 class Suite:
     """A bench suite: its default (test) seeds and methods, ``cells(methods,
-    seeds, args)``, the cells bench runs, and ``scenarios(seeds, args)``, the
-    (file name, scenario) pairs scenario-gen writes. Both read only the suite's
-    own flags from ``args`` and call the package through this module's globals."""
+    seeds, args)``, the ``SceneTask`` list bench runs, and ``scenarios(seeds,
+    args)``, the (file name, scenario) pairs scenario-gen writes. Both read
+    only the suite's own flags from ``args`` and call the package through
+    this module's globals."""
 
     seeds: int
     methods: tuple[str, ...]
@@ -440,29 +433,26 @@ class Suite:
 
 
 SUITE_TABLE = {
-    "surfaces": Suite(3, METHODS, _surface_cells, _surface_files),
-    "frames": Suite(20, ("gpt", "le"), _frame_cells, _frame_files),
+    "surfaces": Suite(3, METHODS, _surface_tasks, _surface_files),
+    "frames": Suite(20, ("gpt", "le"), _frame_tasks, _frame_files),
 }
 
 
-def _run_cell(cell: BenchCell, scene: SceneTask):
-    """(produced, band, report, error, cpu_s) for one cell: what its method's
-    run returned or the error it raised, and the CPU seconds of its thread;
-    a method failure becomes a missing sample and the bench continues."""
+def _run_cell(method: str, scene: SceneTask):
+    """(produced, band, report, error, cpu_s) of ``method`` on ``scene``:
+    what its run returned or the error it raised, and the CPU seconds of its
+    thread; a method failure becomes a missing sample and the bench continues."""
     cpu = time.thread_time()
     try:
-        produced, band, report = METHOD_TABLE[cell.method].run(scene)
+        produced, band, report = METHOD_TABLE[method].run(scene)
     except Exception as exc:
         return None, None, None, exc, time.thread_time() - cpu
     return produced, band, report, None, time.thread_time() - cpu
 
 
-def _run_scene(cells: list[BenchCell]) -> list:
-    """The outcomes of the cells of one scene task, run in order on one
-    ``SceneTask`` of their shared inputs."""
-    first = cells[0]
-    scene = SceneTask(first.keypoints, first.demonstration, first.topology)
-    return [_run_cell(cell, scene) for cell in cells]
+def _run_scene(scene: SceneTask) -> list:
+    """The outcomes of the scene's methods, run in order."""
+    return [_run_cell(method, scene) for method in scene.methods]
 
 
 @contextmanager
@@ -478,34 +468,30 @@ def _stage(timings: dict, name: str):
         entry["cpu_s"] += time.process_time() - cpu
 
 
-def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path, timings: dict | None = None) -> int:
-    """Run ``cells`` and write the bench artifacts to ``out_dir``. ``timings``
+def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, timings: dict | None = None) -> int:
+    """Run ``tasks`` and write the bench artifacts to ``out_dir``. ``timings``
     holds the stages timed before the call (``scenes``, when ``cmd_bench``
-    built the cells); every stage not timed reads zero."""
+    built the tasks); every stage not timed reads zero."""
     timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES} | (timings or {})
-    # One task per scene input set: the cells that share their keypoints and
-    # demonstration, in cell order.
-    tasks: dict = {}
-    for index, cell in enumerate(cells):
-        tasks.setdefault((cell.keypoints, cell.demonstration, cell.topology), []).append(index)
     with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         # One wait on all the tasks: reading each result as it finishes
         # would wake this thread once per task.
-        futures = [pool.submit(_run_scene, [cells[i] for i in members]) for members in tasks.values()]
+        futures = [pool.submit(_run_scene, task) for task in tasks]
         wait(futures)
-    outcomes = [None] * len(cells)
-    for members, future in zip(tasks.values(), futures):
-        for index, outcome in zip(members, future.result()):
-            outcomes[index] = outcome
+    cells = [
+        (task, method, outcome)
+        for task, future in zip(tasks, futures)
+        for method, outcome in zip(task.methods, future.result())
+    ]
     methods = timings["methods"] = {}
-    for cell, (*_, cpu_s) in zip(cells, outcomes):
-        methods.setdefault(cell.method, {"cpu_s": 0.0})["cpu_s"] += cpu_s
+    for _, method, (*_, cpu_s) in cells:
+        methods.setdefault(method, {"cpu_s": 0.0})["cpu_s"] += cpu_s
     # Scored after the pool in one batch, so each metric runs once over
     # every cell of a shape, as lanes, instead of once per cell.
     with _stage(timings, "metrics"):
         scored = iter(compute_metrics_batch([
-            (produced, cell.scenario.reference)
-            for cell, (produced, _, _, error, _) in zip(cells, outcomes)
+            (produced, task.scenario.reference)
+            for task, _, (produced, _, _, error, _) in cells
             if error is None
         ]))
 
@@ -514,8 +500,8 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path, 
     reports: dict = {}
     reporters: dict = {}  # scene -> the method whose run returned its report
     scenes: dict = {}
-    for cell, (produced, band, report, error, _) in zip(cells, outcomes):
-        scene = cell.scenario.name
+    for task, method, (produced, band, report, error, _) in cells:
+        scene = task.scenario.name
         stage = "method"
         if error is None:
             scores = next(scored)
@@ -523,22 +509,22 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path, 
                 error, stage = scores, "metrics"
         if error is not None:
             failures.append(
-                {"scenario": scene, "method": cell.method, "stage": stage,
+                {"scenario": scene, "method": method, "stage": stage,
                  "error": str(error), "type": type(error).__name__}
             )
             continue
-        row = {"scenario": scene, "method": cell.method, "repetition": cell.scenario.seed}
+        row = {"scenario": scene, "method": method, "repetition": task.scenario.seed}
         row.update(scores.to_dict())
         rows.append(row)
-        # The first successful cell of a scene in task order supplies the
+        # The task of a scene's first successful cell supplies the
         # demonstration, keypoints and reference that its SVG draws.
-        bundle = scenes.setdefault(scene, {"cell": cell, "produced": {}, "bands": {}})
-        bundle["produced"][cell.method] = produced
+        bundle = scenes.setdefault(scene, {"task": task, "produced": {}, "bands": {}})
+        bundle["produced"][method] = produced
         if band is not None:
-            bundle["bands"][cell.method] = band
+            bundle["bands"][method] = band
         if report is not None:
             reports[scene] = report
-            reporters[scene] = cell.method
+            reporters[scene] = method
 
     for name, entry in sorted(reports.items()):
         if entry["det_positive_pct"] < 100.0:
@@ -557,13 +543,13 @@ def _run_bench(suite: str, cells: list[BenchCell], alpha: float, out_dir: Path, 
             save_json({"failures": failures}, out_dir / "failures.json")
     with _stage(timings, "svgs"):
         for name, bundle in sorted(scenes.items()):
-            first = bundle["cell"]
+            task = bundle["task"]
             _scene_svg(
                 out_dir / "svg" / f"{name}.svg",
-                first.demonstration,
-                first.scenario.reference,
+                task.demonstration,
+                task.scenario.reference,
                 bundle["produced"],
-                first.keypoints,
+                task.keypoints,
                 bundle["bands"],
             )
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
@@ -584,16 +570,16 @@ def cmd_bench(args) -> int:
     methods = suite.methods if args.methods is None else args.methods
     timings: dict = {}
     with _stage(timings, "scenes"):
-        cells = suite.cells(methods, _seed_count(args), args)
+        tasks = suite.cells(methods, _seed_count(args), args)
     # Each scene gives one row per method, and ranking two or more methods
     # needs U_TEST_MIN_SAMPLES rows each.
-    scenes = len({cell.scenario.name for cell in cells})
+    scenes = len({task.scenario.name for task in tasks})
     if len(methods) > 1 and scenes < U_TEST_MIN_SAMPLES:
         raise UsageError(
             f"argument --seeds: must be at least {U_TEST_MIN_SAMPLES} scenes "
             f"to rank two or more methods, got {scenes}"
         )
-    return _run_bench(args.suite, cells, args.alpha, args.out_dir, timings)
+    return _run_bench(args.suite, tasks, args.alpha, args.out_dir, timings)
 
 
 def cmd_metrics(args) -> int:

@@ -418,15 +418,17 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     NOISE_FLOOR_RATIO; the grid point is kept if the polish ends worse.
     All-zero outputs skip the search and get lengthscale ell_center with a
     negligible signal variance, so the posterior is the certain zero.
-    Raises ValueError for a ``noise_ratio`` outside its range and for
-    distinct inputs too close or too far apart for their squared distances
-    to be normal floats, and RuntimeError("non-PD Gram matrix") when every
-    grid point fails.
+    Raises ValueError for no training point, for a ``noise_ratio`` outside
+    its range and for distinct inputs too close or too far apart for their
+    squared distances to be normal floats, and RuntimeError("non-PD Gram
+    matrix") when every grid point fails.
     """
     x = _as_batch(inputs, "inputs")
     y = _as_batch(outputs, "outputs")
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and outputs must have the same length")
+    if x.shape[0] < 1:
+        raise ValueError("at least one training point required")
     if not NOISE_FLOOR_RATIO <= noise_ratio <= NOISE_RATIO_MAX:
         raise ValueError(f"noise ratio must lie in [{NOISE_FLOOR_RATIO:g}, {NOISE_RATIO_MAX:g}]")
 

@@ -93,19 +93,19 @@ def fold_pair() -> PairedKeypoints:
     return PairedKeypoints(PointSet(source), PointSet(target))
 
 
-def suite_cells(suite: str, methods, seeds: int, *flags) -> list:
-    """The cells ``poltrans bench --suite <suite> <flags>`` runs for
+def suite_tasks(suite: str, methods, seeds: int, *flags) -> list:
+    """The scene tasks ``poltrans bench --suite <suite> <flags>`` runs for
     ``methods`` at ``seeds`` seeds, built by the suite's table entry."""
     args = cli.build_parser().parse_args(["bench", "--suite", suite, *map(str, flags)])
     return cli.SUITE_TABLE[suite].cells(methods, seeds, args)
 
 
 @lru_cache(maxsize=None)
-def default_bench_cells(suite: str) -> tuple:
-    """The cells ``poltrans bench --suite <suite>`` runs with every flag at
-    its default."""
+def default_bench_tasks(suite: str) -> tuple:
+    """The scene tasks ``poltrans bench --suite <suite>`` runs with every
+    flag at its default."""
     entry = cli.SUITE_TABLE[suite]
-    return tuple(suite_cells(suite, entry.methods, entry.seeds))
+    return tuple(suite_tasks(suite, entry.methods, entry.seeds))
 
 
 # ---------------------------------------------------------------------------

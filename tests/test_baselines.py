@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
-    default_bench_cells,
+    default_bench_tasks,
     dense_laplacian_oracle,
     loop_apply_lwt,
     loop_fit_lwt,
     lwt_jacobian,
-    suite_cells,
+    suite_tasks,
 )
 from poltrans import PairedKeypoints, PointSet, Trajectory, cli, gp
 from poltrans.baselines import (
@@ -313,14 +313,13 @@ class TestReshapedKMPRoundOff:
             raise AssertionError("gp.minimize ran on round-off labels")
 
         monkeypatch.setattr(gp, "minimize", no_polish)
-        cells = [
-            cell
-            for cell in default_bench_cells("surfaces")
-            if cell.method == "reshaped_kmp" and cell.scenario.profile in ("flat", "tilt")
+        scenes = [
+            task
+            for task in default_bench_tasks("surfaces")
+            if "reshaped_kmp" in task.methods and task.scenario.profile in ("flat", "tilt")
         ]
-        assert len(cells) == 6
-        for cell in cells:
-            scene = cli.SceneTask(cell.keypoints, cell.demonstration, cell.topology)
+        assert len(scenes) == 6
+        for scene in scenes:
             produced, band, report = cli.METHOD_TABLE["reshaped_kmp"].run(scene)
             aligned, _ = scene.aligned
             assert np.array_equal(produced.positions, aligned.positions)
@@ -346,8 +345,8 @@ class TestReshapedKMPRoundOff:
             for scenario in [make_surface_scenario(profile, n_keypoints=n, seed=seed)]
         ]
         bent += [
-            kmp_roundoff_ratio(cell.keypoints, cell.demonstration)
-            for cell in suite_cells("frames", ("reshaped_kmp",), 20)
+            kmp_roundoff_ratio(task.keypoints, task.demonstration)
+            for task in suite_tasks("frames", ("reshaped_kmp",), 20)
         ]
         # measured: at most 2.7 ulps rigid, at least 1.3e14 bent
         assert max(rigid) <= 4 < ROUNDOFF_ULPS

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fold_pair, suite_cells
+from conftest import fold_pair, suite_tasks
 from poltrans import PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
 from poltrans import cli
 from poltrans.cli import main
@@ -505,8 +505,8 @@ class TestScenarioGen:
         assert code == 0
         target = tmp_path / "scenarios" / "surfaces"
         expected = {
-            f"{cell.scenario.profile}-{cell.scenario.seed}.json": cell.scenario.to_dict()
-            for cell in suite_cells("surfaces", cli.METHODS, 2, "--n-keypoints", 7)
+            f"{task.scenario.profile}-{task.scenario.seed}.json": task.scenario.to_dict()
+            for task in suite_tasks("surfaces", cli.METHODS, 2, "--n-keypoints", 7)
         }
         assert sorted(p.name for p in target.iterdir()) == sorted(expected)
         for name, scenario in expected.items():
@@ -529,12 +529,12 @@ class TestScenarioGen:
             return built[-1]
 
         monkeypatch.setattr(cli, "random_frame_scenario", recorded)
-        cells = suite_cells("frames", ("gpt",), 3, "--train-seeds", 2)
-        assert len(cells) == 3
-        for cell in cells:
-            test = cell.scenario
-            (train,) = [s for s in built if s.reference is cell.demonstration]
-            assert cell.keypoints.to_dict() == frame_pairing(train, test).to_dict()
+        tasks = suite_tasks("frames", ("gpt",), 3, "--train-seeds", 2)
+        assert len(tasks) == 3
+        for task in tasks:
+            test = task.scenario
+            (train,) = [s for s in built if s.reference is task.demonstration]
+            assert task.keypoints.to_dict() == frame_pairing(train, test).to_dict()
             assert files[f"test-{test.seed}.json"] == test.to_dict()
             assert files[f"train-{train.seed}.json"] == train.to_dict()
 
@@ -545,8 +545,8 @@ class TestScenarioGen:
             assert run("scenario-gen", "--suite", suite, "--out-dir", tmp_path) == 0
         surfaces = sorted(p.name for p in (tmp_path / "scenarios" / "surfaces").iterdir())
         assert surfaces == sorted(
-            f"{cell.scenario.profile}-{cell.scenario.seed}.json"
-            for cell in suite_cells("surfaces", ("gpt",), 3)
+            f"{task.scenario.profile}-{task.scenario.seed}.json"
+            for task in suite_tasks("surfaces", ("gpt",), 3)
         )
         assert len(surfaces) == 15
         frames = sorted(p.name for p in (tmp_path / "scenarios" / "frames").iterdir())
@@ -652,15 +652,15 @@ class TestBench:
 
     def test_timings_json_times_building_the_cells(self, tmp_path, monkeypatch):
         """``scenes`` covers ``Suite.cells``, which runs before the pool;
-        ``_run_bench`` on cells built elsewhere reads it as zero."""
+        ``_run_bench`` on scene tasks built elsewhere reads it as zero."""
         spent = []
         build = cli.SUITE_TABLE["frames"].cells
 
         def timed(*args):
             wall, cpu = time.perf_counter(), time.process_time()
-            cells = build(*args)
+            tasks = build(*args)
             spent.append((time.perf_counter() - wall, time.process_time() - cpu))
-            return cells
+            return tasks
 
         monkeypatch.setitem(cli.SUITE_TABLE, "frames", dataclasses.replace(cli.SUITE_TABLE["frames"], cells=timed))
         out = tmp_path / "bench"
@@ -669,8 +669,8 @@ class TestBench:
         [(wall, cpu)] = spent
         assert scenes["wall_s"] >= wall > 0.0 and scenes["cpu_s"] >= cpu
 
-        cells = suite_cells("frames", ("le",), 3)
-        assert cli._run_bench("frames", cells, 0.05, tmp_path / "prebuilt") == 0
+        tasks = suite_tasks("frames", ("le",), 3)
+        assert cli._run_bench("frames", tasks, 0.05, tmp_path / "prebuilt") == 0
         timings = json.loads((tmp_path / "prebuilt" / "timings.json").read_text())
         assert set(timings) == {*cli.BENCH_STAGES, "methods"}
         assert timings["scenes"] == {"wall_s": 0.0, "cpu_s": 0.0}
@@ -696,23 +696,24 @@ class TestBench:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, builder, counted)
-        cells = suite_cells(suite, methods, 3)
+        tasks = suite_tasks(suite, methods, 3)
+        cells = [(task, method) for task in tasks for method in task.methods]
         assert len(cells) == scenes * len(methods)
         assert len(calls) == builds
         # One build per scene, and per keypoint count on frames.
         by_key = {}
-        for cell in cells:
-            key = (cell.scenario.name, cli.METHOD_TABLE[cell.method].frame_kpf if per_kpf else None)
-            built = (cell.scenario, cell.keypoints, cell.demonstration)
+        for task, method in cells:
+            key = (task.scenario.name, cli.METHOD_TABLE[method].frame_kpf if per_kpf else None)
+            built = (task.scenario, task.keypoints, task.demonstration)
             shared = by_key.setdefault(key, built)
             assert all(a is b for a, b in zip(shared, built))
-        assert len({id(cell.scenario) for cell in cells}) == len(by_key)
+        assert len({id(task.scenario) for task in tasks}) == len(by_key)
         # The methods of a scene share these inputs, so none may write into them.
-        for cell in cells:
-            arrays = list(_arrays(cell))
+        for task in tasks:
+            arrays = list(_arrays(task))
             assert arrays and not any(arr.flags.writeable for arr in arrays)
-        # Nothing is cached across cell lists.
-        suite_cells(suite, methods, 3)
+        # Nothing is cached across task lists.
+        suite_tasks(suite, methods, 3)
         assert len(calls) == 2 * builds
 
     def test_default_frames_cells_build_each_scenario_once(self, monkeypatch):
@@ -726,10 +727,10 @@ class TestBench:
             return real(seed, keypoints_per_frame=keypoints_per_frame)
 
         monkeypatch.setattr(cli, "random_frame_scenario", counted)
-        cells = suite_cells("frames", ("gpt", "le"), 20)
-        used = {(cell.scenario.seed, kpf) for cell in cells for kpf in (2, 5)}
+        tasks = suite_tasks("frames", ("gpt", "le"), 20)
+        used = {(task.scenario.seed, kpf) for task in tasks for kpf in (2, 5)}
         assert len(calls) == len(set(calls)) == 56
-        assert used < set(calls) and len(cells) == 40
+        assert used < set(calls) and sum(len(task.methods) for task in tasks) == 40
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
@@ -832,9 +833,9 @@ class TestBench:
         pairs = {}
         real = cli._run_cell
 
-        def recorded(cell, scene):
-            outcome = real(cell, scene)
-            pairs[cell.scenario.name, cell.method] = (outcome[0], cell.scenario.reference)
+        def recorded(method, scene):
+            outcome = real(method, scene)
+            pairs[scene.scenario.name, method] = (outcome[0], scene.scenario.reference)
             return outcome
 
         monkeypatch.setenv("POLTRANS_THREADS", "2")
@@ -857,7 +858,7 @@ class TestBench:
         monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 5, untransported))
         alone, both = tmp_path / "gpt", tmp_path / "gpt-dummy"
         for methods, out in ((("gpt",), alone), (("gpt", "dummy"), both)):
-            assert cli._run_bench("surfaces", suite_cells("surfaces", methods, 1, "--n-keypoints", 7), 0.05, out) == 0
+            assert cli._run_bench("surfaces", suite_tasks("surfaces", methods, 1, "--n-keypoints", 7), 0.05, out) == 0
         rows = read_metrics_csv(both / "metrics.csv")
         assert [row for row in rows if row["method"] == "gpt"] == read_metrics_csv(alone / "metrics.csv")
         assert [row["scenario"] for row in rows if row["method"] == "dummy"] == [
@@ -875,8 +876,8 @@ class TestBench:
 
     def test_a_suite_in_the_table_alone_runs_through_bench_and_scenario_gen(self, tmp_path, monkeypatch, capsys):
         """bench and scenario-gen name no suite: one table entry gives --suite
-        its id, bench its cells and scenario-gen its files, and the seeds rule
-        reads the entry's cells."""
+        its id, bench its scene tasks and scenario-gen its files, and the
+        seeds rule reads the entry's tasks."""
 
         def scenarios(seeds, args):
             return [
@@ -884,14 +885,13 @@ class TestBench:
                 for seed in range(seeds)
             ]
 
-        def cells(methods, seeds, args):
+        def tasks(methods, seeds, args):
             return [
-                cli.BenchCell(method, "ring", scenario, scenario.keypoints, scenario.demonstration)
+                cli.SceneTask(scenario, scenario.keypoints, scenario.demonstration, "ring", tuple(methods))
                 for _, scenario in scenarios(seeds, args)
-                for method in methods
             ]
 
-        monkeypatch.setitem(cli.SUITE_TABLE, "dummy", cli.Suite(3, ("gpt", "le"), cells, scenarios))
+        monkeypatch.setitem(cli.SUITE_TABLE, "dummy", cli.Suite(3, ("gpt", "le"), tasks, scenarios))
         out = tmp_path / "bench"
         assert run("bench", "--suite", "dummy", "--n-keypoints", 7, "--out-dir", out) == 0
         rows = read_metrics_csv(out / "metrics.csv")
@@ -914,9 +914,9 @@ class TestBench:
         assert (one / "metrics.csv").is_file()
 
     def test_cells_finishing_out_of_order_keep_cell_order(self, tmp_path, monkeypatch):
-        """At 3 workers the first scenes' dummy cells wait until the last
-        scenes' have returned, so cells finish out of order; the artifacts
-        still follow the cells' order and equal the 1-worker run's."""
+        """At 3 workers the first scenes' dummy tasks wait until the last
+        scenes' have returned, so tasks finish out of order; the artifacts
+        still follow the task order and equal the 1-worker run's."""
         early, late = ("frame-200", "frame-201"), ("frame-203", "frame-204")
         failing = ("frame-200", "frame-202")
         outputs = []
@@ -927,11 +927,10 @@ class TestBench:
             finished = []
 
             def dummy(task):
-                demo = task.demonstration
-                scene = scene_of[id(task.keypoints)]
+                demo, scene = task.demonstration, task.scenario.name
                 try:
                     if threads != "1" and scene in early and not late_done.wait(timeout=60):
-                        raise TimeoutError("the late cells never finished")
+                        raise TimeoutError("the late tasks never finished")
                     if scene in failing:
                         raise RuntimeError(f"forced failure in {scene}")
                     return Trajectory(positions=demo.positions + 0.01, times=demo.times), None, None
@@ -944,15 +943,12 @@ class TestBench:
                                 late_done.set()
 
             # two keypoints per frame: a scene's SVG shows whether its dummy
-            # cell (first in cell order) or its gpt cell supplied the bundle
+            # task (first in task order) or its gpt task supplied the bundle
             monkeypatch.setitem(cli.METHOD_TABLE, "dummy", cli.Method("#123456", 2, dummy))
             monkeypatch.setenv("POLTRANS_THREADS", threads)
-            cells = suite_cells("frames", ("dummy", "gpt"), 5, "--train-seeds", 1)
-            # one training demonstration serves every scene that drew its seed;
-            # the keypoint pairing is the scene's own
-            scene_of = {id(c.keypoints): c.scenario.name for c in cells if c.method == "dummy"}
+            tasks = suite_tasks("frames", ("dummy", "gpt"), 5, "--train-seeds", 1)
             out = tmp_path / threads
-            assert cli._run_bench("frames", cells, 0.05, out) == 0
+            assert cli._run_bench("frames", tasks, 0.05, out) == 0
             outputs.append(out)
             if threads != "1":
                 assert finished.index("frame-200") > finished.index("frame-204")
@@ -967,14 +963,15 @@ class TestBench:
         assert svgs == sorted(p.name for p in (three / "svg").iterdir()) and len(svgs) == 5
         for name in svgs:
             assert (one / "svg" / name).read_bytes() == (three / "svg" / name).read_bytes()
-        # frame-201's dummy cell finished after its gpt cell, and still supplied its bundle
+        # frame-201's dummy task finished after its gpt task, and still supplied its bundle
         marker_count = (three / "svg" / "frame-201.svg").read_text().count("<circle")
         assert marker_count < (three / "svg" / "frame-200.svg").read_text().count("<circle")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
     def test_the_cells_stage_wakes_the_calling_thread_a_few_times(self, tmp_path, monkeypatch):
-        """One wait on all 60 cells of the default surfaces suite: reading
-        each result as it finished woke the calling thread once per cell."""
+        """One wait on all 15 tasks (60 cells) of the default surfaces
+        suite: reading each result as it finished woke the calling thread
+        once per result."""
         import resource
 
         switches = []
@@ -990,9 +987,10 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_stage", counted)
         monkeypatch.setenv("POLTRANS_THREADS", "1")
-        cells = suite_cells("surfaces", cli.METHODS, 3)
+        tasks = suite_tasks("surfaces", cli.METHODS, 3)
+        cells = [(task, method) for task in tasks for method in task.methods]
         assert len(cells) == 60
-        assert cli._run_bench("surfaces", cells, 0.05, tmp_path / "bench") == 0
+        assert cli._run_bench("surfaces", tasks, 0.05, tmp_path / "bench") == 0
         assert len(switches) == 1 and switches[0] < len(cells) // 4
 
     def test_folding_gpt_maps_are_warned_per_scene(self, tmp_path, capsys):
@@ -1015,9 +1013,9 @@ class TestBench:
             return scene.demonstration, None, {"det_positive_pct": 50.0}
 
         monkeypatch.setitem(cli.METHOD_TABLE, "folding", cli.Method("#123456", 5, folding))
-        cells = suite_cells("surfaces", ("folding",), 1, "--n-keypoints", 7)
-        assert cli._run_bench("surfaces", cells, 0.05, tmp_path / "bench") == 0
-        scenes = sorted({cell.scenario.name for cell in cells})
+        tasks = suite_tasks("surfaces", ("folding",), 1, "--n-keypoints", 7)
+        assert cli._run_bench("surfaces", tasks, 0.05, tmp_path / "bench") == 0
+        scenes = sorted({task.scenario.name for task in tasks})
         assert json.loads((tmp_path / "bench" / "report.json").read_text()) == {
             scene: {"det_positive_pct": 50.0} for scene in scenes
         }
@@ -1084,14 +1082,26 @@ class TestBench:
         monkeypatch.setattr(cli, "_scene_svg", record)
         flags = ("--suite", "frames", "--seeds", 3, "--train-seeds", 2, "--methods", "gpt,le")
         assert run("bench", *flags, "--out-dir", tmp_path / "out") == 0
-        cells = suite_cells("frames", ("gpt",), 3, "--train-seeds", 2)
-        assert sorted(drawn) == sorted(cell.scenario.name for cell in cells)
-        for cell in cells:
-            demo, reference, keypoints = drawn[cell.scenario.name]
-            assert np.array_equal(demo.positions, cell.demonstration.positions)
-            assert not np.array_equal(demo.positions, cell.scenario.demonstration.positions)
-            assert np.array_equal(reference.positions, cell.scenario.reference.positions)
-            assert keypoints.to_dict() == cell.keypoints.to_dict()
+        tasks = suite_tasks("frames", ("gpt",), 3, "--train-seeds", 2)
+        assert sorted(drawn) == sorted(task.scenario.name for task in tasks)
+        for task in tasks:
+            demo, reference, keypoints = drawn[task.scenario.name]
+            assert np.array_equal(demo.positions, task.demonstration.positions)
+            assert not np.array_equal(demo.positions, task.scenario.demonstration.positions)
+            assert np.array_equal(reference.positions, task.scenario.reference.positions)
+            assert keypoints.to_dict() == task.keypoints.to_dict()
+
+    def test_the_first_method_of_a_frames_call_supplies_its_keypoints_to_the_svg(self, tmp_path):
+        """A frame scene's tasks run in the order of the first --methods
+        entry that pairs on each keypoint count, so the first method's task
+        supplies the keypoints drawn: gpt's five per frame or le's two."""
+        for methods, markers in (("gpt,le", 20), ("le,gpt", 8)):
+            out = tmp_path / methods
+            flags = ("--suite", "frames", "--seeds", 3, "--train-seeds", 1, "--methods", methods)
+            assert run("bench", *flags, "--out-dir", out) == 0
+            svgs = sorted((out / "svg").iterdir())
+            assert len(svgs) == 3
+            assert [svg.read_text().count("<circle") for svg in svgs] == [markers] * 3
 
     def test_one_frame_method_runs_on_fewer_than_three_seeds(self, tmp_path):
         out = tmp_path / "bench"
@@ -1260,15 +1270,30 @@ class TestParsing:
         assert run("metrics", "--produced", "x.json") == 2
 
 
-@pytest.fixture()
-def tracing(monkeypatch):
-    """The benchmark's tracer module, loaded from perfbench/tracing.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench_module(monkeypatch, stem: str, name: str):
+    """perfbench/<stem>.py loaded as module ``name``, which leaves
+    sys.modules when the test ends."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    """The benchmark's tracer module, loaded from perfbench/tracing.py."""
+    return _perfbench_module(monkeypatch, "tracing", "perfbench_tracing")
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    """The benchmark's workload module, loaded from perfbench/workloads.py
+    after the two sibling modules it imports by their bare names."""
+    for stem in ("percentiles", "tracing"):
+        _perfbench_module(monkeypatch, stem, stem)
+    return _perfbench_module(monkeypatch, "workloads", "perfbench_workloads")
 
 
 def _scipy_loaded_by(*argv) -> set:
@@ -1358,6 +1383,19 @@ def test_benchmark_tracer_binds_every_traced_name(tracing):
     with tracing.installed(tracing.Tracer()):
         assert cli.ThreadPoolExecutor is not pool
     assert cli.ThreadPoolExecutor is pool
+
+
+def test_benchmark_checks_pass_on_the_default_surfaces_bench(workloads, tmp_path):
+    """The suite_surfaces workload reads report.json's top-level entries and
+    expects one row per method in cli.METHODS and scene, 60 in all (5
+    profiles x 3 seeds x 4 methods); nesting report.json or adding a
+    default surfaces method must fail here rather than only in a benchmark
+    run."""
+    out = tmp_path / "bench"
+    assert run("bench", "--suite", "surfaces", "--out-dir", out) == 0
+    problems, facts = workloads.SuiteSurfaces(1).check(0, out)
+    assert problems == []
+    assert facts["cells_attempted"] == 60
 
 
 def test_benchmark_tracer_sees_every_call_of_the_suite_table(tracing, tmp_path):

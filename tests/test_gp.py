@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import poltrans
 from conftest import (
-    default_bench_cells,
+    default_bench_tasks,
     dense_nlml_and_grad,
     dense_profiled_nlml,
     fit_gp_bounds,
@@ -374,9 +374,10 @@ class TestStackedGrid:
     @pytest.mark.parametrize("suite", ["surfaces", "frames"])
     def test_the_default_suites_fits(self, suite, monkeypatch):
         checked = self.check_every_grid(monkeypatch)
-        for cell in default_bench_cells(suite):
-            if cell.method in ("gpt", "reshaped_kmp"):
-                cli.METHOD_TABLE[cell.method].run(cli.SceneTask(cell.keypoints, cell.demonstration, cell.topology))
+        for task in default_bench_tasks(suite):
+            for method in task.methods:
+                if method in ("gpt", "reshaped_kmp"):
+                    cli.METHOD_TABLE[method].run(task)
         # The flat and tilt scenes' 6 gpt residuals and 6 reshaped_kmp
         # displacement label sets are exact zeros, which score no grid;
         # every other fit of the suites scores one.
@@ -627,6 +628,12 @@ class TestRobustness:
     def test_a_model_needs_a_training_point(self):
         with pytest.raises(ValueError, match="at least one training point required"):
             build_gp(np.empty((0, 1)), np.empty((0, 2)), KernelParams(1.0, 1.0))
+
+    def test_a_fit_needs_a_training_point(self):
+        """Zero points used to reach the squared-distance maximum and raise
+        NumPy's zero-size reduction error."""
+        with pytest.raises(ValueError, match="at least one training point required"):
+            fit_gp(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestLapackSeam:

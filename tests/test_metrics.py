@@ -12,7 +12,7 @@ from scipy import stats as scipy_stats
 from conftest import (
     brute_force_dtw,
     brute_force_frechet,
-    default_bench_cells,
+    default_bench_tasks,
     loop_area_between,
     loop_dtw,
     loop_frechet,
@@ -350,8 +350,11 @@ class TestEndpointMetrics:
         """The default bench suites' cells, scored as lanes, equal their
         pairs scored one at a time: the lanes' axis reductions and BLAS
         dots round like the per-pair code's."""
-        cells = default_bench_cells(suite)
-        pairs = [(cli._run_scene([cell])[0][0], cell.scenario.reference) for cell in cells]
+        pairs = [
+            (outcome[0], task.scenario.reference)
+            for task in default_bench_tasks(suite)
+            for outcome in cli._run_scene(task)
+        ]
         assert len(pairs) == {"surfaces": 60, "frames": 40}[suite]
         assert compute_metrics_batch(pairs) == [pair_compute_metrics(*pair) for pair in pairs]
 

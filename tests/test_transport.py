@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
 from conftest import (
-    default_bench_cells,
+    default_bench_tasks,
     fold_pair,
     kernel_se,
     loop_labels_csv,
@@ -505,11 +505,11 @@ class TestDiffeomorphismCheck:
         map of every default scene they are transport_jacobians' own, at
         the demonstration's nodes and at the keypoints, and so is every
         field of the report."""
-        for cell in default_bench_cells(suite):
-            if cell.method != "gpt":
+        for task in default_bench_tasks(suite):
+            if "gpt" not in task.methods:
                 continue
-            tmap = fit_transport(cell.keypoints)
-            nodes, keypoints = cell.demonstration.positions, cell.keypoints.source.points
+            tmap = fit_transport(task.keypoints)
+            nodes, keypoints = task.demonstration.positions, task.keypoints.source.points
             jac, kp_jac = (transport_jacobians(tmap, x)[0] for x in (nodes, keypoints))
             assert transport._mean_jacobians(tmap, nodes).tobytes() == jac.tobytes()
             assert transport._mean_jacobians(tmap, keypoints).tobytes() == kp_jac.tobytes()
