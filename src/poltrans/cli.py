@@ -41,7 +41,7 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -474,10 +474,8 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
     built the tasks); every stage not timed reads zero."""
     timings = {name: {"wall_s": 0.0, "cpu_s": 0.0} for name in BENCH_STAGES} | (timings or {})
     with _stage(timings, "cells"), ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        # One wait on all the tasks: reading each result as it finishes
-        # would wake this thread once per task.
+        # The pool's exit waits once for all the tasks; as_completed would wake this thread per task.
         futures = [pool.submit(_run_scene, task) for task in tasks]
-        wait(futures)
     cells = [
         (task, method, outcome)
         for task, future in zip(tasks, futures)

@@ -23,11 +23,8 @@ inputs the posterior mean decays to 0 and the variance reverts to sp2.
 Every factorization is LAPACK's ``dpotrf`` called directly, in place, and
 every solve is LAPACK's ``dpotrs`` (:func:`_solve`). A model's Gram matrix
 is factored by :func:`_factor_in_place`. :func:`fit_gp` scores its
-lengthscale grid in one stacked pass (:func:`_grid_nlml`): the C matrices
-of up to ``_GRID_BUFFER_FLOATS`` floats of lanes are built by one ufunc
-call each, factored and solved lane by lane, and profiled together; each
-step of the polish that follows builds, factors and solves one matrix in
-one buffer (:func:`_profiled_nlml`).
+lengthscale grid and each polish step through one objective
+(:func:`_profiled_nlml`), which builds and factors every C in one buffer.
 Training inputs, outputs and queries are (N, d) batches, and every
 prediction keeps the queries' leading axis; a 1-d array is a column of N
 scalars, so a 1-input model takes ``t`` and ``t[:, None]`` alike. Non-finite
@@ -55,11 +52,6 @@ LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
 # Brent's step tolerance on log l, relative to |log l| + 1. On the bench fits
 # a finer step moves the LML by less than its round-off at the floor ratio.
 _BRENT_TOL = 1e-6
-# fit_gp scores its lengthscale grid in a stack of at most this many floats
-# of C matrices, 2^16 // n^2 lanes at a time: all 25 up to 51 points, one at
-# a time from 182 points on, so a large fit holds one n x n C, as the polish
-# does.
-_GRID_BUFFER_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -195,37 +187,21 @@ def log_marginal_likelihood(model: GPModel) -> float:
     return data_fit - d_out * log_det - 0.5 * n * d_out * np.log(2.0 * np.pi)
 
 
-def _profile(quad, log_det, n: int, d_out: int, log_sp2_bounds):
-    """The profiled negative LML and its log sp2, from the quadratic form
-    quad = sum(y * C^-1 y) and log_det = sum(log diag chol(C)); floats or
-    arrays of lanes alike. sp2 = quad / (n d_out), clipped to
-    ``log_sp2_bounds``, is the closed-form optimum (Rasmussen & Williams
-    2006, 5.4)."""
-    lo, hi = log_sp2_bounds
-    log_sp2 = np.minimum(np.maximum(np.log(quad / (n * d_out)), lo), hi)
-    nlml = (
-        0.5 * quad / np.exp(log_sp2)
-        + 0.5 * n * d_out * log_sp2
-        + d_out * log_det
-        + 0.5 * n * d_out * np.log(2.0 * np.pi)
-    )
-    return nlml, log_sp2
+def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
+    """The objective ``nlml(ell, ratio)`` of one fit's grid and polish: the
+    negative LML at lengthscale ``ell`` and noise ratio ``ratio`` with the
+    signal variance at its closed-form optimum sp2 = sum(y * C^-1 y) /
+    (n d_out), clipped to ``log_sp2_bounds`` (Rasmussen & Williams 2006,
+    5.4), and that variance's log.
 
-
-def _profiled_nlml(corr, neg_half_sq, y, log_sp2_bounds):
-    """The objective ``nlml(ell, ratio)`` of one fit's polish: the negative
-    LML at lengthscale ``ell`` and noise ratio ``ratio`` with the signal
-    variance profiled out (:func:`_profile`, bit for bit), and that
-    variance's log.
-
-    Each call writes C = corr + ratio I into the buffer ``corr`` and factors
-    it there with ``dpotrf``; what does not vary between calls (C's diagonal
-    view, n d_out and the constant term) is computed once, here. A C that
-    fails to factor scores (inf, nan). OpenBLAS's ``dpotrf`` reports success
-    on a C that holds a NaN or an inf, but then each diagonal entry of the
-    factor is positive, +inf or NaN, so a log determinant that is not finite
-    is read as the failure.
+    Each call builds C = exp(-sq / (2 l^2)) + ratio I in one n x n buffer,
+    allocated once, and factors it there with ``dpotrf``; what the calls
+    share (C's diagonal view, n d_out, the constant term) is computed once.
+    A C that fails to factor scores (inf, nan), as does one that holds a NaN
+    or an inf: OpenBLAS's ``dpotrf`` reports success on it, but the log
+    determinant of its factor is then not finite.
     """
+    corr = np.empty(neg_half_sq.shape)
     n, d_out = y.shape
     nd = n * d_out
     half_nd = 0.5 * n * d_out
@@ -250,48 +226,6 @@ def _profiled_nlml(corr, neg_half_sq, y, log_sp2_bounds):
         return float(0.5 * quad / np.exp(log_sp2) + half_nd * log_sp2 + d_out * log_det + const), float(log_sp2)
 
     return nlml
-
-
-def _grid_nlml(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_profiled_nlml` at every lengthscale of ``grid``, bit for bit,
-    scored ``len(buf)`` lanes at a time in the (k, n, n) buffer ``buf``.
-
-    Each chunk's C matrices are built by one divide, one exp and one diagonal
-    add over the whole stack, then factored in place and solved lane by lane,
-    and profiled by one :func:`_profile` call. A lane fails as
-    :func:`_factor_in_place` would, on LAPACK's report or a diagonal that is
-    not finite, both read for the whole chunk at once; it scores (inf, nan)
-    and enters no formula.
-    """
-    n, d_out = y.shape
-    # A NumPy scalar's ** calls libm pow, which for some l differs in the
-    # last bit from the array's square; each lane takes its l**2 as
-    # _profiled_nlml does.
-    ell_sq = np.array([ell**2 for ell in grid])
-    nlml = np.full(len(grid), np.inf)
-    log_sp2 = np.full(len(grid), np.nan)
-    solved = np.empty((len(buf), n, d_out))
-    for start in range(0, len(grid), len(buf)):
-        lanes = buf[: len(grid) - start]
-        k = len(lanes)
-        flat = lanes.reshape(k, n * n)  # views: buf is C-contiguous
-        np.divide(neg_half_sq, ell_sq[start : start + k, None, None], out=lanes)
-        np.exp(lanes, out=lanes)
-        flat[:, :: n + 1] += ratio
-        ok = np.zeros(k, dtype=bool)
-        for i, corr in enumerate(lanes):
-            chol, info = dpotrf(corr.T, lower=1, overwrite_a=1)
-            if not info:
-                solved[i] = _solve(chol, y)
-                ok[i] = True
-        diag = flat[:, :: n + 1]
-        ok &= np.isfinite(diag).all(axis=1)
-        # The product is C-ordered, as each lane's y * C^-1 y is, so each
-        # row sums in the order of that lane's own sum.
-        quad = (y * solved[:k][ok]).reshape(-1, n * d_out).sum(axis=1)
-        lane = np.flatnonzero(ok) + start
-        nlml[lane], log_sp2[lane] = _profile(quad, np.log(diag[ok]).sum(axis=1), n, d_out, log_sp2_bounds)
-    return nlml, log_sp2
 
 
 def _brent(f, a: float, b: float, x: float, fx: float) -> None:
@@ -461,22 +395,16 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
         return build_gp(x, y, tiny)
 
     log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
-    n = x.shape[0]
-    neg_half_sq = -0.5 * sq
-    # The grid's C stack, at most _GRID_BUFFER_FLOATS floats (one matrix at
-    # the least); each polish step writes its one C into the first lane.
-    buf = np.empty((max(1, min(len(LENGTHSCALE_GRID), _GRID_BUFFER_FLOATS // (n * n))), n, n))
-    corr = buf[0]
-
+    nlml = _profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
     grid = LENGTHSCALE_GRID * ell_center
-    vals, log_sp2s = _grid_nlml(buf, neg_half_sq, y, grid, noise_ratio, log_sp2_bounds)
-    best = int(np.argmin(vals))  # a tie goes to the shorter lengthscale
-    best_val = float(vals[best])
+    # Each grid point's ** 2 is libm pow, as each polish step's is; the
+    # array's grid**2 differs from it in the last bit for some l.
+    scores = [nlml(ell, noise_ratio) for ell in grid]
+    best = int(np.argmin([val for val, _ in scores]))  # a tie goes to the shorter lengthscale
+    best_val, best_log_sp2 = scores[best]
     if best_val == np.inf:
         raise RuntimeError("non-PD Gram matrix")
-    best_u = np.array([log_sp2s[best], np.log(grid[best]), np.log(noise_ratio)])
-
-    nlml = _profiled_nlml(corr, neg_half_sq, y, log_sp2_bounds)
+    best_u = np.array([best_log_sp2, np.log(grid[best]), np.log(noise_ratio)])
 
     def profiled(log_ell, log_ratio):
         return nlml(np.exp(log_ell), np.exp(log_ratio))

@@ -33,7 +33,7 @@ import numpy as np
 from .affine import AffineMap, fit_affine
 from .gp import NOISE_FLOOR_RATIO, GPModel, KernelParams, build_gp, fit_gp
 from .gp import _mean_derivative, predict_derivative, predict_mean, predict_variance
-from .types import PairedKeypoints, PolicyLabels, _freeze, load_json, save_json
+from .types import PairedKeypoints, PolicyLabels, _decode, _freeze, load_json, save_json
 
 # Keypoint-match tolerance as a fraction of the target-set diameter.
 TOL_MATCH_SCALE = 1e-3
@@ -127,10 +127,15 @@ class TransportMap:
         for key in ("affine", "keypoints", "params"):
             if key not in data:
                 raise ValueError(f"map file has no {key!r} key; refit the map with 'poltrans fit'")
-        affine = AffineMap.from_dict(data["affine"])
-        kp = PairedKeypoints.from_dict(data["keypoints"])
-        residual = build_gp(*_residual_data(affine, kp), KernelParams.from_dict(data["params"]))
-        return cls(affine=affine, residual=residual, keypoints=kp, warnings=tuple(data.get("warnings", ())))
+        affine, kp, params = (
+            _decode(tp, data[key], f"TransportMap.{key}")
+            for key, tp in (("affine", AffineMap), ("keypoints", PairedKeypoints), ("params", KernelParams))
+        )
+        warnings = data.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise ValueError("TransportMap.warnings must be a list of strings")
+        residual = build_gp(*_residual_data(affine, kp), params)
+        return cls(affine=affine, residual=residual, keypoints=kp, warnings=tuple(warnings))
 
 
 def save_transport_map(tmap: TransportMap, path) -> None:

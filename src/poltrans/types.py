@@ -93,14 +93,22 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value):
+def _decode(tp, value, field: str):
+    """``value`` read as a ``tp`` field; ValueError naming ``field`` when a
+    number, record or dict field holds another JSON value."""
+    kind = "null" if value is None else type(value).__name__
     if tp in (int, float):
-        return tp(value)
+        try:
+            return tp(value)
+        except TypeError:
+            raise ValueError(f"{field} must be a number, not {kind}") from None
+    if not (is_dataclass(tp) or get_origin(tp) is dict):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, not {kind}")
     if is_dataclass(tp):
         return tp.from_dict(value)
-    if get_origin(tp) is dict:
-        return {k: _decode(get_args(tp)[1], v) for k, v in value.items()}
-    return value
+    return {k: _decode(get_args(tp)[1], v, f"{field}[{k!r}]") for k, v in value.items()}
 
 
 def to_dict(record) -> dict:
@@ -115,11 +123,12 @@ def from_dict(cls, data: dict):
     values are cast. Everything else is passed as read, for the class's
     ``__post_init__`` to coerce and check. A missing required key raises a
     ``KeyError`` naming the class and the key; a field with a default may
-    be absent."""
+    be absent. A number, record or dict field that holds another JSON
+    value raises a ``ValueError`` naming the class and the field."""
     kwargs = {}
     for name, tp, required in _schema(cls):
         if name in data:
-            kwargs[name] = _decode(tp, data[name])
+            kwargs[name] = _decode(tp, data[name], f"{cls.__name__}.{name}")
         elif required:
             raise KeyError(f"{cls.__name__} has no {name!r} key")
     return cls(**kwargs)

@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet, cli
 from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
-from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO, _profiled_nlml
+from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
 from poltrans._scipy import ndtr
 from poltrans.metrics import (
     ANGLE_TAIL_SEGMENTS,
@@ -170,16 +170,6 @@ def dense_profiled_nlml(sq_dists, y, ell, ratio, log_sp2_bounds):
         + d_out * float(np.log(chol.diagonal()).sum())
         + 0.5 * n * d_out * np.log(2.0 * np.pi)
     )
-    return nlml, log_sp2
-
-
-def loop_grid_nlml(neg_half_sq, y, grid, ratio, log_sp2_bounds):
-    """``gp.fit_gp``'s profiled grid scored point by point: one C matrix
-    per lengthscale, built, factored and profiled by ``gp._profiled_nlml``
-    in a single n x n buffer. Returns the (nlml, log sp2) arrays."""
-    objective = _profiled_nlml(np.empty(neg_half_sq.shape), neg_half_sq, y, log_sp2_bounds)
-    scores = [objective(ell, ratio) for ell in grid]
-    nlml, log_sp2 = (np.array(column) for column in zip(*scores))
     return nlml, log_sp2
 
 

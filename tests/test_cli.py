@@ -313,6 +313,37 @@ class TestTransport:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        ("command", "key", "value", "message"),
+        [
+            ("fit", "keypoints", None, "SurfaceScenario.keypoints must be a JSON object, not null"),
+            ("fit", "keypoints", {"source": 3}, "PairedKeypoints.source must be a JSON object, not int"),
+            ("fit", "params", None, "SurfaceScenario.params must be a JSON object, not null"),
+            ("fit", "params", {"amplitude": None}, "SurfaceScenario.params['amplitude'] must be a number, not null"),
+            ("transport", "params", None, "TransportMap.params must be a JSON object, not null"),
+            ("transport", "keypoints", [], "TransportMap.keypoints must be a JSON object, not list"),
+            ("transport", "warnings", "abc", "TransportMap.warnings must be a list of strings"),
+            ("transport", "warnings", [1], "TransportMap.warnings must be a list of strings"),
+        ],
+    )
+    def test_a_malformed_field_fails_naming_the_record_and_the_field(
+        self, tmp_path, scenario_file, fitted_map, capsys, command, key, value, message
+    ):
+        """A scenario or map field of the wrong JSON type is an input error,
+        not a traceback, and a string of warnings is not split into letters."""
+        path = scenario_file if command == "fit" else fitted_map
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        inputs = ("--scenario", path) if command == "fit" else ("--map", path, "--labels", labels_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, *inputs, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 class TestMetricsAndRank:
     def test_metrics_command(self, tmp_path):
         a = Trajectory(positions=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

@@ -22,10 +22,9 @@ from conftest import (
     dense_profiled_nlml,
     fit_gp_bounds,
     kernel_se,
-    loop_grid_nlml,
     profiled_grid_start,
 )
-from poltrans import cli, gp
+from poltrans import baselines, cli, gp, transport
 from poltrans.gp import (
     LENGTHSCALE_GRID,
     NOISE_FLOOR_RATIO,
@@ -53,6 +52,16 @@ def smooth_data(n, d_out, seed=0, noise=0.01):
         [np.sin(3.0 * x[:, 0]) + x[:, 1], np.cos(2.0 * x[:, 1]), x[:, 0] * x[:, 1]], axis=1
     )[:, :d_out]
     return x, y + noise * rng.standard_normal((n, d_out))
+
+
+def libm_pow_span_data():
+    """4 points whose span, and so the fit's ell_center, is exactly
+    1.0869140625. A NumPy scalar's ** 2 is libm pow, which is not always
+    the correctly rounded square: at the 12th grid lengthscale of this span
+    the two differ in the last bit."""
+    span = 1.0869140625
+    x = span * np.array([[0.0], [0.3], [0.55], [1.0]])
+    return x, np.sin(3.0 * x / span) + np.array([[0.1], [0.0], [-0.2], [0.05]])
 
 
 def make_random_model(seed, n=12, d_in=2, d_out=2, noise=1e-4):
@@ -259,20 +268,87 @@ class TestHyperparameterFit:
         b = fit_gp(x, y)
         assert a.params == b.params
 
-    @pytest.mark.parametrize("n", [12, 200])
-    def test_polish_starts_from_the_reference_grid_optimum(self, n, monkeypatch):
-        x, y = smooth_data(n, 2)
-        starts = []
-        real_minimize = gp.minimize
+    @staticmethod
+    def run_suite_fits(suite):
+        for task in default_bench_tasks(suite):
+            for method in task.methods:
+                if method in ("gpt", "reshaped_kmp"):
+                    cli.METHOD_TABLE[method].run(task)
 
-        def capture(fun, x0, *args, **kwargs):
-            starts.append(np.array(x0))
+    @staticmethod
+    def run_small_and_awkward_sets(ratio):
+        rng = np.random.default_rng(21)
+        for n, d_out in ((12, 2), (60, 3), (2, 1), (1, 2)):
+            gp.fit_gp(*smooth_data(n, d_out, seed=n, noise=0.1), noise_ratio=ratio)
+        x = rng.uniform(0.0, 1.0, (6, 2))
+        gp.fit_gp(np.vstack([x, x]), rng.standard_normal((12, 2)), noise_ratio=ratio)
+
+    # Each group of fits, and how many of its fits run a polish. The flat
+    # and tilt scenes' gpt residuals and reshaped_kmp displacement labels
+    # are exact zeros, which search nothing.
+    FIT_GROUPS = {
+        "12": (lambda: gp.fit_gp(*smooth_data(12, 2)), 1),
+        "200": (lambda: gp.fit_gp(*smooth_data(200, 2)), 1),
+        "50": (
+            lambda: [
+                fit_transport(make_surface_scenario(profile, n_keypoints=50, seed=7).keypoints)
+                for profile in SURFACE_PROFILES
+            ],
+            3,
+        ),
+        "surfaces": (lambda: TestHyperparameterFit.run_suite_fits("surfaces"), 30 - 12),
+        "frames": (lambda: TestHyperparameterFit.run_suite_fits("frames"), 20),
+        "sets-ratio-max": (
+            lambda: TestHyperparameterFit.run_small_and_awkward_sets(NOISE_RATIO_MAX),
+            5,
+        ),
+        "sets-ratio-floor": (
+            lambda: TestHyperparameterFit.run_small_and_awkward_sets(NOISE_FLOOR_RATIO),
+            5,
+        ),
+        "libm-pow-span": (lambda: gp.fit_gp(*libm_pow_span_data()), 1),
+    }
+
+    @pytest.mark.parametrize("group", list(FIT_GROUPS))
+    def test_polish_starts_from_the_reference_grid_optimum(self, group, monkeypatch):
+        """Every fit of the group starts its polish from the best point of
+        the dense oracle's grid (conftest.profiled_grid_start), bit for bit."""
+        run, polished = self.FIT_GROUPS[group]
+        fits, checked = [], []
+        real_fit, real_minimize = gp.fit_gp, gp.minimize
+
+        def recorded_fit(inputs, outputs, noise_ratio=NOISE_RATIO_MAX):
+            fits.append((inputs, outputs, noise_ratio))
+            return real_fit(inputs, outputs, noise_ratio)
+
+        def checked_minimize(fun, x0, *args, **kwargs):
+            inputs, outputs, noise_ratio = fits[-1]
+            x, y = (np.asarray(a, dtype=float).reshape(len(a), -1) for a in (inputs, outputs))
+            assert np.array_equal(x0, profiled_grid_start(x, y, noise_ratio))
+            checked.append(x0)
             return real_minimize(fun, x0, *args, **kwargs)
 
-        monkeypatch.setattr(gp, "minimize", capture)
+        for module in (gp, transport, baselines):
+            monkeypatch.setattr(module, "fit_gp", recorded_fit)
+        monkeypatch.setattr(gp, "minimize", checked_minimize)
+        run()
+        assert len(checked) == polished
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_a_fit_holds_one_c_matrix_at_every_size(self, n):
+        """The grid and the polish score every lengthscale in one n x n C,
+        so the fit's traced peak stays below 10 n x n matrices: the
+        distances, their halves, one C, build_gp's Gram matrix and
+        temporaries."""
+        x, y = smooth_data(n, 2)
         fit_gp(x, y)
-        assert len(starts) == 1
-        assert np.array_equal(starts[0], profiled_grid_start(x, y))
+        tracemalloc.start()
+        try:
+            fit_gp(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n * 8
 
 
 class TestObjective:
@@ -290,7 +366,7 @@ class TestObjective:
         x, y = smooth_data(n, d_out)
         sq = gp._sq_dists(x, x)
         (log_sp2_bounds, log_ell_bounds, _), _ = fit_gp_bounds(x, y)
-        profiled = gp._profiled_nlml(np.empty((n, n)), -0.5 * sq, y, log_sp2_bounds)
+        profiled = gp._profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
 
         # The grid's floor lengthscale puts subnormal entries into C, where
         # factoring C in place differs most from factoring a copy.
@@ -320,13 +396,25 @@ class TestObjective:
         # evaluations over the step, which the floor ratio's slope can be.
         assert_allclose(grad, fd, rtol=1e-5, atol=100 * np.finfo(float).eps * abs(nlml) / h)
 
+    def test_squares_each_grid_lengthscale_as_the_dense_oracle_does(self):
+        """The oracle squares each l with libm pow, as the objective must:
+        on these data the 12th grid point's score depends on it."""
+        x, y = libm_pow_span_data()
+        sq = gp._sq_dists(x, x)
+        (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
+        grid = LENGTHSCALE_GRID * ell_center
+        assert grid[11] ** 2 != grid[11] * grid[11]
+        profiled = gp._profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
+        for ell in grid:
+            assert profiled(ell, 1e-6) == dense_profiled_nlml(sq, y, ell, 1e-6, log_sp2_bounds)
+
     def test_failed_factorization_scores_a_flat_wall(self):
         """A C that fails to factor scores inf, so neither the grid nor the
         polish can pick it; the dense oracles agree."""
         x, y = smooth_data(12, 2)
         sq = gp._sq_dists(x, x)
         assert gp._factor_in_place(np.exp(-sq / (2.0 * 100.0**2)) + 1e-16 * np.eye(12)) is None
-        nlml, log_sp2 = gp._profiled_nlml(np.empty((12, 12)), -0.5 * sq, y, (-50.0, 50.0))(100.0, 1e-16)
+        nlml, log_sp2 = gp._profiled_nlml(-0.5 * sq, y, (-50.0, 50.0))(100.0, 1e-16)
         assert nlml == np.inf and np.isnan(log_sp2)
         ref_nlml, ref_log_sp2 = dense_profiled_nlml(sq, y, 100.0, 1e-16, (-50.0, 50.0))
         assert ref_nlml == np.inf and np.isnan(ref_log_sp2)
@@ -342,110 +430,11 @@ class TestObjective:
         sq = gp._sq_dists(x, x)
         neg_half_sq = -0.5 * sq
         neg_half_sq[3, 3] = bad  # C[3, 3] = exp(bad / l^2) + ratio
-        objective = gp._profiled_nlml(np.empty((12, 12)), neg_half_sq, y, (-50.0, 50.0))
+        objective = gp._profiled_nlml(neg_half_sq, y, (-50.0, 50.0))
         nlml, log_sp2 = objective(0.3, 1e-6)
         assert nlml == np.inf and np.isnan(log_sp2)
         neg_half_sq[3, 3] = 0.0
         assert objective(0.3, 1e-6) == dense_profiled_nlml(sq, y, 0.3, 1e-6, (-50.0, 50.0))
-
-
-class TestStackedGrid:
-    """``gp._grid_nlml``, the profiled grid scored in one stacked pass, is
-    the point-by-point loop ``loop_grid_nlml`` bit for bit."""
-
-    @staticmethod
-    def check_every_grid(monkeypatch) -> list:
-        """Make every grid that fit_gp scores from now on also run through
-        the loop and compare; returns the (lanes, n) of each checked grid."""
-        stacked = gp._grid_nlml
-        checked = []
-
-        def compared(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds):
-            nlml, log_sp2 = stacked(buf, neg_half_sq, y, grid, ratio, log_sp2_bounds)
-            ref_nlml, ref_log_sp2 = loop_grid_nlml(neg_half_sq, y, grid, ratio, log_sp2_bounds)
-            assert nlml.tobytes() == ref_nlml.tobytes()
-            assert log_sp2.tobytes() == ref_log_sp2.tobytes()
-            checked.append((len(buf), y.shape[0]))
-            return nlml, log_sp2
-
-        monkeypatch.setattr(gp, "_grid_nlml", compared)
-        return checked
-
-    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
-    def test_the_default_suites_fits(self, suite, monkeypatch):
-        checked = self.check_every_grid(monkeypatch)
-        for task in default_bench_tasks(suite):
-            for method in task.methods:
-                if method in ("gpt", "reshaped_kmp"):
-                    cli.METHOD_TABLE[method].run(task)
-        # The flat and tilt scenes' 6 gpt residuals and 6 reshaped_kmp
-        # displacement label sets are exact zeros, which score no grid;
-        # every other fit of the suites scores one.
-        assert len(checked) == {"surfaces": 30 - 12, "frames": 20}[suite]
-
-    @pytest.mark.parametrize("n, lanes", [(12, 25), (50, 25), (200, 1)])
-    def test_the_cli_fit_size_classes(self, n, lanes, monkeypatch):
-        checked = self.check_every_grid(monkeypatch)
-        for profile in SURFACE_PROFILES:
-            fit_transport(make_surface_scenario(profile, n_keypoints=n, seed=7).keypoints)
-        assert checked and set(checked) == {(lanes, n)}
-
-    @pytest.mark.parametrize("ratio", [NOISE_RATIO_MAX, NOISE_FLOOR_RATIO])
-    def test_noisy_duplicate_and_tiny_sets(self, ratio, monkeypatch):
-        checked = self.check_every_grid(monkeypatch)
-        rng = np.random.default_rng(21)
-        for n, d_out in ((12, 2), (60, 3), (2, 1), (1, 2)):  # 60 points: chunks of 18 and 7 lanes
-            fit_gp(*smooth_data(n, d_out, seed=n, noise=0.1), noise_ratio=ratio)
-        x = rng.uniform(0.0, 1.0, (6, 2))
-        fit_gp(np.vstack([x, x]), rng.standard_normal((12, 2)), noise_ratio=ratio)
-        assert [n for _, n in checked] == [12, 60, 2, 1, 12]
-        assert checked[1] == (18, 60)
-
-    def test_each_lane_squares_its_lengthscale_as_the_loop_does(self, monkeypatch):
-        """A NumPy scalar's ** 2 is libm pow, which is not always the
-        correctly rounded square. These inputs span exactly 1.0869140625,
-        the fit's ell_center, and at the 12th grid lengthscale pow and the
-        square differ in the last bit and so do the scores."""
-        span = 1.0869140625
-        grid = LENGTHSCALE_GRID * span
-        assert grid[11] ** 2 != grid[11] * grid[11]
-        checked = self.check_every_grid(monkeypatch)
-        x = span * np.array([[0.0], [0.3], [0.55], [1.0]])
-        fit_gp(x, np.sin(3.0 * x / span) + np.array([[0.1], [0.0], [-0.2], [0.05]]))
-        assert checked == [(25, 4)]
-
-    @pytest.mark.parametrize("lanes", [25, 4])
-    def test_a_lane_that_fails_to_factor_scores_inf_among_lanes_that_do_not(self, lanes):
-        """At a noise ratio of 1e-16, C fails to factor at the long
-        lengthscales and factors at the short ones."""
-        x, y = smooth_data(12, 2)
-        sq = gp._sq_dists(x, x)
-        (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
-        grid = LENGTHSCALE_GRID * ell_center
-        buf = np.empty((lanes, 12, 12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            nlml, log_sp2 = gp._grid_nlml(buf, -0.5 * sq, y, grid, 1e-16, log_sp2_bounds)
-        assert np.isinf(nlml).any() and np.isfinite(nlml).any()
-        assert np.array_equal(np.isnan(log_sp2), np.isinf(nlml))
-        ref_nlml, ref_log_sp2 = loop_grid_nlml(-0.5 * sq, y, grid, 1e-16, log_sp2_bounds)
-        assert nlml.tobytes() == ref_nlml.tobytes()
-        assert log_sp2.tobytes() == ref_log_sp2.tobytes()
-
-    def test_a_200_point_fit_holds_one_grid_matrix(self):
-        """Up to 51 points the grid stacks all 25 C matrices; at 200 it
-        holds one, as the polish does, and the fit's traced peak stays
-        below 7 n x n matrices (6.4 measured: the distances, their
-        halves, one C, build_gp's Gram matrix and temporaries)."""
-        x, y = smooth_data(200, 2)
-        fit_gp(x, y)
-        tracemalloc.start()
-        try:
-            fit_gp(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 7 * 200 * 200 * 8
 
 
 class TestPolish:
