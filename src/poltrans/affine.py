@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import PairedKeypoints, _as_batch, _freeze, from_dict, is_rotation
-from .types import to_dict as _record_dict
+from .types import PairedKeypoints, _as_batch, _freeze, is_rotation
 
 # A singular value counts as zero below this fraction of the largest one.
 DEGENERATE_REL_TOL = 1e-10
@@ -22,8 +21,9 @@ DEGENERATE_REL_TOL = 1e-10
 class AffineMap:
     """x -> rotation @ (x - source_centroid) + target_centroid.
 
-    ``warnings`` names what the fit could not determine; it is not part of
-    the map's JSON form (a transport map's file carries it)."""
+    ``warnings`` names what the fit could not determine. The map has no
+    file form: it follows from the keypoints it was fitted to
+    (:func:`fit_affine`), which a transport map's file holds."""
 
     rotation: np.ndarray
     source_centroid: np.ndarray
@@ -50,13 +50,6 @@ class AffineMap:
         """Map an (N, dim) batch of points through the transform."""
         pts = _as_batch(x, "points", self.dim)
         return (pts - self.source_centroid) @ self.rotation.T + self.target_centroid
-
-    def to_dict(self) -> dict:
-        data = _record_dict(self)
-        del data["warnings"]
-        return data
-
-    from_dict = classmethod(from_dict)
 
 
 def _turn(axis: np.ndarray, cos: float) -> np.ndarray:

@@ -420,7 +420,7 @@ def _frame_files(seeds: int, args) -> list[tuple[str, FrameScenario]]:
 
 @dataclass(frozen=True)
 class Suite:
-    """A bench suite: its default (test) seeds and methods, ``cells(methods,
+    """A bench suite: its default (test) seeds and methods, ``tasks(methods,
     seeds, args)``, the ``SceneTask`` list bench runs, and ``scenarios(seeds,
     args)``, the (file name, scenario) pairs scenario-gen writes. Both read
     only the suite's own flags from ``args`` and call the package through
@@ -428,7 +428,7 @@ class Suite:
 
     seeds: int
     methods: tuple[str, ...]
-    cells: Callable
+    tasks: Callable
     scenarios: Callable
 
 
@@ -568,7 +568,7 @@ def cmd_bench(args) -> int:
     methods = suite.methods if args.methods is None else args.methods
     timings: dict = {}
     with _stage(timings, "scenes"):
-        tasks = suite.cells(methods, _seed_count(args), args)
+        tasks = suite.tasks(methods, _seed_count(args), args)
     # Each scene gives one row per method, and ranking two or more methods
     # needs U_TEST_MIN_SAMPLES rows each.
     scenes = len({task.scenario.name for task in tasks})

@@ -89,13 +89,13 @@ def _residual_data(affine: AffineMap, kp: PairedKeypoints) -> tuple[np.ndarray, 
 @dataclass(frozen=True, eq=False)
 class TransportMap:
     """Fitted transportation map: rigid part, residual GP, training pairs.
-    Its file stores the residual's hyperparameters, not its training set,
-    which follows from the rigid part and the keypoints (``_residual_data``)."""
+    Its file holds the keypoints and the residual's hyperparameters; the
+    rigid part (``fit_affine``), the residual's training set
+    (``_residual_data``) and the warnings follow from them, on load as on fit."""
 
     affine: AffineMap
     residual: GPModel
     keypoints: PairedKeypoints
-    warnings: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -114,28 +114,26 @@ class TransportMap:
         """det J at each source keypoint."""
         return _freeze(np.linalg.det(_mean_jacobians(self, self.keypoints.source.points)))
 
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """The rigid part's warnings, plus a note when some source keypoint
+        maps farther than :func:`match_tolerance` from its target."""
+        err, tol = float(self.keypoint_errors.max()), match_tolerance(self.keypoints)
+        note = f"keypoint match tolerance exceeded: max error {err:.3e} > {tol:.3e}"
+        return self.affine.warnings + ((note,) if err > tol else ())
+
     def to_dict(self) -> dict:
-        return {
-            "affine": self.affine.to_dict(),
-            "keypoints": self.keypoints.to_dict(),
-            "params": self.residual.params.to_dict(),
-            "warnings": list(self.warnings),
-        }
+        return {"keypoints": self.keypoints.to_dict(), "params": self.residual.params.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransportMap":
-        for key in ("affine", "keypoints", "params"):
+        for key in ("keypoints", "params"):
             if key not in data:
                 raise ValueError(f"map file has no {key!r} key; refit the map with 'poltrans fit'")
-        affine, kp, params = (
-            _decode(tp, data[key], f"TransportMap.{key}")
-            for key, tp in (("affine", AffineMap), ("keypoints", PairedKeypoints), ("params", KernelParams))
-        )
-        warnings = data.get("warnings", [])
-        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
-            raise ValueError("TransportMap.warnings must be a list of strings")
-        residual = build_gp(*_residual_data(affine, kp), params)
-        return cls(affine=affine, residual=residual, keypoints=kp, warnings=tuple(warnings))
+        kp = _decode(PairedKeypoints, data["keypoints"], "TransportMap.keypoints")
+        params = _decode(KernelParams, data["params"], "TransportMap.params")
+        affine = fit_affine(kp)
+        return cls(affine=affine, residual=build_gp(*_residual_data(affine, kp), params), keypoints=kp)
 
 
 def save_transport_map(tmap: TransportMap, path) -> None:
@@ -209,26 +207,18 @@ def fit_transport(kp: PairedKeypoints) -> TransportMap:
     round-off, which fit no hyperparameters) at ``fit_gp``'s default noise
     ratio, 1e-6 of the signal variance, so that every keypoint is matched
     within :func:`match_tolerance`. If the optimized fit misses that
-    tolerance, the fit is retried with the noise pinned at the floor; a
-    persistent miss attaches a warning rather than failing.
+    tolerance, it is refitted with the noise pinned at the floor and the
+    closer fit is kept; ``warnings`` names a persistent miss.
     """
     affine = fit_affine(kp)
     aligned, residual_targets = _residual_data(affine, kp)
+    tmap = TransportMap(affine=affine, residual=fit_gp(aligned, residual_targets), keypoints=kp)
 
-    residual = fit_gp(aligned, residual_targets)
-    tmap = TransportMap(affine=affine, residual=residual, keypoints=kp, warnings=affine.warnings)
-
-    tol = match_tolerance(kp)
     err = float(tmap.keypoint_errors.max())
-    if err > tol:
-        pinned = fit_gp(aligned, residual_targets, noise_ratio=NOISE_FLOOR_RATIO)
-        pinned_map = replace(tmap, residual=pinned)
-        pinned_err = float(pinned_map.keypoint_errors.max())
-        if pinned_err < err:
-            tmap, err = pinned_map, pinned_err
-        if err > tol:
-            note = f"keypoint match tolerance exceeded: max error {err:.3e} > {tol:.3e}"
-            tmap = replace(tmap, warnings=tmap.warnings + (note,))
+    if err > match_tolerance(kp):
+        pinned = replace(tmap, residual=fit_gp(aligned, residual_targets, noise_ratio=NOISE_FLOOR_RATIO))
+        if float(pinned.keypoint_errors.max()) < err:
+            tmap = pinned
     return tmap
 
 

@@ -95,13 +95,19 @@ def _encode(value):
 
 def _decode(tp, value, field: str):
     """``value`` read as a ``tp`` field; ValueError naming ``field`` when a
-    number, record or dict field holds another JSON value."""
+    number, record or dict field holds another JSON value. A ``float``
+    field takes any JSON number and an ``int`` field one of integral value;
+    neither takes a bool or a string."""
     kind = "null" if value is None else type(value).__name__
     if tp in (int, float):
-        try:
-            return tp(value)
-        except TypeError:
-            raise ValueError(f"{field} must be a number, not {kind}") from None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if tp is float:
+                return float(value)
+            if isinstance(value, int) or value.is_integer():
+                return int(value)
+        if isinstance(value, (bool, int, float, str)):
+            kind += f" {value!r}"
+        raise ValueError(f"{field} must be {'an integer' if tp is int else 'a number'}, not {kind}")
     if not (is_dataclass(tp) or get_origin(tp) is dict):
         return value
     if not isinstance(value, dict):
@@ -120,7 +126,8 @@ def to_dict(record) -> dict:
 def from_dict(cls, data: dict):
     """Rebuild a record from its JSON form. Nested records go through their
     own ``from_dict``; ``int``/``float`` fields and ``dict[str, float]``
-    values are cast. Everything else is passed as read, for the class's
+    values are read as numbers (:func:`_decode`), converted to the field's
+    type. Everything else is passed as read, for the class's
     ``__post_init__`` to coerce and check. A missing required key raises a
     ``KeyError`` naming the class and the key; a field with a default may
     be absent. A number, record or dict field that holds another JSON
@@ -188,7 +195,7 @@ class PointSet:
     @classmethod
     def from_dict(cls, data: dict) -> "PointSet":
         ps = from_dict(cls, data)
-        if "dim" in data and int(data["dim"]) != ps.dim:
+        if "dim" in data and _decode(int, data["dim"], "PointSet.dim") != ps.dim:
             raise ValueError("declared dim does not match point width")
         return ps
 

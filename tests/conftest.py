@@ -97,7 +97,7 @@ def suite_tasks(suite: str, methods, seeds: int, *flags) -> list:
     """The scene tasks ``poltrans bench --suite <suite> <flags>`` runs for
     ``methods`` at ``seeds`` seeds, built by the suite's table entry."""
     args = cli.build_parser().parse_args(["bench", "--suite", suite, *map(str, flags)])
-    return cli.SUITE_TABLE[suite].cells(methods, seeds, args)
+    return cli.SUITE_TABLE[suite].tasks(methods, seeds, args)
 
 
 @lru_cache(maxsize=None)

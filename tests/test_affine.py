@@ -109,7 +109,6 @@ def test_collinear_3d_points_take_the_smallest_rotation_onto_the_target_line():
     assert_allclose(mapping.apply([[0.5, 2.0, 0.0]]), [[-1.7, 0.6, 0.0]], atol=1e-12)
     (warning,) = mapping.warnings
     assert "collinear keypoints" in warning and "free" in warning
-    assert "warnings" not in mapping.to_dict()
 
 
 def test_opposite_3d_lines_turn_half_way_round_the_stated_axis():

@@ -322,15 +322,43 @@ class TestTransport:
             ("fit", "params", {"amplitude": None}, "SurfaceScenario.params['amplitude'] must be a number, not null"),
             ("transport", "params", None, "TransportMap.params must be a JSON object, not null"),
             ("transport", "keypoints", [], "TransportMap.keypoints must be a JSON object, not list"),
-            ("transport", "warnings", "abc", "TransportMap.warnings must be a list of strings"),
-            ("transport", "warnings", [1], "TransportMap.warnings must be a list of strings"),
+            ("fit", "seed", 3.7, "SurfaceScenario.seed must be an integer, not float 3.7"),
+            ("fit", "seed", True, "SurfaceScenario.seed must be an integer, not bool True"),
+            ("fit", "seed", "12", "SurfaceScenario.seed must be an integer, not str '12'"),
+            ("fit", "params", {"amplitude": "0.1"}, "SurfaceScenario.params['amplitude'] must be a number, not str '0.1'"),
+            ("fit", "params", {"amplitude": False}, "SurfaceScenario.params['amplitude'] must be a number, not bool False"),
+            (
+                "fit",
+                "keypoints",
+                {"source": {"dim": 2.5, "points": [[0.0, 0.0]]}},
+                "PointSet.dim must be an integer, not float 2.5",
+            ),
+            (
+                "transport",
+                "keypoints",
+                {"source": {"dim": "2", "points": [[0.0, 0.0]]}},
+                "PointSet.dim must be an integer, not str '2'",
+            ),
+            (
+                "transport",
+                "params",
+                {"signal_variance": "0.1", "lengthscale": 1.0},
+                "KernelParams.signal_variance must be a number, not str '0.1'",
+            ),
+            (
+                "transport",
+                "params",
+                {"signal_variance": 0.1, "lengthscale": True},
+                "KernelParams.lengthscale must be a number, not bool True",
+            ),
         ],
     )
     def test_a_malformed_field_fails_naming_the_record_and_the_field(
         self, tmp_path, scenario_file, fitted_map, capsys, command, key, value, message
     ):
         """A scenario or map field of the wrong JSON type is an input error,
-        not a traceback, and a string of warnings is not split into letters."""
+        not a traceback: a number field takes no bool or string, and an
+        integer field no fraction."""
         path = scenario_file if command == "fit" else fitted_map
         data = json.loads(path.read_text())
         data[key] = value
@@ -682,10 +710,10 @@ class TestBench:
             assert "wall_s" not in (out / name).read_text()
 
     def test_timings_json_times_building_the_cells(self, tmp_path, monkeypatch):
-        """``scenes`` covers ``Suite.cells``, which runs before the pool;
+        """``scenes`` covers ``Suite.tasks``, which runs before the pool;
         ``_run_bench`` on scene tasks built elsewhere reads it as zero."""
         spent = []
-        build = cli.SUITE_TABLE["frames"].cells
+        build = cli.SUITE_TABLE["frames"].tasks
 
         def timed(*args):
             wall, cpu = time.perf_counter(), time.process_time()
@@ -693,7 +721,7 @@ class TestBench:
             spent.append((time.perf_counter() - wall, time.process_time() - cpu))
             return tasks
 
-        monkeypatch.setitem(cli.SUITE_TABLE, "frames", dataclasses.replace(cli.SUITE_TABLE["frames"], cells=timed))
+        monkeypatch.setitem(cli.SUITE_TABLE, "frames", dataclasses.replace(cli.SUITE_TABLE["frames"], tasks=timed))
         out = tmp_path / "bench"
         assert run("bench", "--suite", "frames", "--seeds", 3, "--methods", "le", "--out-dir", out) == 0
         scenes = json.loads((out / "timings.json").read_text())["scenes"]

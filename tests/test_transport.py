@@ -36,6 +36,7 @@ from poltrans.affine import fit_affine
 from poltrans.gp import predict_mean
 from poltrans.scenarios import frame_pairing, make_surface_scenario, random_frame_scenario
 from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE, zero_roundoff
+from poltrans.types import save_json
 
 
 def rigid_labels(rng, m=6, dim=2):
@@ -49,6 +50,15 @@ def rigid_labels(rng, m=6, dim=2):
         stiffness=spd,
         damping=0.4 * spd,
     )
+
+
+def collinear_3d_pair():
+    """8 keypoints on the x-axis, targets Rz(90 deg) of them plus
+    (0.3, 0.1, 0): the rigid fit leaves the spin about the line free."""
+    x = np.linspace(-1.0, 2.0, 8)
+    src = np.stack([x, np.zeros(8), np.zeros(8)], axis=1)
+    tgt = np.stack([np.full(8, 0.3), x + 0.1, np.zeros(8)], axis=1)
+    return PairedKeypoints(PointSet(src), PointSet(tgt))
 
 
 class TestFit:
@@ -92,13 +102,10 @@ class TestFit:
         assert any("tolerance exceeded" in w for w in tmap.warnings)
 
     def test_collinear_3d_keypoints_map_the_plane_of_the_turn(self, tmp_path):
-        """8 keypoints on the x-axis, targets Rz(90 deg) of them plus
-        (0.3, 0.1, 0): (0.5, 2, 0) maps onto the image of its rotation, not
-        of the identity, and the map and its file name the free spin."""
-        x = np.linspace(-1.0, 2.0, 8)
-        src = np.stack([x, np.zeros(8), np.zeros(8)], axis=1)
-        tgt = np.stack([np.full(8, 0.3), x + 0.1, np.zeros(8)], axis=1)
-        tmap = fit_transport(PairedKeypoints(PointSet(src), PointSet(tgt)))
+        """On ``collinear_3d_pair`` (0.5, 2, 0) maps onto the image of its
+        rotation, not of the identity, and the map and its file name the
+        free spin."""
+        tmap = fit_transport(collinear_3d_pair())
         mapped, _ = transport_points(tmap, [[0.5, 2.0, 0.0]])
         assert_allclose(mapped, [[-1.7, 0.6, 0.0]], atol=1e-12)
         assert np.linalg.det(tmap.affine.rotation) == pytest.approx(1.0)
@@ -111,7 +118,7 @@ class TestFit:
     def test_keypoint_errors_equal_transported_keypoints(self, tmp_path, case):
         if case == "surface":
             kp = make_surface_scenario("composite", n_keypoints=50, seed=1).keypoints
-        else:  # the warned path, whose map is rebuilt with its note
+        else:  # the warned path, through the pinned-noise retry
             kp = PairedKeypoints(
                 PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
                 PointSet([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
@@ -524,17 +531,19 @@ class TestDiffeomorphismCheck:
 
 class TestSerialization:
     def test_map_round_trip_preserves_predictions(self, tmp_path):
-        """Loading rebuilds the residual GP bit for bit from the rigid part,
-        the keypoints and the hyperparameters: on small and 200-keypoint
-        fits and on the pinned-noise retry of contradictory keypoints."""
+        """Loading rebuilds the rigid part, the residual GP and the warnings
+        bit for bit from the keypoints and the hyperparameters: on small
+        and 200-keypoint fits, on the pinned-noise retry of contradictory
+        keypoints, on a collinear 3-D pair and on a frames pairing."""
         rng = np.random.default_rng(16)
-        queries = rng.uniform(-1.5, 1.5, (10, 2))
+        queries = {2: rng.uniform(-1.5, 1.5, (10, 2)), 3: np.random.default_rng(20).uniform(-1.5, 1.5, (10, 3))}
         contradictory = PairedKeypoints(
             PointSet([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
             PointSet([[0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
         )
         surface = make_surface_scenario("sine", n_keypoints=200, seed=0).keypoints
-        for kp in (random_smooth_pair(rng), surface, contradictory):
+        frames = frame_pairing(random_frame_scenario(106), random_frame_scenario(204))
+        for kp in (random_smooth_pair(rng), surface, contradictory, collinear_3d_pair(), frames):
             tmap = fit_transport(kp)
             path = tmp_path / "map.json"
             save_transport_map(tmap, path)
@@ -542,19 +551,47 @@ class TestSerialization:
             for name in ("inputs", "outputs", "chol", "alpha"):
                 assert np.array_equal(getattr(back.residual, name), getattr(tmap.residual, name))
             assert back.residual.params == tmap.residual.params
+            for name in ("rotation", "source_centroid", "target_centroid"):
+                assert np.array_equal(getattr(back.affine, name), getattr(tmap.affine, name))
             assert back.warnings == tmap.warnings
             for evaluate in (transport_points, transport_jacobians):
-                for fresh, loaded in zip(evaluate(tmap, queries), evaluate(back, queries)):
+                for fresh, loaded in zip(evaluate(tmap, queries[kp.dim]), evaluate(back, queries[kp.dim])):
                     assert np.array_equal(fresh, loaded)
 
     def test_map_file_holds_each_fact_once(self, tmp_path):
-        """No copy of the residual's training set: it follows from the
-        rigid part and the keypoints."""
+        """The keypoints and the hyperparameters: the rigid part, the
+        residual's training set and the warnings follow from them."""
         tmap = fit_transport(random_smooth_pair(np.random.default_rng(18)))
         save_transport_map(tmap, tmp_path / "map.json")
         data = json.loads((tmp_path / "map.json").read_text())
-        assert set(data) == {"affine", "keypoints", "params", "warnings"}
+        assert set(data) == {"keypoints", "params"}
         assert data["params"] == tmap.residual.params.to_dict()
+
+    def test_map_with_a_stale_affine_and_warnings_loads_from_its_keypoints(self, tmp_path):
+        """A file that also holds an ``affine`` and ``warnings``, as maps
+        written before they were derived did, loads as the map of its
+        keypoints and hyperparameters: a wrong affine and a stale warning
+        change nothing."""
+        tmap = fit_transport(collinear_3d_pair())
+        older = {
+            **tmap.to_dict(),
+            "affine": {
+                "rotation": np.eye(3).tolist(),
+                "source_centroid": [1.0, 2.0, 3.0],
+                "target_centroid": [0.0, 0.0, 0.0],
+            },
+            "warnings": ["stale"],
+        }
+        save_transport_map(tmap, tmp_path / "map.json")
+        save_json(older, tmp_path / "older.json")
+        current, loaded = (load_transport_map(tmp_path / name) for name in ("map.json", "older.json"))
+        for name in ("chol", "alpha"):
+            assert np.array_equal(getattr(loaded.residual, name), getattr(current.residual, name))
+        assert loaded.warnings == current.warnings == tmap.warnings
+        queries = np.random.default_rng(20).uniform(-1.5, 1.5, (10, 3))
+        for evaluate in (transport_points, transport_jacobians):
+            for new, old in zip(evaluate(current, queries), evaluate(loaded, queries)):
+                assert np.array_equal(new, old)
 
     def test_map_without_params_asks_for_a_refit(self, tmp_path):
         data = fit_transport(random_smooth_pair(np.random.default_rng(19))).to_dict()

@@ -13,7 +13,6 @@ from scipy.spatial.distance import cdist, pdist
 import poltrans
 from conftest import loop_validate_labels, random_rotation, rotation_2d
 from poltrans import (
-    AffineMap,
     KernelParams,
     MetricReport,
     PairedKeypoints,
@@ -290,7 +289,6 @@ RECORDS = {
     "trajectory_with_times": lambda: Trajectory(positions=[[0.0, 0.5], [1.0, 0.25]], times=[0.0, 0.1]),
     "trajectory_without_times": lambda: Trajectory(positions=[[0.0, 0.5], [1.0, 0.25]]),
     "kernel_params": lambda: KernelParams(signal_variance=0.3, lengthscale=0.7, noise_variance=1e-7),
-    "affine_map": lambda: AffineMap(rotation_2d(0.4), [0.1, 0.2], [-0.3, 0.5]),
     "pose": lambda: Pose(xy=(0.1, -0.2), heading=1.1),
     "surface_scenario": lambda: make_surface_scenario("composite", n_keypoints=6, seed=2),
     "frame_scenario": lambda: random_frame_scenario(204, keypoints_per_frame=3),
