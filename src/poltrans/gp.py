@@ -24,7 +24,11 @@ Every factorization is LAPACK's ``dpotrf`` called directly, in place, and
 every solve is LAPACK's ``dpotrs`` (:func:`_solve`). A model's Gram matrix
 is factored by :func:`_factor_in_place`. :func:`fit_gp` scores its
 lengthscale grid and each polish step through one objective
-(:func:`_profiled_nlml`), which builds and factors every C in one buffer.
+(:func:`_profiled_nlml`), which builds and factors every C in one buffer,
+with the kernel exponent floored at ``_EXPONENT_FLOOR`` so that no entry of
+C is subnormal; that floor changes no score, as the objective's docstring
+shows. A fit computes its inputs' squared distances once, for the search
+and for the fitted model alike.
 Training inputs, outputs and queries are (N, d) batches, and every
 prediction keeps the queries' leading axis; a 1-d array is a column of N
 scalars, so a 1-input model takes ``t`` and ``t[:, None]`` alike. Non-finite
@@ -52,6 +56,11 @@ LENGTHSCALE_GRID = np.logspace(-3.0, 3.0, 25)
 # Brent's step tolerance on log l, relative to |log l| + 1. On the bench fits
 # a finer step moves the LML by less than its round-off at the floor ratio.
 _BRENT_TOL = 1e-6
+# The floor on the kernel exponent -sq / (2 l^2) in the likelihood search
+# (_profiled_nlml). e^-345 ~ 1.2e-150, so a product of two floored
+# correlations is still a normal float; below about -708, exp leaves NumPy's
+# fast path and dpotrf computes on subnormals.
+_EXPONENT_FLOOR = -345.0
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,8 @@ class KernelParams:
     from_dict = classmethod(from_dict)
 
 
-def _se_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    sq = _sq_dists(a, b)
+def _se_matrix(sq: np.ndarray, params: KernelParams) -> np.ndarray:
+    """The SE kernel at the squared distances ``sq``."""
     return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
 
 
@@ -165,8 +174,13 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
         raise ValueError("inputs and outputs must have the same length")
     if x.shape[0] < 1:
         raise ValueError("at least one training point required")
+    return _build(x, y, params, _sq_dists(x, x))
 
-    gram = _se_matrix(x, x, params)
+
+def _build(x: np.ndarray, y: np.ndarray, params: KernelParams, sq: np.ndarray) -> GPModel:
+    """:func:`build_gp` on checked batches ``x`` and ``y`` whose squared
+    distances ``sq`` the caller has computed."""
+    gram = _se_matrix(sq, params)
     gram.ravel()[:: x.shape[0] + 1] += params.noise_variance  # a view: gram is C-contiguous
     chol = _factor_in_place(gram)
     if chol is None:
@@ -196,12 +210,25 @@ def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
 
     Each call builds C = exp(-sq / (2 l^2)) + ratio I in one n x n buffer,
     allocated once, and factors it there with ``dpotrf``; what the calls
-    share (C's diagonal view, n d_out, the constant term) is computed once.
-    A C that fails to factor scores (inf, nan), as does one that holds a NaN
-    or an inf: OpenBLAS's ``dpotrf`` reports success on it, but the log
-    determinant of its factor is then not finite.
+    share (C's diagonal view, n d_out, the constant term, the lowest
+    exponent) is computed once. A C that fails to factor scores (inf, nan),
+    as does one that holds a NaN or an inf: OpenBLAS's ``dpotrf`` reports
+    success on it, but the log determinant of its factor is then not finite.
+
+    Where some exponent -sq / (2 l^2) lies below ``_EXPONENT_FLOOR``, every
+    such exponent is raised to the floor before ``exp``, so no entry of C
+    is subnormal or zero: ``exp`` leaves its fast path below about -708,
+    and ``dpotrf`` slows on such entries. This changes no score. A floored
+    entry moves by less than 1.2e-150, so C moves by less than n 1.2e-150
+    in norm, while C's smallest eigenvalue is at least the ratio, 1e-8 or
+    more; and two floored values multiply to a normal float. Every such
+    change in the factor and the solve is absorbed, to the last bit, where
+    it meets a normal-sized value: a diagonal entry of the factor, a term
+    of y, or the sums that form the log determinant and sum(y * C^-1 y).
+    So each score is ``==`` to the unfloored one.
     """
     corr = np.empty(neg_half_sq.shape)
+    lowest = float(neg_half_sq.min())
     n, d_out = y.shape
     nd = n * d_out
     half_nd = 0.5 * n * d_out
@@ -212,7 +239,10 @@ def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
 
     def nlml(ell, ratio) -> tuple[float, float]:
         # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
-        np.divide(neg_half_sq, ell**2, out=corr)
+        ell_sq = ell**2
+        np.divide(neg_half_sq, ell_sq, out=corr)
+        if lowest / ell_sq < _EXPONENT_FLOOR:  # division is monotone: this is corr.min()
+            np.maximum(corr, _EXPONENT_FLOOR, out=corr)
         np.exp(corr, out=corr)
         np.add(diag, ratio, out=diag)
         chol, info = dpotrf(transposed, lower=1, overwrite_a=1)
@@ -392,7 +422,7 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
             lengthscale=ell_center,
             noise_variance=0.0,
         )
-        return build_gp(x, y, tiny)
+        return _build(x, y, tiny, sq)
 
     log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
     nlml = _profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
@@ -418,20 +448,20 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
         lengthscale=float(np.exp(best_u[1])),
         noise_variance=float(np.exp(best_u[2])) * sp2,
     )
-    return build_gp(x, y, params)
+    return _build(x, y, params, sq)
 
 
 def predict_mean(model: GPModel, queries) -> np.ndarray:
     """Posterior mean at the (n, d_in) queries, shape (n, d_out)."""
     q = _as_batch(queries, "queries", model.d_in)
-    return _se_matrix(q, model.inputs, model.params) @ model.alpha
+    return _se_matrix(_sq_dists(q, model.inputs), model.params) @ model.alpha
 
 
 def predict_variance(model: GPModel, queries) -> np.ndarray:
     """Posterior (latent-function) variance at the (n, d_in) queries, shared
     across output dimensions; clamped at >= 0. Shape (n,)."""
     q = _as_batch(queries, "queries", model.d_in)
-    k_star = _se_matrix(q, model.inputs, model.params)
+    k_star = _se_matrix(_sq_dists(q, model.inputs), model.params)
     v = _solve(model.chol, k_star.T)
     var = model.params.signal_variance - np.einsum("nq,nq->q", k_star.T, v)
     return np.maximum(var, 0.0)
@@ -443,7 +473,7 @@ def _mean_derivative(model: GPModel, queries) -> tuple[np.ndarray, np.ndarray]:
     against alpha, shape (n, N, d_in). No solve: the mean needs none."""
     q = _as_batch(queries, "queries", model.d_in)
     ell2 = model.params.lengthscale**2
-    k_star = _se_matrix(q, model.inputs, model.params)
+    k_star = _se_matrix(_sq_dists(q, model.inputs), model.params)
     diff = q[:, None, :] - model.inputs[None, :, :]
     grad_k = -(diff / ell2) * k_star[:, :, None]  # (n, N, d_in)
     return np.einsum("qnb,na->qab", grad_k, model.alpha), grad_k

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -57,12 +57,16 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared distances between the rows of ``a`` and ``b``, the
     squared differences summed axis by axis in order, so every entry is
     bitwise equal to ``cdist(a, b, "sqeuclidean")``. sqrt is correctly
-    rounded, so its square root is bitwise ``cdist(a, b)``."""
-    diff = a[:, None, 0] - b[None, :, 0]
-    sq = diff * diff
-    for ax in range(1, a.shape[1]):
-        diff = a[:, None, ax] - b[None, :, ax]
-        sq += diff * diff
+    rounded, so its square root is bitwise ``cdist(a, b)``. Each step runs
+    in place, in at most two len(a) x len(b) buffers."""
+    sq = a[:, None, 0] - b[None, :, 0]
+    sq *= sq
+    if a.shape[1] > 1:
+        diff = np.empty_like(sq)
+        for ax in range(1, a.shape[1]):
+            np.subtract(a[:, None, ax], b[None, :, ax], out=diff)
+            diff *= diff
+            sq += diff
     return sq
 
 
@@ -96,13 +100,19 @@ def _encode(value):
 def _decode(tp, value, field: str):
     """``value`` read as a ``tp`` field; ValueError naming ``field`` when a
     number, record or dict field holds another JSON value. A ``float``
-    field takes any JSON number and an ``int`` field one of integral value;
-    neither takes a bool or a string."""
+    field takes any JSON number within the float range and an ``int``
+    field one of integral value; neither takes a bool or a string."""
     kind = "null" if value is None else type(value).__name__
     if tp in (int, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if tp is float:
-                return float(value)
+                try:
+                    return float(value)
+                except OverflowError:  # an int past the largest float
+                    raise ValueError(
+                        f"{field} must be a number within the float range, not an integer"
+                        f" of about 10^{math.log10(abs(value)):.0f}"
+                    ) from None
             if isinstance(value, int) or value.is_integer():
                 return int(value)
         if isinstance(value, (bool, int, float, str)):
@@ -187,6 +197,11 @@ class PointSet:
 
     def diameter(self) -> float:
         """Largest pairwise distance; 0.0 for a single point."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
+        # Computed once per point set: its points are frozen.
         return float(np.sqrt(_sq_dists(self.points, self.points).max()))
 
     def to_dict(self) -> dict:

@@ -329,6 +329,13 @@ class TestTransport:
             ("fit", "params", {"amplitude": False}, "SurfaceScenario.params['amplitude'] must be a number, not bool False"),
             (
                 "fit",
+                "params",
+                {"amplitude": 10**400},
+                "SurfaceScenario.params['amplitude'] must be a number within the float range,"
+                " not an integer of about 10^400",
+            ),
+            (
+                "fit",
                 "keypoints",
                 {"source": {"dim": 2.5, "points": [[0.0, 0.0]]}},
                 "PointSet.dim must be an integer, not float 2.5",
@@ -357,8 +364,9 @@ class TestTransport:
         self, tmp_path, scenario_file, fitted_map, capsys, command, key, value, message
     ):
         """A scenario or map field of the wrong JSON type is an input error,
-        not a traceback: a number field takes no bool or string, and an
-        integer field no fraction."""
+        not a traceback: a number field takes no bool or string, a float
+        field no integer past the largest float, and an integer field no
+        fraction."""
         path = scenario_file if command == "fit" else fitted_map
         data = json.loads(path.read_text())
         data[key] = value

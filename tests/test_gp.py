@@ -64,6 +64,13 @@ def libm_pow_span_data():
     return x, np.sin(3.0 * x / span) + np.array([[0.1], [0.0], [-0.2], [0.05]])
 
 
+def white_noise_data():
+    """50 points in the unit square with white-noise outputs, on which the
+    grid's three lowest lengthscales score exactly alike and best."""
+    rng = np.random.default_rng(1)
+    return rng.uniform(0.0, 1.0, (50, 2)), rng.standard_normal((50, 1))
+
+
 def make_random_model(seed, n=12, d_in=2, d_out=2, noise=1e-4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, d_in))
@@ -307,6 +314,11 @@ class TestHyperparameterFit:
             5,
         ),
         "libm-pow-span": (lambda: gp.fit_gp(*libm_pow_span_data()), 1),
+        "white-noise": (lambda: gp.fit_gp(*white_noise_data()), 1),
+        "bent-200": (
+            lambda: fit_transport(make_surface_scenario("step", n_keypoints=200, seed=7).keypoints),
+            1,
+        ),
     }
 
     @pytest.mark.parametrize("group", list(FIT_GROUPS))
@@ -395,6 +407,42 @@ class TestObjective:
         # Central differences resolve no slope below the rounding of two
         # evaluations over the step, which the floor ratio's slope can be.
         assert_allclose(grad, fd, rtol=1e-5, atol=100 * np.finfo(float).eps * abs(nlml) / h)
+
+    @pytest.mark.parametrize("ratio", [NOISE_FLOOR_RATIO, NOISE_RATIO_MAX])
+    @pytest.mark.parametrize("n", [12, 50, 200])
+    def test_the_exponent_floor_changes_no_score(self, n, ratio):
+        """From the grid's lowest lengthscale up through the range where C's
+        entries would be subnormal or zero, the objective floors the kernel
+        exponent; every score stays == to the dense oracle's unfloored one."""
+        x, y = smooth_data(n, 2)
+        sq = gp._sq_dists(x, x)
+        (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
+        ells = np.geomspace(1e-3, 0.1, 21) * ell_center
+        lowest = [-0.5 * sq.max() / ell**2 for ell in ells]
+        # The sweep runs from exponents that underflow past the smallest
+        # subnormal to ones that need no floor.
+        assert min(lowest) < np.log(np.finfo(float).smallest_subnormal)
+        assert max(lowest) > gp._EXPONENT_FLOOR
+        profiled = gp._profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
+        for ell in ells:
+            assert profiled(ell, ratio) == dense_profiled_nlml(sq, y, ell, ratio, log_sp2_bounds)
+
+    def test_white_noise_ties_at_the_low_end_of_the_grid(self):
+        """On white-noise outputs C is (1 + ratio) I at the shortest grid
+        lengthscales, up to entries the floor raises and the scores absorb:
+        those grid points tie exactly, as in the dense oracle, and the tie
+        goes to the lowest one."""
+        x, y = white_noise_data()
+        sq = gp._sq_dists(x, x)
+        (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
+        profiled = gp._profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
+        scores = []
+        for ell in LENGTHSCALE_GRID * ell_center:
+            score = profiled(ell, NOISE_RATIO_MAX)
+            assert score == dense_profiled_nlml(sq, y, ell, NOISE_RATIO_MAX, log_sp2_bounds)
+            scores.append(score[0])
+        assert scores[0] == scores[1] == scores[2] == min(scores)
+        assert profiled_grid_start(x, y)[1] == np.log(LENGTHSCALE_GRID[0] * ell_center)
 
     def test_squares_each_grid_lengthscale_as_the_dense_oracle_does(self):
         """The oracle squares each l with libm pow, as the objective must:

@@ -1,6 +1,8 @@
 """Transportation maps: keypoint matching, Jacobians, label closures."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,11 +33,11 @@ from poltrans import (
     transport_points,
     transport_uncertainty,
 )
-from poltrans import gp, transport
+from poltrans import gp, transport, types
 from poltrans.affine import fit_affine
 from poltrans.gp import predict_mean
 from poltrans.scenarios import frame_pairing, make_surface_scenario, random_frame_scenario
-from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE, zero_roundoff
+from poltrans.transport import ROUNDOFF_ULPS, TOL_MATCH_SCALE, match_tolerance, zero_roundoff
 from poltrans.types import save_json
 
 
@@ -131,6 +133,25 @@ class TestFit:
             expected = np.linalg.norm(mapped - kp.target.points, axis=1)
             assert np.array_equal(tmap.keypoint_errors, expected)
         assert (case == "contradictory") == bool(fresh.warnings)
+
+    def test_a_fit_computes_each_distance_matrix_once(self, monkeypatch):
+        """A 200-keypoint fit computes the residual inputs' n x n squared
+        distances once, in fit_gp, for the search and the fitted model, and
+        the target diameter once however often the tolerance is read; the
+        keypoint check still predicts through predict_mean."""
+        kp = make_surface_scenario("step", n_keypoints=200, seed=7).keypoints
+        real = types._sq_dists
+        callers = Counter()
+
+        def counted(a, b):
+            callers[sys._getframe(1).f_code.co_name, a.shape[0], b.shape[0]] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(gp, "_sq_dists", counted)
+        monkeypatch.setattr(types, "_sq_dists", counted)
+        tmap = fit_transport(kp)
+        assert tmap.warnings == () and match_tolerance(kp) == TOL_MATCH_SCALE * kp.target.diameter()
+        assert callers == {("fit_gp", 200, 200): 1, ("_diameter", 200, 200): 1, ("predict_mean", 200, 200): 1}
 
     def test_step_residual_leaves_the_lengthscale_floor(self):
         """On the step profile the likelihood prefers a lengthscale near the
