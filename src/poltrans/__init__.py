@@ -6,138 +6,76 @@ stiffness and damping to the new task configuration with calibrated
 uncertainty. Includes comparison baselines (Laplacian editing, time-indexed
 displacement reshaping, locally weighted translations), trajectory metrics
 with nonparametric ranking, and synthetic 2D benchmark scenarios.
+
+``import poltrans`` loads no module of the package and no NumPy: each
+public name, and each submodule named in ``_EXPORTS``, is imported on first
+use (PEP 562). A name is looked up in its module on every use, never kept
+here, so a patched module global is what the package hands out. Library
+imports leave the caller's BLAS settings alone; the CLI's entries default
+them to one thread (``_one_blas_thread``).
 """
-from .affine import AffineMap, fit_affine
-from .baselines import (
-    LWTMap,
-    LWTUnit,
-    ViaAssignment,
-    apply_lwt,
-    assign_via_points,
-    fit_lwt,
-    laplacian_edit,
-    reshaped_kmp,
-)
-from .gp import (
-    GPModel,
-    KernelParams,
-    build_gp,
-    fit_gp,
-    log_marginal_likelihood,
-    predict_derivative,
-    predict_mean,
-    predict_variance,
-)
-from .metrics import (
-    MetricReport,
-    RankingResult,
-    area_between_curves,
-    compute_metrics,
-    dtw_distance,
-    final_angle_error,
-    final_position_error,
-    frechet_distance,
-    mann_whitney_u,
-    rank_methods,
-)
-from .scenarios import (
-    FrameScenario,
-    Pose,
-    SurfaceScenario,
-    frame_pairing,
-    load_scenario,
-    make_frame_scenario,
-    make_surface_scenario,
-    random_frame_scenario,
-    save_scenario,
-)
-from .transport import (
-    DiffeoReport,
-    TransportMap,
-    TransportedLabels,
-    check_local_diffeomorphism,
-    fit_transport,
-    load_transport_map,
-    polar_rotation,
-    save_transport_map,
-    transport_jacobians,
-    transport_labels,
-    transport_points,
-    transport_uncertainty,
-)
-from .types import (
-    PairedKeypoints,
-    PointSet,
-    PolicyLabels,
-    Trajectory,
-    Violation,
-    is_rotation,
-    load_json,
-    rotation_residual,
-    save_json,
-    validate_labels,
-)
+import os
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "DiffeoReport",
-    "FrameScenario",
-    "GPModel",
-    "KernelParams",
-    "LWTMap",
-    "LWTUnit",
-    "MetricReport",
-    "PairedKeypoints",
-    "PointSet",
-    "PolicyLabels",
-    "Pose",
-    "RankingResult",
-    "SurfaceScenario",
-    "Trajectory",
-    "TransportMap",
-    "TransportedLabels",
-    "ViaAssignment",
-    "Violation",
-    "apply_lwt",
-    "area_between_curves",
-    "assign_via_points",
-    "build_gp",
-    "check_local_diffeomorphism",
-    "compute_metrics",
-    "dtw_distance",
-    "final_angle_error",
-    "final_position_error",
-    "fit_affine",
-    "fit_gp",
-    "fit_lwt",
-    "fit_transport",
-    "frame_pairing",
-    "frechet_distance",
-    "is_rotation",
-    "laplacian_edit",
-    "load_json",
-    "load_scenario",
-    "load_transport_map",
-    "log_marginal_likelihood",
-    "make_frame_scenario",
-    "make_surface_scenario",
-    "mann_whitney_u",
-    "polar_rotation",
-    "predict_derivative",
-    "predict_mean",
-    "predict_variance",
-    "random_frame_scenario",
-    "rank_methods",
-    "reshaped_kmp",
-    "rotation_residual",
-    "save_json",
-    "save_scenario",
-    "save_transport_map",
-    "transport_jacobians",
-    "transport_labels",
-    "transport_points",
-    "transport_uncertainty",
-    "validate_labels",
-]
+_EXPORTS = {
+    "affine": ("AffineMap", "fit_affine"),
+    "baselines": (
+        "LWTMap", "LWTUnit", "ViaAssignment", "apply_lwt", "assign_via_points", "fit_lwt", "laplacian_edit",
+        "reshaped_kmp",
+    ),
+    "gp": (
+        "GPModel", "KernelParams", "build_gp", "fit_gp", "log_marginal_likelihood", "predict_derivative",
+        "predict_mean", "predict_variance",
+    ),
+    "metrics": (
+        "MetricReport", "RankingResult", "area_between_curves", "compute_metrics", "dtw_distance",
+        "final_angle_error", "final_position_error", "frechet_distance", "mann_whitney_u", "rank_methods",
+    ),
+    "scenarios": (
+        "FrameScenario", "Pose", "SurfaceScenario", "frame_pairing", "load_scenario", "make_frame_scenario",
+        "make_surface_scenario", "random_frame_scenario", "save_scenario",
+    ),
+    "transport": (
+        "DiffeoReport", "TransportMap", "TransportedLabels", "check_local_diffeomorphism", "fit_transport",
+        "load_transport_map", "polar_rotation", "save_transport_map", "transport_jacobians", "transport_labels",
+        "transport_points", "transport_uncertainty",
+    ),
+    "types": (
+        "PairedKeypoints", "PointSet", "PolicyLabels", "Trajectory", "Violation", "is_rotation", "load_json",
+        "rotation_residual", "save_json", "validate_labels",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+def _one_blas_thread() -> None:
+    """Default OpenBLAS and OpenMP to one thread unless the caller set a
+    count; it acts only if called before NumPy loads. The Gram matrices
+    (a few hundred rows at most) gain nothing from BLAS threads, and a fit
+    that bends ends where BLAS rounding steers its search, so its map.json
+    would depend on the thread count."""
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(variable, "1")
+
+
+def _script() -> int:
+    """The installed ``poltrans`` script: ``cli.main`` on one BLAS thread."""
+    _one_blas_thread()
+    from .cli import main
+
+    return main()

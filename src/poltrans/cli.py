@@ -37,6 +37,12 @@ warning on stderr naming the method.
 """
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # python -m poltrans.cli: one BLAS thread, set before NumPy loads below
+    from . import _one_blas_thread
+
+    _one_blas_thread()
+
 import argparse
 import os
 import sys

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -108,6 +109,74 @@ class TestFit:
             )
             maps.append((out / "map.json").read_bytes())
         assert maps[0] == maps[1]
+
+    def test_bent_map_with_the_blas_variables_unset_is_the_one_thread_map(self, tmp_path):
+        """A sine scene's 200-keypoint fit ends where BLAS rounding steers its
+        search; the CLI process defaults to one BLAS thread, so leaving the
+        variables unset writes the map.json of an explicit single thread."""
+        scenario = tmp_path / "sine.json"
+        save_scenario(make_surface_scenario("sine", n_keypoints=200, seed=0), scenario)
+        maps = []
+        for name, caller in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            argv = ["fit", "--scenario", str(scenario), "--out-dir", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "poltrans.cli", *argv],
+                env=_env_without_blas_threads(caller),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            maps.append((out / "map.json").read_bytes())
+        assert maps[0] == maps[1]
+
+
+def _env_without_blas_threads(caller: dict) -> dict:
+    """This process's environment with ``src`` on the path, neither BLAS
+    thread variable, and then ``caller``'s variables."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **caller}
+
+
+# The function pyproject.toml installs as the ``poltrans`` script.
+SCRIPT_MODULE, SCRIPT_FUNCTION = re.search(
+    r'^poltrans = "([\w.]+):(\w+)"$', (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(), re.M
+).groups()
+
+# Each runs the CLI as its process entry, with argv ``poltrans -h``.
+CLI_ENTRIES = {
+    "python -m poltrans.cli": "runpy.run_module('poltrans.cli', run_name='__main__', alter_sys=True)",
+    "poltrans script": f"importlib.import_module({SCRIPT_MODULE!r}).{SCRIPT_FUNCTION}()",
+}
+
+
+@pytest.mark.parametrize("entry", CLI_ENTRIES)
+@pytest.mark.parametrize(
+    "caller, seen",
+    [({}, ("1", "1")), ({"OPENBLAS_NUM_THREADS": "2"}, ("2", "1")), ({"OMP_NUM_THREADS": "3"}, ("1", "3"))],
+    ids=["unset", "openblas-2", "omp-3"],
+)
+def test_cli_process_defaults_blas_to_one_thread_and_keeps_the_callers_count(entry, caller, seen):
+    """Both process entries set each unset BLAS thread variable to 1; a
+    count the caller set reaches the CLI unchanged."""
+    code = (
+        "import importlib, os, runpy, sys\n"
+        "sys.argv = ['poltrans', '-h']\n"
+        "try:\n"
+        f"    {CLI_ENTRIES[entry]}\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_env_without_blas_threads(caller),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert tuple(result.stdout.splitlines()[-1].split()) == seen
 
 
 class TestTransport:

@@ -39,9 +39,12 @@ def test_routines_are_scipys_own_objects(first):
 
 
 def test_absent_scipy_is_an_import_error():
-    result = _fresh_python("import importlib.util; importlib.util.find_spec = lambda name: None; import poltrans")
-    assert result.returncode == 1
-    assert result.stderr.splitlines()[-1] == "ImportError: poltrans needs SciPy, which is not installed"
+    """``import poltrans`` loads no module; the first import that needs SciPy
+    (the CLI, or a name of the GP layer) fails, naming what is missing."""
+    for statement in ("import poltrans.cli", "from poltrans import fit_gp"):
+        result = _fresh_python(f"import importlib.util; importlib.util.find_spec = lambda name: None; {statement}")
+        assert result.returncode == 1, statement
+        assert result.stderr.splitlines()[-1] == "ImportError: poltrans needs SciPy, which is not installed"
 
 
 def test_absent_module_is_an_import_error_naming_its_path():
