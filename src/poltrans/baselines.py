@@ -27,7 +27,6 @@ shared assignment.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,8 +242,9 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
     several units may be needed per keypoint. Stops when the largest
     residual drops to ``match_tolerance(kp)``, the transportation map's
     own tolerance; hitting ``max_iters`` (at least 0) first returns the best
-    map found plus a warning. Each unit's squared distances to the keypoints
-    give both its radius and its bump.
+    map found, which says so in its ``warnings`` only (no Python warning).
+    Each unit's squared distances to the keypoints give both its radius and
+    its bump.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -288,5 +288,4 @@ def fit_lwt(kp: PairedKeypoints, max_iters: int = 1000) -> LWTMap:
         current += _bump(sq, radius)[:, None] * unit.translation
 
     note = f"did not converge in {max_iters} iterations; best residual {best_err:.3e}"
-    _warnings.warn(note)
     return LWTMap(units=tuple(units[:best]), warnings=(note,))

@@ -10,30 +10,32 @@ messages as the full one. The flags decide every setting: their types
 check their values, and ``SUITE_TABLE`` holds the defaults that depend on
 --suite.
 
-A suite is one ``SUITE_TABLE`` entry. It builds the bench's scene tasks,
-one ``SceneTask`` per scene input set (a surface scene, or one
+A suite is one ``SUITE_TABLE`` entry. It builds the bench's scene tasks, one
+``SceneTask`` per scene input set (a surface scene, or one
 keypoints-per-frame set of a frame scene): the scenario, keypoint pairs and
 demonstration, built once before the pool (the ``scenes`` stage), and the
-methods to run on them, in order. A method is one ``METHOD_TABLE`` entry;
-the SVG's sigma band and report.json come from its run. ``_run_bench`` runs
-one task per pool job, on a thread pool of one worker, or of as many as the
-POLTRANS_THREADS environment variable sets. A task pre-aligns the
-demonstration and keypoints and assigns the via-points once, when a run
-first needs them. The bench waits once for all the tasks and reads their
-results in task order, so artifacts do not depend on which task finished
-first. The metrics of every cell (one scene x method run) are computed
-afterwards in one batch, each metric once per group of same-shape cells,
-with the cells as lanes. The bench writes deterministically ordered
+methods to run on them, in order. A method is one ``METHOD_TABLE`` entry,
+and its run returns one ``Run`` record: the transported demonstration, the
+SVG's sigma band, the scene's report.json entry and the fit's warnings.
+``_run_bench`` runs one task per pool job, on a thread pool of one worker,
+or of as many as the POLTRANS_THREADS environment variable sets. A task
+pre-aligns the demonstration and keypoints and assigns the via-points once,
+when a run first needs them. The bench waits once for all the tasks and
+reads their results in task order, so artifacts do not depend on which task
+finished first. The metrics of every cell (one scene x method run) are
+computed afterwards in one batch, each metric once per group of same-shape
+cells, with the cells as lanes. The bench writes deterministically ordered
 artifacts: metrics.csv (no timings, so reruns are bitwise identical across
 worker counts), ranking.json, one SVG overlay per scene, report.json (gpt's
-timings, keypoint error and det J > 0 percentage per scene), failures.json
-(each failed cell's stage, method or metrics, its exception type and
-message, in task order) and timings.json (the wall and process-CPU seconds
-of each of the ``BENCH_STAGES`` and, under ``methods``, the thread-CPU
-seconds of each method's cells, summed; a task's shared preparation counts
-to the first method that reads it). A scene whose reported map (gpt's) has
-a non-positive Jacobian determinant somewhere on the demonstration gets a
-warning on stderr naming the method.
+timings, keypoint error, det J > 0 percentage and map warnings per scene),
+failures.json (each failed cell's stage, method or metrics, its exception
+type and message, in task order) and timings.json (the wall and process-CPU
+seconds of each of the ``BENCH_STAGES`` and, under ``methods``, the
+thread-CPU seconds of each method's cells, summed; a task's shared
+preparation counts to the first method that reads it). Each scored run's
+warnings, and a det J warning for a reported map (gpt's) with a non-positive
+Jacobian determinant somewhere on the demonstration, go to stderr as
+``warning: <scene>: <method> <text>``, sorted by scene.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -278,13 +280,22 @@ class SceneTask:
         return assign_via_points(demo, kp)
 
 
+class Run(NamedTuple):
+    """What a bench method's run returns: the transported demonstration,
+    the posterior standard deviation along it or None, its scene's
+    report.json entry or None, and its fit's warnings."""
+
+    trajectory: Trajectory
+    band: np.ndarray | None = None
+    report: dict | None = None
+    warnings: tuple[str, ...] = ()
+
+
 @dataclass(frozen=True)
 class Method:
     """A bench method: its SVG stroke colour, the keypoints per frame it
     pairs on the frames suite, and ``run(scene)`` of a ``SceneTask``, which
-    returns the transported demonstration, the posterior standard deviation
-    along it or None, and its scene's report.json entry or None. Runs call
-    the package through this module's globals."""
+    returns a ``Run``. Runs call the package through this module's globals."""
 
     color: str
     frame_kpf: int
@@ -304,23 +315,25 @@ def _run_gpt(scene: SceneTask):
         "keypoint_error_max": float(tmap.keypoint_errors.max()),
         "keypoint_error_mean": float(tmap.keypoint_errors.mean()),
         "det_positive_pct": 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive,
+        "warnings": list(tmap.warnings),
     }
-    return Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report
+    return Run(Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report, tmap.warnings)
 
 
 def _run_le(scene: SceneTask):
     demo, _ = scene.aligned
-    return laplacian_edit(demo, scene.assignment, topology=scene.topology), None, None
+    return Run(laplacian_edit(demo, scene.assignment, topology=scene.topology))
 
 
 def _run_reshaped_kmp(scene: SceneTask):
     demo, _ = scene.aligned
-    return reshaped_kmp(demo, scene.assignment), None, None
+    return Run(reshaped_kmp(demo, scene.assignment))
 
 
 def _run_lwt(scene: SceneTask):
     demo, kp = scene.aligned
-    return Trajectory(positions=apply_lwt(fit_lwt(kp), demo.positions), times=demo.times), None, None
+    lwt = fit_lwt(kp)
+    return Run(Trajectory(positions=apply_lwt(lwt, demo.positions), times=demo.times), warnings=lwt.warnings)
 
 
 # Frame benchmarks give assignment-based reshapers fewer keypoints per frame
@@ -334,17 +347,18 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 
 
-def _scene_svg(path: Path, demo, reference, produced: dict, keypoints, bands: dict) -> None:
+def _scene_svg(path: Path, task: SceneTask, produced: dict, bands: dict) -> None:
+    """``task``'s scene with each method's trajectory and sigma band, keyed by method."""
     scene = SvgScene()
     for method, traj in sorted(produced.items()):
         if method in bands:
             scene.band(traj.positions, 2.0 * bands[method], fill="#ffa500", opacity=0.35)
-    scene.polyline(demo.positions, color="#999999", width=1.2, dash="6,4")
-    scene.polyline(reference.positions, color="#000000", width=1.8)
+    scene.polyline(task.demonstration.positions, color="#999999", width=1.2, dash="6,4")
+    scene.polyline(task.scenario.reference.positions, color="#000000", width=1.8)
     for method, traj in sorted(produced.items()):
         scene.polyline(traj.positions, color=METHOD_TABLE[method].color, width=1.6)
-    scene.markers(keypoints.source.points, color="#bbbbbb", radius=3.0)
-    scene.markers(keypoints.target.points, color="#d62728", radius=3.0)
+    scene.markers(task.keypoints.source.points, color="#bbbbbb", radius=3.0)
+    scene.markers(task.keypoints.target.points, color="#d62728", radius=3.0)
     path.parent.mkdir(parents=True, exist_ok=True)
     scene.write(path)
 
@@ -445,15 +459,15 @@ SUITE_TABLE = {
 
 
 def _run_cell(method: str, scene: SceneTask):
-    """(produced, band, report, error, cpu_s) of ``method`` on ``scene``:
-    what its run returned or the error it raised, and the CPU seconds of its
-    thread; a method failure becomes a missing sample and the bench continues."""
+    """(run, cpu_s) of ``method`` on ``scene``: the ``Run`` it returned or
+    the error it raised, and the CPU seconds of its thread; a method failure
+    becomes a missing sample and the bench continues."""
     cpu = time.thread_time()
     try:
-        produced, band, report = METHOD_TABLE[method].run(scene)
+        run = METHOD_TABLE[method].run(scene)
     except Exception as exc:
-        return None, None, None, exc, time.thread_time() - cpu
-    return produced, band, report, None, time.thread_time() - cpu
+        run = exc
+    return run, time.thread_time() - cpu
 
 
 def _run_scene(scene: SceneTask) -> list:
@@ -488,33 +502,29 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
         for method, outcome in zip(task.methods, future.result())
     ]
     methods = timings["methods"] = {}
-    for _, method, (*_, cpu_s) in cells:
+    for _, method, (_, cpu_s) in cells:
         methods.setdefault(method, {"cpu_s": 0.0})["cpu_s"] += cpu_s
     # Scored after the pool in one batch, so each metric runs once over
     # every cell of a shape, as lanes, instead of once per cell.
     with _stage(timings, "metrics"):
         scored = iter(compute_metrics_batch([
-            (produced, task.scenario.reference)
-            for task, _, (produced, _, _, error, _) in cells
-            if error is None
+            (run.trajectory, task.scenario.reference)
+            for task, _, (run, _) in cells
+            if not isinstance(run, Exception)
         ]))
 
     rows = []
     failures = []
     reports: dict = {}
-    reporters: dict = {}  # scene -> the method whose run returned its report
     scenes: dict = {}
-    for task, method, (produced, band, report, error, _) in cells:
+    notes = []  # (scene, method, text) of each warning
+    for task, method, (run, _) in cells:
         scene = task.scenario.name
-        stage = "method"
-        if error is None:
-            scores = next(scored)
-            if isinstance(scores, Exception):
-                error, stage = scores, "metrics"
-        if error is not None:
+        scores = run if isinstance(run, Exception) else next(scored)
+        if isinstance(scores, Exception):
             failures.append(
-                {"scenario": scene, "method": method, "stage": stage,
-                 "error": str(error), "type": type(error).__name__}
+                {"scenario": scene, "method": method, "stage": "method" if scores is run else "metrics",
+                 "error": str(scores), "type": type(scores).__name__}
             )
             continue
         row = {"scenario": scene, "method": method, "repetition": task.scenario.seed}
@@ -522,21 +532,18 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
         rows.append(row)
         # The task of a scene's first successful cell supplies the
         # demonstration, keypoints and reference that its SVG draws.
-        bundle = scenes.setdefault(scene, {"task": task, "produced": {}, "bands": {}})
-        bundle["produced"][method] = produced
-        if band is not None:
-            bundle["bands"][method] = band
-        if report is not None:
-            reports[scene] = report
-            reporters[scene] = method
+        _, produced, bands = scenes.setdefault(scene, (task, {}, {}))
+        produced[method] = run.trajectory
+        if run.band is not None:
+            bands[method] = run.band
+        notes += [(scene, method, text) for text in run.warnings]
+        if run.report is not None:
+            reports[scene] = run.report
+            if (pct := run.report["det_positive_pct"]) < 100.0:
+                notes.append((scene, method, f"det(J) > 0 on only {pct:.1f}% of the demonstration"))
 
-    for name, entry in sorted(reports.items()):
-        if entry["det_positive_pct"] < 100.0:
-            print(
-                f"warning: {name}: {reporters[name]} det(J) > 0 on only {entry['det_positive_pct']:.1f}% "
-                "of the demonstration",
-                file=sys.stderr,
-            )
+    for scene, method, text in sorted(notes, key=lambda note: note[0]):
+        print(f"warning: {scene}: {method} {text}", file=sys.stderr)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(timings, "writes"):
@@ -546,16 +553,8 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
         if failures:
             save_json({"failures": failures}, out_dir / "failures.json")
     with _stage(timings, "svgs"):
-        for name, bundle in sorted(scenes.items()):
-            task = bundle["task"]
-            _scene_svg(
-                out_dir / "svg" / f"{name}.svg",
-                task.demonstration,
-                task.scenario.reference,
-                bundle["produced"],
-                task.keypoints,
-                bundle["bands"],
-            )
+        for name, (task, produced, bands) in sorted(scenes.items()):
+            _scene_svg(out_dir / "svg" / f"{name}.svg", task, produced, bands)
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
     try:
         if rows:

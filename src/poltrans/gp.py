@@ -20,10 +20,10 @@ so K11 at u = v is (sp2 / l^2) I, which is the prior derivative variance
 far from all data. The prior mean is fixed at zero: far from the training
 inputs the posterior mean decays to 0 and the variance reverts to sp2.
 
-Every factorization is LAPACK's ``dpotrf`` called directly, in place, and
-every solve is LAPACK's ``dpotrs`` (:func:`_solve`). A model's Gram matrix
-is factored by :func:`_factor_in_place`. :func:`fit_gp` scores its
-lengthscale grid and each polish step through one objective
+Every factorization is LAPACK's ``dpotrf`` called directly, in place, by
+:func:`_factor_in_place`, which holds the one rule for a failed factor, and
+every solve is LAPACK's ``dpotrs`` (:func:`_solve`). :func:`fit_gp` scores
+its lengthscale grid and each polish step through one objective
 (:func:`_profiled_nlml`), which builds and factors every C in one buffer,
 with the kernel exponent floored at ``_EXPONENT_FLOOR`` so that no entry of
 C is subnormal; that floor changes no score, as the objective's docstring
@@ -109,21 +109,22 @@ def _se_matrix(sq: np.ndarray, params: KernelParams) -> np.ndarray:
     return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
 
 
-def _factor_in_place(a: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the exactly symmetric, C-contiguous matrix
-    ``a``, written over ``a``'s own buffer, or None when ``a`` is not
-    positive definite.
+def _factor_in_place(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(chol, log_det): the lower Cholesky factor of the exactly symmetric,
+    C-contiguous matrix ``a``, written over ``a``'s own buffer, and the sum
+    of the logs of its diagonal; or None when ``a`` is not positive definite.
 
     ``a``'s transpose is an F-order array with the same entries, which
     LAPACK ``dpotrf`` factors without a copy. The strict upper triangle is
     zeroed, so the factor is bitwise ``scipy.linalg.cholesky(a, lower=True)``.
-    A factor whose diagonal is not finite (``a`` held a NaN or an inf) counts
-    as a failure too, since OpenBLAS's ``dpotrf`` reports success on it.
+    A factor whose log determinant is not finite (``a`` held a NaN or an inf)
+    counts as a failure too, since OpenBLAS's ``dpotrf`` reports success on it.
     """
     chol, info = dpotrf(a.T, lower=1, overwrite_a=1)
-    if info or not np.isfinite(chol.diagonal()).all():
+    if info:
         return None
-    return chol
+    log_det = float(np.log(chol.diagonal()).sum())
+    return (chol, log_det) if math.isfinite(log_det) else None
 
 
 def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,9 +183,10 @@ def _build(x: np.ndarray, y: np.ndarray, params: KernelParams, sq: np.ndarray) -
     distances ``sq`` the caller has computed."""
     gram = _se_matrix(sq, params)
     gram.ravel()[:: x.shape[0] + 1] += params.noise_variance  # a view: gram is C-contiguous
-    chol = _factor_in_place(gram)
-    if chol is None:
+    factor = _factor_in_place(gram)
+    if factor is None:
         raise RuntimeError("non-PD Gram matrix")
+    chol, _ = factor
     alpha = _solve(chol, y)
     x = x.copy()
     y = y.copy()
@@ -209,11 +211,10 @@ def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
     5.4), and that variance's log.
 
     Each call builds C = exp(-sq / (2 l^2)) + ratio I in one n x n buffer,
-    allocated once, and factors it there with ``dpotrf``; what the calls
-    share (C's diagonal view, n d_out, the constant term, the lowest
-    exponent) is computed once. A C that fails to factor scores (inf, nan),
-    as does one that holds a NaN or an inf: OpenBLAS's ``dpotrf`` reports
-    success on it, but the log determinant of its factor is then not finite.
+    allocated once, and factors it there with :func:`_factor_in_place`;
+    what the calls share (C's diagonal view, n d_out, the constant term, the
+    lowest exponent) is computed once. A C that fails to factor scores
+    (inf, nan), as does one that holds a NaN or an inf.
 
     Where some exponent -sq / (2 l^2) lies below ``_EXPONENT_FLOOR``, every
     such exponent is raised to the floor before ``exp``, so no entry of C
@@ -235,7 +236,6 @@ def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
     const = half_nd * np.log(2.0 * np.pi)
     lo, hi = log_sp2_bounds
     diag = corr.ravel()[:: n + 1]  # a view: corr is C-contiguous
-    transposed = corr.T  # the F-order view that dpotrf factors in place
 
     def nlml(ell, ratio) -> tuple[float, float]:
         # (-sq/2) / l^2 == -sq / (2 l^2) bitwise, since halving and doubling are exact.
@@ -245,12 +245,10 @@ def _profiled_nlml(neg_half_sq, y, log_sp2_bounds):
             np.maximum(corr, _EXPONENT_FLOOR, out=corr)
         np.exp(corr, out=corr)
         np.add(diag, ratio, out=diag)
-        chol, info = dpotrf(transposed, lower=1, overwrite_a=1)
-        if info:
+        factor = _factor_in_place(corr)
+        if factor is None:
             return np.inf, np.nan
-        log_det = float(np.log(chol.diagonal()).sum())
-        if not math.isfinite(log_det):
-            return np.inf, np.nan
+        chol, log_det = factor
         quad = float((y * dpotrs(chol, y, lower=1)[0]).sum())
         log_sp2 = min(max(np.log(quad / nd), lo), hi)
         return float(0.5 * quad / np.exp(log_sp2) + half_nd * log_sp2 + d_out * log_det + const), float(log_sp2)
@@ -419,7 +417,7 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
         # keep the prior variance negligible so predictions stay certain.
         tiny = KernelParams(
             signal_variance=1e-16 * max(diam, 1.0) ** 2,
-            lengthscale=ell_center,
+            lengthscale=float(ell_center),
             noise_variance=0.0,
         )
         return _build(x, y, tiny, sq)

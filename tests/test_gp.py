@@ -684,8 +684,9 @@ class TestLapackSeam:
         x = rng.uniform(-1.0, 1.0, (n, 2))
         gram = np.exp(-cdist(x, x, "sqeuclidean") / 0.5) + 1e-6 * np.eye(n)
         ref = scipy.linalg.cholesky(gram, lower=True)
-        chol = gp._factor_in_place(gram)
+        chol, log_det = gp._factor_in_place(gram)
         assert np.array_equal(chol, ref)
+        assert log_det == float(np.log(ref.diagonal()).sum())
         assert np.shares_memory(chol, gram)  # factored in the matrix's own buffer
         rhs = [rng.standard_normal((n, k)) for k in sorted({1, 2, n})] + [np.eye(n)]
         for b in rhs:

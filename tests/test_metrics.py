@@ -351,9 +351,9 @@ class TestEndpointMetrics:
         pairs scored one at a time: the lanes' axis reductions and BLAS
         dots round like the per-pair code's."""
         pairs = [
-            (outcome[0], task.scenario.reference)
+            (result.trajectory, task.scenario.reference)
             for task in default_bench_tasks(suite)
-            for outcome in cli._run_scene(task)
+            for result, _ in cli._run_scene(task)
         ]
         assert len(pairs) == {"surfaces": 60, "frames": 40}[suite]
         assert compute_metrics_batch(pairs) == [pair_compute_metrics(*pair) for pair in pairs]

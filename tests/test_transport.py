@@ -1,5 +1,6 @@
 """Transportation maps: keypoint matching, Jacobians, label closures."""
 
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -578,6 +579,18 @@ class TestSerialization:
             for evaluate in (transport_points, transport_jacobians):
                 for fresh, loaded in zip(evaluate(tmap, queries[kp.dim]), evaluate(back, queries[kp.dim])):
                     assert np.array_equal(fresh, loaded)
+
+    def test_flat_and_tilt_hyperparameters_are_floats_as_loaded(self, tmp_path):
+        """Their residuals are all zeros, which skip the search; its
+        lengthscale used to be an np.float64, unlike every other fit's and
+        every loaded map's."""
+        for profile in ("flat", "tilt"):
+            tmap = fit_transport(make_surface_scenario(profile, n_keypoints=12, seed=0).keypoints)
+            save_transport_map(tmap, tmp_path / "map.json")
+            fitted = dataclasses.asdict(tmap.residual.params)
+            loaded = dataclasses.asdict(load_transport_map(tmp_path / "map.json").residual.params)
+            assert [type(value) for value in (*fitted.values(), *loaded.values())] == [float] * 6
+            assert fitted == loaded
 
     def test_map_file_holds_each_fact_once(self, tmp_path):
         """The keypoints and the hyperparameters: the rigid part, the
