@@ -167,26 +167,32 @@ def _seed_count(args) -> int:
     return SUITE_TABLE[args.suite].seeds if args.seeds is None else args.seeds
 
 
-def cmd_fit(args) -> int:
-    out_dir = args.out_dir
-    kp = load_scenario(args.scenario).keypoints
+def _timed_fit(kp: PairedKeypoints):
+    """The transport map of ``kp`` and the report fields of its fit, shared
+    by fit_report.json and each report.json entry: its seconds, its keypoint
+    errors' max and mean, and its warnings."""
     start = time.perf_counter()
     tmap = fit_transport(kp)
     fit_seconds = time.perf_counter() - start
-
     errors = tmap.keypoint_errors
-    report = {
+    return tmap, {
         "fit_seconds": fit_seconds,
         "keypoint_error_max": float(errors.max()),
         "keypoint_error_mean": float(errors.mean()),
-        "n_keypoints": kp.n,
         "warnings": list(tmap.warnings),
     }
+
+
+def cmd_fit(args) -> int:
+    out_dir = args.out_dir
+    kp = load_scenario(args.scenario).keypoints
+    tmap, report = _timed_fit(kp)
+    report["n_keypoints"] = kp.n
 
     save_transport_map(tmap, out_dir / "map.json")
     save_json(report, out_dir / "fit_report.json")
     print(
-        f"fit: {kp.n} keypoints in {fit_seconds:.3f}s, "
+        f"fit: {kp.n} keypoints in {report['fit_seconds']:.3f}s, "
         f"max mismatch {report['keypoint_error_max']:.3e} -> {out_dir / 'map.json'}"
     )
     return 0
@@ -303,20 +309,12 @@ class Method:
 
 
 def _run_gpt(scene: SceneTask):
-    kp, demo = scene.keypoints, scene.demonstration
+    demo = scene.demonstration
+    tmap, report = _timed_fit(scene.keypoints)
     start = time.perf_counter()
-    tmap = fit_transport(kp)
-    fitted = time.perf_counter()
     positions, variance = transport_points(tmap, demo.positions)
-    transported = time.perf_counter()
-    report = {
-        "fit_seconds": fitted - start,
-        "transport_seconds": transported - fitted,
-        "keypoint_error_max": float(tmap.keypoint_errors.max()),
-        "keypoint_error_mean": float(tmap.keypoint_errors.mean()),
-        "det_positive_pct": 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive,
-        "warnings": list(tmap.warnings),
-    }
+    report["transport_seconds"] = time.perf_counter() - start
+    report["det_positive_pct"] = 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive
     return Run(Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report, tmap.warnings)
 
 

@@ -29,8 +29,8 @@ ORIENTATION_TOL = 1e-9
 SPD_TOL = 1e-9
 
 
-def _freeze(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _freeze(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -163,9 +163,9 @@ def rotation_residual(matrix) -> tuple[float, float]:
     return ortho, det
 
 
-def is_rotation(matrix, tol: float = ORIENTATION_TOL) -> bool:
+def is_rotation(matrix) -> bool:
     ortho, det = rotation_residual(matrix)
-    return ortho <= tol and det <= tol
+    return ortho <= ORIENTATION_TOL and det <= ORIENTATION_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,15 +344,15 @@ class Violation:
         return f"{self.field}[{self.index}]: {self.kind} residual {self.residual:.3e}"
 
 
-def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[Violation]:
+def validate_labels(labels: PolicyLabels) -> list[Violation]:
     """Check numeric label invariants; return a (possibly empty) report.
 
     Reported violations: non-finite entries anywhere, orientations failing
-    R^T R = I or det R = +1 within ``tol``, stiffness/damping failing
-    symmetry within ``tol`` or having eigenvalues below ``-tol``. Each
-    family is checked in one pass over its whole stack; the report lists
-    the families in field order, then labels by index, then each label's
-    failed checks in the order above.
+    R^T R = I or det R = +1 within ``ORIENTATION_TOL``, stiffness/damping
+    failing symmetry within ``ORIENTATION_TOL`` or having eigenvalues below
+    ``-SPD_TOL``. Each family is checked in one pass over its whole stack;
+    the report lists the families in field order, then labels by index,
+    then each label's failed checks in the order above.
 
     Pure reporting: never raises, never mutates, idempotent.
     """
@@ -372,8 +372,8 @@ def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[
         ortho = np.abs(np.swapaxes(rot, 1, 2) @ rot - eye).max(axis=(1, 2))
         det = np.abs(np.linalg.det(rot) - 1.0)
         report += _family_violations("orientations", finite, [
-            ("orthogonality", ortho > tol, ortho),
-            ("determinant", det > tol, det),
+            ("orthogonality", ortho > ORIENTATION_TOL, ortho),
+            ("determinant", det > ORIENTATION_TOL, det),
         ])
 
     for name in ("stiffness", "damping"):
@@ -385,7 +385,7 @@ def validate_labels(labels: PolicyLabels, tol: float = ORIENTATION_TOL) -> list[
         asym = np.abs(mat - np.swapaxes(mat, 1, 2)).max(axis=(1, 2))
         min_eig = np.linalg.eigvalsh(0.5 * (mat + np.swapaxes(mat, 1, 2))).min(axis=1)
         report += _family_violations(name, finite, [
-            ("symmetry", asym > tol, asym),
+            ("symmetry", asym > ORIENTATION_TOL, asym),
             ("negative eigenvalue", min_eig < -SPD_TOL, -min_eig),
         ])
 

@@ -216,16 +216,17 @@ def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
     return jac
 
 
-def loop_fit_lwt(kp, max_iters: int = 1000) -> list[tuple]:
+def loop_fit_lwt(kp) -> list[tuple]:
     """The greedy LWT fit as (center, translation, radius) per unit, with
     each unit's radius bounded by the nearest other keypoint found by
-    deleting the chosen one and taking the norms of the rest."""
+    deleting the chosen one and taking the norms of the rest, for at most
+    max(1000, n^2) units."""
     tol = match_tolerance(kp)
     current = kp.source.points.copy()
     target = kp.target.points
     units, best_units = [], []
     best_err = float(np.max(np.linalg.norm(target - current, axis=1)))
-    for _ in range(max_iters):
+    for _ in range(max(1000, kp.n**2)):
         residuals = target - current
         norms = np.linalg.norm(residuals, axis=1)
         worst = int(np.argmax(norms))
@@ -240,7 +241,7 @@ def loop_fit_lwt(kp, max_iters: int = 1000) -> list[tuple]:
             nearest = float(np.min(np.linalg.norm(others - center, axis=1)))
         else:
             nearest = np.inf
-        radius = max(min(2.0 * err, 0.5 * nearest), 1e-12)
+        radius = min(2.0 * err, 0.5 * nearest)
         translation = residuals[worst] * min(1.0, LWT_STEP_RATIO * radius / err)
         units.append((center, translation, radius))
         weight = np.exp(-np.sum((current - center) ** 2, axis=1) / (2.0 * radius**2))

@@ -145,9 +145,9 @@ def test_criterion_05_label_transport_closures():
         labels = full_labels(rng, m=5)
         moved = transport_labels(tmap, labels)
         for rot in moved.orientations:
-            assert is_rotation(rot, tol=1e-9)
+            assert is_rotation(rot)
         for rot in moved.projected_rotations:
-            assert is_rotation(rot, tol=1e-9)
+            assert is_rotation(rot)
         for field in ("stiffness", "damping"):
             before = getattr(labels, field)
             after = getattr(moved, field)

@@ -17,7 +17,7 @@ from conftest import (
     lwt_jacobian,
     suite_tasks,
 )
-from poltrans import PairedKeypoints, PointSet, Trajectory, cli, gp
+from poltrans import PairedKeypoints, PointSet, Trajectory, baselines, cli, gp
 from poltrans.baselines import (
     LWT_STEP_RATIO,
     LWTMap,
@@ -30,9 +30,15 @@ from poltrans.baselines import (
     reshaped_kmp,
 )
 from poltrans.cli import _gamma_pretransform
-from poltrans.gp import KernelParams
+from poltrans.gp import KernelParams, build_gp
 from poltrans.scenarios import SURFACE_PROFILES, make_surface_scenario
-from poltrans.transport import ROUNDOFF_ULPS
+from poltrans.transport import ROUNDOFF_ULPS, match_tolerance
+
+
+def fix_kernel(monkeypatch, params: KernelParams) -> None:
+    """Have reshaped_kmp's GP use ``params`` as they are, where it would fit
+    its own: a stand-in for ``fit_gp`` in ``baselines``."""
+    monkeypatch.setattr(baselines, "fit_gp", lambda inputs, outputs: build_gp(inputs, outputs, params))
 
 
 def random_traj(rng, m, dim=2, with_times=True):
@@ -245,30 +251,24 @@ class TestReshapedKMP:
         reshaped = reshaped_kmp(traj, ViaAssignment(indices=idx, targets=tgt))
         assert np.abs(reshaped.positions[idx] - tgt).max() < 1e-4
 
-    def test_fixed_kernel_pins_to_working_precision(self):
+    def test_fixed_kernel_pins_to_working_precision(self, monkeypatch):
         traj = Trajectory(
             positions=np.zeros((21, 2)),
             times=np.linspace(0.0, 1.0, 21),
         )
         idx = np.array([10])
         tgt = np.array([[0.5, 0.25]])
-        reshaped = reshaped_kmp(
-            traj,
-            ViaAssignment(indices=idx, targets=tgt),
-            kernel_params=KernelParams(1.0, 0.2, 0.0),
-        )
+        fix_kernel(monkeypatch, KernelParams(1.0, 0.2, 0.0))
+        reshaped = reshaped_kmp(traj, ViaAssignment(indices=idx, targets=tgt))
         assert np.abs(reshaped.positions[10] - tgt[0]).max() < 1e-6
 
-    def test_displacement_decays_beyond_thirty_lengthscales(self):
+    def test_displacement_decays_beyond_thirty_lengthscales(self, monkeypatch):
         ell = 0.5
         times = np.concatenate([[-40.0 * ell], np.linspace(-0.5, 0.5, 11), [40.0 * ell]])
         traj = Trajectory(positions=np.zeros((13, 2)), times=times)
         displacement = np.array([[0.4, -0.2]])
-        reshaped = reshaped_kmp(
-            traj,
-            ViaAssignment(indices=[6], targets=displacement),
-            kernel_params=KernelParams(1.0, ell, 0.0),
-        )
+        fix_kernel(monkeypatch, KernelParams(1.0, ell, 0.0))
+        reshaped = reshaped_kmp(traj, ViaAssignment(indices=[6], targets=displacement))
         scale = np.linalg.norm(displacement)
         assert np.linalg.norm(reshaped.positions[0]) <= 1e-3 * scale
         assert np.linalg.norm(reshaped.positions[-1]) <= 1e-3 * scale
@@ -353,15 +353,16 @@ class TestReshapedKMPRoundOff:
         assert max(rigid) <= 4 < ROUNDOFF_ULPS
         assert min(bent) >= 1e13 > ROUNDOFF_ULPS
 
-    def test_given_kernel_shifts_round_off_labels_by_zero(self):
+    def test_given_kernel_shifts_round_off_labels_by_zero(self, monkeypatch):
         scenario = make_surface_scenario("tilt", seed=0)
         aligned, aligned_kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
         assignment = assign_via_points(aligned, aligned_kp)
         assert 0.0 < kmp_roundoff_ratio(scenario.keypoints, scenario.demonstration) <= ROUNDOFF_ULPS
-        reshaped = reshaped_kmp(aligned, assignment, kernel_params=KernelParams(1.0, 0.1, 0.0))
+        fix_kernel(monkeypatch, KernelParams(1.0, 0.1, 0.0))
+        reshaped = reshaped_kmp(aligned, assignment)
         assert np.array_equal(reshaped.positions, aligned.positions)
 
-    def test_labels_above_the_threshold_are_fitted(self):
+    def test_labels_above_the_threshold_are_fitted(self, monkeypatch):
         """A displacement just above ROUNDOFF_ULPS ulps is a displacement:
         the GP fits it and the assigned node moves by it."""
         times = np.linspace(0.0, 1.0, 11)
@@ -369,7 +370,8 @@ class TestReshapedKMPRoundOff:
         step = 2 * ROUNDOFF_ULPS * np.finfo(float).eps
         targets = traj.positions[[2, 5, 8]] + [[0.0, step], [0.0, 0.0], [0.0, 0.0]]
         assignment = ViaAssignment(indices=[2, 5, 8], targets=targets)
-        reshaped = reshaped_kmp(traj, assignment, kernel_params=KernelParams(1.0, 0.1, 0.0))
+        fix_kernel(monkeypatch, KernelParams(1.0, 0.1, 0.0))
+        reshaped = reshaped_kmp(traj, assignment)
         assert reshaped.positions[2, 1] > traj.positions[2, 1]
 
 
@@ -435,25 +437,34 @@ class TestLWT:
             moved = apply_lwt(fit_lwt(kp), demo.positions)
             assert moved.tobytes() == loop_apply_lwt(loop_fit_lwt(kp), demo.positions).tobytes()
 
-    def test_a_negative_iteration_budget_is_rejected(self):
-        """It used to return an empty map that warned "did not converge in
-        -1 iterations; best residual inf"."""
-        scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)
-        with pytest.raises(ValueError, match="max_iters must be nonnegative, got -1"):
-            fit_lwt(scenario.keypoints, max_iters=-1)
-        # a zero budget still checks the residual once and adds no unit
-        lwt = fit_lwt(scenario.keypoints, max_iters=0)
-        assert lwt.units == ()
-        (note,) = lwt.warnings
-        assert note.startswith("did not converge in 0 iterations")
+    def test_the_unit_budget_is_a_thousand_or_n_squared(self):
+        assert [baselines._unit_budget(n) for n in (1, 12, 31, 32, 50, 200)] == [
+            1000, 1000, 1000, 1024, 2500, 40000
+        ]
 
-    def test_a_fit_converging_on_its_last_allowed_unit_does_not_warn(self):
+    def test_a_fit_converging_on_its_last_allowed_unit_does_not_warn(self, monkeypatch):
         scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)
         _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
         assert len(fit_lwt(kp).units) == 25
-        lwt = fit_lwt(kp, max_iters=25)
+        monkeypatch.setattr(baselines, "_unit_budget", lambda n: 25)
+        lwt = fit_lwt(kp)
         assert len(lwt.units) == 25
         assert lwt.warnings == ()
+        # one unit fewer is a fit that stops short
+        monkeypatch.setattr(baselines, "_unit_budget", lambda n: 24)
+        (note,) = fit_lwt(kp).warnings
+        assert note.startswith("did not converge in 24 iterations; best residual ")
+
+    def test_a_bent_surface_scene_converges_at_200_keypoints(self):
+        """The bent scenes need 3,678-9,415 units here, past the old fixed
+        budget of 1000; composite-0 needs the most of the nine."""
+        scenario = make_surface_scenario("composite", n_keypoints=200, seed=0)
+        _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
+        lwt = fit_lwt(kp)
+        assert lwt.warnings == ()
+        assert 1000 < len(lwt.units) <= baselines._unit_budget(kp.n)
+        moved = apply_lwt(lwt, kp.source.points)
+        assert np.linalg.norm(moved - kp.target.points, axis=1).max() <= match_tolerance(kp)
 
     def test_every_unit_keeps_positive_determinant(self):
         rng = np.random.default_rng(9)
@@ -496,17 +507,30 @@ class TestLWT:
         lwt = fit_lwt(PairedKeypoints(PointSet(pts), PointSet(pts)))
         assert len(lwt.units) == 0
 
-    def test_contradictory_keypoints_warn_after_budget(self):
-        """The map's ``warnings`` are the one report: no Python warning."""
-        src = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        tgt = np.array([[0.0, 1.0], [0.0, -1.0], [2.0, 0.0]])
+    def test_contradictory_keypoints_warn_after_budget(self, monkeypatch):
+        """The map's ``warnings`` are the one report: no Python warning.
+        These keypoints, 1e-9 apart and pulled opposite ways, take 115
+        units."""
+        src = np.array([[0.0, 0.0], [1e-9, 0.0], [2.0, 0.0]])
+        tgt = np.array([[0.0, 1.0], [1e-9, -1.0], [2.0, 0.0]])
         kp = PairedKeypoints(PointSet(src), PointSet(tgt))
+        monkeypatch.setattr(baselines, "_unit_budget", lambda n: 50)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lwt = fit_lwt(kp, max_iters=50)
+            lwt = fit_lwt(kp)
         assert caught == []
         (note,) = lwt.warnings
         assert note.startswith("did not converge in 50 iterations; best residual ")
+
+    @pytest.mark.parametrize("targets", [[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, -1.0]]])
+    def test_a_keypoint_on_another_is_named_and_rejected(self, targets):
+        """With equal targets this fit returned 1000 units of ~5e-13 each;
+        with different ones it spent its budget and returned none."""
+        src = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        tgt = np.vstack([[2.0, 0.0], targets])
+        kp = PairedKeypoints(PointSet(src), PointSet(tgt))
+        with pytest.raises(ValueError, match="keypoints 1 and 2 coincide"):
+            fit_lwt(kp)
 
     def test_unit_validation(self):
         with pytest.raises(ValueError, match="step bound"):

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import fold_pair, suite_tasks
 from poltrans import PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
-from poltrans import cli
+from poltrans import baselines, cli
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, compute_metrics, mann_whitney_u, read_metrics_csv, write_metrics_csv
 from poltrans.scenarios import frame_pairing, load_scenario, make_surface_scenario, save_scenario
@@ -1172,10 +1172,11 @@ class TestBench:
         report = json.loads((tmp_path / "bench" / "report.json").read_text())
         assert [entry["warnings"] for entry in report.values()] == [[]] * len(scenes)
 
-    def test_lwt_non_convergence_is_warned_per_scene_on_every_call(self, tmp_path, capsys):
-        """At 200 keypoints lwt misses the bent scenes. Its note went out as
-        a Python warning, which named no scene or method and which a second
-        call in the same process did not print."""
+    def test_lwt_non_convergence_is_warned_per_scene_on_every_call(self, tmp_path, monkeypatch, capsys):
+        """Held to 1000 units at 200 keypoints, lwt misses the bent scenes.
+        Its note went out as a Python warning, which named no scene or
+        method and which a second call in the same process did not print."""
+        monkeypatch.setattr(baselines, "_unit_budget", lambda n: 1000)
         flags = ("--suite", "surfaces", "--seeds", 1, "--methods", "lwt", "--n-keypoints", 200)
         expected = [
             rf"warning: surface-{profile}-0: lwt did not converge in 1000 iterations; best residual \d\.\d{{3}}e-0\d"
@@ -1188,6 +1189,11 @@ class TestBench:
             assert len(lines) == len(expected)
             assert all(re.fullmatch(pattern, line) for pattern, line in zip(expected, lines)), lines
             assert not (out / "failures.json").exists()
+
+    def test_lwt_converges_on_the_200_keypoint_surfaces(self, tmp_path, capsys):
+        flags = ("--suite", "surfaces", "--seeds", 1, "--methods", "lwt", "--n-keypoints", 200)
+        assert run("bench", *flags, "--out-dir", tmp_path) == 0
+        assert capsys.readouterr().err == ""
 
     def test_ranking_error_comes_last_and_names_the_method(self, tmp_path, monkeypatch, capsys):
         real = cli.METHOD_TABLE["le"].run

@@ -379,9 +379,9 @@ class TestLabelTransport:
         from poltrans import is_rotation
 
         for rot in moved.orientations:
-            assert is_rotation(rot, tol=1e-9)
+            assert is_rotation(rot)
         for rot in moved.projected_rotations:
-            assert is_rotation(rot, tol=1e-9)
+            assert is_rotation(rot)
 
     def test_stiffness_stays_symmetric_psd_with_same_spectrum(self):
         rng = np.random.default_rng(8)
