@@ -76,16 +76,17 @@ class ViaAssignment:
 def assign_via_points(traj: Trajectory, kp: PairedKeypoints) -> ViaAssignment:
     """Bind each source keypoint to a distinct trajectory node.
 
-    Minimizes the total Euclidean cost sum_k |s_k - x_{j(k)}| over
-    one-to-one assignments. The bound node's target is x_j + (t_k - s_k):
-    the node moves by the keypoint's displacement.
+    Minimizes the total squared distance sum_k |s_k - x_{j(k)}|^2 over
+    one-to-one assignments: summed distances tie exactly for two keypoints
+    beyond two nodes on their line, leaving the choice to rounding, so to
+    the scene's pose and units. The bound node's target is x_j + (t_k -
+    s_k): the node moves by the keypoint's displacement.
     """
     if traj.m < kp.n:
         raise ValueError("more keypoints than trajectory points")
     if traj.dim != kp.dim:
         raise ValueError("trajectory and keypoints must share dimension")
-    cost = np.sqrt(_sq_dists(kp.source.points, traj.positions))
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(_sq_dists(kp.source.points, traj.positions))
     order = np.argsort(rows)  # keypoint order
     cols = cols[order]
     displacement = kp.target.points - kp.source.points

@@ -350,13 +350,13 @@ def _scene_svg(path: Path, task: SceneTask, produced: dict, bands: dict) -> None
     scene = SvgScene()
     for method, traj in sorted(produced.items()):
         if method in bands:
-            scene.band(traj.positions, 2.0 * bands[method], fill="#ffa500", opacity=0.35)
+            scene.band(traj.positions, 2.0 * bands[method])
     scene.polyline(task.demonstration.positions, color="#999999", width=1.2, dash="6,4")
     scene.polyline(task.scenario.reference.positions, color="#000000", width=1.8)
     for method, traj in sorted(produced.items()):
         scene.polyline(traj.positions, color=METHOD_TABLE[method].color, width=1.6)
-    scene.markers(task.keypoints.source.points, color="#bbbbbb", radius=3.0)
-    scene.markers(task.keypoints.target.points, color="#d62728", radius=3.0)
+    scene.markers(task.keypoints.source.points, color="#bbbbbb")
+    scene.markers(task.keypoints.target.points, color="#d62728")
     path.parent.mkdir(parents=True, exist_ok=True)
     scene.write(path)
 

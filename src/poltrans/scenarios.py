@@ -4,10 +4,10 @@ Two families:
 
 * Surface scenarios — a flat baseline segment deforms into a target profile
   (tilted, sinusoidal, stepped, or a sinusoid then tilted), each one record
-  of ``_PROFILES``: its default parameters and its map. Keypoints sample the
+  of ``_PROFILES``: its parameters and its map. Keypoints sample the
   baseline and its image; the demonstration is a periodic
-  approach-traverse-retreat loop over the baseline. Every scenario carries
-  an analytic reference rollout (the demonstration pushed through the exact
+  approach-traverse-retreat loop over the baseline. Every scenario has an
+  analytic reference rollout (the demonstration pushed through the exact
   profile map) to score transported trajectories against.
 
 * Frame scenarios — a reaching motion between a start frame and a goal
@@ -19,6 +19,7 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -49,10 +50,10 @@ def _step(pts: np.ndarray, params: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Profile:
-    """A surface profile: its default parameters, and ``apply(points,
-    params)``, which maps a float (N, 2) batch in place where it can."""
+    """A surface profile: its parameters, and ``apply(points, params)``,
+    which maps a float (N, 2) batch in place where it can."""
 
-    defaults: dict[str, float]
+    params: dict[str, float]
     apply: Callable[[np.ndarray, dict], np.ndarray]
 
 
@@ -70,32 +71,43 @@ SURFACE_PROFILES = tuple(_PROFILES)
 
 
 def _profile(name: str) -> _Profile:
-    if name not in _PROFILES:
+    # Compared, not hashed, so a list or dict name is refused like any other.
+    if name not in SURFACE_PROFILES:
         raise ValueError(f"unknown profile {name!r}; choose from {SURFACE_PROFILES}")
     return _PROFILES[name]
 
 
-def surface_map(profile: str, params: dict):
+def surface_map(profile: str):
     """The analytic ambient map sending the flat baseline onto the profile; it maps a copy."""
-    apply = _profile(profile).apply
-    return lambda pts: apply(np.array(pts, dtype=float), params)
+    record = _profile(profile)
+    return lambda pts: record.apply(np.array(pts, dtype=float), record.params)
 
 
 @dataclass(frozen=True, eq=False)
 class SurfaceScenario:
-    """A surface-deformation transport instance with analytic ground truth."""
+    """A surface-deformation transport instance with analytic ground truth:
+    the loop demonstration, and its image under the profile map."""
 
     kind: ClassVar[str] = "surface"
     profile: str
-    params: dict[str, float]
     keypoints: PairedKeypoints
-    demonstration: Trajectory
-    reference: Trajectory
     seed: int
+
+    def __post_init__(self):
+        _profile(self.profile)
 
     @property
     def name(self) -> str:
         return f"surface-{self.profile}-{self.seed}"
+
+    @cached_property
+    def demonstration(self) -> Trajectory:
+        return _loop_demonstration()
+
+    @cached_property
+    def reference(self) -> Trajectory:
+        demo = self.demonstration
+        return Trajectory(positions=surface_map(self.profile)(demo.positions), times=demo.times)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **to_dict(self)}
@@ -120,7 +132,7 @@ def make_surface_scenario(profile: str, n_keypoints: int = 12, seed: int = 0) ->
     """
     if n_keypoints < 2:
         raise ValueError("need at least two keypoints")
-    params = dict(_profile(profile).defaults)
+    mapping = surface_map(profile)
 
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n_keypoints)
@@ -128,15 +140,9 @@ def make_surface_scenario(profile: str, n_keypoints: int = 12, seed: int = 0) ->
     xs = np.clip(xs + rng.uniform(-0.3, 0.3, n_keypoints) * spacing, 0.0, 1.0)
     xs.sort()
     source = np.stack([xs, np.zeros_like(xs)], axis=1)
-
-    mapping = surface_map(profile, params)
-    demo = _loop_demonstration()
     return SurfaceScenario(
         profile=profile,
-        params=params,
         keypoints=PairedKeypoints(source=PointSet(source), target=PointSet(mapping(source))),
-        demonstration=demo,
-        reference=Trajectory(positions=mapping(demo.positions), times=demo.times),
         seed=seed,
     )
 
@@ -233,20 +239,30 @@ def _frame_curve(start: Pose, goal: Pose) -> Trajectory:
 @dataclass(frozen=True, eq=False)
 class FrameScenario:
     """A two-frame reaching instance: canonical demonstration, perturbed
-    frames, and the regenerated reference curve at those frames."""
+    frames, and the regenerated reference curve at those frames. The
+    keypoints are the start frame's, then as many of the goal frame's."""
 
     kind: ClassVar[str] = "frame"
     start_pose: Pose
     goal_pose: Pose
-    keypoints_per_frame: int
     keypoints: PairedKeypoints
-    demonstration: Trajectory
-    reference: Trajectory
     seed: int
 
     @property
     def name(self) -> str:
         return f"frame-{self.seed}"
+
+    @property
+    def keypoints_per_frame(self) -> int:
+        return self.keypoints.n // 2
+
+    @cached_property
+    def demonstration(self) -> Trajectory:
+        return _frame_curve(CANONICAL_START, CANONICAL_GOAL)
+
+    @cached_property
+    def reference(self) -> Trajectory:
+        return _frame_curve(self.start_pose, self.goal_pose)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **to_dict(self)}
@@ -263,9 +279,7 @@ def make_frame_scenario(
     """Frame instance with keypoints rigidly attached to both frames.
 
     Source keypoints are the canonical frames' keypoints; targets are the
-    same local offsets expressed in the given frames. The demonstration is
-    always the canonical reaching curve; the reference rollout is the curve
-    regenerated at the given frames.
+    same local offsets expressed in the given frames.
     """
     if float(np.linalg.norm(start_pose.position - goal_pose.position)) < 1e-9:
         raise ValueError("start and goal frames coincide")
@@ -274,10 +288,7 @@ def make_frame_scenario(
     return FrameScenario(
         start_pose=start_pose,
         goal_pose=goal_pose,
-        keypoints_per_frame=keypoints_per_frame,
         keypoints=PairedKeypoints(source=source, target=target),
-        demonstration=_frame_curve(CANONICAL_START, CANONICAL_GOAL),
-        reference=_frame_curve(start_pose, goal_pose),
         seed=seed,
     )
 

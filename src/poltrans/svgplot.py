@@ -22,25 +22,27 @@ from .types import _as_batch
 WIDTH = 640
 HEIGHT = 480
 MARGIN = 0.06
+# Every band's fill and opacity, and every marker's radius in pixels.
+BAND_FILL = "#ffa500"
+BAND_OPACITY = 0.35
+MARKER_RADIUS = 3.0
 
 
 def offset_band(points: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper/lower polylines offset from a curve along its local normals.
 
     ``points`` is an (N, 2) batch (``types._as_batch``) and ``radii`` the
-    per-point half-width (e.g. two standard deviations), finite and
-    nonnegative: N of them, or one for every point. Normals come from the
-    averaged neighboring segment directions; zero-length tangents fall back
-    to the x axis.
+    N per-point half-widths (e.g. two standard deviations), finite and
+    nonnegative. Normals come from the averaged neighboring segment
+    directions; zero-length tangents fall back to the x axis.
     """
     pts = _as_batch(points, "band points", 2)
     rad = np.asarray(radii, dtype=float).ravel()
     # A NaN radius would turn every coordinate of the document into nan.
     if not (np.isfinite(rad).all() and (rad >= 0).all()):
         raise ValueError("band radii must be finite and nonnegative")
-    if rad.size not in (1, pts.shape[0]):
+    if rad.size != pts.shape[0]:
         raise ValueError(f"band radii must be one per band point: got {rad.size} radii for {pts.shape[0]} points")
-    rad = np.broadcast_to(rad, (pts.shape[0],))
     ahead = np.diff(pts, axis=0, append=pts[-1:])
     behind = np.diff(pts, axis=0, prepend=pts[:1])
     tangent = ahead + behind
@@ -87,7 +89,9 @@ class SvgScene:
     """Collects world-space drawing primitives, then renders one SVG."""
 
     def __init__(self):
-        self._elements: list[tuple] = []
+        # (tag, points, attribute text) per element, in drawing order; a
+        # "circle" element draws one circle per point.
+        self._elements: list[tuple[str, np.ndarray, str]] = []
         self._points: list[np.ndarray] = []
 
     def _track(self, points) -> np.ndarray:
@@ -101,17 +105,17 @@ class SvgScene:
         return pts
 
     def polyline(self, points, color: str = "#000000", width: float = 1.5, dash: str | None = None) -> None:
-        self._elements.append(("polyline", self._track(points), color, width, dash))
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        attrs = f'fill="none" stroke="{color}" stroke-width="{width}"{dash_attr}'
+        self._elements.append(("polyline", self._track(points), attrs))
 
-    def polygon(self, points, fill: str = "#ffa500", opacity: float = 0.3) -> None:
-        self._elements.append(("polygon", self._track(points), fill, opacity))
+    def markers(self, points, color: str = "#d62728") -> None:
+        self._elements.append(("circle", self._track(points), f'r="{MARKER_RADIUS}" fill="{color}"'))
 
-    def markers(self, points, color: str = "#d62728", radius: float = 3.0) -> None:
-        self._elements.append(("markers", self._track(points), color, radius))
-
-    def band(self, points, radii, fill: str = "#ffa500", opacity: float = 0.35) -> None:
+    def band(self, points, radii) -> None:
         upper, lower = offset_band(points, radii)
-        self.polygon(np.vstack([upper, lower[::-1]]), fill=fill, opacity=opacity)
+        attrs = f'fill="{BAND_FILL}" opacity="{BAND_OPACITY}" stroke="none"'
+        self._elements.append(("polygon", self._track(np.vstack([upper, lower[::-1]])), attrs))
 
     def _transform(self):
         stacked = np.vstack(self._points) if self._points else np.zeros((1, 2))
@@ -142,29 +146,16 @@ class SvgScene:
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         ]
         end = 0
-        for element in self._elements:
-            kind = element[0]
-            first, end = end, end + element[1].size
-            coords = text[starts[first] + 1:starts[end]]
-            if kind == "polyline":
-                _, _, color, width, dash = element
-                dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                    f'stroke-width="{width}"{dash_attr}/>'
-                )
-            elif kind == "polygon":
-                _, _, fill, opacity = element
-                parts.append(
-                    f'<polygon points="{coords}" fill="{fill}" opacity="{opacity}" stroke="none"/>'
-                )
-            elif kind == "markers":
-                _, _, color, radius = element
+        for tag, points, attrs in self._elements:
+            first, end = end, end + points.size
+            if tag == "circle":
                 for i in range(first, end, 2):
                     parts.append(
                         f'<circle cx="{text[starts[i] + 1:starts[i + 1]]}" '
-                        f'cy="{text[starts[i + 1] + 1:starts[i + 2]]}" r="{radius}" fill="{color}"/>'
+                        f'cy="{text[starts[i + 1] + 1:starts[i + 2]]}" {attrs}/>'
                     )
+            else:
+                parts.append(f'<{tag} points="{text[starts[first] + 1:starts[end]]}" {attrs}/>')
         parts.append("</svg>")
         return "\n".join(parts)
 

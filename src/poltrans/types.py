@@ -20,7 +20,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def _encode(value):
 
 def _decode(tp, value, field: str):
     """``value`` read as a ``tp`` field; ValueError naming ``field`` when a
-    number, record or dict field holds another JSON value. A ``float``
+    number or record field holds another JSON value. A ``float``
     field takes any JSON number within the float range and an ``int``
     field one of integral value; neither takes a bool or a string."""
     kind = "null" if value is None else type(value).__name__
@@ -118,13 +118,11 @@ def _decode(tp, value, field: str):
         if isinstance(value, (bool, int, float, str)):
             kind += f" {value!r}"
         raise ValueError(f"{field} must be {'an integer' if tp is int else 'a number'}, not {kind}")
-    if not (is_dataclass(tp) or get_origin(tp) is dict):
+    if not is_dataclass(tp):
         return value
     if not isinstance(value, dict):
         raise ValueError(f"{field} must be a JSON object, not {kind}")
-    if is_dataclass(tp):
-        return tp.from_dict(value)
-    return {k: _decode(get_args(tp)[1], v, f"{field}[{k!r}]") for k, v in value.items()}
+    return tp.from_dict(value)
 
 
 def to_dict(record) -> dict:
@@ -135,12 +133,12 @@ def to_dict(record) -> dict:
 
 def from_dict(cls, data: dict):
     """Rebuild a record from its JSON form. Nested records go through their
-    own ``from_dict``; ``int``/``float`` fields and ``dict[str, float]``
-    values are read as numbers (:func:`_decode`), converted to the field's
-    type. Everything else is passed as read, for the class's
-    ``__post_init__`` to coerce and check. A missing required key raises a
-    ``KeyError`` naming the class and the key; a field with a default may
-    be absent. A number, record or dict field that holds another JSON
+    own ``from_dict``; ``int``/``float`` fields are read as numbers
+    (:func:`_decode`), converted to the field's type. Everything else is
+    passed as read, for the class's ``__post_init__`` to coerce and check.
+    A missing required key raises a ``KeyError`` naming the class and the
+    key; a field with a default may be absent, and a key that names no
+    field is ignored. A number or record field that holds another JSON
     value raises a ``ValueError`` naming the class and the field."""
     kwargs = {}
     for name, tp, required in _schema(cls):
@@ -204,15 +202,8 @@ class PointSet:
         # Computed once per point set: its points are frozen.
         return float(np.sqrt(_sq_dists(self.points, self.points).max()))
 
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, **to_dict(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PointSet":
-        ps = from_dict(cls, data)
-        if "dim" in data and _decode(int, data["dim"], "PointSet.dim") != ps.dim:
-            raise ValueError("declared dim does not match point width")
-        return ps
+    to_dict = to_dict
+    from_dict = classmethod(from_dict)
 
 
 @dataclass(frozen=True, eq=False)

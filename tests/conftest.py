@@ -29,6 +29,7 @@ from poltrans.metrics import (
     dtw_distance,
     frechet_distance,
 )
+from poltrans.scenarios import _PROFILES
 from poltrans.transport import NEAR_SINGULAR_RATIO, match_tolerance
 from poltrans.types import ORIENTATION_TOL, SPD_TOL, Violation, rotation_residual
 
@@ -106,6 +107,24 @@ def default_bench_tasks(suite: str) -> tuple:
     flag at its default."""
     entry = cli.SUITE_TABLE[suite]
     return tuple(suite_tasks(suite, entry.methods, entry.seeds))
+
+
+def previous_format(data: dict, scenario=None) -> dict:
+    """A JSON form as files were written before a scenario derived its
+    ground truth: each point set also declares its ``dim``, and a
+    ``scenario`` also carries its demonstration, its reference, and its
+    profile's ``params`` or its ``keypoints_per_frame``."""
+    if isinstance(data, dict):
+        data = {key: previous_format(value) for key, value in data.items()}
+        if "points" in data:
+            data["dim"] = len(data["points"][0])
+    if scenario is not None:
+        data.update(demonstration=scenario.demonstration.to_dict(), reference=scenario.reference.to_dict())
+        if scenario.kind == "surface":
+            data["params"] = dict(_PROFILES[scenario.profile].params)
+        else:
+            data["keypoints_per_frame"] = scenario.keypoints_per_frame
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     loop_apply_lwt,
     loop_fit_lwt,
     lwt_jacobian,
+    rotation_2d,
     suite_tasks,
 )
 from poltrans import PairedKeypoints, PointSet, Trajectory, baselines, cli, gp
@@ -75,15 +76,25 @@ def row_substituted_solve(positions, topology, indices, targets):
 
 
 def brute_force_assignment_cost(traj, kp):
-    """Minimum total matching cost by enumerating ordered index tuples."""
+    """Minimum total squared distance by enumerating ordered index tuples."""
     best = np.inf
     for combo in itertools.permutations(range(traj.m), kp.n):
         cost = sum(
-            np.linalg.norm(kp.source.points[k] - traj.positions[j])
+            np.sum((kp.source.points[k] - traj.positions[j]) ** 2)
             for k, j in enumerate(combo)
         )
         best = min(best, cost)
     return best
+
+
+# Motions of a whole scene, as (move of the demonstration and the source
+# keypoints, move of the target keypoints).
+SCENE_MOTIONS = {
+    "source_rotated_and_shifted": (lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0], lambda x: x),
+    "target_rotated_and_shifted": (lambda x: x, lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0]),
+    "scaled_by_1e3": (lambda x: 1e3 * x, lambda x: 1e3 * x),
+    "scaled_by_1e-3": (lambda x: 1e-3 * x, lambda x: 1e-3 * x),
+}
 
 
 class TestAssignment:
@@ -97,10 +108,33 @@ class TestAssignment:
             kp = PairedKeypoints(PointSet(src), PointSet(src + 0.1))
             assignment = assign_via_points(traj, kp)
             cost = sum(
-                np.linalg.norm(src[k] - traj.positions[j])
+                np.sum((src[k] - traj.positions[j]) ** 2)
                 for k, j in enumerate(assignment.indices)
             )
             assert cost == pytest.approx(brute_force_assignment_cost(traj, kp), abs=1e-12)
+
+    @pytest.mark.parametrize("motion", SCENE_MOTIONS)
+    def test_bench_assignments_follow_the_scene_not_its_pose_or_units(self, motion):
+        """Every default bench task that reads via points (le's 20 frames
+        tasks at two keypoints per frame, and the 15 surface scenes) binds
+        the same nodes after the scene moves rigidly or changes units. The
+        summed Euclidean distance ties on the goal frame's two keypoints and
+        leaves 3-6 of the frames tasks to rounding."""
+        move_source, move_target = SCENE_MOTIONS[motion]
+        tasks = [
+            task for task in default_bench_tasks("frames") + default_bench_tasks("surfaces")
+            if {"le", "reshaped_kmp"} & set(task.methods)
+        ]
+        assert len(tasks) == 35
+        for task in tasks:
+            demo = task.demonstration
+            moved_demo = Trajectory(positions=move_source(demo.positions), times=demo.times)
+            moved_kp = PairedKeypoints(
+                PointSet(move_source(task.keypoints.source.points)),
+                PointSet(move_target(task.keypoints.target.points)),
+            )
+            moved = assign_via_points(*_gamma_pretransform(moved_kp, moved_demo))
+            assert moved.indices.tolist() == task.assignment.indices.tolist(), task.scenario.name
 
     def test_targets_are_node_plus_keypoint_displacement(self):
         rng = np.random.default_rng(1)

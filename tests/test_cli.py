@@ -16,12 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fold_pair, suite_tasks
+from conftest import fold_pair, previous_format, suite_tasks
 from poltrans import PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
 from poltrans import baselines, cli
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, compute_metrics, mann_whitney_u, read_metrics_csv, write_metrics_csv
-from poltrans.scenarios import frame_pairing, load_scenario, make_surface_scenario, save_scenario
+from poltrans.scenarios import (
+    SURFACE_PROFILES,
+    frame_pairing,
+    load_scenario,
+    make_surface_scenario,
+    random_frame_scenario,
+    save_scenario,
+)
 
 
 @pytest.fixture()
@@ -381,39 +388,59 @@ class TestTransport:
         assert "map file has no 'params' key; refit the map" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["surface", "frame"])
+    def test_files_in_the_previous_format_fit_and_transport_as_new_ones(self, tmp_path, capsys, kind):
+        """Scenario and map files that also carry each point set's dim, and
+        scenario files that carry what a scenario derives (demonstration,
+        reference, profile params or keypoints per frame): fit writes the
+        same map and report, and transport through the map the same CSV."""
+        scenario = make_surface_scenario("composite", seed=1) if kind == "surface" else random_frame_scenario(203)
+        fitted = {}
+        for form, data in (("new", scenario.to_dict()), ("old", previous_format(scenario.to_dict(), scenario))):
+            save_json(data, tmp_path / f"{form}.json")
+            assert run("fit", "--scenario", tmp_path / f"{form}.json", "--out-dir", tmp_path / form) == 0
+            report = json.loads((tmp_path / form / "fit_report.json").read_text())
+            del report["fit_seconds"]
+            fitted[form] = ((tmp_path / form / "map.json").read_bytes(), report, capsys.readouterr().err)
+        assert fitted["old"] == fitted["new"]
+
+        new_map = tmp_path / "new" / "map.json"
+        save_json(previous_format(json.loads(new_map.read_text())), tmp_path / "old_map.json")
+        rng = np.random.default_rng(3)
+        labels = PolicyLabels(positions=rng.uniform(-0.2, 1.2, (8, 2)), velocities=rng.normal(size=(8, 2)))
+        save_json(labels, tmp_path / "labels.json")
+        written = {}
+        for form, path in (("new", new_map), ("old", tmp_path / "old_map.json")):
+            out = tmp_path / f"tp-{form}"
+            assert run("transport", "--map", path, "--labels", tmp_path / "labels.json", "--out-dir", out) == 0
+            written[form] = (out / "transported.csv").read_bytes()
+        assert written["old"] == written["new"]
+
 
     @pytest.mark.parametrize(
         ("command", "key", "value", "message"),
         [
             ("fit", "keypoints", None, "SurfaceScenario.keypoints must be a JSON object, not null"),
             ("fit", "keypoints", {"source": 3}, "PairedKeypoints.source must be a JSON object, not int"),
-            ("fit", "params", None, "SurfaceScenario.params must be a JSON object, not null"),
-            ("fit", "params", {"amplitude": None}, "SurfaceScenario.params['amplitude'] must be a number, not null"),
+            ("fit", "profile", "bumpy", f"unknown profile 'bumpy'; choose from {SURFACE_PROFILES}"),
+            ("fit", "profile", ["sine"], f"unknown profile ['sine']; choose from {SURFACE_PROFILES}"),
             ("transport", "params", None, "TransportMap.params must be a JSON object, not null"),
             ("transport", "keypoints", [], "TransportMap.keypoints must be a JSON object, not list"),
             ("fit", "seed", 3.7, "SurfaceScenario.seed must be an integer, not float 3.7"),
             ("fit", "seed", True, "SurfaceScenario.seed must be an integer, not bool True"),
             ("fit", "seed", "12", "SurfaceScenario.seed must be an integer, not str '12'"),
-            ("fit", "params", {"amplitude": "0.1"}, "SurfaceScenario.params['amplitude'] must be a number, not str '0.1'"),
-            ("fit", "params", {"amplitude": False}, "SurfaceScenario.params['amplitude'] must be a number, not bool False"),
             (
-                "fit",
+                "transport",
                 "params",
-                {"amplitude": 10**400},
-                "SurfaceScenario.params['amplitude'] must be a number within the float range,"
-                " not an integer of about 10^400",
-            ),
-            (
-                "fit",
-                "keypoints",
-                {"source": {"dim": 2.5, "points": [[0.0, 0.0]]}},
-                "PointSet.dim must be an integer, not float 2.5",
+                {"signal_variance": None, "lengthscale": 1.0},
+                "KernelParams.signal_variance must be a number, not null",
             ),
             (
                 "transport",
-                "keypoints",
-                {"source": {"dim": "2", "points": [[0.0, 0.0]]}},
-                "PointSet.dim must be an integer, not str '2'",
+                "params",
+                {"signal_variance": 10**400, "lengthscale": 1.0},
+                "KernelParams.signal_variance must be a number within the float range,"
+                " not an integer of about 10^400",
             ),
             (
                 "transport",
@@ -689,6 +716,23 @@ class TestScenarioGen:
         assert frames == sorted(
             [f"test-{seed}.json" for seed in range(200, 220)] + [f"train-{seed}.json" for seed in range(100, 109)]
         )
+
+    def test_files_hold_only_their_record_fields(self, tmp_path):
+        """No stored value is one that code works out: each point set is its
+        points alone, and a scenario has no demonstration, reference,
+        profile params or keypoints per frame."""
+        for suite in ("surfaces", "frames"):
+            assert run("scenario-gen", "--suite", suite, "--seeds", 2, "--train-seeds", 1, "--out-dir", tmp_path) == 0
+        paths = sorted((tmp_path / "scenarios").rglob("*.json"))
+        assert len(paths) == 13
+        for path in paths:
+            data = json.loads(path.read_text())
+            setting = {"profile"} if data["kind"] == "surface" else {"start_pose", "goal_pose"}
+            assert set(data) == {"kind", "keypoints", "seed", *setting}
+            assert set(data["keypoints"]) == {"source", "target"}
+            assert all(set(points) == {"points"} for points in data["keypoints"].values())
+        # A 12-keypoint surface scenario fits in 2 KB.
+        assert all(path.stat().st_size < 2048 for path in paths if path.parent.name == "surfaces")
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run("scenario-gen", "--suite", "boxes", "--out-dir", tmp_path) == 2

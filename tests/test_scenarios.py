@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import rotation_2d
+from conftest import previous_format, rotation_2d
 from poltrans.scenarios import (
+    _PROFILES,
     CANONICAL_GOAL,
     CANONICAL_START,
     SURFACE_PROFILES,
@@ -20,6 +21,7 @@ from poltrans.scenarios import (
     save_scenario,
     surface_map,
 )
+from poltrans.types import save_json
 
 
 class TestSurfaceScenarios:
@@ -34,14 +36,14 @@ class TestSurfaceScenarios:
 
     def test_tilt_rotates_about_the_baseline_start(self):
         scenario = make_surface_scenario("tilt", seed=2)
-        rot = rotation_2d(scenario.params["angle"])
+        rot = rotation_2d(_PROFILES["tilt"].params["angle"])
         expected = scenario.keypoints.source.points @ rot.T
         assert_allclose(scenario.keypoints.target.points, expected, atol=1e-15)
 
     def test_sine_ordinates_evaluated_pointwise(self):
         scenario = make_surface_scenario("sine", seed=3)
-        a = scenario.params["amplitude"]
-        f = scenario.params["frequency"]
+        a = _PROFILES["sine"].params["amplitude"]
+        f = _PROFILES["sine"].params["frequency"]
         xs = scenario.keypoints.source.points[:, 0]
         target = scenario.keypoints.target.points
         assert_allclose(target[:, 0], xs, atol=0)
@@ -49,9 +51,7 @@ class TestSurfaceScenarios:
 
     def test_step_profile_formula(self):
         scenario = make_surface_scenario("step", seed=4)
-        h = scenario.params["height"]
-        pos = scenario.params["position"]
-        w = scenario.params["width"]
+        h, pos, w = (_PROFILES["step"].params[key] for key in ("height", "position", "width"))
         xs = scenario.keypoints.source.points[:, 0]
         expected = 0.5 * h * (1.0 + np.tanh((xs - pos) / w))
         assert_allclose(scenario.keypoints.target.points[:, 1], expected, atol=1e-15)
@@ -59,8 +59,10 @@ class TestSurfaceScenarios:
     def test_composite_is_sine_then_rotation(self):
         scenario = make_surface_scenario("composite", seed=5)
         src = scenario.keypoints.source.points
-        bumped = surface_map("sine", scenario.params)(src)
-        expected = bumped @ rotation_2d(scenario.params["angle"]).T
+        params = _PROFILES["composite"].params
+        bumped = src.copy()
+        bumped[:, 1] += params["amplitude"] * np.sin(2 * np.pi * params["frequency"] * src[:, 0])
+        expected = bumped @ rotation_2d(params["angle"]).T
         assert_allclose(scenario.keypoints.target.points, expected, atol=1e-15)
 
     def test_source_keypoints_live_on_the_baseline(self):
@@ -83,22 +85,18 @@ class TestSurfaceScenarios:
 
     def test_reference_is_the_mapped_demonstration(self):
         scenario = make_surface_scenario("sine", seed=7)
-        mapping = surface_map("sine", scenario.params)
+        mapping = surface_map("sine")
         assert_allclose(
             scenario.reference.positions,
             mapping(scenario.demonstration.positions),
             atol=0,
         )
 
-    def test_editing_a_scenario_leaves_the_profile_defaults_alone(self):
-        make_surface_scenario("sine", seed=8).params["amplitude"] = 0.2
-        assert make_surface_scenario("sine", seed=8).params == {"amplitude": 0.08, "frequency": 1.0}
-
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown profile"):
             make_surface_scenario("bumpy")
         with pytest.raises(ValueError, match="unknown profile"):
-            surface_map("bumpy", {})
+            surface_map("bumpy")
         with pytest.raises(ValueError, match="two keypoints"):
             make_surface_scenario("flat", n_keypoints=1)
 
@@ -152,7 +150,7 @@ class TestFrameScenarios:
     def test_keypoint_layout(self):
         scenario = make_frame_scenario(CANONICAL_START, CANONICAL_GOAL, keypoints_per_frame=3)
         src = scenario.keypoints.source.points
-        assert scenario.keypoints.n == 6
+        assert scenario.keypoints.n == 6 and scenario.keypoints_per_frame == 3
         assert_allclose(src[0], CANONICAL_START.position, atol=0)
         assert_allclose(src[3], CANONICAL_GOAL.position, atol=0)
 
@@ -226,6 +224,22 @@ class TestScenarioSerialization:
         save_scenario(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert_array_equal(loaded.reference.positions, scenario.reference.positions)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_surface_scenario("composite", n_keypoints=6, seed=13),
+        lambda: random_frame_scenario(seed=21, keypoints_per_frame=3),
+    ], ids=["surface", "frame"])
+    def test_a_file_in_the_previous_format_loads_with_the_derived_keys_ignored(self, tmp_path, build):
+        scenario = build()
+        old = previous_format(scenario.to_dict(), scenario)
+        path = tmp_path / "old.json"
+        save_json(old, path)
+        loaded = load_scenario(path)
+        assert loaded.to_dict() == scenario.to_dict()
+        assert loaded.demonstration.to_dict() == old["demonstration"]
+        assert loaded.reference.to_dict() == old["reference"]
+        derived = "params" if scenario.kind == "surface" else "keypoints_per_frame"
+        assert set(old) - set(loaded.to_dict()) == {"demonstration", "reference", derived}
 
     def test_repeated_generation_serializes_identically(self, tmp_path):
         for idx, path in enumerate(("x.json", "y.json")):

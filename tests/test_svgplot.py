@@ -22,24 +22,13 @@ def oracle_render(scene: SvgScene) -> str:
     own f-string."""
     to_px = scene._transform()
     parts = list(HEADER)
-    for element in scene._elements:
-        kind = element[0]
-        if kind == "polyline":
-            _, pts, color, width, dash = element
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="{width}"{dash_attr}/>'
-            )
-        elif kind == "polygon":
-            _, pts, fill, opacity = element
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
-            parts.append(f'<polygon points="{coords}" fill="{fill}" opacity="{opacity}" stroke="none"/>')
-        else:
-            _, pts, color, radius = element
+    for tag, pts, attrs in scene._elements:
+        if tag == "circle":
             for x, y in to_px(pts).tolist():
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="{color}"/>')
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" {attrs}/>')
+        else:
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in to_px(pts).tolist())
+            parts.append(f'<{tag} points="{coords}" {attrs}/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -47,10 +36,9 @@ def oracle_render(scene: SvgScene) -> str:
 def every_element(scene: SvgScene, pts: np.ndarray) -> SvgScene:
     scene.polyline(pts, color="#999999", width=1.2, dash="6,4")
     scene.polyline(pts[::-1], color="#000000", width=1.8)
-    scene.polygon(pts, fill="#ffa500", opacity=0.3)
     scene.band(pts, 0.1 * np.arange(len(pts)))
-    scene.markers(pts[:3], color="#bbbbbb", radius=3.0)
-    scene.markers(pts[-1:], color="#d62728", radius=2)
+    scene.markers(pts[:3], color="#bbbbbb")
+    scene.markers(pts[-1:], color="#d62728")
     scene.markers(np.zeros((0, 2)))
     return scene
 
@@ -80,6 +68,17 @@ class TestRender:
         assert '"-0.00,-0.00 -0.00,0.00 ' in rendered
         assert "1234.57,-98765.43" in rendered and "1000000.12,-0.00" in rendered
 
+    def test_each_element_has_its_style_attributes(self):
+        scene = SvgScene()
+        scene.polyline([[0.0, 0.0], [1.0, 1.0]], color="#999999", width=1.2)
+        scene.band([[0.0, 0.0], [1.0, 1.0]], [0.1, 0.2])
+        scene.markers([[0.0, 0.0]], color="#bbbbbb")
+        polyline, polygon, circle = scene.render().splitlines()[2:5]
+        assert polyline.endswith('" fill="none" stroke="#999999" stroke-width="1.2"/>')
+        assert polygon.startswith("<polygon points=")
+        assert polygon.endswith('" fill="#ffa500" opacity="0.35" stroke="none"/>')
+        assert circle.endswith('" r="3.0" fill="#bbbbbb"/>')
+
     def test_dash_is_drawn_only_when_given(self):
         scene = SvgScene()
         scene.polyline([[0.0, 0.0], [1.0, 1.0]], dash="6,4")
@@ -90,7 +89,7 @@ class TestRender:
 
     def test_one_circle_line_per_marker(self):
         scene = SvgScene()
-        scene.markers([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], color="#d62728", radius=3.0)
+        scene.markers([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], color="#d62728")
         scene.markers(np.zeros((0, 2)))
         lines = scene.render().splitlines()
         assert lines[:2] == HEADER and lines[-1] == "</svg>"
@@ -99,14 +98,14 @@ class TestRender:
         assert all(c.startswith("<circle cx=") and c.endswith(' r="3.0" fill="#d62728"/>') for c in circles)
 
     @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2)), []])
-    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers"])
+    @pytest.mark.parametrize("add", ["polyline", "markers"])
     def test_points_that_are_not_planar_are_rejected(self, add, points):
         # flattened for formatting, (N, 3) points would pass as x,y pairs
         with pytest.raises(ValueError, match=r"\(N, 2\) array"):
             getattr(SvgScene(), add)(points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers", "band"])
+    @pytest.mark.parametrize("add", ["polyline", "markers", "band"])
     def test_a_non_finite_point_is_rejected_and_draws_nothing(self, add, bad):
         """One NaN point used to turn every coordinate of the document,
         other elements' included, into nan."""
@@ -115,13 +114,13 @@ class TestRender:
         scene = SvgScene()
         scene.polyline([[0.0, 0.0], [1.0, 1.0]])
         before = scene.render()
-        args = (pts, 0.1) if add == "band" else (pts,)
+        args = (pts, np.full(3, 0.1)) if add == "band" else (pts,)
         name = "band points" if add == "band" else "SVG points"
         with pytest.raises(ValueError, match=f"{name}.* must be finite"):
             getattr(scene, add)(*args)
         assert scene.render() == before and "nan" not in before
 
-    @pytest.mark.parametrize("add", ["polyline", "polygon", "markers"])
+    @pytest.mark.parametrize("add", ["polyline", "markers"])
     def test_a_1d_array_is_a_column_not_a_point(self, add):
         """types._as_batch's rule: a lone point is the one-row batch x[None]."""
         with pytest.raises(ValueError, match="must have dimension 2"):
@@ -137,10 +136,10 @@ class TestRender:
             scene.band([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]], radii)
         assert scene._elements == []
 
-    @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []])
+    @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [], 0.1])
     def test_band_radii_of_the_wrong_length_are_rejected(self, radii):
         scene = SvgScene()
-        message = rf"band radii must be one per band point: got {len(radii)} radii for 3 points"
+        message = rf"band radii must be one per band point: got {np.size(radii)} radii for 3 points"
         with pytest.raises(ValueError, match=message):
             scene.band([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], radii)
         assert scene._elements == []
@@ -201,7 +200,7 @@ class TestFixed2:
 class TestOffsetBand:
     def test_normals_of_a_straight_line(self):
         line = np.outer(np.arange(5.0), [3.0, 4.0]) + [1.0, -2.0]
-        upper, lower = offset_band(line, 0.5)
+        upper, lower = offset_band(line, np.full(5, 0.5))
         normal = np.array([-4.0, 3.0]) / 5.0
         assert_allclose(upper, line + 0.5 * normal, atol=1e-15)
         assert_allclose(lower, line - 0.5 * normal, atol=1e-15)
@@ -215,7 +214,7 @@ class TestOffsetBand:
     @pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]])
     def test_zero_length_tangent_falls_back_to_the_x_axis(self, points):
         # tangent (1, 0) gives the normal (0, 1)
-        upper, lower = offset_band(points, 0.25)
+        upper, lower = offset_band(points, np.full(len(points), 0.25))
         assert_allclose(upper, np.asarray(points) + [0.0, 0.25])
         assert_allclose(lower, np.asarray(points) - [0.0, 0.25])
 

@@ -79,9 +79,10 @@ class TestPointSet:
         back = PointSet.from_dict(ps.to_dict())
         assert_array_equal(back.points, ps.points)
 
-    def test_from_dict_checks_declared_dim(self):
-        with pytest.raises(ValueError, match="dim"):
-            PointSet.from_dict({"dim": 3, "points": [[0.0, 1.0]]})
+    def test_json_form_is_the_points_alone_and_a_declared_dim_is_ignored(self):
+        assert PointSet([[0.0, 1.0]]).to_dict() == {"points": [[0.0, 1.0]]}
+        for declared in (2, 3, "2", None):
+            assert PointSet.from_dict({"dim": declared, "points": [[0.0, 1.0]]}).dim == 2
 
 
 class TestPairedKeypoints:
@@ -325,9 +326,8 @@ def test_integer_json_reads_back_with_the_field_types():
     assert type(Pose.from_dict({"xy": [1, 2], "heading": 1}).heading) is float
 
     data = make_surface_scenario("tilt", n_keypoints=4, seed=3).to_dict()
-    data.update(params={"angle": 1}, seed=3.0)
+    data.update(seed=3.0)
     scenario = SurfaceScenario.from_dict(data)
-    assert type(scenario.params["angle"]) is float
     assert type(scenario.seed) is int and scenario.seed == 3
 
 
