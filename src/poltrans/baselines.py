@@ -246,8 +246,11 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
     2 keypoints per frame and 155 at 5. Using up the budget returns the best
     map found, which says so in its ``warnings`` only (no Python warning). A
     keypoint to move that sits on another raises ValueError: no unit moves
-    one without the other. Each unit's squared distances to the keypoints
-    give both its radius and its bump.
+    one without the other. So does one whose unit leaves its residual as it
+    was: its neighbour is so close that the step is below the float
+    resolution of the residual, and every later unit would repeat it. Each
+    unit's squared distances to the keypoints give both its radius and its
+    bump.
     """
     budget = _unit_budget(kp.n)
     tol = match_tolerance(kp)
@@ -280,7 +283,8 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
         other = int(np.argmin(sq))
         if sq[other] == 0.0:
             raise ValueError(f"keypoints {worst} and {other} coincide: no LWT unit moves one alone")
-        radius = min(2.0 * err, 0.5 * math.sqrt(sq[other]))
+        spacing = math.sqrt(sq[other])
+        radius = min(2.0 * err, 0.5 * spacing)
         sq[worst] = 0.0  # the center's own distance
 
         step = residuals[worst]
@@ -289,6 +293,11 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
         units.append(unit)
         # In place: the unit holds its own copy of the center row.
         current += _bump(sq, radius)[:, None] * unit.translation
+        if (target[worst] - current[worst] == step).all():
+            raise ValueError(
+                f"keypoints {worst} and {other} are {spacing:.3g} apart: a unit that moves"
+                f" one alone is below the float resolution of its residual {err:.3e}"
+            )
 
     note = f"did not converge in {budget} iterations; best residual {best_err:.3e}"
     return LWTMap(units=tuple(units[:best]), warnings=(note,))

@@ -15,7 +15,6 @@ from conftest import (
     loop_apply_lwt,
     loop_fit_lwt,
     lwt_jacobian,
-    rotation_2d,
     suite_tasks,
 )
 from poltrans import PairedKeypoints, PointSet, Trajectory, baselines, cli, gp
@@ -87,16 +86,6 @@ def brute_force_assignment_cost(traj, kp):
     return best
 
 
-# Motions of a whole scene, as (move of the demonstration and the source
-# keypoints, move of the target keypoints).
-SCENE_MOTIONS = {
-    "source_rotated_and_shifted": (lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0], lambda x: x),
-    "target_rotated_and_shifted": (lambda x: x, lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0]),
-    "scaled_by_1e3": (lambda x: 1e3 * x, lambda x: 1e3 * x),
-    "scaled_by_1e-3": (lambda x: 1e-3 * x, lambda x: 1e-3 * x),
-}
-
-
 class TestAssignment:
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(0)
@@ -112,29 +101,6 @@ class TestAssignment:
                 for k, j in enumerate(assignment.indices)
             )
             assert cost == pytest.approx(brute_force_assignment_cost(traj, kp), abs=1e-12)
-
-    @pytest.mark.parametrize("motion", SCENE_MOTIONS)
-    def test_bench_assignments_follow_the_scene_not_its_pose_or_units(self, motion):
-        """Every default bench task that reads via points (le's 20 frames
-        tasks at two keypoints per frame, and the 15 surface scenes) binds
-        the same nodes after the scene moves rigidly or changes units. The
-        summed Euclidean distance ties on the goal frame's two keypoints and
-        leaves 3-6 of the frames tasks to rounding."""
-        move_source, move_target = SCENE_MOTIONS[motion]
-        tasks = [
-            task for task in default_bench_tasks("frames") + default_bench_tasks("surfaces")
-            if {"le", "reshaped_kmp"} & set(task.methods)
-        ]
-        assert len(tasks) == 35
-        for task in tasks:
-            demo = task.demonstration
-            moved_demo = Trajectory(positions=move_source(demo.positions), times=demo.times)
-            moved_kp = PairedKeypoints(
-                PointSet(move_source(task.keypoints.source.points)),
-                PointSet(move_target(task.keypoints.target.points)),
-            )
-            moved = assign_via_points(*_gamma_pretransform(moved_kp, moved_demo))
-            assert moved.indices.tolist() == task.assignment.indices.tolist(), task.scenario.name
 
     def test_targets_are_node_plus_keypoint_displacement(self):
         rng = np.random.default_rng(1)
@@ -565,6 +531,31 @@ class TestLWT:
         kp = PairedKeypoints(PointSet(src), PointSet(tgt))
         with pytest.raises(ValueError, match="keypoints 1 and 2 coincide"):
             fit_lwt(kp)
+
+    def test_a_step_below_the_residuals_resolution_is_named_and_rejected(self, monkeypatch):
+        """Sources 1e-30 apart pulled opposite ways: a unit moves its keypoint
+        by at most a quarter of that spacing, which leaves a residual of 1 as
+        it was, so the fit raises after its first unit instead of spending
+        its budget."""
+        src = np.array([[0.0, 0.0], [1e-30, 0.0], [2.0, 0.0]])
+        tgt = np.array([[0.0, 1.0], [1e-30, -1.0], [2.0, 0.0]])
+        radii = []
+        real_bump = baselines._bump
+        monkeypatch.setattr(baselines, "_bump", lambda sq, radius: radii.append(radius) or real_bump(sq, radius))
+        with pytest.raises(ValueError, match=r"keypoints 0 and 1 are 1e-30 apart: .* residual 1\.000e\+00$"):
+            fit_lwt(PairedKeypoints(PointSet(src), PointSet(tgt)))
+        assert len(radii) == 1
+
+    def test_a_step_above_the_residuals_resolution_still_converges(self):
+        """1e-12 apart, each unit lowers the residual; the fit converges, in
+        150 units, as the loop oracle's does."""
+        src = np.array([[0.0, 0.0], [1e-12, 0.0], [2.0, 0.0]])
+        tgt = np.array([[0.0, 1.0], [1e-12, -1.0], [2.0, 0.0]])
+        kp = PairedKeypoints(PointSet(src), PointSet(tgt))
+        lwt = fit_lwt(kp)
+        assert lwt.warnings == ()
+        assert len(lwt.units) == 150
+        self.assert_units_match_the_loop(kp)
 
     def test_unit_validation(self):
         with pytest.raises(ValueError, match="step bound"):

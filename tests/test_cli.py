@@ -11,13 +11,14 @@ import subprocess
 import sys
 import threading
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import fold_pair, previous_format, suite_tasks
-from poltrans import PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
+from conftest import default_bench_tasks, fold_pair, previous_format, rotation_2d, suite_tasks
+from poltrans import PairedKeypoints, PointSet, PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
 from poltrans import baselines, cli
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, compute_metrics, mann_whitney_u, read_metrics_csv, write_metrics_csv
@@ -1362,6 +1363,81 @@ class TestBench:
         monkeypatch.setenv("POLTRANS_THREADS", "many")
         with pytest.raises(cli.UsageError, match="POLTRANS_THREADS"):
             cli._worker_count()
+
+
+# Motions of a whole scene, as (move of the demonstration and the source
+# keypoints, move of the target keypoints).
+SCENE_MOTIONS = {
+    "source_rotated_and_shifted": (lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0], lambda x: x),
+    "target_rotated_and_shifted": (lambda x: x, lambda x: x @ rotation_2d(0.7).T + [3.0, -2.0]),
+    "scaled_by_1e3": (lambda x: 1e3 * x, lambda x: 1e3 * x),
+    "scaled_by_1e-3": (lambda x: 1e-3 * x, lambda x: 1e-3 * x),
+}
+
+
+def _moved_task(task: cli.SceneTask, motion: str) -> cli.SceneTask:
+    """``task`` with its demonstration and keypoints moved by one of
+    ``SCENE_MOTIONS``; its scenario, topology and methods are kept."""
+    move_source, move_target = SCENE_MOTIONS[motion]
+    keypoints = PairedKeypoints(
+        PointSet(move_source(task.keypoints.source.points)), PointSet(move_target(task.keypoints.target.points))
+    )
+    demo = Trajectory(positions=move_source(task.demonstration.positions), times=task.demonstration.times)
+    return cli.SceneTask(task.scenario, keypoints, demo, task.topology, task.methods)
+
+
+@lru_cache(maxsize=None)
+def _default_bench_runs(suite: str) -> tuple:
+    """(task, {method: Run}) for every task of the default bench of ``suite``."""
+    return tuple(
+        (task, {method: cli.METHOD_TABLE[method].run(task) for method in task.methods})
+        for task in default_bench_tasks(suite)
+    )
+
+
+class TestBenchInvariance:
+    """Every default bench method follows its scene when either side moves
+    rigidly or both change units: the same via-point assignments, warnings
+    and det(J) share, and the output moved with the target side."""
+
+    # Largest deviation from the moved output, relative to the moved target
+    # keypoints' diameter. gpt's and reshaped_kmp's likelihood polish ends
+    # where rounding steers it, so their outputs move within this bound.
+    TOLERANCE = {"gpt": 1e-5, "reshaped_kmp": 1e-5, "le": 1e-12, "lwt": 1e-12}
+    # Tasks that read via points: le's 20 frames tasks at two keypoints per
+    # frame, and the 15 surface scenes. Under the summed Euclidean distance
+    # the goal frame's two keypoints tie, and rounding decided 3-6 of the
+    # frames assignments.
+    VIA_POINT_TASKS = {"surfaces": 15, "frames": 20}
+
+    @pytest.mark.parametrize("motion", SCENE_MOTIONS)
+    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
+    def test_every_method_follows_the_scene(self, suite, motion):
+        move_target = SCENE_MOTIONS[motion][1]
+        # the motion's scale factor on lengths
+        unit = float(np.linalg.norm(move_target(np.array([[1.0, 0.0]])) - move_target(np.zeros((1, 2)))))
+        runs = _default_bench_runs(suite)
+        assert {method for _, by_method in runs for method in by_method} == set(cli.SUITE_TABLE[suite].methods)
+        via_point_tasks = 0
+        for task, by_method in runs:
+            moved = _moved_task(task, motion)
+            scale = moved.keypoints.target.diameter()
+            for method, run in by_method.items():
+                again = cli.METHOD_TABLE[method].run(moved)
+                cell = f"{task.scenario.name} {method}"
+                assert again.warnings == run.warnings, cell
+                assert (again.report is None) == (run.report is None), cell
+                if run.report is not None:
+                    assert again.report["det_positive_pct"] == run.report["det_positive_pct"], cell
+                expected = move_target(run.trajectory.positions)
+                assert np.abs(again.trajectory.positions - expected).max() <= self.TOLERANCE[method] * scale, cell
+                assert (again.band is None) == (run.band is None), cell
+                if run.band is not None:
+                    assert np.abs(again.band - unit * run.band).max() <= self.TOLERANCE[method] * scale, cell
+            if {"le", "reshaped_kmp"} & set(task.methods):
+                via_point_tasks += 1
+                assert moved.assignment.indices.tolist() == task.assignment.indices.tolist(), task.scenario.name
+        assert via_point_tasks == self.VIA_POINT_TASKS[suite]
 
 
 def _arrays(obj):

@@ -56,19 +56,35 @@ def smooth_data(n, d_out, seed=0, noise=0.01):
 
 def libm_pow_span_data():
     """4 points whose span, and so the fit's ell_center, is exactly
-    1.0869140625. A NumPy scalar's ** 2 is libm pow, which is not always
-    the correctly rounded square: at the 12th grid lengthscale of this span
-    the two differ in the last bit."""
-    span = 1.0869140625
+    1.2412109375. A NumPy scalar's ** 2 is libm pow, which is not always
+    the correctly rounded square: at the 6th grid lengthscale of this span
+    the two differ in the last bit, and so does that grid point's score.
+    Of the spans k / 1024 in [1, 2), this is the one where the score moves."""
+    span = 1.2412109375
     x = span * np.array([[0.0], [0.3], [0.55], [1.0]])
     return x, np.sin(3.0 * x / span) + np.array([[0.1], [0.0], [-0.2], [0.05]])
 
 
 def white_noise_data():
     """50 points in the unit square with white-noise outputs, on which the
-    grid's three lowest lengthscales score exactly alike and best."""
+    grid's two lowest lengthscales score exactly alike and best."""
     rng = np.random.default_rng(1)
     return rng.uniform(0.0, 1.0, (50, 2)), rng.standard_normal((50, 1))
+
+
+def record_fit_calls(monkeypatch) -> list:
+    """The list that the (inputs, outputs, noise_ratio) of every later
+    fit_gp call through the package's modules is appended to."""
+    fits = []
+    real_fit = gp.fit_gp
+
+    def recorded_fit(inputs, outputs, noise_ratio=NOISE_RATIO_MAX):
+        fits.append((inputs, outputs, noise_ratio))
+        return real_fit(inputs, outputs, noise_ratio)
+
+    for module in (gp, transport, baselines):
+        monkeypatch.setattr(module, "fit_gp", recorded_fit)
+    return fits
 
 
 def make_random_model(seed, n=12, d_in=2, d_out=2, noise=1e-4):
@@ -326,12 +342,8 @@ class TestHyperparameterFit:
         """Every fit of the group starts its polish from the best point of
         the dense oracle's grid (conftest.profiled_grid_start), bit for bit."""
         run, polished = self.FIT_GROUPS[group]
-        fits, checked = [], []
-        real_fit, real_minimize = gp.fit_gp, gp.minimize
-
-        def recorded_fit(inputs, outputs, noise_ratio=NOISE_RATIO_MAX):
-            fits.append((inputs, outputs, noise_ratio))
-            return real_fit(inputs, outputs, noise_ratio)
+        fits, checked = record_fit_calls(monkeypatch), []
+        real_minimize = gp.minimize
 
         def checked_minimize(fun, x0, *args, **kwargs):
             inputs, outputs, noise_ratio = fits[-1]
@@ -340,8 +352,6 @@ class TestHyperparameterFit:
             checked.append(x0)
             return real_minimize(fun, x0, *args, **kwargs)
 
-        for module in (gp, transport, baselines):
-            monkeypatch.setattr(module, "fit_gp", recorded_fit)
         monkeypatch.setattr(gp, "minimize", checked_minimize)
         run()
         assert len(checked) == polished
@@ -361,6 +371,62 @@ class TestHyperparameterFit:
         finally:
             tracemalloc.stop()
         assert peak < 10 * n * n * 8
+
+
+# fit_gp's grid before it went to 2 points per decade: 4 per decade over the
+# same bounds. An oracle only.
+DENSE_GRID = np.logspace(-3.0, 3.0, 25)
+
+
+def cli_fit_block(seed: int = 2) -> list:
+    """One block of the surface scenarios the cli_fit benchmark draws from
+    ``seed``: per profile, three at 12 keypoints, one at 50 and one at 200."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_surface_scenario(profile, n_keypoints=n, seed=int(rng.integers(2**31)))
+        for profile in SURFACE_PROFILES
+        for n, copies in ((12, 3), (50, 1), (200, 1))
+        for _ in range(copies)
+    ]
+
+
+class TestGridDensity:
+    """No fit's likelihood is lower than the denser grid's search reaches."""
+
+    @staticmethod
+    def lml_and_dense_grid_lml(fit, monkeypatch) -> tuple[float, float]:
+        lml = log_marginal_likelihood(fit_gp(*fit))
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "LENGTHSCALE_GRID", DENSE_GRID)
+            return lml, log_marginal_likelihood(fit_gp(*fit))
+
+    FIT_GROUPS = {
+        # gpt's and reshaped_kmp's fits, 15 each
+        "surfaces": (lambda: TestHyperparameterFit.run_suite_fits("surfaces"), 30),
+        "frames": (lambda: TestHyperparameterFit.run_suite_fits("frames"), 20),
+        # its 200-keypoint sine fit ends higher (0.08-0.37 nats over eight corpora)
+        "cli-fit-block": (lambda: [fit_transport(s.keypoints) for s in cli_fit_block()], 25),
+    }
+
+    @pytest.mark.parametrize("group", list(FIT_GROUPS))
+    def test_no_fit_ends_below_the_dense_grid_search(self, group, monkeypatch):
+        run, count = self.FIT_GROUPS[group]
+        fits = record_fit_calls(monkeypatch)
+        run()
+        assert len(fits) == count
+        for i, fit in enumerate(fits):
+            lml, ref = self.lml_and_dense_grid_lml(fit, monkeypatch)
+            assert lml >= ref - 1e-9 * abs(ref), i
+
+    def test_the_wider_bracket_lifts_the_sine_0_reshaped_kmp_fit(self, monkeypatch):
+        """The half-decade bracket of the dense grid stops short of this
+        fit's optimum; the one-decade bracket reaches it (+1.49 nats)."""
+        (task,) = [task for task in default_bench_tasks("surfaces") if task.scenario.name == "surface-sine-0"]
+        fits = record_fit_calls(monkeypatch)
+        cli.METHOD_TABLE["reshaped_kmp"].run(task)
+        (fit,) = fits
+        lml, ref = self.lml_and_dense_grid_lml(fit, monkeypatch)
+        assert lml - ref > 1.0
 
 
 class TestObjective:
@@ -441,17 +507,25 @@ class TestObjective:
             score = profiled(ell, NOISE_RATIO_MAX)
             assert score == dense_profiled_nlml(sq, y, ell, NOISE_RATIO_MAX, log_sp2_bounds)
             scores.append(score[0])
-        assert scores[0] == scores[1] == scores[2] == min(scores)
+        assert scores[0] == scores[1] == min(scores)
         assert profiled_grid_start(x, y)[1] == np.log(LENGTHSCALE_GRID[0] * ell_center)
 
     def test_squares_each_grid_lengthscale_as_the_dense_oracle_does(self):
         """The oracle squares each l with libm pow, as the objective must:
-        on these data the 12th grid point's score depends on it."""
+        on these data the 6th grid point's score depends on it."""
         x, y = libm_pow_span_data()
         sq = gp._sq_dists(x, x)
         (log_sp2_bounds, _, _), ell_center = fit_gp_bounds(x, y)
         grid = LENGTHSCALE_GRID * ell_center
-        assert grid[11] ** 2 != grid[11] * grid[11]
+        ell = grid[5]
+        assert ell**2 != ell * ell
+
+        def factor_terms(ell_sq):
+            chol = scipy.linalg.cholesky(np.exp(-sq / (2.0 * ell_sq)) + 1e-6 * np.eye(len(x)), lower=True)
+            return (y * scipy.linalg.cho_solve((chol, True), y)).sum(), np.log(chol.diagonal()).sum()
+
+        # Both terms of the score move with the last bit of l^2.
+        assert all(np.not_equal(factor_terms(ell**2), factor_terms(ell * ell)))
         profiled = gp._profiled_nlml(-0.5 * sq, y, log_sp2_bounds)
         for ell in grid:
             assert profiled(ell, 1e-6) == dense_profiled_nlml(sq, y, ell, 1e-6, log_sp2_bounds)
