@@ -160,6 +160,18 @@ class GPModel:
         return self.outputs.shape[1]
 
 
+def _training_data(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
+    """``inputs`` and ``outputs`` as finite batches of one nonzero length;
+    ValueError otherwise."""
+    x = _as_batch(inputs, "inputs")
+    y = _as_batch(outputs, "outputs")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("inputs and outputs must have the same length")
+    if x.shape[0] < 1:
+        raise ValueError("at least one training point required")
+    return x, y
+
+
 def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
     """Factorize the Gram matrix K + sn2 I and cache the solve against the
     outputs.
@@ -171,12 +183,7 @@ def build_gp(inputs, outputs, params: KernelParams) -> GPModel:
     inputs included. A factorization that fails all the same raises
     RuntimeError("non-PD Gram matrix").
     """
-    x = _as_batch(inputs, "inputs")
-    y = _as_batch(outputs, "outputs")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs and outputs must have the same length")
-    if x.shape[0] < 1:
-        raise ValueError("at least one training point required")
+    x, y = _training_data(inputs, outputs)
     return _build(x, y, params, _sq_dists(x, x))
 
 
@@ -387,12 +394,7 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     squared distances to be normal floats, and RuntimeError("non-PD Gram
     matrix") when every grid point fails.
     """
-    x = _as_batch(inputs, "inputs")
-    y = _as_batch(outputs, "outputs")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs and outputs must have the same length")
-    if x.shape[0] < 1:
-        raise ValueError("at least one training point required")
+    x, y = _training_data(inputs, outputs)
     if not NOISE_FLOOR_RATIO <= noise_ratio <= NOISE_RATIO_MAX:
         raise ValueError(f"noise ratio must lie in [{NOISE_FLOOR_RATIO:g}, {NOISE_RATIO_MAX:g}]")
 

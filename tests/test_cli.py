@@ -391,14 +391,19 @@ class TestTransport:
 
     @pytest.mark.parametrize("kind", ["surface", "frame"])
     def test_files_in_the_previous_format_fit_and_transport_as_new_ones(self, tmp_path, capsys, kind):
-        """Scenario and map files that also carry each point set's dim, and
+        """Scenario and map files laid out as earlier versions wrote them
+        (indented, two spaces) that also carry each point set's dim, and
         scenario files that carry what a scenario derives (demonstration,
         reference, profile params or keypoints per frame): fit writes the
         same map and report, and transport through the map the same CSV."""
+
+        def save_indented(data, path):
+            path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
         scenario = make_surface_scenario("composite", seed=1) if kind == "surface" else random_frame_scenario(203)
         fitted = {}
         for form, data in (("new", scenario.to_dict()), ("old", previous_format(scenario.to_dict(), scenario))):
-            save_json(data, tmp_path / f"{form}.json")
+            (save_json if form == "new" else save_indented)(data, tmp_path / f"{form}.json")
             assert run("fit", "--scenario", tmp_path / f"{form}.json", "--out-dir", tmp_path / form) == 0
             report = json.loads((tmp_path / form / "fit_report.json").read_text())
             del report["fit_seconds"]
@@ -406,7 +411,7 @@ class TestTransport:
         assert fitted["old"] == fitted["new"]
 
         new_map = tmp_path / "new" / "map.json"
-        save_json(previous_format(json.loads(new_map.read_text())), tmp_path / "old_map.json")
+        save_indented(previous_format(json.loads(new_map.read_text())), tmp_path / "old_map.json")
         rng = np.random.default_rng(3)
         labels = PolicyLabels(positions=rng.uniform(-0.2, 1.2, (8, 2)), velocities=rng.normal(size=(8, 2)))
         save_json(labels, tmp_path / "labels.json")
@@ -514,7 +519,7 @@ class TestMetricsAndRank:
             assert run("rank", "--metrics", tmp_path / "metrics.csv", "--out", out) == 0
         text = out.read_text()
         assert capsys.readouterr().out == text
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("which", ["produced", "reference"])
     def test_malformed_trajectory_fails_naming_the_file(self, tmp_path, capsys, which):

@@ -31,7 +31,7 @@ from poltrans import (
     save_json,
     validate_labels,
 )
-from poltrans.types import _sq_dists, json_text
+from poltrans.types import _sq_dists
 
 
 class TestPointSet:
@@ -258,7 +258,7 @@ def test_json_round_trip(tmp_path):
 def test_save_json_sorts_keys_and_creates_the_parent_directory(tmp_path):
     path = tmp_path / "a" / "b" / "out.json"
     save_json({"b": 1, "a": {"d": 2, "c": 3}}, path)
-    assert path.read_text() == '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n'
+    assert path.read_text() == '{"a": {"c": 3, "d": 2}, "b": 1}\n'
 
 
 def test_package_exports_are_sorted_unique_and_resolve():
@@ -309,6 +309,15 @@ def test_json_form_round_trips_byte_for_byte(build):
     assert json.dumps(again.to_dict(), sort_keys=True) == first
 
 
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
+def test_a_file_in_the_earlier_indented_layout_reads_back(tmp_path, build):
+    record = build()
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
+    again = type(record).from_dict(load_json(path))
+    assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(record.to_dict(), sort_keys=True)
+
+
 @pytest.mark.parametrize("cls, data, key", [
     (PolicyLabels, {"velocities": [[0.0, 1.0]]}, "positions"),
     (Trajectory, {"times": [0.0]}, "positions"),
@@ -333,46 +342,29 @@ def test_integer_json_reads_back_with_the_field_types():
 
 def dumps_oracle(value) -> str:
     """The package's JSON layout as json itself writes it."""
-    return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, sort_keys=True)
 
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7,
-               0.1, math.nan, math.inf, -math.inf]
-JSON_FLOATS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from(EDGE_FLOATS),
-    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
-)
-# Non-ASCII, control and lone surrogate characters all go through json's
-# ASCII escaping.
-JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), JSON_FLOATS, JSON_TEXT
-)
-
-
-def float_blocks(leaves):
-    """Uniform nested lists of floats, as an array's ``tolist()``."""
-    shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
-    return shapes.flatmap(
-        lambda shape: st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)).map(
-            lambda flat: np.reshape(flat, shape).tolist()
+def reads_back(loaded, value) -> bool:
+    """Whether ``loaded``, read by json.loads, is ``value`` as JSON holds
+    it: tuples as lists, keys as their JSON text, float subclasses as
+    floats, and NaN as NaN."""
+    if isinstance(value, dict):
+        keys = [k if isinstance(k, str) else json.dumps(k) for k in value]
+        return (
+            type(loaded) is dict
+            and sorted(loaded) == sorted(keys)
+            and all(reads_back(loaded[k], v) for k, v in zip(keys, value.values()))
         )
-    )
+    if isinstance(value, (list, tuple)):
+        return type(loaded) is list and len(loaded) == len(value) and all(map(reads_back, loaded, value))
+    if value != value:
+        return loaded != loaded
+    return type(loaded) is (float if isinstance(value, float) else type(value)) and loaded == value
 
 
-JSON_VALUES = st.recursive(
-    JSON_SCALARS | float_blocks(st.floats(allow_nan=False, allow_infinity=False)) | float_blocks(JSON_FLOATS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(JSON_TEXT, children, max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
-# Named values for the writer: each layout path and its edges.
+# Named JSON values: float blocks and their edges, empties, key kinds,
+# escapes and non-finite floats.
 WRITER_CASES = {
     "block_n_2": np.random.default_rng(1).normal(size=(9, 2)).tolist(),
     "block_n_2_2": (
@@ -400,7 +392,7 @@ WRITER_CASES = {
     "bool_key": {True: 1.0},
     "none_key": {None: [1.0]},
     "non_finite_keys": {math.nan: 1.0, math.inf: 2.0},
-    "escaped_string": "caf\u00e9 \x00\x1f \ud83d\ude00 \ud800",
+    "escaped_string": "caf\u00e9 \x00\x1f \U0001f600 \ud800",
     "big_int": 10**100,
 }
 UNWRITABLE = {
@@ -414,23 +406,20 @@ UNWRITABLE = {
 }
 
 
-class TestJsonWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(JSON_VALUES)
-    def test_text_is_json_dumps_byte_for_byte(self, value):
-        assert json_text(value) == dumps_oracle(value)
+# Each named value, and each record (which save_json writes by its to_dict).
+JSON_CASES = {**WRITER_CASES, **{f"record_{name}": build for name, build in RECORDS.items()}}
 
-    @pytest.mark.parametrize("value", WRITER_CASES.values(), ids=WRITER_CASES.keys())
-    def test_edge_cases_are_json_dumps_byte_for_byte(self, tmp_path, value):
-        assert json_text(value) == dumps_oracle(value)
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("case", JSON_CASES.values(), ids=JSON_CASES.keys())
+    def test_save_json_writes_one_sorted_line_that_reads_back(self, tmp_path, case):
+        value = case() if callable(case) else case
+        data = value.to_dict() if hasattr(value, "to_dict") else value
         path = tmp_path / "out.json"
         save_json(value, path)
-        assert path.read_bytes() == (dumps_oracle(value) + "\n").encode()
-
-    @pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
-    def test_every_record_is_json_dumps_byte_for_byte(self, build):
-        data = build().to_dict()
-        assert json_text(data) == dumps_oracle(data)
+        text = path.read_text(encoding="utf-8")
+        assert text == dumps_oracle(data) + "\n" and text.count("\n") == 1
+        assert reads_back(json.loads(text), data)
 
     @pytest.mark.parametrize("value", UNWRITABLE.values(), ids=UNWRITABLE.keys())
     def test_an_unwritable_value_raises_jsons_type_error_and_writes_no_file(self, tmp_path, value):
