@@ -16,7 +16,7 @@ keypoints-per-frame set of a frame scene): the scenario, keypoint pairs and
 demonstration, built once before the pool (the ``scenes`` stage), and the
 methods to run on them, in order. A method is one ``METHOD_TABLE`` entry,
 and its run returns one ``Run`` record: the transported demonstration, the
-SVG's sigma band, the scene's report.json entry and the fit's warnings.
+SVG's sigma band, the scene's report.json entry and the run's warnings.
 ``_run_bench`` runs one task per pool job, on a thread pool of one worker,
 or of as many as the POLTRANS_THREADS environment variable sets. A task
 pre-aligns the demonstration and keypoints and assigns the via-points once,
@@ -26,16 +26,18 @@ finished first. The metrics of every cell (one scene x method run) are
 computed afterwards in one batch, each metric once per group of same-shape
 cells, with the cells as lanes. The bench writes deterministically ordered
 artifacts: metrics.csv (no timings, so reruns are bitwise identical across
-worker counts), ranking.json, one SVG overlay per scene, report.json (gpt's
+worker counts), ranking.json, one SVG overlay per scene (the scene's runs,
+each trajectory and its band, over the task of the scene's first scored
+cell), report.json (gpt's
 timings, keypoint error, det J > 0 percentage and map warnings per scene),
 failures.json (each failed cell's stage, method or metrics, its exception
 type and message, in task order) and timings.json (the wall and process-CPU
 seconds of each of the ``BENCH_STAGES`` and, under ``methods``, the
 thread-CPU seconds of each method's cells, summed; a task's shared
 preparation counts to the first method that reads it). Each scored run's
-warnings, and a det J warning for a reported map (gpt's) with a non-positive
-Jacobian determinant somewhere on the demonstration, go to stderr as
-``warning: <scene>: <method> <text>``, sorted by scene.
+warnings go to stderr as ``warning: <scene>: <method> <text>``, sorted by
+scene; gpt's run adds a det J warning to its own when its map has a
+non-positive Jacobian determinant somewhere on the demonstration.
 """
 from __future__ import annotations
 
@@ -289,7 +291,7 @@ class SceneTask:
 class Run(NamedTuple):
     """What a bench method's run returns: the transported demonstration,
     the posterior standard deviation along it or None, its scene's
-    report.json entry or None, and its fit's warnings."""
+    report.json entry or None, and the warnings the bench prints for it."""
 
     trajectory: Trajectory
     band: np.ndarray | None = None
@@ -314,8 +316,11 @@ def _run_gpt(scene: SceneTask):
     start = time.perf_counter()
     positions, variance = transport_points(tmap, demo.positions)
     report["transport_seconds"] = time.perf_counter() - start
-    report["det_positive_pct"] = 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive
-    return Run(Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report, tmap.warnings)
+    pct = report["det_positive_pct"] = 100.0 * check_local_diffeomorphism(tmap, demo.positions).fraction_positive
+    warnings = tmap.warnings
+    if pct < 100.0:
+        warnings += (f"det(J) > 0 on only {pct:.1f}% of the demonstration",)
+    return Run(Trajectory(positions=positions, times=demo.times), np.sqrt(variance), report, warnings)
 
 
 def _run_le(scene: SceneTask):
@@ -345,16 +350,17 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 
 
-def _scene_svg(path: Path, task: SceneTask, produced: dict, bands: dict) -> None:
-    """``task``'s scene with each method's trajectory and sigma band, keyed by method."""
+def _scene_svg(path: Path, task: SceneTask, runs: dict) -> None:
+    """``task``'s scene with each run's trajectory and, where it has one,
+    its 2-sigma band, keyed by method."""
     scene = SvgScene()
-    for method, traj in sorted(produced.items()):
-        if method in bands:
-            scene.band(traj.positions, 2.0 * bands[method])
+    for _, run in sorted(runs.items()):
+        if run.band is not None:
+            scene.band(run.trajectory.positions, 2.0 * run.band)
     scene.polyline(task.demonstration.positions, color="#999999", width=1.2, dash="6,4")
     scene.polyline(task.scenario.reference.positions, color="#000000", width=1.8)
-    for method, traj in sorted(produced.items()):
-        scene.polyline(traj.positions, color=METHOD_TABLE[method].color, width=1.6)
+    for method, run in sorted(runs.items()):
+        scene.polyline(run.trajectory.positions, color=METHOD_TABLE[method].color, width=1.6)
     scene.markers(task.keypoints.source.points, color="#bbbbbb")
     scene.markers(task.keypoints.target.points, color="#d62728")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -362,26 +368,18 @@ def _scene_svg(path: Path, task: SceneTask, produced: dict, bands: dict) -> None
 
 
 def _ranking(rows, alpha: float) -> RankingResult:
-    """Rank the methods present in the metric rows; a lone method ranks
-    first with zero points, since there is nothing to test it against.
-    Several methods need ``U_TEST_MIN_SAMPLES`` rows each."""
+    """Rank the methods present in the metric rows. Two or more methods
+    need ``U_TEST_MIN_SAMPLES`` rows each."""
     methods = sorted({row["method"] for row in rows})
-    if len(methods) == 1:
-        (method,) = methods
-        per_metric = {name: {method: 0} for name in METRIC_NAMES}
-        return RankingResult(points={method: 0}, per_metric_points=per_metric, ranking=((method, 1),))
     for method in methods:
         count = sum(1 for row in rows if row["method"] == method)
-        if count < U_TEST_MIN_SAMPLES:
+        if len(methods) > 1 and count < U_TEST_MIN_SAMPLES:
             raise ValueError(
                 f"cannot rank: method {method!r} has {count} rows, "
                 f"each U test needs at least {U_TEST_MIN_SAMPLES}"
             )
     samples = {
-        method: {
-            name: np.array([r[name] for r in rows if r["method"] == method])
-            for name in METRIC_NAMES
-        }
+        method: {name: np.array([r[name] for r in rows if r["method"] == method]) for name in METRIC_NAMES}
         for method in methods
     }
     return rank_methods(samples, alpha=alpha)
@@ -530,15 +528,11 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
         rows.append(row)
         # The task of a scene's first successful cell supplies the
         # demonstration, keypoints and reference that its SVG draws.
-        _, produced, bands = scenes.setdefault(scene, (task, {}, {}))
-        produced[method] = run.trajectory
-        if run.band is not None:
-            bands[method] = run.band
+        _, runs = scenes.setdefault(scene, (task, {}))
+        runs[method] = run
         notes += [(scene, method, text) for text in run.warnings]
         if run.report is not None:
             reports[scene] = run.report
-            if (pct := run.report["det_positive_pct"]) < 100.0:
-                notes.append((scene, method, f"det(J) > 0 on only {pct:.1f}% of the demonstration"))
 
     for scene, method, text in sorted(notes, key=lambda note: note[0]):
         print(f"warning: {scene}: {method} {text}", file=sys.stderr)
@@ -551,8 +545,8 @@ def _run_bench(suite: str, tasks: list[SceneTask], alpha: float, out_dir: Path, 
         if failures:
             save_json({"failures": failures}, out_dir / "failures.json")
     with _stage(timings, "svgs"):
-        for name, (task, produced, bands) in sorted(scenes.items()):
-            _scene_svg(out_dir / "svg" / f"{name}.svg", task, produced, bands)
+        for name, (task, runs) in sorted(scenes.items()):
+            _scene_svg(out_dir / "svg" / f"{name}.svg", task, runs)
     # Ranking last: its error (too few rows for a U test) loses no other artifact.
     try:
         if rows:

@@ -432,24 +432,17 @@ def _u_tests(pairs) -> tuple[np.ndarray, np.ndarray]:
     for index, (x, y) in enumerate(pairs):
         xs = np.asarray(x, dtype=float).ravel()
         ys = np.asarray(y, dtype=float).ravel()
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("U test samples must be finite")
+        if min(xs.size, ys.size) < U_TEST_MIN_SAMPLES:
+            raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
         members, xl, yl = groups.setdefault((xs.size, ys.size), ([], [], []))
         members.append(index)
         xl.append(xs)
         yl.append(ys)
-    stacks, errors = [], []
-    for (n1, n2), (members, xl, yl) in groups.items():
-        x, y = np.stack(xl), np.stack(yl)
-        finite = (np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)).tolist()
-        if not all(finite):
-            errors.append((members[finite.index(False)], "U test samples must be finite"))
-        if min(n1, n2) < U_TEST_MIN_SAMPLES and any(finite):
-            errors.append((members[finite.index(True)], f"each sample needs at least {U_TEST_MIN_SAMPLES} values"))
-        stacks.append((members, x, y))
-    if errors:
-        raise ValueError(min(errors)[1])
     u, p = np.empty(len(pairs)), np.empty(len(pairs))
-    for members, x, y in stacks:
-        u[members], p[members] = _u_lanes(x, y)
+    for members, xl, yl in groups.values():
+        u[members], p[members] = _u_lanes(np.stack(xl), np.stack(yl))
     return u, p
 
 
@@ -492,11 +485,12 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
     (a, b), method a earns one point when its samples are statistically
     lower than b's; all the pairs' tests run as the lanes of one
     ``_u_tests`` call, and the first pair whose samples cannot be tested
-    raises. The outcome is independent of the supplied ordering.
+    raises. A lone method has no pair to test: it ranks 1 with zero points
+    on every metric. The outcome is independent of the supplied ordering.
     """
     methods = sorted(results)
-    if len(methods) < 2:
-        raise ValueError("ranking needs at least two methods")
+    if not methods:
+        raise ValueError("ranking needs at least one method")
     metric_sets = [tuple(sorted(results[m])) for m in methods]
     if len(set(metric_sets)) != 1:
         raise ValueError("methods must cover identical metrics")

@@ -289,8 +289,8 @@ class PolicyLabels:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered view of positions; timestamps optional but strictly
-    increasing when present."""
+    """Time-ordered view of positions; timestamps optional but finite and
+    strictly increasing when present."""
 
     positions: np.ndarray
     times: np.ndarray | None = None
@@ -306,6 +306,8 @@ class Trajectory:
             t = np.asarray(self.times, dtype=float).ravel()
             if t.shape[0] != pos.shape[0]:
                 raise ValueError("times length must match positions")
+            if not np.all(np.isfinite(t)):
+                raise ValueError("times contain NaN or Inf")
             if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
                 raise ValueError("times must be strictly increasing")
             object.__setattr__(self, "times", _freeze(t))

@@ -535,6 +535,40 @@ class TestMetricsAndRank:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
+    def test_metrics_rejects_infinite_times_and_writes_nothing(self, tmp_path, capsys):
+        """A trajectory file whose times hold Infinity used to load and be scored."""
+        good = Trajectory(positions=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        produced, reference = tmp_path / "produced.json", tmp_path / "reference.json"
+        save_json(good, reference)
+        produced.write_text(json.dumps({"positions": good.positions.tolist(), "times": [0.0, 1.0, float("inf")]}))
+        assert "Infinity" in produced.read_text()
+        out = tmp_path / "metrics.json"
+        assert run("metrics", "--produced", produced, "--reference", reference, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: times contain NaN or Inf\n" and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--suite", "surfaces"),
+            ("--suite", "surfaces", "--seeds", 1),  # 5 rows a method: the exact U path
+            ("--suite", "surfaces", "--seeds", 1, "--methods", "le"),  # a lone method
+        ],
+        ids=["surfaces", "exact-u", "lone-method"],
+    )
+    def test_rank_on_a_benchs_metrics_rewrites_its_ranking(self, tmp_path, capsys, flags):
+        """bench and rank share ``_ranking``, so ranking a bench's metrics.csv
+        gives its ranking.json byte for byte."""
+        out = tmp_path / "bench"
+        assert run("bench", *flags, "--out-dir", out) == 0
+        written = (out / "ranking.json").read_bytes()
+        (out / "ranking.json").unlink()
+        capsys.readouterr()
+        assert run("rank", "--metrics", out / "metrics.csv") == 0
+        assert (out / "ranking.json").read_bytes() == written
+        assert capsys.readouterr().out.encode() == written
+
     def test_rank_command(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = []
@@ -1193,23 +1227,6 @@ class TestBench:
             for name in folded
         ]
 
-    def test_the_fold_warning_names_the_method_that_reported(self, tmp_path, monkeypatch, capsys):
-        """The warning used to say "gpt" whatever method returned the report entry."""
-
-        def folding(scene):
-            return cli.Run(scene.demonstration, report={"det_positive_pct": 50.0})
-
-        monkeypatch.setitem(cli.METHOD_TABLE, "folding", cli.Method("#123456", 5, folding))
-        tasks = suite_tasks("surfaces", ("folding",), 1, "--n-keypoints", 7)
-        assert cli._run_bench("surfaces", tasks, 0.05, tmp_path / "bench") == 0
-        scenes = sorted({task.scenario.name for task in tasks})
-        assert json.loads((tmp_path / "bench" / "report.json").read_text()) == {
-            scene: {"det_positive_pct": 50.0} for scene in scenes
-        }
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: {scene}: folding det(J) > 0 on only 50.0% of the demonstration" for scene in scenes
-        ]
-
     def test_a_runs_warnings_reach_stderr_sorted_by_scene(self, tmp_path, monkeypatch, capsys):
         def warning(scene):
             return cli.Run(scene.demonstration, warnings=("x",))
@@ -1298,7 +1315,7 @@ class TestBench:
         canonical curve and keypoints."""
         drawn = {}
 
-        def record(path, task, produced, bands):
+        def record(path, task, runs):
             drawn[path.stem] = (task.demonstration, task.scenario.reference, task.keypoints)
 
         monkeypatch.setattr(cli, "_scene_svg", record)

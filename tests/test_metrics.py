@@ -602,9 +602,20 @@ class TestRanking:
         assert result.per_metric_points["dtw"] == {"good": 1, "bad": 0}
         assert result.points == {"good": 2, "bad": 0}
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_lone_method_ranks_first_with_zero_points(self, n):
+        """There is no pair to test, so no sample size applies: the lone
+        method ranks 1 with zero points on every metric."""
+        samples = {"only": {name: np.arange(1.0, n + 1.0) for name in METRIC_NAMES}}
+        assert rank_methods(samples) == RankingResult(
+            points={"only": 0},
+            per_metric_points={name: {"only": 0} for name in METRIC_NAMES},
+            ranking=(("only", 1),),
+        )
+
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="two methods"):
-            rank_methods({"only": {"frechet": np.ones(5)}})
+        with pytest.raises(ValueError, match="at least one method"):
+            rank_methods({})
         with pytest.raises(ValueError, match="identical metrics"):
             rank_methods(
                 {

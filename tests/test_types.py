@@ -150,6 +150,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="positions contain NaN or Inf"):
             Trajectory(positions=[[0.0, 0.0], [np.nan, 0.0]])
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, np.inf], [np.nan], [-np.inf, 0.0, 1.0], [0.0, np.nan, 1.0]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="times contain NaN or Inf"):
+            Trajectory(positions=np.zeros((len(times), 2)), times=times)
+
     def test_times_are_optional(self):
         traj = Trajectory(positions=[[0.0, 0.0], [1.0, 0.0]])
         assert traj.times is None and traj.m == 2
