@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "affine": ("AffineMap", "fit_affine"),
     "baselines": (
-        "LWTMap", "LWTUnit", "ViaAssignment", "apply_lwt", "assign_via_points", "fit_lwt", "laplacian_edit",
-        "reshaped_kmp",
+        "LWTMap", "ViaAssignment", "apply_lwt", "assign_via_points", "fit_lwt", "laplacian_edit", "reshaped_kmp",
     ),
     "gp": (
         "GPModel", "KernelParams", "build_gp", "fit_gp", "log_marginal_likelihood", "predict_derivative",

@@ -13,7 +13,8 @@ trajectory:
   via-displacements and adds the predicted displacement everywhere.
 * Locally weighted translation (LWT) — greedily composes Gaussian-bump
   translation units, each bounded so it stays a diffeomorphism, until all
-  keypoints land on their targets.
+  keypoints land on their targets. A map is three arrays with one row per
+  unit: its centers, translations and radii.
 
 Keypoints are bound to trajectory nodes by minimum-cost one-to-one
 assignment (Hungarian). Each bound node's target is its own position plus
@@ -162,65 +163,46 @@ def _bump(sq: np.ndarray, radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LWTUnit:
-    """One local deformation: x -> x + translation * exp(-|x-c|^2/(2 r^2)).
+class LWTMap:
+    """Ordered composition of K local translation units. Unit k maps
+    x -> x + translations[k] * exp(-|x - centers[k]|^2 / (2 radii[k]^2));
+    ``centers`` and ``translations`` are (K, dim) and ``radii`` is (K,).
 
-    The translation magnitude is capped at ``LWT_STEP_RATIO * radius``,
+    Each translation is capped at ``LWT_STEP_RATIO`` times its radius,
     which keeps det(DU) = 1 - w (x-c).v / r^2 strictly positive everywhere,
     so each unit is a diffeomorphism.
     """
 
-    center: np.ndarray
-    translation: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        # Read-only copies, raveled as views that stay read-only.
-        c = _freeze(self.center).ravel()
-        v = _freeze(self.translation).ravel()
-        if c.size != v.size:
-            raise ValueError("center and translation dimensions differ")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive")
-        # np.linalg.norm's own arithmetic for a 1-d vector: sqrt of its dot.
-        if math.sqrt(v.dot(v)) > LWT_STEP_RATIO * self.radius * (1 + 1e-12):
-            raise ValueError("translation exceeds the invertibility step bound")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "translation", v)
-
-    def weight(self, x: np.ndarray) -> np.ndarray:
-        """The bump's weight at each point of an (N, dim) batch, shape (N,)."""
-        pts = _as_batch(x, "points", self.center.size)
-        return _bump(_sq_dists(pts, self.center[None])[:, 0], self.radius)
-
-    def jacobian_det(self, x: np.ndarray) -> np.ndarray:
-        """Analytic det of the unit's Jacobian at each point of an (N, dim)
-        batch (rank-one update), shape (N,)."""
-        pts = _as_batch(x, "points", self.center.size)
-        w = self.weight(pts)
-        inner = (pts - self.center) @ self.translation
-        return 1.0 - w * inner / self.radius**2
-
-
-@dataclass(frozen=True, eq=False)
-class LWTMap:
-    """Ordered composition of local translation units, all of one dimension."""
-
-    units: tuple[LWTUnit, ...]
+    centers: np.ndarray
+    translations: np.ndarray
+    radii: np.ndarray
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if len({unit.center.size for unit in self.units}) > 1:
-            raise ValueError("LWT units must share one dimension")
+        centers, translations, radii = (_freeze(a) for a in (self.centers, self.translations, self.radii))
+        if centers.ndim != 2 or translations.shape != centers.shape or radii.shape != centers.shape[:1]:
+            raise ValueError(
+                "centers, translations and radii must be (K, dim), (K, dim) and (K,), not"
+                f" {centers.shape}, {translations.shape} and {radii.shape}"
+            )
+        if not (np.isfinite(centers).all() and np.isfinite(translations).all()):
+            raise ValueError("centers and translations must be finite")
+        if not (np.isfinite(radii) & (radii > 0)).all():
+            raise ValueError("radii must be finite and positive")
+        # np.linalg.norm(translations, axis=1)'s arithmetic: sqrt of row sums.
+        if (np.sqrt((translations * translations).sum(axis=1)) > LWT_STEP_RATIO * radii * (1 + 1e-12)).any():
+            raise ValueError("translation exceeds the invertibility step bound")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "translations", translations)
+        object.__setattr__(self, "radii", radii)
 
 
 def apply_lwt(lwt: LWTMap, x) -> np.ndarray:
     """Push an (N, dim) batch of points through every unit in order."""
-    dim = lwt.units[0].center.size if lwt.units else None
-    pts = _as_batch(x, "points", dim).copy()
-    for unit in lwt.units:
-        weight = _bump(_sq_dists(pts, unit.center[None])[:, 0], unit.radius)
-        pts += weight[:, None] * unit.translation
+    pts = _as_batch(x, "points", lwt.centers.shape[1]).copy()
+    for center, translation, radius in zip(lwt.centers, lwt.translations, lwt.radii):
+        weight = _bump(_sq_dists(pts, center[None])[:, 0], radius)
+        pts += weight[:, None] * translation
     return pts
 
 
@@ -250,14 +232,17 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
     was: its neighbour is so close that the step is below the float
     resolution of the residual, and every later unit would repeat it. Each
     unit's squared distances to the keypoints give both its radius and its
-    bump.
+    bump. The units are written as rows of three arrays of the budget's
+    length, of which the map keeps a copy of the rows in use.
     """
     budget = _unit_budget(kp.n)
     tol = match_tolerance(kp)
 
     current = kp.source.points.copy()
     target = kp.target.points
-    units: list[LWTUnit] = []
+    centers = np.empty((budget, kp.dim))
+    translations = np.empty((budget, kp.dim))
+    radii = np.empty(budget)
     best, best_err = 0, np.inf
 
     # One residual check per unit count 0..budget; the last adds no unit.
@@ -269,12 +254,10 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
         err = float(norms[worst])
         if err < best_err:
             best, best_err = n_units, err
-        if err <= tol:
-            return LWTMap(units=tuple(units))
-        if n_units == budget:
+        if err <= tol or n_units == budget:
             break
 
-        center = current[worst]
+        center = centers[n_units] = current[worst]
         # One set of squared distances gives the radius and the bump. sqrt
         # is monotone and correctly rounded: sqrt of the least squared
         # distance to another keypoint is the least distance, bit for bit.
@@ -284,20 +267,23 @@ def fit_lwt(kp: PairedKeypoints) -> LWTMap:
         if sq[other] == 0.0:
             raise ValueError(f"keypoints {worst} and {other} coincide: no LWT unit moves one alone")
         spacing = math.sqrt(sq[other])
-        radius = min(2.0 * err, 0.5 * spacing)
+        radii[n_units] = radius = min(2.0 * err, 0.5 * spacing)
         sq[worst] = 0.0  # the center's own distance
 
         step = residuals[worst]
-        scale = min(1.0, LWT_STEP_RATIO * radius / err)
-        unit = LWTUnit(center=center, translation=step * scale, radius=radius)
-        units.append(unit)
-        # In place: the unit holds its own copy of the center row.
-        current += _bump(sq, radius)[:, None] * unit.translation
+        translations[n_units] = step * min(1.0, LWT_STEP_RATIO * radius / err)
+        current += _bump(sq, radius)[:, None] * translations[n_units]
         if (target[worst] - current[worst] == step).all():
             raise ValueError(
                 f"keypoints {worst} and {other} are {spacing:.3g} apart: a unit that moves"
                 f" one alone is below the float resolution of its residual {err:.3e}"
             )
 
+    # Only the unit count that converges is within tol, and it is the best.
     note = f"did not converge in {budget} iterations; best residual {best_err:.3e}"
-    return LWTMap(units=tuple(units[:best]), warnings=(note,))
+    return LWTMap(
+        centers=centers[:best],
+        translations=translations[:best],
+        radii=radii[:best],
+        warnings=() if best_err <= tol else (note,),
+    )

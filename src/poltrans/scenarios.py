@@ -24,7 +24,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .types import PairedKeypoints, PointSet, Trajectory, _as_batch, from_dict, load_json, save_json, to_dict
+from .types import PairedKeypoints, PointSet, Trajectory, _as_batch, _decode, from_dict, load_json, save_json, to_dict
 
 # Demonstration loop over the unit baseline: hover in, traverse, retreat,
 # return. Piecewise-linear waypoints with phase breakpoints.
@@ -155,7 +155,9 @@ class Pose:
     heading: float
 
     def __post_init__(self):
-        xy = (float(self.xy[0]), float(self.xy[1]))
+        if not isinstance(self.xy, (tuple, list)) or len(self.xy) != 2:
+            raise ValueError(f"Pose.xy must be a pair of numbers, not {self.xy!r}")
+        xy = tuple(_decode(float, v, "Pose.xy") for v in self.xy)
         if not all(np.isfinite(v) for v in (*xy, self.heading)):
             raise ValueError("pose entries must be finite")
         object.__setattr__(self, "xy", xy)
@@ -212,7 +214,6 @@ def _frame_curve(start: Pose, goal: Pose) -> Trajectory:
     dock = goal.position - _DOCK_LENGTH * goal.direction
     contact = goal.position - _CONTACT_OFFSET * goal.direction
     scale = float(np.linalg.norm(dock - start.position))
-    scale = max(scale, 1e-6)
     m0 = scale * start.direction
     m1 = scale * goal.direction
 

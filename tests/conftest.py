@@ -235,6 +235,15 @@ def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def lwt_unit_det(center, translation, radius, x) -> np.ndarray:
+    """Determinant of one LWT unit's Jacobian at each row of an (N, dim)
+    batch by the rank-one formula 1 - w (x - c).v / r^2, with the bump
+    weight w = exp(-|x - c|^2 / (2 r^2))."""
+    offset = np.asarray(x, dtype=float) - center
+    weight = np.exp(-np.sum(offset**2, axis=1) / (2.0 * radius**2))
+    return 1.0 - weight * (offset @ translation) / radius**2
+
+
 def loop_fit_lwt(kp) -> list[tuple]:
     """The greedy LWT fit as (center, translation, radius) per unit, with
     each unit's radius bounded by the nearest other keypoint found by

@@ -17,6 +17,7 @@ from conftest import (
     dense_laplacian_oracle,
     fold_pair,
     lwt_jacobian,
+    lwt_unit_det,
     mw_exact_enumeration,
     random_rigid_pair,
     random_smooth_pair,
@@ -297,9 +298,9 @@ def test_criterion_11_baseline_contracts():
         assert np.linalg.norm(moved - tgt, axis=1).max() <= 1e-3 * max(
             kp.target.diameter(), 1e-12
         )
-        for unit in lwt.units:
-            probes = unit.center + unit.radius * rng.uniform(-3, 3, (40, 2))
-            assert unit.jacobian_det(probes).min() > 0.0
+        for center, translation, radius in zip(lwt.centers, lwt.translations, lwt.radii):
+            probes = center + radius * rng.uniform(-3, 3, (40, 2))
+            assert lwt_unit_det(center, translation, radius, probes).min() > 0.0
         grid = np.stack(
             np.meshgrid(np.linspace(-1.5, 1.5, 5), np.linspace(-1.5, 1.5, 5)), axis=-1
         ).reshape(-1, 2)

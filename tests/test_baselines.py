@@ -1,6 +1,7 @@
 """Reshaping baselines against enumeration and dense-solve oracles."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,13 +16,13 @@ from conftest import (
     loop_apply_lwt,
     loop_fit_lwt,
     lwt_jacobian,
+    lwt_unit_det,
     suite_tasks,
 )
 from poltrans import PairedKeypoints, PointSet, Trajectory, baselines, cli, gp
 from poltrans.baselines import (
     LWT_STEP_RATIO,
     LWTMap,
-    LWTUnit,
     ViaAssignment,
     apply_lwt,
     assign_via_points,
@@ -391,13 +392,13 @@ class TestLWT:
 
     @staticmethod
     def assert_units_match_the_loop(kp):
-        units = fit_lwt(kp).units
+        lwt = fit_lwt(kp)
         expected = loop_fit_lwt(kp)
-        assert len(units) == len(expected)
-        for unit, (center, translation, radius) in zip(units, expected):
-            assert unit.center.tobytes() == center.tobytes()
-            assert unit.translation.tobytes() == translation.tobytes()
-            assert unit.radius == radius
+        assert len(lwt.radii) == len(expected)
+        for row, (center, translation, radius) in enumerate(expected):
+            assert lwt.centers[row].tobytes() == center.tobytes()
+            assert lwt.translations[row].tobytes() == translation.tobytes()
+            assert lwt.radii[row] == radius
 
     def test_units_are_bitwise_the_delete_and_norm_loop(self):
         rng = np.random.default_rng(14)
@@ -423,7 +424,7 @@ class TestLWT:
             src = rng.uniform(-1, 1, (n, dim))
             kp = PairedKeypoints(PointSet(src), PointSet(src + rng.uniform(-0.3, 0.3, (n, dim))))
             lwt = fit_lwt(kp)
-            units = [(u.center, u.translation, u.radius) for u in lwt.units]
+            units = list(zip(lwt.centers, lwt.translations, lwt.radii))
             probes = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 50)), dim))
             for x in (probes, src):
                 assert apply_lwt(lwt, x).tobytes() == loop_apply_lwt(units, x).tobytes()
@@ -445,10 +446,10 @@ class TestLWT:
     def test_a_fit_converging_on_its_last_allowed_unit_does_not_warn(self, monkeypatch):
         scenario = make_surface_scenario("sine", n_keypoints=12, seed=0)
         _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
-        assert len(fit_lwt(kp).units) == 25
+        assert fit_lwt(kp).radii.shape == (25,)
         monkeypatch.setattr(baselines, "_unit_budget", lambda n: 25)
         lwt = fit_lwt(kp)
-        assert len(lwt.units) == 25
+        assert lwt.radii.shape == (25,)
         assert lwt.warnings == ()
         # one unit fewer is a fit that stops short
         monkeypatch.setattr(baselines, "_unit_budget", lambda n: 24)
@@ -457,12 +458,20 @@ class TestLWT:
 
     def test_a_bent_surface_scene_converges_at_200_keypoints(self):
         """The bent scenes need 3,678-9,415 units here, past the old fixed
-        budget of 1000; composite-0 needs the most of the nine."""
+        budget of 1000; composite-0 needs the most of the nine. The map it
+        returns is three arrays, 40 bytes of data per unit in 2-d."""
         scenario = make_surface_scenario("composite", n_keypoints=200, seed=0)
         _, kp = _gamma_pretransform(scenario.keypoints, scenario.demonstration)
-        lwt = fit_lwt(kp)
+        tracemalloc.start()
+        try:
+            lwt = fit_lwt(kp)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert lwt.warnings == ()
-        assert 1000 < len(lwt.units) <= baselines._unit_budget(kp.n)
+        units = lwt.radii.size
+        assert 1000 < units <= baselines._unit_budget(kp.n)
+        assert held <= 64 * units
         moved = apply_lwt(lwt, kp.source.points)
         assert np.linalg.norm(moved - kp.target.points, axis=1).max() <= match_tolerance(kp)
 
@@ -471,15 +480,14 @@ class TestLWT:
         src = rng.uniform(-1, 1, (5, 2))
         tgt = src + rng.uniform(-0.25, 0.25, (5, 2))
         lwt = fit_lwt(PairedKeypoints(PointSet(src), PointSet(tgt)))
-        assert len(lwt.units) > 0
-        for unit in lwt.units:
-            direction = unit.translation
+        assert lwt.radii.size > 0
+        for center, direction, radius in zip(lwt.centers, lwt.translations, lwt.radii):
             norm = np.linalg.norm(direction)
             if norm == 0:
                 continue
             # worst case lies along the translation through the center
-            line = unit.center + np.outer(np.linspace(-4, 4, 401), direction / norm) * unit.radius
-            dets = unit.jacobian_det(line)
+            line = center + np.outer(np.linspace(-4, 4, 401), direction / norm) * radius
+            dets = lwt_unit_det(center, direction, radius, line)
             assert dets.min() > 0.69  # analytic floor is 1 - 0.5 e^{-1/2}
 
     def test_composed_jacobian_positive_on_grid(self):
@@ -505,7 +513,8 @@ class TestLWT:
     def test_identical_sets_need_no_units(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         lwt = fit_lwt(PairedKeypoints(PointSet(pts), PointSet(pts)))
-        assert len(lwt.units) == 0
+        assert lwt.centers.shape == lwt.translations.shape == (0, 2)
+        assert lwt.radii.shape == (0,)
 
     def test_contradictory_keypoints_warn_after_budget(self, monkeypatch):
         """The map's ``warnings`` are the one report: no Python warning.
@@ -554,26 +563,72 @@ class TestLWT:
         kp = PairedKeypoints(PointSet(src), PointSet(tgt))
         lwt = fit_lwt(kp)
         assert lwt.warnings == ()
-        assert len(lwt.units) == 150
+        assert lwt.radii.shape == (150,)
         self.assert_units_match_the_loop(kp)
 
-    def test_unit_validation(self):
-        with pytest.raises(ValueError, match="step bound"):
-            LWTUnit(center=[0.0, 0.0], translation=[1.0, 0.0], radius=1.0)
-        with pytest.raises(ValueError, match="radius"):
-            LWTUnit(center=[0.0, 0.0], translation=[0.0, 0.0], radius=0.0)
-        # at the bound itself construction succeeds
-        LWTUnit(center=[0.0, 0.0], translation=[LWT_STEP_RATIO, 0.0], radius=1.0)
+    def test_an_empty_map_takes_only_its_own_width(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        lwt = fit_lwt(PairedKeypoints(PointSet(pts), PointSet(pts)))
+        assert lwt.centers.shape == (0, 3)
+        assert apply_lwt(lwt, pts).tobytes() == pts.tobytes()
+        with pytest.raises(ValueError, match="points must have dimension 3"):
+            apply_lwt(lwt, pts[:, :2])
 
-    def test_unit_center_and_translation_must_share_dimension(self):
-        with pytest.raises(ValueError, match="center and translation dimensions differ"):
-            LWTUnit(center=[0.0, 0.0], translation=[0.1, 0.0, 0.0], radius=1.0)
+    def test_a_step_at_the_bound_builds_and_one_past_it_does_not(self):
+        LWTMap(centers=[[0.0, 0.0]], translations=[[LWT_STEP_RATIO, 0.0]], radii=[1.0])
+        with pytest.raises(ValueError, match="exceeds the invertibility step bound"):
+            LWTMap(centers=[[0.0, 0.0], [1.0, 0.0]], translations=[[0.1, 0.0], [0.0, 0.6]], radii=[1.0, 1.0])
 
-    def test_units_of_two_dimensions_do_not_compose(self):
-        planar = LWTUnit(center=[0.0, 0.0], translation=[0.1, 0.0], radius=1.0)
-        spatial = LWTUnit(center=[0.0, 0.0, 0.0], translation=[0.1, 0.0, 0.0], radius=1.0)
-        with pytest.raises(ValueError, match="share one dimension"):
-            LWTMap(units=(planar, spatial))
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_a_radius_that_is_not_finite_and_positive_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            LWTMap(centers=[[0.0, 0.0], [1.0, 0.0]], translations=np.zeros((2, 2)), radii=[1.0, radius])
+
+    @pytest.mark.parametrize("row", [[[np.nan, 0.0]], [[0.0, np.inf]]])
+    def test_a_center_or_translation_that_is_not_finite_is_rejected(self, row):
+        """A NaN translation would pass the step bound, as NaN compares
+        false, and carry NaN into every point the map moves."""
+        with pytest.raises(ValueError, match="centers and translations must be finite"):
+            LWTMap(centers=row, translations=[[0.1, 0.0]], radii=[1.0])
+        with pytest.raises(ValueError, match="centers and translations must be finite"):
+            LWTMap(centers=[[0.0, 0.0]], translations=row, radii=[1.0])
+
+    @pytest.mark.parametrize(
+        "centers, translations, radii",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 3)), np.ones(2)),  # two dimensions
+            (np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2)),  # translations for three units
+            (np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3)),  # radii for three units
+            (np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 1))),  # radii not one per row
+            (np.zeros(2), np.zeros(2), np.ones(1)),  # a lone center is not a (K, dim) array
+        ],
+    )
+    def test_arrays_of_mismatched_shapes_are_rejected(self, centers, translations, radii):
+        with pytest.raises(ValueError, match=r"must be \(K, dim\), \(K, dim\) and \(K,\), not"):
+            LWTMap(centers=centers, translations=translations, radii=radii)
+
+    def test_the_arrays_are_read_only_copies(self):
+        centers = np.zeros((1, 2))
+        lwt = LWTMap(centers=centers, translations=[[0.1, 0.0]], radii=[1.0])
+        centers[0, 0] = 5.0
+        assert lwt.centers[0, 0] == 0.0
+        for array in (lwt.centers, lwt.translations, lwt.radii):
+            assert not array.flags.writeable
+
+
+def test_the_rank_one_determinant_is_the_one_unit_maps_jacobian():
+    """The oracle the determinant properties use, against finite
+    differences of a one-unit map."""
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        center = rng.uniform(-1, 1, 2)
+        radius = rng.uniform(0.1, 2.0)
+        translation = rng.uniform(-1, 1, 2)
+        translation *= rng.uniform(0, LWT_STEP_RATIO) * radius / np.linalg.norm(translation)
+        lwt = LWTMap(centers=[center], translations=[translation], radii=[radius])
+        probes = center + radius * rng.uniform(-3, 3, (5, 2))
+        dets = lwt_unit_det(center, translation, radius, probes)
+        assert_allclose(dets, [np.linalg.det(lwt_jacobian(lwt, p)) for p in probes], rtol=1e-7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -589,8 +644,10 @@ def test_unit_determinant_positive_whenever_step_respects_bound(
 ):
     step = frac * LWT_STEP_RATIO * radius
     translation = step * np.array([np.cos(angle), np.sin(angle)])
-    unit = LWTUnit(center=[cx, cy], translation=translation, radius=radius)
-    probes = unit.center + np.outer(
+    center = np.array([cx, cy])
+    # the map accepts the unit: its step is within the bound
+    LWTMap(centers=[center], translations=[translation], radii=[radius])
+    probes = center + np.outer(
         np.linspace(-5, 5, 101), translation if step else [1.0, 0.0]
     )
-    assert unit.jacobian_det(probes).min() > 0.0
+    assert lwt_unit_det(center, translation, radius, probes).min() > 0.0

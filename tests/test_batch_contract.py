@@ -39,8 +39,6 @@ CASES = {
         "points must have dimension 2",
     ),
     "apply_lwt": (lambda w, x: (apply_lwt(w.lwt, x),), "points must have dimension 2"),
-    "LWTUnit.weight": (lambda w, x: (w.lwt.units[0].weight(x),), "points must have dimension 2"),
-    "LWTUnit.jacobian_det": (lambda w, x: (w.lwt.units[0].jacobian_det(x),), "points must have dimension 2"),
     "Pose.to_world": (lambda w, x: (CANONICAL_GOAL.to_world(x),), "local points must have dimension 2"),
     # A trajectory: its one result is a float, not a batch.
     "frechet_distance": (lambda w, x: (frechet_distance(x, w.reference),), "dimensions 1 and 2"),

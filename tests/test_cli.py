@@ -88,6 +88,25 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {scenario} does not hold a JSON object\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "xy, message",
+        [
+            ([1.0], "Pose.xy must be a pair of numbers, not [1.0]"),
+            ([1.0, 2.0, 3.0], "Pose.xy must be a pair of numbers, not [1.0, 2.0, 3.0]"),
+            ([True, 2], "Pose.xy must be a number, not bool True"),
+            ("ab", "Pose.xy must be a pair of numbers, not 'ab'"),
+        ],
+    )
+    def test_a_pose_position_that_is_not_two_numbers_fails_naming_the_field(self, tmp_path, capsys, xy, message):
+        data = random_frame_scenario(200).to_dict()
+        data["goal_pose"]["xy"] = xy
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "fit"
+        assert run("fit", "--scenario", scenario, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_scenario_fails_naming_the_file(self, tmp_path, capsys):
         scenario = tmp_path / "broken.json"
         scenario.write_text('{"kind": "surface", }')

@@ -41,7 +41,7 @@ def test_star_import_binds_every_public_name_to_its_modules_object():
     exec("from poltrans import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == poltrans.__all__
-    assert len(namespace) == 59
+    assert len(namespace) == 58
     for module, names in poltrans._EXPORTS.items():
         for name in names:
             assert namespace[name] is getattr(importlib.import_module(f"poltrans.{module}"), name), name

@@ -186,6 +186,28 @@ class TestFrameScenarios:
         with pytest.raises(ValueError, match="pose entries must be finite"):
             Pose(xy=xy, heading=heading)
 
+    def test_a_pose_position_keeps_two_numbers_as_floats(self):
+        assert Pose(xy=[1, 2], heading=0.0).xy == (1.0, 2.0)
+        pose = Pose(xy=(np.float64(0.5), np.float64(-0.25)), heading=0.0)
+        assert [type(v) for v in pose.xy] == [float, float]
+        assert pose.xy == (0.5, -0.25)
+
+    @pytest.mark.parametrize("xy", [(1.0,), (1.0, 2.0, 3.0), "ab", np.zeros(2)])
+    def test_a_pose_position_that_is_not_a_pair_is_rejected(self, xy):
+        with pytest.raises(ValueError, match="Pose.xy must be a pair of numbers"):
+            Pose(xy=xy, heading=0.0)
+
+    def test_a_dock_point_on_the_start_gives_a_resting_arc(self):
+        """With the dock point on the start position the Hermite tangents
+        are zero: the arc rests at the start, then the docking segment
+        runs along the goal heading."""
+        start = Pose(xy=(0.0, 0.0), heading=0.0)
+        goal = Pose(xy=(0.22, 0.0), heading=0.0)
+        curve = make_frame_scenario(start, goal, keypoints_per_frame=2).reference
+        assert_array_equal(curve.positions[:170], np.zeros((170, 2)))
+        assert_allclose(curve.positions[-1], [0.16, 0.0], rtol=1e-12)
+        assert np.all(np.diff(curve.positions[169:, 0]) > 0)
+
     def test_frames_need_a_keypoint_each(self):
         with pytest.raises(ValueError, match="need at least one keypoint per frame"):
             random_frame_scenario(3, keypoints_per_frame=0)
