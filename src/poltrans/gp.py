@@ -332,10 +332,13 @@ def minimize(fun, x0, fun0: float, bounds: tuple[float, float]) -> PolishResult:
     profiled negative LML is ``fun0``, along log l within ``bounds``.
 
     ``fun(log_l, log_ratio)`` returns the profiled negative LML and its
-    log sp2. :func:`_brent` runs at x0's ratio; if NOISE_FLOOR_RATIO scores
-    better at the lengthscale it found, it runs again at the floor from
-    there. The result is the best point evaluated, or ``x0`` when none beats
-    ``fun0``.
+    log sp2. NOISE_FLOOR_RATIO is scored at x0's lengthscale, and
+    :func:`_brent` runs from there at whichever of the two ratios scores
+    better. The other ratio is then scored at the lengthscale that search
+    found, and searched from there only if it beats every point so far. On
+    the bench's fits the floor mostly wins at x0 and ends best, so most fits
+    make one search. When x0's ratio is the floor, there is one search. The
+    result is the best point evaluated, or ``x0`` when none beats ``fun0``.
 
     The benchmark tracer (``perfbench/tracing.py``) patches this module-level
     name and sums the ``nfev`` of its results as the fit's objective
@@ -356,14 +359,20 @@ def minimize(fun, x0, fun0: float, bounds: tuple[float, float]) -> PolishResult:
         return f
 
     lo, hi = map(float, bounds)
-    _brent(along(x0[2]), lo, hi, float(x0[1]), fun0)
-    floor = np.log(NOISE_FLOOR_RATIO)
-    if x0[2] > floor:
+    log_ell, ratio, f_start, other = float(x0[1]), float(x0[2]), fun0, None
+    floor = float(np.log(NOISE_FLOOR_RATIO))
+    if ratio > floor:
+        f_floor = along(floor)(log_ell)
+        if f_floor < fun0:  # the floor is searched first
+            ratio, f_start, other = floor, f_floor, ratio
+        else:
+            other = floor
+    _brent(along(ratio), lo, hi, log_ell, f_start)
+    if other is not None:
         log_ell = float(x_best[1])
-        at_floor = along(floor)
-        f_floor = at_floor(log_ell)
-        if x_best[2] == floor:  # the floor beat every point so far
-            _brent(at_floor, lo, hi, log_ell, f_floor)
+        f_other = along(other)(log_ell)
+        if x_best[2] == other:  # the other ratio beat every point so far
+            _brent(along(other), lo, hi, log_ell, f_other)
     return PolishResult(x_best, f_best, nfev)
 
 
@@ -385,8 +394,10 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     negative LML is scored at ``LENGTHSCALE_GRID`` x ell_center (a grid
     point whose Cholesky fails scores +inf), and :func:`minimize` polishes
     the best grid point by a Brent line search over log l between its two
-    grid neighbours, at that ratio and, where it scores better, at
-    NOISE_FLOOR_RATIO; the grid point is kept if the polish ends worse.
+    grid neighbours: at ``noise_ratio`` or NOISE_FLOOR_RATIO, whichever
+    scores better at the grid point, and then at the other ratio only if,
+    at the lengthscale that search found, it beats every point so far; the
+    grid point is kept if the polish ends worse.
     All-zero outputs skip the search and get lengthscale ell_center with a
     negligible signal variance, so the posterior is the certain zero.
     Raises ValueError for no training point, for a ``noise_ratio`` outside

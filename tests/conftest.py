@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from poltrans import PairedKeypoints, PointSet, cli
 from poltrans.baselines import LWT_STEP_RATIO, apply_lwt
-from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO
+from poltrans.gp import LENGTHSCALE_GRID, NOISE_FLOOR_RATIO, PolishResult, _brent
 from poltrans._scipy import ndtr
 from poltrans.metrics import (
     ANGLE_TAIL_SEGMENTS,
@@ -219,6 +219,36 @@ def profiled_grid_start(x, y, noise_ratio=1e-6):
         if val < best_val:
             best_val, best_u = val, np.array([log_sp2, np.log(ell), np.log(noise_ratio)])
     return best_u
+
+
+def two_phase_minimize(fun, x0, fun0: float, bounds: tuple[float, float]) -> PolishResult:
+    """``gp.minimize`` as it was before it chose the first search's noise
+    ratio: a Brent search at x0's ratio always, then NOISE_FLOOR_RATIO scored
+    at the lengthscale it found and searched from there if it beat every
+    point so far. The same call shape and result as ``gp.minimize``."""
+    x_best, f_best, nfev = np.asarray(x0, dtype=float), fun0, 0
+
+    def along(log_ratio):
+        def f(log_ell):
+            nonlocal x_best, f_best, nfev
+            nfev += 1
+            val, log_sp2 = fun(log_ell, log_ratio)
+            if val < f_best:
+                x_best, f_best = np.array([log_sp2, log_ell, log_ratio]), val
+            return val
+
+        return f
+
+    lo, hi = map(float, bounds)
+    _brent(along(x0[2]), lo, hi, float(x0[1]), fun0)
+    floor = np.log(NOISE_FLOOR_RATIO)
+    if x0[2] > floor:
+        log_ell = float(x_best[1])
+        at_floor = along(floor)
+        f_floor = at_floor(log_ell)
+        if x_best[2] == floor:  # the floor beat every point so far
+            _brent(at_floor, lo, hi, log_ell, f_floor)
+    return PolishResult(x_best, f_best, nfev)
 
 
 def lwt_jacobian(lwt, x, h: float = 1e-6) -> np.ndarray:

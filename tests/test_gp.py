@@ -23,6 +23,7 @@ from conftest import (
     fit_gp_bounds,
     kernel_se,
     profiled_grid_start,
+    two_phase_minimize,
 )
 from poltrans import baselines, cli, gp, transport
 from poltrans.gp import (
@@ -427,6 +428,103 @@ class TestGridDensity:
         (fit,) = fits
         lml, ref = self.lml_and_dense_grid_lml(fit, monkeypatch)
         assert lml - ref > 1.0
+
+
+def record_scores(monkeypatch) -> tuple[list, list]:
+    """Two lists: the noise ratio of every later ``_profiled_nlml`` score,
+    and, for every later ``_brent`` search, how many scores came before it."""
+    ratios, searches = [], []
+    real_nlml, real_brent = gp._profiled_nlml, gp._brent
+
+    def recorded_nlml(*args):
+        nlml = real_nlml(*args)
+
+        def recorded(ell, ratio):
+            ratios.append(ratio)
+            return nlml(ell, ratio)
+
+        return recorded
+
+    def recorded_brent(*args):
+        searches.append(len(ratios))
+        return real_brent(*args)
+
+    monkeypatch.setattr(gp, "_profiled_nlml", recorded_nlml)
+    monkeypatch.setattr(gp, "_brent", recorded_brent)
+    return ratios, searches
+
+
+def search_ratios(ratios, searches) -> list:
+    """The noise ratio each recorded search ran at: that of its first step."""
+    return [ratios[start] for start in searches]
+
+
+class TestSearchOrder:
+    """``gp.minimize`` searches first the ratio that scores better at the
+    grid optimum, and the other one only when it wins after that search."""
+
+    @staticmethod
+    def fit_with(minimize, fit, monkeypatch) -> tuple[float, float, int]:
+        """The LML, noise ratio and score count of ``fit_gp(*fit)`` polished
+        by ``minimize``."""
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "minimize", minimize)
+            ratios, _ = record_scores(patch)
+            model = fit_gp(*fit)
+        return log_marginal_likelihood(model), model.params.noise_variance / model.params.signal_variance, len(ratios)
+
+    @pytest.mark.parametrize("group", list(TestGridDensity.FIT_GROUPS))
+    def test_no_fit_ends_below_the_two_phase_search(self, group, monkeypatch):
+        """Against the search that always searched the grid's ratio first
+        (conftest's ``two_phase_minimize``), every fit ends at the same ratio
+        and no lower, with no more scores, and at most 85% of them on a
+        cli_fit block."""
+        run, count = TestGridDensity.FIT_GROUPS[group]
+        fits = record_fit_calls(monkeypatch)
+        run()
+        assert len(fits) == count
+        scores = oracle_scores = 0
+        for i, fit in enumerate(fits):
+            lml, ratio, n = self.fit_with(gp.minimize, fit, monkeypatch)
+            ref, ref_ratio, n_ref = self.fit_with(two_phase_minimize, fit, monkeypatch)
+            assert lml >= ref - 1e-9 * abs(ref), i
+            assert ratio == pytest.approx(ref_ratio, rel=1e-6), i
+            scores, oracle_scores = scores + n, oracle_scores + n_ref
+        assert scores <= (0.85 if group == "cli-fit-block" else 1.0) * oracle_scores
+
+    def test_a_noise_free_fit_makes_one_search_at_the_floor(self, monkeypatch):
+        ratios, searches = record_scores(monkeypatch)
+        model = fit_gp(*smooth_data(200, 2, noise=0.0))
+        assert search_ratios(ratios, searches) == pytest.approx([NOISE_FLOOR_RATIO])
+        assert model.params.noise_variance == pytest.approx(NOISE_FLOOR_RATIO * model.params.signal_variance)
+
+    @pytest.mark.parametrize(
+        ("scene", "lml"), [("surface-sine-0", 74.1725), ("surface-composite-0", 58.7938), ("surface-composite-2", 60.0930)]
+    )
+    def test_the_capped_ratio_is_searched_when_it_wins_after_the_floor_search(self, scene, lml, monkeypatch):
+        """The floor scores better at these reshaped_kmp fits' grid point,
+        and the capped ratio at the lengthscale the floor search finds."""
+        (task,) = [task for task in default_bench_tasks("surfaces") if task.scenario.name == scene]
+        fits = record_fit_calls(monkeypatch)
+        cli.METHOD_TABLE["reshaped_kmp"].run(task)
+        (fit,) = fits
+        ratios, searches = record_scores(monkeypatch)
+        model = fit_gp(*fit)
+        assert search_ratios(ratios, searches) == pytest.approx([NOISE_FLOOR_RATIO, NOISE_RATIO_MAX])
+        assert model.params.noise_variance == pytest.approx(NOISE_RATIO_MAX * model.params.signal_variance)
+        assert log_marginal_likelihood(model) == pytest.approx(lml, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_200_keypoint_sine_fit_ends_in_the_best_floor_minimum(self, seed):
+        """The floor-ratio likelihood of this gpt fit has local optima near
+        l = 0.179, 0.212 and 0.248 (LML 4619.5, 4622.1 and 4622.4 at seed
+        0); the floor search, which starts from the grid point, ends in the
+        last and best."""
+        tmap = fit_transport(make_surface_scenario("sine", n_keypoints=200, seed=seed).keypoints)
+        params = tmap.residual.params
+        assert params.noise_variance == pytest.approx(NOISE_FLOOR_RATIO * params.signal_variance)
+        assert 0.24 < params.lengthscale < 0.26
+        assert log_marginal_likelihood(tmap.residual) >= 4622.3
 
 
 class TestObjective:
