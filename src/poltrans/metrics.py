@@ -5,16 +5,15 @@ discrete Frechet distance, area between the curves, dynamic time warping
 cost, final position error, and final docking-angle error. Methods are
 ranked by pairwise one-sided Mann-Whitney U tests: on each metric, a method
 earns one point for every competitor over which its samples are
-statistically lower, and methods are ordered by total points. Like the
-metrics, the tests are scored lane-wise: every metric's ordered method
-pairs that share sample sizes are the lanes of one stacked pass, and
-``mann_whitney_u`` is a one-lane call of the same kernel.
+statistically lower, and methods are ordered by total points. The metrics
+are scored lane-wise, every group of same-shape pairs in one stacked pass;
+each U test is one ``mann_whitney_u`` call on one sample pair.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -31,11 +30,6 @@ U_TEST_MIN_SAMPLES = 3
 _STATIONARY_TAIL = "stationary tail: no direction defined"
 
 
-def _check_metric(name: str, value: float) -> None:
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} is {value}: metrics must be finite and nonnegative")
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Scalar similarity metrics between one trajectory and its reference."""
@@ -48,7 +42,8 @@ class MetricReport:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            _check_metric(name, value)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} is {value}: metrics must be finite and nonnegative")
         if self.final_angle_error > np.pi + 1e-12:
             raise ValueError("angle error must lie in [0, pi]")
 
@@ -356,33 +351,23 @@ def compute_metrics(produced, reference) -> MetricReport:
     return outcome
 
 
-def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based ranks along the last axis of ``values``, in which tied values
-    share the mean of the ranks they span, and each lane's tie sum
-    sum(t**3 - t) over its runs of t tied values, an exact integer."""
-    n = values.shape[-1]
-    order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    # A run of ties covers the sorted places [start, end): start is the last
-    # place at or before each place that opens a run, end the first place
-    # after it that opens one, or n.
-    opens = np.ones(values.shape, dtype=bool)
-    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=opens[..., 1:])
-    place = np.arange(n)
-    start = np.maximum.accumulate(np.where(opens, place, 0), axis=-1)
-    next_open = np.full(values.shape, n)
-    next_open[..., :-1] = np.where(opens[..., 1:], place[1:], n)
-    end = np.flip(np.minimum.accumulate(np.flip(next_open, axis=-1), axis=-1), axis=-1)
-    ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, 0.5 * (start + end + 1), axis=-1)
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """1-based ranks of a 1-d ``values``, in which tied values share the
+    mean of the ranks they span, and the tie sum sum(t**3 - t) over its runs
+    of t tied values, an exact integer; both from one sort."""
+    ordered = np.sort(values)
+    # Each value's run of ties covers the sorted places [start, end).
+    start = np.searchsorted(ordered, values, "left")
+    end = np.searchsorted(ordered, values, "right")
     runs = end - start
-    return ranks, np.where(opens, runs**3 - runs, 0).sum(axis=-1)
+    # Each of a run's t values adds t**2 - 1, so the run adds t**3 - t.
+    return 0.5 * (start + end + 1), int((runs * runs - 1).sum())
 
 
 def _exact_p(ranks: np.ndarray, n1: int, u_x: float) -> float:
-    """Exact permutation p-value of one lane's pooled ranks. Fractional
-    ranks are half-integers, so doubled ranks are integers and the subset
-    rank-sum distribution follows from a counting DP instead of explicit
+    """Exact permutation p-value of the pooled ranks. Fractional ranks are
+    half-integers, so doubled ranks are integers and the subset rank-sum
+    distribution follows from a counting DP instead of explicit
     enumeration."""
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     max_sum = int(np.sort(doubled)[-n1:].sum())
@@ -395,57 +380,6 @@ def _exact_p(ranks: np.ndarray, n1: int, u_x: float) -> float:
     return float(table[n1, : threshold + 1].sum()) / comb(ranks.size, n1)
 
 
-def _u_lanes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U statistic of x and one-sided p-value of each lane of finite samples
-    x (L, n1) and y (L, n2), each of at least ``U_TEST_MIN_SAMPLES`` values."""
-    n1, n2 = x.shape[1], y.shape[1]
-    n = n1 + n2
-    ranks, ties = _average_ranks(np.concatenate((x, y), axis=1))
-    # Sums of half-integers, exact in any order.
-    u = ranks[:, :n1].sum(axis=1) - n1 * (n1 + 1) / 2.0
-    # One run of all n values has the largest tie sum, n**3 - n.
-    constant = ties == n**3 - n
-    if n <= EXACT_U_LIMIT:
-        p = np.array([
-            1.0 if flat else _exact_p(lane, n1, lane_u)
-            for lane, lane_u, flat in zip(ranks, u, constant.tolist())
-        ])
-    else:
-        mean = n1 * n2 / 2.0
-        tie_term = ties / (n * (n - 1))
-        # Where not all pooled values are equal, tie_term <= n - 2 (one tie
-        # of n - 1 values at most) and var >= n1 n2 / 4 > 0.
-        var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
-        z = (u + 0.5 - mean) / np.sqrt(np.where(constant, 1.0, var))
-        # Not 0.5 * math.erfc(-z / sqrt(2)): it differs from ndtr in the last bits.
-        p = np.where(constant, 1.0, ndtr(z))
-    return u, p
-
-
-def _u_tests(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """U statistic of x and one-sided p-value of every (x, y) sample pair,
-    in order. Pairs that share (len(x), len(y)) are scored as the lanes of
-    one ``_u_lanes`` pass. The first pair, in order, with a non-finite value
-    or a sample of fewer than ``U_TEST_MIN_SAMPLES`` values raises
-    ValueError, checked in that order."""
-    groups: dict = {}
-    for index, (x, y) in enumerate(pairs):
-        xs = np.asarray(x, dtype=float).ravel()
-        ys = np.asarray(y, dtype=float).ravel()
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("U test samples must be finite")
-        if min(xs.size, ys.size) < U_TEST_MIN_SAMPLES:
-            raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
-        members, xl, yl = groups.setdefault((xs.size, ys.size), ([], [], []))
-        members.append(index)
-        xl.append(xs)
-        yl.append(ys)
-    u, p = np.empty(len(pairs)), np.empty(len(pairs))
-    for members, xl, yl in groups.values():
-        u[members], p[members] = _u_lanes(np.stack(xl), np.stack(yl))
-    return u, p
-
-
 def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     """One-sided Mann-Whitney U test for "x stochastically lower than y".
 
@@ -454,11 +388,35 @@ def mann_whitney_u(x, y, alpha: float = 0.05) -> tuple[float, float, bool]:
     equal, p is 1. For pooled sizes up to ``EXACT_U_LIMIT`` the null
     distribution is enumerated exactly (permutation over which pooled
     values belong to x); larger samples use the normal approximation with
-    tie-corrected variance and continuity correction. It is a one-lane
-    call of ``_u_tests``, which ``rank_methods`` scores all its pairs with.
+    tie-corrected variance and continuity correction. Raises ValueError for
+    an ``alpha`` outside (0, 1), then for a non-finite value, then for a
+    sample of fewer than ``U_TEST_MIN_SAMPLES`` values.
     """
-    u, p = _u_tests([(x, y)])
-    return float(u[0]), float(p[0]), bool(p[0] < alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha:g}")
+    xs = np.asarray(x, dtype=float).ravel()
+    ys = np.asarray(y, dtype=float).ravel()
+    pooled = np.concatenate((xs, ys))
+    if not np.isfinite(pooled).all():
+        raise ValueError("U test samples must be finite")
+    n1, n2, n = xs.size, ys.size, pooled.size
+    if min(n1, n2) < U_TEST_MIN_SAMPLES:
+        raise ValueError(f"each sample needs at least {U_TEST_MIN_SAMPLES} values")
+    ranks, ties = _average_ranks(pooled)
+    # A sum of half-integers, exact in any order.
+    u = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
+    # One run of all n values has the largest tie sum, n**3 - n.
+    if ties == n**3 - n:
+        p = 1.0
+    elif n <= EXACT_U_LIMIT:
+        p = _exact_p(ranks, n1, u)
+    else:
+        # Short of all pooled values equal, ties / (n (n - 1)) <= n - 2 (one
+        # tie of n - 1 values at most) and the variance is >= n1 n2 / 4 > 0.
+        var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
+        # Not 0.5 * math.erfc(-z / sqrt(2)): it differs from ndtr in the last bits.
+        p = float(ndtr((u + 0.5 - n1 * n2 / 2.0) / sqrt(var)))
+    return u, p, bool(p < alpha)
 
 
 @dataclass(frozen=True)
@@ -482,11 +440,12 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
 
     ``results`` maps method id -> metric name -> sample array. All methods
     must cover the same metrics. For each metric and each ordered pair
-    (a, b), method a earns one point when its samples are statistically
-    lower than b's; all the pairs' tests run as the lanes of one
-    ``_u_tests`` call, and the first pair whose samples cannot be tested
-    raises. A lone method has no pair to test: it ranks 1 with zero points
-    on every metric. The outcome is independent of the supplied ordering.
+    (a, b), method a earns one point when ``mann_whitney_u`` finds its
+    samples statistically lower than b's. The pairs are tested metric by
+    metric, each metric's in sorted method order, so the first pair whose
+    samples cannot be tested (or an ``alpha`` outside (0, 1)) raises there.
+    A lone method has no pair to test: it ranks 1 with zero points on every
+    metric. The outcome is independent of the supplied ordering.
     """
     methods = sorted(results)
     if not methods:
@@ -496,15 +455,14 @@ def rank_methods(results: dict, alpha: float = 0.05) -> RankingResult:
         raise ValueError("methods must cover identical metrics")
     metrics = metric_sets[0]
 
-    # Every metric's ordered method pairs (a, b), scored as lanes of one pass.
-    lanes = [(metric, a, b) for metric in metrics for a in methods for b in methods if a != b]
-    _, p = _u_tests([(results[a][metric], results[b][metric]) for metric, a, b in lanes])
     points = {m: 0 for m in methods}
     per_metric = {metric: {m: 0 for m in methods} for metric in metrics}
-    for (metric, a, _), lower in zip(lanes, (p < alpha).tolist()):
-        if lower:
-            per_metric[metric][a] += 1
-            points[a] += 1
+    for metric in metrics:
+        for a in methods:
+            for b in methods:
+                if a != b and mann_whitney_u(results[a][metric], results[b][metric], alpha)[2]:
+                    per_metric[metric][a] += 1
+                    points[a] += 1
 
     ordered = []
     for m in methods:
@@ -533,9 +491,9 @@ def write_metrics_csv(rows: list[dict], path) -> None:
 
 def read_metrics_csv(path) -> list[dict]:
     """The rows of a ``write_metrics_csv`` file. A row of another length
-    than the header, a value that does not parse, or a metric that is not
-    finite and nonnegative (the check ``MetricReport`` makes) raises
-    ValueError naming the path, the line and the cause."""
+    than the header, a value that does not parse, or metrics that
+    ``MetricReport`` refuses (not finite and nonnegative, or an angle above
+    pi) raise ValueError naming the path, the line and the cause."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -553,9 +511,7 @@ def read_metrics_csv(path) -> list[dict]:
                     "method": raw["method"],
                     "repetition": int(raw["repetition"]),
                 }
-                for name in METRIC_NAMES:
-                    row[name] = float(raw[name])
-                    _check_metric(name, row[name])
+                row.update(MetricReport(*(float(raw[name]) for name in METRIC_NAMES)).to_dict())
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             rows.append(row)

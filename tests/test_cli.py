@@ -591,7 +591,8 @@ class TestMetricsAndRank:
     def test_rank_command(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = []
-        for method, shift in (("good", 0.0), ("bad", 4.0)):
+        # every metric, the angle among them, in [0, pi]
+        for method, shift in (("good", 0.0), ("bad", 2.0)):
             for rep in range(10):
                 row = {"scenario": "s-0", "method": method, "repetition": rep}
                 row.update(
@@ -643,9 +644,10 @@ class TestMetricsAndRank:
 
     def test_rank_alpha_sets_the_significance_level(self, tmp_path):
         # "low" lies a little below "high" on every metric: a one-sided p
-        # between 0.05 and 0.5, significant at --alpha 0.5 only
-        low = np.arange(10.0)
-        high = low + 1.5
+        # between 0.05 and 0.5, significant at --alpha 0.5 only; every value
+        # is an angle in [0, pi] too
+        low = np.arange(10.0) / 4
+        high = low + 0.375
         _, p, _ = mann_whitney_u(low, high)
         assert 0.05 < p < 0.5
         rows = [
@@ -686,6 +688,22 @@ class TestMetricsAndRank:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {csv_path} line ") and "frechet is nan" in err
         assert not (tmp_path / "ranking.json").exists()
+
+    def test_rank_fails_on_an_angle_above_pi(self, tmp_path, capsys):
+        """bench's MetricReport refuses a final angle above pi, so rank
+        refuses a row that holds one rather than ranking it."""
+        out = tmp_path / "bench"
+        assert run("bench", "--suite", "surfaces", "--seeds", 1, "--methods", "gpt,le", "--out-dir", out) == 0
+        csv_path = out / "metrics.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[-1] = "4.0\n"
+        lines[3] = ",".join(cells)
+        csv_path.write_text("".join(lines))
+        (out / "ranking.json").unlink()
+        assert run("rank", "--metrics", csv_path) == 1
+        assert capsys.readouterr().err.endswith(f"error: {csv_path} line 4: angle error must lie in [0, pi]\n")
+        assert not (out / "ranking.json").exists()
 
     def test_rank_fails_on_a_short_row(self, tmp_path, capsys):
         csv_path = tmp_path / "metrics.csv"
@@ -1748,6 +1766,19 @@ def test_benchmark_tracer_sees_every_call_of_the_suite_table(tracing, tmp_path):
     assert bench["scenarios.make_surface_scenario.calls"] == 5
     assert bench["transport.fit_transport.calls"] == 5
     assert gen["scenarios.make_surface_scenario.calls"] == 5
+
+
+def test_benchmark_tracer_sees_every_u_test(tracing, tmp_path):
+    """``rank_methods`` runs each U test through the module global
+    ``mann_whitney_u``, which the tracer patches: two methods on five
+    metrics make ten tests, each recorded."""
+    tracer = tracing.Tracer()
+    argv = ("bench", "--suite", "surfaces", "--seeds", 1, "--methods", "gpt,le", "--out-dir", tmp_path / "bench")
+    with tracing.installed(tracer):
+        assert run(*argv) == 0
+    counted = tracing.layer_metrics(tracer)
+    assert counted["metrics.mann_whitney_u.calls"] == 10
+    assert counted["metrics.rank_methods.calls"] == 1
 
 
 def test_benchmark_own_tests_pass():

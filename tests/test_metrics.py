@@ -35,7 +35,6 @@ from poltrans.metrics import (
     _arclength_resample,
     _average_ranks,
     _lane_groups,
-    _u_tests,
     _wavefront,
     compute_metrics,
     compute_metrics_batch,
@@ -543,6 +542,11 @@ class TestMannWhitney:
         with pytest.raises(ValueError, match="at least 3"):
             mann_whitney_u([1.0, 2.0], [3.0, 4.0, 5.0])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, np.nan])
+    def test_alpha_outside_the_open_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            mann_whitney_u(np.arange(5.0), np.arange(5.0) + 10, alpha)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_are_rejected(self, bad):
         """A NaN has no rank: it used to give (3.0, 0.35, False) here."""
@@ -613,6 +617,14 @@ class TestRanking:
             ranking=(("only", 1),),
         )
 
+    @pytest.mark.parametrize("alpha", [2.0, np.nan])
+    def test_alpha_outside_the_open_unit_interval_is_rejected(self, alpha):
+        """At 2.0 the clearly worse b used to earn a point too, and at nan
+        neither method earned one."""
+        results = {"a": {"frechet": np.arange(5.0)}, "b": {"frechet": np.arange(5.0) + 10}}
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            rank_methods(results, alpha=alpha)
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least one method"):
             rank_methods({})
@@ -631,13 +643,13 @@ def bits(outcome) -> tuple:
     return float(u).hex(), float(p).hex(), flag
 
 
-class TestLaneUTests:
-    """``rank_methods`` scores every metric's ordered method pairs as the
-    lanes of one stacked pass; each lane is the per-pair test
-    ``pair_mann_whitney_u`` bit for bit."""
+class TestPairUTests:
+    """``rank_methods`` runs one ``mann_whitney_u`` call per metric and
+    ordered method pair; each is the per-pair test ``pair_mann_whitney_u``
+    bit for bit."""
 
     @staticmethod
-    def assert_lanes_match_the_oracle(results: dict, alpha: float = 0.05) -> int:
+    def assert_tests_match_the_oracle(results: dict, alpha: float = 0.05) -> int:
         methods = sorted(results)
         pairs = [
             (results[a][metric], results[b][metric])
@@ -646,11 +658,8 @@ class TestLaneUTests:
             for b in methods
             if a != b
         ]
-        u, p = _u_tests(pairs)
-        for pair, lane in zip(pairs, zip(u.tolist(), p.tolist(), (p < alpha).tolist())):
-            expected = bits(pair_mann_whitney_u(*pair, alpha))
-            assert bits(lane) == expected
-            assert bits(mann_whitney_u(*pair, alpha)) == expected
+        for pair in pairs:
+            assert bits(mann_whitney_u(*pair, alpha)) == bits(pair_mann_whitney_u(*pair, alpha))
         result = rank_methods(results, alpha)
         assert (result.points, result.per_metric_points) == pair_rank_methods(results, alpha)
         return len(pairs)
@@ -666,7 +675,7 @@ class TestLaneUTests:
         }
 
     @pytest.mark.parametrize(
-        "flags, lanes, exact",
+        "flags, tests, exact",
         [
             (("--suite", "surfaces"), 60, False),
             (("--suite", "frames"), 10, False),
@@ -674,16 +683,16 @@ class TestLaneUTests:
             (("--suite", "surfaces", "--seeds", 1, "--n-keypoints", 7), 60, True),
         ],
     )
-    def test_the_default_suites_samples(self, tmp_path, flags, lanes, exact):
+    def test_the_default_suites_samples(self, tmp_path, flags, tests, exact):
         samples = self.bench_samples(tmp_path, *flags)
         n = 2 * len(next(iter(samples.values()))["frechet"])
         assert (n <= EXACT_U_LIMIT) == exact
-        assert self.assert_lanes_match_the_oracle(samples) == lanes
+        assert self.assert_tests_match_the_oracle(samples) == tests
 
     @pytest.mark.parametrize("sizes", [(3, 4, 5, 9), (11, 12, 20, 25), (3, 8, 15, 30)])
     def test_random_samples_with_ties_on_both_paths(self, sizes):
-        """Integer-valued samples of mixed sizes, so the lanes fall into
-        several (n1, n2) groups on the exact and the normal path."""
+        """Integer-valued samples of mixed sizes, so the pairs span several
+        (n1, n2) on the exact and the normal path."""
         rng = np.random.default_rng(sum(sizes))
         for trial in range(8):
             results = {
@@ -694,21 +703,20 @@ class TestLaneUTests:
                 for k, size in enumerate(sizes)
             }
             for alpha in (0.05, 0.5):
-                self.assert_lanes_match_the_oracle(results, alpha)
+                self.assert_tests_match_the_oracle(results, alpha)
 
-    def test_an_all_equal_pooled_lane_among_others(self):
+    def test_an_all_equal_pooled_pair_among_others(self):
         results = {
             "a": {"frechet": np.full(12, 0.25), "dtw": np.full(4, 2.0)},
             "b": {"frechet": np.full(12, 0.25), "dtw": np.array([2.0, 3.0, 1.0])},
             "c": {"frechet": np.arange(12.0), "dtw": np.full(4, 2.0)},
         }
-        assert self.assert_lanes_match_the_oracle(results) == 12
-        u, p = _u_tests([(results["a"]["frechet"], results["b"]["frechet"])])
-        assert (u.tolist(), p.tolist()) == ([72.0], [1.0])
+        assert self.assert_tests_match_the_oracle(results) == 12
+        assert mann_whitney_u(results["a"]["frechet"], results["b"]["frechet"]) == (72.0, 1.0, False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_and_short_samples_raise_the_first_lanes_error(self, bad):
-        """The error is the one the per-pair loop raises first: lanes in
+    def test_non_finite_and_short_samples_raise_the_first_pairs_error(self, bad):
+        """The error is the one the per-pair oracle raises first: pairs in
         order, the finite check before the size check."""
         rng = np.random.default_rng(2)
         for _ in range(40):
@@ -744,16 +752,23 @@ class TestCsvAndJson:
             for name in METRIC_NAMES:
                 assert r[name] == src[name]  # %.17g survives the round trip
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
-    def test_read_rejects_a_non_finite_or_negative_metric(self, tmp_path, bad):
+    @pytest.mark.parametrize(
+        "column, bad, message",
+        [
+            *(pytest.param("dtw", bad, f"dtw is {bad}: metrics must be finite", id=bad) for bad in ("nan", "inf", "-0.5")),
+            # MetricReport's bound on the angle, which bench's rows meet
+            pytest.param("final_angle_error", "4.0", r"angle error must lie in \[0, pi\]", id="angle-above-pi"),
+        ],
+    )
+    def test_read_rejects_a_non_finite_or_negative_metric(self, tmp_path, column, bad, message):
         rows = [
             {"scenario": "s", "method": "m", "repetition": i, **{name: 0.1 for name in METRIC_NAMES}}
             for i in range(3)
         ]
-        rows[1]["dtw"] = float(bad)
+        rows[1][column] = float(bad)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(rows, path)
-        with pytest.raises(ValueError, match=rf"{path} line 3: dtw is {bad}: metrics must be finite"):
+        with pytest.raises(ValueError, match=rf"{path} line 3: {message}"):
             read_metrics_csv(path)
 
     @pytest.mark.parametrize(
