@@ -68,7 +68,8 @@ _EXPONENT_FLOOR = -345.0
 @dataclass(frozen=True)
 class KernelParams:
     """SE kernel hyperparameters. ``noise_variance`` is clamped up to the
-    structural floor ``NOISE_FLOOR_RATIO * signal_variance`` on construction."""
+    structural floor ``NOISE_FLOOR_RATIO * signal_variance`` on construction;
+    a signal variance whose floor underflows to 0 is refused."""
 
     signal_variance: float
     lengthscale: float
@@ -93,6 +94,11 @@ class KernelParams:
         if self.noise_variance < 0:
             raise ValueError("noise variance must be nonnegative")
         floor = NOISE_FLOOR_RATIO * self.signal_variance
+        if floor == 0.0:
+            raise ValueError(
+                f"signal variance {self.signal_variance:g} is too small: its noise floor "
+                f"{NOISE_FLOOR_RATIO:g} x signal variance underflows to 0"
+            )
         if self.noise_variance < floor:
             object.__setattr__(self, "noise_variance", floor)
         # The diagonal of K + sn2 I; Python floats overflow to inf here.
@@ -401,8 +407,9 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     All-zero outputs skip the search and get lengthscale ell_center with a
     negligible signal variance, so the posterior is the certain zero.
     Raises ValueError for no training point, for a ``noise_ratio`` outside
-    its range and for distinct inputs too close or too far apart for their
-    squared distances to be normal floats, and RuntimeError("non-PD Gram
+    its range, for distinct inputs too close or too far apart for their
+    squared distances to be normal floats and for nonzero outputs whose
+    mean square is not a normal float, and RuntimeError("non-PD Gram
     matrix") when every grid point fails.
     """
     x, y = _training_data(inputs, outputs)
@@ -423,11 +430,7 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
     diam = float(np.sqrt(sq_max)) if sq_max > 0.0 else 1.0
     ell_center = diam / np.sqrt(x.shape[1])
 
-    out_var = float(np.mean(np.var(y, axis=0)))
-    out_scale = float(np.mean(y**2))
-    base = out_var if out_var > 0 else out_scale
-
-    if base <= 0.0:
+    if not y.any():
         # All-zero outputs: any hyperparameters give the zero posterior mean;
         # keep the prior variance negligible so predictions stay certain.
         tiny = KernelParams(
@@ -436,6 +439,15 @@ def fit_gp(inputs, outputs, noise_ratio: float = NOISE_RATIO_MAX) -> GPModel:
             noise_variance=0.0,
         )
         return _build(x, y, tiny, sq)
+    with np.errstate(over="ignore", under="ignore"):
+        out_scale = float(np.mean(y**2))
+    if not np.finfo(float).tiny <= out_scale < np.inf:
+        size, flow = ("large", "overflows") if out_scale == np.inf else ("small", "is subnormal or zero")
+        raise ValueError(
+            f"output scale {float(np.abs(y).max()):.3g} is too {size}: the outputs' mean square {flow}"
+        )
+    out_var = float(np.mean(np.var(y, axis=0)))
+    base = out_var if out_var > 0 else out_scale
 
     log_sp2_bounds = (np.log(1e-6 * base), np.log(1e6 * base))
     nlml = _profiled_nlml(-0.5 * sq, y, log_sp2_bounds)

@@ -6,8 +6,9 @@ cost, final position error, and final docking-angle error. Methods are
 ranked by pairwise one-sided Mann-Whitney U tests: on each metric, a method
 earns one point for every competitor over which its samples are
 statistically lower, and methods are ordered by total points. The metrics
-are scored lane-wise, every group of same-shape pairs in one stacked pass;
-each U test is one ``mann_whitney_u`` call on one sample pair.
+are scored lane-wise, each distinct pair once and every group of same-shape
+pairs in one stacked pass; each U test is one ``mann_whitney_u`` call on
+one sample pair.
 """
 from __future__ import annotations
 
@@ -87,10 +88,33 @@ def _lane_groups(pairs):
         yield members, a, b
 
 
+def _scale_faults(a: np.ndarray, b: np.ndarray) -> list:
+    """For each lane of a (dim, m, L) and b (dim, n, L), the ValueError of a
+    pair whose points are not all equal and whose bounding box has a squared
+    diagonal that overflows or is not a normal float, or None. Such a pair
+    has distances that overflow, or squared distances that lose bits as
+    subnormals or vanish. The check itself warns of nothing."""
+    with np.errstate(over="ignore", under="ignore"):
+        extent = np.maximum(a.max(axis=1), b.max(axis=1)) - np.minimum(a.min(axis=1), b.min(axis=1))
+        diag_sq = (extent * extent).sum(axis=0)
+    scale = extent.max(axis=0)
+    faults: list = [None] * a.shape[2]
+    for lane in np.flatnonzero((scale > 0) & ((diag_sq < np.finfo(float).tiny) | (diag_sq == np.inf))):
+        size, flow = ("large", "overflows") if diag_sq[lane] == np.inf else ("small", "underflows")
+        faults[lane] = ValueError(
+            f"coordinate scale {scale[lane]:.3g} is too {size}: the squared diagonal "
+            f"of the pair's bounding box {flow}"
+        )
+    return faults
+
+
 def _one_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """One (a, b) pair, checked as a batch's pairs are, as the single lane
     of a (dim, m, 1) and b (dim, n, 1) stack."""
     ((_, la, lb),) = _lane_groups([_pair_positions(a, b)])
+    (fault,) = _scale_faults(la, lb)
+    if fault is not None:
+        raise fault
     return la, lb
 
 
@@ -289,57 +313,77 @@ def final_angle_error(a, b) -> float:
 
 def _score_lanes(a: np.ndarray, b: np.ndarray) -> list:
     """The MetricReport of each lane of a (dim, m, L) and b (dim, n, L), or
-    the exception that fails the lane."""
-    lanes = a.shape[2]
+    the exception that fails the lane (one object for a failure the whole
+    group shares). Lanes that ``_scale_faults`` refuses are left out of
+    every metric's arithmetic."""
+    outcomes = _scale_faults(a, b)
+    kept = [lane for lane, fault in enumerate(outcomes) if fault is None]
+    if len(kept) < len(outcomes):
+        if not kept:
+            return outcomes
+        a, b = a[:, :, kept], b[:, :, kept]
     try:
         area = _area_lanes(a, b)
     except ValueError as exc:  # a shape that every lane of the group shares
-        return [ValueError(*exc.args) for _ in range(lanes)]
+        for lane in kept:
+            outcomes[lane] = exc
+        return outcomes
     position = _final_position_lanes(a, b)
     angle, stationary = _angle_lanes(a, b)
     frechet, dtw = _wavefront(a, b)
-    outcomes: list = []
-    for lane in range(lanes):
+    for k, lane in enumerate(kept):
         try:
-            if stationary[lane]:
+            if stationary[k]:
                 raise ValueError(_STATIONARY_TAIL)
-            outcomes.append(
-                MetricReport(
-                    frechet=float(frechet[lane]),
-                    area_between=float(area[lane]),
-                    dtw=float(dtw[lane]),
-                    final_position_error=float(position[lane]),
-                    final_angle_error=float(angle[lane]),
-                )
+            outcomes[lane] = MetricReport(
+                frechet=float(frechet[k]),
+                area_between=float(area[k]),
+                dtw=float(dtw[k]),
+                final_position_error=float(position[k]),
+                final_angle_error=float(angle[k]),
             )
         except ValueError as exc:
-            outcomes.append(exc)
+            outcomes[lane] = exc
     return outcomes
 
 
 def compute_metrics_batch(pairs) -> list:
     """``compute_metrics`` of every (produced, reference) pair, in order.
 
-    Pairs that share (len(produced), len(reference), dim) are scored as
-    the lanes of one group: each metric runs once per group, so a batch of
+    Each distinct pair is scored once: a pair whose two position arrays
+    repeat an earlier pair's shapes and bytes exactly gets that pair's
+    outcome. Distinct pairs
+    that share (len(produced), len(reference), dim) are scored as the
+    lanes of one group: each metric runs once per group, so a batch of
     same-length pairs costs about as many NumPy calls as one pair. A pair
-    whose metrics fail yields its own exception in place of a report; the
-    other pairs' reports are unaffected.
+    whose metrics fail yields its own exception object in place of a
+    report, a repeat included; the other pairs' reports are unaffected. No lane's arithmetic reads
+    another's, so neither repeats nor grouping change any report.
     """
     outcomes: list = []
-    positions = []
-    owners = []  # outcome index of each entry of positions
+    positions = []  # the distinct valid pairs, in order of first occurrence
+    lane_of: dict = {}  # each distinct pair's content -> its index in positions
+    slots = []  # (index in outcomes, index in positions) of each valid pair
     for produced, reference in pairs:
         try:
-            positions.append(_pair_positions(produced, reference))
+            pa, pb = _pair_positions(produced, reference)
         except Exception as exc:
             outcomes.append(exc)
             continue
-        owners.append(len(outcomes))
+        lane = lane_of.setdefault((pa.shape, pb.shape, pa.tobytes(), pb.tobytes()), len(positions))
+        if lane == len(positions):
+            positions.append((pa, pb))
+        slots.append((len(outcomes), lane))
         outcomes.append(None)
+    scored: list = [None] * len(positions)
     for members, a, b in _lane_groups(positions):
         for lane, outcome in zip(members, _score_lanes(a, b)):
-            outcomes[owners[lane]] = outcome
+            scored[lane] = outcome
+    for slot, lane in slots:
+        outcome = scored[lane]
+        # A copy per pair: a failure shared by repeats or by a group is
+        # one object in ``scored``.
+        outcomes[slot] = ValueError(*outcome.args) if isinstance(outcome, ValueError) else outcome
     return outcomes
 
 

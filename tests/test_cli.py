@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import pytest
 
 from conftest import default_bench_tasks, fold_pair, previous_format, rotation_2d, suite_tasks
 from poltrans import PairedKeypoints, PointSet, PolicyLabels, Trajectory, fit_transport, save_json, save_transport_map
-from poltrans import baselines, cli
+from poltrans import baselines, cli, metrics
 from poltrans.cli import main
 from poltrans.metrics import METRIC_NAMES, compute_metrics, mann_whitney_u, read_metrics_csv, write_metrics_csv
 from poltrans.scenarios import (
@@ -395,6 +396,20 @@ class TestTransport:
         assert err == ["error: signal variance 1e+308 and noise variance 1e+308 sum past the largest float"]
         assert not out.exists()
 
+    def test_map_whose_noise_floor_underflows_fails_naming_the_variance(self, tmp_path, fitted_map, capsys):
+        """A signal variance of 5e-324 has a noise floor of 0 and used to
+        fail as 'non-PD Gram matrix'."""
+        data = json.loads(fitted_map.read_text())
+        data["params"].update(signal_variance=5e-324, noise_variance=0.0)
+        fitted_map.write_text(json.dumps(data))
+        labels_path = tmp_path / "labels.json"
+        save_json(PolicyLabels(positions=[[0.2, 0.0]]), labels_path)
+        out = tmp_path / "transport"
+        assert run("transport", "--map", fitted_map, "--labels", labels_path, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: signal variance 4.94066e-324 is too small: its noise floor 1e-08 x signal variance underflows to 0"]
+        assert not out.exists()
+
     def test_map_in_the_old_format_asks_for_a_refit(self, tmp_path, fitted_map, capsys):
         """A map file that carries the residual's training set in place of
         its hyperparameters predates the current format."""
@@ -552,6 +567,33 @@ class TestMetricsAndRank:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {paths[which]} is not valid JSON: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e-160, 1e-200])
+    def test_metrics_at_extreme_coordinate_scales(self, tmp_path, capsys, scale):
+        """At 1e150 the pair is scored as ever. Beyond, its squared bounding
+        box diagonal overflows or is not a normal float: the pair used to
+        print overflow warnings and fail as a stationary tail, or, at 1e-160,
+        be scored on subnormal squares; now one error names its scale."""
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        produced, reference = tmp_path / "produced.json", tmp_path / "reference.json"
+        save_json(Trajectory(positions=positions * scale), produced)
+        save_json(Trajectory(positions=(positions + [0.0, 1.0]) * scale), reference)
+        out = tmp_path / "metrics.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("metrics", "--produced", produced, "--reference", reference, "--out", out)
+        captured = capsys.readouterr()
+        if scale == 1e150:
+            assert code == 0 and captured.err == ""
+            assert json.loads(out.read_text())["frechet"] == 1e150
+            return
+        size, flow = ("large", "overflows") if scale > 1 else ("small", "underflows")
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: coordinate scale {2.0 * scale:g} is too {size}: "
+            f"the squared diagonal of the pair's bounding box {flow}\n"
+        )
         assert not out.exists()
 
     def test_metrics_rejects_infinite_times_and_writes_nothing(self, tmp_path, capsys):
@@ -1085,6 +1127,24 @@ class TestBench:
         clean = (tmp_path / "clean" / "metrics.csv").read_text().splitlines()
         stalled = (out / "metrics.csv").read_text().splitlines()
         assert stalled == [line for line in clean if not line.startswith("surface-flat-0,le,")]
+
+    @pytest.mark.parametrize("suite", ["surfaces", "frames"])
+    def test_the_metric_batch_sweeps_each_distinct_pair_once(self, tmp_path, monkeypatch, suite):
+        """On the default surfaces bench 13 of the 60 (produced, reference)
+        pairs repeat an earlier pair bit for bit: gpt, lwt and reshaped_kmp
+        all return the rigid image on the six flat and tilt scenes, and
+        flat-1's three pairs equal flat-0's. The frames bench repeats none."""
+        swept = []
+        wavefront = metrics._wavefront
+
+        def recording(a, b):
+            swept.append(a.shape[2])
+            return wavefront(a, b)
+
+        monkeypatch.setattr(metrics, "_wavefront", recording)
+        assert run("bench", "--suite", suite, "--out-dir", tmp_path / "bench") == 0
+        rows = len(read_metrics_csv(tmp_path / "bench" / "metrics.csv"))
+        assert (rows, sum(swept)) == {"surfaces": (60, 47), "frames": (40, 40)}[suite]
 
     def test_rows_equal_per_cell_compute_metrics(self, tmp_path, monkeypatch):
         pairs = {}

@@ -279,6 +279,47 @@ class TestHyperparameterFit:
             with pytest.raises(ValueError, match="input scale .* is too small"):
                 fit_gp(x, [[0.0], [1.0], [2.0]])
 
+    # Four planar inputs and two-output targets, none of them zero in every output.
+    SCALE_X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
+    SCALE_Y = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [1.0, 0.0]])
+
+    def test_outputs_whose_mean_square_overflows_are_rejected(self):
+        """At 1e160 the grid's signal variance overflowed, after overflow
+        warnings, into the generic 'kernel parameters must be finite'."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"output scale 3e\+160 is too large: the outputs' mean square overflows"):
+                fit_gp(self.SCALE_X, self.SCALE_Y * 1e160)
+
+    def test_outputs_whose_mean_square_is_subnormal_are_rejected(self):
+        """At 1e-160 the fit's signal variance was subnormal, its noise floor
+        underflowed to 0 and the posterior mean missed the outputs by 1.7e-4
+        relative."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="output scale 3e-160 is too small: the outputs' mean square is subnormal"):
+                fit_gp(self.SCALE_X, self.SCALE_Y * 1e-160)
+
+    def test_nonzero_outputs_whose_mean_square_underflows_to_zero_are_rejected(self):
+        """At 1e-170 the mean square is 0, and the fit took the all-zero
+        branch (no search, lengthscale ell_center) though no output is 0."""
+        with pytest.raises(ValueError, match="output scale 3e-170 is too small"):
+            fit_gp(self.SCALE_X, self.SCALE_Y * 1e-170)
+        zero = fit_gp(self.SCALE_X, np.zeros((4, 2)))
+        assert zero.params.lengthscale == np.sqrt(10.0) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_outputs_at_extreme_normal_scales_are_fitted(self, scale):
+        """Outputs at 1e150 and 1e-150, inside the scales the check leaves
+        alone, fit without a warning, on a nonzero noise floor, and
+        interpolate."""
+        y = self.SCALE_Y * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_gp(self.SCALE_X, y)
+        assert model.params.noise_variance >= NOISE_FLOOR_RATIO * model.params.signal_variance > 0.0
+        assert_allclose(predict_mean(model, self.SCALE_X), y, rtol=1e-6, atol=1e-6 * scale)
+
     def test_identical_inputs_take_the_unit_scale(self):
         for x in ([[0.25]], [[0.25], [0.25]]):
             model = fit_gp(x, np.arange(len(x), dtype=float)[:, None] + 1.0)
@@ -747,6 +788,14 @@ class TestRobustness:
     def test_noise_clamped_to_structural_floor(self):
         p = KernelParams(2.0, 1.0, 0.0)
         assert p.noise_variance == 2.0 * NOISE_FLOOR_RATIO
+
+    @pytest.mark.parametrize("signal_variance", [1e-320, 5e-324])
+    def test_signal_variance_whose_noise_floor_underflows_is_rejected(self, signal_variance):
+        """Its noise floor was 0: at 5e-324 build_gp ended in 'non-PD Gram
+        matrix', and a map file could carry such a variance."""
+        with pytest.raises(ValueError, match="is too small: its noise floor 1e-08 x signal variance underflows to 0"):
+            KernelParams(signal_variance, 1.0)
+        assert KernelParams(1e-300, 1.0).noise_variance == NOISE_FLOOR_RATIO * 1e-300
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Trajectory metrics and rank statistics against enumeration oracles."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from conftest import (
     pair_mann_whitney_u,
     pair_rank_methods,
 )
-from poltrans import Trajectory, cli, save_json
+from poltrans import Trajectory, cli, metrics, save_json
 from poltrans.metrics import (
     EXACT_U_LIMIT,
     METRIC_NAMES,
@@ -452,6 +454,115 @@ class TestEndpointMetrics:
             MetricReport(0.0, 0.0, 0.0, 0.0, 4.0)
         with pytest.raises(ValueError):
             MetricReport(np.nan, 0.0, 0.0, 0.0, 0.0)
+
+
+def alone(pair):
+    """A pair's outcome scored as a batch of its own, an exception as its
+    type and message."""
+    (outcome,) = compute_metrics_batch([pair])
+    return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
+
+
+class TestRepeatedPairs:
+    def test_repeats_get_the_outcome_of_their_first_occurrence(self, monkeypatch):
+        """Repeats, interleaved over two lane groups and failing pairs among
+        them, are swept once; a pair one ulp away from another is not a
+        repeat. Each outcome is the pair's own, and each failing repeat
+        holds its own exception object."""
+        rng = np.random.default_rng(49)
+
+        def curve(m):
+            return np.cumsum(rng.uniform(0.1, 1.0, (m, 2)), axis=0)
+
+        long_pair = (curve(8), curve(8))
+        short_pair = (curve(5), curve(8))
+        stationary = curve(8)
+        stationary[-6:] = stationary[-6]
+        still_pair = (stationary, curve(8))
+        huge_pair = (curve(5) * 1e200, curve(8) * 1e200)
+        nudged = long_pair[0].copy()
+        nudged[3, 1] = np.nextafter(nudged[3, 1], np.inf)
+        pairs = [
+            long_pair,
+            short_pair,
+            still_pair,
+            (long_pair[0].copy(), Trajectory(positions=long_pair[1])),
+            (nudged, long_pair[1]),
+            short_pair,
+            (stationary.copy(), still_pair[1]),
+            huge_pair,
+            long_pair,
+            huge_pair,
+            still_pair,
+        ]
+        swept = []
+
+        def recording(a, b):
+            swept.append(a.shape[2])
+            return _wavefront(a, b)
+
+        monkeypatch.setattr(metrics, "_wavefront", recording)
+        outcomes = compute_metrics_batch(pairs)
+        # (8, 8): long, nudged and still; (5, 8): short, with huge refused unswept
+        assert sorted(swept) == [1, 3]
+        assert [(type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes] == [
+            alone(pair) for pair in pairs
+        ]
+        assert outcomes[4] != outcomes[0]
+        failing = [o for o in outcomes if isinstance(o, Exception)]
+        assert len(failing) == 5 and len({id(o) for o in failing}) == 5
+        for k in (0, 1, 4):
+            assert outcomes[k] == pair_compute_metrics(*pairs[k])
+
+
+class TestCoordinateScale:
+    """A pair whose points are not all equal and whose bounding box has a
+    squared diagonal that overflows or is not a normal float is refused
+    before any metric runs: at 1e160 and 1e200 the distances overflowed
+    (with warnings) and the pair failed as a stationary tail, at 1e-200 it
+    failed the same way, and at 1e-160 it was scored on subnormal squares
+    (Frechet 9.99994e-161 for the exact 1e-160)."""
+
+    # compute_metrics, then each metric in METRIC_NAMES order
+    ONE_PAIR = (
+        compute_metrics, frechet_distance, area_between_curves, dtw_distance,
+        final_position_error, final_angle_error,
+    )
+
+    @pytest.mark.parametrize(
+        "scale, flow", [(1e160, "overflows"), (1e200, "overflows"), (1e-160, "underflows"), (1e-200, "underflows")]
+    )
+    def test_a_pair_at_an_extreme_scale_is_refused(self, scale, flow):
+        size = "large" if flow == "overflows" else "small"
+        message = re.escape(
+            f"coordinate scale {2.0 * scale:g} is too {size}: the squared diagonal of the pair's bounding box {flow}"
+        )
+        a, b = PARALLEL_A * scale, PARALLEL_B * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = compute_metrics_batch([(PARALLEL_A, PARALLEL_B), (a, b), (PARALLEL_B, PARALLEL_A)])
+            for metric in self.ONE_PAIR:
+                with pytest.raises(ValueError, match=message):
+                    metric(a, b)
+        assert type(outcomes[1]) is ValueError and re.match(message, str(outcomes[1]))
+        assert outcomes[0] == pair_compute_metrics(PARALLEL_A, PARALLEL_B)
+        assert outcomes[2] == pair_compute_metrics(PARALLEL_B, PARALLEL_A)
+
+    def test_a_pair_at_1e150_is_scored_as_before(self):
+        a, b = PARALLEL_A * 1e150, PARALLEL_B * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (report,) = compute_metrics_batch([(a, b)])
+            assert [metric(a, b) for metric in self.ONE_PAIR] == [report, *report.to_dict().values()]
+        assert report == pair_compute_metrics(a, b)
+        assert report == MetricReport(1e150, 1.9999999999999998e300, 2.9999999999999998e150, 1e150, 0.0)
+
+    def test_a_pair_of_equal_points_has_no_scale_to_refuse(self):
+        """Every point equal: the extent is 0 at any scale, as it is at 1."""
+        still = np.full((3, 2), 1e-200)
+        with pytest.raises(ValueError, match="stationary tail"):
+            compute_metrics(still, still)
+        assert frechet_distance(still, still) == dtw_distance(still, still) == 0.0
 
 
 class TestMannWhitney:
